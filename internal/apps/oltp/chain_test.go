@@ -83,3 +83,34 @@ func TestChainDefaultsApplied(t *testing.T) {
 		t.Fatalf("no work measured: %+v", r)
 	}
 }
+
+// TestChainFaultsCountsWindowStartCompletions pins the op-level window
+// of the fault-aware runner to the fault-free one. Clients gate op
+// outcomes on completion time, so a completion landing exactly at the
+// window start belongs to the window; at this point (dIPC, depth 1, 8
+// threads, seed 5) some do, and they must neither be dropped from the
+// count nor leave their latency behind in the mean.
+func TestChainFaultsCountsWindowStartCompletions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("chain run is slow")
+	}
+	cfg := ChainConfig{Mode: ModeDIPC, Depth: 1, Threads: 8, Window: sim.Millis(100), Seed: 5}
+	plain := RunChain(cfg)
+	faulty := RunChainFaults(ChainFaultsConfig{ChainConfig: cfg})
+	// The fault-free closed-loop count at this point, window-start
+	// completions included.
+	const wantOps = 9368
+	if plain.Ops != wantOps {
+		t.Fatalf("RunChain counted %d ops, want %d", plain.Ops, wantOps)
+	}
+	if got, want := faulty.Rel.Ops(), int64(plain.Ops); got != want {
+		t.Fatalf("fault-free RunChainFaults counted %d ops, RunChain %d", got, want)
+	}
+	if faulty.Rel.OpsFailed != 0 || faulty.AvgLatency != plain.AvgLatency {
+		t.Fatalf("fault-free runs disagree: failed=%d latency %v vs %v",
+			faulty.Rel.OpsFailed, faulty.AvgLatency, plain.AvgLatency)
+	}
+	if got := faulty.Goodput * cfg.Window.Seconds(); int64(got+0.5) != int64(plain.Ops) {
+		t.Fatalf("goodput %.1f ops/s does not cover %d ops", faulty.Goodput, plain.Ops)
+	}
+}

@@ -370,8 +370,9 @@ func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 		})
 	}
 
-	// Closed-loop clients. Ops/latency gate client-side on completion
-	// time; the attempt-level counters window via snapshot-subtraction.
+	// Closed-loop clients. Op outcomes and latency gate client-side on
+	// completion time; only the attempt-level counters, which the
+	// Retriers bump at any time, window via snapshot-subtraction.
 	measStart := cfg.Warmup
 	measEnd := cfg.Warmup + cfg.Window
 	var latSum sim.Time
@@ -401,7 +402,11 @@ func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 	eng.At(measStart, func() { baseRel = *rel; baseBd = m.Snapshot() })
 	eng.RunUntil(measEnd)
 
+	// Subtracting the snapshot from the gated op counters too would drop
+	// a completion landing exactly at measStart ahead of the snapshot
+	// event, while its latency stayed in the mean.
 	window := rel.Sub(baseRel)
+	window.OpsOK, window.OpsFailed = rel.OpsOK, rel.OpsFailed
 	res := &ChainFaultsResult{
 		Config:       cfg,
 		Rel:          window,

@@ -50,11 +50,11 @@ var scenarioGoldens = map[string]struct {
 	"rack": {map[string]string{"window": "10ms", "warmup": "2ms"},
 		"c1ce13c9be9945c7278c6db36ea4169708fb446163f6e22a2f2aba342928df4f", false},
 	"chaos-kill": {map[string]string{"window": "10ms", "warmup": "3ms", "killat": "5ms", "restartat": "8ms"},
-		"7f32add425ad9aba7d990c17f4f278e436476098422a705f48109c0070b827e7", false},
+		"1b59910f97f7c3dae700e5daf6ad38060dc8b6e4ec3a5da3e60d7d7cc07a5d7d", false},
 	"chaos-rack": {map[string]string{"window": "8ms", "warmup": "2ms", "flapperiod": "3ms", "flapdown": "1ms"},
 		"c20c57ea64aaa4fb62eae089670cf9779d542dfa2f364bf0ffd6b5b62bff0cc6", false},
 	"chaos-retrystorm": {map[string]string{"window": "5ms", "warmup": "2ms"},
-		"f0c66941f4676fc9881adc2da2f0d9ce535c2925f831342c719133a4909bf661", false},
+		"d1af28d2762d6c430e70ad9f736a39a8e850e52570e7803c1294e70bf4044cfb", false},
 	"overload-knee": {map[string]string{"window": "10ms", "warmup": "3ms"},
 		"850bdbc020ac453b8f241bfd2c2f6a2f25d991ba89fa3f96d51dacf00e872a76", false},
 	"overload-shed": {map[string]string{"window": "10ms", "warmup": "3ms"},
