@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/cost"
+	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -59,108 +60,167 @@ func (r *ChainResult) IdleShare() float64 { return idleShare(r.Breakdown) }
 func chainPath(i int) string { return fmt.Sprintf("/run/chain-svc%d.sock", i) }
 
 // RunChain executes one chain configuration and returns its
-// measurements.
+// measurements: the fault-aware runner with no fault plan, whose
+// TryCall paths then make exactly the charges of a world where every
+// call succeeds.
 func RunChain(cfg ChainConfig) *ChainResult {
-	if cfg.Depth <= 0 {
-		cfg.Depth = 1
+	fr, callsPerOp := runChainFaults(ChainFaultsConfig{ChainConfig: cfg})
+	res := &ChainResult{
+		Config:     fr.Config.ChainConfig,
+		Ops:        int(fr.Rel.Ops()),
+		AvgLatency: fr.AvgLatency,
+		Breakdown:  fr.Breakdown,
+		CallsPerOp: callsPerOp,
 	}
-	if cfg.Threads <= 0 {
-		cfg.Threads = 8
+	if res.Ops > 0 {
+		res.Throughput = float64(res.Ops) / res.Config.Window.Seconds() * 60
 	}
-	if cfg.CPUs <= 0 {
-		cfg.CPUs = 4
-	}
-	if cfg.Clients <= 0 {
-		cfg.Clients = cfg.Threads
-	}
-	if cfg.Work == 0 {
-		cfg.Work = sim.Micros(20)
-	}
-	if cfg.ReqBytes <= 0 {
-		cfg.ReqBytes = 256
-	}
-	if cfg.Warmup == 0 {
-		cfg.Warmup = sim.Millis(20)
-	}
-	if cfg.Window == 0 {
-		cfg.Window = sim.Millis(100)
-	}
-	if cfg.Cost == nil {
-		cfg.Cost = cost.Default()
-	}
+	return res
+}
 
-	eng := sim.NewEngine(cfg.Seed + 1)
-	m := kernel.NewMachine(eng, cfg.Cost, cfg.CPUs)
-	prm := DefaultParams()
-	ingress := NewIngress(prm)
+// tierChain is one tier chain for buildChain: a front process (the
+// gateway, or a replica's front) calling through Depth service tiers
+// over Mode's transports.
+type tierChain struct {
+	Mode     Mode
+	Depth    int
+	Threads  int      // socket workers per service tier (Linux)
+	ReqBytes int      // request/response bytes per hop
+	Work     sim.Time // application work per service tier
+	Plan     *faults.Plan
+	Deadline sim.Time // what a dropped call costs its caller at each hop's fault site
+	// Prefix qualifies every process, thread and site name: "" gives
+	// the front "gateway" ("chain-app" under Ideal), tiers "svcN" and
+	// sites "hopN"; "r2" gives "r2", "r2.svcN" and "r2.hopN".
+	Prefix string
+	// SlotBoot picks the dIPC boot strategy. False: the builder drains
+	// the machine's engine after each init thread, so all of them have
+	// run on return. True: each init instead sleeps to a fixed multiple
+	// of replicaBootSlot — deeper tiers first, the front last — which is
+	// safe on a cluster shard, whose clock the builder must not advance.
+	SlotBoot bool
+}
 
-	// transports[i] carries tier i -> tier i+1 calls, where tier 0 is the
-	// gateway. The handler closures read the slice at call time, so the
-	// per-mode wiring below may fill it in any order.
-	transports := make([]Transport, cfg.Depth)
+// name qualifies a tier-local name with the chain's prefix.
+func (c *tierChain) name(s string) string {
+	if c.Prefix == "" {
+		return s
+	}
+	return c.Prefix + "." + s
+}
+
+// buildChain wires c on machine m: processes, service workers,
+// transports, fault sites, and injector process targets. Each hop's
+// transport is passed through wrap (hop index 1..Depth) so callers
+// choose the resilience stack (Retrier, Breaker). On return every
+// element of transports is populated, unless c.SlotBoot defers the dIPC
+// wiring to the boot slots.
+func buildChain(c *tierChain, m *kernel.Machine, prm *Params, inj *faults.Injector,
+	wrap func(Transport, int) Transport,
+) (front *kernel.Process, rt *core.Runtime, transports []Transport) {
+	// site names the per-call fault stream of the hop into tier i; a
+	// dropped request costs its caller exactly the retry deadline.
+	site := func(i int) *faults.CallSite {
+		return c.Plan.Site(c.name(fmt.Sprintf("hop%d", i)), c.Deadline)
+	}
+	svcName := func(i int) string { return c.name(fmt.Sprintf("svc%d", i)) }
+
+	transports = make([]Transport, c.Depth)
 	handler := func(i int) Handler {
 		return func(t *kernel.Thread, op string, payload any) (any, int) {
-			t.ExecUser(cfg.Work)
-			if i < cfg.Depth {
-				transports[i].Call(t, "hop", payload, cfg.ReqBytes)
+			t.ExecUser(c.Work)
+			if i < c.Depth {
+				if _, err := transports[i].TryCall(t, "hop", payload, c.ReqBytes); err != nil {
+					return &RemoteError{Tier: svcName(i + 1), Err: err}, c.ReqBytes
+				}
 			}
-			return payload, cfg.ReqBytes
+			return payload, c.ReqBytes
 		}
 	}
 
-	var front *kernel.Process
-	var rt *core.Runtime
-	switch cfg.Mode {
+	frontName := c.Prefix
+	if frontName == "" {
+		frontName = "gateway"
+		if c.Mode == ModeIdeal {
+			frontName = "chain-app"
+		}
+	}
+
+	switch c.Mode {
 	case ModeIdeal:
 		// All tiers co-located in one (unsafe) process.
-		front = m.NewProcess("chain-app")
-		for i := 1; i <= cfg.Depth; i++ {
-			transports[i-1] = &DirectTransport{H: handler(i)}
+		front = m.NewProcess(frontName)
+		inj.Proc(frontName, m, front)
+		for i := 1; i <= c.Depth; i++ {
+			transports[i-1] = wrap(&DirectTransport{H: handler(i), Faults: site(i)}, i)
 		}
 
 	case ModeLinux:
 		// One process and one socket worker pool per tier.
-		front = m.NewProcess("gateway")
+		front = m.NewProcess(frontName)
 		front.WorkingSet = 48 << 10
-		for i := 1; i <= cfg.Depth; i++ {
-			proc := m.NewProcess(fmt.Sprintf("svc%d", i))
+		inj.Proc(frontName, m, front)
+		for i := 1; i <= c.Depth; i++ {
+			proc := m.NewProcess(svcName(i))
 			proc.WorkingSet = 96 << 10
+			inj.Proc(proc.Name, m, proc)
 			st := NewSockTransport(prm, handler(i))
-			transports[i-1] = st
-			for w := 0; w < cfg.Threads; w++ {
-				m.Spawn(proc, fmt.Sprintf("svc%d-%d", i, w), nil, st.Worker)
+			st.Proc = proc
+			st.Faults = site(i)
+			transports[i-1] = wrap(st, i)
+			for w := 0; w < c.Threads; w++ {
+				m.Spawn(proc, fmt.Sprintf("%s-%d", proc.Name, w), nil, st.Worker)
 			}
 		}
 
 	case ModeDIPC:
-		// dIPC processes bridged by proxies: the gateway thread executes
+		// dIPC processes bridged by proxies: the front thread executes
 		// the whole chain in place, so the service tiers need no worker
 		// pools. Tiers distrust their callers (microservice style), so
 		// every entry requests callee-side protection; importers trust
 		// their callees and request none.
 		rt = core.NewRuntime(m)
 		rt.FoldStubs = true
-		front = rt.NewProcess("gateway")
-		svc := make([]*kernel.Process, cfg.Depth+1)
-		for i := 1; i <= cfg.Depth; i++ {
-			svc[i] = rt.NewProcess(fmt.Sprintf("svc%d", i))
+		front = rt.NewProcess(frontName)
+		inj.Proc(frontName, m, front)
+		svc := make([]*kernel.Process, c.Depth+1)
+		for i := 1; i <= c.Depth; i++ {
+			svc[i] = rt.NewProcess(svcName(i))
+			inj.Proc(svc[i].Name, m, svc[i])
 		}
 		calleePolicy := core.RegConfidentiality | core.StackConfIntegrity | core.DCSConfIntegrity
 		sig := core.Signature{InRegs: 2, OutRegs: 1}
+		// importHop resolves tier i's entry as the transport of hop i.
+		importHop := func(t *kernel.Thread, i int) {
+			ents, err := rt.MustImport(t, chainPath(i), []core.EntryDesc{{Name: "hop", Sig: sig}})
+			if err != nil {
+				panic(err)
+			}
+			tr := NewDIPCTransport(map[string]*core.ImportedEntry{"hop": ents[0]})
+			tr.Faults = site(i)
+			transports[i-1] = wrap(tr, i)
+		}
+		// boot starts an init thread at sim-time slot (in SlotBoot mode)
+		// or runs it to completion before the next one is spawned.
+		boot := func(p *kernel.Process, name string, slot sim.Time, init func(t *kernel.Thread)) {
+			m.Spawn(p, name, nil, func(t *kernel.Thread) {
+				if c.SlotBoot {
+					t.SleepFor(slot * replicaBootSlot)
+				}
+				mustEnter(rt, t)
+				init(t)
+			})
+			if !c.SlotBoot {
+				m.Eng.Run()
+			}
+		}
 		// Wire back to front: tier i imports tier i+1's entry before
 		// publishing its own, so every Resolve finds its target.
-		for i := cfg.Depth; i >= 1; i-- {
+		for i := c.Depth; i >= 1; i-- {
 			i := i
-			m.Spawn(svc[i], fmt.Sprintf("svc%d-init", i), nil, func(t *kernel.Thread) {
-				mustEnter(rt, t)
-				if i < cfg.Depth {
-					ents, err := rt.MustImport(t, chainPath(i+1), []core.EntryDesc{
-						{Name: "hop", Sig: sig},
-					})
-					if err != nil {
-						panic(err)
-					}
-					transports[i] = NewDIPCTransport(map[string]*core.ImportedEntry{"hop": ents[0]})
+			boot(svc[i], svcName(i)+"-init", sim.Time(c.Depth-i), func(t *kernel.Thread) {
+				if i < c.Depth {
+					importHop(t, i+1)
 				}
 				eh, err := rt.EntryRegister(t, rt.DomDefault(t), []core.EntryDesc{
 					{Name: "hop", Fn: handlerEntry(handler(i), "hop"), Sig: sig, Policy: calleePolicy},
@@ -172,77 +232,11 @@ func RunChain(cfg ChainConfig) *ChainResult {
 					panic(err)
 				}
 			})
-			eng.Run()
 		}
-		m.Spawn(front, "gateway-init", nil, func(t *kernel.Thread) {
-			mustEnter(rt, t)
-			ents, err := rt.MustImport(t, chainPath(1), []core.EntryDesc{{Name: "hop", Sig: sig}})
-			if err != nil {
-				panic(err)
-			}
-			transports[0] = NewDIPCTransport(map[string]*core.ImportedEntry{"hop": ents[0]})
-		})
-		eng.Run()
+		boot(front, frontName+"-init", sim.Time(c.Depth), func(t *kernel.Thread) { importHop(t, 1) })
 
 	default:
 		panic("oltp: unknown chain mode")
 	}
-
-	// Gateway worker pool: accepts from the ingress and drives the chain.
-	for w := 0; w < cfg.Threads; w++ {
-		m.Spawn(front, fmt.Sprintf("gw-%d", w), nil, func(t *kernel.Thread) {
-			if rt != nil {
-				mustEnter(rt, t)
-			}
-			for {
-				req := ingress.Recv(t)
-				t.ExecUser(cfg.Work)
-				transports[0].Call(t, "hop", nil, cfg.ReqBytes)
-				ingress.Reply(t, req)
-			}
-		})
-	}
-
-	// Closed-loop clients living off-machine, as in Run.
-	measStart := cfg.Warmup
-	measEnd := cfg.Warmup + cfg.Window
-	var ops, opsTotal int
-	var latSum sim.Time
-	for c := 0; c < cfg.Clients; c++ {
-		eng.Spawn(fmt.Sprintf("chain-client-%d", c), 0, func(p *sim.Proc) {
-			for {
-				req := &request{started: p.Now()}
-				req.done = p.PrepareWait()
-				ingress.Submit(req)
-				p.Wait()
-				opsTotal++
-				if end := p.Now(); end >= measStart && end <= measEnd {
-					ops++
-					latSum += end - req.started
-				}
-			}
-		})
-	}
-
-	var base stats.Breakdown
-	eng.At(measStart, func() { base = m.Snapshot() })
-	eng.RunUntil(measEnd)
-
-	res := &ChainResult{
-		Config:    cfg,
-		Ops:       ops,
-		Breakdown: m.Snapshot().Sub(base),
-	}
-	if ops > 0 {
-		res.Throughput = float64(ops) / cfg.Window.Seconds() * 60
-		res.AvgLatency = latSum / sim.Time(ops)
-	}
-	var calls uint64
-	for _, tr := range transports {
-		calls += tr.Calls()
-	}
-	if opsTotal > 0 {
-		res.CallsPerOp = float64(calls) / float64(opsTotal)
-	}
-	return res
+	return front, rt, transports
 }

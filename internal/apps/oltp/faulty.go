@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/faults"
 	"repro/internal/kernel"
@@ -12,14 +11,13 @@ import (
 	"repro/internal/stats"
 )
 
-// Failure-aware OLTP path: the fault-free runners (Run, RunChain) model a
-// world where every call succeeds, which is what the paper measures. This
-// file adds the first real error path — per-call fault verdicts, a
-// deadline/backoff retry policy, in-band error propagation up a tier
-// chain — so the chaos scenarios can measure how each transport degrades
-// when tiers die, links drop, or calls time out. Everything here is
-// additive: with a nil plan the TryCall paths make exactly the same
-// charges as Call, and the fault-free scenarios never enter this file.
+// Failure-aware OLTP path: per-call fault verdicts, a deadline/backoff
+// retry policy, and in-band error propagation up a tier chain, so the
+// chaos scenarios can measure how each transport degrades when tiers
+// die, links drop, or calls time out. It is also the one chain runner:
+// RunChain is RunChainFaults with a nil plan, which draws no verdict and
+// makes exactly the charges of a world where every call succeeds — what
+// the paper measures.
 
 // RemoteError is an in-band failure traveling up the chain as an
 // ordinary response payload — the simulation analogue of a 5xx page: the
@@ -69,8 +67,7 @@ func injectFault(t *kernel.Thread, site *faults.CallSite) error {
 // Retrier wraps a Transport with a capped-exponential-backoff retry
 // policy and failure accounting. Its TryCall re-attempts the inner call
 // up to Policy.MaxRetries times, sleeping Policy.BackoffFor(k) between
-// attempts; its Call panics on residual error (fault-free configurations
-// should never wrap transports in a Retrier and then fail).
+// attempts.
 type Retrier struct {
 	Inner  Transport
 	Policy faults.RetryPolicy
@@ -93,15 +90,6 @@ func retryJitter(rp faults.RetryPolicy, plan *faults.Plan, hop int) *sim.Rand {
 		return nil
 	}
 	return plan.JitterStream(fmt.Sprintf("hop%d", hop))
-}
-
-// Call implements Transport.
-func (r *Retrier) Call(t *kernel.Thread, op string, payload any, reqBytes int) any {
-	out, err := r.TryCall(t, op, payload, reqBytes)
-	if err != nil {
-		panic(fmt.Sprintf("oltp: retries exhausted for %q: %v", op, err))
-	}
-	return out
 }
 
 // TryCall implements Transport with retries: attempt, classify, back
@@ -175,8 +163,8 @@ type ChainFaultsResult struct {
 	Breakdown    stats.Breakdown
 }
 
-// applyDefaults fills the zero-value fields of a fault-aware chain
-// configuration; RunChainFaults and RunOpenLoop share these floors.
+// applyDefaults fills the zero-value fields of a chain configuration;
+// RunChain, RunChainFaults and RunOpenLoop share these floors.
 func (cfg *ChainFaultsConfig) applyDefaults() {
 	if cfg.Depth <= 0 {
 		cfg.Depth = 1
@@ -213,124 +201,27 @@ func (cfg *ChainFaultsConfig) applyDefaults() {
 	}
 }
 
-// buildChainTiers wires the per-mode tier chain behind the front
-// process: processes, workers, transports, fault sites, and injector
-// process targets, exactly as RunChain does fault-free. Each hop's
-// transport is passed through wrap (hop index 1..Depth) so callers
-// choose the resilience stack (Retrier, Breaker). On return every
-// element of transports is populated and all init threads have run.
-func buildChainTiers(cfg *ChainFaultsConfig, eng *sim.Engine, m *kernel.Machine,
-	prm *Params, inj *faults.Injector, wrap func(Transport, int) Transport,
-) (front *kernel.Process, rt *core.Runtime, transports []Transport) {
-	// site names the per-call fault stream of the hop into tier i; a
-	// dropped request costs its caller exactly the retry deadline.
-	site := func(i int) *faults.CallSite {
-		return cfg.Plan.Site(fmt.Sprintf("hop%d", i), cfg.Retry.Deadline)
-	}
-
-	transports = make([]Transport, cfg.Depth)
-	handler := func(i int) Handler {
-		return func(t *kernel.Thread, op string, payload any) (any, int) {
-			t.ExecUser(cfg.Work)
-			if i < cfg.Depth {
-				if _, err := transports[i].TryCall(t, "hop", payload, cfg.ReqBytes); err != nil {
-					return &RemoteError{Tier: fmt.Sprintf("svc%d", i+1), Err: err}, cfg.ReqBytes
-				}
-			}
-			return payload, cfg.ReqBytes
-		}
-	}
-
-	switch cfg.Mode {
-	case ModeIdeal:
-		front = m.NewProcess("chain-app")
-		inj.Proc("chain-app", m, front)
-		for i := 1; i <= cfg.Depth; i++ {
-			transports[i-1] = wrap(&DirectTransport{H: handler(i), Faults: site(i)}, i)
-		}
-
-	case ModeLinux:
-		front = m.NewProcess("gateway")
-		front.WorkingSet = 48 << 10
-		inj.Proc("gateway", m, front)
-		for i := 1; i <= cfg.Depth; i++ {
-			proc := m.NewProcess(fmt.Sprintf("svc%d", i))
-			proc.WorkingSet = 96 << 10
-			inj.Proc(proc.Name, m, proc)
-			st := NewSockTransport(prm, handler(i))
-			st.Proc = proc
-			st.Faults = site(i)
-			transports[i-1] = wrap(st, i)
-			for w := 0; w < cfg.Threads; w++ {
-				m.Spawn(proc, fmt.Sprintf("svc%d-%d", i, w), nil, st.Worker)
-			}
-		}
-
-	case ModeDIPC:
-		rt = core.NewRuntime(m)
-		rt.FoldStubs = true
-		front = rt.NewProcess("gateway")
-		inj.Proc("gateway", m, front)
-		svc := make([]*kernel.Process, cfg.Depth+1)
-		for i := 1; i <= cfg.Depth; i++ {
-			svc[i] = rt.NewProcess(fmt.Sprintf("svc%d", i))
-			inj.Proc(svc[i].Name, m, svc[i])
-		}
-		calleePolicy := core.RegConfidentiality | core.StackConfIntegrity | core.DCSConfIntegrity
-		sig := core.Signature{InRegs: 2, OutRegs: 1}
-		for i := cfg.Depth; i >= 1; i-- {
-			i := i
-			m.Spawn(svc[i], fmt.Sprintf("svc%d-init", i), nil, func(t *kernel.Thread) {
-				mustEnter(rt, t)
-				if i < cfg.Depth {
-					ents, err := rt.MustImport(t, chainPath(i+1), []core.EntryDesc{
-						{Name: "hop", Sig: sig},
-					})
-					if err != nil {
-						panic(err)
-					}
-					tr := NewDIPCTransport(map[string]*core.ImportedEntry{"hop": ents[0]})
-					tr.Faults = site(i + 1)
-					transports[i] = wrap(tr, i+1)
-				}
-				eh, err := rt.EntryRegister(t, rt.DomDefault(t), []core.EntryDesc{
-					{Name: "hop", Fn: handlerEntry(handler(i), "hop"), Sig: sig, Policy: calleePolicy},
-				})
-				if err != nil {
-					panic(err)
-				}
-				if err := rt.Publish(t, chainPath(i), eh); err != nil {
-					panic(err)
-				}
-			})
-			eng.Run()
-		}
-		m.Spawn(front, "gateway-init", nil, func(t *kernel.Thread) {
-			mustEnter(rt, t)
-			ents, err := rt.MustImport(t, chainPath(1), []core.EntryDesc{{Name: "hop", Sig: sig}})
-			if err != nil {
-				panic(err)
-			}
-			tr := NewDIPCTransport(map[string]*core.ImportedEntry{"hop": ents[0]})
-			tr.Faults = site(1)
-			transports[0] = wrap(tr, 1)
-		})
-		eng.Run()
-
-	default:
-		panic("oltp: unknown chain mode")
-	}
-	return front, rt, transports
+// tiers is the single-machine tier chain this configuration describes.
+func (cfg *ChainFaultsConfig) tiers() *tierChain {
+	return &tierChain{Mode: cfg.Mode, Depth: cfg.Depth, Threads: cfg.Threads,
+		ReqBytes: cfg.ReqBytes, Work: cfg.Work, Plan: cfg.Plan, Deadline: cfg.Retry.Deadline}
 }
 
-// RunChainFaults executes one chain configuration under a fault plan.
-// It mirrors RunChain's wiring — same tiers, same transports, same
-// closed-loop clients — but every hop goes through TryCall behind a
-// Retrier, tier failures travel up as RemoteErrors, and the plan's
-// events fire on the sim clock via a faults.Injector. Process targets
-// are named "gateway" and "svc1".."svcN" ("chain-app" for Ideal); the
-// machine target is "m0"; per-call fault sites are "hop1".."hopN".
+// RunChainFaults executes one chain configuration under a fault plan:
+// closed-loop clients drive the gateway, every hop goes through TryCall
+// behind a Retrier, tier failures travel up as RemoteErrors, and the
+// plan's events fire on the sim clock via a faults.Injector. Process
+// targets are named "gateway" and "svc1".."svcN" ("chain-app" for
+// Ideal); the machine target is "m0"; per-call fault sites are
+// "hop1".."hopN".
 func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
+	res, _ := runChainFaults(cfg)
+	return res
+}
+
+// runChainFaults is RunChainFaults, also returning the cross-tier calls
+// per completed operation over the whole run.
+func runChainFaults(cfg ChainFaultsConfig) (*ChainFaultsResult, float64) {
 	cfg.applyDefaults()
 
 	eng := sim.NewEngine(cfg.Seed + 1)
@@ -345,7 +236,7 @@ func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 		return &Retrier{Inner: tr, Policy: cfg.Retry, Rel: rel,
 			Jitter: retryJitter(cfg.Retry, cfg.Plan, hop)}
 	}
-	front, rt, transports := buildChainTiers(&cfg, eng, m, prm, inj, wrap)
+	front, rt, transports := buildChain(cfg.tiers(), m, prm, inj, wrap)
 
 	// The plan is wired; schedule its events on the sim clock. A plan
 	// naming a target this mode doesn't have (e.g. killing "svc2" under
@@ -376,7 +267,7 @@ func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 	measStart := cfg.Warmup
 	measEnd := cfg.Warmup + cfg.Window
 	var latSum sim.Time
-	var latOps int64
+	var latOps, opsTotal int64
 	for c := 0; c < cfg.Clients; c++ {
 		eng.Spawn(fmt.Sprintf("chain-client-%d", c), 0, func(p *sim.Proc) {
 			for {
@@ -384,6 +275,7 @@ func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 				req.done = p.PrepareWait()
 				ingress.Submit(req)
 				p.Wait()
+				opsTotal++
 				if end := p.Now(); end >= measStart && end <= measEnd {
 					if req.err != nil {
 						rel.OpsFailed++
@@ -419,5 +311,13 @@ func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 	if latOps > 0 {
 		res.AvgLatency = latSum / sim.Time(latOps)
 	}
-	return res
+	var calls uint64
+	for _, tr := range transports {
+		calls += tr.Calls()
+	}
+	var callsPerOp float64
+	if opsTotal > 0 {
+		callsPerOp = float64(calls) / float64(opsTotal)
+	}
+	return res, callsPerOp
 }

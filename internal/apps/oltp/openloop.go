@@ -121,7 +121,7 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 		return &Retrier{Inner: tr, Policy: cfg.Retry, Rel: rel,
 			Jitter: retryJitter(cfg.Retry, cfg.Plan, hop)}
 	}
-	front, rt, transports := buildChainTiers(&cfg.ChainFaultsConfig, eng, m, prm, inj, wrap)
+	front, rt, transports := buildChain(cfg.tiers(), m, prm, inj, wrap)
 
 	// The arrival source is a named fault target so plans can script
 	// load transients (flash crowds, silences) on the sim clock.

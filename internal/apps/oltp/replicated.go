@@ -8,15 +8,16 @@
 // counter merges shard-deterministically so a replicated chaos run is
 // byte-identical at any shard count.
 //
-// Determinism of the boot phase deserves a note: the single-machine
-// dIPC runners interleave eng.Run() between init spawns to order
-// Publish before Import, which a multi-shard cluster cannot do (the
-// cluster clock advances all shards together). Here every dIPC init
-// thread instead sleeps to a fixed slot on the sim clock — tier i
-// publishes at slot (Depth-i), the front imports after all tiers —
-// so wiring is pure intra-machine simulation, identical at every
-// shard count, and provably finished before the first request
-// (clients start at a fixed later time).
+// Determinism of the boot phase deserves a note: each replica's chain
+// comes from the same builder as the single-machine runners (buildChain
+// in chain.go), but those interleave eng.Run() between dIPC init spawns
+// to order Publish before Import, which a multi-shard cluster cannot do
+// (the cluster clock advances all shards together). Replicas instead
+// take the builder's SlotBoot strategy: every dIPC init thread sleeps to
+// a fixed slot on the sim clock — tier i publishes at slot (Depth-i),
+// the front imports after all tiers — so wiring is pure intra-machine
+// simulation, identical at every shard count, and provably finished
+// before the first request (clients start at a fixed later time).
 package oltp
 
 import (
@@ -25,7 +26,6 @@ import (
 	"sort"
 
 	"repro/internal/apps/netpipe"
-	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/faults"
 	"repro/internal/kernel"
@@ -70,29 +70,6 @@ const (
 	replicatedBootTime = sim.Time(1 * sim.Millisecond)
 )
 
-// replicaInbox is a replica front's request inbox: arriving IDs hand
-// off directly to a waiting worker thread or queue until one asks.
-type replicaInbox struct {
-	pending []uint64
-	waiters kernel.TQueue
-}
-
-func (in *replicaInbox) submit(id uint64) {
-	if in.waiters.WakeOne(id, nil) {
-		return
-	}
-	in.pending = append(in.pending, id)
-}
-
-func (in *replicaInbox) recv(t *kernel.Thread) uint64 {
-	if len(in.pending) > 0 {
-		id := in.pending[0]
-		in.pending = in.pending[1:]
-		return id
-	}
-	return in.waiters.BlockOn(t).(uint64)
-}
-
 // ReplicatedConfig is one replicated rack run: machine 0 hosts the
 // clients, the router state and the health detector; machines 1..N
 // each host one replica of the tier chain.
@@ -112,7 +89,8 @@ type ReplicatedConfig struct {
 	Cost     *cost.Params
 
 	// Plan is the fault schedule. Targets: replica fronts "r1".."rN",
-	// tier processes "r<i>.svc<j>", machines "m0".."mN", request links
+	// tier processes "r<i>.svc<j>" (none under Ideal, whose tiers share
+	// the front's process), machines "m0".."mN", request links
 	// "link1".."linkN" (machine 0's transmit NIC toward replica i) and
 	// response links "rlink1".."rlinkN". Nil: fault-free.
 	Plan *faults.Plan
@@ -230,117 +208,6 @@ type ReplicatedResult struct {
 	FastFails int64
 }
 
-// buildReplicaTiers wires one replica's intra-machine tier chain behind
-// its front process — buildChainTiers' per-mode wiring with cluster-safe
-// boot: dIPC inits sleep to fixed sim-time slots instead of interleaving
-// eng.Run(), so the same code runs under any shard placement. Names are
-// prefixed with the replica ("r2", "r2.svc1", sites "r2.hop1").
-func buildReplicaTiers(cfg *ReplicatedConfig, m *kernel.Machine, prm *Params,
-	inj *faults.Injector, ri int, work sim.Time, wrap func(Transport, int) Transport,
-) (front *kernel.Process, rt *core.Runtime, transports []Transport) {
-	prefix := fmt.Sprintf("r%d", ri)
-	site := func(i int) *faults.CallSite {
-		return cfg.Plan.Site(fmt.Sprintf("%s.hop%d", prefix, i), cfg.Retry.Deadline)
-	}
-
-	transports = make([]Transport, cfg.Depth)
-	handler := func(i int) Handler {
-		return func(t *kernel.Thread, op string, payload any) (any, int) {
-			t.ExecUser(work)
-			if i < cfg.Depth {
-				if _, err := transports[i].TryCall(t, "hop", payload, cfg.ReqBytes); err != nil {
-					return &RemoteError{Tier: fmt.Sprintf("%s.svc%d", prefix, i+1), Err: err}, cfg.ReqBytes
-				}
-			}
-			return payload, cfg.ReqBytes
-		}
-	}
-
-	switch cfg.Mode {
-	case ModeIdeal:
-		front = m.NewProcess(prefix)
-		inj.Proc(prefix, m, front)
-		for i := 1; i <= cfg.Depth; i++ {
-			transports[i-1] = wrap(&DirectTransport{H: handler(i), Faults: site(i)}, i)
-		}
-
-	case ModeLinux:
-		front = m.NewProcess(prefix)
-		front.WorkingSet = 48 << 10
-		inj.Proc(prefix, m, front)
-		for i := 1; i <= cfg.Depth; i++ {
-			proc := m.NewProcess(fmt.Sprintf("%s.svc%d", prefix, i))
-			proc.WorkingSet = 96 << 10
-			inj.Proc(proc.Name, m, proc)
-			st := NewSockTransport(prm, handler(i))
-			st.Proc = proc
-			st.Faults = site(i)
-			transports[i-1] = wrap(st, i)
-			for w := 0; w < cfg.Threads; w++ {
-				m.Spawn(proc, fmt.Sprintf("%s.svc%d-%d", prefix, i, w), nil, st.Worker)
-			}
-		}
-
-	case ModeDIPC:
-		rt = core.NewRuntime(m)
-		rt.FoldStubs = true
-		front = rt.NewProcess(prefix)
-		inj.Proc(prefix, m, front)
-		svc := make([]*kernel.Process, cfg.Depth+1)
-		for i := 1; i <= cfg.Depth; i++ {
-			svc[i] = rt.NewProcess(fmt.Sprintf("%s.svc%d", prefix, i))
-			inj.Proc(svc[i].Name, m, svc[i])
-		}
-		calleePolicy := core.RegConfidentiality | core.StackConfIntegrity | core.DCSConfIntegrity
-		sig := core.Signature{InRegs: 2, OutRegs: 1}
-		for i := cfg.Depth; i >= 1; i-- {
-			i := i
-			// Tier i wires at slot Depth-i: deeper tiers publish first,
-			// so every MustImport finds its target already published.
-			slot := sim.Time(cfg.Depth-i) * replicaBootSlot
-			m.Spawn(svc[i], fmt.Sprintf("%s.svc%d-init", prefix, i), nil, func(t *kernel.Thread) {
-				t.SleepFor(slot)
-				mustEnter(rt, t)
-				if i < cfg.Depth {
-					ents, err := rt.MustImport(t, chainPath(i+1), []core.EntryDesc{
-						{Name: "hop", Sig: sig},
-					})
-					if err != nil {
-						panic(err)
-					}
-					tr := NewDIPCTransport(map[string]*core.ImportedEntry{"hop": ents[0]})
-					tr.Faults = site(i + 1)
-					transports[i] = wrap(tr, i+1)
-				}
-				eh, err := rt.EntryRegister(t, rt.DomDefault(t), []core.EntryDesc{
-					{Name: "hop", Fn: handlerEntry(handler(i), "hop"), Sig: sig, Policy: calleePolicy},
-				})
-				if err != nil {
-					panic(err)
-				}
-				if err := rt.Publish(t, chainPath(i), eh); err != nil {
-					panic(err)
-				}
-			})
-		}
-		m.Spawn(front, prefix+"-init", nil, func(t *kernel.Thread) {
-			t.SleepFor(sim.Time(cfg.Depth) * replicaBootSlot)
-			mustEnter(rt, t)
-			ents, err := rt.MustImport(t, chainPath(1), []core.EntryDesc{{Name: "hop", Sig: sig}})
-			if err != nil {
-				panic(err)
-			}
-			tr := NewDIPCTransport(map[string]*core.ImportedEntry{"hop": ents[0]})
-			tr.Faults = site(1)
-			transports[0] = wrap(tr, 1)
-		})
-
-	default:
-		panic("oltp: unknown chain mode")
-	}
-	return front, rt, transports
-}
-
 // planDeadIntervals derives, from the static fault plan, the windows
 // during which each replica front is administratively dead — the ground
 // truth detector scoring compares suspicions against. KillProc "r<i>"
@@ -405,7 +272,7 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 	rxls := make([]*faults.LinkState, R)
 	outs := make([]*sim.Link, R)
 	routs := make([]*sim.Link, R)
-	inboxes := make([]*replicaInbox, R)
+	inboxes := make([]*kernel.Inbox, R)
 	fronts := make([]*kernel.Process, R)
 	repBreakers := make([][]*Breaker, R)
 
@@ -444,7 +311,7 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 		rxnics[r].SetFaults(rxls[r])
 		inj.Link(fmt.Sprintf("link%d", mi), eng0, txls[r])
 		inj.Link(fmt.Sprintf("rlink%d", mi), shardOf(mi), rxls[r])
-		inboxes[r] = &replicaInbox{}
+		inboxes[r] = &kernel.Inbox{}
 
 		work := cfg.Work
 		if cfg.SlowReplica == mi {
@@ -461,7 +328,9 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 			}
 			return tr
 		}
-		front, rt, trs := buildReplicaTiers(&cfg, ms[mi], prm, inj, mi, work, wrap)
+		front, rt, trs := buildChain(&tierChain{Mode: cfg.Mode, Depth: cfg.Depth, Threads: cfg.Threads,
+			ReqBytes: cfg.ReqBytes, Work: work, Plan: cfg.Plan, Deadline: cfg.Retry.Deadline,
+			Prefix: fmt.Sprintf("r%d", mi), SlotBoot: true}, ms[mi], prm, inj, wrap)
 		fronts[r] = front
 
 		// Request link m0 -> replica: probes echo straight back from the
@@ -485,7 +354,7 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 				routs[r].SendU64(rxnics[r].FlightTime(probeBytes), v)
 				return
 			}
-			inboxes[r].submit(v)
+			inboxes[r].Submit(v)
 		})
 
 		// Response link replica -> m0: probe acks refresh the detector's
@@ -529,7 +398,7 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 					mustEnter(rt, t)
 				}
 				for {
-					v := inboxes[r].recv(t)
+					v := inboxes[r].Recv(t)
 					if front.Dead {
 						if measuring {
 							accs[mi].Rel.Drops++

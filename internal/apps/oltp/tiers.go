@@ -60,7 +60,7 @@ func (s *Stack) PHPHandler(t *kernel.Thread, op string, payload any) (any, int) 
 		t.ExecUser(s.Prm.PHPBase)
 		for _, q := range req.Queries {
 			t.ExecUser(s.Prm.PHPPerQuery)
-			r := s.DBT.Call(t, "exec", q, s.Prm.ReqQuery)
+			r := mustCall(s.DBT, t, "exec", q, s.Prm.ReqQuery)
 			// Multi-row results take extra cursor fetches.
 			rows := 1
 			if qr, ok := r.(QueryResult); ok {
@@ -71,7 +71,7 @@ func (s *Stack) PHPHandler(t *kernel.Thread, op string, payload any) (any, int) 
 				fetches = 2
 			}
 			for f := 0; f < fetches; f++ {
-				s.DBT.Call(t, "fetch", r, 64)
+				mustCall(s.DBT, t, "fetch", r, 64)
 			}
 		}
 		return nil, s.Prm.RespWebPHP
@@ -90,12 +90,12 @@ func (s *Stack) WebHandle(t *kernel.Thread, req *request) {
 	t.ExecUser(s.Prm.WebParse)
 	// The FastCGI exchange: begin-request, params records, the script
 	// body, streamed stdout chunks, end-request.
-	s.PHPT.Call(t, "begin", nil, 256)
-	s.PHPT.Call(t, "params", nil, 512)
-	s.PHPT.Call(t, "run", req.op, s.Prm.ReqWebPHP)
-	s.PHPT.Call(t, "stdout", nil, 64)
-	s.PHPT.Call(t, "stdout", nil, 64)
-	s.PHPT.Call(t, "end", nil, 64)
+	mustCall(s.PHPT, t, "begin", nil, 256)
+	mustCall(s.PHPT, t, "params", nil, 512)
+	mustCall(s.PHPT, t, "run", req.op, s.Prm.ReqWebPHP)
+	mustCall(s.PHPT, t, "stdout", nil, 64)
+	mustCall(s.PHPT, t, "stdout", nil, 64)
+	mustCall(s.PHPT, t, "end", nil, 64)
 	t.ExecUser(s.Prm.WebRespond)
 }
 

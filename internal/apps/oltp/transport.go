@@ -19,12 +19,9 @@ type Handler func(t *kernel.Thread, op string, payload any) (any, int)
 // call (Ideal), a dIPC proxy (dIPC), or UNIX sockets between worker
 // pools (Linux).
 type Transport interface {
-	// Call performs one synchronous request and returns the result.
-	Call(t *kernel.Thread, op string, payload any, reqBytes int) any
-	// TryCall is the failure-aware spelling of Call: it surfaces dead
-	// callees, injected faults, and in-band remote errors instead of
-	// panicking. Fault-free transports behave identically to Call and
-	// always return a nil error.
+	// TryCall performs one synchronous request and returns the result.
+	// It surfaces dead callees, injected faults, and in-band remote
+	// errors as an error; a fault-free transport always returns nil.
 	TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error)
 	// Calls returns how many calls went through (for the §7.5
 	// calls-per-operation accounting).
@@ -40,26 +37,28 @@ type Transport interface {
 	Lookahead() sim.Time
 }
 
+// mustCall is the fault-free call path: a TryCall whose error is a
+// model bug, not an outcome (fig8's Stack never arms faults).
+func mustCall(tr Transport, t *kernel.Thread, op string, payload any, reqBytes int) any {
+	out, err := tr.TryCall(t, op, payload, reqBytes)
+	if err != nil {
+		panic(fmt.Sprintf("oltp: call %q: %v", op, err))
+	}
+	return out
+}
+
 // DirectTransport is the Ideal configuration's path: a function call
 // into the co-located component.
 type DirectTransport struct {
 	H     Handler
 	calls uint64
-	// Faults, when set, draws a per-call verdict before each TryCall
-	// (nil for fault-free runs; the plain Call path never consults it).
+	// Faults, when set, draws a per-call verdict before each call (nil
+	// for fault-free runs).
 	Faults *faults.CallSite
 }
 
-// Call implements Transport.
-func (d *DirectTransport) Call(t *kernel.Thread, op string, payload any, reqBytes int) any {
-	d.calls++
-	t.Exec(t.Machine().P.FuncCall, stats.BlockUser)
-	out, _ := d.H(t, op, payload)
-	return out
-}
-
-// TryCall implements Transport: like Call, but an injected fault or an
-// in-band RemoteError from the handler comes back as an error.
+// TryCall implements Transport: an injected fault or an in-band
+// RemoteError from the handler comes back as an error.
 func (d *DirectTransport) TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error) {
 	d.calls++
 	if err := injectFault(t, d.Faults); err != nil {
@@ -91,7 +90,7 @@ type SockTransport struct {
 	Faults *faults.CallSite
 	// Proc is the serving process; when set and dead, TryCall fails fast
 	// (connection refused) instead of queueing to a pool that will never
-	// accept. The plain Call path ignores it.
+	// accept.
 	Proc *kernel.Process
 }
 
@@ -110,21 +109,6 @@ func NewSockTransport(prm *Params, h Handler) *SockTransport {
 		h:       h,
 		replies: make(map[*kernel.Thread]*ipc.Socket),
 	}
-}
-
-// Call implements Transport for the caller side.
-func (s *SockTransport) Call(t *kernel.Thread, op string, payload any, reqBytes int) any {
-	s.calls++
-	reply := s.replies[t]
-	if reply == nil {
-		reply = ipc.NewConn(0).AtoB
-		s.replies[t] = reply
-	}
-	t.ExecUser(s.prm.ProtoMarshal) // marshal request
-	s.req.Send(t, ipc.Message{Size: reqBytes, Payload: &sockReq{op: op, payload: payload, reply: reply}})
-	msg := reply.Recv(t)
-	t.ExecUser(s.prm.ProtoMarshal) // unmarshal response
-	return msg.Payload
 }
 
 // TryCall implements Transport: a dead serving process refuses the
@@ -189,23 +173,6 @@ type DIPCTransport struct {
 // NewDIPCTransport wraps resolved entries keyed by operation name.
 func NewDIPCTransport(entries map[string]*core.ImportedEntry) *DIPCTransport {
 	return &DIPCTransport{entries: entries}
-}
-
-// Call implements Transport.
-func (d *DIPCTransport) Call(t *kernel.Thread, op string, payload any, reqBytes int) any {
-	d.calls++
-	ent, ok := d.entries[op]
-	if !ok {
-		panic(fmt.Sprintf("oltp: no dIPC entry for %q", op))
-	}
-	out, err := ent.Call(t, &core.Args{Data: payload, StackBytes: 64})
-	if err != nil {
-		panic(fmt.Sprintf("oltp: dIPC call %q failed: %v", op, err))
-	}
-	if out == nil {
-		return nil
-	}
-	return out.Data
 }
 
 // TryCall implements Transport: dIPC's own error path (a dead callee

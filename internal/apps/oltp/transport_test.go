@@ -17,7 +17,7 @@ func TestDirectTransportCountsCalls(t *testing.T) {
 	}}
 	var got any
 	m.Spawn(p, "t", nil, func(th *kernel.Thread) {
-		got = tr.Call(th, "double", 21, 8)
+		got = mustCall(tr, th, "double", 21, 8)
 	})
 	eng.Run()
 	if got != 42 || tr.Calls() != 1 {
@@ -40,8 +40,8 @@ func TestSockTransportRoundTrip(t *testing.T) {
 	m.Spawn(ps, "worker", m.CPUs[1], tr.Worker)
 	var got any
 	m.Spawn(pc, "client", m.CPUs[0], func(th *kernel.Thread) {
-		got = tr.Call(th, "q", "hello", 128)
-		got = tr.Call(th, "q", got, 128)
+		got = mustCall(tr, th, "q", "hello", 128)
+		got = mustCall(tr, th, "q", got, 128)
 	})
 	eng.Run()
 	if got != "hello-reply-reply" {
@@ -71,7 +71,7 @@ func TestSockTransportPerThreadReplySockets(t *testing.T) {
 		i := i
 		m.Spawn(pc, "client", nil, func(th *kernel.Thread) {
 			// Client 0 asks for a slow reply, client 1 a fast one.
-			results[i] = tr.Call(th, "q", 100-90*i, 64)
+			results[i] = mustCall(tr, th, "q", 100-90*i, 64)
 		})
 	}
 	eng.Run()

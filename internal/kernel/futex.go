@@ -65,6 +65,32 @@ func (q *TQueue) WakeAll(data any, waker *Thread) int {
 	return n
 }
 
+// Inbox is a mailbox of uint64 request IDs arriving off a network
+// link: an ID hands off directly to the oldest waiting thread or queues
+// until one asks. It charges nothing; callers model the costs.
+type Inbox struct {
+	pending []uint64
+	waiters TQueue
+}
+
+// Submit delivers id to a waiting thread, or queues it.
+func (in *Inbox) Submit(id uint64) {
+	if in.waiters.WakeOne(id, nil) {
+		return
+	}
+	in.pending = append(in.pending, id)
+}
+
+// Recv returns the oldest queued ID, blocking t until one arrives.
+func (in *Inbox) Recv(t *Thread) uint64 {
+	if len(in.pending) > 0 {
+		id := in.pending[0]
+		in.pending = in.pending[1:]
+		return id
+	}
+	return in.waiters.BlockOn(t).(uint64)
+}
+
 // Futex is the kernel side of the futex(2) facility: a value checked
 // under the kernel lock plus a wait queue. POSIX semaphores in the
 // baseline IPC suite are built on it (§2.2 "Sem.: POSIX semaphores
