@@ -1,12 +1,13 @@
-// Fault-injected rack: the same multi-machine ring as RunRack, but with
+// Fault-injected rack: the multi-machine ring of the rack scenario with
 // per-NIC link failure states, per-operation deadlines with capped
 // exponential backoff at the clients, and a faults.Plan firing kill /
-// restart / link events on the sim clock. The chaos runner follows the
-// cluster's ownership discipline exactly as the healthy one does — each
-// LinkState is toggled by injector events on its owning shard's engine
-// and read only by that shard's threads, clients time out with
-// Waiter-armed deadline wakes on their own shard — so every chaos run is
-// digest-identical at every shard count.
+// restart / link events on the sim clock. It is the one ring runner:
+// RunRack is this ring with no plan and no deadline. The runner follows
+// the cluster's ownership discipline — each LinkState is toggled by
+// injector events on its owning shard's engine and read only by that
+// shard's threads, clients time out with Waiter-armed deadline wakes on
+// their own shard — so every run is digest-identical at every shard
+// count.
 
 package experiments
 
@@ -47,13 +48,6 @@ type RackChaosResult struct {
 }
 
 // RunRackChaos builds the ring with failure hooks and runs the plan.
-//
-// Request IDs encode (sequence << 16 | client index): a client only
-// accepts the completion of its current sequence number, so a retry
-// racing its own timed-out predecessor around the ring can never be
-// double-counted. A request reaching a dead tier or a downed transmit
-// link is dropped — the client learns of it only through its deadline,
-// exactly like a lost packet.
 func RunRackChaos(c RackChaosConfig) *RackChaosResult {
 	if c.Retry.Deadline == 0 {
 		c.Retry.Deadline = sim.Micros(150)
@@ -61,17 +55,37 @@ func RunRackChaos(c RackChaosConfig) *RackChaosResult {
 	if c.Retry.Backoff == 0 {
 		c.Retry.Backoff = sim.Micros(10)
 	}
+	return runRack(c)
+}
+
+// runRack builds the ring on a sim.Cluster and runs warmup + window. A
+// zero c.Retry.Deadline means no deadline: clients wait untimed, so a
+// fault-free run arms no timer that would only go stale.
+//
+// The model follows the cluster's ownership discipline: each machine
+// (and the clients, which live on machine 0's shard) is one part; parts
+// interact only through the ring links; the clients draw think time
+// from their own Rand streams seeded by client index; and links are
+// created in fixed machine order regardless of the shard count.
+//
+// Request IDs encode (sequence << 16 | client index): a client only
+// accepts the completion of its current sequence number, so a retry
+// racing its own timed-out predecessor around the ring can never be
+// double-counted. A request reaching a dead tier or a downed transmit
+// link is dropped — the client learns of it only through its deadline,
+// exactly like a lost packet.
+func runRack(c RackChaosConfig) *RackChaosResult {
 	cl := sim.NewCluster(c.Seed, c.Shards)
 	p := cost.Default()
 	ms := kernel.PlaceMachines(cl, p, c.Machines, c.CPUs)
 	inj := faults.NewInjector(c.Plan)
 
 	nics := make([]*netpipe.NIC, c.Machines)
-	ings := make([]*rackIngress, c.Machines)
+	ings := make([]*kernel.Inbox, c.Machines)
 	lss := make([]*faults.LinkState, c.Machines)
 	for i, m := range ms {
 		nics[i] = netpipe.NewNIC(m)
-		ings[i] = &rackIngress{}
+		ings[i] = &kernel.Inbox{}
 		lss[i] = &faults.LinkState{}
 		nics[i].SetFaults(lss[i])
 		//dipcvet:shard-ok wiring phase: the injector binds to the shard that owns the link state, before the run
@@ -87,6 +101,10 @@ func RunRackChaos(c RackChaosConfig) *RackChaosResult {
 	curID := make([]uint64, c.Clients)
 	measuring := false
 
+	// The ring links, in machine order (determinism rule 3). Each link's
+	// lookahead is the NIC's declared minimum delivery delay; every send
+	// pays the full FlightTime of the request size, which can never be
+	// below it.
 	outs := make([]*sim.Link, c.Machines)
 	for i := 0; i < c.Machines; i++ {
 		next := (i + 1) % c.Machines
@@ -103,7 +121,7 @@ func RunRackChaos(c RackChaosConfig) *RackChaosResult {
 			})
 		} else {
 			ing := ings[next]
-			l.SetHandler(func(v uint64) { ing.submit(v) })
+			l.SetHandler(func(v uint64) { ing.Submit(v) })
 		}
 		outs[i] = l
 	}
@@ -118,7 +136,7 @@ func RunRackChaos(c RackChaosConfig) *RackChaosResult {
 		for w := 0; w < c.Workers; w++ {
 			ms[mi].Spawn(proc, fmt.Sprintf("m%d.w%d", mi, w), nil, func(t *kernel.Thread) {
 				for {
-					id := ings[mi].recv(t)
+					id := ings[mi].Recv(t)
 					if proc.Dead {
 						if measuring {
 							accs[mi].Rel.Drops++
@@ -140,10 +158,11 @@ func RunRackChaos(c RackChaosConfig) *RackChaosResult {
 		}
 	}
 
-	// Closed-loop clients with a per-attempt deadline: PrepareTimedWait
-	// arms a Waiter with a timeout wake, the ring may add a completion
-	// wake — whichever fires first wins, the loser is a stale wake the
-	// engine discards.
+	// Closed-loop clients on machine 0's shard, one explicit Rand stream
+	// each (determinism rule 2 — never the shard engine's), with a
+	// per-attempt deadline: PrepareTimedWait arms a Waiter with a timeout
+	// wake, the ring may add a completion wake — whichever fires first
+	// wins, the loser is a stale wake the engine discards.
 	//dipcvet:shard-ok wiring phase: clients spawn onto shard 0's engine before the run
 	eng0 := cl.Shard(0).Engine()
 	for ci := 0; ci < c.Clients; ci++ {
@@ -166,7 +185,11 @@ func RunRackChaos(c RackChaosConfig) *RackChaosResult {
 					}
 					seq++
 					id := seq<<16 | uint64(ci)
-					waiters[ci] = sp.PrepareTimedWait(c.Retry.Deadline)
+					if c.Retry.Deadline > 0 {
+						waiters[ci] = sp.PrepareTimedWait(c.Retry.Deadline)
+					} else {
+						waiters[ci] = sp.PrepareWait()
+					}
 					curID[ci] = id
 					if nics[0].Up() {
 						outs[0].SendU64(nics[0].FlightTime(c.ReqBytes), id)

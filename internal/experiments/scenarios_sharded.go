@@ -16,36 +16,10 @@ package experiments
 import (
 	"fmt"
 
-	"repro/internal/apps/netpipe"
-	"repro/internal/cost"
-	"repro/internal/kernel"
 	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
-
-// rackIngress is a machine's request inbox: arriving request IDs either
-// hand off directly to a waiting worker thread or queue until one asks.
-type rackIngress struct {
-	pending []uint64
-	waiters kernel.TQueue
-}
-
-func (in *rackIngress) submit(id uint64) {
-	if in.waiters.WakeOne(id, nil) {
-		return
-	}
-	in.pending = append(in.pending, id)
-}
-
-func (in *rackIngress) recv(t *kernel.Thread) uint64 {
-	if len(in.pending) > 0 {
-		id := in.pending[0]
-		in.pending = in.pending[1:]
-		return id
-	}
-	return in.waiters.BlockOn(t).(uint64)
-}
 
 // RackConfig parameterizes one rack run.
 type RackConfig struct {
@@ -70,105 +44,17 @@ type RackResult struct {
 	Merged     stats.Accumulator
 }
 
-// RunRack builds the ring on a sim.Cluster and runs warmup + window.
-//
-// The model follows the cluster's ownership discipline: each machine
-// (and the clients, which live on machine 0's shard) is one part; parts
-// interact only through the ring links; the clients draw think time
-// from their own Rand streams seeded by client index; and links are
-// created in fixed machine order regardless of the shard count.
+// RunRack builds the ring on a sim.Cluster and runs warmup + window:
+// the chaos ring with no fault plan and no deadline, so every request
+// completes.
 func RunRack(c RackConfig) *RackResult {
-	cl := sim.NewCluster(c.Seed, c.Shards)
-	p := cost.Default()
-	ms := kernel.PlaceMachines(cl, p, c.Machines, c.CPUs)
-
-	nics := make([]*netpipe.NIC, c.Machines)
-	ings := make([]*rackIngress, c.Machines)
-	for i, m := range ms {
-		nics[i] = netpipe.NewNIC(m)
-		ings[i] = &rackIngress{}
-	}
-
-	accs := make([]*stats.Accumulator, c.Machines)
-	for i := range accs {
-		accs[i] = &stats.Accumulator{}
-	}
-	waiters := make([]sim.Waiter, c.Clients)
-	measuring := false
-
-	// The ring links, in machine order (determinism rule 3). Each link's
-	// lookahead is the NIC's declared minimum delivery delay; every send
-	// pays the full FlightTime of the request size, which can never be
-	// below it.
-	outs := make([]*sim.Link, c.Machines)
-	for i := 0; i < c.Machines; i++ {
-		next := (i + 1) % c.Machines
-		l := cl.Connect(cl.Shard(i%cl.Shards()), cl.Shard(next%cl.Shards()), nics[i].Lookahead())
-		if next == 0 {
-			// Full circle: the request ID is the client index; complete
-			// the operation by waking its waiter.
-			l.SetHandler(func(v uint64) { waiters[v].WakeU64(0, v) })
-		} else {
-			ing := ings[next]
-			l.SetHandler(func(v uint64) { ing.submit(v) })
-		}
-		outs[i] = l
-	}
-
-	// Service workers on machines 1..M-1: receive, compute, forward.
-	for mi := 1; mi < c.Machines; mi++ {
-		mi := mi
-		proc := ms[mi].NewProcess(fmt.Sprintf("svc%d", mi))
-		for w := 0; w < c.Workers; w++ {
-			ms[mi].Spawn(proc, fmt.Sprintf("m%d.w%d", mi, w), nil, func(t *kernel.Thread) {
-				for {
-					id := ings[mi].recv(t)
-					t.ExecUser(c.Work)
-					outs[mi].SendU64(nics[mi].FlightTime(c.ReqBytes), id)
-				}
-			})
-		}
-	}
-
-	// Closed-loop clients on machine 0's shard, one explicit Rand stream
-	// each (determinism rule 2 — never the shard engine's).
-	//dipcvet:shard-ok wiring phase: clients spawn onto shard 0's engine before the run
-	eng0 := cl.Shard(0).Engine()
-	for ci := 0; ci < c.Clients; ci++ {
-		ci := ci
-		rng := sim.NewRand(c.Seed + 0x9e3779b97f4a7c15*uint64(ci+1))
-		eng0.Spawn(fmt.Sprintf("client%d", ci), sim.Time(ci), func(sp *sim.Proc) {
-			for {
-				start := sp.Now()
-				waiters[ci] = sp.PrepareWait()
-				outs[0].SendU64(nics[0].FlightTime(c.ReqBytes), uint64(ci))
-				sp.WaitU64()
-				if measuring {
-					accs[0].AddOp(sp.Now() - start)
-				}
-				sp.Sleep(rng.Duration(0, 2*sim.Microsecond))
-			}
-		})
-	}
-
-	cl.RunUntil(c.Warmup)
-	base := make([]stats.Breakdown, c.Machines)
-	for i, m := range ms {
-		base[i] = m.Snapshot()
-	}
-	measuring = true
-	cl.RunUntil(c.Warmup + c.Window)
-
-	for i, m := range ms {
-		accs[i].Breakdown = m.Snapshot().Sub(base[i])
-	}
-	merged := stats.MergeAll(accs)
+	r := runRack(RackChaosConfig{RackConfig: c})
 	return &RackResult{
-		Ops:        merged.Ops,
-		Throughput: float64(merged.Ops) / c.Window.Seconds(),
-		AvgLatency: merged.AvgLatency(),
-		PerMachine: accs,
-		Merged:     merged,
+		Ops:        r.Merged.Ops,
+		Throughput: float64(r.Merged.Ops) / c.Window.Seconds(),
+		AvgLatency: r.AvgLatency,
+		PerMachine: r.PerMachine,
+		Merged:     r.Merged,
 	}
 }
 
