@@ -81,15 +81,16 @@ type Retrier struct {
 	Jitter *sim.Rand
 }
 
-// retryJitter builds the per-callsite jitter stream for hop number hop
-// when the policy opts into jitter, and the transparent nil stream
-// otherwise — so un-jittered runs never construct (or consume) a stream
-// and stay byte-identical to the pre-jitter engine.
-func retryJitter(rp faults.RetryPolicy, plan *faults.Plan, hop int) *sim.Rand {
+// retryJitter builds the named jitter stream (one per call site, e.g.
+// "hop2", or per client, e.g. "client3", so each de-synchronizes
+// independently) when the policy opts into jitter, and the transparent
+// nil stream otherwise — so un-jittered runs never construct (or
+// consume) a stream and stay byte-identical to the pre-jitter engine.
+func retryJitter(rp faults.RetryPolicy, plan *faults.Plan, name string) *sim.Rand {
 	if rp.Jitter <= 0 {
 		return nil
 	}
-	return plan.JitterStream(fmt.Sprintf("hop%d", hop))
+	return plan.JitterStream(name)
 }
 
 // TryCall implements Transport with retries: attempt, classify, back
@@ -234,7 +235,7 @@ func runChainFaults(cfg ChainFaultsConfig) (*ChainFaultsResult, float64) {
 
 	wrap := func(tr Transport, hop int) Transport {
 		return &Retrier{Inner: tr, Policy: cfg.Retry, Rel: rel,
-			Jitter: retryJitter(cfg.Retry, cfg.Plan, hop)}
+			Jitter: retryJitter(cfg.Retry, cfg.Plan, fmt.Sprintf("hop%d", hop))}
 	}
 	front, rt, transports := buildChain(cfg.tiers(), m, prm, inj, wrap)
 

@@ -119,7 +119,7 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 			tr = br
 		}
 		return &Retrier{Inner: tr, Policy: cfg.Retry, Rel: rel,
-			Jitter: retryJitter(cfg.Retry, cfg.Plan, hop)}
+			Jitter: retryJitter(cfg.Retry, cfg.Plan, fmt.Sprintf("hop%d", hop))}
 	}
 	front, rt, transports := buildChain(cfg.tiers(), m, prm, inj, wrap)
 

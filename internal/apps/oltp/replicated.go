@@ -482,7 +482,7 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 	for ci := 0; ci < cfg.Clients; ci++ {
 		ci := ci
 		rng := sim.NewRand(cfg.Seed + 0x9e3779b97f4a7c15*uint64(ci+1))
-		jitter := retryJitterClient(cfg.Retry, cfg.Plan, ci)
+		jitter := retryJitter(cfg.Retry, cfg.Plan, fmt.Sprintf("client%d", ci))
 		eng0.Spawn(fmt.Sprintf("client%d", ci), replicatedBootTime+sim.Time(ci+1), func(sp *sim.Proc) {
 			seq := uint64(0)
 			for {
@@ -624,13 +624,4 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 		}
 	}
 	return res
-}
-
-// retryJitterClient is retryJitter with a per-client stream name, so
-// every client de-synchronizes independently.
-func retryJitterClient(rp faults.RetryPolicy, plan *faults.Plan, ci int) *sim.Rand {
-	if rp.Jitter <= 0 {
-		return nil
-	}
-	return plan.JitterStream(fmt.Sprintf("client%d", ci))
 }
