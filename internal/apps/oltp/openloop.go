@@ -3,7 +3,6 @@ package oltp
 import (
 	"fmt"
 
-	"repro/internal/cost"
 	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/load"
@@ -98,9 +97,6 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 	}
 	if cfg.Deadline <= 0 {
 		cfg.Deadline = 4 * cfg.Retry.Deadline
-	}
-	if cfg.Cost == nil {
-		cfg.Cost = cost.Default()
 	}
 
 	eng := sim.NewEngine(cfg.Seed + 1)
