@@ -17,7 +17,7 @@
 //   - definition side: every exported pointer-receiver method on a hook
 //     type must begin with a syntactic nil-receiver guard, unless it is
 //     one of the declared write-side mutators (SetDown, SetExtra,
-//     NoteDrop, SetFactor on the faults hooks; Suspect, Clear on the
+//     NoteDrop on the faults hooks; Suspect, Clear on the
 //     health table) that only the owning writer — the Injector, or the
 //     health detector on its owning shard — invokes on states it
 //     created;
@@ -52,12 +52,6 @@ var linkStateMutators = map[string]bool{
 	"NoteDrop": true,
 }
 
-// loadStateMutators are the faults.LoadState write-side methods, under
-// the same contract as the LinkState mutators.
-var loadStateMutators = map[string]bool{
-	"SetFactor": true,
-}
-
 // replicaHealthMutators are the oltp.ReplicaHealth write-side methods:
 // only the owning health detector (on the owning shard) flips suspicion
 // state, so they are NOT nil-safe and call sites outside package oltp
@@ -72,7 +66,6 @@ var replicaHealthMutators = map[string]bool{
 var hookTypes = map[string]bool{
 	"LinkState": true,
 	"CallSite":  true,
-	"LoadState": true,
 }
 
 // oltpHookTypes are the nil-transparent hook types defined in package
@@ -89,8 +82,6 @@ func declaredMutator(typ, name string) bool {
 	switch typ {
 	case "LinkState":
 		return linkStateMutators[name]
-	case "LoadState":
-		return loadStateMutators[name]
 	case "ReplicaHealth":
 		return replicaHealthMutators[name]
 	}
@@ -129,11 +120,6 @@ func run(pass *analysis.Pass) {
 			if !inFaults && linkStateMutators[fn.Name()] && isMethodOn(fn, "faults", "LinkState") {
 				if !nilGuarded(sel.X, call, stack) && !pass.Exempted(call.Pos(), "hook-ok") {
 					pass.Reportf(call.Pos(), "faults.(*LinkState).%s is not nil-safe: guard %s against nil or annotate //dipcvet:hook-ok <reason>", fn.Name(), types.ExprString(sel.X))
-				}
-			}
-			if !inFaults && loadStateMutators[fn.Name()] && isMethodOn(fn, "faults", "LoadState") {
-				if !nilGuarded(sel.X, call, stack) && !pass.Exempted(call.Pos(), "hook-ok") {
-					pass.Reportf(call.Pos(), "faults.(*LoadState).%s is not nil-safe: guard %s against nil or annotate //dipcvet:hook-ok <reason>", fn.Name(), types.ExprString(sel.X))
 				}
 			}
 			if !inOltp && replicaHealthMutators[fn.Name()] && isMethodOn(fn, "oltp", "ReplicaHealth") {
@@ -293,5 +279,5 @@ func matchPkgPath(path, short string) bool {
 }
 
 func mutatorList() string {
-	return "SetDown, SetExtra, NoteDrop, SetFactor, Suspect, Clear"
+	return "SetDown, SetExtra, NoteDrop, Suspect, Clear"
 }

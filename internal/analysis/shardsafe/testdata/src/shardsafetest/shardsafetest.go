@@ -36,24 +36,6 @@ func mutators(ls *faults.LinkState, now sim.Time) {
 	ls.NoteDrop()
 }
 
-// loadMutators: the LoadState write side follows the same contract.
-func loadMutators(ls *faults.LoadState) {
-	ls.SetFactor(3) // want `faults.\(\*LoadState\).SetFactor is not nil-safe`
-	if ls != nil {
-		ls.SetFactor(1) // guarded: not flagged
-	}
-	//dipcvet:hook-ok injector only resolves planned load sources, never nil
-	ls.SetFactor(0.5)
-}
-
-// loadReads: LoadState read-side methods are nil-safe and never flagged.
-func loadReads(ls *faults.LoadState) float64 {
-	if ls.Surges() > 0 {
-		return ls.Factor()
-	}
-	return ls.Factor()
-}
-
 // healthMutators: the ReplicaHealth write side is detector-only and
 // not nil-safe, so bare call sites outside package oltp are flagged
 // while guarded or annotated ones are not.

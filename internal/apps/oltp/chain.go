@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/sim"
@@ -32,8 +31,6 @@ type ChainConfig struct {
 	Warmup   sim.Time
 	Window   sim.Time
 	Seed     uint64
-	// Cost overrides the machine cost model.
-	Cost *cost.Params
 }
 
 // ChainResult is the measured outcome of a chain run.

@@ -47,17 +47,14 @@ func unwrapRemote(out any) (any, error) {
 // injectFault draws one verdict from the call site and acts it out on
 // the calling thread: a drop burns the site's penalty (the caller's
 // deadline — a lost request is indistinguishable from a slow one until
-// the timer fires) and reports ErrTimeout, a fail reports ErrInjected
-// immediately, a slow stretches the call and succeeds. Nil site: no
-// draw, no cost, no error.
+// the timer fires) and reports ErrTimeout, a slow stretches the call
+// and succeeds. Nil site: no draw, no cost, no error.
 func injectFault(t *kernel.Thread, site *faults.CallSite) error {
 	v, d := site.Draw()
 	switch v {
 	case faults.VerdictDrop:
 		t.SleepFor(d)
 		return fmt.Errorf("%s: %w", site.Name(), faults.ErrTimeout)
-	case faults.VerdictFail:
-		return fmt.Errorf("%s: %w", site.Name(), faults.ErrInjected)
 	case faults.VerdictSlow:
 		t.SleepFor(d)
 	}
@@ -191,9 +188,6 @@ func (cfg *ChainFaultsConfig) applyDefaults() {
 	if cfg.Window == 0 {
 		cfg.Window = sim.Millis(100)
 	}
-	if cfg.Cost == nil {
-		cfg.Cost = cost.Default()
-	}
 	if cfg.Retry.Deadline == 0 {
 		cfg.Retry.Deadline = sim.Micros(500)
 	}
@@ -213,8 +207,7 @@ func (cfg *ChainFaultsConfig) tiers() *tierChain {
 // behind a Retrier, tier failures travel up as RemoteErrors, and the
 // plan's events fire on the sim clock via a faults.Injector. Process
 // targets are named "gateway" and "svc1".."svcN" ("chain-app" for
-// Ideal); the machine target is "m0"; per-call fault sites are
-// "hop1".."hopN".
+// Ideal); per-call fault sites are "hop1".."hopN".
 func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 	res, _ := runChainFaults(cfg)
 	return res
@@ -226,12 +219,11 @@ func runChainFaults(cfg ChainFaultsConfig) (*ChainFaultsResult, float64) {
 	cfg.applyDefaults()
 
 	eng := sim.NewEngine(cfg.Seed + 1)
-	m := kernel.NewMachine(eng, cfg.Cost, cfg.CPUs)
+	m := kernel.NewMachine(eng, cost.Default(), cfg.CPUs)
 	prm := DefaultParams()
-	ingress := NewIngress(prm)
+	gw := NewGateway(prm, GatewayConfig{})
 	rel := &stats.Reliability{}
 	inj := faults.NewInjector(cfg.Plan)
-	inj.Machine("m0", m)
 
 	wrap := func(tr Transport, hop int) Transport {
 		return &Retrier{Inner: tr, Policy: cfg.Retry, Rel: rel,
@@ -253,11 +245,10 @@ func runChainFaults(cfg ChainFaultsConfig) (*ChainFaultsResult, float64) {
 				mustEnter(rt, t)
 			}
 			for {
-				req := ingress.Recv(t)
+				req := gw.Recv(t)
 				t.ExecUser(cfg.Work)
 				_, err := transports[0].TryCall(t, "hop", nil, cfg.ReqBytes)
-				req.err = err
-				ingress.Reply(t, req)
+				gw.Reply(t, req, err)
 			}
 		})
 	}
@@ -274,7 +265,7 @@ func runChainFaults(cfg ChainFaultsConfig) (*ChainFaultsResult, float64) {
 			for {
 				req := &request{started: p.Now()}
 				req.done = p.PrepareWait()
-				ingress.Submit(req)
+				gw.Submit(req, p.Now())
 				p.Wait()
 				opsTotal++
 				if end := p.Now(); end >= measStart && end <= measEnd {

@@ -9,9 +9,11 @@ import (
 	"repro/internal/stats"
 )
 
-// Admission-control tier: the open-loop front door. Ingress models a
-// well-behaved closed loop where the driver never outruns the server;
-// under open-loop overload an unbounded accept queue is exactly the
+// Admission-control tier: the HTTP front door. Clients live off-machine
+// (the DVDStore driver host), so submission costs nothing locally; the
+// front tier's accept/read/write syscalls are charged in full. A closed
+// loop, whose driver never outruns the server, takes the unbounded
+// AdmitNone queue; under open-loop overload that queue is exactly the
 // failure mode (every queued request ages past its deadline, goodput
 // collapses while the server stays 100% busy). Gateway bounds the queue
 // and sheds load by policy, reporting rejections in-band as errors
@@ -24,7 +26,8 @@ type AdmitPolicy int
 
 const (
 	// AdmitNone is the unbounded baseline: never reject, queue forever.
-	// This is Ingress semantics and exhibits the overload collapse.
+	// The closed-loop runners use it; open-loop it exhibits the overload
+	// collapse.
 	AdmitNone AdmitPolicy = iota
 	// AdmitFIFO is a bounded drop-tail queue: an arrival finding the
 	// queue full is rejected immediately; service order is FIFO.
@@ -126,7 +129,7 @@ func (g *Gateway) reject(req *request, err error) {
 }
 
 // Submit delivers a client request at simulated time now (called from a
-// client sim.Proc, off-machine like Ingress.Submit). A rejected request
+// client sim.Proc, off-machine: no local cost). A rejected request
 // is completed immediately with an error wrapping faults.ErrRejected.
 func (g *Gateway) Submit(req *request, now sim.Time) {
 	if g.cfg.Policy == AdmitToken {
@@ -222,7 +225,7 @@ func (g *Gateway) pop() *request {
 }
 
 // Reply sends the response (or the in-band failure) back to the client,
-// charging the write path like Ingress.Reply.
+// charging the write path.
 func (g *Gateway) Reply(t *kernel.Thread, req *request, err error) {
 	t.Syscall(func() {
 		p := t.Machine().P

@@ -19,9 +19,10 @@ type DetectorConfig struct {
 	// Timeout is the suspicion threshold: a replica whose newest ack is
 	// older than this is suspected (default 4*Every).
 	Timeout sim.Time
-	// ProbeBytes sizes the probe message on the wire (default 64).
-	ProbeBytes int
 }
+
+// probeBytes sizes a health probe message on the wire.
+const probeBytes = 64
 
 func (c DetectorConfig) withDefaults() DetectorConfig {
 	if c.Every <= 0 {
@@ -29,9 +30,6 @@ func (c DetectorConfig) withDefaults() DetectorConfig {
 	}
 	if c.Timeout <= 0 {
 		c.Timeout = 4 * c.Every
-	}
-	if c.ProbeBytes <= 0 {
-		c.ProbeBytes = 64
 	}
 	return c
 }

@@ -3,6 +3,7 @@ package oltp
 import (
 	"fmt"
 
+	"repro/internal/cost"
 	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/load"
@@ -24,21 +25,14 @@ import (
 type OpenLoopConfig struct {
 	ChainFaultsConfig
 
-	// Arrival process: Model plus its shape parameters (zero values take
-	// the load package defaults). MeanGap is the nominal mean
-	// inter-arrival gap — offered load is 1/MeanGap.
-	Model         load.Model
-	MeanGap       sim.Time
-	Burst         float64  // OnOff: on-phase rate multiplier
-	OnFor, OffFor sim.Time // OnOff: phase durations
-	Peak          float64  // Diurnal: mid-period rate multiplier
-	Period        sim.Time // Diurnal: cycle length
+	// MeanGap is the mean inter-arrival gap of the Poisson session
+	// arrivals — offered load is 1/MeanGap sessions per second.
+	MeanGap sim.Time
 
 	// Session shape (connection churn): Sessions concurrent slots,
-	// Requests per session, exponential Think between them, client-side
-	// Deadline per request (0: 4x the retry deadline).
+	// Requests per session issued back to back, client-side Deadline
+	// per request (0: 4x the retry deadline).
 	Sessions, Requests int
-	Think              sim.Time
 	Deadline           sim.Time
 
 	// Gateway is the admission tier configuration.
@@ -81,9 +75,8 @@ type OpenLoopResult struct {
 }
 
 // RunOpenLoop executes one open-loop chain configuration. Fault-plan
-// target names follow RunChainFaults ("gateway", "svc1".."svcN", "m0",
-// sites "hop1".."hopN") plus the load source "load" for
-// LoadScale/LoadRestore transients.
+// target names follow RunChainFaults ("gateway", "svc1".."svcN", sites
+// "hop1".."hopN").
 func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 	cfg.applyDefaults()
 	if cfg.MeanGap <= 0 {
@@ -100,12 +93,11 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 	}
 
 	eng := sim.NewEngine(cfg.Seed + 1)
-	m := kernel.NewMachine(eng, cfg.Cost, cfg.CPUs)
+	m := kernel.NewMachine(eng, cost.Default(), cfg.CPUs)
 	prm := DefaultParams()
 	gw := NewGateway(prm, cfg.Gateway)
 	rel := &stats.Reliability{}
 	inj := faults.NewInjector(cfg.Plan)
-	inj.Machine("m0", m)
 
 	var breakers []*Breaker
 	wrap := func(tr Transport, hop int) Transport {
@@ -118,21 +110,6 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 			Jitter: retryJitter(cfg.Retry, cfg.Plan, fmt.Sprintf("hop%d", hop))}
 	}
 	front, rt, transports := buildChain(cfg.tiers(), m, prm, inj, wrap)
-
-	// The arrival source is a named fault target so plans can script
-	// load transients (flash crowds, silences) on the sim clock.
-	var arr *load.Arrivals
-	switch cfg.Model {
-	case load.OnOff:
-		arr = load.NewOnOff(cfg.Seed+2, cfg.MeanGap, cfg.Burst, cfg.OnFor, cfg.OffFor)
-	case load.Diurnal:
-		arr = load.NewDiurnal(cfg.Seed+2, cfg.MeanGap, cfg.Peak, cfg.Period)
-	default:
-		arr = load.NewPoisson(cfg.Seed+2, cfg.MeanGap)
-	}
-	ls := &faults.LoadState{}
-	arr.SetHook(ls)
-	inj.Load("load", eng, ls)
 
 	if err := inj.Install(); err != nil {
 		panic(fmt.Sprintf("oltp: open-loop plan: %v", err))
@@ -157,12 +134,10 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 	measStart := cfg.Warmup
 	measEnd := cfg.Warmup + cfg.Window
 	gen := load.Start(eng, load.Config{
-		Arrivals:     arr,
+		Arrivals:     load.NewPoisson(cfg.Seed+2, cfg.MeanGap),
 		Sessions:     cfg.Sessions,
 		Requests:     cfg.Requests,
-		Think:        cfg.Think,
 		Deadline:     cfg.Deadline,
-		Seed:         cfg.Seed + 3,
 		MeasureStart: measStart,
 		MeasureEnd:   measEnd,
 		Issue: func(p *sim.Proc, w sim.Waiter) {

@@ -86,13 +86,12 @@ type ReplicatedConfig struct {
 	Window   sim.Time // measurement window (default 20ms)
 	Seed     uint64
 	Shards   int // engine shards (<= 0: one per host core)
-	Cost     *cost.Params
 
 	// Plan is the fault schedule. Targets: replica fronts "r1".."rN",
 	// tier processes "r<i>.svc<j>" (none under Ideal, whose tiers share
-	// the front's process), machines "m0".."mN", request links
-	// "link1".."linkN" (machine 0's transmit NIC toward replica i) and
-	// response links "rlink1".."rlinkN". Nil: fault-free.
+	// the front's process), request links "link1".."linkN" (machine 0's
+	// transmit NIC toward replica i) and response links
+	// "rlink1".."rlinkN". Nil: fault-free.
 	Plan *faults.Plan
 	// Retry is the clients' per-operation policy (defaults: Deadline
 	// 500us, Backoff 20us).
@@ -143,9 +142,6 @@ func (cfg *ReplicatedConfig) applyDefaults() {
 	}
 	if cfg.Window == 0 {
 		cfg.Window = sim.Millis(20)
-	}
-	if cfg.Cost == nil {
-		cfg.Cost = cost.Default()
 	}
 	if cfg.Retry.Deadline == 0 {
 		cfg.Retry.Deadline = sim.Micros(500)
@@ -211,9 +207,9 @@ type ReplicatedResult struct {
 // planDeadIntervals derives, from the static fault plan, the windows
 // during which each replica front is administratively dead — the ground
 // truth detector scoring compares suspicions against. KillProc "r<i>"
-// opens an interval, RestartProc "r<i>" closes it; CrashMachine "m<i>"
-// opens one with no close. Derivation from the plan (not from live
-// process state) keeps scoring free of cross-shard reads.
+// opens an interval, RestartProc "r<i>" closes it. Derivation from the
+// plan (not from live process state) keeps scoring free of cross-shard
+// reads.
 func planDeadIntervals(plan *faults.Plan, replicas int) []deadInterval {
 	if plan == nil {
 		return nil
@@ -224,12 +220,10 @@ func planDeadIntervals(plan *faults.Plan, replicas int) []deadInterval {
 	var out []deadInterval
 	for r := 1; r <= replicas; r++ {
 		front := fmt.Sprintf("r%d", r)
-		machine := fmt.Sprintf("m%d", r)
 		open := -1
 		for _, ev := range evs {
 			switch {
-			case ev.Kind == faults.KillProc && ev.Target == front,
-				ev.Kind == faults.CrashMachine && ev.Target == machine:
+			case ev.Kind == faults.KillProc && ev.Target == front:
 				if open < 0 {
 					out = append(out, deadInterval{Replica: r - 1, From: ev.At})
 					open = len(out) - 1
@@ -256,12 +250,9 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 
 	cl := sim.NewCluster(cfg.Seed, cfg.Shards)
 	machines := R + 1
-	ms := kernel.PlaceMachines(cl, cfg.Cost, machines, cfg.CPUs)
+	ms := kernel.PlaceMachines(cl, cost.Default(), machines, cfg.CPUs)
 	prm := DefaultParams()
 	inj := faults.NewInjector(cfg.Plan)
-	for i, m := range ms {
-		inj.Machine(fmt.Sprintf("m%d", i), m)
-	}
 
 	// Per-replica plumbing, all indexed by 0-based replica r (machine
 	// r+1): a transmit NIC+link m0 -> r for requests and probes, a
@@ -340,7 +331,6 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 		// suspicion.
 		outs[r] = cl.Connect(cl.Shard(0), cl.Shard(mi%cl.Shards()), txnics[r].Lookahead())
 		routs[r] = cl.Connect(cl.Shard(mi%cl.Shards()), cl.Shard(0), rxnics[r].Lookahead())
-		probeBytes := cfg.Detector.ProbeBytes
 		outs[r].SetHandler(func(v uint64) {
 			if v&ridProbeBit != 0 {
 				if front.Dead {
@@ -463,7 +453,7 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 				pseq++
 				pid := uint64(ridProbeBit) | pseq<<ridSeqShift | uint64(r)
 				if txnics[r].Up() {
-					outs[r].SendU64(txnics[r].FlightTime(det.ProbeBytes), pid)
+					outs[r].SendU64(txnics[r].FlightTime(probeBytes), pid)
 				} else {
 					//dipcvet:hook-ok txls[r] is constructed non-nil at wiring time
 					txls[r].NoteDrop()

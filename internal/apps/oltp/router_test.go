@@ -119,7 +119,7 @@ func TestRouterFailsOverOnError(t *testing.T) {
 // with its cause intact.
 func TestNestedClassification(t *testing.T) {
 	brCfg := BreakerConfig{Window: 4, Threshold: 0.5, Cooldown: sim.Millis(10), Probes: 1}
-	remote := &RemoteError{Tier: "svc2", Err: faults.ErrInjected}
+	remote := &RemoteError{Tier: "svc2", Err: errTierFault}
 
 	type stack struct {
 		name  string
@@ -166,7 +166,7 @@ func TestNestedClassification(t *testing.T) {
 				if !errors.As(err, &re) || re.Tier != "svc2" {
 					t.Errorf("RemoteError did not unwrap through %s: %v", st.name, err)
 				}
-				if !errors.Is(err, faults.ErrInjected) {
+				if !errors.Is(err, errTierFault) {
 					t.Errorf("cause lost through %s: %v", st.name, err)
 				}
 				if errors.Is(err, faults.ErrRejected) {
@@ -177,8 +177,8 @@ func TestNestedClassification(t *testing.T) {
 		t.Run(st.name+"/rejection-classifies", func(t *testing.T) {
 			rel := &stats.Reliability{}
 			tr := st.build(rel,
-				&scriptedTransport{script: alwaysErr(faults.ErrInjected, 64)},
-				&scriptedTransport{script: alwaysErr(faults.ErrInjected, 64)})
+				&scriptedTransport{script: alwaysErr(errTierFault, 64)},
+				&scriptedTransport{script: alwaysErr(errTierFault, 64)})
 			inThread(t, func(th *kernel.Thread) {
 				// Fail enough calls to trip every breaker in the stack,
 				// then verify the fast-fail classifies as a rejection.

@@ -51,9 +51,6 @@ type Config struct {
 	Warmup   sim.Time
 	Window   sim.Time
 	Seed     uint64
-	Prm      *Params
-	// Cost overrides the machine cost model (ablations).
-	Cost *cost.Params
 	// PrivatePT is the §6.1.3 ablation: dIPC processes keep private
 	// page tables, so the scheduler pays CR3 switches and TLB refills
 	// whenever it interleaves them — quantifying what the shared
@@ -128,42 +125,30 @@ func Run(cfg Config) *Result {
 	if cfg.Window == 0 {
 		cfg.Window = sim.Millis(250)
 	}
-	if cfg.Prm == nil {
-		cfg.Prm = DefaultParams()
-	}
-	prm := cfg.Prm
+	prm := DefaultParams()
 
 	eng := sim.NewEngine(cfg.Seed + 1)
-	if cfg.Cost == nil {
-		cfg.Cost = cost.Default()
-	}
-	m := kernel.NewMachine(eng, cfg.Cost, cfg.CPUs)
+	m := kernel.NewMachine(eng, cost.Default(), cfg.CPUs)
 	m.StealOnIdle = !cfg.DisableSteal
 	db := NewDB(m, prm, cfg.InMemory)
 	stack := &Stack{Prm: prm, DB: db}
-	ingress := NewIngress(prm)
+	gw := NewGateway(prm, GatewayConfig{})
 
-	webProc := buildTiers(eng, m, stack, cfg)
+	webProc, rt := buildTiers(eng, m, stack, cfg)
 
 	// Web worker pool: in every configuration the web tier runs
-	// cfg.Threads workers accepting from the ingress. In the dIPC and
+	// cfg.Threads workers accepting from the gateway. In the dIPC and
 	// Ideal configurations these workers execute the whole stack in
 	// place — the service threads of the other tiers are gone (§2.3).
-	var rt *core.Runtime
-	if cfg.Mode == ModeDIPC {
-		rt = stack.PHPT.(*DIPCTransport).runtimeHint
-	}
 	for i := 0; i < cfg.Threads; i++ {
 		m.Spawn(webProc, fmt.Sprintf("web-%d", i), nil, func(t *kernel.Thread) {
 			if rt != nil {
-				if _, err := rt.EnterProcessCode(t); err != nil {
-					panic(err)
-				}
+				mustEnter(rt, t)
 			}
 			for {
-				req := ingress.Recv(t)
+				req := gw.Recv(t)
 				stack.WebHandle(t, req)
-				ingress.Reply(t, req)
+				gw.Reply(t, req, nil)
 			}
 		})
 	}
@@ -180,7 +165,7 @@ func Run(cfg Config) *Result {
 			for {
 				req := &request{op: GenOp(rng, prm), started: p.Now()}
 				req.done = p.PrepareWait()
-				ingress.Submit(req)
+				gw.Submit(req, p.Now())
 				p.Wait()
 				opsTotal++
 				if end := p.Now(); end >= measStart && end <= measEnd {
@@ -212,15 +197,17 @@ func Run(cfg Config) *Result {
 }
 
 // buildTiers constructs the per-mode processes and transports, returning
-// the process that hosts the web workers.
-func buildTiers(eng *sim.Engine, m *kernel.Machine, stack *Stack, cfg Config) *kernel.Process {
-	prm := cfg.Prm
+// the process that hosts the web workers and, under dIPC, the runtime
+// whose process code domain they enter before calling (the CODOMs
+// subject comes from the instruction pointer).
+func buildTiers(eng *sim.Engine, m *kernel.Machine, stack *Stack, cfg Config) (*kernel.Process, *core.Runtime) {
+	prm := stack.Prm
 	switch cfg.Mode {
 	case ModeIdeal:
 		app := m.NewProcess("app")
 		stack.DBT = &DirectTransport{H: stack.DBHandler}
 		stack.PHPT = &DirectTransport{H: stack.PHPHandler}
-		return app
+		return app, nil
 
 	case ModeLinux:
 		webProc := m.NewProcess("apache")
@@ -240,7 +227,7 @@ func buildTiers(eng *sim.Engine, m *kernel.Machine, stack *Stack, cfg Config) *k
 			m.Spawn(dbProc, fmt.Sprintf("mariadb-%d", i), nil, dbT.Worker)
 			m.Spawn(phpProc, fmt.Sprintf("php-%d", i), nil, phpT.Worker)
 		}
-		return webProc
+		return webProc, nil
 
 	case ModeDIPC:
 		rt := core.NewRuntime(m)
@@ -335,12 +322,10 @@ func buildTiers(eng *sim.Engine, m *kernel.Machine, stack *Stack, cfg Config) *k
 			for i, name := range phpOps {
 				entries[name] = ents[i]
 			}
-			phpT := NewDIPCTransport(entries)
-			phpT.runtimeHint = rt
-			stack.PHPT = phpT
+			stack.PHPT = NewDIPCTransport(entries)
 		})
 		eng.Run()
-		return webProc
+		return webProc, rt
 
 	default:
 		panic("oltp: unknown mode")

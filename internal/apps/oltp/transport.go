@@ -162,10 +162,6 @@ func (s *SockTransport) Worker(t *kernel.Thread) {
 type DIPCTransport struct {
 	entries map[string]*core.ImportedEntry
 	calls   uint64
-	// runtimeHint lets the web workers enter their process code domain
-	// before calling (the CODOMs subject comes from the instruction
-	// pointer).
-	runtimeHint *core.Runtime
 	// Faults, when set, draws a per-call verdict before each TryCall.
 	Faults *faults.CallSite
 }

@@ -1,10 +1,6 @@
 package oltp
 
-import (
-	"repro/internal/kernel"
-	"repro/internal/sim"
-	"repro/internal/stats"
-)
+import "repro/internal/sim"
 
 // OpKind is one DVDStore operation type.
 type OpKind int
@@ -74,58 +70,12 @@ func GenOp(rng *sim.Rand, prm *Params) *Operation {
 	}
 }
 
-// request is one in-flight client request crossing the ingress.
+// request is one in-flight client request crossing the Gateway.
 type request struct {
 	op      *Operation
 	started sim.Time
 	done    sim.Waiter
-	// err is the failure outcome reported back to the client; only the
-	// fault-aware runners (RunChainFaults) ever set it.
+	// err is the failure outcome reported back to the client (nil on
+	// success).
 	err error
-}
-
-// Ingress models the HTTP front door: clients live off-machine (the
-// DVDStore driver host), so submission costs nothing locally; the web
-// tier's accept/read/write syscalls are charged in full.
-type Ingress struct {
-	prm     *Params
-	pending []*request
-	waiters kernel.TQueue
-}
-
-// NewIngress builds the front door.
-func NewIngress(prm *Params) *Ingress { return &Ingress{prm: prm} }
-
-// Submit delivers a client request (called from a client sim.Proc).
-func (in *Ingress) Submit(req *request) {
-	if in.waiters.WakeOne(req, nil) {
-		return
-	}
-	in.pending = append(in.pending, req)
-}
-
-// Recv blocks a web worker until a request arrives, charging the
-// accept+read path.
-func (in *Ingress) Recv(t *kernel.Thread) *request {
-	var req *request
-	t.Syscall(func() {
-		p := t.Machine().P
-		t.Exec(p.SockKernel+p.KernelCopy(in.prm.IngressReq), stats.BlockKernel)
-		if len(in.pending) > 0 {
-			req = in.pending[0]
-			in.pending = in.pending[1:]
-			return
-		}
-		req = in.waiters.BlockOn(t).(*request)
-	})
-	return req
-}
-
-// Reply sends the response page back to the client.
-func (in *Ingress) Reply(t *kernel.Thread, req *request) {
-	t.Syscall(func() {
-		p := t.Machine().P
-		t.Exec(p.SockKernel+p.KernelCopy(in.prm.IngressResp), stats.BlockKernel)
-	})
-	req.done.Wake(0, nil)
 }

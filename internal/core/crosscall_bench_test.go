@@ -2,6 +2,7 @@ package core
 
 import (
 	"runtime"
+	"runtime/debug"
 	"strconv"
 	"testing"
 
@@ -155,6 +156,14 @@ func TestCrossCallSteadyStateAllocs(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, run := buildCrossCallRig(t, tc.high, tc.depth)
+			// The engine hands control between goroutines over channels,
+			// and the runtime keeps the sudogs those handoffs park on in
+			// per-P caches. A GC cycle empties the caches, and a goroutine
+			// moving to another P can find that P's cache empty; either
+			// way the refill allocates, and MemStats would charge it to
+			// the call path. One P and no GC keep the caches warm.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			const rounds = 512
 			var before, after runtime.MemStats
 			run(64, rounds,

@@ -26,8 +26,8 @@ import (
 type RackChaosConfig struct {
 	RackConfig
 	// Plan is the fault schedule. Targets: processes "svc1".."svcN"
-	// (machine index = tier index), machines "m0".."mN", links
-	// "link0".."linkN" (machine i's transmit NIC). Nil: fault-free.
+	// (machine index = tier index), links "link0".."linkN" (machine
+	// i's transmit NIC). Nil: fault-free.
 	Plan *faults.Plan
 	// Retry is the clients' per-operation policy. Zero-value fields
 	// default to Deadline 150us, Backoff 10us, MaxRetries 0.
@@ -90,7 +90,6 @@ func runRack(c RackChaosConfig) *RackChaosResult {
 		nics[i].SetFaults(lss[i])
 		//dipcvet:shard-ok wiring phase: the injector binds to the shard that owns the link state, before the run
 		inj.Link(fmt.Sprintf("link%d", i), cl.Shard(i%cl.Shards()).Engine(), lss[i])
-		inj.Machine(fmt.Sprintf("m%d", i), m)
 	}
 
 	accs := make([]*stats.Accumulator, c.Machines)

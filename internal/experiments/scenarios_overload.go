@@ -3,12 +3,12 @@
 // scenario here) drives the system from closed loops, which structurally
 // cannot overload it — clients slow down with the server. These three
 // scenarios drive the §7.5-style tier chain from the load package's
-// open-loop arrival processes instead and measure what that hides: where
+// open-loop Poisson arrivals instead and measure what that hides: where
 // each transport's tail-latency knee sits as offered load climbs, what a
 // gateway admission policy buys once demand exceeds the knee, and
 // whether a per-downstream circuit breaker turns a tier crash from a
-// collapse into a recovery. Arrival streams, think times, and fault
-// plans are all seeded sim streams, so every digest is pinned and
+// collapse into a recovery. Arrival streams and fault plans are all
+// seeded sim streams, so every digest is pinned and
 // byte-identical at every shard count.
 
 package experiments

@@ -12,8 +12,6 @@ const (
 	// its per-call deadline expires (the returned delay is that
 	// deadline).
 	VerdictDrop
-	// VerdictFail errors the attempt immediately.
-	VerdictFail
 	// VerdictSlow delays the attempt by the returned amount, then lets
 	// it through.
 	VerdictSlow
@@ -29,7 +27,6 @@ type CallSite struct {
 	name        string
 	rng         *sim.Rand
 	dropProb    float64
-	failProb    float64
 	slowProb    float64
 	slowBy      sim.Time
 	dropPenalty sim.Time
@@ -41,14 +38,13 @@ type CallSite struct {
 // deadline. Returns nil (the transparent hook) when the plan carries no
 // per-call fault probabilities, so empty-plan wiring stays a no-op.
 func (p *Plan) Site(name string, dropPenalty sim.Time) *CallSite {
-	if p == nil || (p.DropProb == 0 && p.ErrorProb == 0 && p.SlowProb == 0) {
+	if p == nil || (p.DropProb == 0 && p.SlowProb == 0) {
 		return nil
 	}
 	return &CallSite{
 		name:        name,
 		rng:         sim.NewRand(siteSeed(p.Seed, name)),
 		dropProb:    p.DropProb,
-		failProb:    p.ErrorProb,
 		slowProb:    p.SlowProb,
 		slowBy:      p.SlowBy,
 		dropPenalty: dropPenalty,
@@ -84,9 +80,7 @@ func (s *CallSite) Draw() (Verdict, sim.Time) {
 	switch {
 	case u < s.dropProb:
 		return VerdictDrop, s.dropPenalty
-	case u < s.dropProb+s.failProb:
-		return VerdictFail, 0
-	case u < s.dropProb+s.failProb+s.slowProb:
+	case u < s.dropProb+s.slowProb:
 		return VerdictSlow, s.slowBy
 	}
 	return VerdictOK, 0

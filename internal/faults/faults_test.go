@@ -1,6 +1,8 @@
 package faults
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -21,7 +23,7 @@ func drawSeq(p *Plan, name string, n int) []Verdict {
 // TestSiteStreamsDeterministicAndDecorrelated: the same (seed, name)
 // reproduces the same verdict sequence; a different name diverges.
 func TestSiteStreamsDeterministicAndDecorrelated(t *testing.T) {
-	p := &Plan{Seed: 7, DropProb: 0.2, ErrorProb: 0.2, SlowProb: 0.2, SlowBy: sim.Micros(5)}
+	p := &Plan{Seed: 7, DropProb: 0.2, SlowProb: 0.2, SlowBy: sim.Micros(5)}
 	a1 := drawSeq(p, "hop1", 200)
 	a2 := drawSeq(p, "hop1", 200)
 	b := drawSeq(p, "hop2", 200)
@@ -42,9 +44,9 @@ func TestSiteStreamsDeterministicAndDecorrelated(t *testing.T) {
 	if sameAsB {
 		t.Error("streams for different site names are identical")
 	}
-	for _, v := range []Verdict{VerdictOK, VerdictDrop, VerdictFail, VerdictSlow} {
+	for _, v := range []Verdict{VerdictOK, VerdictDrop, VerdictSlow} {
 		if !seen[v] {
-			t.Errorf("200 draws at 20/20/20%% never produced verdict %v", v)
+			t.Errorf("200 draws at 20/20%% never produced verdict %v", v)
 		}
 	}
 }
@@ -194,21 +196,28 @@ func TestInjectorRejectsUnknownTargetAndPastEvents(t *testing.T) {
 	}
 }
 
-// TestInjectorCrashMachineKillsAll: CrashMachine fells every live
-// process on the target machine.
-func TestInjectorCrashMachineKillsAll(t *testing.T) {
+// TestInjectorRejectsUnknownKind: a plan event whose Kind is not one of
+// the declared kinds (the zero value, or past the last) is a plan bug,
+// and Install must name the offending event.
+func TestInjectorRejectsUnknownKind(t *testing.T) {
 	eng := sim.NewEngine(3)
 	m := kernel.NewMachine(eng, cost.Default(), 1)
-	a, b := m.NewProcess("a"), m.NewProcess("b")
-
-	in := NewInjector(&Plan{Events: []Event{{At: 5, Kind: CrashMachine, Target: "m0"}}})
-	in.Machine("m0", m)
-	if err := in.Install(); err != nil {
-		t.Fatal(err)
-	}
-	eng.RunUntil(10)
-	if !a.Dead || !b.Dead {
-		t.Errorf("crash left survivors: a.Dead=%v b.Dead=%v", a.Dead, b.Dead)
+	db := m.NewProcess("db")
+	for _, k := range []Kind{0, LinkRestore + 1} {
+		in := NewInjector(&Plan{Events: []Event{
+			{At: 5, Kind: KillProc, Target: "db"},
+			{At: 10, Kind: k, Target: "db"},
+		}})
+		in.Proc("db", m, db)
+		err := in.Install()
+		if err == nil {
+			t.Fatalf("Install accepted kind %d", k)
+		}
+		for _, want := range []string{"event 1 ", fmt.Sprintf("unknown fault kind %d", k)} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("kind %d: error %q does not contain %q", k, err, want)
+			}
+		}
 	}
 }
 

@@ -2,14 +2,13 @@ package faults
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/kernel"
 	"repro/internal/sim"
 )
 
 // Injector binds a Plan to a concrete simulation: wiring code registers
-// named targets (processes, machines, link states) together with the
+// named targets (processes, link states) together with the
 // engine that owns each one, and Install schedules every plan event as
 // an ordinary callback on that owning engine. Events therefore fire in
 // simulated-time order interleaved with the model's own events, on the
@@ -18,9 +17,7 @@ import (
 type Injector struct {
 	plan      *Plan
 	procs     map[string]procTarget
-	machines  map[string]*kernel.Machine
 	links     map[string]linkTarget
-	loads     map[string]loadTarget
 	installed bool
 }
 
@@ -34,19 +31,12 @@ type linkTarget struct {
 	ls  *LinkState
 }
 
-type loadTarget struct {
-	eng *sim.Engine
-	ls  *LoadState
-}
-
 // NewInjector returns an injector for the plan (nil plan: empty plan).
 func NewInjector(plan *Plan) *Injector {
 	return &Injector{
-		plan:     plan,
-		procs:    make(map[string]procTarget),
-		machines: make(map[string]*kernel.Machine),
-		links:    make(map[string]linkTarget),
-		loads:    make(map[string]loadTarget),
+		plan:  plan,
+		procs: make(map[string]procTarget),
+		links: make(map[string]linkTarget),
 	}
 }
 
@@ -56,21 +46,10 @@ func (in *Injector) Proc(name string, m *kernel.Machine, p *kernel.Process) {
 	in.procs[name] = procTarget{m: m, p: p}
 }
 
-// Machine registers a crash target.
-func (in *Injector) Machine(name string, m *kernel.Machine) {
-	in.machines[name] = m
-}
-
 // Link registers a link-failure target: the LinkState ls owned by the
 // given engine's shard (the sending side).
 func (in *Injector) Link(name string, eng *sim.Engine, ls *LinkState) {
 	in.links[name] = linkTarget{eng: eng, ls: ls}
-}
-
-// Load registers a load-transient target: the LoadState ls read by a
-// traffic source on the given engine's shard.
-func (in *Injector) Load(name string, eng *sim.Engine, ls *LoadState) {
-	in.loads[name] = loadTarget{eng: eng, ls: ls}
 }
 
 // Install schedules every plan event on its target's engine. It must
@@ -114,19 +93,6 @@ func (in *Injector) resolve(ev Event) (*sim.Engine, func(), error) {
 			return t.m.Eng, func() { t.m.Kill(t.p) }, nil
 		}
 		return t.m.Eng, func() { t.m.Restart(t.p) }, nil
-	case CrashMachine:
-		m, ok := in.machines[ev.Target]
-		if !ok {
-			return nil, nil, fmt.Errorf("no machine registered under this name")
-		}
-		return m.Eng, func() {
-			// Kill in PID order: Processes() iterates a map.
-			procs := m.Processes()
-			sort.Slice(procs, func(i, j int) bool { return procs[i].PID < procs[j].PID })
-			for _, p := range procs {
-				m.Kill(p)
-			}
-		}, nil
 	case LinkDown, LinkUp, LinkDegrade, LinkRestore:
 		t, ok := in.links[ev.Target]
 		if !ok {
@@ -144,17 +110,6 @@ func (in *Injector) resolve(ev Event) (*sim.Engine, func(), error) {
 		default: // LinkRestore
 			return eng, func() { ls.SetExtra(0) }, nil
 		}
-	case LoadScale, LoadRestore:
-		t, ok := in.loads[ev.Target]
-		if !ok {
-			return nil, nil, fmt.Errorf("no load source registered under this name")
-		}
-		ls := t.ls
-		if ev.Kind == LoadScale {
-			factor := ev.Factor
-			return t.eng, func() { ls.SetFactor(factor) }, nil
-		}
-		return t.eng, func() { ls.SetFactor(1) }, nil
 	}
 	return nil, nil, fmt.Errorf("unknown fault kind %d", ev.Kind)
 }

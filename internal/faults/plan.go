@@ -1,7 +1,7 @@
 // Package faults is the deterministic fault-injection subsystem: a
-// typed, seeded schedule of failures (process kill/restart, machine
-// crash, link loss and extra-delay windows) plus probabilistic per-call
-// faults drawn from splitmix64-derived streams. Every fault fires as an
+// typed, seeded schedule of failures (process kill/restart, link loss
+// and extra-delay windows) plus probabilistic per-call faults drawn from
+// splitmix64-derived streams. Every fault fires as an
 // ordinary event on the simulated clock of the engine that owns its
 // target, so a chaos run obeys the same determinism contract as a
 // failure-free one: the same plan and seed reproduce the same digest at
@@ -28,9 +28,6 @@ const (
 	KillProc Kind = iota + 1
 	// RestartProc revives the target process (kernel.Machine.Restart).
 	RestartProc
-	// CrashMachine kills every live process on the target machine, in
-	// PID order.
-	CrashMachine
 	// LinkDown opens a loss window on the target link: sends are
 	// black-holed until LinkUp.
 	LinkDown
@@ -41,12 +38,6 @@ const (
 	LinkDegrade
 	// LinkRestore clears the extra delay.
 	LinkRestore
-	// LoadScale multiplies the target traffic source's arrival rate by
-	// Event.Factor until LoadRestore (a flash crowd, or with Factor < 1
-	// a brown-out of the source).
-	LoadScale
-	// LoadRestore returns the source to its nominal rate.
-	LoadRestore
 )
 
 func (k Kind) String() string {
@@ -55,8 +46,6 @@ func (k Kind) String() string {
 		return "kill"
 	case RestartProc:
 		return "restart"
-	case CrashMachine:
-		return "crash"
 	case LinkDown:
 		return "link-down"
 	case LinkUp:
@@ -65,10 +54,6 @@ func (k Kind) String() string {
 		return "link-degrade"
 	case LinkRestore:
 		return "link-restore"
-	case LoadScale:
-		return "load-scale"
-	case LoadRestore:
-		return "load-restore"
 	}
 	return "unknown"
 }
@@ -80,7 +65,6 @@ type Event struct {
 	Kind   Kind
 	Target string   // name the wiring registered with the Injector
 	Extra  sim.Time // LinkDegrade: per-delivery extra delay
-	Factor float64  // LoadScale: arrival-rate multiplier
 }
 
 // Plan is a deterministic fault schedule: a typed event list plus the
@@ -100,17 +84,16 @@ type Plan struct {
 
 	// Per-call fault probabilities, drawn once per hooked call:
 	// DropProb loses the request (the caller burns its deadline),
-	// ErrorProb fails it immediately, SlowProb delays it by SlowBy.
-	DropProb  float64
-	ErrorProb float64
-	SlowProb  float64
-	SlowBy    sim.Time
+	// SlowProb delays it by SlowBy.
+	DropProb float64
+	SlowProb float64
+	SlowBy   sim.Time
 }
 
 // Empty reports whether installing the plan would change nothing.
 func (p *Plan) Empty() bool {
 	return p == nil ||
-		(len(p.Events) == 0 && p.DropProb == 0 && p.ErrorProb == 0 && p.SlowProb == 0)
+		(len(p.Events) == 0 && p.DropProb == 0 && p.SlowProb == 0)
 }
 
 // Flap appends alternating LinkDown/LinkUp windows for the named link:
@@ -131,8 +114,6 @@ var (
 	// ErrTimeout: the attempt's per-call deadline expired (a dropped
 	// request, or a response that never came back in time).
 	ErrTimeout = errors.New("faults: call deadline exceeded")
-	// ErrInjected: the fault stream failed the attempt outright.
-	ErrInjected = errors.New("faults: injected call failure")
 	// ErrDead: the attempt targeted a dead process.
 	ErrDead = errors.New("faults: target process is dead")
 	// ErrRejected: admission control refused the operation before any

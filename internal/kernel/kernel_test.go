@@ -324,11 +324,11 @@ func TestUnhandledFaultPanics(t *testing.T) {
 func TestKillProcess(t *testing.T) {
 	_, m := newTestMachine(1)
 	p := m.NewProcess("p")
-	if len(m.Processes()) != 1 {
+	if len(m.procs) != 1 {
 		t.Fatal("process not registered")
 	}
 	m.Kill(p)
-	if !p.Dead || len(m.Processes()) != 0 {
+	if !p.Dead || len(m.procs) != 0 {
 		t.Fatal("kill did not mark/deregister")
 	}
 }

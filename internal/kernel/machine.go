@@ -11,7 +11,6 @@ package kernel
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/codoms"
 	"repro/internal/cost"
@@ -86,23 +85,6 @@ func (m *Machine) CPUSnapshots() []stats.Breakdown {
 	out := make([]stats.Breakdown, len(m.CPUs))
 	for i, c := range m.CPUs {
 		out[i] = c.Acct
-	}
-	return out
-}
-
-// Processes returns the live processes in PID order, so callers that
-// act on the list (fault injection, teardown) do so deterministically.
-func (m *Machine) Processes() []*Process {
-	pids := make([]int, 0, len(m.procs))
-	for pid := range m.procs {
-		pids = append(pids, pid)
-	}
-	sort.Ints(pids)
-	out := make([]*Process, 0, len(pids))
-	for _, pid := range pids {
-		if p := m.procs[pid]; !p.Dead {
-			out = append(out, p)
-		}
 	}
 	return out
 }

@@ -1,5 +1,5 @@
-// Package load is the open-loop traffic layer: arrival processes that
-// emit work at a configured offered rate regardless of whether the
+// Package load is the open-loop traffic layer: a Poisson arrival process
+// that emits work at a configured offered rate regardless of whether the
 // system keeps up, and a session generator that models connection churn
 // — clients arrive, issue a bounded number of requests against a
 // deadline, and abandon. The closed-loop oltp drivers measure peak
@@ -9,176 +9,34 @@
 // where a closed loop would simply slow its clients down and hide the
 // overload.
 //
-// Determinism: every source of variation flows through seeded per-stream
-// sim.Rand instances (the detrand contract). Arrival draws consume one
-// stream, each session slot's think times another, so the event
-// sequence is a pure function of (seed, config, model) at every shard
-// count.
+// Determinism: the arrival draws consume one seeded sim.Rand stream of
+// their own (the detrand contract), so the event sequence is a pure
+// function of (seed, config) at every shard count.
 package load
 
-import (
-	"repro/internal/faults"
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
-// Model selects the arrival process shape.
-type Model int
-
-const (
-	// Poisson is memoryless arrivals at a constant mean rate.
-	Poisson Model = iota
-	// OnOff is a bursty two-phase source: rate burst x nominal during
-	// the on window, silent during the off window.
-	OnOff
-	// Diurnal ramps the rate linearly up to peak x nominal at
-	// mid-period and back down — a triangle-wave day/night pattern.
-	Diurnal
-)
-
-// String names the model.
-func (m Model) String() string {
-	switch m {
-	case Poisson:
-		return "poisson"
-	case OnOff:
-		return "onoff"
-	case Diurnal:
-		return "diurnal"
-	default:
-		return "unknown"
-	}
-}
-
-// Arrivals is one seeded arrival stream. Draws are generated by
-// thinning against the model's static peak rate, so the phased models
-// (OnOff, Diurnal) are sampled exactly: a candidate point is accepted
-// with probability rate(t)/peakRate evaluated at the candidate's own
-// simulated time.
+// Arrivals is one seeded Poisson arrival stream: memoryless arrivals at
+// a constant mean rate.
 type Arrivals struct {
-	model Model
-	rng   *sim.Rand
-	mean  sim.Time // nominal mean inter-arrival gap
-	// OnOff
-	burst         float64
-	onFor, offFor sim.Time
-	// Diurnal
-	peak   float64
-	period sim.Time
-	// hook scales the instantaneous rate under a fault plan's
-	// LoadScale/LoadRestore transients (nil: no transients).
-	hook *faults.LoadState
+	rng  *sim.Rand
+	mean sim.Time // mean inter-arrival gap
 }
 
-// NewPoisson returns a memoryless source with the given nominal mean
-// inter-arrival gap.
+// NewPoisson returns a memoryless source with the given mean
+// inter-arrival gap (<= 0 takes 10us).
 func NewPoisson(seed uint64, mean sim.Time) *Arrivals {
-	return &Arrivals{model: Poisson, rng: sim.NewRand(seed), mean: clampMean(mean)}
-}
-
-// NewOnOff returns a bursty source: burst x the nominal rate for onFor,
-// silence for offFor, repeating.
-func NewOnOff(seed uint64, mean sim.Time, burst float64, onFor, offFor sim.Time) *Arrivals {
-	if burst < 1 {
-		burst = 1
-	}
-	if onFor <= 0 {
-		onFor = sim.Millis(1)
-	}
-	if offFor < 0 {
-		offFor = 0
-	}
-	return &Arrivals{model: OnOff, rng: sim.NewRand(seed), mean: clampMean(mean),
-		burst: burst, onFor: onFor, offFor: offFor}
-}
-
-// NewDiurnal returns a ramping source: the rate climbs linearly from
-// nominal to peak x nominal at mid-period and back, repeating.
-func NewDiurnal(seed uint64, mean sim.Time, peak float64, period sim.Time) *Arrivals {
-	if peak < 1 {
-		peak = 1
-	}
-	if period <= 0 {
-		period = sim.Millis(10)
-	}
-	return &Arrivals{model: Diurnal, rng: sim.NewRand(seed), mean: clampMean(mean),
-		peak: peak, period: period}
-}
-
-func clampMean(mean sim.Time) sim.Time {
 	if mean <= 0 {
-		return sim.Micros(10)
+		mean = sim.Micros(10)
 	}
-	return mean
+	return &Arrivals{rng: sim.NewRand(seed), mean: mean}
 }
 
-// SetHook attaches the fault layer's load-transient state; the source
-// re-reads it on every draw, so LoadScale events take effect at their
-// scheduled simulated time.
-func (a *Arrivals) SetHook(ls *faults.LoadState) { a.hook = ls }
-
-// modelMult is the model's instantaneous rate multiplier at absolute
-// time t (hook factor excluded).
-func (a *Arrivals) modelMult(t sim.Time) float64 {
-	switch a.model {
-	case OnOff:
-		if t%(a.onFor+a.offFor) < a.onFor {
-			return a.burst
-		}
-		return 0
-	case Diurnal:
-		x := float64(t%a.period) / float64(a.period)
-		tri := 1 - 2*x
-		if tri < 0 {
-			tri = -tri
-		}
-		return 1 + (a.peak-1)*(1-tri)
-	default:
-		return 1
+// Next draws the gap to the next arrival.
+func (a *Arrivals) Next() sim.Time {
+	g := a.rng.Exp(a.mean)
+	if g < 1 {
+		g = 1 // strictly advancing: two arrivals never share an instant
 	}
-}
-
-// modelMax is the model's static peak multiplier, the thinning bound.
-func (a *Arrivals) modelMax() float64 {
-	switch a.model {
-	case OnOff:
-		return a.burst
-	case Diurnal:
-		return a.peak
-	default:
-		return 1
-	}
-}
-
-// Next draws the gap from now to the next arrival. fire is false when
-// the source is currently silenced by a load transient (factor 0): the
-// caller should sleep the returned gap and poll again. The hook factor
-// is read once per draw — a transient is piecewise-constant between
-// arrivals, which is exact for every factor change that fires while the
-// source is between draws (the only way the Injector schedules them).
-func (a *Arrivals) Next(now sim.Time) (gap sim.Time, fire bool) {
-	h := a.hook.Factor()
-	if h <= 0 {
-		return a.mean, false
-	}
-	maxM := a.modelMax()
-	candMean := sim.Time(float64(a.mean) / (maxM * h))
-	if candMean < 1 {
-		candMean = 1
-	}
-	t := now
-	// Thinning (Lewis-Shedler): candidates at the peak rate, accepted
-	// with probability rate(t)/peak. The bound only guards pathological
-	// configurations (an off window millions of candidate gaps long).
-	for i := 0; i < 1<<20; i++ {
-		g := a.rng.Exp(candMean)
-		if g < 1 {
-			g = 1 // strictly advancing: two arrivals never share an instant
-		}
-		t += g
-		m := a.modelMult(t)
-		if m >= maxM || a.rng.Float64()*maxM < m {
-			return t - now, true
-		}
-	}
-	return t - now, true
+	return g
 }

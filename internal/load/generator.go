@@ -20,15 +20,10 @@ type Config struct {
 	// Requests is how many requests one session issues before its
 	// client disconnects (connection churn).
 	Requests int
-	// Think is the mean (exponential) think time between a session's
-	// consecutive requests.
-	Think sim.Time
 	// Deadline bounds each request client-side; a request that has not
 	// completed in time is abandoned and counted as a timeout, though
 	// the system may still be burning work on it (0: wait forever).
 	Deadline sim.Time
-	// Seed derives the per-session think streams.
-	Seed uint64
 	// MeasureStart and MeasureEnd gate every counter: requests count as
 	// offered by issue time, outcomes by completion time.
 	MeasureStart, MeasureEnd sim.Time
@@ -79,10 +74,7 @@ func Start(eng *sim.Engine, cfg Config) *Generator {
 	g := &Generator{cfg: cfg, idle: make([]sim.Waiter, 0, cfg.Sessions)}
 
 	for i := 0; i < cfg.Sessions; i++ {
-		i := i
-		eng.Spawn(fmt.Sprintf("load-sess%d", i), 0, func(sp *sim.Proc) {
-			g.session(sp, sim.NewRand(cfg.Seed+0x9e3779b97f4a7c15*uint64(i+1)))
-		})
+		eng.Spawn(fmt.Sprintf("load-sess%d", i), 0, g.session)
 	}
 	// The source spawns after the sessions so that by its first arrival
 	// draw every slot has parked into the free list.
@@ -93,11 +85,7 @@ func Start(eng *sim.Engine, cfg Config) *Generator {
 // source draws arrivals and dispatches them to free session slots.
 func (g *Generator) source(p *sim.Proc) {
 	for {
-		gap, fire := g.cfg.Arrivals.Next(p.Now())
-		p.Sleep(gap)
-		if !fire {
-			continue
-		}
+		p.Sleep(g.cfg.Arrivals.Next())
 		now := p.Now()
 		if now > g.cfg.MeasureEnd {
 			return
@@ -124,16 +112,13 @@ func (g *Generator) source(p *sim.Proc) {
 // keeps offering fresh clients. Only success keeps a client engaged,
 // so every failed session costs exactly one counted failure no matter
 // how fast the system reported it.
-func (g *Generator) session(sp *sim.Proc, rng *sim.Rand) {
+func (g *Generator) session(sp *sim.Proc) {
 	for {
 		w := sp.PrepareWait()
 		g.idle = append(g.idle, w)
 		sp.Wait()
 		abandoned := false
 		for r := 0; r < g.cfg.Requests && !abandoned; r++ {
-			if r > 0 && g.cfg.Think > 0 {
-				sp.Sleep(rng.Exp(g.cfg.Think))
-			}
 			start := sp.Now()
 			if start > g.cfg.MeasureEnd {
 				break

@@ -1,6 +1,7 @@
 package load
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -14,9 +15,8 @@ func countArrivals(a *Arrivals, horizon sim.Time) int {
 	n := 0
 	var now sim.Time
 	for now < horizon {
-		gap, fire := a.Next(now)
-		now += gap
-		if fire && now < horizon {
+		now += a.Next()
+		if now < horizon {
 			n++
 		}
 	}
@@ -37,15 +37,12 @@ func TestPoissonRate(t *testing.T) {
 // seeds diverge (per-stream RNG discipline).
 func TestArrivalsDeterministic(t *testing.T) {
 	seq := func(seed uint64) []sim.Time {
-		a := NewOnOff(seed, sim.Micros(50), 4, sim.Millis(1), sim.Millis(1))
+		a := NewPoisson(seed, sim.Micros(50))
 		var out []sim.Time
 		var now sim.Time
 		for i := 0; i < 200; i++ {
-			gap, fire := a.Next(now)
-			now += gap
-			if fire {
-				out = append(out, now)
-			}
+			now += a.Next()
+			out = append(out, now)
 		}
 		return out
 	}
@@ -55,80 +52,6 @@ func TestArrivalsDeterministic(t *testing.T) {
 	}
 	if fmt.Sprint(a) == fmt.Sprint(c) {
 		t.Fatalf("different seeds produced identical arrival sequences")
-	}
-}
-
-// OnOff concentrates arrivals in the on windows.
-func TestOnOffPhasing(t *testing.T) {
-	a := NewOnOff(3, sim.Micros(20), 3, sim.Millis(1), sim.Millis(3))
-	inOn, inOff := 0, 0
-	var now sim.Time
-	for now < sim.Millis(400) {
-		gap, fire := a.Next(now)
-		now += gap
-		if !fire {
-			continue
-		}
-		if now%(sim.Millis(4)) < sim.Millis(1) {
-			inOn++
-		} else {
-			inOff++
-		}
-	}
-	if inOff != 0 {
-		t.Fatalf("%d arrivals landed in off windows", inOff)
-	}
-	if inOn == 0 {
-		t.Fatalf("no arrivals at all")
-	}
-}
-
-// Diurnal peaks mid-period: the middle half of the period must see more
-// arrivals than the outer half.
-func TestDiurnalRamp(t *testing.T) {
-	period := sim.Millis(10)
-	a := NewDiurnal(4, sim.Micros(50), 5, period)
-	mid, outer := 0, 0
-	var now sim.Time
-	for now < sim.Millis(500) {
-		gap, fire := a.Next(now)
-		now += gap
-		if !fire {
-			continue
-		}
-		phase := now % period
-		if phase >= period/4 && phase < 3*period/4 {
-			mid++
-		} else {
-			outer++
-		}
-	}
-	if mid <= outer {
-		t.Fatalf("diurnal mid-period arrivals %d <= outer %d; ramp not shaping the rate", mid, outer)
-	}
-}
-
-// The LoadState hook scales the realized rate; factor 0 silences the
-// source without stalling the caller.
-func TestArrivalsLoadHook(t *testing.T) {
-	mean := sim.Micros(100)
-	base := countArrivals(NewPoisson(5, mean), sim.Second)
-
-	surged := NewPoisson(5, mean)
-	ls := &faults.LoadState{}
-	ls.SetFactor(3)
-	surged.SetHook(ls)
-	up := countArrivals(surged, sim.Second)
-	if up < base*5/2 {
-		t.Fatalf("factor-3 surge produced %d arrivals vs base %d; want ~3x", up, base)
-	}
-
-	muted := NewPoisson(5, mean)
-	ls0 := &faults.LoadState{}
-	ls0.SetFactor(0)
-	muted.SetHook(ls0)
-	if got := countArrivals(muted, sim.Millis(100)); got != 0 {
-		t.Fatalf("silenced source produced %d arrivals", got)
 	}
 }
 
@@ -143,9 +66,7 @@ func TestGeneratorBasic(t *testing.T) {
 			Arrivals:     NewPoisson(9, sim.Micros(200)),
 			Sessions:     64,
 			Requests:     3,
-			Think:        sim.Micros(10),
 			Deadline:     sim.Millis(1),
-			Seed:         9,
 			MeasureStart: sim.Millis(1),
 			MeasureEnd:   sim.Millis(21),
 			Issue: func(p *sim.Proc, w sim.Waiter) {
@@ -187,7 +108,6 @@ func TestGeneratorDeadline(t *testing.T) {
 		Sessions:     32,
 		Requests:     4,
 		Deadline:     sim.Micros(50),
-		Seed:         11,
 		MeasureStart: 0,
 		MeasureEnd:   sim.Millis(10),
 		Issue: func(p *sim.Proc, w sim.Waiter) {
@@ -216,7 +136,6 @@ func TestGeneratorBalks(t *testing.T) {
 		Arrivals:     NewPoisson(13, sim.Micros(100)),
 		Sessions:     1,
 		Requests:     1,
-		Seed:         13,
 		MeasureStart: 0,
 		MeasureEnd:   sim.Millis(5),
 		Issue: func(p *sim.Proc, w sim.Waiter) {
@@ -233,6 +152,9 @@ func TestGeneratorBalks(t *testing.T) {
 	}
 }
 
+// errBackend stands in for any failure that is not a shed.
+var errBackend = errors.New("backend failure")
+
 // Rejection errors surface in the Rejected counter, other errors in
 // Faults.
 func TestGeneratorErrorClassification(t *testing.T) {
@@ -242,7 +164,6 @@ func TestGeneratorErrorClassification(t *testing.T) {
 		Arrivals:     NewPoisson(17, sim.Micros(100)),
 		Sessions:     16,
 		Requests:     1,
-		Seed:         17,
 		MeasureStart: 0,
 		MeasureEnd:   sim.Millis(2),
 		Issue: func(p *sim.Proc, w sim.Waiter) {
@@ -250,7 +171,7 @@ func TestGeneratorErrorClassification(t *testing.T) {
 			if n%2 == 0 {
 				w.Wake(0, fmt.Errorf("gateway: %w", faults.ErrRejected))
 			} else {
-				w.Wake(0, faults.ErrInjected)
+				w.Wake(0, errBackend)
 			}
 		},
 	})

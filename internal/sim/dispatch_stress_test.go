@@ -16,9 +16,9 @@ import (
 // of the whole reproduction.
 const goldenStressDigest = "e42d33f92bfa187090afbee90b74ecaac7c6e017750fac027712aa40858bd6e2"
 
-// stressDriveModes are the three ways a caller can drive the engine; all
-// of them must deliver the identical event sequence.
-var stressDriveModes = []string{"run", "step", "until"}
+// stressDriveModes are the two ways a caller can drive the engine; both
+// must deliver the identical event sequence.
+var stressDriveModes = []string{"run", "until"}
 
 // stressTrace runs nProcs procs through `steps` randomized
 // Sleep/Wait/WakeOne/WaitTimeout/WakeAll operations over two shared
@@ -75,9 +75,6 @@ func stressTrace(seed uint64, nProcs, steps int, drive string) (digest string, l
 	switch drive {
 	case "run":
 		e.Run()
-	case "step":
-		for e.Step() {
-		}
 	case "until":
 		for t := Time(500); t <= 40500; t += 500 {
 			e.RunUntil(t)
@@ -108,8 +105,8 @@ func TestDispatchStressGolden(t *testing.T) {
 }
 
 // TestDispatchStressDriveModesAgree cross-checks more seeds without a
-// pinned golden: Run, Step-loop and RunUntil-windowed drives must deliver
-// the identical trace, and repeated runs must be deterministic.
+// pinned golden: Run and RunUntil-windowed drives must deliver the
+// identical trace, and repeated runs must be deterministic.
 func TestDispatchStressDriveModesAgree(t *testing.T) {
 	seeds := []uint64{1, 2, 3, 11}
 	if testing.Short() {

@@ -19,7 +19,7 @@ type event struct {
 	fn   func()  // if proc is nil, run this callback
 }
 
-// maxTime is the open-ended run limit used by Step and Run.
+// maxTime is the open-ended run limit used by Run.
 const maxTime = Time(math.MaxInt64)
 
 // satAdd adds two non-negative times, saturating at maxTime instead of
@@ -53,23 +53,21 @@ type Engine struct {
 	events eventQueue
 	rng    *Rand
 
-	boot     chan struct{} // control handback to the Step/Run/RunUntil caller
+	boot     chan struct{} // control handback to the Run/RunUntil caller
 	live     int           // procs spawned and not yet finished
 	procs    []*Proc       // roster of spawned procs (deadlock diagnostics)
 	panicVal any           // re-thrown panic from a proc or callback
 
-	limit  Time // events scheduled after this instant stay queued
-	budget int  // deliveries before control returns to the bootstrap; -1 = unbounded
+	limit Time // events scheduled after this instant stay queued
 }
 
 // NewEngine returns an engine with the clock at zero and the given
 // deterministic seed.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		rng:    NewRand(seed),
-		boot:   make(chan struct{}),
-		limit:  maxTime,
-		budget: -1,
+		rng:   NewRand(seed),
+		boot:  make(chan struct{}),
+		limit: maxTime,
 	}
 }
 
@@ -288,7 +286,7 @@ const (
 // schedule is the engine loop. It runs on the calling goroutine — the
 // heart of direct-handoff dispatch — popping events until either control
 // moves to another goroutine or a stop condition (queue empty, limit
-// boundary, budget exhausted) returns it to the bootstrap.
+// boundary, an aborting panic) returns it to the bootstrap.
 //
 // self names the proc whose goroutine is executing, so that proc's own
 // wakeup can be returned inline with no channel operation; it is nil for
@@ -304,7 +302,7 @@ const (
 //
 //dipcvet:noalloc
 func (e *Engine) schedule(self *Proc, isBoot bool) (payload, schedResult) {
-	for e.budget != 0 {
+	for {
 		for e.events.len() > 0 && staleEvent(e.events.head()) {
 			e.events.pop()
 			e.events.stale--
@@ -313,9 +311,6 @@ func (e *Engine) schedule(self *Proc, isBoot bool) (payload, schedResult) {
 			break
 		}
 		ev := e.events.pop()
-		if e.budget > 0 {
-			e.budget--
-		}
 		e.now = ev.at
 		if ev.proc == nil {
 			if ev.fn != nil {
@@ -412,20 +407,6 @@ func (e *Engine) enter() {
 	}
 }
 
-// Step processes the single next event. It reports false when the queue
-// is empty. Note that Step pays a full bootstrap round trip per proc
-// event — dispatching the target and waiting for control to come back —
-// where Run's migrating loop pays a single direct handoff; event-at-a-time
-// driving is the compatibility interface, Run/RunUntil are the fast path.
-func (e *Engine) Step() bool {
-	e.limit = maxTime
-	e.budget = 1
-	e.enter()
-	stepped := e.budget == 0
-	e.budget = -1
-	return stepped
-}
-
 // Run processes events until the queue is empty. If Procs remain parked
 // with no pending event to wake them, the simulation has deadlocked; Run
 // returns a DeadlockError naming the blocked procs (callers that park
@@ -433,7 +414,6 @@ func (e *Engine) Step() bool {
 // — ignore it and keep driving the sim).
 func (e *Engine) Run() error {
 	e.limit = maxTime
-	e.budget = -1
 	e.enter()
 	return e.Deadlock()
 }
@@ -453,7 +433,6 @@ func (e *Engine) RunUntil(t Time) {
 // computation sees honest times.
 func (e *Engine) runWindow(limit Time) {
 	e.limit = limit
-	e.budget = -1
 	e.enter()
 	e.limit = maxTime
 }

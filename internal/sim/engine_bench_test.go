@@ -2,90 +2,58 @@ package sim
 
 import "testing"
 
-// BenchmarkEngineChurn measures raw event queue throughput: a rolling
-// window of callback events pushed and popped through the 4-ary heap.
-// Steady state must be allocation-free (the event pool is the heap slice
-// itself).
+// BenchmarkEngineChurn measures raw event queue throughput under Run: a
+// rolling window of 64 callback events pushed and popped through the
+// 4-ary heap, each popped event pushing its successor. One op is one
+// push plus one pop. Steady state must be allocation-free (the event
+// pool is the heap slice itself).
 func BenchmarkEngineChurn(b *testing.B) {
 	e := NewEngine(1)
-	nop := func() {}
+	n := 0
+	var churn func()
+	churn = func() {
+		if n < b.N {
+			e.At(Time(n%16), churn)
+			n++
+		}
+	}
 	for i := 0; i < 64; i++ {
-		e.At(Time(i%16), nop)
+		e.At(Time(i%16), churn)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		e.At(Time(i%16), nop)
-		e.Step()
-	}
-	b.StopTimer()
 	e.Run()
 }
 
-// BenchmarkEnginePingPong measures the sleep/wake hot path the kernel and
-// IPC layers hammer: two procs alternately waking each other through
-// WaitQueues. One iteration is one Step (one dispatch + one push). This
-// is the benchmark the PR's ≥2x allocs/op acceptance bar is judged on:
-// the container/heap engine spent 2 allocs/op (80 B/op) here, the pooled
-// value heap spends 0.
-func BenchmarkEnginePingPong(b *testing.B) {
-	e := NewEngine(1)
-	var q1, q2 WaitQueue
-	e.Spawn("a", 0, func(p *Proc) {
-		for {
-			q1.Wait(p)
-			q2.WakeOne(0, nil)
-		}
-	})
-	e.Spawn("b", Nanosecond, func(p *Proc) {
-		for {
-			q1.WakeOne(0, nil)
-			q2.Wait(p)
-		}
-	})
-	for i := 0; i < 4; i++ { // reach steady state
-		e.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !e.Step() {
-			b.Fatal("ping-pong deadlocked")
-		}
-	}
-}
-
 // BenchmarkEngineWaitQueueContention measures a herd of waiters cycling
-// through one WaitQueue: WakeAll sweeps refill the ring while each woken
-// proc immediately re-waits, exercising ring growth, wraparound and the
-// event heap under fan-out.
+// through one WaitQueue under Run: WakeAll sweeps refill the ring while
+// each woken proc immediately re-waits, exercising ring growth,
+// wraparound and the event heap under fan-out. One op is one delivered
+// wakeup.
 func BenchmarkEngineWaitQueueContention(b *testing.B) {
 	e := NewEngine(1)
 	var q WaitQueue
 	const workers = 64
+	n := 0
 	for i := 0; i < workers; i++ {
 		e.Spawn("w", 0, func(p *Proc) {
-			for {
+			for n < b.N {
 				q.Wait(p)
+				n++
 			}
 		})
 	}
-	sweep := func() {}
+	var sweep func()
 	sweep = func() {
 		q.WakeAll(0, nil)
-		e.At(Nanosecond, sweep)
-	}
-	e.At(Nanosecond, sweep)
-	for i := 0; i < 2*workers; i++ {
-		e.Step()
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !e.Step() {
-			b.Fatal("contention herd deadlocked")
+		if e.Live() > 0 {
+			e.At(Nanosecond, sweep)
 		}
 	}
+	e.At(Nanosecond, sweep)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
 }
 
 // BenchmarkEngineSleepWake measures the cost of one Sleep (park + timed
@@ -106,8 +74,8 @@ func BenchmarkEngineSleepWake(b *testing.B) {
 
 // BenchmarkEngineRunPingPong measures a full sleep/wake round trip
 // between two procs under Run — the dispatch path itself, as the
-// experiments drive it (Run/RunUntil), rather than one Step per
-// iteration. One op is one round: two dispatches.
+// experiments drive it (Run/RunUntil). One op is one round: two
+// dispatches.
 func BenchmarkEngineRunPingPong(b *testing.B) {
 	e := NewEngine(1)
 	var q1, q2 WaitQueue
@@ -150,32 +118,27 @@ func BenchmarkEngineCallbackChain(b *testing.B) {
 }
 
 // BenchmarkEngineTimeoutChurn measures the WaitTimeout wake-before-
-// deadline pattern from the OLTP runs: every iteration abandons a timer
-// event, so this path exercises stale accounting and periodic compaction.
+// deadline pattern from the OLTP runs under Run: every op abandons a
+// timer event, so this path exercises stale accounting and periodic
+// compaction. One op is one early wake of the sleeper.
 func BenchmarkEngineTimeoutChurn(b *testing.B) {
 	e := NewEngine(1)
 	var q WaitQueue
 	e.Spawn("sleeper", 0, func(p *Proc) {
-		for {
+		for i := 0; i < b.N; i++ {
 			if _, ok := q.WaitTimeout(p, Second); !ok {
-				b.Fatal("sleeper timed out")
+				b.Error("sleeper timed out")
+				return
 			}
 		}
 	})
 	e.Spawn("waker", Nanosecond, func(p *Proc) {
-		for {
+		for i := 0; i < b.N; i++ {
 			q.WakeOne(0, nil)
 			p.Sleep(Nanosecond)
 		}
 	})
-	for i := 0; i < 8; i++ {
-		e.Step()
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if !e.Step() {
-			b.Fatal("timeout churn deadlocked")
-		}
-	}
+	e.Run()
 }

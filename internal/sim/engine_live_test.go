@@ -87,7 +87,7 @@ func TestStaleTimerPruningBoundsHeap(t *testing.T) {
 // TestRunUntilDoesNotOvershootStaleHead: an abandoned WaitTimeout timer
 // whose deadline falls inside the RunUntil window must not cause the
 // next LIVE event — scheduled after the window — to be delivered early.
-// (The pre-PR engine overshot here: Step dropped the stale head and then
+// (An earlier engine overshot here: it dropped the stale head and then
 // processed whatever came next, even past t.)
 func TestRunUntilDoesNotOvershootStaleHead(t *testing.T) {
 	e := NewEngine(1)

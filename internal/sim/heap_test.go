@@ -83,7 +83,7 @@ func TestHeapCompactionPreservesOrder(t *testing.T) {
 			case e.events.len() > 0 && rng.Intn(3) == 0:
 				pushed = false
 				ev := e.events.pop()
-				if ev.proc != nil { // stale wake dropped, as in Step
+				if ev.proc != nil { // stale wake dropped, as in schedule
 					e.events.stale--
 					continue
 				}

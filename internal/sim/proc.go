@@ -54,9 +54,8 @@ func (p *Proc) park() payload {
 // proc's own wakeup straight back (schedSelf). In that case the heap
 // round trip, the generation bookkeeping of delivery and the park are
 // all skipped and the clock advances inline. The fast path is disabled
-// under a Step budget (every delivery must be counted) and across the
-// RunUntil limit (the wakeup must stay queued past the window), where
-// the queued event is observable.
+// across the RunUntil limit (the wakeup must stay queued past the
+// window), where the queued event is observable.
 //
 //dipcvet:noalloc
 func (p *Proc) Sleep(d Time) {
@@ -65,7 +64,7 @@ func (p *Proc) Sleep(d Time) {
 	}
 	e := p.eng
 	at := e.now + d
-	if e.budget < 0 && at <= e.limit {
+	if at <= e.limit {
 		q := &e.events
 		for q.len() > 0 && staleEvent(q.head()) {
 			q.pop()

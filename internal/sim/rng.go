@@ -62,7 +62,7 @@ func (r *Rand) Duration(lo, hi Time) Time {
 }
 
 // Exp returns an exponentially distributed duration with the given mean,
-// used for think times and service-time jitter in the macro-benchmarks.
+// used for the open-loop Poisson inter-arrival gaps.
 func (r *Rand) Exp(mean Time) Time {
 	// Inverse-CDF sampling; clamp u away from 0 to avoid +Inf.
 	u := r.Float64()
