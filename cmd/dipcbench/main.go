@@ -3,9 +3,9 @@
 // API. Usage:
 //
 //	dipcbench list
-//	dipcbench run <scenario> [-p key=value ...] [-shards n] [-json path]
+//	dipcbench run <scenario> [-p key=value ...] [-json path]
 //	dipcbench [-window ms] [-full] [-shards n] bench [-runs n] [-warmup n]
-//	          [-shards n] [-compare baseline.json] [-regress pct]
+//	          [-compare baseline.json] [-regress pct]
 //	          [-gate names] [-json path] [scenario ...]
 //	dipcbench [-window ms] [-full] [-shards n] [-parallel n]
 //	          [-benchjson path] [-cpuprofile path] [-memprofile path]
@@ -30,11 +30,12 @@
 // whatever the worker count.
 //
 // -shards forwards to every selected scenario that declares a `shards`
-// execution parameter (1 = sequential reference, 0 = one per host core;
-// what it shards — the sweep grid or one clustered engine — is each
-// scenario's call, see its -p doc). Results are byte-identical at every
-// shard count; only wall-clock time changes, so bench reports record
-// the shard count and bench -compare refuses to mix different ones.
+// execution parameter — the scenarios that run one clustered simulation
+// (rack, chaos-rack, failover-*) — and sets how many engine shards
+// partition it (1 = sequential reference, 0 = one per host core).
+// Results are byte-identical at every shard count; only wall-clock time
+// changes, so bench reports record the shard count and bench -compare
+// refuses to mix different ones.
 //
 // -benchjson times each selected scenario under a wall clock and writes
 // a BENCH_*.json-shaped baseline report (schema dipc-bench/v2, with the
@@ -151,7 +152,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return cmdList(reg, stdout)
 
 	case len(args) > 0 && args[0] == "bench":
-		return cmdBench(reg, args[1:], globalOverrides, *full, *windowMs, *shards, shardsSet, stdout, stderr)
+		return cmdBench(reg, args[1:], globalOverrides, *full, *windowMs, *shards, stdout, stderr)
 
 	case len(args) > 0 && args[0] == "run":
 		rest := args[1:]
@@ -164,7 +165,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		sub.SetOutput(stderr)
 		pairs := paramFlags{}
 		sub.Var(pairs, "p", "scenario parameter override (`key=value`, repeatable)")
-		runShards := sub.Int("shards", -1, "shard count, shorthand for -p shards=N (-1: inherit the top-level -shards)")
 		jsonFlag := sub.String("json", "", "write the canonical dipc-scenario/v1 JSON document to this path")
 		if err := sub.Parse(rest[1:]); err != nil {
 			if errors.Is(err, flag.ErrHelp) {
@@ -190,9 +190,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return 2
 		}
 		ov := globalOverrides(s)
-		if *runShards >= 0 {
-			ov["shards"] = strconv.Itoa(*runShards)
-		}
 		for k, v := range pairs { //dipcvet:unordered-ok map-to-map copy, order-insensitive
 			ov[k] = v
 		}
@@ -324,13 +321,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 // moves only its own scenarios.
 func cmdBench(reg *scenario.Registry, argv []string,
 	globalOverrides func(scenario.Scenario) map[string]string,
-	full bool, windowMs float64, shards int, shardsSet bool, stdout, stderr io.Writer) int {
+	full bool, windowMs float64, shards int, stdout, stderr io.Writer) int {
 
 	sub := flag.NewFlagSet("dipcbench bench", flag.ContinueOnError)
 	sub.SetOutput(stderr)
 	runs := sub.Int("runs", 3, "measured runs per scenario (min/median reported)")
 	warmup := sub.Int("warmup", 1, "unmeasured warmup runs per scenario")
-	benchShards := sub.Int("shards", -1, "shard count forwarded to scenarios with a `shards` parameter (-1: inherit the top-level -shards)")
 	compare := sub.String("compare", "", "baseline BENCH_*.json to diff against")
 	regress := sub.Float64("regress", 25, "flag scenarios slower than baseline by more than this percent")
 	gate := sub.String("gate", "", "comma-separated scenarios whose regression fails the run (exit 1); judged relative to the suite's median delta so host-speed drift cancels")
@@ -340,22 +336,6 @@ func cmdBench(reg *scenario.Registry, argv []string,
 			return 0
 		}
 		return 2
-	}
-
-	if *benchShards >= 0 {
-		shards, shardsSet = *benchShards, true
-	}
-	if shardsSet {
-		inner := globalOverrides
-		globalOverrides = func(s scenario.Scenario) map[string]string {
-			ov := inner(s)
-			for _, spec := range s.Params() {
-				if spec.Key == "shards" {
-					ov["shards"] = strconv.Itoa(shards)
-				}
-			}
-			return ov
-		}
 	}
 
 	var baseline *experiments.BenchReport

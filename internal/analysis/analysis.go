@@ -13,8 +13,8 @@
 //     clock, global math/rand, unsorted map iteration or free-range
 //     goroutines in result-producing code (detrand);
 //   - zero allocation on the proven hot paths: dispatch, payload lanes,
-//     the event heap, cross-domain call descriptors, the APL cache, the
-//     TLB, and sim.Link.SendU64 (noalloc);
+//     the event heap, cross-domain call descriptors, the APL cache, and
+//     sim.Link.SendU64 (noalloc);
 //   - shard safety: cross-shard traffic flows only through sim.Link and
 //     the Cluster barrier, and fault hooks stay nil-transparent
 //     (shardsafe).

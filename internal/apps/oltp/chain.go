@@ -7,7 +7,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // Microservice chain sweep: a request enters a gateway tier and is
@@ -33,47 +32,8 @@ type ChainConfig struct {
 	Seed     uint64
 }
 
-// ChainResult is the measured outcome of a chain run.
-type ChainResult struct {
-	Config     ChainConfig
-	Ops        int             // completed operations in the window
-	Throughput float64         // operations per minute
-	AvgLatency sim.Time        // mean client-observed latency
-	Breakdown  stats.Breakdown // machine time over the window
-	CallsPerOp float64         // cross-tier calls per operation
-}
-
-// UserShare, KernelShare, IdleShare report the Fig. 1-style breakdown
-// fractions of the measurement window.
-func (r *ChainResult) UserShare() float64 { return userShare(r.Breakdown) }
-
-// KernelShare is the privileged fraction (kernel, scheduling, proxies).
-func (r *ChainResult) KernelShare() float64 { return kernelShare(r.Breakdown) }
-
-// IdleShare is the idle/IO-wait fraction.
-func (r *ChainResult) IdleShare() float64 { return idleShare(r.Breakdown) }
-
 // chainPath names tier i's published dIPC entry.
 func chainPath(i int) string { return fmt.Sprintf("/run/chain-svc%d.sock", i) }
-
-// RunChain executes one chain configuration and returns its
-// measurements: the fault-aware runner with no fault plan, whose
-// TryCall paths then make exactly the charges of a world where every
-// call succeeds.
-func RunChain(cfg ChainConfig) *ChainResult {
-	fr, callsPerOp := runChainFaults(ChainFaultsConfig{ChainConfig: cfg})
-	res := &ChainResult{
-		Config:     fr.Config.ChainConfig,
-		Ops:        int(fr.Rel.Ops()),
-		AvgLatency: fr.AvgLatency,
-		Breakdown:  fr.Breakdown,
-		CallsPerOp: callsPerOp,
-	}
-	if res.Ops > 0 {
-		res.Throughput = float64(res.Ops) / res.Config.Window.Seconds() * 60
-	}
-	return res
-}
 
 // tierChain is one tier chain for buildChain: a front process (the
 // gateway, or a replica's front) calling through Depth service tiers

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"repro/internal/cost"
 	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/sim"
@@ -15,9 +14,9 @@ import (
 // retry policy, and in-band error propagation up a tier chain, so the
 // chaos scenarios can measure how each transport degrades when tiers
 // die, links drop, or calls time out. It is also the one chain runner:
-// RunChain is RunChainFaults with a nil plan, which draws no verdict and
-// makes exactly the charges of a world where every call succeeds — what
-// the paper measures.
+// with a nil plan RunChainFaults draws no verdict and makes exactly the
+// charges of a world where every call succeeds — what the paper
+// measures.
 
 // RemoteError is an in-band failure traveling up the chain as an
 // ordinary response payload — the simulation analogue of a 5xx page: the
@@ -159,10 +158,11 @@ type ChainFaultsResult struct {
 	RetryAmp     float64           // attempts per operation
 	AvgLatency   sim.Time          // mean latency of in-window completions that succeeded
 	Breakdown    stats.Breakdown
+	CallsPerOp   float64 // cross-tier calls per completed operation over the whole run
 }
 
 // applyDefaults fills the zero-value fields of a chain configuration;
-// RunChain, RunChainFaults and RunOpenLoop share these floors.
+// RunChainFaults and RunOpenLoop share these floors.
 func (cfg *ChainFaultsConfig) applyDefaults() {
 	if cfg.Depth <= 0 {
 		cfg.Depth = 1
@@ -207,51 +207,13 @@ func (cfg *ChainFaultsConfig) tiers() *tierChain {
 // behind a Retrier, tier failures travel up as RemoteErrors, and the
 // plan's events fire on the sim clock via a faults.Injector. Process
 // targets are named "gateway" and "svc1".."svcN" ("chain-app" for
-// Ideal); per-call fault sites are "hop1".."hopN".
+// Ideal); per-call fault sites are "hop1".."hopN". With a nil plan no
+// verdict is drawn, so every call succeeds with exactly the charges the
+// paper measures.
 func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
-	res, _ := runChainFaults(cfg)
-	return res
-}
-
-// runChainFaults is RunChainFaults, also returning the cross-tier calls
-// per completed operation over the whole run.
-func runChainFaults(cfg ChainFaultsConfig) (*ChainFaultsResult, float64) {
 	cfg.applyDefaults()
-
-	eng := sim.NewEngine(cfg.Seed + 1)
-	m := kernel.NewMachine(eng, cost.Default(), cfg.CPUs)
-	prm := DefaultParams()
-	gw := NewGateway(prm, GatewayConfig{})
-	rel := &stats.Reliability{}
-	inj := faults.NewInjector(cfg.Plan)
-
-	wrap := func(tr Transport, hop int) Transport {
-		return &Retrier{Inner: tr, Policy: cfg.Retry, Rel: rel,
-			Jitter: retryJitter(cfg.Retry, cfg.Plan, fmt.Sprintf("hop%d", hop))}
-	}
-	front, rt, transports := buildChain(cfg.tiers(), m, prm, inj, wrap)
-
-	// The plan is wired; schedule its events on the sim clock. A plan
-	// naming a target this mode doesn't have (e.g. killing "svc2" under
-	// Ideal, whose tiers share one process) is a scenario bug — fail loud.
-	if err := inj.Install(); err != nil {
-		panic(fmt.Sprintf("oltp: chaos plan: %v", err))
-	}
-
-	// Gateway worker pool: drives the chain, reports the outcome in-band.
-	for w := 0; w < cfg.Threads; w++ {
-		m.Spawn(front, fmt.Sprintf("gw-%d", w), nil, func(t *kernel.Thread) {
-			if rt != nil {
-				mustEnter(rt, t)
-			}
-			for {
-				req := gw.Recv(t)
-				t.ExecUser(cfg.Work)
-				_, err := transports[0].TryCall(t, "hop", nil, cfg.ReqBytes)
-				gw.Reply(t, req, err)
-			}
-		})
-	}
+	r := newRig(cfg.Seed, cfg.CPUs, GatewayConfig{})
+	transports, _ := r.serveChain(&cfg, nil)
 
 	// Closed-loop clients. Op outcomes and latency gate client-side on
 	// completion time; only the attempt-level counters, which the
@@ -261,18 +223,18 @@ func runChainFaults(cfg ChainFaultsConfig) (*ChainFaultsResult, float64) {
 	var latSum sim.Time
 	var latOps, opsTotal int64
 	for c := 0; c < cfg.Clients; c++ {
-		eng.Spawn(fmt.Sprintf("chain-client-%d", c), 0, func(p *sim.Proc) {
+		r.eng.Spawn(fmt.Sprintf("chain-client-%d", c), 0, func(p *sim.Proc) {
 			for {
 				req := &request{started: p.Now()}
 				req.done = p.PrepareWait()
-				gw.Submit(req, p.Now())
+				r.gw.Submit(req, p.Now())
 				p.Wait()
 				opsTotal++
 				if end := p.Now(); end >= measStart && end <= measEnd {
 					if req.err != nil {
-						rel.OpsFailed++
+						r.rel.OpsFailed++
 					} else {
-						rel.OpsOK++
+						r.rel.OpsOK++
 						latSum += end - req.started
 						latOps++
 					}
@@ -281,16 +243,12 @@ func runChainFaults(cfg ChainFaultsConfig) (*ChainFaultsResult, float64) {
 		})
 	}
 
-	var baseRel stats.Reliability
-	var baseBd stats.Breakdown
-	eng.At(measStart, func() { baseRel = *rel; baseBd = m.Snapshot() })
-	eng.RunUntil(measEnd)
+	bd, window := r.measure(cfg.Warmup, cfg.Window)
 
 	// Subtracting the snapshot from the gated op counters too would drop
 	// a completion landing exactly at measStart ahead of the snapshot
 	// event, while its latency stayed in the mean.
-	window := rel.Sub(baseRel)
-	window.OpsOK, window.OpsFailed = rel.OpsOK, rel.OpsFailed
+	window.OpsOK, window.OpsFailed = r.rel.OpsOK, r.rel.OpsFailed
 	res := &ChainFaultsResult{
 		Config:       cfg,
 		Rel:          window,
@@ -298,7 +256,7 @@ func runChainFaults(cfg ChainFaultsConfig) (*ChainFaultsResult, float64) {
 		ErrorRate:    window.ErrorRate(),
 		Availability: window.Availability(),
 		RetryAmp:     window.RetryAmplification(),
-		Breakdown:    m.Snapshot().Sub(baseBd),
+		Breakdown:    bd,
 	}
 	if latOps > 0 {
 		res.AvgLatency = latSum / sim.Time(latOps)
@@ -307,9 +265,8 @@ func runChainFaults(cfg ChainFaultsConfig) (*ChainFaultsResult, float64) {
 	for _, tr := range transports {
 		calls += tr.Calls()
 	}
-	var callsPerOp float64
 	if opsTotal > 0 {
-		callsPerOp = float64(calls) / float64(opsTotal)
+		res.CallsPerOp = float64(calls) / float64(opsTotal)
 	}
-	return res, callsPerOp
+	return res
 }

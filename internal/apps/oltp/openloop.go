@@ -1,17 +1,12 @@
 package oltp
 
 import (
-	"fmt"
-
-	"repro/internal/cost"
-	"repro/internal/faults"
-	"repro/internal/kernel"
 	"repro/internal/load"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// Open-loop OLTP path: the closed-loop runners (Run, RunChain,
+// Open-loop OLTP path: the closed-loop runners (Run,
 // RunChainFaults) measure peak throughput — clients wait for each
 // response, so offered load can never exceed capacity and the system
 // never sees overload. This runner drives the same tier chain from a
@@ -92,65 +87,22 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 		cfg.Deadline = 4 * cfg.Retry.Deadline
 	}
 
-	eng := sim.NewEngine(cfg.Seed + 1)
-	m := kernel.NewMachine(eng, cost.Default(), cfg.CPUs)
-	prm := DefaultParams()
-	gw := NewGateway(prm, cfg.Gateway)
-	rel := &stats.Reliability{}
-	inj := faults.NewInjector(cfg.Plan)
+	r := newRig(cfg.Seed, cfg.CPUs, cfg.Gateway)
+	_, breakers := r.serveChain(&cfg.ChainFaultsConfig, cfg.Breaker)
 
-	var breakers []*Breaker
-	wrap := func(tr Transport, hop int) Transport {
-		if cfg.Breaker != nil {
-			br := NewBreaker(tr, *cfg.Breaker)
-			breakers = append(breakers, br)
-			tr = br
-		}
-		return &Retrier{Inner: tr, Policy: cfg.Retry, Rel: rel,
-			Jitter: retryJitter(cfg.Retry, cfg.Plan, fmt.Sprintf("hop%d", hop))}
-	}
-	front, rt, transports := buildChain(cfg.tiers(), m, prm, inj, wrap)
-
-	if err := inj.Install(); err != nil {
-		panic(fmt.Sprintf("oltp: open-loop plan: %v", err))
-	}
-
-	// Gateway worker pool: receive, work, call down the chain, report
-	// the outcome in-band through the gateway's reply path.
-	for w := 0; w < cfg.Threads; w++ {
-		m.Spawn(front, fmt.Sprintf("gw-%d", w), nil, func(t *kernel.Thread) {
-			if rt != nil {
-				mustEnter(rt, t)
-			}
-			for {
-				req := gw.Recv(t)
-				t.ExecUser(cfg.Work)
-				_, err := transports[0].TryCall(t, "hop", nil, cfg.ReqBytes)
-				gw.Reply(t, req, err)
-			}
-		})
-	}
-
-	measStart := cfg.Warmup
-	measEnd := cfg.Warmup + cfg.Window
-	gen := load.Start(eng, load.Config{
+	gen := load.Start(r.eng, load.Config{
 		Arrivals:     load.NewPoisson(cfg.Seed+2, cfg.MeanGap),
 		Sessions:     cfg.Sessions,
 		Requests:     cfg.Requests,
 		Deadline:     cfg.Deadline,
-		MeasureStart: measStart,
-		MeasureEnd:   measEnd,
+		MeasureStart: cfg.Warmup,
+		MeasureEnd:   cfg.Warmup + cfg.Window,
 		Issue: func(p *sim.Proc, w sim.Waiter) {
-			gw.Submit(&request{started: p.Now(), done: w}, p.Now())
+			r.gw.Submit(&request{started: p.Now(), done: w}, p.Now())
 		},
 	})
 
-	var baseRel stats.Reliability
-	var baseBd stats.Breakdown
-	eng.At(measStart, func() { baseRel = *rel; baseBd = m.Snapshot() })
-	eng.RunUntil(measEnd)
-
-	attempts := rel.Sub(baseRel)
+	bd, attempts := r.measure(cfg.Warmup, cfg.Window)
 	res := &OpenLoopResult{
 		Config:       cfg,
 		Offered:      gen.Offered,
@@ -167,11 +119,11 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 		P99:          gen.Acc.Hist.P99(),
 		P999:         gen.Acc.Hist.P999(),
 		Max:          gen.Acc.Hist.Max(),
-		Admitted:     gw.Admitted,
-		RejFull:      gw.RejectedFull,
-		RejStale:     gw.RejectedStale,
-		RejToken:     gw.RejectedToken,
-		Breakdown:    m.Snapshot().Sub(baseBd),
+		Admitted:     r.gw.Admitted,
+		RejFull:      r.gw.RejectedFull,
+		RejStale:     r.gw.RejectedStale,
+		RejToken:     r.gw.RejectedToken,
+		Breakdown:    bd,
 	}
 	if ops := gen.Acc.Rel.OpsOK + gen.Acc.Rel.OpsFailed; ops > 0 {
 		res.RetryAmp = float64(attempts.Attempts) / float64(ops)

@@ -158,22 +158,26 @@ func (cfg *ReplicatedConfig) applyDefaults() {
 	cfg.Detector = cfg.Detector.withDefaults()
 }
 
-func (cfg *ReplicatedConfig) validate() {
-	if cfg.Replicas < 1 {
-		panic("oltp: replicated: need at least one replica")
+// Validate reports the first setting RunReplicated cannot run once
+// defaults are applied, naming the field at fault.
+func (cfg ReplicatedConfig) Validate() error {
+	cfg.applyDefaults()
+	// Every replica is wired once Depth+2 boot slots have passed, which
+	// must fall before replicatedBootTime.
+	maxDepth := int((replicatedBootTime-1)/replicaBootSlot) - 2
+	switch {
+	case cfg.Replicas < 1:
+		return fmt.Errorf("replicas must be >= 1, got %d", cfg.Replicas)
+	case cfg.Clients > ridClientMask:
+		return fmt.Errorf("clients must be <= %d (request-ID encoding), got %d", ridClientMask, cfg.Clients)
+	case cfg.Depth > maxDepth:
+		return fmt.Errorf("depth must be <= %d to boot within %v, got %d", maxDepth, replicatedBootTime, cfg.Depth)
+	case cfg.Warmup <= replicatedBootTime:
+		return fmt.Errorf("warmup must exceed the %v boot time, got %v", replicatedBootTime, cfg.Warmup)
+	case cfg.HedgeFraction >= 1:
+		return fmt.Errorf("hedge fraction must be < 1 (a hedge at the deadline never fires), got %g", cfg.HedgeFraction)
 	}
-	if cfg.Clients > ridClientMask {
-		panic(fmt.Sprintf("oltp: replicated: at most %d clients (ID encoding)", ridClientMask))
-	}
-	if boot := sim.Time(cfg.Depth+2) * replicaBootSlot; boot >= replicatedBootTime {
-		panic(fmt.Sprintf("oltp: replicated: depth %d does not boot before %v", cfg.Depth, replicatedBootTime))
-	}
-	if cfg.Warmup <= replicatedBootTime {
-		panic(fmt.Sprintf("oltp: replicated: warmup %v must exceed the boot time %v", cfg.Warmup, replicatedBootTime))
-	}
-	if cfg.HedgeFraction >= 1 {
-		panic("oltp: replicated: hedge fraction must be < 1 (a hedge at the deadline never fires)")
-	}
+	return nil
 }
 
 // ReplicatedResult is the measurement of one replicated rack run.
@@ -244,8 +248,10 @@ func planDeadIntervals(plan *faults.Plan, replicas int) []deadInterval {
 // detector probes replica health on the same links, and the configured
 // policy decides where each attempt (and each hedge) goes.
 func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
+	if err := cfg.Validate(); err != nil {
+		panic(fmt.Sprintf("oltp: replicated: %v", err))
+	}
 	cfg.applyDefaults()
-	cfg.validate()
 	R := cfg.Replicas
 
 	cl := sim.NewCluster(cfg.Seed, cfg.Shards)

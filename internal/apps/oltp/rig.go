@@ -1,0 +1,98 @@
+package oltp
+
+import (
+	"fmt"
+
+	"repro/internal/core"
+	"repro/internal/cost"
+	"repro/internal/faults"
+	"repro/internal/kernel"
+	"repro/internal/sim"
+	"repro/internal/stats"
+)
+
+// rig is the single machine every front-door runner (Run,
+// RunChainFaults, RunOpenLoop) drives from off-machine clients: one
+// engine, one machine on the default cost model, the OLTP parameters,
+// the Gateway the clients submit to, and the attempt-level counters the
+// hop Retriers bump.
+type rig struct {
+	eng *sim.Engine
+	m   *kernel.Machine
+	prm *Params
+	gw  *Gateway
+	rel stats.Reliability
+}
+
+func newRig(seed uint64, cpus int, gwc GatewayConfig) *rig {
+	eng := sim.NewEngine(seed + 1)
+	prm := DefaultParams()
+	return &rig{eng: eng, m: kernel.NewMachine(eng, cost.Default(), cpus), prm: prm, gw: NewGateway(prm, gwc)}
+}
+
+// serve spawns the front worker pool: n threads of proc named name-0..
+// name-(n-1). Under dIPC (rt non-nil) each first enters process code,
+// since the CODOMs subject comes from the instruction pointer; then it
+// loops forever receiving from the gateway, running handle, and
+// replying with handle's error.
+func (r *rig) serve(proc *kernel.Process, rt *core.Runtime, name string, n int,
+	handle func(t *kernel.Thread, req *request) error,
+) {
+	for i := 0; i < n; i++ {
+		r.m.Spawn(proc, fmt.Sprintf("%s-%d", name, i), nil, func(t *kernel.Thread) {
+			if rt != nil {
+				mustEnter(rt, t)
+			}
+			for {
+				req := r.gw.Recv(t)
+				r.gw.Reply(t, req, handle(t, req))
+			}
+		})
+	}
+}
+
+// serveChain wires cfg's tier chain behind the gateway: every hop is a
+// Retrier (around a Breaker when brc is non-nil) counting into r.rel,
+// the fault plan is installed on the sim clock, and cfg.Threads gateway
+// workers ("gw-N") each do the front's work and call down the chain,
+// reporting the outcome in-band. It returns the hop transports and the
+// breakers in hop order.
+func (r *rig) serveChain(cfg *ChainFaultsConfig, brc *BreakerConfig) ([]Transport, []*Breaker) {
+	inj := faults.NewInjector(cfg.Plan)
+	var breakers []*Breaker
+	wrap := func(tr Transport, hop int) Transport {
+		if brc != nil {
+			br := NewBreaker(tr, *brc)
+			breakers = append(breakers, br)
+			tr = br
+		}
+		return &Retrier{Inner: tr, Policy: cfg.Retry, Rel: &r.rel,
+			Jitter: retryJitter(cfg.Retry, cfg.Plan, fmt.Sprintf("hop%d", hop))}
+	}
+	front, rt, transports := buildChain(cfg.tiers(), r.m, r.prm, inj, wrap)
+
+	// The plan is wired; schedule its events on the sim clock. A plan
+	// naming a target this mode doesn't have (e.g. killing "svc2" under
+	// Ideal, whose tiers share one process) is a scenario bug — fail loud.
+	if err := inj.Install(); err != nil {
+		panic(fmt.Sprintf("oltp: chain plan: %v", err))
+	}
+
+	r.serve(front, rt, "gw", cfg.Threads, func(t *kernel.Thread, _ *request) error {
+		t.ExecUser(cfg.Work)
+		_, err := transports[0].TryCall(t, "hop", nil, cfg.ReqBytes)
+		return err
+	})
+	return transports, breakers
+}
+
+// measure snapshots the machine and r.rel at the end of warmup, runs
+// the engine to warmup+window, and returns the window's machine
+// breakdown and attempt-counter delta.
+func (r *rig) measure(warmup, window sim.Time) (stats.Breakdown, stats.Reliability) {
+	var baseBd stats.Breakdown
+	var baseRel stats.Reliability
+	r.eng.At(warmup, func() { baseRel = r.rel; baseBd = r.m.Snapshot() })
+	r.eng.RunUntil(warmup + window)
+	return r.m.Snapshot().Sub(baseBd), r.rel.Sub(baseRel)
+}

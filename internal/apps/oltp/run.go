@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/cost"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/sim"
@@ -73,28 +72,20 @@ type Result struct {
 
 // UserShare, KernelShare, IdleShare report the Fig. 1 breakdown
 // fractions of the measurement window.
-func (r *Result) UserShare() float64 { return userShare(r.Breakdown) }
+func (r *Result) UserShare() float64 {
+	return blockShare(r.Breakdown, stats.BlockUser, stats.BlockStub)
+}
 
 // KernelShare is everything privileged: kernel code, syscall paths,
 // scheduling, page-table work, and dIPC's proxies/TLS (which run
 // privileged but outside the kernel).
-func (r *Result) KernelShare() float64 { return kernelShare(r.Breakdown) }
-
-// IdleShare is the idle/IO-wait fraction.
-func (r *Result) IdleShare() float64 { return idleShare(r.Breakdown) }
-
-// The share helpers group breakdown blocks into the Fig. 1 categories;
-// they are shared by the OLTP Result and the chain sweep's ChainResult.
-func userShare(bd stats.Breakdown) float64 {
-	return blockShare(bd, stats.BlockUser, stats.BlockStub)
-}
-
-func kernelShare(bd stats.Breakdown) float64 {
-	return blockShare(bd, stats.BlockSyscall, stats.BlockDispatch, stats.BlockKernel,
+func (r *Result) KernelShare() float64 {
+	return blockShare(r.Breakdown, stats.BlockSyscall, stats.BlockDispatch, stats.BlockKernel,
 		stats.BlockSched, stats.BlockPT, stats.BlockProxy, stats.BlockTLS)
 }
 
-func idleShare(bd stats.Breakdown) float64 { return blockShare(bd, stats.BlockIdle) }
+// IdleShare is the idle/IO-wait fraction.
+func (r *Result) IdleShare() float64 { return blockShare(r.Breakdown, stats.BlockIdle) }
 
 func blockShare(bd stats.Breakdown, blocks ...stats.Block) float64 {
 	total := bd.Total()
@@ -125,33 +116,19 @@ func Run(cfg Config) *Result {
 	if cfg.Window == 0 {
 		cfg.Window = sim.Millis(250)
 	}
-	prm := DefaultParams()
-
-	eng := sim.NewEngine(cfg.Seed + 1)
-	m := kernel.NewMachine(eng, cost.Default(), cfg.CPUs)
-	m.StealOnIdle = !cfg.DisableSteal
-	db := NewDB(m, prm, cfg.InMemory)
-	stack := &Stack{Prm: prm, DB: db}
-	gw := NewGateway(prm, GatewayConfig{})
-
-	webProc, rt := buildTiers(eng, m, stack, cfg)
+	r := newRig(cfg.Seed, cfg.CPUs, GatewayConfig{})
+	r.m.StealOnIdle = !cfg.DisableSteal
+	stack := &Stack{Prm: r.prm, DB: NewDB(r.m, r.prm, cfg.InMemory)}
+	webProc, rt := buildTiers(r.m, stack, cfg)
 
 	// Web worker pool: in every configuration the web tier runs
 	// cfg.Threads workers accepting from the gateway. In the dIPC and
 	// Ideal configurations these workers execute the whole stack in
 	// place — the service threads of the other tiers are gone (§2.3).
-	for i := 0; i < cfg.Threads; i++ {
-		m.Spawn(webProc, fmt.Sprintf("web-%d", i), nil, func(t *kernel.Thread) {
-			if rt != nil {
-				mustEnter(rt, t)
-			}
-			for {
-				req := gw.Recv(t)
-				stack.WebHandle(t, req)
-				gw.Reply(t, req, nil)
-			}
-		})
-	}
+	r.serve(webProc, rt, "web", cfg.Threads, func(t *kernel.Thread, req *request) error {
+		stack.WebHandle(t, req)
+		return nil
+	})
 
 	// Driver: closed-loop clients living off-machine.
 	measStart := cfg.Warmup
@@ -160,12 +137,12 @@ func Run(cfg Config) *Result {
 	var latSum sim.Time
 	for c := 0; c < cfg.Clients; c++ {
 		seed := cfg.Seed*7919 + uint64(c)
-		eng.Spawn(fmt.Sprintf("client-%d", c), 0, func(p *sim.Proc) {
+		r.eng.Spawn(fmt.Sprintf("client-%d", c), 0, func(p *sim.Proc) {
 			rng := sim.NewRand(seed)
 			for {
-				req := &request{op: GenOp(rng, prm), started: p.Now()}
+				req := &request{op: GenOp(rng, r.prm), started: p.Now()}
 				req.done = p.PrepareWait()
-				gw.Submit(req, p.Now())
+				r.gw.Submit(req, p.Now())
 				p.Wait()
 				opsTotal++
 				if end := p.Now(); end >= measStart && end <= measEnd {
@@ -176,14 +153,11 @@ func Run(cfg Config) *Result {
 		})
 	}
 
-	var base stats.Breakdown
-	eng.At(measStart, func() { base = m.Snapshot() })
-	eng.RunUntil(measEnd)
-
+	bd, _ := r.measure(cfg.Warmup, cfg.Window)
 	res := &Result{
 		Config:    cfg,
 		Ops:       ops,
-		Breakdown: m.Snapshot().Sub(base),
+		Breakdown: bd,
 	}
 	if ops > 0 {
 		res.Throughput = float64(ops) / cfg.Window.Seconds() * 60
@@ -200,7 +174,7 @@ func Run(cfg Config) *Result {
 // the process that hosts the web workers and, under dIPC, the runtime
 // whose process code domain they enter before calling (the CODOMs
 // subject comes from the instruction pointer).
-func buildTiers(eng *sim.Engine, m *kernel.Machine, stack *Stack, cfg Config) (*kernel.Process, *core.Runtime) {
+func buildTiers(m *kernel.Machine, stack *Stack, cfg Config) (*kernel.Process, *core.Runtime) {
 	prm := stack.Prm
 	switch cfg.Mode {
 	case ModeIdeal:
@@ -270,7 +244,7 @@ func buildTiers(eng *sim.Engine, m *kernel.Machine, stack *Stack, cfg Config) (*
 				panic(err)
 			}
 		})
-		eng.Run()
+		m.Eng.Run()
 
 		// PHP imports the database (trusting it: no caller policy) and
 		// registers its own entries (trusting its callers: no callee
@@ -302,7 +276,7 @@ func buildTiers(eng *sim.Engine, m *kernel.Machine, stack *Stack, cfg Config) (*
 				panic(err)
 			}
 		})
-		eng.Run()
+		m.Eng.Run()
 
 		// The web server imports PHP, requesting its own protection.
 		m.Spawn(webProc, "apache-init", nil, func(t *kernel.Thread) {
@@ -324,7 +298,7 @@ func buildTiers(eng *sim.Engine, m *kernel.Machine, stack *Stack, cfg Config) (*
 			}
 			stack.PHPT = NewDIPCTransport(entries)
 		})
-		eng.Run()
+		m.Eng.Run()
 		return webProc, rt
 
 	default:

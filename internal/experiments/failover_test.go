@@ -145,3 +145,27 @@ func TestFailoverFlapFalsePositives(t *testing.T) {
 		t.Errorf("longer timeout produced more suspicions (%v) than shorter (%v)", susp[len(susp)-1], susp[0])
 	}
 }
+
+// TestFailoverInputErrorsNameTheParameter requires the replicated-rack
+// limits to surface as config errors naming the offending parameter,
+// not as a panic from the run.
+func TestFailoverInputErrorsNameTheParameter(t *testing.T) {
+	s, ok := scenario.Default.Lookup("failover-kill")
+	if !ok {
+		t.Fatal("failover-kill not registered")
+	}
+	for _, bad := range [][2]string{{"clients", "5000"}, {"depth", "30"}, {"warmup", "500us"}} {
+		key, val := bad[0], bad[1]
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s=%s panicked: %v", key, val, r)
+				}
+			}()
+			_, err := scenario.NewConfig(s, map[string]string{key: val})
+			if err == nil || !strings.Contains(err.Error(), key) {
+				t.Errorf("%s=%s: want an error naming %q, got %v", key, val, key, err)
+			}
+		}()
+	}
+}

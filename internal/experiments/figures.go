@@ -383,19 +383,13 @@ var Fig8Threads = []int{4, 16, 64, 256, 512}
 
 // RunFig8 sweeps modes × concurrency for one storage configuration.
 func RunFig8(inMemory bool, threads []int, window sim.Time) *Fig8Result {
-	return RunFig8Workers(inMemory, threads, window, 0)
-}
-
-// RunFig8Workers is RunFig8 with an explicit sweep worker count
-// (<= 0 inherits the global parallelism).
-func RunFig8Workers(inMemory bool, threads []int, window sim.Time, workers int) *Fig8Result {
 	if len(threads) == 0 {
 		threads = Fig8Threads
 	}
 	modes := []oltp.Mode{oltp.ModeLinux, oltp.ModeDIPC, oltp.ModeIdeal}
 	// One sweep point per (mode, threads) cell; each oltp.Run builds its
 	// own engine and machine.
-	cells := sweepWorkers(len(modes)*len(threads), workers, func(i int) Fig8Cell {
+	cells := sweep(len(modes)*len(threads), func(i int) Fig8Cell {
 		mode, th := modes[i/len(threads)], threads[i%len(threads)]
 		r := oltp.Run(oltp.Config{
 			Mode: mode, InMemory: inMemory, Threads: th, Window: window, Seed: 5,

@@ -46,17 +46,7 @@ func Parallelism() int {
 // after the in-flight jobs drain, mirroring the sequential behaviour
 // closely enough for the simulations' panic-on-bug style.
 func forEachPoint(n int, job func(i int)) {
-	forEachPointWorkers(n, 0, job)
-}
-
-// forEachPointWorkers is forEachPoint with an explicit worker count;
-// workers <= 0 falls back to the configured global parallelism. Scenarios
-// with a `shards` execution parameter use this to pin their own sweep
-// width without touching the process-wide setting.
-func forEachPointWorkers(n, workers int, job func(i int)) {
-	if workers <= 0 {
-		workers = Parallelism()
-	}
+	workers := Parallelism()
 	if workers > n {
 		workers = n
 	}
@@ -103,13 +93,7 @@ type panicBox struct{ val any }
 // in point order: out[i] == f(i), exactly as the sequential loop would
 // produce them.
 func sweep[T any](n int, f func(i int) T) []T {
-	return sweepWorkers(n, 0, f)
-}
-
-// sweepWorkers is sweep with an explicit worker count (<= 0 inherits the
-// global parallelism).
-func sweepWorkers[T any](n, workers int, f func(i int) T) []T {
 	out := make([]T, n)
-	forEachPointWorkers(n, workers, func(i int) { out[i] = f(i) })
+	forEachPoint(n, func(i int) { out[i] = f(i) })
 	return out
 }

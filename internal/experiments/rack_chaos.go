@@ -2,7 +2,7 @@
 // per-NIC link failure states, per-operation deadlines with capped
 // exponential backoff at the clients, and a faults.Plan firing kill /
 // restart / link events on the sim clock. It is the one ring runner:
-// RunRack is this ring with no plan and no deadline. The runner follows
+// the rack scenario runs it with no plan and no deadline. The runner follows
 // the cluster's ownership discipline — each LinkState is toggled by
 // injector events on its owning shard's engine and read only by that
 // shard's threads, clients time out with Waiter-armed deadline wakes on

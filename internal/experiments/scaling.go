@@ -38,12 +38,6 @@ var Fig8ScalingCPUs = []int{1, 2, 4, 6, 8}
 // costs, not the disk, bound throughput). Every (mode, cores) point is
 // an independent simulation and runs on the sweep harness.
 func RunFig8Scaling(cpus []int, threads int, window sim.Time) *Fig8ScalingResult {
-	return RunFig8ScalingWorkers(cpus, threads, window, 0)
-}
-
-// RunFig8ScalingWorkers is RunFig8Scaling with an explicit sweep worker
-// count (<= 0 inherits the global parallelism).
-func RunFig8ScalingWorkers(cpus []int, threads int, window sim.Time, workers int) *Fig8ScalingResult {
 	if len(cpus) == 0 {
 		cpus = Fig8ScalingCPUs
 	}
@@ -51,7 +45,7 @@ func RunFig8ScalingWorkers(cpus []int, threads int, window sim.Time, workers int
 		threads = 16
 	}
 	modes := []oltp.Mode{oltp.ModeLinux, oltp.ModeDIPC, oltp.ModeIdeal}
-	cells := sweepWorkers(len(modes)*len(cpus), workers, func(i int) Fig8ScalingCell {
+	cells := sweep(len(modes)*len(cpus), func(i int) Fig8ScalingCell {
 		mode, nc := modes[i/len(cpus)], cpus[i%len(cpus)]
 		r := oltp.Run(oltp.Config{
 			Mode: mode, InMemory: true, Threads: threads, CPUs: nc, Window: window, Seed: 5,

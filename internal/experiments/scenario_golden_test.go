@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sort"
-	"strings"
 	"testing"
 
 	"repro/internal/scenario"
@@ -70,25 +69,12 @@ var scenarioGoldens = map[string]struct {
 }
 
 // TestScenarioGoldenCoverage enforces, by iterating the registry, that
-// every registered scenario is digest-pinned — or explicitly opts out by
-// implementing scenario.NonDeterministic with a stated reason (e.g. a
-// future wall-clock-dependent scenario). Opting out and having a digest
-// are mutually exclusive.
+// every registered scenario is digest-pinned and every pin names a
+// registered scenario.
 func TestScenarioGoldenCoverage(t *testing.T) {
 	for _, s := range scenario.Default.All() {
-		name := s.Name()
-		_, pinned := scenarioGoldens[name]
-		if nd, ok := s.(scenario.NonDeterministic); ok {
-			if strings.TrimSpace(nd.NonDeterministic()) == "" {
-				t.Errorf("scenario %q opts out of golden digests without a reason", name)
-			}
-			if pinned {
-				t.Errorf("scenario %q both opts out and has a golden digest", name)
-			}
-			continue
-		}
-		if !pinned {
-			t.Errorf("scenario %q has no golden digest entry and does not declare why (scenario.NonDeterministic)", name)
+		if _, pinned := scenarioGoldens[s.Name()]; !pinned {
+			t.Errorf("scenario %q has no golden digest entry", s.Name())
 		}
 	}
 	for name := range scenarioGoldens {

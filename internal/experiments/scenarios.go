@@ -12,7 +12,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 
 	"repro/internal/apps/oltp"
 	"repro/internal/scenario"
@@ -112,33 +111,6 @@ func fullParam(doc string) scenario.ParamSpec {
 
 func threadsParam(def string) scenario.ParamSpec {
 	return scenario.Param("threads", scenario.Int, def, "threads per component")
-}
-
-// shardsParam declares the `shards` execution parameter of the heavy
-// sweep scenarios. An OLTP machine offers no internal lookahead to shard
-// along — dIPC's whole point is erasing latency between its domains — so
-// for these scenarios `shards` pins how many host workers run the sweep
-// grid's independent cells. It is an ExecParam: it may change wall-clock
-// time, never results, and it never appears in canonical output. The
-// rack scenario (scenarios_sharded.go) is where `shards` drives a real
-// sim.Cluster partition of a single simulation.
-func shardsParam() scenario.ParamSpec {
-	return scenario.ExecParam("shards", scenario.Int, "1",
-		"host workers for the sweep grid (unset: inherit -parallel; 0: one per host core)")
-}
-
-// shardWorkersOf maps the `shards` parameter onto a sweep worker count:
-// left at its default it inherits the global -parallel setting (0), an
-// explicit value pins the pool (1 = the sequential reference path, 0 =
-// one worker per host core).
-func shardWorkersOf(cfg *scenario.Config) int {
-	if !cfg.Explicit("shards") {
-		return 0
-	}
-	if n := cfg.Int("shards"); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // ---- series converters ----
@@ -354,9 +326,8 @@ func runFig1Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 func runFig8Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 	threads := fig8ThreadsAxisOf(cfg)
 	window := cfg.Duration("window")
-	workers := shardWorkersOf(cfg)
-	onDisk := RunFig8Workers(false, threads, window, workers)
-	inMem := RunFig8Workers(true, threads, window, workers)
+	onDisk := RunFig8(false, threads, window)
+	inMem := RunFig8(true, threads, window)
 	series := append(fig8Series(onDisk, "on-disk"), fig8Series(inMem, "in-memory")...)
 	return &scenario.Result{
 		Scenario: "fig8",
@@ -368,7 +339,7 @@ func runFig8Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 
 func runFig8ScalingScenario(cfg *scenario.Config) (*scenario.Result, error) {
 	cpus := fig8ScalingCPUsOf(cfg)
-	r := RunFig8ScalingWorkers(cpus, cfg.Int("threads"), cfg.Duration("window"), shardWorkersOf(cfg))
+	r := RunFig8Scaling(cpus, cfg.Int("threads"), cfg.Duration("window"))
 	var series []scenario.Series
 	for _, mode := range oltpModes {
 		s := scenario.Series{Label: mode.String(), Unit: "ops/min"}
@@ -503,12 +474,10 @@ func init() {
 			scenario.Param("threads", scenario.IntList, "4,16,64", "concurrency axis (threads per component)"),
 			windowParam(),
 			fullParam("run the paper's full 4..512 thread axis"),
-			shardsParam(),
 		},
 		func(cfg *scenario.Config) error {
 			return firstErr(intsAtLeast("threads", fig8ThreadsAxisOf(cfg), 1),
-				durationPositive("window", cfg.Duration("window")),
-				intAtLeast("shards", cfg.Int("shards"), 0))
+				durationPositive("window", cfg.Duration("window")))
 		},
 		runFig8Scenario))
 	scenario.Register(scenario.NewChecked("fig8scaling",
@@ -518,11 +487,9 @@ func init() {
 			threadsParam("16"),
 			windowParam(),
 			fullParam("run the extended 1..8 core axis"),
-			shardsParam(),
 		},
 		func(cfg *scenario.Config) error {
-			return firstErr(intsAtLeast("cpus", fig8ScalingCPUsOf(cfg), 1), oltpThreadsWindow(cfg),
-				intAtLeast("shards", cfg.Int("shards"), 0))
+			return firstErr(intsAtLeast("cpus", fig8ScalingCPUsOf(cfg), 1), oltpThreadsWindow(cfg))
 		},
 		runFig8ScalingScenario))
 	scenario.Register(scenario.NewChecked("sensitivity",

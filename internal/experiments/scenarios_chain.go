@@ -24,14 +24,18 @@ func runChainScenario(cfg *scenario.Config) (*scenario.Result, error) {
 
 	// One sweep point per (mode, depth) cell; every cell builds its own
 	// engine and machine, so the grid fans out over the worker pool.
-	cells := sweepWorkers(len(oltpModes)*len(depths), shardWorkersOf(cfg), func(i int) *oltp.ChainResult {
+	cells := sweep(len(oltpModes)*len(depths), func(i int) *oltp.ChainFaultsResult {
 		mode, depth := oltpModes[i/len(depths)], depths[i%len(depths)]
-		return oltp.RunChain(oltp.ChainConfig{
+		return oltp.RunChainFaults(oltp.ChainFaultsConfig{ChainConfig: oltp.ChainConfig{
 			Mode: mode, Depth: depth, Threads: threads,
 			Work: work, Window: window, Seed: 5,
-		})
+		}})
 	})
-	at := func(mode, depth int) *oltp.ChainResult { return cells[mode*len(depths)+depth] }
+	at := func(mode, depth int) *oltp.ChainFaultsResult { return cells[mode*len(depths)+depth] }
+	// throughput is completed operations per minute over the window.
+	throughput := func(r *oltp.ChainFaultsResult) float64 {
+		return float64(r.Rel.Ops()) / r.Config.Window.Seconds() * 60
+	}
 
 	res := &scenario.Result{Scenario: "chain", Params: cfg.ParamStrings()}
 	for mi, mode := range oltpModes {
@@ -39,7 +43,7 @@ func runChainScenario(cfg *scenario.Config) (*scenario.Result, error) {
 		lat := scenario.Series{Label: mode.String() + " latency", Unit: "us"}
 		for di, d := range depths {
 			r := at(mi, di)
-			tput.Points = append(tput.Points, scenario.Point{X: float64(d), Y: r.Throughput})
+			tput.Points = append(tput.Points, scenario.Point{X: float64(d), Y: throughput(r)})
 			lat.Points = append(lat.Points, scenario.Point{X: float64(d), Y: r.AvgLatency.Microseconds()})
 		}
 		res.Series = append(res.Series, tput)
@@ -48,11 +52,11 @@ func runChainScenario(cfg *scenario.Config) (*scenario.Result, error) {
 	// Headline: how the dIPC advantage moves across the sweep.
 	deepest := len(depths) - 1
 	lin, dip, ide := at(0, deepest), at(1, deepest), at(2, deepest)
-	if lin.Throughput > 0 && ide.Throughput > 0 {
+	if throughput(lin) > 0 && throughput(ide) > 0 {
 		res.Notes = append(res.Notes, fmt.Sprintf(
 			"depth %d: dIPC %.2fx over Linux, %.1f%% of Ideal, %.1f calls/op",
-			depths[deepest], dip.Throughput/lin.Throughput,
-			100*dip.Throughput/ide.Throughput, dip.CallsPerOp))
+			depths[deepest], throughput(dip)/throughput(lin),
+			100*throughput(dip)/throughput(ide), dip.CallsPerOp))
 	}
 	return res, nil
 }
@@ -65,14 +69,12 @@ func init() {
 			scenario.Param("threads", scenario.Int, "8", "gateway workers (and per-tier workers on Linux)"),
 			scenario.Param("work", scenario.Duration, "20us", "application work per tier per request"),
 			scenario.Param("window", scenario.Duration, "100ms", "measurement window (simulated time)"),
-			shardsParam(),
 		},
 		func(cfg *scenario.Config) error {
 			return firstErr(intsAtLeast("depth", cfg.Ints("depth"), 1),
 				intAtLeast("threads", cfg.Int("threads"), 1),
 				durationPositive("window", cfg.Duration("window")),
-				durationPositive("work", cfg.Duration("work")),
-				intAtLeast("shards", cfg.Int("shards"), 0))
+				durationPositive("work", cfg.Duration("work")))
 		},
 		runChainScenario))
 }

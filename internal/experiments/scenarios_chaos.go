@@ -6,7 +6,7 @@
 // plans fire on the sim clock, the per-call fault streams are seeded
 // from (plan seed, site name), and the retry/backoff sleeps are
 // simulated time, so every chaos digest is pinned like any other golden
-// and byte-identical at every shard count.
+// and byte-identical at every shard count and sweep width.
 
 package experiments
 
@@ -43,7 +43,7 @@ func runChaosKillScenario(cfg *scenario.Config) (*scenario.Result, error) {
 	target := fmt.Sprintf("svc%d", (depth+1)/2)
 	killat, restartat := cfg.Duration("killat"), cfg.Duration("restartat")
 
-	cells := sweepWorkers(len(chaosModes), shardWorkersOf(cfg), func(i int) *oltp.ChainFaultsResult {
+	cells := sweep(len(chaosModes), func(i int) *oltp.ChainFaultsResult {
 		evs := []faults.Event{{At: killat, Kind: faults.KillProc, Target: target}}
 		if restartat > 0 {
 			evs = append(evs, faults.Event{At: restartat, Kind: faults.RestartProc, Target: target})
@@ -141,7 +141,7 @@ func runChaosRetryStormScenario(cfg *scenario.Config) (*scenario.Result, error) 
 	// One cell per (backoff, deadline); every tier retries its downstream
 	// hop, so a short deadline with an aggressive backoff multiplies the
 	// offered load at the deepest tier — the classic retry storm.
-	cells := sweepWorkers(len(backoffs)*len(deadlines), shardWorkersOf(cfg), func(i int) *oltp.ChainFaultsResult {
+	cells := sweep(len(backoffs)*len(deadlines), func(i int) *oltp.ChainFaultsResult {
 		bo, dl := backoffs[i/len(deadlines)], deadlines[i%len(deadlines)]
 		return oltp.RunChainFaults(oltp.ChainFaultsConfig{
 			ChainConfig: oltp.ChainConfig{
@@ -201,7 +201,6 @@ func init() {
 			scenario.Param("deadline", scenario.Duration, "300us", "per-attempt deadline at every hop"),
 			scenario.Param("retries", scenario.Int, "2", "retries per call after the first attempt"),
 			scenario.Param("backoff", scenario.Duration, "20us", "initial retry backoff (doubles, capped at 8x)"),
-			shardsParam(),
 		},
 		func(cfg *scenario.Config) error {
 			return firstErr(intAtLeast("depth", cfg.Int("depth"), 1),
@@ -212,8 +211,7 @@ func init() {
 				durationPositive("killat", cfg.Duration("killat")),
 				durationPositive("deadline", cfg.Duration("deadline")),
 				intAtLeast("retries", cfg.Int("retries"), 0),
-				durationPositive("backoff", cfg.Duration("backoff")),
-				intAtLeast("shards", cfg.Int("shards"), 0))
+				durationPositive("backoff", cfg.Duration("backoff")))
 		},
 		runChaosKillScenario))
 
@@ -234,7 +232,7 @@ func init() {
 			scenario.Param("deadline", scenario.Duration, "150us", "per-attempt client deadline"),
 			scenario.Param("retries", scenario.Int, "2", "retries per operation after the first attempt"),
 			scenario.Param("backoff", scenario.Duration, "10us", "initial retry backoff (doubles, capped at 8x)"),
-			clusterShardsParam(),
+			shardsParam(),
 		},
 		func(cfg *scenario.Config) error {
 			return firstErr(intAtLeast("machines", cfg.Int("machines"), 3),
@@ -267,7 +265,6 @@ func init() {
 			scenario.Param("retries", scenario.Int, "3", "retries per call after the first attempt"),
 			scenario.Param("backoffs", scenario.IntList, "5,40", "initial backoffs to sweep (us, doubles, capped at 8x)"),
 			scenario.CompatParam("jitter", scenario.Float, "0", "backoff jitter fraction in [0,1] (0: exact exponential schedule; deterministic per-callsite streams)"),
-			shardsParam(),
 		},
 		func(cfg *scenario.Config) error {
 			if p := cfg.Float("pdrop"); p < 0 || p >= 1 {
@@ -283,8 +280,7 @@ func init() {
 				durationPositive("window", cfg.Duration("window")),
 				intsAtLeast("deadlines", cfg.Ints("deadlines"), 1),
 				intAtLeast("retries", cfg.Int("retries"), 0),
-				intsAtLeast("backoffs", cfg.Ints("backoffs"), 1),
-				intAtLeast("shards", cfg.Int("shards"), 0))
+				intsAtLeast("backoffs", cfg.Ints("backoffs"), 1))
 		},
 		runChaosRetryStormScenario))
 

@@ -281,7 +281,8 @@ func checkFailoverCommon(cfg *scenario.Config) error {
 		durationPositive("deadline", cfg.Duration("deadline")),
 		intAtLeast("retries", cfg.Int("retries"), 0),
 		durationPositive("backoff", cfg.Duration("backoff")),
-		intAtLeast("shards", cfg.Int("shards"), 0))
+		intAtLeast("shards", cfg.Int("shards"), 0),
+		failoverBase(cfg, oltp.ModeDIPC).Validate())
 }
 
 func init() {
@@ -290,7 +291,7 @@ func init() {
 		append(failoverCommonParams(),
 			scenario.Param("killat", scenario.Duration, "7ms", "sim time replica 1 (front and first tier) is killed"),
 			scenario.Param("restartat", scenario.Duration, "12ms", "sim time the front restarts, tier still dead (0: never)"),
-			clusterShardsParam()),
+			shardsParam()),
 		func(cfg *scenario.Config) error {
 			return firstErr(checkFailoverCommon(cfg),
 				durationPositive("killat", cfg.Duration("killat")))
@@ -304,7 +305,7 @@ func init() {
 			scenario.Param("flapdown", scenario.Duration, "1500us", "length of each link1 outage"),
 			scenario.Param("probeevery", scenario.Duration, "150us", "health probe period"),
 			scenario.Param("timeouts", scenario.IntList, "400,1200", "detector suspicion timeouts to sweep (us)"),
-			clusterShardsParam()),
+			shardsParam()),
 		func(cfg *scenario.Config) error {
 			return firstErr(checkFailoverCommon(cfg),
 				durationPositive("flapperiod", cfg.Duration("flapperiod")),
@@ -319,7 +320,7 @@ func init() {
 		append(failoverCommonParams(),
 			scenario.Param("slowfactor", scenario.Float, "6", "work multiplier on the slow replica (replica 2)"),
 			scenario.Param("hedgefracs", scenario.IntList, "25,50", "hedge triggers to sweep (% of attempt deadline)"),
-			clusterShardsParam()),
+			shardsParam()),
 		func(cfg *scenario.Config) error {
 			if f := cfg.Float("slowfactor"); f < 1 {
 				return fmt.Errorf("slowfactor %g below 1", f)

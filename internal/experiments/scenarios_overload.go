@@ -9,7 +9,7 @@
 // whether a per-downstream circuit breaker turns a tier crash from a
 // collapse into a recovery. Arrival streams and fault plans are all
 // seeded sim streams, so every digest is pinned and
-// byte-identical at every shard count.
+// byte-identical at every sweep width.
 
 package experiments
 
@@ -79,8 +79,7 @@ func overloadChecks(cfg *scenario.Config) error {
 		intAtLeast("sessions", cfg.Int("sessions"), 1),
 		intAtLeast("requests", cfg.Int("requests"), 1),
 		durationPositive("deadline", cfg.Duration("deadline")),
-		durationPositive("hopdeadline", cfg.Duration("hopdeadline")),
-		intAtLeast("shards", cfg.Int("shards"), 0))
+		durationPositive("hopdeadline", cfg.Duration("hopdeadline")))
 }
 
 // ---------------------------------------------------------------------
@@ -89,7 +88,7 @@ func overloadChecks(cfg *scenario.Config) error {
 func runOverloadKneeScenario(cfg *scenario.Config) (*scenario.Result, error) {
 	kops := cfg.Ints("kops")
 
-	cells := sweepWorkers(len(kneeModes)*len(kops), shardWorkersOf(cfg), func(i int) *oltp.OpenLoopResult {
+	cells := sweep(len(kneeModes)*len(kops), func(i int) *oltp.OpenLoopResult {
 		mode, k := kneeModes[i/len(kops)], kops[i%len(kops)]
 		c := overloadBase(cfg, mode, k)
 		c.Gateway = oltp.GatewayConfig{Policy: oltp.AdmitNone}
@@ -131,7 +130,7 @@ var shedPolicies = []oltp.AdmitPolicy{oltp.AdmitNone, oltp.AdmitFIFO, oltp.Admit
 func runOverloadShedScenario(cfg *scenario.Config) (*scenario.Result, error) {
 	kops := cfg.Int("kops")
 
-	cells := sweepWorkers(len(shedPolicies), shardWorkersOf(cfg), func(i int) *oltp.OpenLoopResult {
+	cells := sweep(len(shedPolicies), func(i int) *oltp.OpenLoopResult {
 		c := overloadBase(cfg, oltp.ModeDIPC, kops)
 		c.Gateway = oltp.GatewayConfig{
 			Policy:     shedPolicies[i],
@@ -175,7 +174,7 @@ func runOverloadStormScenario(cfg *scenario.Config) (*scenario.Result, error) {
 	killat, restartat := cfg.Duration("killat"), cfg.Duration("restartat")
 
 	// Cells: (mode) x (breaker off, on).
-	cells := sweepWorkers(len(stormModes)*2, shardWorkersOf(cfg), func(i int) *oltp.OpenLoopResult {
+	cells := sweep(len(stormModes)*2, func(i int) *oltp.OpenLoopResult {
 		mode, withBreaker := stormModes[i/2], i%2 == 1
 		c := overloadBase(cfg, mode, kops)
 		target := fmt.Sprintf("svc%d", c.Depth)
@@ -235,8 +234,7 @@ func init() {
 	scenario.Register(scenario.NewChecked("overload-knee",
 		"Open-loop offered-load sweep: p50/p99/p999 and goodput per transport as demand crosses the saturation knee",
 		append(overloadParams(),
-			scenario.Param("kops", scenario.IntList, "10,20,40,80,160", "offered loads to sweep (kops/s)"),
-			shardsParam()),
+			scenario.Param("kops", scenario.IntList, "10,20,40,80,160", "offered loads to sweep (kops/s)")),
 		func(cfg *scenario.Config) error {
 			return firstErr(overloadChecks(cfg),
 				intsAtLeast("kops", cfg.Ints("kops"), 1))
@@ -250,8 +248,7 @@ func init() {
 			scenario.Param("queuecap", scenario.Int, "512", "admission queue capacity (bounded policies)"),
 			scenario.Param("budget", scenario.Duration, "500us", "max queueing age before LIFO rejects at dequeue"),
 			scenario.Param("tokenkops", scenario.Int, "110", "token-bucket admission rate (kops/s)"),
-			scenario.Param("tokenburst", scenario.Int, "64", "token-bucket burst depth"),
-			shardsParam()),
+			scenario.Param("tokenburst", scenario.Int, "64", "token-bucket burst depth")),
 		func(cfg *scenario.Config) error {
 			return firstErr(overloadChecks(cfg),
 				intAtLeast("kops", cfg.Int("kops"), 1),
@@ -271,8 +268,7 @@ func init() {
 			scenario.Param("retries", scenario.Int, "3", "retries per call after the first attempt"),
 			scenario.Param("backoff", scenario.Duration, "100us", "initial retry backoff (doubles, capped at 8x)"),
 			scenario.Param("queuecap", scenario.Int, "256", "admission queue capacity"),
-			scenario.Param("cooldown", scenario.Duration, "500us", "breaker cooldown before half-open probes"),
-			shardsParam()),
+			scenario.Param("cooldown", scenario.Duration, "500us", "breaker cooldown before half-open probes")),
 		func(cfg *scenario.Config) error {
 			return firstErr(overloadChecks(cfg),
 				intAtLeast("kops", cfg.Int("kops"), 1),

@@ -18,7 +18,6 @@ import (
 
 	"repro/internal/scenario"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // RackConfig parameterizes one rack run.
@@ -35,46 +34,27 @@ type RackConfig struct {
 	Shards   int // engine shards (<= 0: one per host core)
 }
 
-// RackResult is one rack run's measurements.
-type RackResult struct {
-	Ops        int64
-	Throughput float64 // completed ops per second of simulated time
-	AvgLatency sim.Time
-	PerMachine []*stats.Accumulator // machine order; ops land on machine 0
-	Merged     stats.Accumulator
-}
-
-// RunRack builds the ring on a sim.Cluster and runs warmup + window:
-// the chaos ring with no fault plan and no deadline, so every request
-// completes.
-func RunRack(c RackConfig) *RackResult {
-	r := runRack(RackChaosConfig{RackConfig: c})
-	return &RackResult{
-		Ops:        r.Merged.Ops,
-		Throughput: float64(r.Merged.Ops) / c.Window.Seconds(),
-		AvgLatency: r.AvgLatency,
-		PerMachine: r.PerMachine,
-		Merged:     r.Merged,
-	}
-}
-
 func runRackScenario(cfg *scenario.Config) (*scenario.Result, error) {
-	r := RunRack(RackConfig{
+	// The chaos ring with no fault plan and no deadline, so every
+	// request completes.
+	window := cfg.Duration("window")
+	r := runRack(RackChaosConfig{RackConfig: RackConfig{
 		Machines: cfg.Int("machines"),
 		CPUs:     cfg.Int("cpus"),
 		Workers:  cfg.Int("workers"),
 		Clients:  cfg.Int("clients"),
 		ReqBytes: cfg.Int("reqbytes"),
 		Work:     cfg.Duration("work"),
-		Window:   cfg.Duration("window"),
+		Window:   window,
 		Warmup:   cfg.Duration("warmup"),
 		Seed:     5,
 		Shards:   cfg.Int("shards"),
-	})
+	}})
+	throughput := float64(r.Merged.Ops) / window.Seconds()
 
 	res := &scenario.Result{Scenario: "rack", Params: cfg.ParamStrings()}
 	tput := scenario.Series{Label: "throughput", Unit: "ops/s"}
-	tput.Points = append(tput.Points, scenario.Point{X: float64(cfg.Int("machines")), Y: r.Throughput})
+	tput.Points = append(tput.Points, scenario.Point{X: float64(cfg.Int("machines")), Y: throughput})
 	lat := scenario.Series{Label: "avg latency", Unit: "us"}
 	lat.Points = append(lat.Points, scenario.Point{X: float64(cfg.Int("machines")), Y: r.AvgLatency.Microseconds()})
 	busy := scenario.Series{Label: "busy share per machine", Unit: "%"}
@@ -88,11 +68,11 @@ func runRackScenario(cfg *scenario.Config) (*scenario.Result, error) {
 	res.Series = append(res.Series, tput, lat, busy)
 	res.Notes = append(res.Notes, fmt.Sprintf(
 		"%d ops across a %d-machine ring: %.0f ops/s, %.1fus avg latency",
-		r.Ops, cfg.Int("machines"), r.Throughput, r.AvgLatency.Microseconds()))
+		r.Merged.Ops, cfg.Int("machines"), throughput, r.AvgLatency.Microseconds()))
 	return res, nil
 }
 
-func clusterShardsParam() scenario.ParamSpec {
+func shardsParam() scenario.ParamSpec {
 	return scenario.ExecParam("shards", scenario.Int, "1",
 		"engine shards for the one clustered simulation (1: sequential reference; 0: one per host core)")
 }
@@ -109,7 +89,7 @@ func init() {
 			scenario.Param("work", scenario.Duration, "5us", "application work per hop"),
 			scenario.Param("window", scenario.Duration, "40ms", "measurement window (simulated time)"),
 			scenario.Param("warmup", scenario.Duration, "5ms", "warmup before measurement"),
-			clusterShardsParam(),
+			shardsParam(),
 		},
 		func(cfg *scenario.Config) error {
 			return firstErr(intAtLeast("machines", cfg.Int("machines"), 1),

@@ -4,118 +4,96 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"sort"
-	"strings"
+	"strconv"
 	"testing"
 
 	"repro/internal/scenario"
 )
 
-// The differential half of the sharding determinism contract: every
-// scenario that declares a `shards` execution parameter must produce a
-// byte-identical canonical-JSON document at shards=1 (the sequential
-// reference), 2 and 4 — and, when the parameter point matches its
-// pinned golden entry, that document's digest must be the pinned one at
-// every shard count. Scenarios without the parameter must say why in
-// shardExempt, so adding a scenario forces an explicit sharding
-// decision.
+// The differential half of the determinism contract: every pinned
+// scenario must reproduce its golden digest at three execution widths.
+// A scenario that declares the `shards` execution parameter partitions
+// one clustered simulation, so it runs at shards=1 (the sequential
+// reference), 2 and 4; every other scenario runs its sweep at
+// -parallel 1, 2 and 4.
 
-// shardExempt names the scenarios that deliberately do not take a
-// `shards` parameter, with the reason.
-var shardExempt = map[string]string{
-	"anchors":           "closed-form cost-model table; no simulation to shard",
-	"table1":            "single-engine microbenchmark table; one short run per row",
-	"fig2":              "single-engine breakdown figure; one short run per bar",
-	"fig5":              "single-engine latency microbenchmark; sub-second runs",
-	"fig6":              "single-engine multithreaded scaling microbenchmark; sub-second runs",
-	"fig7":              "single-engine netpipe sweep; sub-second runs",
-	"fig1":              "one OLTP simulation per mode; the grid is too small to shard",
-	"sensitivity":       "shares the fig8 harness but sweeps cost knobs; runs are short",
-	"ablation-tls":      "single-engine ablation microbenchmark",
-	"ablation-sharedpt": "one OLTP run per configuration; grid too small to shard",
-	"ablation-steal":    "one OLTP run per configuration; grid too small to shard",
-	"crosscall":         "single-engine cross-domain call microbenchmark",
-	"crosscalldeep":     "single-engine call-depth microbenchmark",
+// declaresShards reports whether s takes the `shards` parameter.
+func declaresShards(s scenario.Scenario) bool {
+	for _, spec := range s.Params() {
+		if spec.Key == "shards" {
+			return true
+		}
+	}
+	return false
 }
 
-// shardedScenarios returns the registered scenarios that declare a
-// `shards` parameter, asserting along the way that the parameter is
-// execution-only (it must never reach the canonical parameter map) and
-// that non-declaring scenarios are exempted with a reason.
-func shardedScenarios(t *testing.T) []scenario.Scenario {
-	t.Helper()
-	var out []scenario.Scenario
+// TestShardedScenarioCoverage requires `shards` to be execution-only
+// wherever it is declared: it must never reach the canonical parameter
+// map, or the digests could not be shard-invariant by construction.
+func TestShardedScenarioCoverage(t *testing.T) {
 	for _, s := range scenario.Default.All() {
-		declared := false
 		for _, spec := range s.Params() {
-			if spec.Key != "shards" {
-				continue
-			}
-			declared = true
-			if !spec.Exec {
+			if spec.Key == "shards" && !spec.Exec {
 				t.Errorf("scenario %q declares `shards` as a result parameter; it must be execution-only (Exec)", s.Name())
 			}
 		}
-		reason, exempt := shardExempt[s.Name()]
-		switch {
-		case declared && exempt:
-			t.Errorf("scenario %q both declares `shards` and is listed in shardExempt", s.Name())
-		case declared:
-			out = append(out, s)
-		case !exempt || strings.TrimSpace(reason) == "":
-			t.Errorf("scenario %q neither declares a `shards` parameter nor gives a reason in shardExempt", s.Name())
-		}
 	}
-	for name := range shardExempt {
-		if _, ok := scenario.Default.Lookup(name); !ok {
-			t.Errorf("shardExempt lists unregistered scenario %q", name)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name() < out[j].Name() })
-	return out
 }
 
-func TestShardedScenarioCoverage(t *testing.T) {
-	shardedScenarios(t)
-}
-
-// TestShardedScenarioDigestInvariance runs every sharded scenario at its
-// golden parameter point under shards=1, 2 and 4 and requires all three
-// canonical digests to equal the pinned golden digest. Under -short only
-// the fast entries run (the slow OLTP grids take seconds each).
+// TestShardedScenarioDigestInvariance runs every pinned scenario at its
+// golden parameter point at widths 1, 2 and 4 — engine shards where the
+// scenario declares `shards`, sweep workers elsewhere — and requires
+// each canonical digest to equal the pinned one. Under -short only the
+// fast entries run (the slow OLTP grids take seconds each).
 func TestShardedScenarioDigestInvariance(t *testing.T) {
-	for _, s := range shardedScenarios(t) {
-		name := s.Name()
-		g, ok := scenarioGoldens[name]
-		if !ok {
-			continue // reported by TestScenarioGoldenCoverage
-		}
+	defer SetParallelism(0)
+	names := make([]string, 0, len(scenarioGoldens))
+	for name := range scenarioGoldens {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		g := scenarioGoldens[name]
 		if g.slow && testing.Short() {
 			continue
 		}
-		for _, shards := range []string{"1", "2", "4"} {
-			overrides := map[string]string{"shards": shards}
+		s, ok := scenario.Default.Lookup(name)
+		if !ok {
+			continue // reported by TestScenarioGoldenCoverage
+		}
+		sharded := declaresShards(s)
+		for _, width := range []int{1, 2, 4} {
+			overrides := map[string]string{}
 			for k, v := range g.overrides {
 				overrides[k] = v
 			}
+			knob := "parallel"
+			if sharded {
+				knob = "shards"
+				overrides["shards"] = strconv.Itoa(width)
+				SetParallelism(0)
+			} else {
+				SetParallelism(width)
+			}
 			cfg, err := scenario.NewConfig(s, overrides)
 			if err != nil {
-				t.Errorf("%s shards=%s: config: %v", name, shards, err)
+				t.Errorf("%s %s=%d: config: %v", name, knob, width, err)
 				continue
 			}
 			res, err := s.Run(cfg)
 			if err != nil {
-				t.Errorf("%s shards=%s: run: %v", name, shards, err)
+				t.Errorf("%s %s=%d: run: %v", name, knob, width, err)
 				continue
 			}
 			data, err := res.MarshalCanonical()
 			if err != nil {
-				t.Errorf("%s shards=%s: marshal: %v", name, shards, err)
+				t.Errorf("%s %s=%d: marshal: %v", name, knob, width, err)
 				continue
 			}
 			sum := sha256.Sum256(data)
 			if got := hex.EncodeToString(sum[:]); got != g.digest {
-				t.Errorf("%s: digest at shards=%s diverged from the sequential reference:\n got %s\nwant %s",
-					name, shards, got, g.digest)
+				t.Errorf("%s: digest at %s=%d diverged from the golden digest:\n got %s\nwant %s",
+					name, knob, width, got, g.digest)
 			}
 		}
 	}

@@ -1,8 +1,8 @@
 // Package mem models the memory system underneath the simulated OS: a
 // 4-level page table extended with the CODOMs per-page metadata (domain
-// tag, privileged-capability bit, capability-storage bit), simple TLBs,
-// and the global virtual-address-space allocator that dIPC's shared page
-// table relies on (§6.1.3 of the paper).
+// tag, privileged-capability bit, capability-storage bit) and the global
+// virtual-address-space allocator that dIPC's shared page table relies
+// on (§6.1.3 of the paper).
 package mem
 
 import "fmt"

@@ -193,65 +193,6 @@ func TestPagesInAndAlign(t *testing.T) {
 	}
 }
 
-func TestTLBHitMiss(t *testing.T) {
-	pt := NewPageTable()
-	if err := pt.Map(0x3000, 1, 0, Tag(2)); err != nil {
-		t.Fatal(err)
-	}
-	tlb := NewTLB(4)
-	if _, hit := tlb.Lookup(pt, 0x3000); hit {
-		t.Fatal("first access should miss")
-	}
-	if _, hit := tlb.Lookup(pt, 0x3008); !hit {
-		t.Fatal("second access to same page should hit")
-	}
-	h, m, _ := tlb.Stats()
-	if h != 1 || m != 1 {
-		t.Fatalf("stats = %d hits %d misses", h, m)
-	}
-}
-
-func TestTLBEvictionFIFO(t *testing.T) {
-	pt := NewPageTable()
-	for i := 0; i < 6; i++ {
-		if err := pt.Map(Addr(i)*PageSize+0x100000, 1, 0, NilTag); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tlb := NewTLB(4)
-	for i := 0; i < 5; i++ { // fill + evict first
-		tlb.Lookup(pt, Addr(i)*PageSize+0x100000)
-	}
-	if tlb.Len() != 4 {
-		t.Fatalf("len = %d, want 4", tlb.Len())
-	}
-	if _, hit := tlb.Lookup(pt, 0x100000); hit {
-		t.Fatal("oldest entry should have been evicted")
-	}
-}
-
-func TestTLBFlushAndInvalidate(t *testing.T) {
-	pt := NewPageTable()
-	if err := pt.Map(0x4000, 2, 0, NilTag); err != nil {
-		t.Fatal(err)
-	}
-	tlb := NewTLB(8)
-	tlb.Lookup(pt, 0x4000)
-	tlb.Lookup(pt, 0x5000)
-	tlb.Invalidate(0x4000)
-	if _, hit := tlb.Lookup(pt, 0x4000); hit {
-		t.Fatal("invalidated entry hit")
-	}
-	tlb.Flush()
-	if tlb.Len() != 0 {
-		t.Fatal("flush did not empty TLB")
-	}
-	_, _, flushes := tlb.Stats()
-	if flushes != 1 {
-		t.Fatalf("flushes = %d", flushes)
-	}
-}
-
 func TestGlobalSpaceAllocFree(t *testing.T) {
 	g := NewGlobalSpace(1<<30, 8<<30, 1<<30)
 	a, err := g.AllocBlock("web")

@@ -32,13 +32,6 @@ type Scenario interface {
 	Run(cfg *Config) (*Result, error)
 }
 
-// NonDeterministic is implemented by scenarios whose results depend on
-// wall-clock time or host properties. Implementers are exempt from the
-// golden digest coverage; the returned reason documents why.
-type NonDeterministic interface {
-	NonDeterministic() string
-}
-
 // Checker is implemented by scenarios with range or cross-parameter
 // constraints beyond what the kinds express (e.g. "threads >= 1").
 // NewConfig calls Check after parsing, so invalid values fail at config
