@@ -35,6 +35,7 @@ func main() {
 // from the smoke test).
 func demo(w io.Writer) (calls int, crashErr, readErr error) {
 	eng := sim.NewEngine(7)
+	defer eng.Close()
 	machine := kernel.NewMachine(eng, cost.Default(), 1)
 	rt := core.NewRuntime(machine)
 	app := rt.NewProcess("app")

@@ -31,6 +31,7 @@ func main() {
 func demo(w io.Writer) (sum, crossCalls uint64) {
 	// Boot a 2-CPU simulated machine and a dIPC runtime on it.
 	eng := sim.NewEngine(42)
+	defer eng.Close()
 	machine := kernel.NewMachine(eng, cost.Default(), 2)
 	rt := core.NewRuntime(machine)
 

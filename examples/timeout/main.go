@@ -27,6 +27,7 @@ func main() {
 // the impatient call's error (testable from the smoke test).
 func demo(w io.Writer) (patient uint64, timeoutErr error) {
 	eng := sim.NewEngine(3)
+	defer eng.Close()
 	machine := kernel.NewMachine(eng, cost.Default(), 2)
 	rt := core.NewRuntime(machine)
 	slow := rt.NewProcess("slow-service")

@@ -80,7 +80,8 @@ const irqPathCost = 80 * sim.Nanosecond
 // copies").
 const reqDescBytes = 64
 
-// Setup builds the world for a variant.
+// Setup builds the world for a variant. A World runs once: RunLatency
+// and RunBandwidth close its engine when they return.
 func Setup(v Variant, seed uint64) *World {
 	eng := sim.NewEngine(seed)
 	m := kernel.NewMachine(eng, cost.Default(), 2)
@@ -200,6 +201,7 @@ func Setup(v Variant, seed uint64) *World {
 // messages: one send-side driver op, the NIC round trip, and one
 // completion-side driver op per round.
 func (w *World) RunLatency(size, rounds int) sim.Time {
+	defer w.Eng.Close()
 	var total sim.Time
 	w.M.Spawn(w.app, "nptcp-lat", w.M.CPUs[0], func(t *kernel.Thread) {
 		for i := 0; i < 4; i++ { // warmup (resolution, cold caches)
@@ -223,6 +225,7 @@ func (w *World) RunLatency(size, rounds int) sim.Time {
 // which share the machine in the =CPU configurations) while the wire
 // drains concurrently.
 func (w *World) RunBandwidth(size, messages int) float64 {
+	defer w.Eng.Close()
 	var elapsed sim.Time
 	w.M.Spawn(w.app, "nptcp-bw", w.M.CPUs[0], func(t *kernel.Thread) {
 		for i := 0; i < 4; i++ {

@@ -1,34 +1,30 @@
 package oltp
 
 import (
-	"fmt"
-
 	"repro/internal/kernel"
 	"repro/internal/sim"
 )
 
 // The database tier: a small but genuine storage engine in the shape of
 // the DVDStore schema — products searchable by category, customers with
-// credentials, and an order log. Query execution does real index work on
-// the in-memory structures, touches buffer-pool pages derived from the
-// keys it visits, and (in the on-disk configuration) commits orders
-// through synchronous log writes.
+// their order history, and an order log. Rows keep only the columns a
+// query reads; a login's credential check is a charged cost. Query
+// execution does real index work on the in-memory structures, touches
+// buffer-pool pages derived from the keys it visits, and (in the on-disk
+// configuration) commits orders through synchronous log writes.
 
 // Product is one row of the products table.
 type Product struct {
 	ID       int
 	Category int
-	Title    string
 	Price    int // cents
 	Stock    int
 }
 
 // Customer is one row of the customers table.
 type Customer struct {
-	ID       int
-	Name     string
-	Password string
-	Orders   []int
+	ID     int
+	Orders []int
 }
 
 // Order is one row of the orders table.
@@ -73,7 +69,6 @@ func NewDB(m *kernel.Machine, prm *Params, inMem bool) *DB {
 		p := &Product{
 			ID:       i,
 			Category: i % prm.Categories,
-			Title:    fmt.Sprintf("dvd-%06d", i),
 			Price:    999 + (i%40)*100,
 			Stock:    100,
 		}
@@ -81,11 +76,7 @@ func NewDB(m *kernel.Machine, prm *Params, inMem bool) *DB {
 		db.byCategory[p.Category] = append(db.byCategory[p.Category], i)
 	}
 	for i := 0; i < prm.Customers; i++ {
-		db.customers[i] = &Customer{
-			ID:       i,
-			Name:     fmt.Sprintf("user%05d", i),
-			Password: fmt.Sprintf("pw%05d", i),
-		}
+		db.customers[i] = &Customer{ID: i}
 	}
 	// The paper measures after a 2-minute warmup (§7.4); model that by
 	// pre-warming the buffer pool so steady-state reads hit memory and

@@ -213,6 +213,7 @@ func (cfg *ChainFaultsConfig) tiers() *tierChain {
 func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 	cfg.applyDefaults()
 	r := newRig(cfg.Seed, cfg.CPUs, GatewayConfig{})
+	defer r.eng.Close()
 	transports, _ := r.serveChain(&cfg, nil)
 
 	// Closed-loop clients. Op outcomes and latency gate client-side on

@@ -2,6 +2,7 @@ package oltp
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/faults"
 	"repro/internal/kernel"
@@ -219,7 +220,7 @@ func (g *Gateway) pop() *request {
 		g.pending = g.pending[:n-1]
 	} else {
 		req = g.pending[0]
-		g.pending = g.pending[1:]
+		g.pending = slices.Delete(g.pending, 0, 1)
 	}
 	return req
 }

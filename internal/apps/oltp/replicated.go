@@ -255,6 +255,7 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 	R := cfg.Replicas
 
 	cl := sim.NewCluster(cfg.Seed, cfg.Shards)
+	defer cl.Close()
 	machines := R + 1
 	ms := kernel.PlaceMachines(cl, cost.Default(), machines, cfg.CPUs)
 	prm := DefaultParams()

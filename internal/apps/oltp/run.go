@@ -117,6 +117,7 @@ func Run(cfg Config) *Result {
 		cfg.Window = sim.Millis(250)
 	}
 	r := newRig(cfg.Seed, cfg.CPUs, GatewayConfig{})
+	defer r.eng.Close()
 	r.m.StealOnIdle = !cfg.DisableSteal
 	stack := &Stack{Prm: r.prm, DB: NewDB(r.m, r.prm, cfg.InMemory)}
 	webProc, rt := buildTiers(r.m, stack, cfg)

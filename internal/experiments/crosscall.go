@@ -30,6 +30,7 @@ type CrossCallResult struct {
 // the call path directly rather than only through whole figures.
 func MeasureCrossCallChain(depth, calls int, high bool) *CrossCallResult {
 	eng := sim.NewEngine(11)
+	defer eng.Close()
 	m := kernel.NewMachine(eng, cost.Default(), 2)
 	rt := core.NewRuntime(m)
 	caller := rt.NewProcess("caller")

@@ -52,6 +52,7 @@ const (
 )
 
 func (h *microHarness) run(label string) Measurement {
+	defer h.eng.Close()
 	var mean sim.Time
 	var per []stats.Breakdown
 	h.m.Spawn(h.caller, "caller", h.pin, func(t *kernel.Thread) {

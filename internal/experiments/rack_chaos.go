@@ -76,6 +76,7 @@ func RunRackChaos(c RackChaosConfig) *RackChaosResult {
 // exactly like a lost packet.
 func runRack(c RackChaosConfig) *RackChaosResult {
 	cl := sim.NewCluster(c.Seed, c.Shards)
+	defer cl.Close()
 	p := cost.Default()
 	ms := kernel.PlaceMachines(cl, p, c.Machines, c.CPUs)
 	inj := faults.NewInjector(c.Plan)

@@ -1,6 +1,8 @@
 package ipc
 
 import (
+	"slices"
+
 	"repro/internal/kernel"
 	"repro/internal/stats"
 )
@@ -107,7 +109,7 @@ func (ep *L4Endpoint) Reply(t *kernel.Thread, reply any) {
 func (ep *L4Endpoint) nextCall(t *kernel.Thread) *l4Call {
 	if len(ep.pending) > 0 {
 		c := ep.pending[0]
-		ep.pending = ep.pending[1:]
+		ep.pending = slices.Delete(ep.pending, 0, 1)
 		return c
 	}
 	ep.server = t

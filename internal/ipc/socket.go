@@ -1,6 +1,8 @@
 package ipc
 
 import (
+	"slices"
+
 	"repro/internal/kernel"
 	"repro/internal/stats"
 )
@@ -68,7 +70,7 @@ func (s *Socket) Recv(t *kernel.Thread) Message {
 			s.readers.BlockOn(t)
 		}
 		msg = s.msgs[0]
-		s.msgs = s.msgs[1:]
+		s.msgs = slices.Delete(s.msgs, 0, 1) // in place: Send's append reuses the array
 		s.buffered -= msg.Size
 		t.Exec(prm.KernelCopy(msg.Size), stats.BlockKernel)
 		s.writers.WakeOne(nil, t)

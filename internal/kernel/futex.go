@@ -1,6 +1,10 @@
 package kernel
 
-import "repro/internal/stats"
+import (
+	"slices"
+
+	"repro/internal/stats"
+)
 
 // TQueue is a FIFO wait queue of kernel threads — the building block of
 // futexes, pipes and socket buffers. Pops advance a head index over a
@@ -85,7 +89,7 @@ func (in *Inbox) Submit(id uint64) {
 func (in *Inbox) Recv(t *Thread) uint64 {
 	if len(in.pending) > 0 {
 		id := in.pending[0]
-		in.pending = in.pending[1:]
+		in.pending = slices.Delete(in.pending, 0, 1)
 		return id
 	}
 	return in.waiters.BlockOn(t).(uint64)

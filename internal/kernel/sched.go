@@ -1,6 +1,8 @@
 package kernel
 
 import (
+	"slices"
+
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -55,10 +57,9 @@ func (c *CPU) reserve(t *Thread) {
 }
 
 // fire schedules t's actual resumption after delay and finalizes the
-// switch bookkeeping. The wake rides the sim engine's direct-handoff
-// path: when this CPU switch is the next simulated event, whichever
-// goroutine is running delivers the payload straight to t's proc — and
-// the common nil wakeData travels the engine's unboxed payload lane.
+// switch bookkeeping. When this CPU switch is the next simulated event,
+// the engine loop resumes t's proc coroutine directly — and the common
+// nil wakeData travels the engine's unboxed payload lane.
 func (c *CPU) fire(t *Thread, delay sim.Time) {
 	c.lastPT = t.proc.PageTable
 	c.lastProc = t.proc
@@ -140,7 +141,7 @@ func (c *CPU) switchOut(prev *Thread) {
 	var next *Thread
 	if len(c.runq) > 0 {
 		next = c.runq[0]
-		c.runq = c.runq[1:]
+		c.runq = slices.Delete(c.runq, 0, 1) // in place: place's append reuses the array
 	} else if c.m.StealOnIdle {
 		next = c.steal()
 	}

@@ -253,6 +253,14 @@ func (c *Cluster) Run() error {
 	return c.Deadlock()
 }
 
+// Close closes every shard's engine in shard order (see Engine.Close),
+// unwinding the procs still parked once the run is over.
+func (c *Cluster) Close() {
+	for _, s := range c.shards {
+		s.eng.Close()
+	}
+}
+
 // run is the epoch loop. Each iteration: drain cross-shard buffers into
 // the receiving heaps (single-threaded — the conservative horizons of the
 // previous epoch guarantee everything a shard needed this epoch had

@@ -11,7 +11,7 @@ import (
 // goldenStressDigest pins the full dispatch trace of the randomized
 // stress workload below (seed 7, 6 procs, 120 steps each), captured from
 // the pre-handoff engine (dedicated engine goroutine, commit 77a21e0).
-// The direct-handoff dispatch core must reproduce it byte for byte, on
+// The coroutine dispatch core must reproduce it byte for byte, on
 // every drive mode: (at, seq) delivery order is the determinism contract
 // of the whole reproduction.
 const goldenStressDigest = "e42d33f92bfa187090afbee90b74ecaac7c6e017750fac027712aa40858bd6e2"

@@ -1,8 +1,10 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 )
 
@@ -33,30 +35,30 @@ func satAdd(a, b Time) Time {
 }
 
 // Engine is a deterministic discrete-event simulator. It owns the
-// simulated clock and the event queue, and hands control to exactly one
-// goroutine at a time. All mutation of simulation state therefore happens
+// simulated clock and the event queue, and runs exactly one proc or
+// callback at a time. All mutation of simulation state therefore happens
 // race-free, without locks, in a well-defined order.
 //
-// Dispatch uses direct handoff: there is no dedicated engine goroutine.
-// The scheduling loop (schedule) migrates onto whichever goroutine is
-// running — when a proc parks, its own goroutine pops the next event and
-// delivers the payload straight to the target's resume channel, the same
-// way dIPC threads switch protection domains without trapping into the
-// kernel. A dispatch therefore costs one channel handoff instead of the
-// classic two (running proc -> engine goroutine -> next proc), a proc
-// whose own wakeup is the next event resumes with no channel operation at
-// all, and callback events run inline on whatever goroutine holds
-// control.
+// The engine loop runs on the goroutine that calls Run/RunUntil (in a
+// Cluster, the shard's goroutine), and every Proc is a coroutine. A proc
+// that parks carries the loop forward itself: callbacks, link events and
+// its own wakeup run inline with no switch at all, the same way dIPC
+// threads cross protection domains without trapping into the kernel.
+// Only when the next event wakes a different proc does the parking proc
+// yield to the loop, which resumes the target — two coroutine switches,
+// never a trip through the Go scheduler. Close unwinds the procs still
+// parked when a run is over.
 type Engine struct {
 	now    Time
 	seq    uint64
 	events eventQueue
 	rng    *Rand
 
-	boot     chan struct{} // control handback to the Run/RunUntil caller
-	live     int           // procs spawned and not yet finished
-	procs    []*Proc       // roster of spawned procs (deadlock diagnostics)
-	panicVal any           // re-thrown panic from a proc or callback
+	handoff  *Proc   // proc the loop resumes next; set by schedule
+	live     int     // procs spawned and not yet finished
+	procs    []*Proc // roster of spawned procs (deadlock diagnostics, Close)
+	panicVal any     // re-thrown panic from a proc or callback
+	closed   bool    // Close has run; the engine schedules nothing more
 
 	limit Time // events scheduled after this instant stay queued
 }
@@ -66,7 +68,6 @@ type Engine struct {
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
 		rng:   NewRand(seed),
-		boot:  make(chan struct{}),
 		limit: maxTime,
 	}
 }
@@ -99,6 +100,9 @@ func (e *Engine) Live() int { return e.live }
 //
 //dipcvet:noalloc
 func (e *Engine) push(at Time, p *Proc, gen uint64, data payload, fn func()) {
+	if e.closed {
+		panicClosed()
+	}
 	if at < e.now {
 		at = e.now
 	}
@@ -126,6 +130,9 @@ func (e *Engine) push(at Time, p *Proc, gen uint64, data payload, fn func()) {
 //
 //dipcvet:noalloc
 func (e *Engine) pushSeq(at Time, seq uint64, lk *Link, v uint64, fn func()) {
+	if e.closed {
+		panicClosed()
+	}
 	if at < e.now {
 		e.panicLookaheadViolated(at)
 	}
@@ -240,59 +247,93 @@ func (e *Engine) At(d Time, fn func()) {
 }
 
 // Spawn creates a new simulated thread running fn and schedules it to
-// start after delay d. The backing goroutine parks immediately and only
-// executes while it holds engine control. When fn returns, the dying
-// goroutine itself carries the engine loop forward, handing control to
-// whichever goroutine the next event wakes.
+// start after delay d. fn runs as a coroutine that executes only while
+// the engine has dispatched it; when fn returns, the loop carries on
+// with the next event.
 func (e *Engine) Spawn(name string, d Time, fn func(p *Proc)) *Proc {
-	p := &Proc{
-		eng:    e,
-		name:   name,
-		resume: make(chan payload),
+	if e.closed {
+		panicClosed()
 	}
-	e.live++
-	e.procs = append(e.procs, p)
-	//dipcvet:goroutine-ok coroutine carrier: the engine hands execution over the resume channel, one runner at a time
-	go func() {
-		<-p.resume // wait for first dispatch
+	p := &Proc{eng: e, name: name}
+	p.next, p.stop = newCoro(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
 			p.finished = true
 			e.procExited(p)
-			if r := recover(); r != nil {
-				if e.panicVal == nil {
-					e.panicVal = fmt.Errorf("sim: proc %q panicked: %v", p.name, r)
-				}
-				e.boot <- struct{}{}
-				return
+			if r := recover(); r != nil && r != errProcStopped && e.panicVal == nil {
+				e.panicVal = fmt.Errorf("sim: proc %q panicked: %v", p.name, r)
 			}
-			e.finish()
 		}()
 		fn(p)
-	}()
+	})
+	e.live++
+	e.procs = append(e.procs, p)
 	e.bumpGen(p)
 	e.push(e.now+d, p, p.gen, payload{}, nil)
 	return p
+}
+
+// errProcStopped is the sentinel park panics with when Close stops a
+// parked proc; it unwinds the proc's stack, running its deferred code,
+// and Spawn's wrapper recovers it.
+var errProcStopped = errors.New("sim: proc stopped by Close")
+
+// panicClosed reports a scheduling call on a closed engine — typically
+// deferred code of a proc that Close is unwinding. It keeps the message
+// off the //dipcvet:noalloc paths that check for it.
+func panicClosed() {
+	panic("sim: engine is closed: a proc unwound by Close must not park, spawn or schedule events")
+}
+
+// Close ends the simulation: every proc still parked (or never
+// dispatched) is unwound so its coroutine exits, running the proc's
+// deferred code. That deferred code must not park, spawn or schedule;
+// doing so panics, and Close re-throws the first such panic after
+// stopping every proc. Close must be called between runs, not from a
+// proc or callback; calling it again does nothing, and running a closed
+// engine panics.
+func (e *Engine) Close() {
+	if e.closed {
+		return
+	}
+	e.closed = true
+	// procExited compacts the roster while procs unwind, so stop them
+	// from a copy.
+	for _, p := range slices.Clone(e.procs) {
+		if p.finished {
+			continue
+		}
+		p.stop()
+		if !p.finished { // never dispatched: its body never ran
+			p.finished = true
+			e.procExited(p)
+		}
+	}
+	if e.panicVal != nil {
+		v := e.panicVal
+		e.panicVal = nil
+		panic(v)
+	}
 }
 
 // schedResult says where control went after a schedule call.
 type schedResult uint8
 
 const (
-	schedStopped schedResult = iota // stop condition; the bootstrap has (or is being handed) control
-	schedHanded                     // payload delivered to another proc's goroutine
+	schedStopped schedResult = iota // stop condition; the loop in enter returns
+	schedHanded                     // the next event wakes e.handoff
 	schedSelf                       // the next wakeup targeted self; payload returned inline
 )
 
-// schedule is the engine loop. It runs on the calling goroutine — the
-// heart of direct-handoff dispatch — popping events until either control
-// moves to another goroutine or a stop condition (queue empty, limit
-// boundary, an aborting panic) returns it to the bootstrap.
+// schedule is the engine loop body. It runs inline on whoever holds
+// control — enter, or a parking proc — popping events until either the
+// next wakeup targets a proc or a stop condition (queue empty, limit
+// boundary, an aborting panic) ends the run.
 //
-// self names the proc whose goroutine is executing, so that proc's own
-// wakeup can be returned inline with no channel operation; it is nil for
-// the bootstrap and for a proc that has finished. isBoot marks the
-// bootstrap itself: on stop it keeps control instead of signalling
-// e.boot.
+// self names the parking proc, so its own wakeup is returned inline with
+// no switch; it is nil when enter calls. A wakeup for any other proc is
+// stored in the target's wake slot and the target recorded in e.handoff
+// for enter to resume.
 //
 // Stale wakeups (a timer firing after its waiter was already woken
 // through another path) are dropped at the head without advancing the
@@ -301,7 +342,7 @@ const (
 // scheduled after the window.
 //
 //dipcvet:noalloc
-func (e *Engine) schedule(self *Proc, isBoot bool) (payload, schedResult) {
+func (e *Engine) schedule(self *Proc) (payload, schedResult) {
 	for {
 		for e.events.len() > 0 && staleEvent(e.events.head()) {
 			e.events.pop()
@@ -315,7 +356,7 @@ func (e *Engine) schedule(self *Proc, isBoot bool) (payload, schedResult) {
 		if ev.proc == nil {
 			if ev.fn != nil {
 				if !e.runCallback(ev.fn) {
-					break // abort: hand control home; enter re-throws panicVal
+					break // abort: enter re-throws panicVal
 				}
 			} else if !e.runLink(&ev) {
 				break
@@ -332,22 +373,20 @@ func (e *Engine) schedule(self *Proc, isBoot bool) (payload, schedResult) {
 		if p == self {
 			return ev.data, schedSelf
 		}
-		p.resume <- ev.data
+		p.wake = ev.data
+		e.handoff = p
 		return payload{}, schedHanded
-	}
-	if !isBoot {
-		e.boot <- struct{}{}
 	}
 	return payload{}, schedStopped
 }
 
 // runCallback executes a callback event, reporting false if it panicked.
 // The panic is contained here — not allowed to unwind — because the loop
-// may be hosted by a parked proc's goroutine: a raw panic would unwind
-// that innocent proc's user code and be misattributed to it by Spawn's
+// may be running inside a parking proc: a raw panic would unwind that
+// innocent proc's user code and be misattributed to it by Spawn's
 // recover. Containing it means a panicking callback behaves identically
-// on every goroutine: the loop stops, control returns to the bootstrap,
-// and enter re-throws "sim: callback panicked" there.
+// wherever the loop runs: the loop stops and enter re-throws
+// "sim: callback panicked".
 //
 //dipcvet:noalloc
 func (e *Engine) runCallback(fn func()) (ok bool) {
@@ -377,28 +416,21 @@ func (e *Engine) runLink(ev *event) (ok bool) {
 	return true
 }
 
-// finish continues the engine loop after a proc exits. The backstop
-// recover converts a panic escaping the loop itself (an engine bug —
-// callback panics are already contained by runCallback) into an engine
-// panic delivered to the bootstrap instead of a process crash.
-func (e *Engine) finish() {
-	defer func() {
-		if r := recover(); r != nil {
-			if e.panicVal == nil {
-				e.panicVal = fmt.Errorf("sim: engine loop panicked: %v", r)
-			}
-			e.boot <- struct{}{}
-		}
-	}()
-	e.schedule(nil, false)
-}
-
-// enter drives the engine from the bootstrap goroutine, waits for control
-// to come home if the loop handed it to a proc, then re-throws any panic
-// a proc or callback raised.
+// enter drives the engine on the calling goroutine: it runs the loop,
+// resumes each proc the loop hands control to until the run stops, then
+// re-throws any panic a proc or callback raised. A proc that returns
+// leaves the loop to enter, which carries on from the next event.
 func (e *Engine) enter() {
-	if _, r := e.schedule(nil, true); r == schedHanded {
-		<-e.boot
+	if e.closed {
+		panic("sim: run of a closed engine")
+	}
+	e.schedule(nil)
+	for e.handoff != nil {
+		p := e.handoff
+		e.handoff = nil
+		if _, ok := p.next(); !ok && e.panicVal == nil {
+			e.schedule(nil)
+		}
 	}
 	if e.panicVal != nil {
 		v := e.panicVal

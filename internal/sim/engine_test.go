@@ -239,8 +239,12 @@ func TestCallbackEvents(t *testing.T) {
 
 func TestProcPanicPropagates(t *testing.T) {
 	defer func() {
-		if recover() == nil {
+		r := recover()
+		if r == nil {
 			t.Fatal("expected panic to propagate from proc")
+		}
+		if got := fmt.Sprint(r); !strings.Contains(got, `sim: proc "bad" panicked: boom`) {
+			t.Fatalf("proc panic surfaced as %q", got)
 		}
 	}()
 	e := NewEngine(1)
@@ -249,9 +253,9 @@ func TestProcPanicPropagates(t *testing.T) {
 }
 
 // TestCallbackPanicAttribution: a panicking At callback must surface as
-// "callback panicked" no matter which goroutine happens to host the
-// migrating engine loop when it fires — the bootstrap, a parked proc
-// (which must NOT be blamed or unwound), or a proc that just exited.
+// "callback panicked" no matter where the engine loop runs when it fires
+// — in enter with no procs, inside a parking proc (which must NOT be
+// blamed or unwound), or in enter right after a proc exited.
 func TestCallbackPanicAttribution(t *testing.T) {
 	capture := func(fn func(e *Engine)) (r any) {
 		defer func() { r = recover() }()
@@ -261,7 +265,7 @@ func TestCallbackPanicAttribution(t *testing.T) {
 		return nil
 	}
 
-	// Bootstrap-hosted: no procs at all.
+	// Loop in enter: no procs at all.
 	r := capture(func(e *Engine) {
 		e.At(Nanosecond, func() { panic("boom-boot") })
 	})
@@ -269,8 +273,8 @@ func TestCallbackPanicAttribution(t *testing.T) {
 		t.Fatalf("bootstrap-hosted callback panic = %v, want callback panicked", r)
 	}
 
-	// Parked-proc-hosted: "innocent" is asleep when the callback fires on
-	// its goroutine; the panic must not be attributed to it.
+	// Loop inside a parking proc: "innocent" is carrying the loop when
+	// the callback fires; the panic must not be attributed to it.
 	r = capture(func(e *Engine) {
 		e.Spawn("innocent", 0, func(p *Proc) { p.Sleep(100 * Nanosecond) })
 		e.At(5*Nanosecond, func() { panic("boom-parked") })
@@ -282,8 +286,8 @@ func TestCallbackPanicAttribution(t *testing.T) {
 		t.Fatalf("callback panic misattributed to the parked proc: %v", r)
 	}
 
-	// Dying-proc-hosted: the proc exits first, its goroutine carries the
-	// loop into the panicking callback.
+	// Loop in enter after an exit: the proc returns first, and enter
+	// carries the loop into the panicking callback.
 	r = capture(func(e *Engine) {
 		e.Spawn("short", 0, func(p *Proc) {})
 		e.At(5*Nanosecond, func() { panic("boom-exit") })

@@ -3,7 +3,7 @@ package sim
 // payload is the value a wakeup delivers to a parked Proc. The hot wake
 // paths — Sleep's timer, bare WakeOne, the kernel's futex and timer
 // wakes — carry nil or a machine word; routing those through dedicated
-// lanes keeps the event heap and the resume channels free of interface
+// lanes keeps the event heap and the procs' wake slots free of interface
 // values, and lets WaitTimeout classify its deadline marker with an
 // integer compare instead of a type assertion.
 type payload struct {

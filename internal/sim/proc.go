@@ -1,15 +1,18 @@
 package sim
 
-// Proc is a simulated thread of execution. Its code runs on a dedicated
-// goroutine, but the engine guarantees mutual exclusion: a Proc only runs
-// between a dispatch and the next park. Simulated time advances only while
+// Proc is a simulated thread of execution. Its code runs as a coroutine
+// that the engine loop resumes, so a Proc only runs between a dispatch
+// and the next park, one at a time. Simulated time advances only while
 // the Proc is parked (Sleep) — computation itself is free unless the
 // caller charges for it explicitly, which is exactly what the kernel layer
 // does with its cost model.
 type Proc struct {
 	eng       *Engine
 	name      string
-	resume    chan payload // park/dispatch handoff; carries the wake payload
+	next      func() (struct{}, bool) // resume the coroutine (enter's loop)
+	stop      func()                  // unwind the coroutine (Close)
+	yield     func(struct{}) bool     // suspend back to the loop (park)
+	wake      payload                 // payload of a wakeup handed over by schedule
 	gen       uint64
 	delivered uint64 // highest generation whose wakeup was dispatched
 	queued    int    // live events in the engine heap for the current gen
@@ -31,19 +34,27 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Now() Time { return p.eng.now }
 
 // park suspends the proc until the engine delivers a wakeup for the
-// current generation. It first carries the engine loop forward on this
-// very goroutine (direct handoff): either the next event wakes this proc
-// — control never moves and the payload comes back with zero channel
-// operations — or the payload is handed straight to whoever runs next and
-// this goroutine blocks until its own turn comes around.
+// current generation. It first carries the engine loop forward inline:
+// either the next event wakes this proc — control never moves and the
+// payload comes back with no switch — or the loop hands control to
+// another proc, and this coroutine yields until its own wakeup resumes
+// it. A yield that returns false means Close is stopping the proc.
 //
 //dipcvet:noalloc
 func (p *Proc) park() payload {
-	pl, r := p.eng.schedule(p, false)
+	e := p.eng
+	if e.closed {
+		panicClosed()
+	}
+	pl, r := e.schedule(p)
 	if r == schedSelf {
 		return pl
 	}
-	return <-p.resume
+	if !p.yield(struct{}{}) {
+		panic(errProcStopped)
+	}
+	pl, p.wake = p.wake, payload{}
+	return pl
 }
 
 // Sleep advances simulated time by d from this Proc's perspective.
@@ -71,6 +82,9 @@ func (p *Proc) Sleep(d Time) {
 			q.stale--
 		}
 		if q.len() == 0 || q.head().at > at {
+			if e.closed {
+				panicClosed()
+			}
 			// Exactly the state a delivered wakeup would leave behind:
 			// prior events for the old generation become stale, the new
 			// generation is consumed, the clock stands at the wake time.
@@ -111,7 +125,7 @@ func (p *Proc) Wait() any {
 
 // WaitU64 is Wait for wakers on the unboxed uint64 lane (WakeU64,
 // WaitQueue.WakeOneU64): the word round-trips through the event heap and
-// the resume channel without interface boxing on either side. ok reports
+// the proc's wake slot without interface boxing on either side. ok reports
 // whether the wake actually carried a uint64 payload.
 //
 //dipcvet:noalloc

@@ -1,7 +1,7 @@
 // Package sim provides a deterministic discrete-event simulation engine.
 //
 // The engine drives a set of cooperating simulated threads (Procs), each
-// backed by a goroutine, such that exactly one Proc executes at any moment.
+// a coroutine, such that exactly one Proc executes at any moment.
 // Simulated time is advanced only by the event queue, so runs are exactly
 // reproducible: the same program and seed always produce the same event
 // order and the same final clock.
