@@ -316,24 +316,15 @@ func (e *Engine) Close() {
 	}
 }
 
-// schedResult says where control went after a schedule call.
-type schedResult uint8
-
-const (
-	schedStopped schedResult = iota // stop condition; the loop in enter returns
-	schedHanded                     // the next event wakes e.handoff
-	schedSelf                       // the next wakeup targeted self; payload returned inline
-)
-
 // schedule is the engine loop body. It runs inline on whoever holds
 // control — enter, or a parking proc — popping events until either the
 // next wakeup targets a proc or a stop condition (queue empty, limit
 // boundary, an aborting panic) ends the run.
 //
 // self names the parking proc, so its own wakeup is returned inline with
-// no switch; it is nil when enter calls. A wakeup for any other proc is
-// stored in the target's wake slot and the target recorded in e.handoff
-// for enter to resume.
+// no switch (woke reports it); self is nil when enter calls. A wakeup for
+// any other proc is stored in the target's wake slot and the target
+// recorded in e.handoff for enter to resume.
 //
 // Stale wakeups (a timer firing after its waiter was already woken
 // through another path) are dropped at the head without advancing the
@@ -342,7 +333,7 @@ const (
 // scheduled after the window.
 //
 //dipcvet:noalloc
-func (e *Engine) schedule(self *Proc) (payload, schedResult) {
+func (e *Engine) schedule(self *Proc) (pl payload, woke bool) {
 	for {
 		for e.events.len() > 0 && staleEvent(e.events.head()) {
 			e.events.pop()
@@ -371,13 +362,13 @@ func (e *Engine) schedule(self *Proc) (payload, schedResult) {
 		e.events.stale += p.queued - 1
 		p.queued = 0
 		if p == self {
-			return ev.data, schedSelf
+			return ev.data, true
 		}
 		p.wake = ev.data
 		e.handoff = p
-		return payload{}, schedHanded
+		return payload{}, false
 	}
-	return payload{}, schedStopped
+	return payload{}, false
 }
 
 // runCallback executes a callback event, reporting false if it panicked.

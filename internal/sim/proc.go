@@ -46,14 +46,14 @@ func (p *Proc) park() payload {
 	if e.closed {
 		panicClosed()
 	}
-	pl, r := e.schedule(p)
-	if r == schedSelf {
+	if pl, woke := e.schedule(p); woke {
 		return pl
 	}
 	if !p.yield(struct{}{}) {
 		panic(errProcStopped)
 	}
-	pl, p.wake = p.wake, payload{}
+	pl := p.wake
+	p.wake = payload{}
 	return pl
 }
 
@@ -62,9 +62,9 @@ func (p *Proc) park() payload {
 // Fast path: events are only ever pushed by whoever holds engine
 // control, and that is this proc right now — so if the queue holds no
 // live event at or before now+d, the engine loop could only pop this
-// proc's own wakeup straight back (schedSelf). In that case the heap
-// round trip, the generation bookkeeping of delivery and the park are
-// all skipped and the clock advances inline. The fast path is disabled
+// proc's own wakeup straight back. In that case the heap round trip, the
+// generation bookkeeping of delivery and the park are all skipped and
+// the clock advances inline. The fast path is disabled
 // across the RunUntil limit (the wakeup must stay queued past the
 // window), where the queued event is observable.
 //
