@@ -2,46 +2,39 @@
 // and figures plus the extensions — through the first-class scenario
 // API. Usage:
 //
+//	dipcbench [-parallel n] [-cpuprofile path] [-memprofile path] <verb> ...
 //	dipcbench list
-//	dipcbench run <scenario> [-p key=value ...] [-json path]
-//	dipcbench [-window ms] [-full] [-shards n] bench [-runs n] [-warmup n]
-//	          [-compare baseline.json] [-regress pct]
-//	          [-gate names] [-json path] [scenario ...]
-//	dipcbench [-window ms] [-full] [-shards n] [-parallel n]
-//	          [-benchjson path] [-cpuprofile path] [-memprofile path]
-//	          [experiment ...]
+//	dipcbench run <scenario|group|all> [-p key=value ...] [-json path]
+//	dipcbench bench [-runs n] [-warmup n] [-compare baseline.json]
+//	          [-regress pct] [-gate names] [-p key=value ...]
+//	          [-json path] [scenario|group|all ...]
 //
 // `list` prints every registered scenario with its typed parameters and
-// defaults. `run` executes one scenario with explicit parameter
-// overrides and can write the canonical dipc-scenario/v1 JSON document.
-// `bench` wall-clock-times the selected scenarios (default: the
-// scenarios of the -compare baseline, else all) over -runs measured
+// defaults, and the group names. `run` executes one scenario, a group or
+// `all` in registration order and prints each result; with -json (one
+// scenario only) it also writes the canonical dipc-scenario/v1 JSON
+// document. `bench` wall-clock-times the selected scenarios (default:
+// the scenarios of the -compare baseline, else all) over -runs measured
 // iterations after -warmup unmeasured ones, prints min/median per
 // scenario, optionally diffs against a committed BENCH_*.json baseline
 // (flagging scenarios that regressed more than -regress percent), and
 // with -json writes the dipc-bench/v3 report that becomes the next
-// baseline. The last form is the legacy interface: each experiment name
-// is a scenario or group from the registry (fig1, fig2, table1, ...,
-// ablations, all; default: all), and the -window/-full flags forward to
-// every selected scenario that declares those parameters.
+// baseline.
 //
-// Independent sweep points run concurrently on a worker pool (-parallel,
-// alias -j; default: one worker per CPU); the output is identical
-// whatever the worker count.
+// `run` and `bench` resolve -p the same way: each key goes to every
+// selected scenario that declares it, a key no selected scenario
+// declares is an error, and every configuration is resolved before the
+// first scenario runs. `-p shards=n` sets how many engine shards
+// partition the scenarios that run one clustered simulation (rack,
+// chaos-rack, failover-*): 1 is the sequential reference, 0 one shard
+// per host core. Results are byte-identical at every shard count; only
+// wall-clock time changes, so bench reports record the shard count and
+// bench -compare refuses to mix different ones.
 //
-// -shards forwards to every selected scenario that declares a `shards`
-// execution parameter — the scenarios that run one clustered simulation
-// (rack, chaos-rack, failover-*) — and sets how many engine shards
-// partition it (1 = sequential reference, 0 = one per host core).
-// Results are byte-identical at every shard count; only wall-clock time
-// changes, so bench reports record the shard count and bench -compare
-// refuses to mix different ones.
-//
-// -benchjson times each selected scenario under a wall clock and writes
-// a BENCH_*.json-shaped baseline report (schema dipc-bench/v2, with the
-// run context and per-scenario parameters recorded) to the given path,
-// so the simulator's own speed can be tracked across PRs. -cpuprofile
-// and -memprofile write pprof profiles of the run for hot-path work.
+// Independent sweep points run concurrently on a worker pool
+// (-parallel; default: one worker per CPU); the output is identical
+// whatever the worker count. -cpuprofile and -memprofile write pprof
+// profiles of the verb's run for hot-path work.
 package main
 
 import (
@@ -58,8 +51,15 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
+
+const usage = `usage:
+  dipcbench [-parallel n] [-cpuprofile path] [-memprofile path] <verb> ...
+  dipcbench list
+  dipcbench run <scenario|group|all> [-p key=value ...] [-json path]
+  dipcbench bench [-runs n] [-warmup n] [-compare baseline.json] [-regress pct]
+            [-gate names] [-p key=value ...] [-json path] [scenario|group|all ...]
+`
 
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
@@ -79,24 +79,16 @@ func (p paramFlags) Set(s string) error {
 	return nil
 }
 
-// job is one scenario selected for execution with its resolved
-// parameter overrides.
-type job struct {
-	scn       scenario.Scenario
-	overrides map[string]string
-}
-
 // run executes the command against the given argument list and streams;
 // main is a thin wrapper so tests can drive the whole command in-process.
 func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("dipcbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	windowMs := fs.Float64("window", 250, "OLTP measurement window in milliseconds (forwarded to scenarios with a `window` parameter)")
-	full := fs.Bool("full", false, "run the full-resolution sweeps (forwarded to scenarios with a `full` parameter)")
+	fs.Usage = func() {
+		fmt.Fprint(stderr, usage)
+		fs.PrintDefaults()
+	}
 	parallel := fs.Int("parallel", 0, "sweep worker count (0 = one per CPU, 1 = sequential)")
-	fs.IntVar(parallel, "j", 0, "alias for -parallel")
-	shards := fs.Int("shards", 1, "shard count forwarded to scenarios with a `shards` parameter (1 = sequential reference, 0 = one per host core)")
-	benchjson := fs.String("benchjson", "", "write a wall-clock benchmark report (BENCH_*.json shape) to this path")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile to this path")
 	memprofile := fs.String("memprofile", "", "write a heap profile to this path")
 	if err := fs.Parse(argv); err != nil {
@@ -105,132 +97,25 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		return 2
 	}
-
 	experiments.SetParallelism(*parallel)
-	windowSet, shardsSet := false, false
-	fs.Visit(func(f *flag.Flag) {
-		switch f.Name {
-		case "window":
-			windowSet = true
-		case "shards":
-			shardsSet = true
-		}
-	})
-
-	// globalOverrides forwards the legacy -window/-full flags (and
-	// -shards, when given explicitly) to any scenario declaring those
-	// parameter keys; everything else comes from the scenario's own
-	// declared defaults.
-	globalOverrides := func(s scenario.Scenario) map[string]string {
-		ov := map[string]string{}
-		for _, spec := range s.Params() {
-			switch spec.Key {
-			case "window":
-				if windowSet {
-					ov["window"] = scenario.FormatDuration(sim.Millis(*windowMs))
-				}
-			case "full":
-				if *full {
-					ov["full"] = "true"
-				}
-			case "shards":
-				if shardsSet {
-					ov["shards"] = strconv.Itoa(*shards)
-				}
-			}
-		}
-		return ov
-	}
 
 	reg := scenario.Default
 	args := fs.Args()
-
-	var jobs []job
-	jsonPath := ""
+	var verb func(*scenario.Registry, []string, io.Writer, io.Writer) int
 	switch {
-	case len(args) > 0 && args[0] == "list":
+	case len(args) == 0:
+		fs.Usage()
+		return 2
+	case args[0] == "list":
 		return cmdList(reg, stdout)
-
-	case len(args) > 0 && args[0] == "bench":
-		return cmdBench(reg, args[1:], globalOverrides, *full, *windowMs, *shards, stdout, stderr)
-
-	case len(args) > 0 && args[0] == "run":
-		rest := args[1:]
-		if len(rest) == 0 {
-			fmt.Fprintf(stderr, "usage: dipcbench run <scenario> [-p key=value ...] [-json path]\n")
-			return 2
-		}
-		name := strings.ToLower(rest[0])
-		sub := flag.NewFlagSet("dipcbench run", flag.ContinueOnError)
-		sub.SetOutput(stderr)
-		pairs := paramFlags{}
-		sub.Var(pairs, "p", "scenario parameter override (`key=value`, repeatable)")
-		jsonFlag := sub.String("json", "", "write the canonical dipc-scenario/v1 JSON document to this path")
-		if err := sub.Parse(rest[1:]); err != nil {
-			if errors.Is(err, flag.ErrHelp) {
-				return 0
-			}
-			return 2
-		}
-		if sub.NArg() > 0 {
-			fmt.Fprintf(stderr, "unexpected argument %q; parameters use -p key=value\n", sub.Arg(0))
-			return 2
-		}
-		s, ok := reg.Lookup(name)
-		if !ok {
-			switch {
-			case name == "all":
-				fmt.Fprintf(stderr, "run takes a single scenario; use `dipcbench all` (or no arguments) to run everything\n")
-			case len(reg.GroupMembers(name)) > 0:
-				fmt.Fprintf(stderr, "run takes a single scenario; %q is a group (members: %s)\n",
-					name, strings.Join(reg.GroupMembers(name), ", "))
-			default:
-				fmt.Fprintf(stderr, "unknown scenario %q (known: %s)\n", name, strings.Join(reg.Names(), ", "))
-			}
-			return 2
-		}
-		ov := globalOverrides(s)
-		for k, v := range pairs { //dipcvet:unordered-ok map-to-map copy, order-insensitive
-			ov[k] = v
-		}
-		jobs = []job{{scn: s, overrides: ov}}
-		jsonPath = *jsonFlag
-
+	case args[0] == "run":
+		verb = cmdRun
+	case args[0] == "bench":
+		verb = cmdBench
 	default:
-		// Legacy interface: positional experiment names resolved through
-		// the registry, executed in registration order.
-		if len(args) == 0 {
-			args = []string{"all"}
-		}
-		want := map[string]bool{}
-		for _, a := range args {
-			list, ok := reg.Resolve(strings.ToLower(a))
-			if !ok {
-				fmt.Fprintf(stderr, "unknown experiment %q (known: %s)\n",
-					a, strings.Join(reg.Known(), ", "))
-				return 2
-			}
-			for _, s := range list {
-				want[s.Name()] = true
-			}
-		}
-		for _, s := range reg.All() {
-			if want[s.Name()] {
-				jobs = append(jobs, job{scn: s, overrides: globalOverrides(s)})
-			}
-		}
-	}
-
-	// Resolve every configuration up front so a bad parameter fails
-	// before any experiment runs.
-	cfgs := make([]*scenario.Config, len(jobs))
-	for i, j := range jobs {
-		cfg, err := scenario.NewConfig(j.scn, j.overrides)
-		if err != nil {
-			fmt.Fprintf(stderr, "%v\n", err)
-			return 2
-		}
-		cfgs[i] = cfg
+		fmt.Fprintf(stderr, "unknown verb %q\n", args[0])
+		fs.Usage()
+		return 2
 	}
 
 	if *cpuprofile != "" {
@@ -249,50 +134,8 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			f.Close()
 		}()
 	}
-
-	var report *experiments.BenchReport
-	if *benchjson != "" {
-		report = experiments.NewBenchReport()
-		report.Full = *full
-		report.Window = scenario.FormatDuration(sim.Millis(*windowMs))
-		report.Shards = resolveShards(*shards)
-	}
-	for i, j := range jobs {
-		var res *scenario.Result
-		var runErr error
-		do := func() { res, runErr = j.scn.Run(cfgs[i]) }
-		if report != nil {
-			report.TimeWithParams(j.scn.Name(), 1, cfgs[i].ParamStrings(), do)
-		} else {
-			do()
-		}
-		if runErr != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", j.scn.Name(), runErr)
-			return 1
-		}
-		fmt.Fprintln(stdout, res.RenderText())
-		if jsonPath != "" {
-			data, err := res.MarshalCanonical()
-			if err != nil {
-				fmt.Fprintf(stderr, "json: %v\n", err)
-				return 1
-			}
-			if err := os.WriteFile(jsonPath, data, 0o644); err != nil {
-				fmt.Fprintf(stderr, "json: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(stderr, "wrote scenario result: %s\n", jsonPath)
-		}
-	}
-	if report != nil {
-		if err := report.WriteFile(*benchjson); err != nil {
-			fmt.Fprintf(stderr, "benchjson: %v\n", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "wrote benchmark report: %s\n", *benchjson)
-	}
-
-	if *memprofile != "" {
+	code := verb(reg, args[1:], stdout, stderr)
+	if code == 0 && *memprofile != "" {
 		f, err := os.Create(*memprofile)
 		if err != nil {
 			fmt.Fprintf(stderr, "memprofile: %v\n", err)
@@ -305,13 +148,157 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			return 1
 		}
 	}
+	return code
+}
+
+// parseVerb parses a verb's flags, which may come before, between or
+// after its positional arguments, and returns the positional ones. ok is
+// false after a parse error or -h; code is then the exit code.
+func parseVerb(fs *flag.FlagSet, argv []string) (names []string, code int, ok bool) {
+	for {
+		if err := fs.Parse(argv); err != nil {
+			if errors.Is(err, flag.ErrHelp) {
+				return nil, 0, false
+			}
+			return nil, 2, false
+		}
+		if fs.NArg() == 0 {
+			return names, 0, true
+		}
+		names = append(names, fs.Arg(0))
+		argv = fs.Args()[1:]
+	}
+}
+
+// selectScenarios resolves names (scenarios, groups, "all") into the
+// scenarios they run, deduplicated, in registration order.
+func selectScenarios(reg *scenario.Registry, names []string) ([]scenario.Scenario, error) {
+	want := map[string]bool{}
+	for _, a := range names {
+		list, ok := reg.Resolve(strings.ToLower(a))
+		if !ok {
+			return nil, fmt.Errorf("unknown scenario %q (known: %s)", a, strings.Join(reg.Known(), ", "))
+		}
+		for _, s := range list {
+			want[s.Name()] = true
+		}
+	}
+	var out []scenario.Scenario
+	for _, s := range reg.All() {
+		if want[s.Name()] {
+			out = append(out, s)
+		}
+	}
+	return out, nil
+}
+
+// resolveConfigs resolves every selected scenario's configuration up
+// front, so a bad parameter fails before anything runs. Each -p key goes
+// to every selected scenario that declares it; a key that none of them
+// declares is an error naming it.
+func resolveConfigs(scns []scenario.Scenario, pairs paramFlags) ([]*scenario.Config, error) {
+	declared := map[string]bool{}
+	for _, s := range scns {
+		for _, spec := range s.Params() {
+			declared[spec.Key] = true
+		}
+	}
+	keys := make([]string, 0, len(pairs))
+	for k := range pairs {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	for _, k := range keys {
+		if !declared[k] {
+			valid := make([]string, 0, len(declared))
+			for d := range declared {
+				valid = append(valid, d)
+			}
+			sort.Strings(valid)
+			hint := "the selected scenarios take no parameters"
+			if len(valid) > 0 {
+				hint = "valid keys: " + strings.Join(valid, ", ")
+			}
+			return nil, fmt.Errorf("unknown parameter %q: no selected scenario declares it (%s)", k, hint)
+		}
+	}
+	cfgs := make([]*scenario.Config, len(scns))
+	for i, s := range scns {
+		ov := map[string]string{}
+		for _, spec := range s.Params() {
+			if v, ok := pairs[spec.Key]; ok {
+				ov[spec.Key] = v
+			}
+		}
+		cfg, err := scenario.NewConfig(s, ov)
+		if err != nil {
+			return nil, err
+		}
+		cfgs[i] = cfg
+	}
+	return cfgs, nil
+}
+
+// cmdRun runs one scenario, a group or all, printing each result.
+func cmdRun(reg *scenario.Registry, argv []string, stdout, stderr io.Writer) int {
+	sub := flag.NewFlagSet("dipcbench run", flag.ContinueOnError)
+	sub.SetOutput(stderr)
+	pairs := paramFlags{}
+	sub.Var(pairs, "p", "scenario parameter override (`key=value`, repeatable)")
+	jsonPath := sub.String("json", "", "write the canonical dipc-scenario/v1 JSON document to this path (one scenario only)")
+	names, code, ok := parseVerb(sub, argv)
+	if !ok {
+		return code
+	}
+	if len(names) != 1 {
+		if len(names) == 0 {
+			fmt.Fprint(stderr, usage)
+		} else {
+			fmt.Fprintf(stderr, "unexpected argument %q: run takes one scenario, group or all; parameters use -p key=value\n", names[1])
+		}
+		return 2
+	}
+	scns, err := selectScenarios(reg, names)
+	if err != nil {
+		fmt.Fprintf(stderr, "%v\n", err)
+		return 2
+	}
+	if *jsonPath != "" && len(scns) != 1 {
+		fmt.Fprintf(stderr, "-json writes one scenario's document; %q selects %d scenarios\n", names[0], len(scns))
+		return 2
+	}
+	cfgs, err := resolveConfigs(scns, pairs)
+	if err != nil {
+		fmt.Fprintf(stderr, "%v\n", err)
+		return 2
+	}
+	var res *scenario.Result
+	for i, s := range scns {
+		if res, err = s.Run(cfgs[i]); err != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", s.Name(), err)
+			return 1
+		}
+		fmt.Fprintln(stdout, res.RenderText())
+	}
+	if *jsonPath == "" {
+		return 0
+	}
+	data, err := res.MarshalCanonical()
+	if err == nil {
+		err = os.WriteFile(*jsonPath, data, 0o644)
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "json: %v\n", err)
+		return 1
+	}
+	fmt.Fprintf(stderr, "wrote scenario result: %s\n", *jsonPath)
 	return 0
 }
 
 // cmdBench times the selected scenarios under a multi-run wall clock and
 // optionally diffs them against a committed baseline report. It is the
 // perf-regression harness: CI's perf-smoke job runs
-// `bench -compare BENCH_engine.json -gate crosscall,crosscalldeep`.
+// `bench -compare BENCH_engine.json -gate crosscall,crosscalldeep,...`.
 // Plain regression flagging never changes the exit code — wall-clock
 // noise on shared runners must not gate merges on whole figures — but
 // a scenario named in -gate fails the run (exit 1) when it regresses
@@ -319,10 +306,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 // delta*: a slower host shifts every scenario together and cancels out
 // of the relative comparison, while a genuine hot-path regression
 // moves only its own scenarios.
-func cmdBench(reg *scenario.Registry, argv []string,
-	globalOverrides func(scenario.Scenario) map[string]string,
-	full bool, windowMs float64, shards int, stdout, stderr io.Writer) int {
-
+func cmdBench(reg *scenario.Registry, argv []string, stdout, stderr io.Writer) int {
 	sub := flag.NewFlagSet("dipcbench bench", flag.ContinueOnError)
 	sub.SetOutput(stderr)
 	runs := sub.Int("runs", 3, "measured runs per scenario (min/median reported)")
@@ -330,12 +314,12 @@ func cmdBench(reg *scenario.Registry, argv []string,
 	compare := sub.String("compare", "", "baseline BENCH_*.json to diff against")
 	regress := sub.Float64("regress", 25, "flag scenarios slower than baseline by more than this percent")
 	gate := sub.String("gate", "", "comma-separated scenarios whose regression fails the run (exit 1); judged relative to the suite's median delta so host-speed drift cancels")
+	pairs := paramFlags{}
+	sub.Var(pairs, "p", "scenario parameter override (`key=value`, repeatable), as for run")
 	jsonPath := sub.String("json", "", "write the dipc-bench/v3 report to this path")
-	if err := sub.Parse(argv); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
+	names, code, ok := parseVerb(sub, argv)
+	if !ok {
+		return code
 	}
 
 	var baseline *experiments.BenchReport
@@ -346,13 +330,6 @@ func cmdBench(reg *scenario.Registry, argv []string,
 			fmt.Fprintf(stderr, "compare: %v\n", err)
 			return 2
 		}
-		// Wall-clock numbers at different shard counts measure different
-		// executions; refusing up front beats a silently bogus diff.
-		if cur := resolveShards(shards); baseline.EffectiveShards() != cur {
-			fmt.Fprintf(stderr, "compare: baseline %s was measured at shards=%d, this run uses shards=%d; rerun with matching -shards\n",
-				*compare, baseline.EffectiveShards(), cur)
-			return 2
-		}
 	}
 
 	// Scenario selection: positional names (groups allowed), else the
@@ -360,67 +337,43 @@ func cmdBench(reg *scenario.Registry, argv []string,
 	// scenario is no longer registered is skipped — it surfaces as a
 	// "not run" row in the comparison instead of failing the whole
 	// bench, so retiring a scenario cannot break the CI perf smoke.
-	names := sub.Args()
-	fromBaseline := false
-	if len(names) == 0 {
-		if baseline != nil {
-			fromBaseline = true
-			for _, e := range baseline.Results {
-				names = append(names, e.Name)
-			}
-		} else {
-			names = []string{"all"}
-		}
-	}
-	want := map[string]bool{}
-	for _, a := range names {
-		list, ok := reg.Resolve(strings.ToLower(a))
-		if !ok {
-			if fromBaseline {
-				fmt.Fprintf(stderr, "skipping baseline scenario %q: not registered\n", a)
+	switch {
+	case len(names) > 0:
+	case baseline == nil:
+		names = []string{"all"}
+	default:
+		for _, e := range baseline.Results {
+			if _, ok := reg.Resolve(e.Name); !ok {
+				fmt.Fprintf(stderr, "skipping baseline scenario %q: not registered\n", e.Name)
 				continue
 			}
-			fmt.Fprintf(stderr, "unknown scenario %q (known: %s)\n", a, strings.Join(reg.Known(), ", "))
-			return 2
-		}
-		for _, s := range list {
-			want[s.Name()] = true
+			names = append(names, e.Name)
 		}
 	}
-	var jobs []job
-	for _, s := range reg.All() {
-		if want[s.Name()] {
-			jobs = append(jobs, job{scn: s, overrides: globalOverrides(s)})
-		}
+	scns, err := selectScenarios(reg, names)
+	if err != nil {
+		fmt.Fprintf(stderr, "%v\n", err)
+		return 2
 	}
-
-	cfgs := make([]*scenario.Config, len(jobs))
-	for i, j := range jobs {
-		cfg, err := scenario.NewConfig(j.scn, j.overrides)
-		if err != nil {
-			fmt.Fprintf(stderr, "%v\n", err)
-			return 2
-		}
-		cfgs[i] = cfg
+	cfgs, err := resolveConfigs(scns, pairs)
+	if err != nil {
+		fmt.Fprintf(stderr, "%v\n", err)
+		return 2
 	}
 
 	report := experiments.NewBenchReport()
-	report.Full = full
-	report.Window = scenario.FormatDuration(sim.Millis(windowMs))
-	report.Shards = resolveShards(shards)
-	for i, j := range jobs {
-		var runErr error
-		report.TimeRuns(j.scn.Name(), *runs, *warmup, cfgs[i].ParamStrings(), func() {
-			if _, err := j.scn.Run(cfgs[i]); err != nil && runErr == nil {
-				runErr = err
-			}
-		})
-		if runErr != nil {
-			fmt.Fprintf(stderr, "%s: %v\n", j.scn.Name(), runErr)
-			return 1
-		}
+	report.Shards = 1
+	if v, ok := pairs["shards"]; ok {
+		n, _ := strconv.Atoi(v) // already validated by resolveConfigs
+		report.Shards = resolveShards(n)
 	}
-
+	// Wall-clock numbers at different shard counts measure different
+	// executions; refusing up front beats a silently bogus diff.
+	if baseline != nil && baseline.Shards != report.Shards {
+		fmt.Fprintf(stderr, "compare: baseline %s was measured at shards=%d, this run uses shards=%d; rerun with matching -p shards\n",
+			*compare, baseline.Shards, report.Shards)
+		return 2
+	}
 	gated := map[string]bool{}
 	if *gate != "" {
 		if baseline == nil {
@@ -433,6 +386,20 @@ func cmdBench(reg *scenario.Registry, argv []string,
 			}
 		}
 	}
+
+	for i, s := range scns {
+		var runErr error
+		report.TimeRuns(s.Name(), *runs, *warmup, cfgs[i].ParamStrings(), func() {
+			if _, err := s.Run(cfgs[i]); err != nil && runErr == nil {
+				runErr = err
+			}
+		})
+		if runErr != nil {
+			fmt.Fprintf(stderr, "%s: %v\n", s.Name(), runErr)
+			return 1
+		}
+	}
+
 	gateFailures := 0
 	if baseline == nil {
 		fmt.Fprintf(stdout, "%-14s %5s %12s %12s\n", "scenario", "runs", "min", "median")
@@ -445,8 +412,9 @@ func cmdBench(reg *scenario.Registry, argv []string,
 		deltas := experiments.CompareReports(baseline, report)
 		median := experiments.MedianPct(deltas)
 		// A gated scenario that was not actually compared (renamed,
-		// dropped from the baseline, typo'd) must fail loudly: a gate
-		// that silently matches nothing has stopped gating.
+		// dropped from the baseline, typo'd, run with other params)
+		// must fail loudly: a gate that silently matches nothing has
+		// stopped gating.
 		compared := map[string]bool{}
 		for _, d := range deltas {
 			if d.Comparable() {
@@ -460,7 +428,7 @@ func cmdBench(reg *scenario.Registry, argv []string,
 		sort.Strings(gatedNames)
 		for _, name := range gatedNames {
 			if !compared[name] {
-				fmt.Fprintf(stderr, "gated scenario %q was not compared (missing from the run or the baseline)\n", name)
+				fmt.Fprintf(stderr, "gated scenario %q was not compared (missing from the run or the baseline, or its params differ)\n", name)
 				gateFailures++
 			}
 		}
@@ -473,6 +441,9 @@ func cmdBench(reg *scenario.Registry, argv []string,
 			case d.BaseNs == 0:
 				fmt.Fprintf(stdout, "%-14s %12s %12s %9s\n",
 					d.Name, "-", experiments.FmtNs(d.CurNs), "new")
+			case d.ParamsDiffer:
+				fmt.Fprintf(stdout, "%-14s %12s %12s %s\n",
+					d.Name, experiments.FmtNs(d.BaseNs), experiments.FmtNs(d.CurNs), "params differ")
 			default:
 				mark := ""
 				if d.Regressed(*regress) {
@@ -495,7 +466,7 @@ func cmdBench(reg *scenario.Registry, argv []string,
 		}
 		if len(gated) > 0 {
 			if gateFailures > 0 {
-				fmt.Fprintf(stdout, "GATE FAILED: %d gated scenario(s) regressed more than %.0f%% beyond the suite median (%+.1f%%)\n",
+				fmt.Fprintf(stdout, "GATE FAILED: %d gated scenario(s) regressed more than %.0f%% beyond the suite median (%+.1f%%) or were not compared\n",
 					gateFailures, *regress, median)
 			} else {
 				fmt.Fprintf(stdout, "gate ok: no gated scenario regressed more than %.0f%% beyond the suite median (%+.1f%%)\n",
@@ -517,14 +488,13 @@ func cmdBench(reg *scenario.Registry, argv []string,
 	return 0
 }
 
-// resolveShards maps the -shards flag to the shard count a run records:
-// 0 means one shard per host core, anything below 1 otherwise clamps to
-// the sequential reference.
+// resolveShards maps a `shards` override to the shard count a run
+// records: 0 means one shard per host core.
 func resolveShards(n int) int {
 	if n == 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	return max(n, 1)
+	return n
 }
 
 // cmdList prints every registered scenario, its parameter schema and

@@ -3,18 +3,22 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/experiments"
+	"repro/internal/scenario"
 )
 
 func TestRunAnchorsAndTable1(t *testing.T) {
 	var out, errb bytes.Buffer
-	if code := run([]string{"anchors", "table1"}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	for _, name := range []string{"anchors", "table1"} {
+		if code := run([]string{"run", name}, &out, &errb); code != 0 {
+			t.Fatalf("run %s: exit %d, stderr: %s", name, code, errb.String())
+		}
 	}
 	got := out.String()
 	for _, want := range []string{"Scalar anchors", "function call", "Table 1", "CODOMs"} {
@@ -29,7 +33,7 @@ func TestRunFig8ScalingExperiment(t *testing.T) {
 		t.Skip("OLTP sweep is slow")
 	}
 	var out, errb bytes.Buffer
-	if code := run([]string{"-window", "40", "fig8scaling"}, &out, &errb); code != 0 {
+	if code := run([]string{"run", "fig8scaling", "-p", "window=40ms"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	if !strings.Contains(out.String(), "vs cores") {
@@ -45,69 +49,46 @@ func TestRunParallelFlagMatchesSequential(t *testing.T) {
 		}
 		return out.String()
 	}
-	seq := render("-parallel", "1", "fig2")
-	par := render("-j", "4", "fig2")
+	seq := render("-parallel", "1", "run", "fig2")
+	par := render("-parallel", "4", "run", "fig2")
 	if seq != par {
 		t.Fatalf("parallel output diverged:\n%s\nvs\n%s", par, seq)
 	}
 }
 
 func TestRunRejectsUnknownExperiment(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"fig99"}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	if !strings.Contains(errb.String(), "unknown experiment") {
-		t.Fatalf("stderr: %s", errb.String())
-	}
-	if out.Len() != 0 {
-		t.Fatalf("unknown experiment still produced output:\n%s", out.String())
+	// A scenario name is not a verb: the legacy positional form is gone.
+	for _, args := range [][]string{{"fig99"}, {"fig2"}, {"run", "fig99"}} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", args, code)
+		}
+		if !strings.Contains(errb.String(), "unknown") {
+			t.Fatalf("%v: stderr: %s", args, errb.String())
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%v: unknown name still produced output:\n%s", args, out.String())
+		}
 	}
 }
 
 func TestRunRejectsBadFlags(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"-nope"}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-}
-
-func TestRunBenchJSONWritesReport(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_smoke.json")
-	var out, errb bytes.Buffer
-	if code := run([]string{"-benchjson", path, "anchors", "table1"}, &out, &errb); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, errb.String())
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report experiments.BenchReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatalf("report is not valid JSON: %v\n%s", err, data)
-	}
-	if report.Schema != experiments.BenchSchema {
-		t.Fatalf("schema = %q, want %q", report.Schema, experiments.BenchSchema)
-	}
-	// v2 records the run context: defaults here.
-	if report.Full || report.Window != "250ms" {
-		t.Fatalf("run context wrong: full=%v window=%q", report.Full, report.Window)
-	}
-	if len(report.Results) != 2 || report.Results[0].Name != "anchors" || report.Results[1].Name != "table1" {
-		t.Fatalf("results = %+v, want timed anchors and table1 entries", report.Results)
-	}
-	// ... and the resolved per-scenario parameter values.
-	if report.Results[1].Params["bulk"] != "4096" {
-		t.Fatalf("table1 params = %v, want bulk=4096", report.Results[1].Params)
-	}
-	for _, r := range report.Results {
-		if r.WallNs <= 0 || r.Runs != 1 {
-			t.Fatalf("implausible timing entry: %+v", r)
+	// -window, -full, -shards, -benchjson and -j were removed; no verb
+	// prints usage instead of running everything.
+	for _, args := range [][]string{{"-nope"}, {"-window", "50", "run", "fig8"},
+		{"-j", "4", "run", "fig2"}, {"-benchjson", "x.json", "run", "anchors"}, {}} {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", args, code)
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%v: produced output:\n%s", args, out.String())
 		}
 	}
-	// The experiments themselves must still print normally.
-	if !strings.Contains(out.String(), "Scalar anchors") {
-		t.Fatalf("timed run lost experiment output:\n%s", out.String())
+	var out, errb bytes.Buffer
+	run(nil, &out, &errb)
+	if !strings.Contains(errb.String(), "usage:") {
+		t.Fatalf("no verb: stderr lacks usage: %s", errb.String())
 	}
 }
 
@@ -149,11 +130,13 @@ func TestBenchSubcommandCompare(t *testing.T) {
 	// scenario that is no longer in the registry: it must be skipped
 	// (surfacing as "not run"), not fail the bench.
 	seed := `{
-	  "schema": "dipc-bench/v2",
+	  "schema": "dipc-bench/v3",
+	  "shards": 1,
 	  "results": [
-	    {"name": "anchors", "runs": 1, "wall_ns": 1, "ns_per_run": 1},
-	    {"name": "table1", "runs": 1, "wall_ns": 3600000000000, "ns_per_run": 3600000000000},
-	    {"name": "retired-scn", "runs": 1, "wall_ns": 42, "ns_per_run": 42}
+	    {"name": "anchors", "runs": 1, "wall_ns": 1, "median_ns": 1, "ns_per_run": 1},
+	    {"name": "table1", "params": {"bulk": "4096"}, "runs": 1, "wall_ns": 3600000000000,
+	     "median_ns": 3600000000000, "ns_per_run": 3600000000000},
+	    {"name": "retired-scn", "runs": 1, "wall_ns": 42, "median_ns": 42, "ns_per_run": 42}
 	  ]
 	}`
 	if err := os.WriteFile(baseline, []byte(seed), 0o644); err != nil {
@@ -181,6 +164,19 @@ func TestBenchSubcommandCompare(t *testing.T) {
 	if !strings.Contains(errb.String(), `skipping baseline scenario "retired-scn"`) {
 		t.Errorf("missing skip notice on stderr: %s", errb.String())
 	}
+
+	// The same baseline against a run with other params: table1 is not
+	// comparable, and gating it fails like a scenario never compared.
+	out.Reset()
+	errb.Reset()
+	args = []string{"bench", "-runs", "1", "-warmup", "0", "-compare", baseline,
+		"-gate", "table1", "-p", "bulk=1024", "table1"}
+	if code := run(args, &out, &errb); code != 1 {
+		t.Fatalf("gated params-differ scenario: exit %d, want 1; stdout: %s", code, out.String())
+	}
+	if !strings.Contains(out.String(), "params differ") || !strings.Contains(errb.String(), `"table1" was not compared`) {
+		t.Errorf("params-differ row or gate notice missing:\n%s\n%s", out.String(), errb.String())
+	}
 }
 
 func TestBenchSubcommandRejectsBadInput(t *testing.T) {
@@ -194,6 +190,43 @@ func TestBenchSubcommandRejectsBadInput(t *testing.T) {
 	errb.Reset()
 	if code := run([]string{"bench", "-compare", "no-such-file.json", "anchors"}, &out, &errb); code != 2 {
 		t.Fatalf("missing baseline: exit %d, want 2", code)
+	}
+	// A -p key that no selected scenario declares is a config error.
+	errb.Reset()
+	if code := run([]string{"bench", "-runs", "1", "-warmup", "0", "-p", "nosuch=1", "anchors", "table1"}, &out, &errb); code != 2 {
+		t.Fatalf("undeclared param: exit %d, want 2", code)
+	}
+	if !strings.Contains(errb.String(), `"nosuch"`) {
+		t.Fatalf("error should name the key: %s", errb.String())
+	}
+	if out.Len() != 0 {
+		t.Fatalf("bad input still produced output:\n%s", out.String())
+	}
+}
+
+// TestCommittedBaselinesMatchDefaultParams keeps the CI perf smoke
+// meaningful: bench -compare only diffs entries whose params match, so
+// every committed baseline entry must record its scenario's defaults.
+func TestCommittedBaselinesMatchDefaultParams(t *testing.T) {
+	for _, path := range []string{"../../BENCH_engine.json", "../../BENCH_engine_shards4.json"} {
+		base, err := experiments.LoadBenchReport(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range base.Results {
+			s, ok := scenario.Default.Lookup(e.Name)
+			if !ok {
+				t.Errorf("%s: %s is not registered", path, e.Name)
+				continue
+			}
+			cfg, err := scenario.NewConfig(s, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cfg.ParamStrings(); !maps.Equal(got, e.Params) {
+				t.Errorf("%s: %s params %v, defaults are %v", path, e.Name, e.Params, got)
+			}
+		}
 	}
 }
 
@@ -301,7 +334,7 @@ func TestBadParameterValueFailsBeforeAnyExperimentRuns(t *testing.T) {
 	// Range errors are caught at config resolution: the whole batch is
 	// rejected with exit 2 before the first scenario prints anything.
 	var out, errb bytes.Buffer
-	if code := run([]string{"-window", "0", "table1", "fig1"}, &out, &errb); code != 2 {
+	if code := run([]string{"run", "all", "-p", "window=0s"}, &out, &errb); code != 2 {
 		t.Fatalf("exit %d, want 2", code)
 	}
 	if out.Len() != 0 {
@@ -320,12 +353,37 @@ func TestRunSubcommandRejectsUnknownScenarioAndGroups(t *testing.T) {
 	if !strings.Contains(errb.String(), "unknown scenario") {
 		t.Fatalf("stderr: %s", errb.String())
 	}
-	errb.Reset()
-	if code := run([]string{"run", "ablations"}, &out, &errb); code != 2 {
-		t.Fatalf("group accepted by run, exit %d", code)
+	// A group runs, but -json writes one scenario's document.
+	for _, name := range []string{"chaos", "all"} {
+		errb.Reset()
+		path := filepath.Join(t.TempDir(), "x.json")
+		if code := run([]string{"run", name, "-json", path}, &out, &errb); code != 2 {
+			t.Fatalf("run %s -json: exit %d, want 2", name, code)
+		}
+		if !strings.Contains(errb.String(), "-json") {
+			t.Fatalf("stderr: %s", errb.String())
+		}
+		if _, err := os.Stat(path); err == nil {
+			t.Fatalf("run %s -json wrote %s", name, path)
+		}
 	}
-	if !strings.Contains(errb.String(), "group") {
-		t.Fatalf("stderr: %s", errb.String())
+	if out.Len() != 0 {
+		t.Fatalf("refused runs still produced output:\n%s", out.String())
+	}
+}
+
+func TestRunGroupRunsEveryMember(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three chaos scenarios are slow")
+	}
+	var out, errb bytes.Buffer
+	if code := run([]string{"run", "chaos", "-p", "window=4ms"}, &out, &errb); code != 0 {
+		t.Fatalf("exit %d, stderr: %s", code, errb.String())
+	}
+	for _, name := range scenario.Default.GroupMembers("chaos") {
+		if !strings.Contains(out.String(), "== scenario "+name+" ==") {
+			t.Errorf("run chaos output missing %s:\n%s", name, out.String())
+		}
 	}
 }
 
@@ -333,27 +391,34 @@ func TestWindowFlagForwardsToScenarioParams(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chain run is slow")
 	}
+	// bench -p window=5ms reaches chain, which declares window, and is
+	// recorded in its entry params; table1 declares no window.
 	path := filepath.Join(t.TempDir(), "BENCH_fwd.json")
 	var out, errb bytes.Buffer
-	args := []string{"-window", "5", "-benchjson", path,
-		"run", "chain", "-p", "depth=1", "-p", "threads=2"}
+	args := []string{"bench", "-runs", "1", "-warmup", "0", "-json", path,
+		"-p", "window=5ms", "-p", "depth=1", "-p", "threads=2", "chain", "table1"}
 	if code := run(args, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	data, err := os.ReadFile(path)
+	report, err := experiments.LoadBenchReport(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var report experiments.BenchReport
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
+	params := map[string]map[string]string{}
+	for _, e := range report.Results {
+		params[e.Name] = e.Params
 	}
-	if report.Window != "5ms" {
-		t.Fatalf("report window = %q, want 5ms", report.Window)
+	if len(params) != 2 {
+		t.Fatalf("results = %+v, want chain and table1", report.Results)
 	}
-	if len(report.Results) != 1 || report.Results[0].Params["window"] != "5ms" ||
-		report.Results[0].Params["depth"] != "1" {
-		t.Fatalf("entry params = %+v, want forwarded window=5ms depth=1", report.Results)
+	if p := params["chain"]; p["window"] != "5ms" || p["depth"] != "1" {
+		t.Fatalf("chain params = %v, want forwarded window=5ms depth=1", p)
+	}
+	if p := params["table1"]; p["window"] != "" || p["bulk"] != "4096" {
+		t.Fatalf("table1 params = %v, want defaults only", p)
+	}
+	if report.Shards != 1 {
+		t.Fatalf("report shards = %d, want 1", report.Shards)
 	}
 }
 
@@ -362,7 +427,7 @@ func TestLegacyAblationsAliasResolves(t *testing.T) {
 		t.Skip("three OLTP ablation windows are slow")
 	}
 	var out, errb bytes.Buffer
-	if code := run([]string{"-window", "20", "ablations"}, &out, &errb); code != 0 {
+	if code := run([]string{"run", "ablations", "-p", "window=20ms"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	got := out.String()
@@ -378,7 +443,7 @@ func TestRunProfileFlagsWriteProfiles(t *testing.T) {
 	cpu := filepath.Join(dir, "cpu.pprof")
 	mem := filepath.Join(dir, "mem.pprof")
 	var out, errb bytes.Buffer
-	if code := run([]string{"-cpuprofile", cpu, "-memprofile", mem, "anchors"}, &out, &errb); code != 0 {
+	if code := run([]string{"-cpuprofile", cpu, "-memprofile", mem, "run", "anchors"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	for _, p := range []string{cpu, mem} {

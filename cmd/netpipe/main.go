@@ -1,6 +1,8 @@
 // Command netpipe runs the driver-isolation case study (§7.3): a
 // netpipe-style latency/bandwidth sweep over an Infiniband-like NIC with
-// the user-level driver isolated by the chosen mechanism.
+// the user-level driver isolated by the chosen mechanism. It exposes
+// what the fig7 scenario does not print: the absolute per-size latency
+// of any variant at any round count.
 package main
 
 import (

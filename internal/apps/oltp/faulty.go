@@ -202,6 +202,18 @@ func (cfg *ChainFaultsConfig) tiers() *tierChain {
 		ReqBytes: cfg.ReqBytes, Work: cfg.Work, Plan: cfg.Plan, Deadline: cfg.Retry.Deadline}
 }
 
+// BootTime returns the sim time at which cfg's tier chain has booted:
+// the earliest time its fault plan can schedule an event. It boots the
+// chain on a throwaway rig, so scenarios can reject a fault time before
+// boot as a config error instead of a panic from the run.
+func (cfg ChainFaultsConfig) BootTime() sim.Time {
+	cfg.applyDefaults()
+	r := newRig(cfg.Seed, cfg.CPUs, GatewayConfig{})
+	defer r.eng.Close()
+	buildChain(cfg.tiers(), r.m, r.prm, faults.NewInjector(nil), func(tr Transport, _ int) Transport { return tr })
+	return r.eng.Now()
+}
+
 // RunChainFaults executes one chain configuration under a fault plan:
 // closed-loop clients drive the gateway, every hop goes through TryCall
 // behind a Retrier, tier failures travel up as RemoteErrors, and the

@@ -5,36 +5,29 @@ package experiments
 
 import (
 	"fmt"
+	"maps"
 	"sort"
 )
 
 // BenchDelta is one scenario's baseline-vs-current comparison.
 type BenchDelta struct {
 	Name   string
-	Params map[string]string // current run's resolved parameters
-	BaseNs float64           // 0 when the scenario is new
-	CurNs  float64           // 0 when the scenario exists only in the baseline
-	Pct    float64           // 100*(cur-base)/base, meaningful when both sides exist
+	BaseNs float64 // 0 when the scenario is new
+	CurNs  float64 // 0 when the scenario exists only in the baseline
+	Pct    float64 // 100*(cur-base)/base, meaningful when both sides exist
+	// ParamsDiffer marks a scenario both sides ran with different
+	// resolved parameters: a different workload, not a slower simulator.
+	ParamsDiffer bool
 }
 
-// Comparable reports whether both sides measured the scenario.
-func (d BenchDelta) Comparable() bool { return d.BaseNs > 0 && d.CurNs > 0 }
+// Comparable reports whether both sides measured the scenario with the
+// same parameters.
+func (d BenchDelta) Comparable() bool { return d.BaseNs > 0 && d.CurNs > 0 && !d.ParamsDiffer }
 
 // Regressed reports whether the scenario got slower than the baseline by
 // more than threshold percent.
 func (d BenchDelta) Regressed(threshold float64) bool {
 	return d.Comparable() && d.Pct > threshold
-}
-
-// String renders the delta for logs: "fig6 198.4ms -> 71.7ms (-63.9%)".
-func (d BenchDelta) String() string {
-	switch {
-	case d.CurNs == 0:
-		return fmt.Sprintf("%s %s -> (not run)", d.Name, FmtNs(d.BaseNs))
-	case d.BaseNs == 0:
-		return fmt.Sprintf("%s (new) -> %s", d.Name, FmtNs(d.CurNs))
-	}
-	return fmt.Sprintf("%s %s -> %s (%+.1f%%)", d.Name, FmtNs(d.BaseNs), FmtNs(d.CurNs), d.Pct)
 }
 
 // CompareReports matches entries by scenario name: current-report order
@@ -57,9 +50,10 @@ func CompareReports(base, cur *BenchReport) []BenchDelta {
 			continue
 		}
 		seen[e.Name] = true
-		d := BenchDelta{Name: e.Name, Params: e.Params, CurNs: e.RepNs()}
+		d := BenchDelta{Name: e.Name, CurNs: float64(e.MedianNs)}
 		if b, ok := baseBy[e.Name]; ok {
-			d.BaseNs = b.RepNs()
+			d.BaseNs = float64(b.MedianNs)
+			d.ParamsDiffer = !maps.Equal(b.Params, e.Params)
 			if d.BaseNs > 0 {
 				d.Pct = 100 * (d.CurNs - d.BaseNs) / d.BaseNs
 			}
@@ -70,18 +64,18 @@ func CompareReports(base, cur *BenchReport) []BenchDelta {
 		e := &base.Results[i]
 		if !seen[e.Name] {
 			seen[e.Name] = true
-			out = append(out, BenchDelta{Name: e.Name, BaseNs: e.RepNs()})
+			out = append(out, BenchDelta{Name: e.Name, BaseNs: float64(e.MedianNs)})
 		}
 	}
 	return out
 }
 
 // MedianPct returns the median percentage delta over the comparable
-// scenarios (0 when none are). It is the machine-speed normalizer for
-// gated comparisons: a baseline captured on a different-class host
-// shifts every scenario by roughly the same factor, so a scenario's
-// delta relative to the suite median isolates genuine per-path
-// regressions from host drift.
+// scenarios (0 when none are; entries whose params differ are left
+// out). It is the machine-speed normalizer for gated comparisons: a
+// baseline captured on a different-class host shifts every scenario by
+// roughly the same factor, so a scenario's delta relative to the suite
+// median isolates genuine per-path regressions from host drift.
 func MedianPct(deltas []BenchDelta) float64 {
 	var pcts []float64
 	for _, d := range deltas {

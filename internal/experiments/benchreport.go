@@ -1,10 +1,9 @@
 // Wall-clock benchmark reporting. The simulated quantities the
 // experiments produce are deterministic; how long the simulator takes to
 // produce them is the perf trajectory this repo tracks across PRs.
-// cmd/dipcbench's bench subcommand (and the legacy -benchjson flag) wraps
-// each experiment it runs with a timer and serializes the result in the
-// repo's BENCH_*.json shape, so a baseline written by one PR can be
-// diffed against the next (bench -compare).
+// `dipcbench bench` wraps each scenario it runs with a timer and
+// serializes the result in the repo's BENCH_*.json shape, so one
+// baseline can be diffed against the next (bench -compare).
 
 package experiments
 
@@ -14,17 +13,15 @@ import (
 	"os"
 	"runtime"
 	"sort"
-	"strings"
 	"time"
 )
 
-// BenchSchema identifies the report layout; bump it if fields change
-// incompatibly. v3 measures each scenario over multiple runs with
-// unmeasured warmup iterations and records min and median alongside the
-// mean, so a single noisy sample (the runs:1 reports of v1/v2) no longer
-// decides a baseline. v2 added the run context (-full/-window settings,
-// resolved per-scenario parameters); two reports measure the same thing
-// only if their contexts match.
+// BenchSchema identifies the report layout, the only one
+// LoadBenchReport reads; bump it if fields change incompatibly. Each
+// scenario is measured over multiple runs after unmeasured warmup
+// iterations, with min and median recorded alongside the mean, and each
+// entry records its resolved parameters: two entries measure the same
+// thing only if their parameters match.
 const BenchSchema = "dipc-bench/v3"
 
 // BenchReport is the top-level document emitted as BENCH_*.json.
@@ -35,13 +32,11 @@ type BenchReport struct {
 	GOARCH      string `json:"goarch"`
 	CPUs        int    `json:"cpus"`
 	Parallelism int    `json:"parallelism"`
-	Full        bool   `json:"full"`   // the -full flag of the run
-	Window      string `json:"window"` // the -window flag, canonical duration
-	// Shards is the -shards flag of the run (0, as in reports written
-	// before the field existed, means 1: the sequential reference). Two
-	// reports measure the same thing only at the same shard count, so
-	// bench -compare refuses to diff reports whose Shards differ.
-	Shards    int          `json:"shards,omitempty"`
+	// Shards is the resolved `shards` override of the run (1 when none
+	// was given). It is an execution parameter, so entry params omit it;
+	// two reports measure the same thing only at the same shard count,
+	// and bench -compare refuses to diff reports whose Shards differ.
+	Shards    int          `json:"shards"`
 	StartedAt string       `json:"started_at"` // RFC 3339, wall clock
 	Results   []BenchEntry `json:"results"`
 }
@@ -58,25 +53,6 @@ type BenchEntry struct {
 	NsPerRun float64           `json:"ns_per_run"` // mean: WallNs / Runs
 }
 
-// EffectiveShards returns the report's shard count, normalizing the
-// zero value of pre-Shards reports to 1 (those runs were sequential).
-func (r *BenchReport) EffectiveShards() int {
-	if r.Shards <= 0 {
-		return 1
-	}
-	return r.Shards
-}
-
-// RepNs returns the entry's most stable per-run figure: the median when
-// recorded, else the mean — which keeps v1/v2 baselines (single-sample,
-// no median field) comparable under bench -compare.
-func (e *BenchEntry) RepNs() float64 {
-	if e.MedianNs > 0 {
-		return float64(e.MedianNs)
-	}
-	return e.NsPerRun
-}
-
 // NewBenchReport returns a report stamped with the current toolchain,
 // host shape and wall-clock start time.
 func NewBenchReport() *BenchReport {
@@ -91,23 +67,11 @@ func NewBenchReport() *BenchReport {
 	}
 }
 
-// Time runs fn `runs` times under a wall-clock timer and appends the
-// aggregate as one entry. runs < 1 is treated as 1.
-func (r *BenchReport) Time(name string, runs int, fn func()) {
-	r.TimeWithParams(name, runs, nil, fn)
-}
-
-// TimeWithParams is Time with the scenario's resolved parameter values
-// recorded on the entry, so a baseline diff can tell a slower simulator
-// from a bigger workload.
-func (r *BenchReport) TimeWithParams(name string, runs int, params map[string]string, fn func()) {
-	r.TimeRuns(name, runs, 0, params, fn)
-}
-
-// TimeRuns is the full-control timer: `warmup` unmeasured runs (JIT-warm
-// caches, page in the working set) followed by `runs` individually timed
-// runs, recorded as min/median/mean. runs < 1 clamps to 1; warmup < 0 to
-// 0.
+// TimeRuns times fn: `warmup` unmeasured runs (warm caches, page in the
+// working set) followed by `runs` individually timed runs, appended as
+// one entry with min/median/mean and the scenario's resolved params, so
+// a baseline diff can tell a slower simulator from a bigger workload.
+// runs < 1 clamps to 1; warmup < 0 to 0.
 func (r *BenchReport) TimeRuns(name string, runs, warmup int, params map[string]string, fn func()) {
 	if runs < 1 {
 		runs = 1
@@ -153,9 +117,8 @@ func (r *BenchReport) WriteFile(path string) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadBenchReport reads a BENCH_*.json report from disk. Older schemas
-// (dipc-bench/v1, v2) load fine: comparison falls back from median to
-// ns_per_run via RepNs.
+// LoadBenchReport reads a BENCH_*.json report from disk. Any schema
+// other than BenchSchema is an error naming the schema found.
 func LoadBenchReport(path string) (*BenchReport, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -165,8 +128,8 @@ func LoadBenchReport(path string) (*BenchReport, error) {
 	if err := json.Unmarshal(data, &r); err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
-	if !strings.HasPrefix(r.Schema, "dipc-bench/") {
-		return nil, fmt.Errorf("%s: not a dipc-bench report (schema %q)", path, r.Schema)
+	if r.Schema != BenchSchema {
+		return nil, fmt.Errorf("%s: schema %q, want %q", path, r.Schema, BenchSchema)
 	}
 	return &r, nil
 }

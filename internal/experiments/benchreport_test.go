@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -13,10 +14,10 @@ func TestBenchReportRoundTrip(t *testing.T) {
 		t.Fatalf("report header incomplete: %+v", r)
 	}
 	calls := 0
-	r.Time("fig2", 3, func() { calls++ })
-	r.Time("clamped", 0, func() { calls++ }) // runs < 1 clamps to 1
+	r.TimeRuns("fig2", 3, 0, nil, func() { calls++ })
+	r.TimeRuns("clamped", 0, 0, nil, func() { calls++ }) // runs < 1 clamps to 1
 	if calls != 4 {
-		t.Fatalf("Time ran fn %d times, want 4", calls)
+		t.Fatalf("TimeRuns ran fn %d times, want 4", calls)
 	}
 	if len(r.Results) != 2 || r.Results[0].Runs != 3 || r.Results[1].Runs != 1 {
 		t.Fatalf("results = %+v", r.Results)
@@ -56,9 +57,6 @@ func TestTimeRunsWarmupAndMedian(t *testing.T) {
 	if e.MinNs <= 0 || e.MedianNs < e.MinNs || float64(e.MedianNs) > float64(e.WallNs) {
 		t.Fatalf("implausible stats: %+v", e)
 	}
-	if e.RepNs() != float64(e.MedianNs) {
-		t.Fatalf("RepNs = %v, want median %d", e.RepNs(), e.MedianNs)
-	}
 	// Negative warmup clamps; runs clamp to 1.
 	calls = 0
 	r.TimeRuns("clamp", 0, -3, nil, func() { calls++ })
@@ -67,30 +65,24 @@ func TestTimeRunsWarmupAndMedian(t *testing.T) {
 	}
 }
 
-// TestRepNsFallsBackForOldSchemas: v1/v2 baselines carry no median; the
-// comparison figure must fall back to the single-sample mean so old
-// committed baselines stay diffable.
-func TestRepNsFallsBackForOldSchemas(t *testing.T) {
-	e := BenchEntry{Name: "fig6", Runs: 1, WallNs: 1000, NsPerRun: 1000}
-	if e.RepNs() != 1000 {
-		t.Fatalf("RepNs = %v, want ns_per_run fallback 1000", e.RepNs())
-	}
-}
-
 func TestCompareReports(t *testing.T) {
+	w250 := map[string]string{"window": "250ms"}
 	base := &BenchReport{Results: []BenchEntry{
 		{Name: "fig2", MedianNs: 1000},
 		{Name: "fig5", MedianNs: 2000},
 		{Name: "gone", MedianNs: 500},
+		{Name: "fig8", Params: w250, MedianNs: 4000},
 	}}
 	cur := &BenchReport{Results: []BenchEntry{
 		{Name: "fig2", MedianNs: 1300}, // +30%: regression at the 25% bar
 		{Name: "fig5", MedianNs: 1000}, // -50%: improvement
 		{Name: "new", MedianNs: 700},
+		// A 50ms window is a smaller workload, not a faster simulator.
+		{Name: "fig8", Params: map[string]string{"window": "50ms"}, MedianNs: 1000},
 	}}
 	deltas := CompareReports(base, cur)
-	if len(deltas) != 4 {
-		t.Fatalf("deltas = %+v, want 4 entries", deltas)
+	if len(deltas) != 5 {
+		t.Fatalf("deltas = %+v, want 5 entries", deltas)
 	}
 	byName := map[string]BenchDelta{}
 	for _, d := range deltas {
@@ -108,9 +100,21 @@ func TestCompareReports(t *testing.T) {
 	if d := byName["gone"]; d.Comparable() || d.CurNs != 0 || d.BaseNs != 500 {
 		t.Fatalf("gone delta = %+v", d)
 	}
+	if d := byName["fig8"]; d.Comparable() || !d.ParamsDiffer || d.Regressed(-100) {
+		t.Fatalf("fig8 delta = %+v, want params differ, not comparable", d)
+	}
 	// A regression below the threshold is not flagged.
 	if byName["fig2"].Regressed(35) {
 		t.Fatal("30% flagged at a 35% threshold")
+	}
+	// The params-differ entry stays out of the suite median (+30, -50).
+	if m := MedianPct(deltas); m < -10.1 || m > -9.9 {
+		t.Fatalf("MedianPct = %v, want -10 from fig2 and fig5 only", m)
+	}
+	// Equal params on both sides stay comparable.
+	cur.Results[3].Params = map[string]string{"window": "250ms"}
+	if d := CompareReports(base, cur)[3]; !d.Comparable() {
+		t.Fatalf("equal params not comparable: %+v", d)
 	}
 }
 
@@ -118,7 +122,7 @@ func TestLoadBenchReport(t *testing.T) {
 	dir := t.TempDir()
 	good := filepath.Join(dir, "good.json")
 	r := NewBenchReport()
-	r.Time("x", 1, func() {})
+	r.TimeRuns("x", 1, 0, nil, func() {})
 	if err := r.WriteFile(good); err != nil {
 		t.Fatal(err)
 	}
@@ -126,12 +130,11 @@ func TestLoadBenchReport(t *testing.T) {
 	if err != nil || len(back.Results) != 1 || back.Results[0].Name != "x" {
 		t.Fatalf("LoadBenchReport = %+v, %v", back, err)
 	}
-	// Old schema loads too.
+	// Only the current schema loads; the error names the one found.
 	old := filepath.Join(dir, "old.json")
 	os.WriteFile(old, []byte(`{"schema":"dipc-bench/v2","results":[{"name":"y","runs":1,"wall_ns":5,"ns_per_run":5}]}`), 0o644)
-	back, err = LoadBenchReport(old)
-	if err != nil || back.Results[0].RepNs() != 5 {
-		t.Fatalf("v2 load = %+v, %v", back, err)
+	if _, err := LoadBenchReport(old); err == nil || !strings.Contains(err.Error(), "dipc-bench/v2") {
+		t.Fatalf("v2 load: want an error naming dipc-bench/v2, got %v", err)
 	}
 	// Non-bench JSON is rejected.
 	bad := filepath.Join(dir, "bad.json")

@@ -169,3 +169,36 @@ func TestFailoverInputErrorsNameTheParameter(t *testing.T) {
 		}()
 	}
 }
+
+// TestChainFaultTimesBeforeBootNameTheParameter: a chain fault time
+// before the chain has booted is a config error naming the parameter,
+// not a panic from the injector during the run.
+func TestChainFaultTimesBeforeBootNameTheParameter(t *testing.T) {
+	for _, c := range []struct{ scn, key, val string }{
+		{"chaos-kill", "killat", "1us"},
+		{"chaos-kill", "restartat", "2us"},
+		{"overload-storm", "killat", "1us"},
+		{"overload-storm", "restartat", "1us"},
+	} {
+		s, ok := scenario.Default.Lookup(c.scn)
+		if !ok {
+			t.Fatalf("%s not registered", c.scn)
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s %s=%s panicked: %v", c.scn, c.key, c.val, r)
+				}
+			}()
+			_, err := scenario.NewConfig(s, map[string]string{c.key: c.val})
+			if err == nil || !strings.Contains(err.Error(), c.key) || !strings.Contains(err.Error(), "boot") {
+				t.Errorf("%s %s=%s: want an error naming %q and the boot, got %v", c.scn, c.key, c.val, c.key, err)
+			}
+		}()
+	}
+	// restartat=0 means "never" and is accepted.
+	s, _ := scenario.Default.Lookup("chaos-kill")
+	if _, err := scenario.NewConfig(s, map[string]string{"restartat": "0s"}); err != nil {
+		t.Errorf("chaos-kill restartat=0s: %v", err)
+	}
+}

@@ -46,6 +46,19 @@ func durationPositive(key string, d sim.Time) error {
 	return nil
 }
 
+// faultsAfterBoot requires each named fault time to fall at or after
+// the boot of chain c: the injector cannot schedule a plan event in the
+// past. A zero time means "never" and passes.
+func faultsAfterBoot(cfg *scenario.Config, c oltp.ChainFaultsConfig, keys ...string) error {
+	boot := c.BootTime()
+	for _, key := range keys {
+		if d := cfg.Duration(key); d != 0 && d < boot {
+			return fmt.Errorf("%s must be at or after the %s chain's boot at %s, got %s", key, c.Mode, boot, d)
+		}
+	}
+	return nil
+}
+
 // firstErr returns the first non-nil error.
 func firstErr(errs ...error) error {
 	for _, err := range errs {
@@ -97,10 +110,9 @@ func fig8ScalingCPUsOf(cfg *scenario.Config) []int {
 	return cpus
 }
 
-// Shared parameter specs. The former global -window and -full flags are
-// ordinary per-scenario parameters now; cmd/dipcbench still accepts the
-// flags and forwards them to every selected scenario that declares the
-// key.
+// Shared parameter specs. window and full are ordinary per-scenario
+// parameters: `dipcbench run|bench -p window=...` reaches every
+// selected scenario that declares the key.
 func windowParam() scenario.ParamSpec {
 	return scenario.Param("window", scenario.Duration, "250ms", "OLTP measurement window (simulated time)")
 }

@@ -38,6 +38,18 @@ func chaosRetry(cfg *scenario.Config) faults.RetryPolicy {
 // ---------------------------------------------------------------------
 // chaos-kill: kill a middle tier mid-window, optionally restart it.
 
+// chaosKillChain is chaos-kill's chain under mode, without its plan.
+func chaosKillChain(cfg *scenario.Config, mode oltp.Mode) oltp.ChainFaultsConfig {
+	return oltp.ChainFaultsConfig{
+		ChainConfig: oltp.ChainConfig{
+			Mode: mode, Depth: cfg.Int("depth"), Threads: cfg.Int("threads"),
+			Work: cfg.Duration("work"), Warmup: cfg.Duration("warmup"),
+			Window: cfg.Duration("window"), Seed: 5,
+		},
+		Retry: chaosRetry(cfg),
+	}
+}
+
 func runChaosKillScenario(cfg *scenario.Config) (*scenario.Result, error) {
 	depth := cfg.Int("depth")
 	target := fmt.Sprintf("svc%d", (depth+1)/2)
@@ -48,15 +60,9 @@ func runChaosKillScenario(cfg *scenario.Config) (*scenario.Result, error) {
 		if restartat > 0 {
 			evs = append(evs, faults.Event{At: restartat, Kind: faults.RestartProc, Target: target})
 		}
-		return oltp.RunChainFaults(oltp.ChainFaultsConfig{
-			ChainConfig: oltp.ChainConfig{
-				Mode: chaosModes[i], Depth: depth, Threads: cfg.Int("threads"),
-				Work: cfg.Duration("work"), Warmup: cfg.Duration("warmup"),
-				Window: cfg.Duration("window"), Seed: 5,
-			},
-			Plan:  &faults.Plan{Seed: 5, Events: evs},
-			Retry: chaosRetry(cfg),
-		})
+		c := chaosKillChain(cfg, chaosModes[i])
+		c.Plan = &faults.Plan{Seed: 5, Events: evs}
+		return oltp.RunChainFaults(c)
 	})
 
 	res := &scenario.Result{Scenario: "chaos-kill", Params: cfg.ParamStrings()}
@@ -203,7 +209,7 @@ func init() {
 			scenario.Param("backoff", scenario.Duration, "20us", "initial retry backoff (doubles, capped at 8x)"),
 		},
 		func(cfg *scenario.Config) error {
-			return firstErr(intAtLeast("depth", cfg.Int("depth"), 1),
+			if err := firstErr(intAtLeast("depth", cfg.Int("depth"), 1),
 				intAtLeast("threads", cfg.Int("threads"), 1),
 				durationPositive("work", cfg.Duration("work")),
 				durationPositive("warmup", cfg.Duration("warmup")),
@@ -211,7 +217,15 @@ func init() {
 				durationPositive("killat", cfg.Duration("killat")),
 				durationPositive("deadline", cfg.Duration("deadline")),
 				intAtLeast("retries", cfg.Int("retries"), 0),
-				durationPositive("backoff", cfg.Duration("backoff")))
+				durationPositive("backoff", cfg.Duration("backoff"))); err != nil {
+				return err
+			}
+			for _, mode := range chaosModes {
+				if err := faultsAfterBoot(cfg, chaosKillChain(cfg, mode), "killat", "restartat"); err != nil {
+					return err
+				}
+			}
+			return nil
 		},
 		runChaosKillScenario))
 

@@ -270,14 +270,23 @@ func init() {
 			scenario.Param("queuecap", scenario.Int, "256", "admission queue capacity"),
 			scenario.Param("cooldown", scenario.Duration, "500us", "breaker cooldown before half-open probes")),
 		func(cfg *scenario.Config) error {
-			return firstErr(overloadChecks(cfg),
+			if err := firstErr(overloadChecks(cfg),
 				intAtLeast("kops", cfg.Int("kops"), 1),
 				durationPositive("killat", cfg.Duration("killat")),
 				durationPositive("restartat", cfg.Duration("restartat")),
 				intAtLeast("retries", cfg.Int("retries"), 0),
 				durationPositive("backoff", cfg.Duration("backoff")),
 				intAtLeast("queuecap", cfg.Int("queuecap"), 1),
-				durationPositive("cooldown", cfg.Duration("cooldown")))
+				durationPositive("cooldown", cfg.Duration("cooldown"))); err != nil {
+				return err
+			}
+			for _, mode := range stormModes {
+				c := overloadBase(cfg, mode, cfg.Int("kops")).ChainFaultsConfig
+				if err := faultsAfterBoot(cfg, c, "killat", "restartat"); err != nil {
+					return err
+				}
+			}
+			return nil
 		},
 		runOverloadStormScenario))
 
