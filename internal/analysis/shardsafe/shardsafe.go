@@ -16,11 +16,10 @@
 //
 //   - definition side: every exported pointer-receiver method on a hook
 //     type must begin with a syntactic nil-receiver guard, unless it is
-//     one of the declared write-side mutators (SetDown, SetExtra,
-//     NoteDrop on the faults hooks; Suspect, Clear on the
-//     health table) that only the owning writer — the Injector, or the
-//     health detector on its owning shard — invokes on states it
-//     created;
+//     one of the declared write-side mutators (SetDown, SetExtra on
+//     the faults hooks; Suspect, Clear on the health table) that only
+//     the owning writer — the Injector, or the health detector on its
+//     owning shard — invokes on states it created;
 //   - call-site side: calls to those mutators outside the defining
 //     package must sit under a nil check of the receiver (if ls != nil
 //     { ... } or the else branch of ls == nil), or carry
@@ -49,7 +48,6 @@ var Analyzer = &analysis.Analyzer{
 var linkStateMutators = map[string]bool{
 	"SetDown":  true,
 	"SetExtra": true,
-	"NoteDrop": true,
 }
 
 // replicaHealthMutators are the oltp.ReplicaHealth write-side methods:
@@ -279,5 +277,5 @@ func matchPkgPath(path, short string) bool {
 }
 
 func mutatorList() string {
-	return "SetDown, SetExtra, NoteDrop, Suspect, Clear"
+	return "SetDown, SetExtra, Suspect, Clear"
 }

@@ -22,10 +22,9 @@ func engineAccess(s *sim.Shard) *sim.Engine {
 // sites are flagged while guarded or annotated ones are not.
 func mutators(ls *faults.LinkState, now sim.Time) {
 	ls.SetDown(true, now) // want `faults.\(\*LinkState\).SetDown is not nil-safe`
-	ls.NoteDrop()         // want `faults.\(\*LinkState\).NoteDrop is not nil-safe`
+	ls.SetExtra(3)        // want `faults.\(\*LinkState\).SetExtra is not nil-safe`
 	if ls != nil {
 		ls.SetExtra(5) // guarded: not flagged
-		ls.NoteDrop()  // guarded: not flagged
 	}
 	if ls == nil {
 		_ = now
@@ -33,7 +32,7 @@ func mutators(ls *faults.LinkState, now sim.Time) {
 		ls.SetDown(false, now) // guarded via the else branch: not flagged
 	}
 	//dipcvet:hook-ok injector only resolves planned links, never nil
-	ls.NoteDrop()
+	ls.SetExtra(0)
 }
 
 // healthMutators: the ReplicaHealth write side is detector-only and
@@ -69,6 +68,5 @@ func reads(ls *faults.LinkState, now sim.Time) sim.Time {
 	if !ls.Up() {
 		return ls.ExtraDelay()
 	}
-	_ = ls.Drops()
 	return ls.Downtime(now)
 }

@@ -217,6 +217,3 @@ func (b *Breaker) FastFails() int64 { return b.fastFails }
 
 // Calls implements Transport.
 func (b *Breaker) Calls() uint64 { return b.Inner.Calls() }
-
-// Lookahead implements Transport.
-func (b *Breaker) Lookahead() sim.Time { return b.Inner.Lookahead() }

@@ -133,9 +133,6 @@ func (r *Retrier) TryCall(t *kernel.Thread, op string, payload any, reqBytes int
 // Calls implements Transport (attempts count: each retry is a real call).
 func (r *Retrier) Calls() uint64 { return r.Inner.Calls() }
 
-// Lookahead implements Transport.
-func (r *Retrier) Lookahead() sim.Time { return r.Inner.Lookahead() }
-
 // ChainFaultsConfig is a chain run with a fault plan and retry policy.
 type ChainFaultsConfig struct {
 	ChainConfig

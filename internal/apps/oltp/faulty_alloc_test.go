@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/faults"
 	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -17,8 +16,7 @@ func (f *okTransport) TryCall(t *kernel.Thread, op string, payload any, reqBytes
 	return f.out, nil
 }
 
-func (f *okTransport) Calls() uint64       { return 0 }
-func (f *okTransport) Lookahead() sim.Time { return 0 }
+func (f *okTransport) Calls() uint64 { return 0 }
 
 // TestRetrierSuccessPathAllocFree pins the //dipcvet:noalloc contract on
 // Retrier.TryCall at runtime: when the first attempt succeeds (no fault,

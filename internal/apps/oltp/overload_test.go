@@ -31,8 +31,7 @@ func (f *flakyTransport) TryCall(t *kernel.Thread, op string, payload any, reqBy
 	return payload, nil
 }
 
-func (f *flakyTransport) Calls() uint64       { return uint64(f.reached) }
-func (f *flakyTransport) Lookahead() sim.Time { return 0 }
+func (f *flakyTransport) Calls() uint64 { return uint64(f.reached) }
 
 // onThread runs fn on a kernel thread and drives the engine dry.
 func onThread(eng *sim.Engine, m *kernel.Machine, fn func(t *kernel.Thread)) {

@@ -1,12 +1,14 @@
 // Rack-scale replication: N replicas of the OLTP tier chain, each on
-// its own machine behind NIC links, a deterministic sim-time health
+// its own machine behind NIC wires, a deterministic sim-time health
 // detector probing them, and policy-driven replica routing (failover,
-// round-robin, hedged) at the clients. This is ROADMAP item 4's rack
-// extension joined with the robustness stack: intra-machine hops use
-// the per-mode transports (Linux sockets vs dIPC proxies), inter-
-// machine hops pay the modeled NIC cost, and every failure-path
-// counter merges shard-deterministically so a replicated chaos run is
-// byte-identical at any shard count.
+// round-robin, hedged) at the clients. It runs on the rack harness
+// (rack.go) it shares with the ring: the harness owns the cluster, the
+// wires, the closed-loop clients and the measurement; this file adds
+// the replicas, the probes and detector, the hedge timer's policy and
+// the breakers. Intra-machine hops use the per-mode transports (Linux
+// sockets vs dIPC proxies), inter-machine hops pay the modeled NIC
+// cost, and every failure-path counter merges shard-deterministically
+// so a replicated chaos run is byte-identical at any shard count.
 //
 // Determinism of the boot phase deserves a note: each replica's chain
 // comes from the same builder as the single-machine runners (buildChain
@@ -25,41 +27,9 @@ import (
 	"fmt"
 	"sort"
 
-	"repro/internal/apps/netpipe"
-	"repro/internal/cost"
 	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/sim"
-	"repro/internal/stats"
-)
-
-// Request-ID bit layout on the wire (uint64):
-//
-//	bits 0..11   client index (requests) or replica index (probes)
-//	bit  12      hedge copy (set on the duplicate request)
-//	bits 13..14  response error class (respOK/respFault/respRejected)
-//	bit  15      health probe
-//	bits 16..63  sequence number
-//
-// A client matches completions against its current ID with the copy
-// and error-class bits masked, so a hedged duplicate and its primary
-// resolve to the same operation and the loser is discarded as a stale
-// completion — the same filtering RunRackChaos applies to retry races.
-const (
-	ridClientBits = 12
-	ridClientMask = (1 << ridClientBits) - 1
-	ridCopyBit    = 1 << 12
-	ridErrShift   = 13
-	ridErrMask    = 3 << ridErrShift
-	ridProbeBit   = 1 << 15
-	ridSeqShift   = 16
-)
-
-// Response error classes carried in-band (bits 13..14).
-const (
-	respOK       = 0
-	respFault    = 1
-	respRejected = 2
 )
 
 // Boot schedule: dIPC tier inits slot in at multiples of
@@ -180,24 +150,11 @@ func (cfg ReplicatedConfig) Validate() error {
 	return nil
 }
 
-// ReplicatedResult is the measurement of one replicated rack run.
+// ReplicatedResult is the measurement of one replicated rack run. Its
+// LinkDowntime lists each replica's request link, then its response
+// link, in replica order.
 type ReplicatedResult struct {
-	Rel          stats.Reliability // merged window counters + detector scores
-	Goodput      float64
-	ErrorRate    float64
-	Availability float64
-	RetryAmp     float64
-	AvgLatency   sim.Time
-	P50          sim.Time
-	P99          sim.Time
-	P999         sim.Time
-	MaxLatency   sim.Time
-
-	PerMachine []*stats.Accumulator
-	Merged     stats.Accumulator
-
-	TxDowntime []sim.Time // per replica, request-link total down time
-	RxDowntime []sim.Time // per replica, response-link total down time
+	RackResult // Rel also carries the detector scores
 
 	// Health is the detector's suspicion-flip log over the whole run.
 	Health []HealthTransition
@@ -244,8 +201,8 @@ func planDeadIntervals(plan *faults.Plan, replicas int) []deadInterval {
 }
 
 // RunReplicated builds the replicated rack and runs it: machine 0's
-// clients route operations over the NIC links to the replicas, the
-// detector probes replica health on the same links, and the configured
+// clients route operations over the NIC wires to the replicas, the
+// detector probes replica health on the same wires, and the configured
 // policy decides where each attempt (and each hedge) goes.
 func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 	if err := cfg.Validate(); err != nil {
@@ -253,64 +210,25 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 	}
 	cfg.applyDefaults()
 	R := cfg.Replicas
-
-	cl := sim.NewCluster(cfg.Seed, cfg.Shards)
-	defer cl.Close()
-	machines := R + 1
-	ms := kernel.PlaceMachines(cl, cost.Default(), machines, cfg.CPUs)
+	h := newRack(cfg.Seed, cfg.Shards, R+1, cfg.CPUs, cfg.Clients, cfg.Plan)
+	defer h.cl.Close()
 	prm := DefaultParams()
-	inj := faults.NewInjector(cfg.Plan)
 
-	// Per-replica plumbing, all indexed by 0-based replica r (machine
-	// r+1): a transmit NIC+link m0 -> r for requests and probes, a
-	// response NIC+link r -> m0, an inbox, and the tier chain.
-	txnics := make([]*netpipe.NIC, R)
-	rxnics := make([]*netpipe.NIC, R)
-	txls := make([]*faults.LinkState, R)
-	rxls := make([]*faults.LinkState, R)
-	outs := make([]*sim.Link, R)
-	routs := make([]*sim.Link, R)
-	inboxes := make([]*kernel.Inbox, R)
-	fronts := make([]*kernel.Process, R)
+	// Per-replica plumbing, indexed by 0-based replica r (machine r+1):
+	// the tier chain, a request wire m0 -> r for requests and probes,
+	// and a response wire r -> m0.
+	txs := make([]*wire, R)
 	repBreakers := make([][]*Breaker, R)
-
-	accs := make([]*stats.Accumulator, machines)
-	for i := range accs {
-		accs[i] = &stats.Accumulator{}
-	}
-
-	waiters := make([]sim.Waiter, cfg.Clients)
-	curID := make([]uint64, cfg.Clients)
-	hedged := make([]bool, cfg.Clients)
 	lastAck := make([]sim.Time, R)
 	for r := range lastAck {
 		lastAck[r] = replicatedBootTime // probe grace until the first ack
 	}
-	measuring := false
-
 	health := NewReplicaHealth(R)
-	rs := &ReplicaSet{N: R, Policy: cfg.Policy, Health: health}
-
-	//dipcvet:shard-ok wiring phase: links and injector targets bind to their owning shards before the run
-	eng0 := cl.Shard(0).Engine()
-	shardOf := func(mi int) *sim.Engine {
-		//dipcvet:shard-ok wiring phase: resolving the owning engine of machine mi before the run
-		return cl.Shard(mi % cl.Shards()).Engine()
-	}
 
 	for r := 0; r < R; r++ {
 		r := r
 		mi := r + 1
-		txnics[r] = netpipe.NewNIC(ms[0])
-		rxnics[r] = netpipe.NewNIC(ms[mi])
-		txls[r] = &faults.LinkState{}
-		rxls[r] = &faults.LinkState{}
-		txnics[r].SetFaults(txls[r])
-		rxnics[r].SetFaults(rxls[r])
-		inj.Link(fmt.Sprintf("link%d", mi), eng0, txls[r])
-		inj.Link(fmt.Sprintf("rlink%d", mi), shardOf(mi), rxls[r])
-		inboxes[r] = &kernel.Inbox{}
-
+		prefix := fmt.Sprintf("r%d", mi)
 		work := cfg.Work
 		if cfg.SlowReplica == mi {
 			work = sim.Time(float64(work) * cfg.SlowFactor)
@@ -328,126 +246,61 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 		}
 		front, rt, trs := buildChain(&tierChain{Mode: cfg.Mode, Depth: cfg.Depth, Threads: cfg.Threads,
 			ReqBytes: cfg.ReqBytes, Work: work, Plan: cfg.Plan, Deadline: cfg.Retry.Deadline,
-			Prefix: fmt.Sprintf("r%d", mi), SlotBoot: true}, ms[mi], prm, inj, wrap)
-		fronts[r] = front
+			Prefix: prefix, SlotBoot: true}, h.ms[mi], prm, h.inj, wrap)
 
-		// Request link m0 -> replica: probes echo straight back from the
-		// delivery handler (the kernel's ping responder — no tier work),
-		// requests queue for the front workers. A dead front answers
-		// neither; that silence is what the detector converts into
-		// suspicion.
-		outs[r] = cl.Connect(cl.Shard(0), cl.Shard(mi%cl.Shards()), txnics[r].Lookahead())
-		routs[r] = cl.Connect(cl.Shard(mi%cl.Shards()), cl.Shard(0), rxnics[r].Lookahead())
-		outs[r].SetHandler(func(v uint64) {
-			if v&ridProbeBit != 0 {
-				if front.Dead {
-					return
-				}
-				if !rxnics[r].Up() {
-					//dipcvet:hook-ok rxls[r] is constructed non-nil at wiring time
-					rxls[r].NoteDrop()
-					return
-				}
-				routs[r].SendU64(rxnics[r].FlightTime(probeBytes), v)
-				return
+		tx := h.connect(fmt.Sprintf("link%d", mi), 0, mi)
+		rx := h.connect(fmt.Sprintf("rlink%d", mi), mi, 0)
+		txs[r] = tx
+
+		// Request wire: probes echo straight back from the delivery
+		// handler (the kernel's ping responder — no tier work), requests
+		// queue for the front workers. A dead front answers neither;
+		// that silence is what the detector converts into suspicion.
+		in := &kernel.Inbox{}
+		tx.link.SetHandler(func(v uint64) {
+			if v&ridProbeBit == 0 {
+				in.Submit(v)
+			} else if !front.Dead {
+				rx.send(probeBytes, v, nil)
 			}
-			inboxes[r].Submit(v)
 		})
 
-		// Response link replica -> m0: probe acks refresh the detector's
-		// freshness clock; completions must match the client's current
-		// ID (copy and error bits masked) or they are stale — a loser of
-		// a hedge race or a reply that missed its deadline — and are
-		// dropped with cancellation accounting.
-		routs[r].SetHandler(func(v uint64) {
+		// Response wire: probe acks refresh the detector's freshness
+		// clock; completions go to their client.
+		rx.link.SetHandler(func(v uint64) {
 			if v&ridProbeBit != 0 {
-				lastAck[r] = eng0.Now()
+				lastAck[r] = h.eng0.Now()
 				return
 			}
-			ci := int(v & ridClientMask)
-			if curID[ci] != v&^uint64(ridCopyBit|ridErrMask) {
-				if measuring {
-					accs[0].Rel.Cancelled++
+			h.complete(v)
+		})
+
+		// Front worker pool: run the tier chain and report the outcome
+		// in-band (error class in the response ID).
+		h.serve(mi, front, rt, prefix, cfg.Threads, in, rx, cfg.ReqBytes,
+			func(t *kernel.Thread, v uint64) uint64 {
+				t.ExecUser(work)
+				out, err := trs[0].TryCall(t, "hop", nil, cfg.ReqBytes)
+				if err == nil {
+					_, err = unwrapRemote(out)
 				}
-				return
-			}
-			if hedged[ci] {
-				if measuring {
-					if v&ridCopyBit != 0 {
-						accs[0].Rel.HedgeWins++
+				class := uint64(respOK)
+				if err != nil {
+					if errors.Is(err, faults.ErrRejected) {
+						class = respRejected
 					} else {
-						accs[0].Rel.HedgeLosses++
+						class = respFault
 					}
 				}
-				hedged[ci] = false
-			}
-			curID[ci] = 0
-			waiters[ci].WakeU64(0, v)
-		})
-
-		// Front worker pool: drain the inbox, run the tier chain, report
-		// the outcome in-band (error class in the response ID). A dead
-		// front consumes and discards; a downed response link black-holes
-		// the reply — either way the client learns only via its deadline.
-		for w := 0; w < cfg.Threads; w++ {
-			ms[mi].Spawn(front, fmt.Sprintf("r%d.w%d", mi, w), nil, func(t *kernel.Thread) {
-				if rt != nil {
-					mustEnter(rt, t)
-				}
-				for {
-					v := inboxes[r].Recv(t)
-					if front.Dead {
-						if measuring {
-							accs[mi].Rel.Drops++
-						}
-						continue
-					}
-					t.ExecUser(work)
-					out, err := trs[0].TryCall(t, "hop", nil, cfg.ReqBytes)
-					if err == nil {
-						_, err = unwrapRemote(out)
-					}
-					class := uint64(respOK)
-					if err != nil {
-						if errors.Is(err, faults.ErrRejected) {
-							class = respRejected
-						} else {
-							class = respFault
-						}
-					}
-					if !rxnics[r].Up() {
-						//dipcvet:hook-ok rxls[r] is constructed non-nil at wiring time
-						rxls[r].NoteDrop()
-						if measuring {
-							accs[mi].Rel.Drops++
-						}
-						continue
-					}
-					routs[r].SendU64(rxnics[r].FlightTime(cfg.ReqBytes), v|class<<ridErrShift)
-				}
+				return v | class<<ridErrShift
 			})
-		}
-	}
-
-	// send transmits one request (or hedge copy) toward replica r; a
-	// downed request link black-holes it and the deadline still runs.
-	send := func(r int, id uint64) {
-		if txnics[r].Up() {
-			outs[r].SendU64(txnics[r].FlightTime(cfg.ReqBytes), id)
-			return
-		}
-		//dipcvet:hook-ok txls[r] is constructed non-nil at wiring time
-		txls[r].NoteDrop()
-		if measuring {
-			accs[0].Rel.Drops++
-		}
 	}
 
 	// Health detector: probe every replica each period over the request
-	// links, suspect any whose newest ack has gone stale, clear it when
+	// wires, suspect any whose newest ack has gone stale, clear it when
 	// acks resume. Pure sim-clock arithmetic on shard 0.
 	det := cfg.Detector
-	eng0.Spawn("health-detector", replicatedBootTime, func(sp *sim.Proc) {
+	h.eng0.Spawn("health-detector", replicatedBootTime, func(sp *sim.Proc) {
 		pseq := uint64(0)
 		for {
 			now := sp.Now()
@@ -458,160 +311,27 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 					health.Clear(r, now)
 				}
 				pseq++
-				pid := uint64(ridProbeBit) | pseq<<ridSeqShift | uint64(r)
-				if txnics[r].Up() {
-					outs[r].SendU64(txnics[r].FlightTime(probeBytes), pid)
-				} else {
-					//dipcvet:hook-ok txls[r] is constructed non-nil at wiring time
-					txls[r].NoteDrop()
-				}
+				txs[r].send(probeBytes, uint64(ridProbeBit)|pseq<<ridSeqShift|uint64(r), nil)
 			}
 			sp.Sleep(det.Every)
 		}
 	})
 
-	// Closed-loop clients: retry loop with deadline-armed waits as in
-	// RunRackChaos, plus routing. Each attempt asks the ReplicaSet for a
-	// candidate; under PolicyHedged a timer at HedgeFraction*deadline
-	// issues a copy-bit duplicate to the next healthy replica if the
-	// primary has not answered yet — first response wins.
-	hedgeDelay := sim.Time(float64(cfg.Retry.Deadline) * cfg.HedgeFraction)
-	for ci := 0; ci < cfg.Clients; ci++ {
-		ci := ci
-		rng := sim.NewRand(cfg.Seed + 0x9e3779b97f4a7c15*uint64(ci+1))
-		jitter := retryJitter(cfg.Retry, cfg.Plan, fmt.Sprintf("client%d", ci))
-		eng0.Spawn(fmt.Sprintf("client%d", ci), replicatedBootTime+sim.Time(ci+1), func(sp *sim.Proc) {
-			seq := uint64(0)
-			for {
-				start := sp.Now()
-				ok := false
-				base := rs.Begin()
-				for attempt := 0; attempt <= cfg.Retry.MaxRetries; attempt++ {
-					if attempt > 0 {
-						if measuring {
-							accs[0].Rel.Retries++
-						}
-						sp.Sleep(cfg.Retry.BackoffJittered(attempt-1, jitter))
-					}
-					if measuring {
-						accs[0].Rel.Attempts++
-					}
-					seq++
-					id := seq<<ridSeqShift | uint64(ci)
-					target := rs.Pick(base, attempt)
-					waiters[ci] = sp.PrepareTimedWait(cfg.Retry.Deadline)
-					curID[ci] = id
-					hedged[ci] = false
-					send(target, id)
-					if cfg.Policy == PolicyHedged && R > 1 {
-						eng0.At(hedgeDelay, func() {
-							if curID[ci] != id {
-								return // already answered or superseded
-							}
-							alt := rs.Next(target)
-							if alt == target {
-								return
-							}
-							if measuring {
-								// Win/loss attribution rides the same gate,
-								// so a warmup hedge can never win inside the
-								// window and push HedgeWins past Hedges.
-								accs[0].Rel.Hedges++
-								hedged[ci] = true
-							}
-							send(alt, id|ridCopyBit)
-						})
-					}
-					v, completed := sp.WaitU64()
-					if completed {
-						switch int(v>>ridErrShift) & 3 {
-						case respOK:
-							ok = true
-						case respRejected:
-							// The replica shed the call; routing retries
-							// it elsewhere. With a single replica there
-							// is no elsewhere — honor the rejection like
-							// the Retrier does and stop.
-							if measuring {
-								accs[0].Rel.Rejected++
-							}
-							if R == 1 {
-								attempt = cfg.Retry.MaxRetries
-							}
-						default:
-							if measuring {
-								accs[0].Rel.Faults++
-							}
-						}
-						if ok {
-							break
-						}
-						continue
-					}
-					if measuring {
-						accs[0].Rel.Timeouts++
-					}
-					curID[ci] = 0 // cancel: a late reply is stale now
-				}
-				if measuring {
-					if ok {
-						accs[0].Rel.OpsOK++
-						accs[0].AddOp(sp.Now() - start)
-					} else {
-						accs[0].Rel.OpsFailed++
-					}
-				}
-				sp.Sleep(rng.Duration(0, 2*sim.Microsecond))
-			}
-		})
-	}
+	h.spawnClients(replicatedBootTime+1, ReplicaSet{N: R, Policy: cfg.Policy, Health: health}, txs,
+		cfg.ReqBytes, cfg.Retry, cfg.Plan, sim.Time(float64(cfg.Retry.Deadline)*cfg.HedgeFraction))
+	h.measure(cfg.Warmup, cfg.Window)
 
-	if err := inj.Install(); err != nil {
-		panic(fmt.Sprintf("oltp: replicated plan: %v", err))
-	}
-
-	cl.RunUntil(cfg.Warmup)
-	base := make([]stats.Breakdown, machines)
-	for i, m := range ms {
-		base[i] = m.Snapshot()
-	}
-	measuring = true
-	rs.Rel = &accs[0].Rel // failover accounting starts with the window
-	cl.RunUntil(cfg.Warmup + cfg.Window)
-
-	for i, m := range ms {
-		accs[i].Breakdown = m.Snapshot().Sub(base[i])
-	}
 	// Detector scoring over the whole run (warmup suspicion churn is
 	// part of the detector's record), folded into machine 0's share so
 	// it merges like every other counter.
-	scoreDetector(&accs[0].Rel, health.Transitions(), planDeadIntervals(cfg.Plan, R))
-	merged := stats.MergeAll(accs)
-
+	scoreDetector(&h.accs[0].Rel, health.Transitions(), planDeadIntervals(cfg.Plan, R))
 	res := &ReplicatedResult{
-		Rel:          merged.Rel,
-		Goodput:      merged.Rel.Goodput(cfg.Window),
-		ErrorRate:    merged.Rel.ErrorRate(),
-		Availability: merged.Rel.Availability(),
-		RetryAmp:     merged.Rel.RetryAmplification(),
-		AvgLatency:   merged.AvgLatency(),
-		P50:          merged.Hist.P50(),
-		P99:          merged.Hist.P99(),
-		P999:         merged.Hist.P999(),
-		MaxLatency:   merged.Hist.Max(),
-		PerMachine:   accs,
-		Merged:       merged,
-		TxDowntime:   make([]sim.Time, R),
-		RxDowntime:   make([]sim.Time, R),
-		Health:       health.Transitions(),
-		Breakers:     make([][]BreakerTransition, R),
+		RackResult: h.readout(cfg.Window),
+		Health:     health.Transitions(),
+		Breakers:   make([][]BreakerTransition, R),
 	}
-	for r := 0; r < R; r++ {
-		//dipcvet:shard-ok post-run readout: the cluster has stopped, clocks are frozen
-		now := cl.Shard((r + 1) % cl.Shards()).Engine().Now()
-		res.TxDowntime[r] = txls[r].Downtime(eng0.Now())
-		res.RxDowntime[r] = rxls[r].Downtime(now)
-		for _, br := range repBreakers[r] {
+	for r, brs := range repBreakers {
+		for _, br := range brs {
 			if br == nil {
 				continue
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -188,19 +187,4 @@ func (r *Router) Calls() uint64 {
 		n += tr.Calls()
 	}
 	return n
-}
-
-// Lookahead implements Transport: the minimum over replicas (the
-// conservative bound for cross-shard scheduling).
-func (r *Router) Lookahead() sim.Time {
-	if len(r.Replicas) == 0 {
-		return 0
-	}
-	la := r.Replicas[0].Lookahead()
-	for _, tr := range r.Replicas[1:] {
-		if l := tr.Lookahead(); l < la {
-			la = l
-		}
-	}
-	return la
 }

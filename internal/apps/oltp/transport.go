@@ -7,7 +7,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/ipc"
 	"repro/internal/kernel"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -26,15 +25,6 @@ type Transport interface {
 	// Calls returns how many calls went through (for the §7.5
 	// calls-per-operation accounting).
 	Calls() uint64
-	// Lookahead is the minimum scheduling-visible delay of one call —
-	// the figure a sharded run may declare as sim.Cluster link
-	// lookahead. All three intra-machine transports return 0: even the
-	// socket path can deliver to a service thread at the same simulated
-	// instant (Submit/WakeOne with zero delay), and dIPC's whole thesis
-	// is erasing cross-domain latency. Zero lookahead means the tiers of
-	// one OLTP machine must share a shard; only inter-machine transports
-	// (e.g. netpipe's NIC wire latency) give the cluster real slack.
-	Lookahead() sim.Time
 }
 
 // mustCall is the fault-free call path: a TryCall whose error is a
@@ -71,10 +61,6 @@ func (d *DirectTransport) TryCall(t *kernel.Thread, op string, payload any, reqB
 
 // Calls implements Transport.
 func (d *DirectTransport) Calls() uint64 { return d.calls }
-
-// Lookahead implements Transport: a function call is instantaneous in
-// scheduling terms.
-func (d *DirectTransport) Lookahead() sim.Time { return 0 }
 
 // SockTransport is the Linux baseline: requests flow through a UNIX
 // socket to a pool of service threads in the target process, and
@@ -139,11 +125,6 @@ func (s *SockTransport) TryCall(t *kernel.Thread, op string, payload any, reqByt
 // Calls implements Transport.
 func (s *SockTransport) Calls() uint64 { return s.calls }
 
-// Lookahead implements Transport: socket cost is CPU time (copies,
-// wakeups, scheduling), not a modeled propagation delay — a message can
-// reach the service pool at the same simulated instant it was sent.
-func (s *SockTransport) Lookahead() sim.Time { return 0 }
-
 // Worker runs one service thread: the per-tier thread pools of the
 // Linux configuration call this in a loop.
 func (s *SockTransport) Worker(t *kernel.Thread) {
@@ -196,11 +177,6 @@ func (d *DIPCTransport) TryCall(t *kernel.Thread, op string, payload any, reqByt
 
 // Calls implements Transport.
 func (d *DIPCTransport) Calls() uint64 { return d.calls }
-
-// Lookahead implements Transport: dIPC's direct domain crossing has, by
-// design, no scheduling-visible latency at all (§3 — the calling thread
-// crosses in place).
-func (d *DIPCTransport) Lookahead() sim.Time { return 0 }
 
 // handlerEntry adapts a Handler into a dIPC entry function.
 func handlerEntry(h Handler, op string) core.Func {

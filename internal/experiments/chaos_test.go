@@ -36,48 +36,3 @@ func TestChainFaultsNilPlanIsClean(t *testing.T) {
 		}
 	}
 }
-
-// TestRackChaosKillCrossShard kills a service tier that lives on a
-// different shard than the clients, mid-window, with no restart. The
-// clients must observe errors (deadline expiries), not hangs — the run
-// completes and both successes and failures are counted — and the
-// outcome must be identical at shards=1, 2 and 4: crash unwinding may
-// not depend on which host core the dead machine simulates on.
-func TestRackChaosKillCrossShard(t *testing.T) {
-	run := func(shards int) *RackChaosResult {
-		return RunRackChaos(RackChaosConfig{
-			RackConfig: RackConfig{
-				Machines: 4, CPUs: 2, Workers: 2, Clients: 8, ReqBytes: 4096,
-				Work: sim.Micros(5), Window: sim.Millis(6), Warmup: sim.Millis(2),
-				Seed: 5, Shards: shards,
-			},
-			Plan: &faults.Plan{Seed: 5, Events: []faults.Event{
-				{At: sim.Millis(4), Kind: faults.KillProc, Target: "svc2"},
-			}},
-			Retry: faults.RetryPolicy{Deadline: sim.Micros(150), MaxRetries: 1, Backoff: sim.Micros(10)},
-		})
-	}
-	ref := run(1)
-	if ref.Rel.OpsOK == 0 {
-		t.Fatal("no successful operations before the kill")
-	}
-	if ref.Rel.OpsFailed == 0 {
-		t.Fatal("killing a mid-ring tier produced no client-visible failures")
-	}
-	if ref.Rel.Timeouts == 0 {
-		t.Fatal("cross-machine failures should surface as deadline expiries")
-	}
-	if ref.Rel.Drops == 0 {
-		t.Fatal("the dead tier should be discarding deliveries")
-	}
-	for _, shards := range []int{2, 4} {
-		r := run(shards)
-		if r.Rel != ref.Rel {
-			t.Errorf("shards=%d reliability diverged:\n got %+v\nwant %+v", shards, r.Rel, ref.Rel)
-		}
-		if r.Merged.Ops != ref.Merged.Ops || r.Merged.Latency != ref.Merged.Latency {
-			t.Errorf("shards=%d ops/latency diverged: got (%d, %v), want (%d, %v)",
-				shards, r.Merged.Ops, r.Merged.Latency, ref.Merged.Ops, ref.Merged.Latency)
-		}
-	}
-}

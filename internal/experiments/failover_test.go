@@ -170,6 +170,34 @@ func TestFailoverInputErrorsNameTheParameter(t *testing.T) {
 	}
 }
 
+// TestRingClientsNameTheParameter: the ring's request IDs carry the
+// client index in 12 bits, so a client count past that is a config
+// error naming clients in both ring scenarios, and the largest count
+// that fits is accepted.
+func TestRingClientsNameTheParameter(t *testing.T) {
+	for _, c := range []struct {
+		scn, val string
+		ok       bool
+	}{
+		{"rack", "4096", false},
+		{"rack", "4095", true},
+		{"chaos-rack", "4096", false},
+		{"chaos-rack", "4095", true},
+	} {
+		s, ok := scenario.Default.Lookup(c.scn)
+		if !ok {
+			t.Fatalf("%s not registered", c.scn)
+		}
+		_, err := scenario.NewConfig(s, map[string]string{"clients": c.val})
+		switch {
+		case c.ok && err != nil:
+			t.Errorf("%s clients=%s: %v", c.scn, c.val, err)
+		case !c.ok && (err == nil || !strings.Contains(err.Error(), "clients")):
+			t.Errorf("%s clients=%s: want an error naming clients, got %v", c.scn, c.val, err)
+		}
+	}
+}
+
 // TestChainFaultTimesBeforeBootNameTheParameter: a chain fault time
 // before the chain has booted is a config error naming the parameter,
 // not a panic from the injector during the run.

@@ -98,21 +98,15 @@ func runChaosRackScenario(cfg *scenario.Config) (*scenario.Result, error) {
 		faults.Event{At: warmup + window/4, Kind: faults.LinkDegrade, Target: "link2", Extra: degrade},
 		faults.Event{At: warmup + 3*window/4, Kind: faults.LinkRestore, Target: "link2"})
 
-	r := RunRackChaos(RackChaosConfig{
-		RackConfig: RackConfig{
-			Machines: cfg.Int("machines"), CPUs: cfg.Int("cpus"),
-			Workers: cfg.Int("workers"), Clients: cfg.Int("clients"),
-			ReqBytes: cfg.Int("reqbytes"), Work: cfg.Duration("work"),
-			Window: window, Warmup: warmup, Seed: 5, Shards: cfg.Int("shards"),
-		},
-		Plan: &faults.Plan{Seed: 5, Events: evs},
-		Retry: faults.RetryPolicy{
-			Deadline:   cfg.Duration("deadline"),
-			MaxRetries: cfg.Int("retries"),
-			Backoff:    cfg.Duration("backoff"),
-			MaxBackoff: 8 * cfg.Duration("backoff"),
-		},
-	})
+	c := ringConfig(cfg)
+	c.Plan = &faults.Plan{Seed: 5, Events: evs}
+	c.Retry = faults.RetryPolicy{
+		Deadline:   cfg.Duration("deadline"),
+		MaxRetries: cfg.Int("retries"),
+		Backoff:    cfg.Duration("backoff"),
+		MaxBackoff: 8 * cfg.Duration("backoff"),
+	}
+	r := oltp.RunRing(c)
 
 	res := &scenario.Result{Scenario: "chaos-rack", Params: cfg.ParamStrings()}
 	res.Series = append(res.Series,
@@ -262,7 +256,8 @@ func init() {
 				durationPositive("deadline", cfg.Duration("deadline")),
 				intAtLeast("retries", cfg.Int("retries"), 0),
 				durationPositive("backoff", cfg.Duration("backoff")),
-				intAtLeast("shards", cfg.Int("shards"), 0))
+				intAtLeast("shards", cfg.Int("shards"), 0),
+				ringConfig(cfg).Validate())
 		},
 		runChaosRackScenario))
 

@@ -16,40 +16,27 @@ package experiments
 import (
 	"fmt"
 
+	"repro/internal/apps/oltp"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 )
 
-// RackConfig parameterizes one rack run.
-type RackConfig struct {
-	Machines int // ring size (>= 1)
-	CPUs     int // cores per machine
-	Workers  int // service threads per non-client machine
-	Clients  int // closed-loop clients on machine 0
-	ReqBytes int // request size on the wire
-	Work     sim.Time
-	Window   sim.Time // measurement window (after warmup)
-	Warmup   sim.Time
-	Seed     uint64
-	Shards   int // engine shards (<= 0: one per host core)
+// ringConfig is the ring the rack and chaos-rack scenarios share,
+// without a fault plan or retry policy.
+func ringConfig(cfg *scenario.Config) oltp.RingConfig {
+	return oltp.RingConfig{
+		Machines: cfg.Int("machines"), CPUs: cfg.Int("cpus"),
+		Workers: cfg.Int("workers"), Clients: cfg.Int("clients"),
+		ReqBytes: cfg.Int("reqbytes"), Work: cfg.Duration("work"),
+		Window: cfg.Duration("window"), Warmup: cfg.Duration("warmup"),
+		Seed: 5, Shards: cfg.Int("shards"),
+	}
 }
 
 func runRackScenario(cfg *scenario.Config) (*scenario.Result, error) {
-	// The chaos ring with no fault plan and no deadline, so every
-	// request completes.
+	// The ring with no fault plan and no deadline, so every request
+	// completes.
 	window := cfg.Duration("window")
-	r := runRack(RackChaosConfig{RackConfig: RackConfig{
-		Machines: cfg.Int("machines"),
-		CPUs:     cfg.Int("cpus"),
-		Workers:  cfg.Int("workers"),
-		Clients:  cfg.Int("clients"),
-		ReqBytes: cfg.Int("reqbytes"),
-		Work:     cfg.Duration("work"),
-		Window:   window,
-		Warmup:   cfg.Duration("warmup"),
-		Seed:     5,
-		Shards:   cfg.Int("shards"),
-	}})
+	r := oltp.RunRing(ringConfig(cfg))
 	throughput := float64(r.Merged.Ops) / window.Seconds()
 
 	res := &scenario.Result{Scenario: "rack", Params: cfg.ParamStrings()}
@@ -100,7 +87,8 @@ func init() {
 				durationPositive("work", cfg.Duration("work")),
 				durationPositive("window", cfg.Duration("window")),
 				durationPositive("warmup", cfg.Duration("warmup")),
-				intAtLeast("shards", cfg.Int("shards"), 0))
+				intAtLeast("shards", cfg.Int("shards"), 0),
+				ringConfig(cfg).Validate())
 		},
 		runRackScenario))
 }

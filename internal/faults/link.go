@@ -15,7 +15,6 @@ type LinkState struct {
 	extra     sim.Time
 	downSince sim.Time
 	downTotal sim.Time
-	drops     int64
 }
 
 // Up reports whether the link is currently delivering.
@@ -50,17 +49,6 @@ func (ls *LinkState) SetExtra(d sim.Time) {
 		d = 0
 	}
 	ls.extra = d
-}
-
-// NoteDrop counts one message black-holed on the link.
-func (ls *LinkState) NoteDrop() { ls.drops++ }
-
-// Drops returns how many messages the loss window swallowed.
-func (ls *LinkState) Drops() int64 {
-	if ls == nil {
-		return 0
-	}
-	return ls.drops
 }
 
 // Downtime returns the total loss-window time through now, including a
