@@ -505,7 +505,11 @@ func cmdList(reg *scenario.Registry, stdout io.Writer) int {
 		s, _ := reg.Lookup(name)
 		fmt.Fprintf(stdout, "  %-18s %s\n", name, s.Describe())
 		for _, spec := range s.Params() {
-			fmt.Fprintf(stdout, "%20s-p %s=%s  (%s) %s\n", "", spec.Key, spec.Default, spec.Kind, spec.Doc)
+			kind := spec.Kind.String()
+			if spec.Min != "" {
+				kind += ", >= " + spec.Min
+			}
+			fmt.Fprintf(stdout, "%20s-p %s=%s  (%s) %s\n", "", spec.Key, spec.Default, kind, spec.Doc)
 		}
 	}
 	fmt.Fprintln(stdout, "\nGroups:")

@@ -238,6 +238,7 @@ func TestListScenarios(t *testing.T) {
 	got := out.String()
 	for _, want := range []string{
 		"chain", "fig8", "ablations", "-p threads=4,16,64", "-p window=250ms", "all",
+		"-p depth=1,2,4,8  (int list, >= 1)",
 	} {
 		if !strings.Contains(got, want) {
 			t.Errorf("list output missing %q:\n%s", want, got)

@@ -230,3 +230,34 @@ func TestChainFaultTimesBeforeBootNameTheParameter(t *testing.T) {
 		t.Errorf("chaos-kill restartat=0s: %v", err)
 	}
 }
+
+// TestRestartBeforeKillNamesTheParameter: a restart at or before the
+// kill would leave the target dead while the notes report a restart,
+// so it is a config error naming restartat. restartat=0 ("never") stays
+// valid where the scenario allows it.
+func TestRestartBeforeKillNamesTheParameter(t *testing.T) {
+	for _, c := range []struct{ scn, killat, restartat string }{
+		{"chaos-kill", "8ms", "6ms"},
+		{"chaos-kill", "8ms", "8ms"},
+		{"overload-storm", "8ms", "6ms"},
+		{"overload-storm", "8ms", "8ms"},
+		{"failover-kill", "7ms", "3ms"},
+		{"failover-kill", "7ms", "7ms"},
+	} {
+		s, ok := scenario.Default.Lookup(c.scn)
+		if !ok {
+			t.Fatalf("%s not registered", c.scn)
+		}
+		_, err := scenario.NewConfig(s, map[string]string{"killat": c.killat, "restartat": c.restartat})
+		if err == nil || !strings.Contains(err.Error(), "restartat") {
+			t.Errorf("%s killat=%s restartat=%s: want an error naming restartat, got %v",
+				c.scn, c.killat, c.restartat, err)
+		}
+	}
+	for _, scn := range []string{"chaos-kill", "failover-kill"} {
+		s, _ := scenario.Default.Lookup(scn)
+		if _, err := scenario.NewConfig(s, map[string]string{"restartat": "0s"}); err != nil {
+			t.Errorf("%s restartat=0s: %v", scn, err)
+		}
+	}
+}

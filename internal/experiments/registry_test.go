@@ -2,10 +2,12 @@ package experiments
 
 import (
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 // The registry invariant tests: every scenario this package registers
@@ -95,6 +97,50 @@ func TestRegistryUnknownParamRejectedWithValidKeys(t *testing.T) {
 				t.Errorf("scenario %q: error %q does not list valid key %q", s.Name(), err, spec.Key)
 			}
 		}
+	}
+}
+
+// TestParamBoundsNameTheParameter iterates the registry: for every
+// parameter with a lower bound, the value one step below it is rejected
+// with an error naming the key. A Duration bound of 0s has no value
+// below it (durations do not parse negative) and is skipped.
+func TestParamBoundsNameTheParameter(t *testing.T) {
+	checked := 0
+	for _, s := range scenario.Default.All() {
+		for _, spec := range s.Params() {
+			if spec.Min == "" {
+				continue
+			}
+			var below string
+			switch spec.Kind {
+			case scenario.Int, scenario.IntList:
+				min, err := strconv.Atoi(spec.Min)
+				if err != nil {
+					t.Fatalf("%s %s: bound %q: %v", s.Name(), spec.Key, spec.Min, err)
+				}
+				below = strconv.Itoa(min - 1)
+			case scenario.Duration:
+				min, err := scenario.ParseDuration(spec.Min)
+				if err != nil {
+					t.Fatalf("%s %s: bound %q: %v", s.Name(), spec.Key, spec.Min, err)
+				}
+				if min == 0 {
+					continue
+				}
+				below = scenario.FormatDuration(min - sim.Picosecond)
+			default:
+				t.Fatalf("%s %s: a %s parameter declares bound %q", s.Name(), spec.Key, spec.Kind, spec.Min)
+			}
+			checked++
+			_, err := scenario.NewConfig(s, map[string]string{spec.Key: below})
+			if err == nil || !strings.Contains(err.Error(), spec.Key) {
+				t.Errorf("%s %s=%s (below its bound %s): want an error naming %q, got %v",
+					s.Name(), spec.Key, below, spec.Min, spec.Key, err)
+			}
+		}
+	}
+	if checked == 0 {
+		t.Fatal("no scenario parameter declares a lower bound")
 	}
 }
 

@@ -15,36 +15,15 @@ import (
 
 	"repro/internal/apps/oltp"
 	"repro/internal/scenario"
-	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
-// Parameter validators. The underlying Run* functions replace
-// non-positive values with defaults; scenarios must reject them instead,
-// or the resolved parameters recorded in the canonical JSON (and in
-// BENCH_*.json baselines) would misstate what actually ran.
-func intAtLeast(key string, v, min int) error {
-	if v < min {
-		return fmt.Errorf("%s must be >= %d, got %d", key, min, v)
-	}
-	return nil
-}
-
-func intsAtLeast(key string, vs []int, min int) error {
-	for _, v := range vs {
-		if err := intAtLeast(key, v, min); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func durationPositive(key string, d sim.Time) error {
-	if d <= 0 {
-		return fmt.Errorf("%s must be a positive duration, got %s", key, d)
-	}
-	return nil
-}
+// Parameter bounds. The underlying Run* functions replace non-positive
+// values with defaults; scenarios must reject them instead, or the
+// resolved parameters recorded in the canonical JSON (and in BENCH_*.json
+// baselines) would misstate what actually ran. Each ParamSpec declares
+// its lower bound (positive unless set with AtLeast) and NewConfig
+// enforces it; a Check adds only upper bounds and cross-parameter rules.
 
 // faultsAfterBoot requires each named fault time to fall at or after
 // the boot of chain c: the injector cannot schedule a plan event in the
@@ -59,20 +38,16 @@ func faultsAfterBoot(cfg *scenario.Config, c oltp.ChainFaultsConfig, keys ...str
 	return nil
 }
 
-// firstErr returns the first non-nil error.
-func firstErr(errs ...error) error {
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
+// restartAfterKill requires a nonzero restartat to fall strictly after
+// killat: a restart at or before the kill would leave the target dead
+// for the rest of the run while the notes report a restart.
+func restartAfterKill(cfg *scenario.Config) error {
+	killat, restartat := cfg.Duration("killat"), cfg.Duration("restartat")
+	if restartat != 0 && restartat <= killat {
+		return fmt.Errorf("restartat must be after killat (%s), got %s",
+			scenario.FormatDuration(killat), scenario.FormatDuration(restartat))
 	}
 	return nil
-}
-
-// oltpThreadsWindow validates the common OLTP parameter pair.
-func oltpThreadsWindow(cfg *scenario.Config) error {
-	return firstErr(intAtLeast("threads", cfg.Int("threads"), 1),
-		durationPositive("window", cfg.Duration("window")))
 }
 
 // The derivation helpers compute the effective sweep axes the `full`
@@ -441,12 +416,11 @@ func init() {
 	scenario.Register(scenario.New("anchors",
 		"Scalar anchors (§2.2): function call and empty syscall",
 		nil, runAnchorsScenario))
-	scenario.Register(scenario.NewChecked("table1",
+	scenario.Register(scenario.New("table1",
 		"Table 1: round-trip domain switch + bulk data across architectures",
 		[]scenario.ParamSpec{
-			scenario.Param("bulk", scenario.Int, "4096", "bulk data bytes per round trip"),
+			scenario.Param("bulk", scenario.Int, "4096", "bulk data bytes per round trip").AtLeast("0"),
 		},
-		func(cfg *scenario.Config) error { return intAtLeast("bulk", cfg.Int("bulk"), 0) },
 		runTable1Scenario))
 	scenario.Register(scenario.New("fig2",
 		"Figure 2: time breakdown of IPC primitives (1-byte argument)",
@@ -457,42 +431,36 @@ func init() {
 	scenario.Register(scenario.NewChecked("fig6",
 		"Figure 6: added time over a function call by argument size",
 		[]scenario.ParamSpec{
-			scenario.Param("maxpow", scenario.Int, "14", "largest argument size as a power of two"),
+			scenario.Param("maxpow", scenario.Int, "14", "largest argument size as a power of two").AtLeast("0"),
 			fullParam("sweep the paper's full 2^0..2^20 axis"),
 		},
 		func(cfg *scenario.Config) error {
-			if mp := fig6MaxPow(cfg); mp < 0 || mp > 30 {
-				return fmt.Errorf("maxpow must be in 0..30, got %d", mp)
+			if mp := fig6MaxPow(cfg); mp > 30 {
+				return fmt.Errorf("maxpow must be <= 30, got %d", mp)
 			}
 			return nil
 		},
 		runFig6Scenario))
-	scenario.Register(scenario.NewChecked("fig7",
+	scenario.Register(scenario.New("fig7",
 		"Figure 7: Infiniband driver isolation overheads (latency and bandwidth)",
 		[]scenario.ParamSpec{
 			scenario.Param("step", scenario.Int, "4", "stride over the 2^0..2^12 size exponents"),
 			fullParam("run every power-of-two size (stride 1)"),
 		},
-		func(cfg *scenario.Config) error { return intAtLeast("step", fig7Step(cfg), 1) },
 		runFig7Scenario))
-	scenario.Register(scenario.NewChecked("fig1",
+	scenario.Register(scenario.New("fig1",
 		"Figure 1: OLTP time breakdown, Linux vs Ideal",
 		[]scenario.ParamSpec{windowParam()},
-		func(cfg *scenario.Config) error { return durationPositive("window", cfg.Duration("window")) },
 		runFig1Scenario))
-	scenario.Register(scenario.NewChecked("fig8",
+	scenario.Register(scenario.New("fig8",
 		"Figure 8: OLTP throughput, modes x concurrency, on-disk and in-memory",
 		[]scenario.ParamSpec{
 			scenario.Param("threads", scenario.IntList, "4,16,64", "concurrency axis (threads per component)"),
 			windowParam(),
 			fullParam("run the paper's full 4..512 thread axis"),
 		},
-		func(cfg *scenario.Config) error {
-			return firstErr(intsAtLeast("threads", fig8ThreadsAxisOf(cfg), 1),
-				durationPositive("window", cfg.Duration("window")))
-		},
 		runFig8Scenario))
-	scenario.Register(scenario.NewChecked("fig8scaling",
+	scenario.Register(scenario.New("fig8scaling",
 		"Figure 8 extension: OLTP throughput vs simulated cores",
 		[]scenario.ParamSpec{
 			scenario.Param("cpus", scenario.IntList, "1,2,4", "simulated core counts"),
@@ -500,25 +468,22 @@ func init() {
 			windowParam(),
 			fullParam("run the extended 1..8 core axis"),
 		},
-		func(cfg *scenario.Config) error {
-			return firstErr(intsAtLeast("cpus", fig8ScalingCPUsOf(cfg), 1), oltpThreadsWindow(cfg))
-		},
 		runFig8ScalingScenario))
-	scenario.Register(scenario.NewChecked("sensitivity",
+	scenario.Register(scenario.New("sensitivity",
 		"Sensitivity analysis (§7.5): call-cost and capability-traffic headroom",
 		[]scenario.ParamSpec{threadsParam("16"), windowParam()},
-		oltpThreadsWindow, runSensitivityScenario))
+		runSensitivityScenario))
 	scenario.Register(scenario.New("ablation-tls",
 		"Ablation: TLS segment switch cost (§6.1.2, §7.2)",
 		nil, runTLSAblationScenario))
-	scenario.Register(scenario.NewChecked("ablation-sharedpt",
+	scenario.Register(scenario.New("ablation-sharedpt",
 		"Ablation: shared page table / global VA space (§6.1.3)",
 		[]scenario.ParamSpec{threadsParam("16"), windowParam()},
-		oltpThreadsWindow, runSharedPTAblationScenario))
-	scenario.Register(scenario.NewChecked("ablation-steal",
+		runSharedPTAblationScenario))
+	scenario.Register(scenario.New("ablation-steal",
 		"Ablation: scheduler idle stealing under IPC load",
 		[]scenario.ParamSpec{threadsParam("16"), windowParam()},
-		oltpThreadsWindow, runStealAblationScenario))
+		runStealAblationScenario))
 	scenario.RegisterGroup("ablations",
 		"the three ablation studies",
 		"ablation-tls", "ablation-sharedpt", "ablation-steal")

@@ -62,19 +62,13 @@ func runChainScenario(cfg *scenario.Config) (*scenario.Result, error) {
 }
 
 func init() {
-	scenario.Register(scenario.NewChecked("chain",
+	scenario.Register(scenario.New("chain",
 		"Microservice chain-depth sweep (§7.5 extension): N chained tiers over Linux / dIPC / Ideal transports",
 		[]scenario.ParamSpec{
 			scenario.Param("depth", scenario.IntList, "1,2,4,8", "chain depths to sweep (service tiers behind the gateway)"),
 			scenario.Param("threads", scenario.Int, "8", "gateway workers (and per-tier workers on Linux)"),
 			scenario.Param("work", scenario.Duration, "20us", "application work per tier per request"),
 			scenario.Param("window", scenario.Duration, "100ms", "measurement window (simulated time)"),
-		},
-		func(cfg *scenario.Config) error {
-			return firstErr(intsAtLeast("depth", cfg.Ints("depth"), 1),
-				intAtLeast("threads", cfg.Int("threads"), 1),
-				durationPositive("window", cfg.Duration("window")),
-				durationPositive("work", cfg.Duration("work")))
 		},
 		runChainScenario))
 }

@@ -197,36 +197,25 @@ func init() {
 			scenario.Param("warmup", scenario.Duration, "5ms", "warmup before measurement"),
 			scenario.Param("window", scenario.Duration, "20ms", "measurement window (simulated time)"),
 			scenario.Param("killat", scenario.Duration, "8ms", "sim time the middle tier is killed"),
-			scenario.Param("restartat", scenario.Duration, "15ms", "sim time the tier restarts (0: never)"),
+			scenario.Param("restartat", scenario.Duration, "15ms", "sim time the tier restarts (0: never)").AtLeast("0s"),
 			scenario.Param("deadline", scenario.Duration, "300us", "per-attempt deadline at every hop"),
-			scenario.Param("retries", scenario.Int, "2", "retries per call after the first attempt"),
+			scenario.Param("retries", scenario.Int, "2", "retries per call after the first attempt").AtLeast("0"),
 			scenario.Param("backoff", scenario.Duration, "20us", "initial retry backoff (doubles, capped at 8x)"),
 		},
 		func(cfg *scenario.Config) error {
-			if err := firstErr(intAtLeast("depth", cfg.Int("depth"), 1),
-				intAtLeast("threads", cfg.Int("threads"), 1),
-				durationPositive("work", cfg.Duration("work")),
-				durationPositive("warmup", cfg.Duration("warmup")),
-				durationPositive("window", cfg.Duration("window")),
-				durationPositive("killat", cfg.Duration("killat")),
-				durationPositive("deadline", cfg.Duration("deadline")),
-				intAtLeast("retries", cfg.Int("retries"), 0),
-				durationPositive("backoff", cfg.Duration("backoff"))); err != nil {
-				return err
-			}
 			for _, mode := range chaosModes {
 				if err := faultsAfterBoot(cfg, chaosKillChain(cfg, mode), "killat", "restartat"); err != nil {
 					return err
 				}
 			}
-			return nil
+			return restartAfterKill(cfg)
 		},
 		runChaosKillScenario))
 
 	scenario.Register(scenario.NewChecked("chaos-rack",
 		"Flapping + degraded NIC links on the multi-machine ring: goodput and drops under lossy links at any shard count",
 		[]scenario.ParamSpec{
-			scenario.Param("machines", scenario.Int, "4", "machines in the ring (>= 3: link1 flaps, link2 degrades)"),
+			scenario.Param("machines", scenario.Int, "4", "machines in the ring (link1 flaps, link2 degrades)").AtLeast("3"),
 			scenario.Param("cpus", scenario.Int, "2", "cores per machine"),
 			scenario.Param("workers", scenario.Int, "2", "service threads per non-client machine"),
 			scenario.Param("clients", scenario.Int, "8", "closed-loop clients on machine 0"),
@@ -236,29 +225,13 @@ func init() {
 			scenario.Param("window", scenario.Duration, "20ms", "measurement window (simulated time)"),
 			scenario.Param("flapperiod", scenario.Duration, "6ms", "time between link1 outages"),
 			scenario.Param("flapdown", scenario.Duration, "2ms", "length of each link1 outage"),
-			scenario.Param("degrade", scenario.Duration, "3us", "extra per-message delay on link2 mid-run"),
+			scenario.Param("degrade", scenario.Duration, "3us", "extra per-message delay on link2 mid-run").AtLeast("0s"),
 			scenario.Param("deadline", scenario.Duration, "150us", "per-attempt client deadline"),
-			scenario.Param("retries", scenario.Int, "2", "retries per operation after the first attempt"),
+			scenario.Param("retries", scenario.Int, "2", "retries per operation after the first attempt").AtLeast("0"),
 			scenario.Param("backoff", scenario.Duration, "10us", "initial retry backoff (doubles, capped at 8x)"),
 			shardsParam(),
 		},
-		func(cfg *scenario.Config) error {
-			return firstErr(intAtLeast("machines", cfg.Int("machines"), 3),
-				intAtLeast("cpus", cfg.Int("cpus"), 1),
-				intAtLeast("workers", cfg.Int("workers"), 1),
-				intAtLeast("clients", cfg.Int("clients"), 1),
-				intAtLeast("reqbytes", cfg.Int("reqbytes"), 1),
-				durationPositive("work", cfg.Duration("work")),
-				durationPositive("warmup", cfg.Duration("warmup")),
-				durationPositive("window", cfg.Duration("window")),
-				durationPositive("flapperiod", cfg.Duration("flapperiod")),
-				durationPositive("flapdown", cfg.Duration("flapdown")),
-				durationPositive("deadline", cfg.Duration("deadline")),
-				intAtLeast("retries", cfg.Int("retries"), 0),
-				durationPositive("backoff", cfg.Duration("backoff")),
-				intAtLeast("shards", cfg.Int("shards"), 0),
-				ringConfig(cfg).Validate())
-		},
+		func(cfg *scenario.Config) error { return ringConfig(cfg).Validate() },
 		runChaosRackScenario))
 
 	scenario.Register(scenario.NewChecked("chaos-retrystorm",
@@ -271,7 +244,7 @@ func init() {
 			scenario.Param("window", scenario.Duration, "10ms", "measurement window (simulated time)"),
 			scenario.Param("pdrop", scenario.Float, "0.05", "per-call drop probability at every hop"),
 			scenario.Param("deadlines", scenario.IntList, "100,300", "per-attempt deadlines to sweep (us)"),
-			scenario.Param("retries", scenario.Int, "3", "retries per call after the first attempt"),
+			scenario.Param("retries", scenario.Int, "3", "retries per call after the first attempt").AtLeast("0"),
 			scenario.Param("backoffs", scenario.IntList, "5,40", "initial backoffs to sweep (us, doubles, capped at 8x)"),
 			scenario.CompatParam("jitter", scenario.Float, "0", "backoff jitter fraction in [0,1] (0: exact exponential schedule; deterministic per-callsite streams)"),
 		},
@@ -282,14 +255,7 @@ func init() {
 			if j := cfg.Float("jitter"); j < 0 || j > 1 {
 				return fmt.Errorf("jitter %g out of range [0, 1]", j)
 			}
-			return firstErr(intAtLeast("depth", cfg.Int("depth"), 1),
-				intAtLeast("threads", cfg.Int("threads"), 1),
-				durationPositive("work", cfg.Duration("work")),
-				durationPositive("warmup", cfg.Duration("warmup")),
-				durationPositive("window", cfg.Duration("window")),
-				intsAtLeast("deadlines", cfg.Ints("deadlines"), 1),
-				intAtLeast("retries", cfg.Int("retries"), 0),
-				intsAtLeast("backoffs", cfg.Ints("backoffs"), 1))
+			return nil
 		},
 		runChaosRetryStormScenario))
 

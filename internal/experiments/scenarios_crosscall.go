@@ -44,16 +44,11 @@ func crossCallParams(defDepth, defCalls string) []scenario.ParamSpec {
 	}
 }
 
-func crossCallCheck(cfg *scenario.Config) error {
-	return firstErr(intAtLeast("depth", cfg.Int("depth"), 1),
-		intAtLeast("calls", cfg.Int("calls"), 1))
-}
-
 func init() {
-	scenario.Register(scenario.NewChecked("crosscall",
+	scenario.Register(scenario.New("crosscall",
 		"Proxy call-path microbenchmark: one cross-process dIPC call, Low and High policies (perf-smoke tracked)",
-		crossCallParams("1", "30000"), crossCallCheck, runCrossCallScenario("crosscall")))
-	scenario.Register(scenario.NewChecked("crosscalldeep",
+		crossCallParams("1", "30000"), runCrossCallScenario("crosscall")))
+	scenario.Register(scenario.New("crosscalldeep",
 		"Proxy call-path microbenchmark at chain depth: nested proxied calls per op (perf-smoke tracked)",
-		crossCallParams("8", "8000"), crossCallCheck, runCrossCallScenario("crosscalldeep")))
+		crossCallParams("8", "8000"), runCrossCallScenario("crosscalldeep")))
 }

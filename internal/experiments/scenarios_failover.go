@@ -254,10 +254,10 @@ func runFailoverHedgeScenario(cfg *scenario.Config) (*scenario.Result, error) {
 }
 
 // failoverCommonParams are the replicated-rack knobs every failover
-// scenario exposes.
-func failoverCommonParams() []scenario.ParamSpec {
+// scenario exposes; minReplicas bounds the replica count.
+func failoverCommonParams(minReplicas string) []scenario.ParamSpec {
 	return []scenario.ParamSpec{
-		scenario.Param("replicas", scenario.Int, "2", "replica count, one per machine"),
+		scenario.Param("replicas", scenario.Int, "2", "replica count, one per machine").AtLeast(minReplicas),
 		scenario.Param("depth", scenario.Int, "2", "tier chain depth inside each replica"),
 		scenario.Param("threads", scenario.Int, "2", "front worker threads per replica"),
 		scenario.Param("clients", scenario.Int, "4", "closed-loop clients on machine 0"),
@@ -265,59 +265,40 @@ func failoverCommonParams() []scenario.ParamSpec {
 		scenario.Param("warmup", scenario.Duration, "4ms", "warmup before measurement (must exceed the 1ms boot)"),
 		scenario.Param("window", scenario.Duration, "16ms", "measurement window (simulated time)"),
 		scenario.Param("deadline", scenario.Duration, "300us", "per-attempt client deadline"),
-		scenario.Param("retries", scenario.Int, "2", "retries per operation after the first attempt"),
+		scenario.Param("retries", scenario.Int, "2", "retries per operation after the first attempt").AtLeast("0"),
 		scenario.Param("backoff", scenario.Duration, "20us", "initial retry backoff (doubles, capped at 8x)"),
 	}
-}
-
-func checkFailoverCommon(cfg *scenario.Config) error {
-	return firstErr(intAtLeast("replicas", cfg.Int("replicas"), 1),
-		intAtLeast("depth", cfg.Int("depth"), 1),
-		intAtLeast("threads", cfg.Int("threads"), 1),
-		intAtLeast("clients", cfg.Int("clients"), 1),
-		durationPositive("work", cfg.Duration("work")),
-		durationPositive("warmup", cfg.Duration("warmup")),
-		durationPositive("window", cfg.Duration("window")),
-		durationPositive("deadline", cfg.Duration("deadline")),
-		intAtLeast("retries", cfg.Int("retries"), 0),
-		durationPositive("backoff", cfg.Duration("backoff")),
-		intAtLeast("shards", cfg.Int("shards"), 0),
-		failoverBase(cfg, oltp.ModeDIPC).Validate())
 }
 
 func init() {
 	scenario.Register(scenario.NewChecked("failover-kill",
 		"Kill one replica's front mid-window (partial restart): replicated vs single-instance availability, detector latency, breaker fast-fails, Linux vs dIPC",
-		append(failoverCommonParams(),
+		append(failoverCommonParams("1"),
 			scenario.Param("killat", scenario.Duration, "7ms", "sim time replica 1 (front and first tier) is killed"),
-			scenario.Param("restartat", scenario.Duration, "12ms", "sim time the front restarts, tier still dead (0: never)"),
+			scenario.Param("restartat", scenario.Duration, "12ms", "sim time the front restarts, tier still dead (0: never)").AtLeast("0s"),
 			shardsParam()),
 		func(cfg *scenario.Config) error {
-			return firstErr(checkFailoverCommon(cfg),
-				durationPositive("killat", cfg.Duration("killat")))
+			if err := failoverBase(cfg, oltp.ModeDIPC).Validate(); err != nil {
+				return err
+			}
+			return restartAfterKill(cfg)
 		},
 		runFailoverKillScenario))
 
 	scenario.Register(scenario.NewChecked("failover-flap",
 		"Flap the request link of a live replica under a detector-timeout sweep: false-positive suspicions vs detection speed on the dIPC rack",
-		append(failoverCommonParams(),
+		append(failoverCommonParams("1"),
 			scenario.Param("flapperiod", scenario.Duration, "4ms", "time between link1 outages"),
 			scenario.Param("flapdown", scenario.Duration, "1500us", "length of each link1 outage"),
 			scenario.Param("probeevery", scenario.Duration, "150us", "health probe period"),
 			scenario.Param("timeouts", scenario.IntList, "400,1200", "detector suspicion timeouts to sweep (us)"),
 			shardsParam()),
-		func(cfg *scenario.Config) error {
-			return firstErr(checkFailoverCommon(cfg),
-				durationPositive("flapperiod", cfg.Duration("flapperiod")),
-				durationPositive("flapdown", cfg.Duration("flapdown")),
-				durationPositive("probeevery", cfg.Duration("probeevery")),
-				intsAtLeast("timeouts", cfg.Ints("timeouts"), 1))
-		},
+		func(cfg *scenario.Config) error { return failoverBase(cfg, oltp.ModeDIPC).Validate() },
 		runFailoverFlapScenario))
 
 	scenario.Register(scenario.NewChecked("failover-hedge",
 		"Hedged requests against a slow replica: tail latency and hedge win rate across the hedge trigger fraction, vs a no-hedge baseline",
-		append(failoverCommonParams(),
+		append(failoverCommonParams("2"),
 			scenario.Param("slowfactor", scenario.Float, "6", "work multiplier on the slow replica (replica 2)"),
 			scenario.Param("hedgefracs", scenario.IntList, "25,50", "hedge triggers to sweep (% of attempt deadline)"),
 			shardsParam()),
@@ -326,14 +307,11 @@ func init() {
 				return fmt.Errorf("slowfactor %g below 1", f)
 			}
 			for _, f := range cfg.Ints("hedgefracs") {
-				if f < 1 || f > 99 {
-					return fmt.Errorf("hedgefrac %d%% out of range [1, 99]", f)
+				if f > 99 {
+					return fmt.Errorf("hedgefracs must be <= 99, got %d", f)
 				}
 			}
-			if cfg.Int("replicas") < 2 {
-				return fmt.Errorf("hedging needs at least 2 replicas")
-			}
-			return checkFailoverCommon(cfg)
+			return failoverBase(cfg, oltp.ModeDIPC).Validate()
 		},
 		runFailoverHedgeScenario))
 

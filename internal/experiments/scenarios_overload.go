@@ -68,20 +68,6 @@ func overloadParams() []scenario.ParamSpec {
 	}
 }
 
-// overloadChecks validates the shared knobs.
-func overloadChecks(cfg *scenario.Config) error {
-	return firstErr(intAtLeast("depth", cfg.Int("depth"), 1),
-		intAtLeast("threads", cfg.Int("threads"), 1),
-		intAtLeast("cpus", cfg.Int("cpus"), 1),
-		durationPositive("work", cfg.Duration("work")),
-		durationPositive("warmup", cfg.Duration("warmup")),
-		durationPositive("window", cfg.Duration("window")),
-		intAtLeast("sessions", cfg.Int("sessions"), 1),
-		intAtLeast("requests", cfg.Int("requests"), 1),
-		durationPositive("deadline", cfg.Duration("deadline")),
-		durationPositive("hopdeadline", cfg.Duration("hopdeadline")))
-}
-
 // ---------------------------------------------------------------------
 // overload-knee: tail latency vs offered load, per transport.
 
@@ -231,17 +217,13 @@ func runOverloadStormScenario(cfg *scenario.Config) (*scenario.Result, error) {
 }
 
 func init() {
-	scenario.Register(scenario.NewChecked("overload-knee",
+	scenario.Register(scenario.New("overload-knee",
 		"Open-loop offered-load sweep: p50/p99/p999 and goodput per transport as demand crosses the saturation knee",
 		append(overloadParams(),
 			scenario.Param("kops", scenario.IntList, "10,20,40,80,160", "offered loads to sweep (kops/s)")),
-		func(cfg *scenario.Config) error {
-			return firstErr(overloadChecks(cfg),
-				intsAtLeast("kops", cfg.Ints("kops"), 1))
-		},
 		runOverloadKneeScenario))
 
-	scenario.Register(scenario.NewChecked("overload-shed",
+	scenario.Register(scenario.New("overload-shed",
 		"Admission policies (none/fifo/lifo/token) compared at 1.5x the knee: goodput, p99 of admitted, rejection rate on the dIPC chain",
 		append(overloadParams(),
 			scenario.Param("kops", scenario.Int, "240", "offered load (kops/s), past the knee"),
@@ -249,14 +231,6 @@ func init() {
 			scenario.Param("budget", scenario.Duration, "500us", "max queueing age before LIFO rejects at dequeue"),
 			scenario.Param("tokenkops", scenario.Int, "110", "token-bucket admission rate (kops/s)"),
 			scenario.Param("tokenburst", scenario.Int, "64", "token-bucket burst depth")),
-		func(cfg *scenario.Config) error {
-			return firstErr(overloadChecks(cfg),
-				intAtLeast("kops", cfg.Int("kops"), 1),
-				intAtLeast("queuecap", cfg.Int("queuecap"), 1),
-				durationPositive("budget", cfg.Duration("budget")),
-				intAtLeast("tokenkops", cfg.Int("tokenkops"), 1),
-				intAtLeast("tokenburst", cfg.Int("tokenburst"), 1))
-		},
 		runOverloadShedScenario))
 
 	scenario.Register(scenario.NewChecked("overload-storm",
@@ -265,28 +239,18 @@ func init() {
 			scenario.Param("kops", scenario.Int, "120", "offered load (kops/s), at the dIPC knee"),
 			scenario.Param("killat", scenario.Duration, "8ms", "sim time the deepest tier is killed"),
 			scenario.Param("restartat", scenario.Duration, "18ms", "sim time the tier restarts"),
-			scenario.Param("retries", scenario.Int, "3", "retries per call after the first attempt"),
+			scenario.Param("retries", scenario.Int, "3", "retries per call after the first attempt").AtLeast("0"),
 			scenario.Param("backoff", scenario.Duration, "100us", "initial retry backoff (doubles, capped at 8x)"),
 			scenario.Param("queuecap", scenario.Int, "256", "admission queue capacity"),
 			scenario.Param("cooldown", scenario.Duration, "500us", "breaker cooldown before half-open probes")),
 		func(cfg *scenario.Config) error {
-			if err := firstErr(overloadChecks(cfg),
-				intAtLeast("kops", cfg.Int("kops"), 1),
-				durationPositive("killat", cfg.Duration("killat")),
-				durationPositive("restartat", cfg.Duration("restartat")),
-				intAtLeast("retries", cfg.Int("retries"), 0),
-				durationPositive("backoff", cfg.Duration("backoff")),
-				intAtLeast("queuecap", cfg.Int("queuecap"), 1),
-				durationPositive("cooldown", cfg.Duration("cooldown"))); err != nil {
-				return err
-			}
 			for _, mode := range stormModes {
 				c := overloadBase(cfg, mode, cfg.Int("kops")).ChainFaultsConfig
 				if err := faultsAfterBoot(cfg, c, "killat", "restartat"); err != nil {
 					return err
 				}
 			}
-			return nil
+			return restartAfterKill(cfg)
 		},
 		runOverloadStormScenario))
 

@@ -61,7 +61,7 @@ func runRackScenario(cfg *scenario.Config) (*scenario.Result, error) {
 
 func shardsParam() scenario.ParamSpec {
 	return scenario.ExecParam("shards", scenario.Int, "1",
-		"engine shards for the one clustered simulation (1: sequential reference; 0: one per host core)")
+		"engine shards for the one clustered simulation (1: sequential reference; 0: one per host core)").AtLeast("0")
 }
 
 func init() {
@@ -78,17 +78,6 @@ func init() {
 			scenario.Param("warmup", scenario.Duration, "5ms", "warmup before measurement"),
 			shardsParam(),
 		},
-		func(cfg *scenario.Config) error {
-			return firstErr(intAtLeast("machines", cfg.Int("machines"), 1),
-				intAtLeast("cpus", cfg.Int("cpus"), 1),
-				intAtLeast("workers", cfg.Int("workers"), 1),
-				intAtLeast("clients", cfg.Int("clients"), 1),
-				intAtLeast("reqbytes", cfg.Int("reqbytes"), 1),
-				durationPositive("work", cfg.Duration("work")),
-				durationPositive("window", cfg.Duration("window")),
-				durationPositive("warmup", cfg.Duration("warmup")),
-				intAtLeast("shards", cfg.Int("shards"), 0),
-				ringConfig(cfg).Validate())
-		},
+		func(cfg *scenario.Config) error { return ringConfig(cfg).Validate() },
 		runRackScenario))
 }

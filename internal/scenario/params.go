@@ -151,7 +151,14 @@ func FormatDuration(t sim.Time) string {
 }
 
 // ParamSpec declares one typed scenario parameter: its key, kind,
-// canonical default and a one-line doc string for `dipcbench list`.
+// canonical default, inclusive lower bound and a one-line doc string
+// for `dipcbench list`.
+//
+// Min is the inclusive lower bound in the kind's canonical encoding,
+// applied to each element of an IntList; "" means none. Param, ExecParam
+// and CompatParam set it to the positive minimum ("1", "1ps") for Int,
+// IntList and Duration, and AtLeast declares another; Bool and Float take
+// none. NewConfig enforces it before any Checker runs.
 //
 // Exec marks an execution-only parameter: one that controls how the
 // simulation is executed (worker counts, shard counts) but is forbidden
@@ -169,6 +176,7 @@ type ParamSpec struct {
 	Key     string
 	Kind    Kind
 	Default string
+	Min     string
 	Doc     string
 	Exec    bool
 	Compat  bool
@@ -176,19 +184,75 @@ type ParamSpec struct {
 
 // Param is a convenience constructor for a ParamSpec.
 func Param(key string, kind Kind, def, doc string) ParamSpec {
-	return ParamSpec{Key: key, Kind: kind, Default: def, Doc: doc}
+	return ParamSpec{Key: key, Kind: kind, Default: def, Min: positiveMin(kind), Doc: doc}
 }
 
 // ExecParam is Param for an execution-only parameter (see ParamSpec.Exec).
 func ExecParam(key string, kind Kind, def, doc string) ParamSpec {
-	return ParamSpec{Key: key, Kind: kind, Default: def, Doc: doc, Exec: true}
+	return ParamSpec{Key: key, Kind: kind, Default: def, Min: positiveMin(kind), Doc: doc, Exec: true}
 }
 
 // CompatParam is Param for a post-pinning back-compat parameter (see
 // ParamSpec.Compat). The default MUST leave the scenario's behaviour
 // byte-identical to before the parameter existed.
 func CompatParam(key string, kind Kind, def, doc string) ParamSpec {
-	return ParamSpec{Key: key, Kind: kind, Default: def, Doc: doc, Compat: true}
+	return ParamSpec{Key: key, Kind: kind, Default: def, Min: positiveMin(kind), Doc: doc, Compat: true}
+}
+
+// AtLeast returns p with its lower bound set to min.
+func (p ParamSpec) AtLeast(min string) ParamSpec {
+	p.Min = min
+	return p
+}
+
+// positiveMin is a kind's default lower bound: its smallest positive
+// value, or none for Bool and Float.
+func positiveMin(k Kind) string {
+	switch k {
+	case Int, IntList:
+		return "1"
+	case Duration:
+		return "1ps"
+	}
+	return ""
+}
+
+// checkMin reports a parsed value below p.Min as an error naming the
+// key, and a bound that does not parse or that the kind does not take.
+func (p ParamSpec) checkMin(v any) error {
+	if p.Min == "" {
+		return nil
+	}
+	kind := p.Kind
+	if kind == IntList {
+		kind = Int // the bound applies to each element
+	}
+	if kind != Int && kind != Duration {
+		return fmt.Errorf("%s: a %s parameter takes no lower bound, got %q", p.Key, p.Kind, p.Min)
+	}
+	min, err := kind.Parse(p.Min)
+	if err != nil {
+		return fmt.Errorf("%s: bound %q does not parse: %v", p.Key, p.Min, err)
+	}
+	if d, ok := v.(sim.Time); ok {
+		switch {
+		case d >= min.(sim.Time):
+			return nil
+		case min == sim.Picosecond:
+			return fmt.Errorf("%s must be a positive duration, got %s", p.Key, FormatDuration(d))
+		}
+		return fmt.Errorf("%s must be >= %s, got %s", p.Key, p.Min, FormatDuration(d))
+	}
+	vs, ok := v.([]int)
+	if !ok {
+		vs = []int{v.(int)}
+	}
+	for _, n := range vs {
+		if n < min.(int) {
+			return fmt.Errorf("%s must be >= %s, got %d", p.Key, p.Min, n)
+		}
+	}
+	return nil
 }
 
 // Config carries a scenario's resolved parameter values: the declared
@@ -202,9 +266,9 @@ type Config struct {
 }
 
 // NewConfig resolves the scenario's parameters, applying overrides
-// (key -> string value) on top of the declared defaults. Unknown keys
-// and malformed values are rejected; the unknown-key error names every
-// valid key.
+// (key -> string value) on top of the declared defaults. Unknown keys,
+// malformed values and values below a declared bound are rejected; the
+// unknown-key error names every valid key.
 func NewConfig(s Scenario, overrides map[string]string) (*Config, error) {
 	specs := s.Params()
 	cfg := &Config{
@@ -245,6 +309,11 @@ func NewConfig(s Scenario, overrides map[string]string) (*Config, error) {
 		}
 		cfg.values[k] = v
 		cfg.explicit[k] = true
+	}
+	for _, spec := range specs {
+		if err := spec.checkMin(cfg.values[spec.Key]); err != nil {
+			return nil, fmt.Errorf("scenario %q: %v", s.Name(), err)
+		}
 	}
 	if c, ok := s.(Checker); ok {
 		if err := c.Check(cfg); err != nil {

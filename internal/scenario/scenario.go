@@ -32,10 +32,11 @@ type Scenario interface {
 	Run(cfg *Config) (*Result, error)
 }
 
-// Checker is implemented by scenarios with range or cross-parameter
-// constraints beyond what the kinds express (e.g. "threads >= 1").
-// NewConfig calls Check after parsing, so invalid values fail at config
-// resolution — before any experiment runs — not midway through a batch.
+// Checker is implemented by scenarios with constraints beyond what the
+// kinds and lower bounds express: upper bounds and cross-parameter rules
+// (e.g. "restartat after killat"). NewConfig calls Check after parsing
+// and bounding, so invalid values fail at config resolution — before any
+// experiment runs — not midway through a batch.
 type Checker interface {
 	Check(cfg *Config) error
 }
@@ -118,8 +119,9 @@ func (r *Registry) validateName(kind, name string) {
 }
 
 // Register adds s to the registry. It panics on malformed or duplicate
-// names, empty descriptions, and parameter defaults that do not
-// round-trip — registration is the enforcement point for the schema
+// names, empty descriptions, parameter defaults that do not round-trip,
+// and lower bounds that do not parse, do not fit the kind or exclude the
+// default — registration is the enforcement point for the schema
 // invariants, so a bad scenario fails at init time, not mid-run.
 func (r *Registry) Register(s Scenario) {
 	r.mu.Lock()
@@ -143,6 +145,9 @@ func (r *Registry) Register(s Scenario) {
 		if got := spec.Kind.Format(v); got != spec.Default {
 			panic(fmt.Sprintf("scenario: %q parameter %q default %q is not canonical (round-trips to %q)",
 				name, spec.Key, spec.Default, got))
+		}
+		if err := spec.checkMin(v); err != nil {
+			panic(fmt.Sprintf("scenario: %q parameter %q default %q: %v", name, spec.Key, spec.Default, err))
 		}
 	}
 	r.byName[name] = s

@@ -169,18 +169,50 @@ func TestConfigRunsCheckerAtResolutionTime(t *testing.T) {
 	s := NewChecked("cfg-checked", "a test scenario",
 		[]ParamSpec{Param("threads", Int, "8", "workers")},
 		func(cfg *Config) error {
-			if cfg.Int("threads") < 1 {
-				return fmt.Errorf("threads must be >= 1, got %d", cfg.Int("threads"))
+			if cfg.Int("threads") > 64 {
+				return fmt.Errorf("threads must be <= 64, got %d", cfg.Int("threads"))
 			}
 			return nil
 		},
 		func(cfg *Config) (*Result, error) { return &Result{Scenario: "cfg-checked"}, nil })
-	if _, err := NewConfig(s, map[string]string{"threads": "0"}); err == nil ||
-		!strings.Contains(err.Error(), "threads must be >= 1") {
+	if _, err := NewConfig(s, map[string]string{"threads": "65"}); err == nil ||
+		!strings.Contains(err.Error(), "threads must be <= 64") {
 		t.Fatalf("checker not run at config time: %v", err)
 	}
 	if _, err := NewConfig(s, nil); err != nil {
 		t.Fatalf("valid defaults rejected: %v", err)
+	}
+}
+
+// TestConfigEnforcesLowerBounds: NewConfig rejects a value below its
+// ParamSpec's bound — every element of an IntList — with an error
+// naming the key, and accepts the bound itself.
+func TestConfigEnforcesLowerBounds(t *testing.T) {
+	s := stub("cfg-bounds",
+		Param("threads", Int, "8", "workers"),
+		Param("retries", Int, "2", "retries").AtLeast("0"),
+		Param("depth", IntList, "1,2", "tiers"),
+		Param("window", Duration, "20ms", "window"),
+		Param("restartat", Duration, "5ms", "restart (0: never)").AtLeast("0s"),
+		Param("warmup", Duration, "4ms", "warmup").AtLeast("2ms"),
+	)
+	for _, c := range []struct{ key, val, want string }{
+		{"threads", "0", "threads must be >= 1, got 0"},
+		{"retries", "-1", "retries must be >= 0, got -1"},
+		{"depth", "1,0,4", "depth must be >= 1, got 0"},
+		{"window", "0s", "window must be a positive duration, got 0s"},
+		{"warmup", "1ms", "warmup must be >= 2ms, got 1ms"},
+	} {
+		if _, err := NewConfig(s, map[string]string{c.key: c.val}); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s=%s: want an error containing %q, got %v", c.key, c.val, c.want, err)
+		}
+	}
+	for _, ok := range [][2]string{
+		{"threads", "1"}, {"retries", "0"}, {"depth", "1"}, {"window", "1ps"}, {"restartat", "0s"}, {"warmup", "2ms"},
+	} {
+		if _, err := NewConfig(s, map[string]string{ok[0]: ok[1]}); err != nil {
+			t.Errorf("%s=%s at its bound rejected: %v", ok[0], ok[1], err)
+		}
 	}
 }
 
@@ -242,6 +274,24 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 	})
 	expectPanic("non-canonical default", func() {
 		r.Register(stub("bad-default", Param("w", Duration, "0.25s", "window")))
+	})
+	expectPanic("bound does not parse", func() {
+		r.Register(stub("bad-bound", Param("k", Int, "4", "x").AtLeast("one")))
+	})
+	expectPanic("bound on a bool", func() {
+		r.Register(stub("bool-bound", Param("b", Bool, "false", "x").AtLeast("0")))
+	})
+	expectPanic("bound on a float", func() {
+		r.Register(stub("float-bound", Param("f", Float, "0.5", "x").AtLeast("0")))
+	})
+	expectPanic("default below the positive minimum", func() {
+		r.Register(stub("low-default", Param("k", Int, "0", "x")))
+	})
+	expectPanic("default below a declared bound", func() {
+		r.Register(stub("low-duration", Param("w", Duration, "1ms", "x").AtLeast("2ms")))
+	})
+	expectPanic("list default below its bound", func() {
+		r.Register(stub("low-list", Param("l", IntList, "3,1", "x").AtLeast("2")))
 	})
 	expectPanic("dup param key", func() {
 		r.Register(stub("dup-key", Param("k", Int, "1", "x"), Param("k", Int, "2", "y")))
