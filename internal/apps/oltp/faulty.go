@@ -225,40 +225,12 @@ func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 	defer r.eng.Close()
 	transports, _ := r.serveChain(&cfg, nil)
 
-	// Closed-loop clients. Op outcomes and latency gate client-side on
-	// completion time; only the attempt-level counters, which the
-	// Retriers bump at any time, window via snapshot-subtraction.
-	measStart := cfg.Warmup
-	measEnd := cfg.Warmup + cfg.Window
-	var latSum sim.Time
-	var latOps, opsTotal int64
-	for c := 0; c < cfg.Clients; c++ {
-		r.eng.Spawn(fmt.Sprintf("chain-client-%d", c), 0, func(p *sim.Proc) {
-			for {
-				req := &request{started: p.Now()}
-				req.done = p.PrepareWait()
-				r.gw.Submit(req, p.Now())
-				p.Wait()
-				opsTotal++
-				if end := p.Now(); end >= measStart && end <= measEnd {
-					if req.err != nil {
-						r.rel.OpsFailed++
-					} else {
-						r.rel.OpsOK++
-						latSum += end - req.started
-						latOps++
-					}
-				}
-			}
-		})
-	}
-
+	// Op outcomes gate client-side on completion time, in r.outcomes;
+	// only the attempt-level counters, which the Retriers bump at any
+	// time, window via snapshot-subtraction.
+	r.closedLoop(cfg.Clients, cfg.Seed, nil, cfg.Warmup, cfg.Window)
 	bd, window := r.measure(cfg.Warmup, cfg.Window)
-
-	// Subtracting the snapshot from the gated op counters too would drop
-	// a completion landing exactly at measStart ahead of the snapshot
-	// event, while its latency stayed in the mean.
-	window.OpsOK, window.OpsFailed = r.rel.OpsOK, r.rel.OpsFailed
+	window.OpsOK, window.OpsFailed = r.outcomes.OpsOK, r.outcomes.OpsFailed
 	res := &ChainFaultsResult{
 		Config:       cfg,
 		Rel:          window,
@@ -268,15 +240,15 @@ func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 		RetryAmp:     window.RetryAmplification(),
 		Breakdown:    bd,
 	}
-	if latOps > 0 {
-		res.AvgLatency = latSum / sim.Time(latOps)
+	if r.outcomes.OpsOK > 0 {
+		res.AvgLatency = r.okLatency / sim.Time(r.outcomes.OpsOK)
 	}
 	var calls uint64
 	for _, tr := range transports {
 		calls += tr.Calls()
 	}
-	if opsTotal > 0 {
-		res.CallsPerOp = float64(calls) / float64(opsTotal)
+	if r.completed > 0 {
+		res.CallsPerOp = float64(calls) / float64(r.completed)
 	}
 	return res
 }

@@ -2,7 +2,6 @@ package oltp
 
 import (
 	"fmt"
-	"slices"
 
 	"repro/internal/faults"
 	"repro/internal/kernel"
@@ -91,7 +90,7 @@ var (
 type Gateway struct {
 	prm     *Params
 	cfg     GatewayConfig
-	pending []*request
+	pending sim.Queue[*request]
 	waiters kernel.TQueue
 
 	// Token bucket: tokens accumulate continuously on the sim clock.
@@ -148,13 +147,12 @@ func (g *Gateway) Submit(req *request, now sim.Time) {
 		g.Admitted++
 		return
 	}
-	if g.cfg.Policy != AdmitNone && len(g.pending) >= g.cfg.Capacity {
+	if g.cfg.Policy != AdmitNone && g.pending.Len() >= g.cfg.Capacity {
 		if g.cfg.Policy == AdmitLIFO {
 			// Shed the oldest: it has the least deadline budget left, so
 			// it is the entry least worth serving.
-			old := g.pending[0]
-			copy(g.pending, g.pending[1:])
-			g.pending[len(g.pending)-1] = req
+			old := g.pending.PopFront()
+			g.pending.PushBack(req)
 			g.Admitted++
 			g.RejectedFull++
 			g.reject(old, errGatewayFull)
@@ -165,7 +163,7 @@ func (g *Gateway) Submit(req *request, now sim.Time) {
 		return
 	}
 	g.Admitted++
-	g.pending = append(g.pending, req)
+	g.pending.PushBack(req)
 }
 
 // refill accrues tokens for the sim time elapsed since the last refill.
@@ -210,19 +208,14 @@ func (g *Gateway) Recv(t *kernel.Thread) *request {
 
 // pop removes the next request per policy, nil when the queue is empty.
 func (g *Gateway) pop() *request {
-	n := len(g.pending)
-	if n == 0 {
+	switch {
+	case g.pending.Len() == 0:
 		return nil
+	case g.cfg.Policy == AdmitLIFO:
+		return g.pending.PopBack()
+	default:
+		return g.pending.PopFront()
 	}
-	var req *request
-	if g.cfg.Policy == AdmitLIFO {
-		req = g.pending[n-1]
-		g.pending = g.pending[:n-1]
-	} else {
-		req = g.pending[0]
-		g.pending = slices.Delete(g.pending, 0, 1)
-	}
-	return req
 }
 
 // Reply sends the response (or the in-band failure) back to the client,
@@ -233,11 +226,7 @@ func (g *Gateway) Reply(t *kernel.Thread, req *request, err error) {
 		t.Exec(p.SockKernel+p.KernelCopy(g.prm.IngressResp), stats.BlockKernel)
 	})
 	req.err = err
-	if err != nil {
-		req.done.Wake(0, err)
-		return
-	}
-	req.done.Wake(0, nil)
+	req.done.Wake(0, err)
 }
 
 // Rejected is the total sheds across all reasons.
@@ -246,4 +235,4 @@ func (g *Gateway) Rejected() int64 {
 }
 
 // QueueLen is the current admission queue depth (tests).
-func (g *Gateway) QueueLen() int { return len(g.pending) }
+func (g *Gateway) QueueLen() int { return g.pending.Len() }

@@ -3,6 +3,7 @@ package oltp
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/cost"
@@ -206,6 +207,37 @@ func TestGatewayLIFOFreshness(t *testing.T) {
 		if age > sim.Micros(200) {
 			t.Fatalf("served a request %v old, past the 200us budget", age)
 		}
+	}
+}
+
+// A full AdmitLIFO queue sheds its oldest entry with errGatewayFull to
+// admit the newest, and Recv serves the newest first.
+func TestGatewayLIFOOrder(t *testing.T) {
+	eng := sim.NewEngine(1)
+	m := kernel.NewMachine(eng, cost.Default(), 1)
+	gw := NewGateway(DefaultParams(), GatewayConfig{Policy: AdmitLIFO, Capacity: 3})
+	reqs := make([]*request, 5)
+	for i := range reqs {
+		reqs[i] = &request{}
+		gw.Submit(reqs[i], 0)
+	}
+	for i, req := range reqs {
+		var want error
+		if i < 2 {
+			want = errGatewayFull
+		}
+		if req.err != want {
+			t.Errorf("request %d: err %v, want %v", i, req.err, want)
+		}
+	}
+	var got []int
+	onThread(eng, m, func(t *kernel.Thread) {
+		for gw.QueueLen() > 0 {
+			got = append(got, slices.Index(reqs, gw.Recv(t)))
+		}
+	})
+	if want := []int{4, 3, 2}; !slices.Equal(got, want) {
+		t.Fatalf("Recv served requests %v, want %v (newest first)", got, want)
 	}
 }
 

@@ -14,14 +14,23 @@ import (
 // rig is the single machine every front-door runner (Run,
 // RunChainFaults, RunOpenLoop) drives from off-machine clients: one
 // engine, one machine on the default cost model, the OLTP parameters,
-// the Gateway the clients submit to, and the attempt-level counters the
-// hop Retriers bump.
+// the Gateway the clients submit to, the attempt-level counters the
+// hop Retriers bump, and the closed-loop clients' outcomes.
 type rig struct {
 	eng *sim.Engine
 	m   *kernel.Machine
 	prm *Params
 	gw  *Gateway
 	rel stats.Reliability
+
+	// closedLoop's clients record here: outcomes counts the window's
+	// completions (OpsOK, OpsFailed), okLatency sums the latency of its
+	// successes, and completed counts every completion. No runner reads
+	// a closed-loop percentile, so this is not a stats.Accumulator: its
+	// 15 KiB histogram per run measurably slowed perfbench's setup_s.
+	outcomes  stats.Reliability
+	okLatency sim.Time
+	completed int64
 }
 
 func newRig(seed uint64, cpus int, gwc GatewayConfig) *rig {
@@ -84,6 +93,39 @@ func (r *rig) serveChain(cfg *ChainFaultsConfig, brc *BreakerConfig) ([]Transpor
 		return err
 	})
 	return transports, breakers
+}
+
+// closedLoop spawns n off-machine clients ("client-0".."client-(n-1)")
+// that each submit a request, wait for its completion and submit the
+// next. With gen non-nil, client c's operations come from gen on its own
+// stream sim.NewRand(seed*7919+c); with gen nil requests carry no
+// operation. Each completion in [warmup, warmup+window], both ends
+// included, counts in r.outcomes as OpsOK (adding its latency to
+// r.okLatency) or OpsFailed; every completion counts in r.completed.
+func (r *rig) closedLoop(n int, seed uint64, gen func(*sim.Rand) *Operation, warmup, window sim.Time) {
+	for c := 0; c < n; c++ {
+		rng := sim.NewRand(seed*7919 + uint64(c))
+		r.eng.Spawn(fmt.Sprintf("client-%d", c), 0, func(p *sim.Proc) {
+			for {
+				req := &request{started: p.Now()}
+				if gen != nil {
+					req.op = gen(rng)
+				}
+				req.done = p.PrepareWait()
+				r.gw.Submit(req, p.Now())
+				p.Wait()
+				r.completed++
+				if end := p.Now(); end >= warmup && end <= warmup+window {
+					if req.err != nil {
+						r.outcomes.OpsFailed++
+					} else {
+						r.outcomes.OpsOK++
+						r.okLatency += end - req.started
+					}
+				}
+			}
+		})
+	}
 }
 
 // measure snapshots the machine and r.rel at the end of warmup, runs

@@ -47,19 +47,6 @@ func (p RoutePolicy) String() string {
 	}
 }
 
-// ParseRoutePolicy decodes a policy name (the String encodings).
-func ParseRoutePolicy(s string) (RoutePolicy, error) {
-	switch s {
-	case "failover":
-		return PolicyFailover, nil
-	case "roundrobin":
-		return PolicyRoundRobin, nil
-	case "hedged":
-		return PolicyHedged, nil
-	}
-	return 0, fmt.Errorf("oltp: unknown route policy %q (failover, roundrobin, hedged)", s)
-}
-
 // ReplicaSet is the pick-state for routing over N replicas. All fields
 // belong to the picking shard (clients and detector share it there);
 // Health may be nil (no detector: every replica reads healthy).

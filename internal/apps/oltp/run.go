@@ -132,41 +132,22 @@ func Run(cfg Config) *Result {
 	})
 
 	// Driver: closed-loop clients living off-machine.
-	measStart := cfg.Warmup
-	measEnd := cfg.Warmup + cfg.Window
-	var ops, opsTotal int
-	var latSum sim.Time
-	for c := 0; c < cfg.Clients; c++ {
-		seed := cfg.Seed*7919 + uint64(c)
-		r.eng.Spawn(fmt.Sprintf("client-%d", c), 0, func(p *sim.Proc) {
-			rng := sim.NewRand(seed)
-			for {
-				req := &request{op: GenOp(rng, r.prm), started: p.Now()}
-				req.done = p.PrepareWait()
-				r.gw.Submit(req, p.Now())
-				p.Wait()
-				opsTotal++
-				if end := p.Now(); end >= measStart && end <= measEnd {
-					ops++
-					latSum += end - req.started
-				}
-			}
-		})
-	}
+	r.closedLoop(cfg.Clients, cfg.Seed, func(rng *sim.Rand) *Operation { return GenOp(rng, r.prm) },
+		cfg.Warmup, cfg.Window)
 
 	bd, _ := r.measure(cfg.Warmup, cfg.Window)
 	res := &Result{
 		Config:    cfg,
-		Ops:       ops,
+		Ops:       int(r.outcomes.OpsOK),
 		Breakdown: bd,
 	}
-	if ops > 0 {
-		res.Throughput = float64(ops) / cfg.Window.Seconds() * 60
-		res.AvgLatency = latSum / sim.Time(ops)
+	if res.Ops > 0 {
+		res.Throughput = float64(res.Ops) / cfg.Window.Seconds() * 60
+		res.AvgLatency = r.okLatency / sim.Time(res.Ops)
 	}
 	calls := stack.PHPT.Calls() + stack.DBT.Calls()
-	if opsTotal > 0 {
-		res.CallsPerOp = float64(calls) / float64(opsTotal)
+	if r.completed > 0 {
+		res.CallsPerOp = float64(calls) / float64(r.completed)
 	}
 	return res
 }

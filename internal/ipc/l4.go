@@ -1,9 +1,8 @@
 package ipc
 
 import (
-	"slices"
-
 	"repro/internal/kernel"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -14,8 +13,8 @@ import (
 // cross-CPU path degenerates to wakeups and IPIs, which is why the paper
 // finds little benefit in cross-CPU synchronous IPC.
 type L4Endpoint struct {
-	server  *kernel.Thread // server parked waiting for a call, if any
-	pending []*l4Call      // calls waiting for the server
+	server  *kernel.Thread     // server parked waiting for a call, if any
+	pending sim.Queue[*l4Call] // calls waiting for the server
 }
 
 // l4Call carries one request through the rendezvous.
@@ -45,7 +44,7 @@ func (ep *L4Endpoint) Call(t *kernel.Thread, msg any) any {
 			ep.server = nil
 			reply = t.Block(func() { srv.Wake(call, t) })
 		} else {
-			reply = t.Block(func() { ep.pending = append(ep.pending, call) })
+			reply = t.Block(func() { ep.pending.PushBack(call) })
 		}
 	}
 	t.Exec(prm.SyscallRet, stats.BlockSyscall)
@@ -74,7 +73,7 @@ func (ep *L4Endpoint) ReplyWait(t *kernel.Thread, reply any) any {
 	call, _ := t.Ext.(*l4Call)
 	t.Ext = nil
 	var next *l4Call
-	if call != nil && len(ep.pending) == 0 && canHandoff(t, call.from) {
+	if call != nil && ep.pending.Len() == 0 && canHandoff(t, call.from) {
 		// Direct switch back to the caller; the next call will arrive
 		// through the caller-side fast path or a wake.
 		ep.server = t
@@ -107,10 +106,8 @@ func (ep *L4Endpoint) Reply(t *kernel.Thread, reply any) {
 
 // nextCall dequeues a pending call or parks the server until one comes.
 func (ep *L4Endpoint) nextCall(t *kernel.Thread) *l4Call {
-	if len(ep.pending) > 0 {
-		c := ep.pending[0]
-		ep.pending = slices.Delete(ep.pending, 0, 1)
-		return c
+	if ep.pending.Len() > 0 {
+		return ep.pending.PopFront()
 	}
 	ep.server = t
 	v := t.Block(nil)

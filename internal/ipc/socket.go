@@ -1,9 +1,8 @@
 package ipc
 
 import (
-	"slices"
-
 	"repro/internal/kernel"
+	"repro/internal/sim"
 	"repro/internal/stats"
 )
 
@@ -22,7 +21,7 @@ type Message struct {
 type Socket struct {
 	capacity int // bytes of kernel buffering
 	buffered int
-	msgs     []Message
+	msgs     sim.Queue[Message]
 	readers  kernel.TQueue
 	writers  kernel.TQueue
 }
@@ -50,12 +49,12 @@ func (s *Socket) Send(t *kernel.Thread, msg Message) {
 	prm := t.Machine().P
 	t.Syscall(func() {
 		t.Exec(prm.SockKernel, stats.BlockKernel)
-		for s.buffered+msg.Size > s.capacity && len(s.msgs) > 0 {
+		for s.buffered+msg.Size > s.capacity && s.msgs.Len() > 0 {
 			s.writers.BlockOn(t)
 		}
 		t.Exec(prm.KernelCopy(msg.Size), stats.BlockKernel)
 		s.buffered += msg.Size
-		s.msgs = append(s.msgs, msg)
+		s.msgs.PushBack(msg)
 		s.readers.WakeOne(nil, t)
 	})
 }
@@ -66,11 +65,10 @@ func (s *Socket) Recv(t *kernel.Thread) Message {
 	var msg Message
 	t.Syscall(func() {
 		t.Exec(prm.SockKernel, stats.BlockKernel)
-		for len(s.msgs) == 0 {
+		for s.msgs.Len() == 0 {
 			s.readers.BlockOn(t)
 		}
-		msg = s.msgs[0]
-		s.msgs = slices.Delete(s.msgs, 0, 1) // in place: Send's append reuses the array
+		msg = s.msgs.PopFront()
 		s.buffered -= msg.Size
 		t.Exec(prm.KernelCopy(msg.Size), stats.BlockKernel)
 		s.writers.WakeOne(nil, t)
@@ -79,4 +77,4 @@ func (s *Socket) Recv(t *kernel.Thread) Message {
 }
 
 // Pending returns the number of queued messages.
-func (s *Socket) Pending() int { return len(s.msgs) }
+func (s *Socket) Pending() int { return s.msgs.Len() }

@@ -249,6 +249,28 @@ func TestStealBalancesLoad(t *testing.T) {
 	}
 }
 
+// An idle CPU steals the most recently queued thread of the longest
+// remote run queue.
+func TestStealTakesNewestQueued(t *testing.T) {
+	eng, m := newTestMachine(2)
+	p := m.NewProcess("p")
+	cpu0, cpu1 := m.CPUs[0], m.CPUs[1]
+	m.Spawn(p, "short", cpu1, func(th *Thread) { th.ExecUser(10 * sim.Microsecond) })
+	var stolen []string
+	for _, name := range []string{"a", "b", "c", "d"} {
+		m.Spawn(p, name, cpu0, func(th *Thread) {
+			if th.CPU() == cpu1 {
+				stolen = append(stolen, th.Name)
+			}
+			th.ExecUser(500 * sim.Microsecond)
+		})
+	}
+	eng.RunUntil(100 * sim.Microsecond)
+	if len(stolen) != 1 || stolen[0] != "d" {
+		t.Fatalf("CPU1 stole %v, want [d] (the newest of a's queue b, c, d)", stolen)
+	}
+}
+
 func TestPinningRespected(t *testing.T) {
 	eng, m := newTestMachine(2)
 	p := m.NewProcess("p")

@@ -1,8 +1,6 @@
 package kernel
 
 import (
-	"slices"
-
 	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -14,7 +12,7 @@ type CPU struct {
 	ID   int
 	m    *Machine
 	cur  *Thread
-	runq []*Thread
+	runq sim.Queue[*Thread]
 
 	idleSince sim.Time
 	lastPT    *mem.PageTable // page table of the last thread that ran
@@ -27,14 +25,14 @@ func (c *CPU) load() int {
 	if c.cur == nil {
 		return 0
 	}
-	return 1 + len(c.runq)
+	return 1 + c.runq.Len()
 }
 
 // Cur returns the running thread, if any.
 func (c *CPU) Cur() *Thread { return c.cur }
 
 // QueueLen returns the run-queue length.
-func (c *CPU) QueueLen() int { return len(c.runq) }
+func (c *CPU) QueueLen() int { return c.runq.Len() }
 
 // endIdle accounts an idle period that finishes now.
 func (c *CPU) endIdle() {
@@ -76,7 +74,7 @@ func (c *CPU) place(t *Thread, waker *Thread) {
 	t.lastCPU = c
 	if c.cur != nil {
 		t.cpu = c
-		c.runq = append(c.runq, t)
+		c.runq.PushBack(t)
 		return
 	}
 	// Idle CPU: wake it up and run t directly.
@@ -139,9 +137,8 @@ func (c *CPU) switchOut(prev *Thread) {
 	p := c.m.P
 	c.Acct.Add(stats.BlockSched, p.SchedPickNext)
 	var next *Thread
-	if len(c.runq) > 0 {
-		next = c.runq[0]
-		c.runq = slices.Delete(c.runq, 0, 1) // in place: place's append reuses the array
+	if c.runq.Len() > 0 {
+		next = c.runq.PopFront()
 	} else if c.m.StealOnIdle {
 		next = c.steal()
 	}
@@ -168,15 +165,14 @@ func (c *CPU) steal() *Thread {
 	var victim *CPU
 	best := 1
 	for _, o := range c.m.CPUs {
-		if o != c && len(o.runq) > best {
-			victim, best = o, len(o.runq)
+		if o != c && o.runq.Len() > best {
+			victim, best = o, o.runq.Len()
 		}
 	}
 	if victim == nil {
 		return nil
 	}
-	t := victim.runq[len(victim.runq)-1]
-	victim.runq = victim.runq[:len(victim.runq)-1]
+	t := victim.runq.PopBack()
 	// Migration cost: the stolen thread's cache state is cold here.
 	c.Acct.Add(stats.BlockSched, c.m.P.CtxSwitchPollution)
 	return t

@@ -126,7 +126,7 @@ func (t *Thread) targetCPU() *CPU {
 	if t.pinned != nil {
 		return t.pinned
 	}
-	if t.lastCPU != nil && len(t.lastCPU.runq) <= 2 {
+	if t.lastCPU != nil && t.lastCPU.runq.Len() <= 2 {
 		return t.lastCPU
 	}
 	return t.m.leastLoadedCPU()
@@ -166,7 +166,7 @@ func (t *Thread) Exec(d sim.Time, b stats.Block) {
 		d -= slice
 		t.quantumLeft -= slice
 		if t.quantumLeft <= 0 {
-			if len(t.cpu.runq) > 0 {
+			if t.cpu.runq.Len() > 0 {
 				t.Yield()
 			} else {
 				t.quantumLeft = t.m.P.QuantumDefault
@@ -184,7 +184,7 @@ func (t *Thread) Yield() {
 	cpu := t.cpu
 	t.state = ThreadRunnable
 	t.schedWaiter = t.sp.PrepareWait()
-	cpu.runq = append(cpu.runq, t)
+	cpu.runq.PushBack(t)
 	cpu.switchOut(t)
 	t.sp.Wait()
 }

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+
+	"repro/internal/stats"
 )
 
 // Schema identifies the canonical JSON result encoding; bump it if the
@@ -140,49 +142,18 @@ func seriesHeader(s Series) string {
 }
 
 func (r *Result) renderTable(sb *strings.Builder) {
-	cols := []string{"x"}
+	tab := stats.Table{Columns: []string{"x"}}
 	for _, s := range r.Series {
-		cols = append(cols, seriesHeader(s))
+		tab.Columns = append(tab.Columns, seriesHeader(s))
 	}
-	rows := make([][]string, len(r.Series[0].Points))
 	for i, p := range r.Series[0].Points {
 		row := []string{axisLabel(p)}
 		for _, s := range r.Series {
 			row = append(row, fmt.Sprintf("%.6g", s.Points[i].Y))
 		}
-		rows[i] = row
+		tab.AddRow(row...)
 	}
-	widths := make([]int, len(cols))
-	for i, c := range cols {
-		widths[i] = len(c)
-	}
-	for _, row := range rows {
-		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
-		}
-	}
-	writeRow := func(cells []string) {
-		for i, cell := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			fmt.Fprintf(sb, "%-*s", widths[i], cell)
-		}
-		sb.WriteByte('\n')
-	}
-	writeRow(cols)
-	for i, w := range widths {
-		if i > 0 {
-			sb.WriteString("  ")
-		}
-		sb.WriteString(strings.Repeat("-", w))
-	}
-	sb.WriteByte('\n')
-	for _, row := range rows {
-		writeRow(row)
-	}
+	sb.WriteString(tab.String())
 }
 
 func (r *Result) renderList(sb *strings.Builder) {

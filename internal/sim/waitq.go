@@ -5,23 +5,20 @@ package sim
 // are scheduled through the event queue, so they take effect in simulated
 // time order like everything else.
 //
-// The queue is a power-of-two ring buffer of Waiter values: Wait pushes at
-// the tail, WakeOne pops from the head, and a timeout removal blanks its
-// slot in place instead of memmoving the suffix down (the pre-ring
-// implementation shifted the whole slice on every WakeOne and remove).
-// Blanked slots are skipped by the wake paths and trimmed from the ends
-// eagerly, so the ring does not grow with timeout churn.
+// Waiters sit in a Queue: Wait pushes at the back, WakeOne pops from
+// the front, and a timeout removal blanks its slot in place instead of
+// shifting the suffix. Blanked slots are skipped by the wake paths and
+// trimmed from the ends eagerly, so the ring does not grow with timeout
+// churn.
 type WaitQueue struct {
-	buf  []Waiter // len(buf) is 0 or a power of two
-	head int      // index of the oldest entry
-	n    int      // occupied window size, including dead slots
-	dead int      // blanked (removed) slots inside the window
+	q    Queue[Waiter]
+	dead int // blanked (removed) slots still in q
 }
 
 // Len returns the number of parked waiters (stale entries are pruned on
 // the fly by the wake paths, so Len may briefly over-count after a
 // timeout; callers that care use WakeOne's return value instead).
-func (q *WaitQueue) Len() int { return q.n - q.dead }
+func (q *WaitQueue) Len() int { return q.q.Len() - q.dead }
 
 // timeoutMark distinguishes a timer wakeup from a genuine WakeOne. It
 // travels through the event queue as the unboxed payTimeout lane.
@@ -44,7 +41,7 @@ func TimeoutValue() any { return timeoutMark{} }
 // returns the data passed by the waker.
 func (q *WaitQueue) Wait(p *Proc) any {
 	w := p.PrepareWait()
-	q.pushBack(w)
+	q.q.PushBack(w)
 	return p.Wait()
 }
 
@@ -52,7 +49,7 @@ func (q *WaitQueue) Wait(p *Proc) any {
 // reports whether the wake carried a uint64 payload.
 func (q *WaitQueue) WaitU64(p *Proc) (uint64, bool) {
 	w := p.PrepareWait()
-	q.pushBack(w)
+	q.q.PushBack(w)
 	return p.WaitU64()
 }
 
@@ -60,7 +57,7 @@ func (q *WaitQueue) WaitU64(p *Proc) (uint64, bool) {
 // wait timed out, in which case p has been removed from the queue.
 func (q *WaitQueue) WaitTimeout(p *Proc, d Time) (any, bool) {
 	w := p.PrepareWait()
-	q.pushBack(w)
+	q.q.PushBack(w)
 	w.wake(d, payload{kind: payTimeout})
 	pl := p.park()
 	if pl.kind == payTimeout {
@@ -70,38 +67,12 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d Time) (any, bool) {
 	return pl.value(), true
 }
 
-func (q *WaitQueue) pushBack(w Waiter) {
-	if q.n == len(q.buf) {
-		q.grow()
-	}
-	q.buf[(q.head+q.n)&(len(q.buf)-1)] = w
-	q.n++
-}
-
-// grow doubles the ring (minimum 4 slots), unwrapping the window to the
-// start of the new buffer.
-func (q *WaitQueue) grow() {
-	newCap := 2 * len(q.buf)
-	if newCap == 0 {
-		newCap = 4
-	}
-	nb := make([]Waiter, newCap)
-	mask := len(q.buf) - 1
-	for i := 0; i < q.n; i++ {
-		nb[i] = q.buf[(q.head+i)&mask]
-	}
-	q.buf = nb
-	q.head = 0
-}
-
 // remove blanks w's slot so the wake paths skip it. O(n) scan, O(1)
 // mutation: no suffix shift, no reallocation.
 func (q *WaitQueue) remove(w Waiter) {
-	mask := len(q.buf) - 1
-	for i := 0; i < q.n; i++ {
-		idx := (q.head + i) & mask
-		if q.buf[idx] == w {
-			q.buf[idx] = Waiter{}
+	for i := 0; i < q.q.Len(); i++ {
+		if s := q.q.At(i); *s == w {
+			*s = Waiter{}
 			q.dead++
 			q.trim()
 			return
@@ -109,17 +80,15 @@ func (q *WaitQueue) remove(w Waiter) {
 	}
 }
 
-// trim drops dead slots from both ends of the window so a timeout on the
+// trim drops dead slots from both ends of the queue so a timeout on the
 // oldest or newest waiter (the common cases) leaves no residue at all.
 func (q *WaitQueue) trim() {
-	mask := len(q.buf) - 1
-	for q.n > 0 && q.buf[q.head].p == nil {
-		q.head = (q.head + 1) & mask
-		q.n--
+	for q.q.Len() > 0 && q.q.At(0).p == nil {
+		q.q.PopFront()
 		q.dead--
 	}
-	for q.n > 0 && q.buf[(q.head+q.n-1)&mask].p == nil {
-		q.n--
+	for q.q.Len() > 0 && q.q.At(q.q.Len()-1).p == nil {
+		q.q.PopBack()
 		q.dead--
 	}
 }
@@ -137,12 +106,8 @@ func (q *WaitQueue) WakeOneU64(d Time, v uint64) bool {
 }
 
 func (q *WaitQueue) wakeOne(d Time, pl payload) bool {
-	mask := len(q.buf) - 1
-	for q.n > 0 {
-		w := q.buf[q.head]
-		q.buf[q.head] = Waiter{}
-		q.head = (q.head + 1) & mask
-		q.n--
+	for q.q.Len() > 0 {
+		w := q.q.PopFront()
 		if w.p == nil {
 			q.dead--
 			continue
@@ -159,17 +124,13 @@ func (q *WaitQueue) wakeOne(d Time, pl payload) bool {
 // woken.
 func (q *WaitQueue) WakeAll(d Time, data any) int {
 	pl := boxPayload(data)
-	mask := len(q.buf) - 1
 	woken := 0
-	for i := 0; i < q.n; i++ {
-		idx := (q.head + i) & mask
-		w := q.buf[idx]
-		q.buf[idx] = Waiter{}
-		if w.Valid() {
+	for q.q.Len() > 0 {
+		if w := q.q.PopFront(); w.Valid() {
 			w.wake(d, pl)
 			woken++
 		}
 	}
-	q.head, q.n, q.dead = 0, 0, 0
+	q.dead = 0
 	return woken
 }
