@@ -88,7 +88,7 @@ func demo(w io.Writer) (calls int, crashErr, readErr error) {
 		if err != nil {
 			panic(err)
 		}
-		if _, err := rt.GrantCreate(t, im.Domains["default"], domP); err != nil {
+		if err := rt.GrantCreate(t, im.Domains["default"], domP); err != nil {
 			panic(err)
 		}
 

@@ -56,11 +56,11 @@ func healthMutators(h *oltp.ReplicaHealth, now sim.Time) {
 
 // healthReads: ReplicaHealth read-side methods are nil-safe and never
 // flagged.
-func healthReads(h *oltp.ReplicaHealth) int64 {
+func healthReads(h *oltp.ReplicaHealth) int {
 	if h.Suspected(0) {
-		return h.Suspicions()
+		return 0
 	}
-	return int64(len(h.Transitions()))
+	return len(h.Transitions())
 }
 
 // reads: read-side methods are nil-safe by contract and never flagged.

@@ -34,9 +34,6 @@ func NewNIC(m *kernel.Machine) *NIC { return &NIC{m: m} }
 // toggles it on this machine's engine).
 func (n *NIC) SetFaults(ls *faults.LinkState) { n.flt = ls }
 
-// Faults returns the attached failure state (nil when none).
-func (n *NIC) Faults() *faults.LinkState { return n.flt }
-
 // Up reports whether the transmit link is currently delivering; a send
 // attempted while the link is down must be dropped by the caller (and
 // counted via the LinkState).

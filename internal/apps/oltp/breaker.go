@@ -214,6 +214,3 @@ func (b *Breaker) Trips() int64 { return b.trips }
 // FastFails is how many calls were shed without reaching the inner
 // transport.
 func (b *Breaker) FastFails() int64 { return b.fastFails }
-
-// Calls implements Transport.
-func (b *Breaker) Calls() uint64 { return b.Inner.Calls() }

@@ -1,17 +1,17 @@
 package oltp
 
-import (
-	"repro/internal/kernel"
-	"repro/internal/sim"
-)
+import "repro/internal/kernel"
 
 // The database tier: a small but genuine storage engine in the shape of
 // the DVDStore schema — products searchable by category, customers with
 // their order history, and an order log. Rows keep only the columns a
 // query reads; a login's credential check is a charged cost. Query
-// execution does real index work on the in-memory structures, touches
-// buffer-pool pages derived from the keys it visits, and (in the on-disk
-// configuration) commits orders through synchronous log writes.
+// execution does real index work on the in-memory structures and
+// charges one buffer-pool page touch per row it visits. The paper
+// measures after a 2-minute warmup (§7.4) with a buffer pool that holds
+// the whole store, so every page access is a hit; the on-disk
+// configuration differs from tmpfs only in committing orders through
+// synchronous log writes.
 
 // Product is one row of the products table.
 type Product struct {
@@ -43,7 +43,6 @@ type DB struct {
 	orders     map[int]*Order
 	nextOrder  int
 
-	pool *BufferPool
 	disk *Disk
 	// inMem marks the tmpfs configuration: no synchronous log writes.
 	inMem bool
@@ -54,14 +53,12 @@ type DB struct {
 // NewDB populates the store with nProducts across nCategories and
 // nCustomers, like DVDStore's load phase.
 func NewDB(m *kernel.Machine, prm *Params, inMem bool) *DB {
-	disk := NewDisk(m)
 	db := &DB{
 		products:   make(map[int]*Product),
 		byCategory: make(map[int][]int),
 		customers:  make(map[int]*Customer),
 		orders:     make(map[int]*Order),
-		pool:       NewBufferPool(prm.PoolPages, disk, inMem),
-		disk:       disk,
+		disk:       &Disk{m: m},
 		inMem:      inMem,
 		prm:        prm,
 	}
@@ -78,29 +75,11 @@ func NewDB(m *kernel.Machine, prm *Params, inMem bool) *DB {
 	for i := 0; i < prm.Customers; i++ {
 		db.customers[i] = &Customer{ID: i}
 	}
-	// The paper measures after a 2-minute warmup (§7.4); model that by
-	// pre-warming the buffer pool so steady-state reads hit memory and
-	// the on-disk configuration is dominated by transaction commits.
-	for i := 0; i < prm.PageSpace && i < prm.PoolPages; i++ {
-		e := &poolEntry{id: uint64(i)}
-		db.pool.pages[uint64(i)] = e
-		db.pool.pushFront(e)
-	}
 	return db
 }
 
-// Disk exposes the backing device (for stats).
-func (db *DB) Disk() *Disk { return db.disk }
-
-// Pool exposes the buffer pool (for stats).
-func (db *DB) Pool() *BufferPool { return db.pool }
-
-// pageOf maps a logical row to a stable page id within the store's page
-// space, spreading the table across the simulated on-disk layout.
-func (db *DB) pageOf(table uint64, key int) uint64 {
-	h := table*0x9e3779b97f4a7c15 + uint64(key)*0x2545f4914f6cdd1d
-	return h % uint64(db.prm.PageSpace)
-}
+// touchPage charges one warm buffer-pool page access.
+func touchPage(t *kernel.Thread) { t.ExecUser(t.Machine().P.CacheLineTouch * 4) }
 
 // Query is one database request.
 type Query struct {
@@ -133,7 +112,7 @@ type QueryResult struct {
 }
 
 // Exec runs one query on the calling thread, charging engine CPU time
-// and buffer-pool traffic.
+// and buffer-pool page touches.
 func (db *DB) Exec(t *kernel.Thread, q Query) QueryResult {
 	prm := db.prm
 	t.ExecUser(prm.DBExecCost) // parse/plan/lock/row work
@@ -142,7 +121,7 @@ func (db *DB) Exec(t *kernel.Thread, q Query) QueryResult {
 		ids := db.byCategory[q.Key%max(1, len(db.byCategory))]
 		n := min(10, len(ids))
 		for i := 0; i < n; i++ {
-			db.pool.Access(t, db.pageOf(1, ids[i]), false)
+			touchPage(t)
 		}
 		return QueryResult{Rows: n, Bytes: n * 120}
 	case QGetProduct:
@@ -150,14 +129,14 @@ func (db *DB) Exec(t *kernel.Thread, q Query) QueryResult {
 		if !ok {
 			return QueryResult{}
 		}
-		db.pool.Access(t, db.pageOf(1, p.ID), false)
+		touchPage(t)
 		return QueryResult{Rows: 1, Bytes: 160, Data: p}
 	case QLogin:
 		c, ok := db.customers[q.Key%max(1, len(db.customers))]
 		if !ok {
 			return QueryResult{}
 		}
-		db.pool.Access(t, db.pageOf(2, c.ID), false)
+		touchPage(t)
 		t.ExecUser(prm.DBAuthCost) // password hash check
 		return QueryResult{Rows: 1, Bytes: 96, Data: c}
 	case QOrderHistory:
@@ -166,7 +145,7 @@ func (db *DB) Exec(t *kernel.Thread, q Query) QueryResult {
 		if c != nil {
 			n = min(5, len(c.Orders))
 			for i := 0; i < n; i++ {
-				db.pool.Access(t, db.pageOf(3, c.Orders[len(c.Orders)-1-i]), false)
+				touchPage(t)
 			}
 		}
 		return QueryResult{Rows: n, Bytes: n * 140}
@@ -178,14 +157,14 @@ func (db *DB) Exec(t *kernel.Thread, q Query) QueryResult {
 		if c := db.customers[q.Key%max(1, len(db.customers))]; c != nil {
 			c.Orders = append(c.Orders, id)
 		}
-		db.pool.Access(t, db.pageOf(3, id), true)
+		touchPage(t)
 		return QueryResult{Rows: 1, Bytes: 32, Data: id}
 	case QUpdateStock:
 		p := db.products[q.Key%max(1, len(db.products))]
 		if p != nil && p.Stock > 0 {
 			p.Stock--
 		}
-		db.pool.Access(t, db.pageOf(1, q.Key), true)
+		touchPage(t)
 		return QueryResult{Rows: 1, Bytes: 16}
 	case QCommitOrder:
 		// Transaction commit: flush the log synchronously. tmpfs makes
@@ -200,6 +179,3 @@ func (db *DB) Exec(t *kernel.Thread, q Query) QueryResult {
 		return QueryResult{}
 	}
 }
-
-// queryCost is a helper used in accounting tests.
-func (db *DB) queryCost() sim.Time { return db.prm.DBExecCost }

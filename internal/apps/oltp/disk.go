@@ -18,15 +18,12 @@ import (
 type Disk struct {
 	m         *kernel.Machine
 	busyUntil sim.Time
-	reads     uint64
 	writes    uint64
 }
 
-// NewDisk attaches a disk to the machine.
-func NewDisk(m *kernel.Machine) *Disk { return &Disk{m: m} }
-
-// io performs one serialized access.
-func (d *Disk) io(t *kernel.Thread) {
+// Write blocks the thread for one synchronous log write.
+func (d *Disk) Write(t *kernel.Thread) {
+	d.writes++
 	now := d.m.Eng.Now()
 	start := now
 	if d.busyUntil > start {
@@ -35,117 +32,3 @@ func (d *Disk) io(t *kernel.Thread) {
 	d.busyUntil = start + d.m.P.DiskAccess
 	t.SleepFor(d.busyUntil - now)
 }
-
-// Read blocks the thread for one page read.
-func (d *Disk) Read(t *kernel.Thread) {
-	d.reads++
-	d.io(t)
-}
-
-// Write blocks the thread for one synchronous page/log write.
-func (d *Disk) Write(t *kernel.Thread) {
-	d.writes++
-	d.io(t)
-}
-
-// Stats returns (reads, writes).
-func (d *Disk) Stats() (reads, writes uint64) { return d.reads, d.writes }
-
-// BufferPool is the database's page cache: an LRU over disk pages.
-// Hits cost a memory access; misses read from disk and may write back a
-// dirty victim.
-type BufferPool struct {
-	capacity int
-	disk     *Disk
-	inMem    bool // tmpfs configuration: no disk behind the pool
-	pages    map[uint64]*poolEntry
-	lruHead  *poolEntry // most recent
-	lruTail  *poolEntry // least recent
-	hits     uint64
-	misses   uint64
-}
-
-type poolEntry struct {
-	id         uint64
-	dirty      bool
-	prev, next *poolEntry
-}
-
-// NewBufferPool builds a pool of the given page capacity. If inMem is
-// set the backing store is an in-memory file system (the paper's tmpfs
-// configuration) and misses cost nothing beyond the touch.
-func NewBufferPool(capacity int, disk *Disk, inMem bool) *BufferPool {
-	if capacity <= 0 {
-		capacity = 1024
-	}
-	return &BufferPool{
-		capacity: capacity,
-		disk:     disk,
-		inMem:    inMem,
-		pages:    make(map[uint64]*poolEntry, capacity),
-	}
-}
-
-// unlink removes e from the LRU list.
-func (bp *BufferPool) unlink(e *poolEntry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if bp.lruHead == e {
-		bp.lruHead = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if bp.lruTail == e {
-		bp.lruTail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-// pushFront marks e most recently used.
-func (bp *BufferPool) pushFront(e *poolEntry) {
-	e.next = bp.lruHead
-	if bp.lruHead != nil {
-		bp.lruHead.prev = e
-	}
-	bp.lruHead = e
-	if bp.lruTail == nil {
-		bp.lruTail = e
-	}
-}
-
-// Access touches page id, charging the thread for the hit or miss path.
-// dirty marks the page modified (written back on eviction).
-func (bp *BufferPool) Access(t *kernel.Thread, id uint64, dirty bool) {
-	p := t.Machine().P
-	if e, ok := bp.pages[id]; ok {
-		bp.hits++
-		bp.unlink(e)
-		bp.pushFront(e)
-		e.dirty = e.dirty || dirty
-		t.ExecUser(p.CacheLineTouch * 4) // in-memory page touch
-		return
-	}
-	bp.misses++
-	if !bp.inMem {
-		bp.disk.Read(t)
-	} else {
-		t.ExecUser(p.Copy(4096)) // tmpfs: page comes from the page cache
-	}
-	if len(bp.pages) >= bp.capacity {
-		victim := bp.lruTail
-		bp.unlink(victim)
-		delete(bp.pages, victim.id)
-		if victim.dirty && !bp.inMem {
-			bp.disk.Write(t)
-		}
-	}
-	e := &poolEntry{id: id, dirty: dirty}
-	bp.pages[id] = e
-	bp.pushFront(e)
-}
-
-// Stats returns (hits, misses).
-func (bp *BufferPool) Stats() (hits, misses uint64) { return bp.hits, bp.misses }
-
-// Resident returns the number of cached pages.
-func (bp *BufferPool) Resident() int { return len(bp.pages) }

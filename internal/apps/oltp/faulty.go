@@ -130,9 +130,6 @@ func (r *Retrier) TryCall(t *kernel.Thread, op string, payload any, reqBytes int
 	return nil, lastErr
 }
 
-// Calls implements Transport (attempts count: each retry is a real call).
-func (r *Retrier) Calls() uint64 { return r.Inner.Calls() }
-
 // ChainFaultsConfig is a chain run with a fault plan and retry policy.
 type ChainFaultsConfig struct {
 	ChainConfig
@@ -223,7 +220,7 @@ func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 	cfg.applyDefaults()
 	r := newRig(cfg.Seed, cfg.CPUs, GatewayConfig{})
 	defer r.eng.Close()
-	transports, _ := r.serveChain(&cfg, nil)
+	r.serveChain(&cfg, nil)
 
 	// Op outcomes gate client-side on completion time, in r.outcomes;
 	// only the attempt-level counters, which the Retriers bump at any
@@ -243,12 +240,10 @@ func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 	if r.outcomes.OpsOK > 0 {
 		res.AvgLatency = r.okLatency / sim.Time(r.outcomes.OpsOK)
 	}
-	var calls uint64
-	for _, tr := range transports {
-		calls += tr.Calls()
-	}
+	// Every hop is one Retrier over a base transport, so each attempt
+	// the Retriers count into r.rel is one cross-tier call.
 	if r.completed > 0 {
-		res.CallsPerOp = float64(calls) / float64(r.completed)
+		res.CallsPerOp = float64(r.rel.Attempts) / float64(r.completed)
 	}
 	return res
 }

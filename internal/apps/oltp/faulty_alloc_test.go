@@ -16,8 +16,6 @@ func (f *okTransport) TryCall(t *kernel.Thread, op string, payload any, reqBytes
 	return f.out, nil
 }
 
-func (f *okTransport) Calls() uint64 { return 0 }
-
 // TestRetrierSuccessPathAllocFree pins the //dipcvet:noalloc contract on
 // Retrier.TryCall at runtime: when the first attempt succeeds (no fault,
 // no retry, no backoff sleep), the retry wrapper adds zero allocations

@@ -228,11 +228,3 @@ func (g *Gateway) Reply(t *kernel.Thread, req *request, err error) {
 	req.err = err
 	req.done.Wake(0, err)
 }
-
-// Rejected is the total sheds across all reasons.
-func (g *Gateway) Rejected() int64 {
-	return g.RejectedFull + g.RejectedStale + g.RejectedToken
-}
-
-// QueueLen is the current admission queue depth (tests).
-func (g *Gateway) QueueLen() int { return g.pending.Len() }

@@ -71,20 +71,6 @@ func (h *ReplicaHealth) Suspected(i int) bool {
 	return h.suspected[i]
 }
 
-// Suspicions counts suspect transitions so far. Nil-safe.
-func (h *ReplicaHealth) Suspicions() int64 {
-	if h == nil {
-		return 0
-	}
-	var n int64
-	for _, tr := range h.log {
-		if tr.Suspected {
-			n++
-		}
-	}
-	return n
-}
-
 // Transitions returns the suspicion flip log in sim-time order.
 // Nil-safe; the slice is owned by the detector's shard — read it only
 // after the run (or from the owning shard).

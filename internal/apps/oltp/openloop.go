@@ -89,7 +89,7 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 
 	r := newRig(cfg.Seed, cfg.CPUs, cfg.Gateway)
 	defer r.eng.Close()
-	_, breakers := r.serveChain(&cfg.ChainFaultsConfig, cfg.Breaker)
+	breakers := r.serveChain(&cfg.ChainFaultsConfig, cfg.Breaker)
 
 	gen := load.Start(r.eng, load.Config{
 		Arrivals:     load.NewPoisson(cfg.Seed+2, cfg.MeanGap),

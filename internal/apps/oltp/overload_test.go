@@ -32,8 +32,6 @@ func (f *flakyTransport) TryCall(t *kernel.Thread, op string, payload any, reqBy
 	return payload, nil
 }
 
-func (f *flakyTransport) Calls() uint64 { return uint64(f.reached) }
-
 // onThread runs fn on a kernel thread and drives the engine dry.
 func onThread(eng *sim.Engine, m *kernel.Machine, fn func(t *kernel.Thread)) {
 	p := m.NewProcess("test")
@@ -165,8 +163,8 @@ func TestGatewayFIFODropTail(t *testing.T) {
 	if gw.RejectedFull == 0 {
 		t.Fatalf("no drop-tail rejections despite a 30-deep flood into capacity 4")
 	}
-	if gw.QueueLen() > 4 {
-		t.Fatalf("queue grew to %d past capacity 4", gw.QueueLen())
+	if gw.pending.Len() > 4 {
+		t.Fatalf("queue grew to %d past capacity 4", gw.pending.Len())
 	}
 	if gw.Admitted == 0 {
 		t.Fatalf("nothing admitted")
@@ -232,7 +230,7 @@ func TestGatewayLIFOOrder(t *testing.T) {
 	}
 	var got []int
 	onThread(eng, m, func(t *kernel.Thread) {
-		for gw.QueueLen() > 0 {
+		for gw.pending.Len() > 0 {
 			got = append(got, slices.Index(reqs, gw.Recv(t)))
 		}
 	})

@@ -7,14 +7,14 @@ import "repro/internal/sim"
 // paper's DVDStore run (1 GB input, §7.4) scaled so that the Linux
 // configuration lands near the paper's ~1.9× ideal-vs-Linux gap (Fig. 1)
 // and its per-operation cross-domain call count is in the hundreds
-// (§7.5 reports 211 for the in-memory 256-thread configuration).
+// (§7.5 reports 211 for the in-memory 256-thread configuration). The
+// buffer pool has no size parameter: it holds the whole store, so every
+// page access is a warm hit (see db.go).
 type Params struct {
 	// Dataset.
 	Products   int
 	Categories int
 	Customers  int
-	PoolPages  int // database buffer pool capacity
-	PageSpace  int // distinct on-disk pages the tables map onto
 
 	// Database engine costs.
 	DBExecCost  sim.Time // parse/plan/execute one query
@@ -52,8 +52,6 @@ func DefaultParams() *Params {
 		Products:   10000,
 		Categories: 16,
 		Customers:  2000,
-		PoolPages:  8192,
-		PageSpace:  6000,
 
 		DBExecCost:  sim.Micros(22),
 		DBFetchCost: sim.Micros(5),

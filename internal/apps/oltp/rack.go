@@ -193,7 +193,7 @@ func (h *rack) complete(v uint64) {
 // spawnClients starts the closed-loop clients on machine 0's shard,
 // client ci at start+ci, each with one explicit Rand stream for its
 // think time (determinism rule 2 — never the shard engine's). Every
-// operation gets up to retry.Attempts() attempts; rs picks each
+// operation gets up to 1+retry.MaxRetries attempts; rs picks each
 // attempt's replica and routes[i] carries requests to replica i. An
 // attempt waits with a deadline wake when retry.Deadline > 0 (whichever
 // of deadline and completion fires first wins; the loser is a stale

@@ -64,9 +64,8 @@ func (r *rig) serve(proc *kernel.Process, rt *core.Runtime, name string, n int,
 // Retrier (around a Breaker when brc is non-nil) counting into r.rel,
 // the fault plan is installed on the sim clock, and cfg.Threads gateway
 // workers ("gw-N") each do the front's work and call down the chain,
-// reporting the outcome in-band. It returns the hop transports and the
-// breakers in hop order.
-func (r *rig) serveChain(cfg *ChainFaultsConfig, brc *BreakerConfig) ([]Transport, []*Breaker) {
+// reporting the outcome in-band. It returns the breakers in hop order.
+func (r *rig) serveChain(cfg *ChainFaultsConfig, brc *BreakerConfig) []*Breaker {
 	inj := faults.NewInjector(cfg.Plan)
 	var breakers []*Breaker
 	wrap := func(tr Transport, hop int) Transport {
@@ -92,7 +91,7 @@ func (r *rig) serveChain(cfg *ChainFaultsConfig, brc *BreakerConfig) ([]Transpor
 		_, err := transports[0].TryCall(t, "hop", nil, cfg.ReqBytes)
 		return err
 	})
-	return transports, breakers
+	return breakers
 }
 
 // closedLoop spawns n off-machine clients ("client-0".."client-(n-1)")

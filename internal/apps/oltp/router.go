@@ -166,12 +166,3 @@ func (r *Router) TryCall(t *kernel.Thread, op string, payload any, reqBytes int)
 	}
 	return nil, lastErr
 }
-
-// Calls implements Transport: total calls over all replicas.
-func (r *Router) Calls() uint64 {
-	var n uint64
-	for _, tr := range r.Replicas {
-		n += tr.Calls()
-	}
-	return n
-}

@@ -28,8 +28,6 @@ func (s *scriptedTransport) TryCall(t *kernel.Thread, op string, payload any, re
 	return s.out, nil
 }
 
-func (s *scriptedTransport) Calls() uint64 { return s.calls }
-
 // inThread runs fn on a worker thread of a one-machine world and drives
 // the engine to completion.
 func inThread(t *testing.T, fn func(th *kernel.Thread)) {

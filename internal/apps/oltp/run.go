@@ -145,9 +145,8 @@ func Run(cfg Config) *Result {
 		res.Throughput = float64(res.Ops) / cfg.Window.Seconds() * 60
 		res.AvgLatency = r.okLatency / sim.Time(res.Ops)
 	}
-	calls := stack.PHPT.Calls() + stack.DBT.Calls()
 	if r.completed > 0 {
-		res.CallsPerOp = float64(calls) / float64(r.completed)
+		res.CallsPerOp = float64(stack.calls) / float64(r.completed)
 	}
 	return res
 }

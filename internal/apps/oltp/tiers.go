@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"repro/internal/kernel"
-	"repro/internal/sim"
 )
 
 // Stack wires the three tiers together over whatever transports the
@@ -20,6 +19,14 @@ type Stack struct {
 	// PHPT carries web->php calls; DBT carries php->db calls.
 	PHPT Transport
 	DBT  Transport
+
+	calls uint64 // cross-tier calls made, for the §7.5 calls-per-operation accounting
+}
+
+// call is mustCall over one of the stack's transports, counted.
+func (s *Stack) call(tr Transport, t *kernel.Thread, op string, payload any, reqBytes int) any {
+	s.calls++
+	return mustCall(tr, t, op, payload, reqBytes)
 }
 
 // DBHandler is the database tier's request entry: execute a query or
@@ -60,7 +67,7 @@ func (s *Stack) PHPHandler(t *kernel.Thread, op string, payload any) (any, int) 
 		t.ExecUser(s.Prm.PHPBase)
 		for _, q := range req.Queries {
 			t.ExecUser(s.Prm.PHPPerQuery)
-			r := mustCall(s.DBT, t, "exec", q, s.Prm.ReqQuery)
+			r := s.call(s.DBT, t, "exec", q, s.Prm.ReqQuery)
 			// Multi-row results take extra cursor fetches.
 			rows := 1
 			if qr, ok := r.(QueryResult); ok {
@@ -71,7 +78,7 @@ func (s *Stack) PHPHandler(t *kernel.Thread, op string, payload any) (any, int) 
 				fetches = 2
 			}
 			for f := 0; f < fetches; f++ {
-				mustCall(s.DBT, t, "fetch", r, 64)
+				s.call(s.DBT, t, "fetch", r, 64)
 			}
 		}
 		return nil, s.Prm.RespWebPHP
@@ -90,12 +97,12 @@ func (s *Stack) WebHandle(t *kernel.Thread, req *request) {
 	t.ExecUser(s.Prm.WebParse)
 	// The FastCGI exchange: begin-request, params records, the script
 	// body, streamed stdout chunks, end-request.
-	mustCall(s.PHPT, t, "begin", nil, 256)
-	mustCall(s.PHPT, t, "params", nil, 512)
-	mustCall(s.PHPT, t, "run", req.op, s.Prm.ReqWebPHP)
-	mustCall(s.PHPT, t, "stdout", nil, 64)
-	mustCall(s.PHPT, t, "stdout", nil, 64)
-	mustCall(s.PHPT, t, "end", nil, 64)
+	s.call(s.PHPT, t, "begin", nil, 256)
+	s.call(s.PHPT, t, "params", nil, 512)
+	s.call(s.PHPT, t, "run", req.op, s.Prm.ReqWebPHP)
+	s.call(s.PHPT, t, "stdout", nil, 64)
+	s.call(s.PHPT, t, "stdout", nil, 64)
+	s.call(s.PHPT, t, "end", nil, 64)
 	t.ExecUser(s.Prm.WebRespond)
 }
 
@@ -119,13 +126,4 @@ func maxInt(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// opWorkEstimate is a rough per-operation CPU time, used by tests to
-// sanity-check throughput scaling.
-func (s *Stack) opWorkEstimate() sim.Time {
-	p := s.Prm
-	avgQ := (s.CallsPerOpEstimate() - 3) / 2
-	return p.WebParse + p.WebRespond + p.PHPBase +
-		sim.Time(avgQ)*(p.PHPPerQuery+p.DBExecCost+p.DBFetchCost)
 }

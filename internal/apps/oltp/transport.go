@@ -22,9 +22,6 @@ type Transport interface {
 	// It surfaces dead callees, injected faults, and in-band remote
 	// errors as an error; a fault-free transport always returns nil.
 	TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error)
-	// Calls returns how many calls went through (for the §7.5
-	// calls-per-operation accounting).
-	Calls() uint64
 }
 
 // mustCall is the fault-free call path: a TryCall whose error is a
@@ -40,8 +37,7 @@ func mustCall(tr Transport, t *kernel.Thread, op string, payload any, reqBytes i
 // DirectTransport is the Ideal configuration's path: a function call
 // into the co-located component.
 type DirectTransport struct {
-	H     Handler
-	calls uint64
+	H Handler
 	// Faults, when set, draws a per-call verdict before each call (nil
 	// for fault-free runs).
 	Faults *faults.CallSite
@@ -50,7 +46,6 @@ type DirectTransport struct {
 // TryCall implements Transport: an injected fault or an in-band
 // RemoteError from the handler comes back as an error.
 func (d *DirectTransport) TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error) {
-	d.calls++
 	if err := injectFault(t, d.Faults); err != nil {
 		return nil, err
 	}
@@ -58,9 +53,6 @@ func (d *DirectTransport) TryCall(t *kernel.Thread, op string, payload any, reqB
 	out, _ := d.H(t, op, payload)
 	return unwrapRemote(out)
 }
-
-// Calls implements Transport.
-func (d *DirectTransport) Calls() uint64 { return d.calls }
 
 // SockTransport is the Linux baseline: requests flow through a UNIX
 // socket to a pool of service threads in the target process, and
@@ -71,7 +63,6 @@ type SockTransport struct {
 	req     *ipc.Socket
 	h       Handler
 	replies map[*kernel.Thread]*ipc.Socket
-	calls   uint64
 	// Faults, when set, draws a per-call verdict before each TryCall.
 	Faults *faults.CallSite
 	// Proc is the serving process; when set and dead, TryCall fails fast
@@ -103,7 +94,6 @@ func NewSockTransport(prm *Params, h Handler) *SockTransport {
 // still answered — worker threads drain in flight, like a TCP stack
 // flushing established connections while refusing new ones.
 func (s *SockTransport) TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error) {
-	s.calls++
 	if s.Proc != nil && s.Proc.Dead {
 		return nil, fmt.Errorf("oltp: connect %s: %w", s.Proc.Name, faults.ErrDead)
 	}
@@ -122,9 +112,6 @@ func (s *SockTransport) TryCall(t *kernel.Thread, op string, payload any, reqByt
 	return unwrapRemote(msg.Payload)
 }
 
-// Calls implements Transport.
-func (s *SockTransport) Calls() uint64 { return s.calls }
-
 // Worker runs one service thread: the per-tier thread pools of the
 // Linux configuration call this in a loop.
 func (s *SockTransport) Worker(t *kernel.Thread) {
@@ -142,7 +129,6 @@ func (s *SockTransport) Worker(t *kernel.Thread) {
 // crosses into the target process in place.
 type DIPCTransport struct {
 	entries map[string]*core.ImportedEntry
-	calls   uint64
 	// Faults, when set, draws a per-call verdict before each TryCall.
 	Faults *faults.CallSite
 }
@@ -157,7 +143,6 @@ func NewDIPCTransport(entries map[string]*core.ImportedEntry) *DIPCTransport {
 // panic, so chaos runs exercise the same descriptor revalidation the
 // core layer implements.
 func (d *DIPCTransport) TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error) {
-	d.calls++
 	if err := injectFault(t, d.Faults); err != nil {
 		return nil, err
 	}
@@ -174,9 +159,6 @@ func (d *DIPCTransport) TryCall(t *kernel.Thread, op string, payload any, reqByt
 	}
 	return unwrapRemote(out.Data)
 }
-
-// Calls implements Transport.
-func (d *DIPCTransport) Calls() uint64 { return d.calls }
 
 // handlerEntry adapts a Handler into a dIPC entry function.
 func handlerEntry(h Handler, op string) core.Func {

@@ -126,21 +126,6 @@ func (c *APLCache) HWTagOf(tag Tag) (uint8, error) {
 	return 0, fmt.Errorf("codoms: domain %d not in APL cache", tag)
 }
 
-// Flush empties the cache (used when the scheduler swaps in a thread
-// from a different address space; §7.5 notes the cache can be switched
-// lazily like FPU state — the kernel layer models that policy).
-func (c *APLCache) Flush() {
-	for i := range c.entries {
-		c.entries[i] = APLCacheEntry{}
-	}
-	c.index = [aplIndexSize]uint8{}
-	c.used = 0
-}
-
-// Stats returns (lookups, misses). Lookups counts client probes
-// (Lookup/HWTagOf); misses counts software refills of uncached domains.
-func (c *APLCache) Stats() (lookups, misses uint64) { return c.lookups, c.misses }
-
 // HitRate returns the fraction of client lookups served from the cache
 // (1 when no lookup has happened yet — an empty history has no misses).
 func (c *APLCache) HitRate() float64 {

@@ -129,7 +129,6 @@ func (a Access) need() Perm {
 // honoured, then authority comes from (a) the subject's own tag, (b) the
 // subject's APL, or (c) any valid capability register covering the range.
 func (s *System) Check(ctx *ThreadCtx, pt *mem.PageTable, va mem.Addr, size int, acc Access) error {
-	s.checks++
 	subject := ctx.CodeDomain(pt)
 	if size <= 0 {
 		size = 1
@@ -185,7 +184,6 @@ func (s *System) Check(ctx *ThreadCtx, pt *mem.PageTable, va mem.Addr, size int,
 	if target == subject {
 		return nil
 	}
-	s.crossChecks++
 	// (b) APL.
 	if s.APLPerm(subject, target) >= acc.need() {
 		return nil
@@ -206,7 +204,6 @@ func (s *System) Check(ctx *ThreadCtx, pt *mem.PageTable, va mem.Addr, size int,
 // entry (call permission restricted to aligned entry points, read or
 // better for arbitrary addresses, §4.1) or a capability register.
 func (s *System) CheckCall(ctx *ThreadCtx, pt *mem.PageTable, target mem.Addr) error {
-	s.checks++
 	subject := ctx.CodeDomain(pt)
 	fault := func(reason string) error {
 		return &Fault{Subject: subject, VA: target, Kind: AccessExec, Reason: reason}
@@ -221,7 +218,6 @@ func (s *System) CheckCall(ctx *ThreadCtx, pt *mem.PageTable, target mem.Addr) e
 	if pi.Tag == subject {
 		return nil
 	}
-	s.crossChecks++
 	perm := s.APLPerm(subject, pi.Tag)
 	switch {
 	case perm >= PermRead:
@@ -247,18 +243,6 @@ func (s *System) CheckCall(ctx *ThreadCtx, pt *mem.PageTable, target mem.Addr) e
 	return fault("no call authority over target domain")
 }
 
-// Call performs a checked control transfer: on success the instruction
-// pointer (and therefore the subject domain of subsequent checks) moves
-// to target. This is the "regular procedure call across domains" that
-// CODOMs makes free of pipeline stalls.
-func (s *System) Call(ctx *ThreadCtx, pt *mem.PageTable, target mem.Addr) error {
-	if err := s.CheckCall(ctx, pt, target); err != nil {
-		return err
-	}
-	ctx.SetIP(target)
-	return nil
-}
-
 // CallVerdict memoizes one successful CheckCall outcome for a fixed
 // (subject domain, target address) pair. dIPC stores one per hop of a
 // proxy's call sequence inside the proxy's precompiled call descriptor,
@@ -276,8 +260,7 @@ func (s *System) Call(ctx *ThreadCtx, pt *mem.PageTable, target mem.Addr) error 
 type CallVerdict struct {
 	subject Tag
 	target  mem.Addr
-	tag     Tag // target page's domain tag
-	cross   bool
+	tag     Tag  // target page's domain tag
 	viaCap  bool // authorized by a capability register, not self/APL
 	epoch   uint64
 	ptGen   uint64
@@ -303,21 +286,20 @@ func (s *System) capAuthorizesCall(ctx *ThreadCtx, target mem.Addr) bool {
 	return false
 }
 
-// CallCached is Call through a verdict cache: a hit charges the same
-// check statistics and moves the instruction pointer (priming the
-// subject-domain cache with the recorded target tag); a miss runs the
-// full CheckCall and records the outcome. A verdict whose success came
-// from a capability register (viaCap) additionally re-verifies, on
-// every hit, that some currently-valid register still authorizes the
-// transfer — capability state is per-call, not epoch-guarded.
+// CallCached is a checked control transfer through a verdict cache: on
+// success the instruction pointer (and therefore the subject domain of
+// subsequent checks) moves to target — the "regular procedure call
+// across domains" that CODOMs makes free of pipeline stalls. A hit moves
+// the instruction pointer directly (priming the subject-domain cache
+// with the recorded target tag); a miss runs the full CheckCall and
+// records the outcome. A verdict whose success came from a capability
+// register (viaCap) additionally re-verifies, on every hit, that some
+// currently-valid register still authorizes the transfer — capability
+// state is per-call, not epoch-guarded.
 func (s *System) CallCached(ctx *ThreadCtx, pt *mem.PageTable, target mem.Addr, v *CallVerdict) error {
 	if v.valid && v.target == target && v.epoch == s.epoch && v.ptGen == pt.Gen() &&
 		ctx.ipValid && ctx.ipDomain == v.subject &&
 		(!v.viaCap || s.capAuthorizesCall(ctx, target)) {
-		s.checks++
-		if v.cross {
-			s.crossChecks++
-		}
 		ctx.SetIPInDomain(target, v.tag)
 		return nil
 	}
@@ -330,8 +312,8 @@ func (s *System) CallCached(ctx *ThreadCtx, pt *mem.PageTable, target mem.Addr, 
 	perm := s.APLPerm(subject, pi.Tag)
 	viaAPL := perm >= PermRead || (perm == PermCall && target%s.EntryAlign == 0)
 	*v = CallVerdict{subject: subject, target: target, tag: pi.Tag,
-		cross: pi.Tag != subject, viaCap: pi.Tag != subject && !viaAPL,
-		epoch: s.epoch, ptGen: pt.Gen(), valid: true}
+		viaCap: pi.Tag != subject && !viaAPL,
+		epoch:  s.epoch, ptGen: pt.Gen(), valid: true}
 	ctx.SetIPInDomain(target, pi.Tag)
 	return nil
 }
@@ -344,11 +326,10 @@ type PrivVerdict struct {
 	valid bool
 }
 
-// CheckPrivCached is CheckPriv through a verdict cache; hits charge the
-// same check statistics without walking the page table.
+// CheckPrivCached is CheckPriv through a verdict cache; hits skip the
+// page-table walk.
 func (s *System) CheckPrivCached(ctx *ThreadCtx, pt *mem.PageTable, v *PrivVerdict) error {
 	if v.valid && v.ip == ctx.ip && v.ptGen == pt.Gen() {
-		s.checks++
 		return nil
 	}
 	if err := s.CheckPriv(ctx, pt); err != nil {
@@ -363,7 +344,6 @@ func (s *System) CheckPrivCached(ctx *ThreadCtx, pt *mem.PageTable, v *PrivVerdi
 // code page must carry the privileged capability bit (§4.1), which is
 // what lets dIPC proxies run kernel-ish code without a mode switch.
 func (s *System) CheckPriv(ctx *ThreadCtx, pt *mem.PageTable) error {
-	s.checks++
 	pi, ok := pt.Lookup(ctx.ip)
 	if !ok || !pi.Flags.Has(mem.FlagPrivCap) {
 		return &Fault{Subject: ctx.CodeDomain(pt), VA: ctx.ip, Kind: AccessExec,

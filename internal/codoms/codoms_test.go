@@ -78,7 +78,8 @@ func TestFig4CodeCentricSubjectSwitch(t *testing.T) {
 	}
 	// ...but after calling into B, the *instruction pointer* is the
 	// subject, so C becomes readable (B has read on C).
-	if err := s.Call(ctx, pt, 3*mem.PageSize); err != nil {
+	var v CallVerdict
+	if err := s.CallCached(ctx, pt, 3*mem.PageSize, &v); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Check(ctx, pt, 5*mem.PageSize, 4, AccessRead); err != nil {
@@ -137,7 +138,7 @@ func TestGrantRevoke(t *testing.T) {
 	if err := s.Check(ctx, pt, 3*mem.PageSize, 4, AccessWrite); err != nil {
 		t.Fatalf("write after grant upgrade: %v", err)
 	}
-	if err := s.Revoke(a.Tag, b.Tag); err != nil {
+	if err := s.Grant(a.Tag, b.Tag, PermNil); err != nil { // grant_revoke
 		t.Fatal(err)
 	}
 	if err := s.Check(ctx, pt, 3*mem.PageSize, 4, AccessRead); err == nil {
@@ -443,24 +444,6 @@ func TestAPLCacheEviction(t *testing.T) {
 	}
 	if resident != APLCacheSize-1 {
 		t.Fatalf("resident = %d, want %d", resident, APLCacheSize-1)
-	}
-	c.Flush()
-	if _, ok := c.Lookup(Tag(100)); ok {
-		t.Fatal("flush did not clear cache")
-	}
-}
-
-func TestSystemStatsCountCrossChecks(t *testing.T) {
-	s, pt, _, _, _ := fig4(t)
-	ctx := ctxAt(1, 0)
-	_ = s.Check(ctx, pt, 1*mem.PageSize, 4, AccessRead)     // self
-	_ = s.Check(ctx, pt, 5*mem.PageSize, 4, AccessRead)     // cross (denied)
-	if err := s.Call(ctx, pt, 3*mem.PageSize); err != nil { // cross (allowed)
-		t.Fatal(err)
-	}
-	checks, cross := s.Stats()
-	if checks != 3 || cross != 2 {
-		t.Fatalf("stats = %d checks, %d cross; want 3, 2", checks, cross)
 	}
 }
 

@@ -60,9 +60,6 @@ func (d *DCS) Depth() int { return d.top - d.base }
 // base that hides all but the argument entries).
 func (d *DCS) Top() int { return d.top }
 
-// Base returns the current base register.
-func (d *DCS) Base() int { return d.base }
-
 // SetBase moves the base register. This models a privileged operation:
 // only dIPC proxies call it (DCS integrity, §5.2.3). It returns the
 // previous base so the proxy can restore it on return.

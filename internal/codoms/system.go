@@ -79,12 +79,6 @@ type System struct {
 	// EntryAlign is the system-configurable alignment that makes a code
 	// address a valid entry point for call-permission crossings (§4.1).
 	EntryAlign mem.Addr
-	// checks counts access checks performed (for the §7.5 sensitivity
-	// analysis on cross-domain accesses).
-	checks uint64
-	// crossChecks counts checks that had to leave the subject domain
-	// (APL or capability), i.e. genuine cross-domain accesses.
-	crossChecks uint64
 	// epoch is bumped on every APL edit; precompiled call verdicts and
 	// cached capabilities key on it (see Epoch).
 	epoch uint64
@@ -113,14 +107,9 @@ func (s *System) NewDomain() *Domain {
 	return d
 }
 
-// Domain returns the domain for tag.
-func (s *System) Domain(tag Tag) (*Domain, bool) {
-	d, ok := s.domains[tag]
-	return d, ok
-}
-
 // Grant sets src's APL entry for dst to perm (overwriting any previous
-// grant). This is the privileged operation dIPC's grant_create wraps.
+// grant); PermNil clears the entry. This is the privileged operation
+// dIPC's grant_create wraps.
 func (s *System) Grant(src, dst Tag, perm Perm) error {
 	d, ok := s.domains[src]
 	if !ok {
@@ -138,11 +127,6 @@ func (s *System) Grant(src, dst Tag, perm Perm) error {
 	return nil
 }
 
-// Revoke clears src's APL entry for dst (grant_revoke sets it to nil).
-func (s *System) Revoke(src, dst Tag) error {
-	return s.Grant(src, dst, PermNil)
-}
-
 // APLPerm returns the permission src holds over dst via its APL. A
 // domain implicitly holds write permission over itself.
 func (s *System) APLPerm(src, dst Tag) Perm {
@@ -155,20 +139,3 @@ func (s *System) APLPerm(src, dst Tag) Perm {
 	}
 	return d.apl[dst]
 }
-
-// APLEntries returns a copy of the domain's APL (for the scheduler, which
-// swaps APL-cache contents on context switches).
-func (s *System) APLEntries(tag Tag) map[Tag]Perm {
-	d, ok := s.domains[tag]
-	if !ok {
-		return nil
-	}
-	out := make(map[Tag]Perm, len(d.apl))
-	for k, v := range d.apl { //dipcvet:unordered-ok map-to-map copy, order-insensitive
-		out[k] = v
-	}
-	return out
-}
-
-// Stats returns (total checks, cross-domain checks).
-func (s *System) Stats() (checks, cross uint64) { return s.checks, s.crossChecks }

@@ -7,8 +7,8 @@
 //
 // The package exposes the Table-2 object API:
 //
-//   - isolation domains   (DomDefault, DomCreate, DomCopy, DomMmap, DomRemap)
-//   - domain grants       (GrantCreate, GrantRevoke)
+//   - isolation domains   (DomDefault, DomCreate, DomCopy, DomMmap)
+//   - domain grants       (GrantCreate)
 //   - entry points        (EntryRegister, EntryRequest)
 //
 // plus the runtime machinery behind them: proxy template specialization
@@ -61,7 +61,7 @@ func NewRuntime(m *kernel.Machine) *Runtime {
 		registry:          make(map[string]*EntryHandle),
 		WorstCaseLiveRegs: 14,
 	}
-	rt.proxyVA = mem.NewSuballoc(m.Global, "dipc-proxies")
+	rt.proxyVA = mem.NewSuballoc(m.Global)
 	return rt
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 
+	"repro/internal/codoms"
 	"repro/internal/kernel"
 	"repro/internal/sim"
 )
@@ -27,8 +28,7 @@ func TestRevocationInvalidatesCachedVerdicts(t *testing.T) {
 			t.Fatal(err)
 		}
 		self := w.rt.DomDefault(th)
-		g, err := w.rt.GrantCreate(th, self, domP)
-		if err != nil {
+		if err := w.rt.GrantCreate(th, self, domP); err != nil {
 			t.Fatal(err)
 		}
 		args := &Args{Regs: []uint64{1, 2}}
@@ -37,13 +37,14 @@ func TestRevocationInvalidatesCachedVerdicts(t *testing.T) {
 				t.Fatalf("warm call %d: %v", i, err)
 			}
 		}
-		if err := w.rt.GrantRevoke(th, g); err != nil {
+		// grant_revoke: clear the caller's APL entry for the proxy domain.
+		if err := w.rt.M.Arch.Grant(self.Tag(), domP.Tag(), codoms.PermNil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ents[0].Call(th, args); err == nil {
 			t.Fatal("call succeeded through a revoked grant: stale cached verdict")
 		}
-		if _, err := w.rt.GrantCreate(th, self, domP); err != nil {
+		if err := w.rt.GrantCreate(th, self, domP); err != nil {
 			t.Fatal(err)
 		}
 		if out, err := ents[0].Call(th, args); err != nil || out == nil {

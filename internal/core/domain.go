@@ -58,8 +58,8 @@ func (p Perm) arch() codoms.Perm {
 }
 
 // DomainHandle is a capability-like reference to an isolation domain.
-// Handles are plain values: DomCopy produces downgraded copies, and
-// processes pass them to each other as file descriptors.
+// Handles are plain values: DomCopy produces downgraded copies that
+// processes pass to each other.
 type DomainHandle struct {
 	rt   *Runtime
 	tag  codoms.Tag
@@ -68,9 +68,6 @@ type DomainHandle struct {
 
 // Tag returns the underlying CODOMs tag.
 func (h DomainHandle) Tag() codoms.Tag { return h.tag }
-
-// Perm returns the handle's permission.
-func (h DomainHandle) Perm() Perm { return h.perm }
 
 // Valid reports whether the handle references a domain.
 func (h DomainHandle) Valid() bool { return h.rt != nil && h.tag != mem.NilTag }
@@ -133,23 +130,4 @@ func (rt *Runtime) DomMmap(t *kernel.Thread, h DomainHandle, size int, flags mem
 		err = rt.PT.Map(base, npages, flags, h.tag)
 	})
 	return base, err
-}
-
-// DomRemap reassigns the pages [addr, addr+size) from domain src to
-// domain dst. Both handles must carry owner permission and the pages
-// must currently belong to src (Table 2).
-func (rt *Runtime) DomRemap(t *kernel.Thread, dst, src DomainHandle, addr mem.Addr, size int) error {
-	if dst.perm != PermOwner {
-		return errBadPerm("dom_remap(dst)", PermOwner, dst.perm)
-	}
-	if src.perm != PermOwner {
-		return errBadPerm("dom_remap(src)", PermOwner, src.perm)
-	}
-	var err error
-	t.Syscall(func() {
-		npages := mem.PagesIn(size)
-		t.Exec(t.Machine().P.FutexWake+t.Machine().P.CacheLineTouch*sim.Time(npages), stats.BlockKernel)
-		err = rt.PT.Retag(addr, npages, src.tag, dst.tag)
-	})
-	return err
 }

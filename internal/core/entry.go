@@ -75,9 +75,6 @@ type EntryHandle struct {
 	entries []entryImpl
 }
 
-// NumEntries returns the number of entry points in the handle.
-func (eh *EntryHandle) NumEntries() int { return len(eh.entries) }
-
 // EntryRegister exports the given entry points from the domain of h,
 // which requires owner permission. Entry code is placed on executable
 // pages tagged with the domain, at addresses aligned to the CODOMs entry
@@ -127,10 +124,6 @@ type ImportedEntry struct {
 	Name  string
 	proxy *Proxy
 }
-
-// Addr returns the proxy's entry address (what the caller's PLT-like
-// slot points at after resolution).
-func (ie *ImportedEntry) Addr() mem.Addr { return ie.proxy.addr }
 
 // EntryRequest imports the entry points of eh into the calling process:
 // for every entry it checks that the requested signature matches the

@@ -8,24 +8,6 @@ import (
 	"repro/internal/stats"
 )
 
-// GrantHandle records one APL modification so it can later be revoked.
-type GrantHandle struct {
-	rt   *Runtime
-	src  codoms.Tag
-	dst  codoms.Tag
-	perm codoms.Perm
-	live bool
-}
-
-// Src returns the granting domain's tag.
-func (g *GrantHandle) Src() codoms.Tag { return g.src }
-
-// Dst returns the domain access was granted to.
-func (g *GrantHandle) Dst() codoms.Tag { return g.dst }
-
-// Live reports whether the grant is still in force.
-func (g *GrantHandle) Live() bool { return g.live }
-
 // GrantCreate allows code in the domain of src to access the domain of
 // dst with dst's handle permission, by editing src's APL (Table 2). It
 // requires owner permission on src — only a domain's owner can open it
@@ -33,40 +15,21 @@ func (g *GrantHandle) Live() bool { return g.live }
 // accessee explicitly grants that right"; here the accessor's owner
 // extends its own reach toward a domain whose handle it was explicitly
 // given).
-func (rt *Runtime) GrantCreate(t *kernel.Thread, src, dst DomainHandle) (*GrantHandle, error) {
+func (rt *Runtime) GrantCreate(t *kernel.Thread, src, dst DomainHandle) error {
 	if src.perm != PermOwner {
-		return nil, errBadPerm("grant_create", PermOwner, src.perm)
+		return errBadPerm("grant_create", PermOwner, src.perm)
 	}
 	if !dst.Valid() {
-		return nil, fmt.Errorf("dipc: grant_create with invalid destination handle")
+		return fmt.Errorf("dipc: grant_create with invalid destination handle")
 	}
 	archPerm := dst.perm.arch()
 	if archPerm == codoms.PermNil {
-		return nil, fmt.Errorf("dipc: grant_create from a nil-permission handle")
+		return fmt.Errorf("dipc: grant_create from a nil-permission handle")
 	}
-	var g *GrantHandle
 	var err error
 	t.Syscall(func() {
 		t.Exec(t.Machine().P.FutexWake, stats.BlockKernel) // APL edit
 		err = rt.M.Arch.Grant(src.tag, dst.tag, archPerm)
-		if err == nil {
-			g = &GrantHandle{rt: rt, src: src.tag, dst: dst.tag, perm: archPerm, live: true}
-		}
-	})
-	return g, err
-}
-
-// GrantRevoke sets the permission for the grant's destination back to
-// nil in the source's APL.
-func (rt *Runtime) GrantRevoke(t *kernel.Thread, g *GrantHandle) error {
-	if g == nil || !g.live {
-		return fmt.Errorf("dipc: grant_revoke on dead grant")
-	}
-	var err error
-	t.Syscall(func() {
-		t.Exec(t.Machine().P.FutexWake, stats.BlockKernel)
-		err = rt.M.Arch.Revoke(g.src, g.dst)
-		g.live = false
 	})
 	return err
 }

@@ -75,12 +75,6 @@ type Proxy struct {
 	desc       callDesc
 }
 
-// Template returns the template this proxy was specialized from.
-func (px *Proxy) Template() *ProxyTemplate { return px.tmpl }
-
-// Cross reports whether the proxy crosses processes.
-func (px *Proxy) Cross() bool { return px.cross }
-
 // liveRegs is the register count the stubs must preserve.
 func (px *Proxy) liveRegs() int {
 	if px.rt.FoldStubs {

@@ -67,7 +67,7 @@ func (rt *Runtime) MustImport(t *kernel.Thread, path string, descs []EntryDesc) 
 		return nil, err
 	}
 	self := rt.DomDefault(t)
-	if _, err := rt.GrantCreate(t, self, domP); err != nil {
+	if err := rt.GrantCreate(t, self, domP); err != nil {
 		return nil, err
 	}
 	return imports, nil

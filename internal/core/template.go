@@ -97,8 +97,3 @@ func (rt *Runtime) template(sig Signature, mp mergedPolicy, cross bool) *ProxyTe
 	rt.templates[key] = tmpl
 	return tmpl
 }
-
-// TemplateCount returns how many distinct templates have been
-// instantiated so far (the paper's build-time expansion yields ~12K; the
-// simulation materializes them lazily).
-func (rt *Runtime) TemplateCount() int { return len(rt.templates) }

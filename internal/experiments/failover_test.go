@@ -261,3 +261,23 @@ func TestRestartBeforeKillNamesTheParameter(t *testing.T) {
 		}
 	}
 }
+
+// TestFlapBudgetNamesFlapperiod: a flapperiod that packs more than
+// maxFlaps outages into the window is a config error naming flapperiod,
+// raised before any fault event is built; a schedule at the cap is
+// accepted.
+func TestFlapBudgetNamesFlapperiod(t *testing.T) {
+	for _, scn := range []string{"chaos-rack", "failover-flap"} {
+		s, ok := scenario.Default.Lookup(scn)
+		if !ok {
+			t.Fatalf("%s not registered", scn)
+		}
+		_, err := scenario.NewConfig(s, map[string]string{"flapperiod": "1ps", "window": "1ms"})
+		if err == nil || !strings.Contains(err.Error(), "flapperiod") {
+			t.Errorf("%s flapperiod=1ps window=1ms: want an error naming flapperiod, got %v", scn, err)
+		}
+		if _, err := scenario.NewConfig(s, map[string]string{"flapperiod": "10ns", "window": "1ms"}); err != nil {
+			t.Errorf("%s flapperiod=10ns window=1ms (%d outages): %v", scn, maxFlaps, err)
+		}
+	}
+}

@@ -50,6 +50,27 @@ func restartAfterKill(cfg *scenario.Config) error {
 	return nil
 }
 
+// maxFlaps caps the link outages one flap schedule may hold. Each
+// outage is two fault events built up front, so a picosecond flapperiod
+// over a millisecond window would ask for 10⁹ outages and exhaust memory
+// before the run starts.
+const maxFlaps = 100_000
+
+// flapBudget refuses a flapperiod that packs more than maxFlaps outages
+// into the measurement window.
+func flapBudget(cfg *scenario.Config) error {
+	window, period := cfg.Duration("window"), cfg.Duration("flapperiod")
+	n := window / period
+	if window%period != 0 {
+		n++
+	}
+	if n > maxFlaps {
+		return fmt.Errorf("flapperiod %s schedules %d link outages in the %s window, more than the %d a run allows",
+			scenario.FormatDuration(period), int64(n), scenario.FormatDuration(window), maxFlaps)
+	}
+	return nil
+}
+
 // The derivation helpers compute the effective sweep axes the `full`
 // shorthand expands to; checks and runs share them so what is validated
 // is exactly what runs.

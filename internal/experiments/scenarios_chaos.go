@@ -231,7 +231,12 @@ func init() {
 			scenario.Param("backoff", scenario.Duration, "10us", "initial retry backoff (doubles, capped at 8x)"),
 			shardsParam(),
 		},
-		func(cfg *scenario.Config) error { return ringConfig(cfg).Validate() },
+		func(cfg *scenario.Config) error {
+			if err := flapBudget(cfg); err != nil {
+				return err
+			}
+			return ringConfig(cfg).Validate()
+		},
 		runChaosRackScenario))
 
 	scenario.Register(scenario.NewChecked("chaos-retrystorm",

@@ -293,7 +293,12 @@ func init() {
 			scenario.Param("probeevery", scenario.Duration, "150us", "health probe period"),
 			scenario.Param("timeouts", scenario.IntList, "400,1200", "detector suspicion timeouts to sweep (us)"),
 			shardsParam()),
-		func(cfg *scenario.Config) error { return failoverBase(cfg, oltp.ModeDIPC).Validate() },
+		func(cfg *scenario.Config) error {
+			if err := flapBudget(cfg); err != nil {
+				return err
+			}
+			return failoverBase(cfg, oltp.ModeDIPC).Validate()
+		},
 		runFailoverFlapScenario))
 
 	scenario.Register(scenario.NewChecked("failover-hedge",

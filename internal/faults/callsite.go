@@ -30,7 +30,6 @@ type CallSite struct {
 	slowProb    float64
 	slowBy      sim.Time
 	dropPenalty sim.Time
-	draws       uint64
 }
 
 // Site derives the named call site's fault stream from the plan.
@@ -75,7 +74,6 @@ func (s *CallSite) Draw() (Verdict, sim.Time) {
 	if s == nil {
 		return VerdictOK, 0
 	}
-	s.draws++
 	u := s.rng.Float64()
 	switch {
 	case u < s.dropProb:
@@ -92,14 +90,6 @@ func (s *CallSite) Name() string {
 		return ""
 	}
 	return s.name
-}
-
-// Draws returns how many verdicts the site has issued.
-func (s *CallSite) Draws() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.draws
 }
 
 // siteSeed mixes the plan seed with an FNV-1a hash of the site name

@@ -78,9 +78,6 @@ func TestBackoffCappedExponential(t *testing.T) {
 			t.Errorf("BackoffFor(%d) = %v, want %v", i, got, w)
 		}
 	}
-	if rp.Attempts() != 6 {
-		t.Errorf("Attempts() = %d, want 6", rp.Attempts())
-	}
 	uncapped := RetryPolicy{Backoff: sim.Micros(3)}
 	if got := uncapped.BackoffFor(2); got != sim.Micros(12) {
 		t.Errorf("uncapped BackoffFor(2) = %v, want 12us", got)
@@ -265,23 +262,5 @@ func TestLinkWindowsAndFlap(t *testing.T) {
 	}
 	if dt := ls.Downtime(eng.Now()); dt != sim.Micros(10) {
 		t.Errorf("Downtime = %v, want 10us (two 5us windows)", dt)
-	}
-}
-
-// TestPlanEmpty pins the empty-plan predicate the golden contract
-// relies on.
-func TestPlanEmpty(t *testing.T) {
-	if !(&Plan{Seed: 99}).Empty() {
-		t.Error("seed-only plan is not empty")
-	}
-	var p *Plan
-	if !p.Empty() {
-		t.Error("nil plan is not empty")
-	}
-	if (&Plan{DropProb: 0.1}).Empty() {
-		t.Error("plan with drop probability reads as empty")
-	}
-	if (&Plan{Events: []Event{{}}}).Empty() {
-		t.Error("plan with events reads as empty")
 	}
 }

@@ -90,12 +90,6 @@ type Plan struct {
 	SlowBy   sim.Time
 }
 
-// Empty reports whether installing the plan would change nothing.
-func (p *Plan) Empty() bool {
-	return p == nil ||
-		(len(p.Events) == 0 && p.DropProb == 0 && p.SlowProb == 0)
-}
-
 // Flap appends alternating LinkDown/LinkUp windows for the named link:
 // down at from, from+period, ... (each for down long), until past the
 // until bound. A flapping-NIC schedule in one call.
@@ -177,6 +171,3 @@ func (rp RetryPolicy) BackoffJittered(retry int, rng *sim.Rand) sim.Time {
 	}
 	return d - sim.Time(j*rng.Float64()*float64(d))
 }
-
-// Attempts is the total attempt budget (first try plus retries).
-func (rp RetryPolicy) Attempts() int { return 1 + rp.MaxRetries }

@@ -29,26 +29,6 @@ func TestSocketBlocksWhenFull(t *testing.T) {
 	}
 }
 
-func TestL4ReplyWithoutWait(t *testing.T) {
-	eng, m := newMachine(1)
-	pc, ps := m.NewProcess("c"), m.NewProcess("s")
-	ep := &L4Endpoint{}
-	var got any
-	m.Spawn(ps, "server", nil, func(th *kernel.Thread) {
-		msg := ep.Wait(th)
-		ep.Reply(th, msg.(int)+1)
-		// Server exits after one request (Reply, not ReplyWait).
-	})
-	m.Spawn(pc, "client", nil, func(th *kernel.Thread) {
-		th.ExecUser(sim.Microsecond)
-		got = ep.Call(th, 41)
-	})
-	eng.Run()
-	if got != 42 {
-		t.Fatalf("got %v", got)
-	}
-}
-
 func TestL4MultipleClients(t *testing.T) {
 	eng, m := newMachine(2)
 	ps := m.NewProcess("s")
@@ -114,7 +94,7 @@ func TestSemaphoreValueNeverNegative(t *testing.T) {
 	for i := 0; i < 6; i++ {
 		m.Spawn(p, "w", nil, func(th *kernel.Thread) {
 			s.Wait(th)
-			if s.Value() < 0 {
+			if s.val < 0 {
 				t.Error("semaphore went negative")
 			}
 			th.ExecUser(sim.Microsecond)
@@ -122,8 +102,8 @@ func TestSemaphoreValueNeverNegative(t *testing.T) {
 		})
 	}
 	eng.Run()
-	if s.Value() != 2 {
-		t.Fatalf("final value = %d, want 2", s.Value())
+	if s.val != 2 {
+		t.Fatalf("final value = %d, want 2", s.val)
 	}
 }
 

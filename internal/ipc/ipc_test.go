@@ -64,8 +64,8 @@ func TestSemaphoreNoBlockWhenPositive(t *testing.T) {
 		dur = eng.Now() - start
 	})
 	eng.Run()
-	if s.Value() != 0 {
-		t.Fatalf("value = %d", s.Value())
+	if s.val != 0 {
+		t.Fatalf("value = %d", s.val)
 	}
 	// Two fast-path waits: just two atomics, no syscalls.
 	if dur > 2*cost.Default().AtomicOp {
@@ -92,8 +92,8 @@ func TestPipeTransfersAndBlocks(t *testing.T) {
 	if received != 4<<10 {
 		t.Fatalf("received = %d", received)
 	}
-	if pipe.Buffered() != 0 {
-		t.Fatalf("pipe left %d bytes", pipe.Buffered())
+	if pipe.buffered != 0 {
+		t.Fatalf("pipe left %d bytes", pipe.buffered)
 	}
 }
 
@@ -143,10 +143,9 @@ func TestL4CallReplySameCPU(t *testing.T) {
 	var replies int
 	m.Spawn(ps, "server", m.CPUs[0], func(th *kernel.Thread) {
 		msg := ep.Wait(th)
-		for i := 0; i < rounds-1; i++ {
+		for {
 			msg = ep.ReplyWait(th, msg.(int)*2)
 		}
-		ep.Reply(th, msg.(int)*2)
 	})
 	m.Spawn(pc, "client", m.CPUs[0], func(th *kernel.Thread) {
 		th.ExecUser(100 * sim.Nanosecond) // let the server park first
@@ -267,7 +266,7 @@ func TestCrossCPUSlowerThanSameCPU(t *testing.T) {
 
 func TestSemRoundTripNearPaperAnchor(t *testing.T) {
 	// Fig. 5: semaphore same-CPU round trip ≈ 757× a 2ns function call
-	// (~1.5us). Accept a generous band; EXPERIMENTS.md records exacts.
+	// (~1.5us). The model gives ~1.84us; accept a generous band.
 	rt := measureSem(t, true)
 	ns := rt.Nanoseconds()
 	if ns < 900 || ns > 2300 {

@@ -91,19 +91,6 @@ func (ep *L4Endpoint) ReplyWait(t *kernel.Thread, reply any) any {
 	return next.msg
 }
 
-// Reply sends the reply without waiting for another call.
-func (ep *L4Endpoint) Reply(t *kernel.Thread, reply any) {
-	prm := t.Machine().P
-	t.Exec(prm.SyscallTrap, stats.BlockSyscall)
-	t.Exec(prm.SyscallDispatch, stats.BlockDispatch)
-	t.Exec(prm.L4IPCKernel, stats.BlockKernel)
-	if call, _ := t.Ext.(*l4Call); call != nil {
-		call.from.Wake(reply, t)
-		t.Ext = nil
-	}
-	t.Exec(prm.SyscallRet, stats.BlockSyscall)
-}
-
 // nextCall dequeues a pending call or parks the server until one comes.
 func (ep *L4Endpoint) nextCall(t *kernel.Thread) *l4Call {
 	if ep.pending.Len() > 0 {

@@ -25,9 +25,6 @@ func NewPipe(capacity int) *Pipe {
 	return &Pipe{capacity: capacity}
 }
 
-// Buffered returns the bytes currently in the kernel buffer.
-func (p *Pipe) Buffered() int { return p.buffered }
-
 // Write copies n bytes into the pipe, blocking while the buffer is full.
 func (p *Pipe) Write(t *kernel.Thread, n int) {
 	prm := t.Machine().P

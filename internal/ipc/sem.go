@@ -59,12 +59,6 @@ func (s *Semaphore) Post(t *kernel.Thread) {
 	})
 }
 
-// Value returns the current count (diagnostics).
-func (s *Semaphore) Value() int64 { return s.val }
-
-// Waiters returns the number of blocked threads (diagnostics).
-func (s *Semaphore) Waiters() int { return s.q.Len() }
-
 // SharedBuffer models the pre-agreed shared-memory region the semaphore
 // baseline passes data through. The sender and the receiver each pay a
 // user-level copy to populate and read it (§7.2: "the programmer still

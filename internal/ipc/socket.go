@@ -75,6 +75,3 @@ func (s *Socket) Recv(t *kernel.Thread) Message {
 	})
 	return msg
 }
-
-// Pending returns the number of queued messages.
-func (s *Socket) Pending() int { return s.msgs.Len() }

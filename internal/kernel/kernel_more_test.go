@@ -141,50 +141,6 @@ func TestMigrateToMovesThreadBetweenProcesses(t *testing.T) {
 	eng.Run()
 }
 
-func TestForkCostScalesWithMappedPages(t *testing.T) {
-	measure := func(pages int) sim.Time {
-		eng, m := newTestMachine(1)
-		p := m.NewProcess("p")
-		if pages > 0 {
-			if err := p.PageTable.Map(0x100000, pages, 0, p.DefaultTag); err != nil {
-				t.Fatal(err)
-			}
-		}
-		var dur sim.Time
-		m.Spawn(p, "t", nil, func(th *Thread) {
-			start := eng.Now()
-			m.Fork(th)
-			dur = eng.Now() - start
-		})
-		eng.Run()
-		return dur
-	}
-	small := measure(0)
-	big := measure(4096)
-	if big <= small {
-		t.Fatalf("fork of a large mm (%v) not costlier than empty (%v)", big, small)
-	}
-}
-
-func TestExecImageResetsMemory(t *testing.T) {
-	eng, m := newTestMachine(1)
-	p := m.NewProcess("p")
-	if err := p.PageTable.Map(0x1000, 4, 0, p.DefaultTag); err != nil {
-		t.Fatal(err)
-	}
-	old := p.PageTable
-	m.Spawn(p, "t", nil, func(th *Thread) {
-		m.ExecImage(th, p, "newimage", true)
-	})
-	eng.Run()
-	if p.PageTable == old || p.PageTable.Mapped() != 0 {
-		t.Fatal("exec must replace the address space")
-	}
-	if p.Name != "newimage" || !p.PIC {
-		t.Fatalf("image metadata: %q pic=%v", p.Name, p.PIC)
-	}
-}
-
 func TestWorkingSetRefillChargedAcrossProcesses(t *testing.T) {
 	run := func(ws int) sim.Time {
 		eng, m := newTestMachine(1)

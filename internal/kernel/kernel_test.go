@@ -92,46 +92,6 @@ func TestBlockWakeAcrossThreads(t *testing.T) {
 	}
 }
 
-func TestFutexWaitWake(t *testing.T) {
-	eng, m := newTestMachine(2)
-	p := m.NewProcess("p")
-	f := &Futex{Val: 0}
-	var order []string
-	m.Spawn(p, "waiter", m.CPUs[0], func(th *Thread) {
-		th.Syscall(func() { f.WaitIf(th, 0) })
-		order = append(order, "woken")
-	})
-	m.Spawn(p, "poster", m.CPUs[1], func(th *Thread) {
-		// Long enough that the waiter is certainly parked (its own
-		// dispatch latency plus the futex kernel path are ~1.2us).
-		th.ExecUser(10 * sim.Microsecond)
-		f.Val = 1
-		th.Syscall(func() {
-			if n := f.Wake(th, 1); n != 1 {
-				t.Errorf("Wake = %d, want 1", n)
-			}
-		})
-		order = append(order, "posted")
-	})
-	eng.Run()
-	if len(order) != 2 {
-		t.Fatalf("order = %v", order)
-	}
-	// Value mismatch must not block.
-	m2eng, m2 := newTestMachine(1)
-	p2 := m2.NewProcess("p")
-	f2 := &Futex{Val: 7}
-	ran := false
-	m2.Spawn(p2, "t", nil, func(th *Thread) {
-		th.Syscall(func() { f2.WaitIf(th, 0) })
-		ran = true
-	})
-	m2eng.Run()
-	if !ran {
-		t.Fatal("WaitIf blocked despite value mismatch")
-	}
-}
-
 func TestIdleAccounting(t *testing.T) {
 	eng, m := newTestMachine(1)
 	p := m.NewProcess("p")
@@ -289,25 +249,6 @@ func TestPinningRespected(t *testing.T) {
 	eng.Run()
 	if m.CPUs[0].Acct[stats.BlockUser] != 0 {
 		t.Fatal("pinned thread charged CPU 0")
-	}
-}
-
-func TestFDTable(t *testing.T) {
-	_, m := newTestMachine(1)
-	p := m.NewProcess("p")
-	fd := p.AllocFD("object")
-	obj, err := p.GetFD(fd)
-	if err != nil || obj != "object" {
-		t.Fatalf("GetFD = %v, %v", obj, err)
-	}
-	if err := p.CloseFD(fd); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p.GetFD(fd); err == nil {
-		t.Fatal("closed fd still resolves")
-	}
-	if err := p.CloseFD(fd); err == nil {
-		t.Fatal("double close must fail")
 	}
 }
 

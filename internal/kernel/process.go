@@ -1,15 +1,13 @@
 package kernel
 
 import (
-	"fmt"
-
 	"repro/internal/codoms"
 	"repro/internal/mem"
 )
 
-// Process is a simulated OS process: an address space, a file-descriptor
-// table, threads and (for dIPC-enabled processes) membership in the
-// global virtual address space.
+// Process is a simulated OS process: an address space, threads and (for
+// dIPC-enabled processes) membership in the global virtual address
+// space.
 type Process struct {
 	PID  int
 	Name string
@@ -18,9 +16,6 @@ type Process struct {
 	PageTable *mem.PageTable
 	Threads   map[int]*Thread
 
-	fds    map[int]any
-	nextFD int
-
 	// DefaultTag is the CODOMs tag of the process's default domain
 	// (§5.2: "all processes get a single default domain").
 	DefaultTag codoms.Tag
@@ -28,10 +23,6 @@ type Process struct {
 	// DIPC marks a dIPC-enabled process: loaded into the global virtual
 	// address space on a shared page table (§6.1.3).
 	DIPC bool
-
-	// PIC marks the current image as position-independent code, the
-	// prerequisite for loading into the global address space (§6.1.3).
-	PIC bool
 
 	// VA sub-allocates this process's share of the global address space.
 	VA *mem.Suballoc
@@ -59,7 +50,6 @@ func (m *Machine) NewProcess(name string) *Process {
 		m:         m,
 		PageTable: mem.NewPageTable(),
 		Threads:   make(map[int]*Thread),
-		fds:       make(map[int]any),
 	}
 	p.DefaultTag = m.Arch.NewDomain().Tag
 	m.procs[p.PID] = p
@@ -74,7 +64,7 @@ func (m *Machine) NewDIPCProcess(name string, shared *mem.PageTable) *Process {
 	p := m.NewProcess(name)
 	p.DIPC = true
 	p.PageTable = shared
-	p.VA = mem.NewSuballoc(m.Global, name)
+	p.VA = mem.NewSuballoc(m.Global)
 	// Reserve a page for the TLS segment.
 	base, err := p.VA.Alloc(mem.PageSize)
 	if err == nil {
@@ -82,36 +72,6 @@ func (m *Machine) NewDIPCProcess(name string, shared *mem.PageTable) *Process {
 	}
 	return p
 }
-
-// AllocFD installs obj in the descriptor table and returns its number.
-// dIPC passes domain and entry-point handles between processes as file
-// descriptors (§5.2.2).
-func (p *Process) AllocFD(obj any) int {
-	p.nextFD++
-	p.fds[p.nextFD] = obj
-	return p.nextFD
-}
-
-// GetFD resolves a descriptor.
-func (p *Process) GetFD(fd int) (any, error) {
-	obj, ok := p.fds[fd]
-	if !ok {
-		return nil, fmt.Errorf("kernel: %s: bad file descriptor %d", p.Name, fd)
-	}
-	return obj, nil
-}
-
-// CloseFD removes a descriptor.
-func (p *Process) CloseFD(fd int) error {
-	if _, ok := p.fds[fd]; !ok {
-		return fmt.Errorf("kernel: %s: close of bad descriptor %d", p.Name, fd)
-	}
-	delete(p.fds, fd)
-	return nil
-}
-
-// NumFDs returns the number of open descriptors.
-func (p *Process) NumFDs() int { return len(p.fds) }
 
 // Kill marks the process dead. Threads currently inside it observe the
 // flag at their next fault-check point; dIPC treats process kills with
@@ -121,13 +81,12 @@ func (m *Machine) Kill(p *Process) {
 	delete(m.procs, p.PID)
 }
 
-// Restart revives a killed process in place: the same address space,
-// descriptor table and dIPC registrations come back up — the model's
-// analogue of a supervisor restarting a crashed tier under the same
-// identity. Callers that cached cross-domain call verdicts against the
-// old incarnation must revalidate rather than trust them blindly; the
-// descriptor tests in internal/core pin that contract across a
-// Kill/Restart cycle.
+// Restart revives a killed process in place: the same address space
+// and dIPC registrations come back up — the model's analogue of a
+// supervisor restarting a crashed tier under the same identity. Callers
+// that cached cross-domain call verdicts against the old incarnation
+// must revalidate rather than trust them blindly; the descriptor tests
+// in internal/core pin that contract across a Kill/Restart cycle.
 func (m *Machine) Restart(p *Process) {
 	if !p.Dead {
 		return

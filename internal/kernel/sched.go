@@ -28,12 +28,6 @@ func (c *CPU) load() int {
 	return 1 + c.runq.Len()
 }
 
-// Cur returns the running thread, if any.
-func (c *CPU) Cur() *Thread { return c.cur }
-
-// QueueLen returns the run-queue length.
-func (c *CPU) QueueLen() int { return c.runq.Len() }
-
 // endIdle accounts an idle period that finishes now.
 func (c *CPU) endIdle() {
 	now := c.m.Eng.Now()

@@ -64,8 +64,8 @@ func (t *Thread) Process() *Process { return t.proc }
 
 // MigrateTo switches the thread's current process: dIPC proxies perform
 // an in-place process switch on cross-process calls so that resource
-// accounting and the file-descriptor table follow the thread (§6.1.2,
-// track_process_call). The cost is charged by the caller (the proxy).
+// accounting follows the thread (§6.1.2, track_process_call). The cost
+// is charged by the caller (the proxy).
 func (t *Thread) MigrateTo(p *Process) {
 	delete(t.proc.Threads, t.ID)
 	t.proc = p
@@ -82,10 +82,6 @@ func (t *Thread) State() ThreadState { return t.state }
 
 // CPU returns the CPU the thread currently occupies (nil if blocked).
 func (t *Thread) CPU() *CPU { return t.cpu }
-
-// Pin restricts the thread to one CPU (used by the =CPU / ≠CPU
-// micro-benchmark configurations).
-func (t *Thread) Pin(c *CPU) { t.pinned = c }
 
 // Pinned returns the CPU the thread is pinned to, or nil.
 func (t *Thread) Pinned() *CPU { return t.pinned }
@@ -105,7 +101,6 @@ func (m *Machine) Spawn(p *Process, name string, pin *CPU, fn func(t *Thread)) *
 	}
 	p.Threads[t.ID] = t
 	t.sp = m.Eng.Spawn(name, 0, func(sp *sim.Proc) {
-		sp.Ctx = t
 		// First scheduling: claim a CPU or queue for one.
 		t.state = ThreadRunnable
 		t.schedWaiter = sp.PrepareWait()
@@ -279,11 +274,4 @@ func (t *Thread) Fault(err error) {
 		return
 	}
 	panic(fmt.Sprintf("kernel: unhandled fault on thread %q: %v", t.Name, err))
-}
-
-// Current returns the kernel thread driving the given sim.Proc (the
-// reverse of Thread.sp).
-func Current(sp *sim.Proc) *Thread {
-	t, _ := sp.Ctx.(*Thread)
-	return t
 }

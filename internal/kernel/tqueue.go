@@ -1,0 +1,50 @@
+package kernel
+
+import "repro/internal/sim"
+
+// TQueue is a FIFO wait queue of kernel threads — the building block of
+// semaphores, pipes and socket buffers.
+type TQueue struct{ ts sim.Queue[*Thread] }
+
+// Len returns the number of queued threads.
+func (q *TQueue) Len() int { return q.ts.Len() }
+
+// BlockOn parks t on the queue; the value passed to the waking WakeOne
+// is returned.
+func (q *TQueue) BlockOn(t *Thread) any {
+	return t.Block(func() { q.ts.PushBack(t) })
+}
+
+// WakeOne wakes the oldest queued thread. waker attributes IPI cost.
+func (q *TQueue) WakeOne(data any, waker *Thread) bool {
+	for q.Len() > 0 {
+		if q.ts.PopFront().Wake(data, waker) {
+			return true
+		}
+	}
+	return false
+}
+
+// Inbox is a mailbox of uint64 request IDs arriving off a network
+// link: an ID hands off directly to the oldest waiting thread or queues
+// until one asks. It charges nothing; callers model the costs.
+type Inbox struct {
+	pending sim.Queue[uint64]
+	waiters TQueue
+}
+
+// Submit delivers id to a waiting thread, or queues it.
+func (in *Inbox) Submit(id uint64) {
+	if in.waiters.WakeOne(id, nil) {
+		return
+	}
+	in.pending.PushBack(id)
+}
+
+// Recv returns the oldest queued ID, blocking t until one arrives.
+func (in *Inbox) Recv(t *Thread) uint64 {
+	if in.pending.Len() > 0 {
+		return in.pending.PopFront()
+	}
+	return in.waiters.BlockOn(t).(uint64)
+}

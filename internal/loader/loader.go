@@ -80,15 +80,6 @@ type Image struct {
 	rt      *core.Runtime
 }
 
-// Entry returns the resolved imported entry with the given name.
-func (im *Image) Entry(name string) (*core.ImportedEntry, error) {
-	e, ok := im.imports[name]
-	if !ok {
-		return nil, fmt.Errorf("loader: %q: unresolved entry %q", im.Proc.Name, name)
-	}
-	return e, nil
-}
-
 // Load creates a dIPC-enabled process for the manifest and configures
 // its domains, grants, exports and imports on the calling thread (the
 // process's initial thread). Imports are resolved eagerly here; the real
@@ -132,7 +123,7 @@ func Load(t *kernel.Thread, rt *core.Runtime, mf *Manifest) (*Image, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := rt.GrantCreate(t, src, down); err != nil {
+		if err := rt.GrantCreate(t, src, down); err != nil {
 			return nil, err
 		}
 	}

@@ -54,9 +54,9 @@ func TestLoadTwoProgramsAndCall(t *testing.T) {
 			t.Errorf("load web: %v", lerr)
 			return
 		}
-		q, qerr := im.Entry("query")
-		if qerr != nil {
-			t.Error(qerr)
+		q, ok := im.imports["query"]
+		if !ok {
+			t.Error("query not resolved")
 			return
 		}
 		out, err = q.Call(th, &core.Args{Regs: []uint64{7}})
@@ -129,19 +129,6 @@ func TestLoadErrors(t *testing.T) {
 		if err == nil {
 			t.Errorf("%s: expected load failure", c.name)
 		}
-	}
-}
-
-func TestImageEntryUnknown(t *testing.T) {
-	eng, m, rt := setup()
-	proc := rt.NewProcess("p")
-	var im *Image
-	m.Spawn(proc, "main", nil, func(th *kernel.Thread) {
-		im, _ = Load(th, rt, &Manifest{Name: "p"})
-	})
-	eng.Run()
-	if _, err := im.Entry("nope"); err == nil {
-		t.Fatal("unknown entry must error")
 	}
 }
 

@@ -11,9 +11,6 @@ type GlobalSpace struct {
 	blockSize Addr
 	next      Addr
 	limit     Addr
-	free      []Addr
-	owners    map[Addr]string // block base -> owner name (diagnostics)
-	allocs    uint64          // number of global allocations (contention proxy)
 }
 
 // DefaultBlockSize is the paper's 1 GB global allocation unit.
@@ -29,68 +26,31 @@ func NewGlobalSpace(base, size Addr, blockSize Addr) *GlobalSpace {
 		blockSize: blockSize,
 		next:      PageAlign(base),
 		limit:     base + size,
-		owners:    make(map[Addr]string),
 	}
 }
 
-// BlockSize returns the global allocation unit.
-func (g *GlobalSpace) BlockSize() Addr { return g.blockSize }
-
-// Allocs returns how many global block allocations have happened; the
-// dIPC layer uses this to model global-lock contention (§7.4 lists it as
-// a measured inefficiency).
-func (g *GlobalSpace) Allocs() uint64 { return g.allocs }
-
-// AllocBlock reserves one block for owner and returns its base address.
-func (g *GlobalSpace) AllocBlock(owner string) (Addr, error) {
-	g.allocs++
-	if n := len(g.free); n > 0 {
-		b := g.free[n-1]
-		g.free = g.free[:n-1]
-		g.owners[b] = owner
-		return b, nil
-	}
+// AllocBlock reserves one block and returns its base address. Blocks
+// are handed out in increasing address order.
+func (g *GlobalSpace) AllocBlock() (Addr, error) {
 	if g.next+g.blockSize > g.limit {
 		return 0, fmt.Errorf("mem: global virtual address space exhausted")
 	}
 	b := g.next
 	g.next += g.blockSize
-	g.owners[b] = owner
 	return b, nil
 }
-
-// FreeBlock returns a block to the allocator.
-func (g *GlobalSpace) FreeBlock(base Addr) error {
-	if _, ok := g.owners[base]; !ok {
-		return fmt.Errorf("mem: freeing unowned block %#x", uint64(base))
-	}
-	delete(g.owners, base)
-	g.free = append(g.free, base)
-	return nil
-}
-
-// Owner returns the owner recorded for the block containing va.
-func (g *GlobalSpace) Owner(va Addr) (string, bool) {
-	base := va &^ (g.blockSize - 1)
-	o, ok := g.owners[base]
-	return o, ok
-}
-
-// Blocks returns the number of live blocks.
-func (g *GlobalSpace) Blocks() int { return len(g.owners) }
 
 // Suballoc is the per-process second phase: a bump allocator over blocks
 // obtained from a GlobalSpace.
 type Suballoc struct {
-	g     *GlobalSpace
-	owner string
-	cur   Addr
-	left  Addr
+	g    *GlobalSpace
+	cur  Addr
+	left Addr
 }
 
-// NewSuballoc returns a sub-allocator for owner backed by g.
-func NewSuballoc(g *GlobalSpace, owner string) *Suballoc {
-	return &Suballoc{g: g, owner: owner}
+// NewSuballoc returns a sub-allocator backed by g.
+func NewSuballoc(g *GlobalSpace) *Suballoc {
+	return &Suballoc{g: g}
 }
 
 // Alloc reserves size bytes (page-aligned) of virtual address space and
@@ -103,29 +63,23 @@ func (s *Suballoc) Alloc(size int) (Addr, error) {
 	}
 	need := Addr(PagesIn(size) * PageSize)
 	if need > s.g.blockSize {
-		// Large allocation: take enough contiguous blocks. The global
-		// allocator hands out blocks in increasing order when its free
-		// list is empty, so grab fresh ones and verify contiguity.
+		// Large allocation: take enough dedicated blocks. The global
+		// allocator hands them out in increasing address order, so
+		// consecutive blocks are contiguous.
 		nblocks := int((need + s.g.blockSize - 1) / s.g.blockSize)
-		base, err := s.g.AllocBlock(s.owner)
+		base, err := s.g.AllocBlock()
 		if err != nil {
 			return 0, err
 		}
-		prev := base
 		for i := 1; i < nblocks; i++ {
-			b, err := s.g.AllocBlock(s.owner)
-			if err != nil {
+			if _, err := s.g.AllocBlock(); err != nil {
 				return 0, err
 			}
-			if b != prev+s.g.blockSize {
-				return 0, fmt.Errorf("mem: cannot grow contiguous multi-block allocation")
-			}
-			prev = b
 		}
 		return base, nil
 	}
 	if need > s.left {
-		b, err := s.g.AllocBlock(s.owner)
+		b, err := s.g.AllocBlock()
 		if err != nil {
 			return 0, err
 		}

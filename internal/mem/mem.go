@@ -73,25 +73,20 @@ type node struct {
 // share one PageTable; conventional processes each own one.
 type PageTable struct {
 	root      *node
-	mapped    int    // number of present leaf entries
 	nextFrame uint64 // bump allocator for fresh physical frames
 	gen       uint64 // bumped on every mutation; see Gen
 }
 
-// Gen returns the table's mutation generation: it changes whenever any
-// mapping, tag or flag in the table changes. Layers that precompute
-// translation-dependent state (dIPC's proxy call descriptors, cached
-// capabilities) key their caches on it so a dom_remap or unmap
-// invalidates them without a broadcast.
+// Gen returns the table's mutation generation: it changes whenever a
+// page is mapped. Layers that precompute translation-dependent state
+// (dIPC's proxy call descriptors, cached capabilities) key their caches
+// on it so a new mapping invalidates them without a broadcast.
 func (pt *PageTable) Gen() uint64 { return pt.gen }
 
 // NewPageTable returns an empty table.
 func NewPageTable() *PageTable {
 	return &PageTable{root: &node{}}
 }
-
-// Mapped returns the number of mapped pages.
-func (pt *PageTable) Mapped() int { return pt.mapped }
 
 // indices decomposes a virtual address into its four level indices
 // (level 4 first).
@@ -106,24 +101,22 @@ func indices(va Addr) [numLevels]int {
 }
 
 // walk returns the leaf node and final index for va, optionally creating
-// intermediate nodes. depth reports how many levels were traversed, so
-// callers can cost the walk.
-func (pt *PageTable) walk(va Addr, create bool) (leaf *node, idx int, depth int) {
+// intermediate nodes.
+func (pt *PageTable) walk(va Addr, create bool) (leaf *node, idx int) {
 	ix := indices(va)
 	n := pt.root
 	for l := 0; l < numLevels-1; l++ {
-		depth++
 		child := n.children[ix[l]]
 		if child == nil {
 			if !create {
-				return nil, 0, depth
+				return nil, 0
 			}
 			child = &node{}
 			n.children[ix[l]] = child
 		}
 		n = child
 	}
-	return n, ix[numLevels-1], depth + 1
+	return n, ix[numLevels-1]
 }
 
 // AllocFrame returns a fresh simulated physical frame number.
@@ -141,108 +134,23 @@ func (pt *PageTable) Map(va Addr, n int, flags PageFlags, tag Tag) error {
 	}
 	for i := 0; i < n; i++ {
 		a := va + Addr(i)*PageSize
-		leaf, idx, _ := pt.walk(a, true)
+		leaf, idx := pt.walk(a, true)
 		if leaf.leaves[idx].Present() {
 			return fmt.Errorf("mem: page %#x already mapped", uint64(a))
 		}
 		leaf.leaves[idx] = PageInfo{Flags: flags | FlagPresent, Tag: tag, Frame: pt.AllocFrame()}
-		pt.mapped++
 		pt.gen++
 	}
 	return nil
-}
-
-// MapShared installs n pages at va that alias the frames backing src in
-// srcTable (used for the "virtual copies" of shared libraries, whose code
-// and read-only data point at the same physical memory, §6.1.3).
-func (pt *PageTable) MapShared(va Addr, n int, flags PageFlags, tag Tag, srcTable *PageTable, src Addr) error {
-	if va%PageSize != 0 || src%PageSize != 0 {
-		return fmt.Errorf("mem: MapShared at unaligned address")
-	}
-	for i := 0; i < n; i++ {
-		spi, ok := srcTable.Lookup(src + Addr(i)*PageSize)
-		if !ok {
-			return fmt.Errorf("mem: MapShared source %#x not mapped", uint64(src)+uint64(i)*PageSize)
-		}
-		a := va + Addr(i)*PageSize
-		leaf, idx, _ := pt.walk(a, true)
-		if leaf.leaves[idx].Present() {
-			return fmt.Errorf("mem: page %#x already mapped", uint64(a))
-		}
-		leaf.leaves[idx] = PageInfo{Flags: flags | FlagPresent, Tag: tag, Frame: spi.Frame}
-		pt.mapped++
-		pt.gen++
-	}
-	return nil
-}
-
-// Unmap removes n pages starting at va. Unmapped pages are ignored.
-func (pt *PageTable) Unmap(va Addr, n int) {
-	for i := 0; i < n; i++ {
-		a := va + Addr(i)*PageSize
-		leaf, idx, _ := pt.walk(a, false)
-		if leaf == nil {
-			continue
-		}
-		if leaf.leaves[idx].Present() {
-			leaf.leaves[idx] = PageInfo{}
-			pt.mapped--
-			pt.gen++
-		}
-	}
 }
 
 // Lookup translates va, returning its page info.
 func (pt *PageTable) Lookup(va Addr) (PageInfo, bool) {
-	leaf, idx, _ := pt.walk(va, false)
+	leaf, idx := pt.walk(va, false)
 	if leaf == nil || !leaf.leaves[idx].Present() {
 		return PageInfo{}, false
 	}
 	return leaf.leaves[idx], true
-}
-
-// WalkDepth returns the number of levels a hardware walker would touch
-// translating va (used by the TLB-miss cost model).
-func (pt *PageTable) WalkDepth(va Addr) int {
-	_, _, depth := pt.walk(va, false)
-	return depth
-}
-
-// Retag reassigns the domain tag of n pages starting at va, implementing
-// dIPC's dom_remap (§5.2.2). Every page must be mapped and currently
-// carry the expected tag; the operation is all-or-nothing.
-func (pt *PageTable) Retag(va Addr, n int, expect, to Tag) error {
-	// Validation pass.
-	for i := 0; i < n; i++ {
-		pi, ok := pt.Lookup(va + Addr(i)*PageSize)
-		if !ok {
-			return fmt.Errorf("mem: retag of unmapped page %#x", uint64(va)+uint64(i)*PageSize)
-		}
-		if pi.Tag != expect {
-			return fmt.Errorf("mem: retag tag mismatch at %#x: page has %d, want %d",
-				uint64(va)+uint64(i)*PageSize, pi.Tag, expect)
-		}
-	}
-	for i := 0; i < n; i++ {
-		leaf, idx, _ := pt.walk(va+Addr(i)*PageSize, false)
-		leaf.leaves[idx].Tag = to
-		pt.gen++
-	}
-	return nil
-}
-
-// SetFlags replaces the protection flags of n pages starting at va,
-// preserving presence, tag and frame.
-func (pt *PageTable) SetFlags(va Addr, n int, flags PageFlags) error {
-	for i := 0; i < n; i++ {
-		leaf, idx, _ := pt.walk(va+Addr(i)*PageSize, false)
-		if leaf == nil || !leaf.leaves[idx].Present() {
-			return fmt.Errorf("mem: SetFlags on unmapped page %#x", uint64(va)+uint64(i)*PageSize)
-		}
-		leaf.leaves[idx].Flags = flags | FlagPresent
-		pt.gen++
-	}
-	return nil
 }
 
 // PagesIn returns how many pages cover size bytes.

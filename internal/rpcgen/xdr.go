@@ -31,16 +31,6 @@ func (e *Encoder) PutUint32(v uint32) {
 	e.buf = append(e.buf, b[:]...)
 }
 
-// PutUint64 appends a 64-bit unsigned hyper.
-func (e *Encoder) PutUint64(v uint64) {
-	var b [8]byte
-	binary.BigEndian.PutUint64(b[:], v)
-	e.buf = append(e.buf, b[:]...)
-}
-
-// PutInt32 appends a 32-bit signed integer.
-func (e *Encoder) PutInt32(v int32) { e.PutUint32(uint32(v)) }
-
 // PutBool appends an XDR boolean.
 func (e *Encoder) PutBool(v bool) {
 	if v {
@@ -60,9 +50,6 @@ func (e *Encoder) PutBytes(b []byte) {
 	}
 }
 
-// PutString appends an XDR string.
-func (e *Encoder) PutString(s string) { e.PutBytes([]byte(s)) }
-
 // Decoder deserializes XDR wire format.
 type Decoder struct {
 	buf []byte
@@ -71,9 +58,6 @@ type Decoder struct {
 
 // NewDecoder wraps an encoded message.
 func NewDecoder(b []byte) *Decoder { return &Decoder{buf: b} }
-
-// Remaining returns the unread byte count.
-func (d *Decoder) Remaining() int { return len(d.buf) - d.off }
 
 func (d *Decoder) take(n int) ([]byte, error) {
 	if d.off+n > len(d.buf) {
@@ -91,21 +75,6 @@ func (d *Decoder) Uint32() (uint32, error) {
 		return 0, err
 	}
 	return binary.BigEndian.Uint32(b), nil
-}
-
-// Uint64 reads a 64-bit unsigned hyper.
-func (d *Decoder) Uint64() (uint64, error) {
-	b, err := d.take(8)
-	if err != nil {
-		return 0, err
-	}
-	return binary.BigEndian.Uint64(b), nil
-}
-
-// Int32 reads a 32-bit signed integer.
-func (d *Decoder) Int32() (int32, error) {
-	v, err := d.Uint32()
-	return int32(v), err
 }
 
 // Bool reads an XDR boolean.
@@ -131,10 +100,4 @@ func (d *Decoder) Bytes() ([]byte, error) {
 	out := make([]byte, n)
 	copy(out, b)
 	return out, nil
-}
-
-// String reads an XDR string.
-func (d *Decoder) String() (string, error) {
-	b, err := d.Bytes()
-	return string(b), err
 }

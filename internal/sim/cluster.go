@@ -198,9 +198,6 @@ func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
 // cluster may only touch it between Run/RunUntil calls.
 func (s *Shard) Engine() *Engine { return s.eng }
 
-// Index returns the shard's position in the cluster.
-func (s *Shard) Index() int { return s.idx }
-
 // Connect creates a link from shard `from` to shard `to` whose messages
 // take at least lookahead of simulated time to arrive. A cross-shard link
 // must declare positive lookahead — zero-latency coupling would force the

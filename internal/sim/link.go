@@ -69,12 +69,6 @@ const (
 // Lookahead returns the minimum simulated delay declared at Connect time.
 func (l *Link) Lookahead() Time { return l.lookahead }
 
-// From returns the sending shard.
-func (l *Link) From() *Shard { return l.from }
-
-// To returns the receiving shard.
-func (l *Link) To() *Shard { return l.to }
-
 // SetHandler installs the receiver-side function invoked for each SendU64
 // message. It runs in the receiving shard's engine context (like an At
 // callback) and must not park. Must be set before the first SendU64.

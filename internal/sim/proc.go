@@ -17,11 +17,6 @@ type Proc struct {
 	delivered uint64 // highest generation whose wakeup was dispatched
 	queued    int    // live events in the engine heap for the current gen
 	finished  bool
-
-	// Ctx is an arbitrary slot for higher layers; the kernel stores the
-	// owning thread here so that deep call chains can recover it without
-	// threading an extra parameter everywhere.
-	Ctx any
 }
 
 // Name returns the name given at Spawn time (used in traces and tests).
@@ -133,9 +128,6 @@ func (p *Proc) WaitU64() (v uint64, ok bool) {
 	pl := p.park()
 	return pl.u64, pl.kind == payU64
 }
-
-// Proc returns the proc this waiter will wake.
-func (w Waiter) Proc() *Proc { return w.p }
 
 // Valid reports whether the waiter could still deliver a wakeup: its proc
 // is live, still on the waiter's generation, and that generation's wakeup

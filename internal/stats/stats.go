@@ -12,7 +12,6 @@ package stats
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
@@ -198,76 +197,6 @@ func (t *Table) String() string {
 	sb.WriteByte('\n')
 	for _, row := range t.Rows {
 		writeRow(row)
-	}
-	return sb.String()
-}
-
-// CSV renders the table as comma-separated values (cells containing
-// commas or quotes are quoted).
-func (t *Table) CSV() string {
-	var sb strings.Builder
-	esc := func(s string) string {
-		if strings.ContainsAny(s, ",\"\n") {
-			return `"` + strings.ReplaceAll(s, `"`, `""`) + `"`
-		}
-		return s
-	}
-	cols := make([]string, len(t.Columns))
-	for i, c := range t.Columns {
-		cols[i] = esc(c)
-	}
-	sb.WriteString(strings.Join(cols, ","))
-	sb.WriteByte('\n')
-	for _, row := range t.Rows {
-		cells := make([]string, len(row))
-		for i, c := range row {
-			cells[i] = esc(c)
-		}
-		sb.WriteString(strings.Join(cells, ","))
-		sb.WriteByte('\n')
-	}
-	return sb.String()
-}
-
-// Bar renders a horizontal ASCII bar chart of labelled values, scaled to
-// width characters, largest value first unless keepOrder is set.
-func Bar(title string, labels []string, values []float64, unit string, width int, keepOrder bool) string {
-	if width <= 0 {
-		width = 50
-	}
-	type item struct {
-		label string
-		value float64
-	}
-	items := make([]item, len(labels))
-	for i := range labels {
-		items[i] = item{labels[i], values[i]}
-	}
-	if !keepOrder {
-		sort.SliceStable(items, func(i, j int) bool { return items[i].value > items[j].value })
-	}
-	var max float64
-	for _, it := range items {
-		if it.value > max {
-			max = it.value
-		}
-	}
-	var sb strings.Builder
-	if title != "" {
-		fmt.Fprintf(&sb, "== %s ==\n", title)
-	}
-	lw := 0
-	for _, it := range items {
-		if len(it.label) > lw {
-			lw = len(it.label)
-		}
-	}
-	for _, it := range items {
-		n := 0
-		if max > 0 {
-			n = int(it.value / max * float64(width))
-		}
-		fmt.Fprintf(&sb, "  %-*s |%s %.4g%s\n", lw, it.label, strings.Repeat("#", n), it.value, unit)
 	}
 	return sb.String()
 }

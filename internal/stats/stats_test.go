@@ -103,38 +103,11 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-func TestTableCSV(t *testing.T) {
-	tb := &Table{Columns: []string{"a", "b"}}
-	tb.AddRow(`has,comma`, `has"quote`)
-	csv := tb.CSV()
-	if !strings.Contains(csv, `"has,comma"`) || !strings.Contains(csv, `"has""quote"`) {
-		t.Fatalf("CSV quoting wrong:\n%s", csv)
-	}
-}
-
 func TestSeriesAdd(t *testing.T) {
 	var s Series
 	s.Add(1, 2)
 	s.Add(3, 4)
 	if len(s.X) != 2 || s.Y[1] != 4 {
 		t.Fatalf("series = %+v", s)
-	}
-}
-
-func TestBarChart(t *testing.T) {
-	out := Bar("t", []string{"a", "b"}, []float64{1, 2}, "ns", 10, false)
-	if !strings.Contains(out, "a") || !strings.Contains(out, "##") {
-		t.Fatalf("bar chart malformed:\n%s", out)
-	}
-	// Sorted: b (larger) first.
-	ib := strings.Index(out, "b ")
-	ia := strings.Index(out, "a ")
-	if ib > ia {
-		t.Fatalf("expected b before a:\n%s", out)
-	}
-	// keepOrder preserves input order.
-	out2 := Bar("t", []string{"a", "b"}, []float64{1, 2}, "ns", 10, true)
-	if strings.Index(out2, "a ") > strings.Index(out2, "b ") {
-		t.Fatalf("keepOrder violated:\n%s", out2)
 	}
 }
