@@ -208,24 +208,23 @@ func TestBenchSubcommandRejectsBadInput(t *testing.T) {
 // meaningful: bench -compare only diffs entries whose params match, so
 // every committed baseline entry must record its scenario's defaults.
 func TestCommittedBaselinesMatchDefaultParams(t *testing.T) {
-	for _, path := range []string{"../../BENCH_engine.json", "../../BENCH_engine_shards4.json"} {
-		base, err := experiments.LoadBenchReport(path)
+	const path = "../../BENCH_engine.json"
+	base, err := experiments.LoadBenchReport(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range base.Results {
+		s, ok := scenario.Default.Lookup(e.Name)
+		if !ok {
+			t.Errorf("%s: %s is not registered", path, e.Name)
+			continue
+		}
+		cfg, err := scenario.NewConfig(s, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, e := range base.Results {
-			s, ok := scenario.Default.Lookup(e.Name)
-			if !ok {
-				t.Errorf("%s: %s is not registered", path, e.Name)
-				continue
-			}
-			cfg, err := scenario.NewConfig(s, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got := cfg.ParamStrings(); !maps.Equal(got, e.Params) {
-				t.Errorf("%s: %s params %v, defaults are %v", path, e.Name, e.Params, got)
-			}
+		if got := cfg.ParamStrings(); !maps.Equal(got, e.Params) {
+			t.Errorf("%s: %s params %v, defaults are %v", path, e.Name, e.Params, got)
 		}
 	}
 }

@@ -8,10 +8,10 @@ import (
 
 // TestDipcvetCleanTree asserts the repo's own tree carries zero
 // outstanding dipcvet diagnostics: every wall-clock read, goroutine
-// launch, map iteration, hot-path allocation, cross-shard engine access
-// and fault-hook mutation is either compliant or carries a reasoned
-// //dipcvet: exemption. New violations fail this test (and the CI lint
-// job) rather than landing silently.
+// launch, map iteration, hot-path allocation and fault-hook mutation is
+// either compliant or carries a reasoned //dipcvet: exemption. New
+// violations fail this test (and the CI lint job) rather than landing
+// silently.
 func TestDipcvetCleanTree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns go list over the whole module; skipped in -short")

@@ -15,9 +15,8 @@
 //   - zero allocation on the proven hot paths: dispatch, payload lanes,
 //     the event heap, cross-domain call descriptors, the APL cache, and
 //     sim.Link.SendU64 (noalloc);
-//   - shard safety: cross-shard traffic flows only through sim.Link and
-//     the Cluster barrier, and fault hooks stay nil-transparent
-//     (shardsafe).
+//   - hook safety: fault hooks and the replica health table stay
+//     nil-transparent (shardsafe).
 //
 // Exemptions are explicit, reasoned source annotations (see directives.go),
 // never analyzer special cases: a legitimate wall-clock read is marked

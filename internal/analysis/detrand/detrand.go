@@ -2,7 +2,7 @@
 // code. The repo's scenarios pin golden SHA-256 digests over canonical
 // JSON; anything that lets host state leak into a result — the wall
 // clock, the process-global math/rand stream, Go's randomized map
-// iteration order, a goroutine racing outside the cluster's barrier —
+// iteration order, a goroutine racing the engine —
 // eventually breaks a digest, typically several PRs after the leak was
 // introduced. This analyzer moves that discovery to vet time.
 //

@@ -20,10 +20,9 @@ import (
 //	//dipcvet:unordered-ok <reason>
 //	//dipcvet:goroutine-ok <reason>
 //	//dipcvet:alloc-ok <reason>
-//	//dipcvet:shard-ok <reason>
 //	//dipcvet:hook-ok <reason>
 //	    site exemptions, consumed by detrand (wallclock/rand/unordered/
-//	    goroutine), noalloc (alloc) and shardsafe (shard/hook). An
+//	    goroutine), noalloc (alloc) and shardsafe (hook). An
 //	    exemption applies to its own source line and the line directly
 //	    below it, so it can ride at the end of the offending line or
 //	    stand alone above it. The reason is mandatory: an exemption

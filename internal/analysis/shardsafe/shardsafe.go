@@ -1,13 +1,5 @@
-// Package shardsafe enforces the cluster's ownership discipline and
-// the fault layer's nil-transparency contract.
-//
-// Shard ownership: during a barrier-to-barrier run every Engine is
-// private to its worker; cross-shard traffic flows only through
-// sim.Link messages with positive lookahead. Reaching into another
-// shard's engine directly ((*sim.Shard).Engine() outside package sim)
-// bypasses that discipline, so every such call site carries
-// //dipcvet:shard-ok <reason> stating why it is outside the
-// barrier-to-barrier window (wiring, teardown, post-run stats).
+// Package shardsafe enforces the fault layer's nil-transparency
+// contract.
 //
 // Hook nil-transparency: a nil *faults.LinkState or *faults.CallSite is
 // the always-healthy hook, so an empty fault plan costs nothing and
@@ -38,7 +30,7 @@ import (
 // Analyzer is the shardsafe pass.
 var Analyzer = &analysis.Analyzer{
 	Name: "shardsafe",
-	Doc:  "checks shard-engine access discipline and fault-hook nil-safety",
+	Doc:  "checks fault-hook nil-safety",
 	Run:  run,
 }
 
@@ -87,7 +79,6 @@ func declaredMutator(typ, name string) bool {
 }
 
 func run(pass *analysis.Pass) {
-	inSim := isPkg(pass.Pkg, "sim")
 	inFaults := isPkg(pass.Pkg, "faults")
 	inOltp := isPkg(pass.Pkg, "oltp")
 	for _, f := range pass.Files {
@@ -109,11 +100,6 @@ func run(pass *analysis.Pass) {
 			fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
 			if !ok {
 				return true
-			}
-			if !inSim && fn.Name() == "Engine" && isMethodOn(fn, "sim", "Shard") {
-				if !pass.Exempted(call.Pos(), "shard-ok") {
-					pass.Reportf(call.Pos(), "direct access to a shard's engine outside package sim: cross-shard traffic must flow through sim.Link and cluster barriers; annotate //dipcvet:shard-ok <reason> if this site runs outside the barrier-to-barrier window")
-				}
 			}
 			if !inFaults && linkStateMutators[fn.Name()] && isMethodOn(fn, "faults", "LinkState") {
 				if !nilGuarded(sel.X, call, stack) && !pass.Exempted(call.Pos(), "hook-ok") {

@@ -1,5 +1,5 @@
-// Package shardsafetest exercises the cross-shard access and
-// hook-guard checks against the real sim and faults packages.
+// Package shardsafetest exercises the hook-guard checks against the
+// real faults and oltp packages.
 package shardsafetest
 
 import (
@@ -7,16 +7,6 @@ import (
 	"repro/internal/faults"
 	"repro/internal/sim"
 )
-
-// engineAccess: reaching into a shard's engine is flagged unless the
-// site is annotated as outside the barrier-to-barrier window.
-func engineAccess(s *sim.Shard) *sim.Engine {
-	e := s.Engine() // want `direct access to a shard's engine`
-	//dipcvet:shard-ok wiring phase, runs before the cluster starts
-	e2 := s.Engine()
-	_ = e2
-	return e
-}
 
 // mutators: write-side LinkState methods are not nil-safe, so bare call
 // sites are flagged while guarded or annotated ones are not.

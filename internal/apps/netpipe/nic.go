@@ -58,8 +58,8 @@ func (n *NIC) flightTime(size int) sim.Time { return n.FlightTime(size) }
 // Lookahead is the minimum scheduling-visible delay of any NIC delivery —
 // the base latency, since FlightTime(size) >= NICBaseLatency for every
 // size. This is the wire a sharded simulation cuts along: a cross-machine
-// sim.Link declaring this lookahead lets both machines run in parallel
-// inside it.
+// sim.Link declares this lookahead, which lets the two machines sit on
+// different shards.
 func (n *NIC) Lookahead() sim.Time { return n.m.P.NICBaseLatency }
 
 // PingPong blocks the calling thread for one ping-pong round trip of

@@ -75,10 +75,9 @@ type rack struct {
 func newRack(seed uint64, shards, machines, cpus, clients int, plan *faults.Plan) *rack {
 	cl := sim.NewCluster(seed, shards)
 	h := &rack{
-		cl:  cl,
-		ms:  kernel.PlaceMachines(cl, cost.Default(), machines, cpus),
-		inj: faults.NewInjector(plan),
-		//dipcvet:shard-ok wiring phase: clients and routing bind to shard 0's engine before the run
+		cl:      cl,
+		ms:      kernel.PlaceMachines(cl, cost.Default(), machines, cpus),
+		inj:     faults.NewInjector(plan),
 		eng0:    cl.Shard(0).Engine(),
 		accs:    make([]*stats.Accumulator, machines),
 		seed:    seed,
@@ -114,7 +113,6 @@ type wire struct {
 func (h *rack) connect(name string, from, to int) *wire {
 	w := &wire{h: h, nic: netpipe.NewNIC(h.ms[from])}
 	w.nic.SetFaults(&w.ls)
-	//dipcvet:shard-ok wiring phase: the injector binds to the shard that owns the link state, before the run
 	w.eng = h.shard(from).Engine()
 	h.inj.Link(name, w.eng, &w.ls)
 	w.link = h.cl.Connect(h.shard(from), h.shard(to), w.nic.Lookahead())
@@ -192,7 +190,7 @@ func (h *rack) complete(v uint64) {
 
 // spawnClients starts the closed-loop clients on machine 0's shard,
 // client ci at start+ci, each with one explicit Rand stream for its
-// think time (determinism rule 2 — never the shard engine's). Every
+// think time (determinism rule 2 — never the engine's). Every
 // operation gets up to 1+retry.MaxRetries attempts; rs picks each
 // attempt's replica and routes[i] carries requests to replica i. An
 // attempt waits with a deadline wake when retry.Deadline > 0 (whichever

@@ -13,9 +13,9 @@
 // Determinism of the boot phase deserves a note: each replica's chain
 // comes from the same builder as the single-machine runners (buildChain
 // in chain.go), but those interleave eng.Run() between dIPC init spawns
-// to order Publish before Import, which a multi-shard cluster cannot do
-// (the cluster clock advances all shards together). Replicas instead
-// take the builder's SlotBoot strategy: every dIPC init thread sleeps to
+// to order Publish before Import, and a cluster run would advance every
+// machine of the rack, not just the one booting. Replicas instead take
+// the builder's SlotBoot strategy: every dIPC init thread sleeps to
 // a fixed slot on the sim clock — tier i publishes at slot (Depth-i),
 // the front imports after all tiers — so wiring is pure intra-machine
 // simulation, identical at every shard count, and provably finished
@@ -55,7 +55,7 @@ type ReplicatedConfig struct {
 	Warmup   sim.Time // must exceed the boot time (default 5ms)
 	Window   sim.Time // measurement window (default 20ms)
 	Seed     uint64
-	Shards   int // engine shards (<= 0: one per host core)
+	Shards   int // placement shards, all on one engine (<= 0: one per host core)
 
 	// Plan is the fault schedule. Targets: replica fronts "r1".."rN",
 	// tier processes "r<i>.svc<j>" (none under Ideal, whose tiers share

@@ -7,10 +7,9 @@
 // clients time out and back off. The `rack` scenario runs it with no
 // plan and no deadline, `chaos-rack` with both, and the runner follows
 // the cluster's ownership discipline — each LinkState is toggled by
-// injector events on its owning shard's engine and read only by that
-// shard's threads, clients time out with Waiter-armed deadline wakes on
-// their own shard — so every run is digest-identical at every shard
-// count.
+// injector events of its owning shard and read only by that shard's
+// threads, clients time out with Waiter-armed deadline wakes on their
+// own shard — so every run is digest-identical at every shard count.
 
 package oltp
 
@@ -33,7 +32,7 @@ type RingConfig struct {
 	Window   sim.Time // measurement window (after warmup)
 	Warmup   sim.Time
 	Seed     uint64
-	Shards   int // engine shards (<= 0: one per host core)
+	Shards   int // placement shards, all on one engine (<= 0: one per host core)
 
 	// Plan is the fault schedule. Targets: processes "svc1".."svcN"
 	// (machine index = tier index), links "link0".."linkN" (machine

@@ -1,13 +1,13 @@
-// The rack scenario: the first genuinely multi-machine workload, and
-// the showcase for the sharded engine. A ring of machines passes
-// requests over NIC links — closed-loop clients on machine 0 inject a
-// request that hops through every other machine (each hop costs wire
-// flight time plus application work) and completes back at machine 0.
-// Machines are the unit of placement (kernel.PlaceMachines): with
-// shards>1 the machines run on different host cores in parallel inside
-// the NIC's lookahead window, and the determinism contract of
-// sim.Cluster guarantees the result digest is byte-identical at every
-// shard count. The `shards` parameter is execution-only, so that
+// The rack scenario: the first genuinely multi-machine workload. A ring
+// of machines passes requests over NIC links — closed-loop clients on
+// machine 0 inject a request that hops through every other machine (each
+// hop costs wire flight time plus application work) and completes back
+// at machine 0. Machines are the unit of placement
+// (kernel.PlaceMachines): with shards>1 they are placed round-robin on
+// the cluster's shards, which all run on one engine, and every
+// cross-shard hop is a NIC link with positive lookahead. The determinism
+// contract of sim.Cluster keeps the result digest byte-identical at
+// every shard count. The `shards` parameter is execution-only, so that
 // invariance holds by construction in the canonical output and is
 // checked for the simulated quantities by sharded_golden_test.go.
 
@@ -61,7 +61,7 @@ func runRackScenario(cfg *scenario.Config) (*scenario.Result, error) {
 
 func shardsParam() scenario.ParamSpec {
 	return scenario.ExecParam("shards", scenario.Int, "1",
-		"engine shards for the one clustered simulation (1: sequential reference; 0: one per host core)").AtLeast("0")
+		"placement shards for the clustered simulation, all on one engine (0: one per host core)").AtLeast("0")
 }
 
 func init() {

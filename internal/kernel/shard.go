@@ -18,7 +18,6 @@ import (
 func PlaceMachines(c *sim.Cluster, p *cost.Params, n, ncpus int) []*Machine {
 	ms := make([]*Machine, n)
 	for i := range ms {
-		//dipcvet:shard-ok placement-time wiring: each machine binds to its owning shard's engine before the run
 		ms[i] = NewMachine(c.Shard(i%c.Shards()).Engine(), p, ncpus)
 	}
 	return ms

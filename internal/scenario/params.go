@@ -161,11 +161,12 @@ func FormatDuration(t sim.Time) string {
 // none. NewConfig enforces it before any Checker runs.
 //
 // Exec marks an execution-only parameter: one that controls how the
-// simulation is executed (worker counts, shard counts) but is forbidden
-// from affecting its results. Exec parameters are excluded from
+// simulation is executed (worker counts, shard placement) but is
+// forbidden from affecting its results. Exec parameters are excluded from
 // ParamStrings, so they never appear in canonical results or golden
-// digests — a run at shards=4 must be byte-identical to shards=1, and the
-// exclusion makes the digests say so by construction.
+// digests: a run at shards=4 records the same parameters as one at
+// shards=1, and the sharded golden tests check that the results agree.
+//
 // Compat marks a back-compat parameter: a model knob added after the
 // scenario's digest was pinned, whose declared default reproduces the
 // pre-knob behaviour exactly. Compat parameters are omitted from

@@ -48,15 +48,15 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 		})
 	}
 	e.RunUntil(10 * Nanosecond)
-	if e.Live() != 8 {
-		t.Fatalf("Live = %d before Close, want 8", e.Live())
+	if e.live != 8 {
+		t.Fatalf("live procs = %d before Close, want 8", e.live)
 	}
 	e.Close()
 	if unwound != 8 {
 		t.Errorf("deferred code ran for %d procs, want 8", unwound)
 	}
-	if e.Live() != 0 {
-		t.Errorf("Live = %d after Close, want 0", e.Live())
+	if e.live != 0 {
+		t.Errorf("live procs = %d after Close, want 0", e.live)
 	}
 	if n := settleGoroutines(before); n > before {
 		t.Errorf("goroutines = %d after Close, want %d", n, before)
@@ -75,8 +75,8 @@ func TestCloseNeverDispatchedProcs(t *testing.T) {
 	if ran {
 		t.Error("Close ran the body of a never-dispatched proc")
 	}
-	if e.Live() != 0 {
-		t.Errorf("Live = %d after Close, want 0", e.Live())
+	if e.live != 0 {
+		t.Errorf("live procs = %d after Close, want 0", e.live)
 	}
 	if n := settleGoroutines(before); n > before {
 		t.Errorf("goroutines = %d after Close, want %d", n, before)
@@ -137,8 +137,8 @@ func TestCloseDeferredEngineUse(t *testing.T) {
 			if !strings.Contains(msg, `sim: proc "rude" panicked`) || !strings.Contains(msg, "engine is closed") {
 				t.Fatalf("Close panicked with %q, want the rude proc's closed-engine panic", msg)
 			}
-			if !bystanderUnwound || e.Live() != 0 {
-				t.Errorf("Close stopped early: bystander unwound %v, Live %d", bystanderUnwound, e.Live())
+			if !bystanderUnwound || e.live != 0 {
+				t.Errorf("Close stopped early: bystander unwound %v, Live %d", bystanderUnwound, e.live)
 			}
 			if n := settleGoroutines(before); n > before {
 				t.Errorf("goroutines = %d after Close, want %d", n, before)
@@ -161,7 +161,7 @@ func TestClusterClose(t *testing.T) {
 		t.Fatal("Run returned nil with every proc parked")
 	}
 	c.Close()
-	if err := c.Deadlock(); err != nil {
+	if err := c.eng.Deadlock(); err != nil {
 		t.Errorf("Deadlock after Close = %v, want nil", err)
 	}
 	if n := settleGoroutines(before); n > before {

@@ -111,9 +111,7 @@ func TestClusterShardCountInvariance(t *testing.T) {
 }
 
 // TestClusterStressRandomized widens the invariance check across seeds
-// and sizes; it doubles as the sharded dispatch entry in the -race CI
-// coverage, exercising the parallel epoch path, the channel fast path and
-// the waiter machinery concurrently.
+// and sizes; it doubles as the cluster entry in the -race CI coverage.
 func TestClusterStressRandomized(t *testing.T) {
 	seeds := []uint64{3, 9, 1234}
 	if testing.Short() {
@@ -131,11 +129,11 @@ func TestClusterStressRandomized(t *testing.T) {
 	}
 }
 
-// TestClusterSpillOverflow floods one cross-shard link with far more
-// messages than the channel fast path holds in a single epoch, forcing
-// the mutex-guarded spill, and checks nothing is lost or reordered.
-func TestClusterSpillOverflow(t *testing.T) {
-	const n = linkChanCap*3 + 41
+// TestClusterLinkFloodInOrder floods one cross-shard link with hundreds
+// of messages sent at one instant and checks nothing is lost or
+// reordered.
+func TestClusterLinkFloodInOrder(t *testing.T) {
+	const n = 809
 	c := NewCluster(1, 2)
 	l := c.Connect(c.Shard(0), c.Shard(1), 10)
 	var got []uint64
@@ -184,7 +182,7 @@ func TestClusterClosureLane(t *testing.T) {
 }
 
 // TestConnectRejectsZeroLookahead: a cross-shard link with no lookahead
-// cannot be synchronized conservatively — Connect must refuse it (the fix
+// would couple its shards in lockstep — Connect must refuse it (the fix
 // is co-locating the parts on one shard, where zero is fine).
 func TestConnectRejectsZeroLookahead(t *testing.T) {
 	c := NewCluster(1, 2)
@@ -204,8 +202,8 @@ func TestConnectIntraShardZeroLookaheadOK(t *testing.T) {
 	}
 }
 
-// TestSendBelowLookaheadPanics: the declared lookahead is a promise the
-// horizon computation relies on; a send that undercuts it must fail
+// TestSendBelowLookaheadPanics: the declared lookahead is a promise
+// about every message on the link; a send that undercuts it must fail
 // loudly at the send site.
 func TestSendBelowLookaheadPanics(t *testing.T) {
 	c := NewCluster(1, 2)
@@ -224,12 +222,12 @@ func TestSendBelowLookaheadPanics(t *testing.T) {
 	c.Run()
 }
 
-// TestClusterPanicPropagation: a proc panicking on any shard of a
-// parallel epoch must surface from Cluster.Run with the engine's normal
-// containment wrapping, after the epoch has joined cleanly.
+// TestClusterPanicPropagation: a proc panicking on any shard must
+// surface from Cluster.Run with the engine's normal containment
+// wrapping.
 func TestClusterPanicPropagation(t *testing.T) {
 	c := NewCluster(1, 3)
-	// Keep every shard busy so the panicking epoch is genuinely parallel.
+	// Keep every shard busy so the panic lands amid cross-shard traffic.
 	for i := 0; i < 3; i++ {
 		s := c.Shard(i)
 		l := c.Connect(s, c.Shard((i+1)%3), 10)
@@ -271,34 +269,61 @@ func TestClusterRunUntilClampsClocks(t *testing.T) {
 }
 
 // TestClusterIntraShardDispatchNoAlloc pins the acceptance criterion that
-// the intra-shard dispatch path — SendU64 into the owning shard's heap,
-// handler dispatch, epoch bookkeeping — allocates nothing in steady
-// state.
+// link dispatch — SendU64 into the engine's heap and handler dispatch —
+// allocates nothing in steady state, on one shard and with two shards
+// sending to each other at every instant.
 func TestClusterIntraShardDispatchNoAlloc(t *testing.T) {
-	c := NewCluster(1, 1)
-	s := c.Shard(0)
-	l := c.Connect(s, s, 0)
-	count := 0
-	l.SetHandler(func(v uint64) {
-		count++
-		l.SendU64(1, v+1)
+	t.Run("shards=1", func(t *testing.T) {
+		c := NewCluster(1, 1)
+		s := c.Shard(0)
+		l := c.Connect(s, s, 0)
+		count := 0
+		l.SetHandler(func(v uint64) {
+			count++
+			l.SendU64(1, v+1)
+		})
+		s.Engine().At(0, func() { l.SendU64(1, 0) })
+		checkDispatchNoAlloc(t, c, &count)
 	})
-	s.Engine().At(0, func() { l.SendU64(1, 0) })
-	c.RunUntil(5000) // warm the heap and the epoch scratch
+	t.Run("shards=2", func(t *testing.T) {
+		c := NewCluster(1, 2)
+		a, b := c.Shard(0), c.Shard(1)
+		ab := c.Connect(a, b, 1)
+		ba := c.Connect(b, a, 1)
+		count := 0
+		ab.SetHandler(func(v uint64) {
+			count++
+			ba.SendU64(1, v+1)
+		})
+		ba.SetHandler(func(v uint64) {
+			count++
+			ab.SendU64(1, v+1)
+		})
+		a.Engine().At(0, func() { ab.SendU64(1, 0) })
+		b.Engine().At(0, func() { ba.SendU64(1, 0) })
+		checkDispatchNoAlloc(t, c, &count)
+	})
+}
+
+// checkDispatchNoAlloc warms c's heap, then requires zero allocations per
+// 500-instant RunUntil window and that the handlers kept running.
+func checkDispatchNoAlloc(t *testing.T, c *Cluster, count *int) {
+	t.Helper()
+	eng := c.Shard(0).Engine()
+	c.RunUntil(5000) // warm the heap
 	allocs := testing.AllocsPerRun(50, func() {
-		c.RunUntil(s.Engine().Now() + 500)
+		c.RunUntil(eng.Now() + 500)
 	})
 	if allocs != 0 {
-		t.Errorf("intra-shard dispatch allocated %.1f times per 500-event window, want 0", allocs)
+		t.Errorf("link dispatch allocated %.1f times per 500-instant window, want 0", allocs)
 	}
-	if count < 5000 {
-		t.Fatalf("handler ran %d times, expected thousands", count)
+	if *count < 5000 {
+		t.Fatalf("handlers ran %d times, expected thousands", *count)
 	}
 }
 
-// BenchmarkClusterRing measures the sharded token ring end to end
-// (barriers, channel traffic, parallel windows) for profiling; it is not
-// a pinned regression gate.
+// BenchmarkClusterRing measures the token ring end to end at several
+// shard counts for profiling; it is not a pinned regression gate.
 func BenchmarkClusterRing(b *testing.B) {
 	for _, shards := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {

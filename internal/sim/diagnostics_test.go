@@ -20,7 +20,7 @@ func TestRunNamesDeadlockedProcs(t *testing.T) {
 	e.Spawn("finisher", 0, func(p *Proc) { p.Sleep(5) })
 	err := e.Run()
 	if err == nil {
-		t.Fatalf("Run returned nil with %d procs parked", e.Live())
+		t.Fatalf("Run returned nil with %d procs parked", e.live)
 	}
 	var dl *DeadlockError
 	if !errors.As(err, &dl) {
@@ -48,9 +48,9 @@ func TestRunNoDeadlockWhenAllFinish(t *testing.T) {
 	}
 }
 
-// TestClusterShardPanicStructured: a shard panic must surface as a
-// ShardPanicError carrying the shard index, its clock and the epoch —
-// not the raw value.
+// TestClusterShardPanicStructured: a shard proc's panic escapes
+// Cluster.Run as the engine's contained error, naming the proc, with the
+// clock stopped at the instant it panicked.
 func TestClusterShardPanicStructured(t *testing.T) {
 	c := NewCluster(1, 3)
 	for i := 0; i < 3; i++ {
@@ -73,31 +73,24 @@ func TestClusterShardPanicStructured(t *testing.T) {
 		if r == nil {
 			t.Fatalf("cluster swallowed a shard panic")
 		}
-		spe, ok := r.(*ShardPanicError)
+		err, ok := r.(error)
 		if !ok {
-			t.Fatalf("cluster panicked with %T (%v), want *ShardPanicError", r, r)
+			t.Fatalf("cluster panicked with %T (%v), want the engine's error", r, r)
 		}
-		if spe.Shard != 1 {
-			t.Errorf("ShardPanicError.Shard = %d, want 1", spe.Shard)
+		for _, want := range []string{`"bomb"`, "boom"} {
+			if !strings.Contains(err.Error(), want) {
+				t.Errorf("error %q does not carry %s", err.Error(), want)
+			}
 		}
-		if spe.Clock != 333 {
-			t.Errorf("ShardPanicError.Clock = %v, want 333", spe.Clock)
-		}
-		if spe.Epoch == 0 {
-			t.Errorf("ShardPanicError.Epoch = 0, want a positive epoch count")
-		}
-		if !strings.Contains(spe.Error(), "boom") {
-			t.Errorf("error %q does not carry the original panic", spe.Error())
-		}
-		if spe.Unwrap() == nil {
-			t.Errorf("ShardPanicError does not unwrap the contained engine error")
+		if now := c.Shard(1).Engine().Now(); now != 333 {
+			t.Errorf("clock = %v after the panic, want 333", now)
 		}
 	}()
 	c.Run()
 }
 
-// TestClusterRunNamesBlockedProcs: the stalled-run watchdog reports
-// which procs on which shards are parked when the cluster goes quiet.
+// TestClusterRunNamesBlockedProcs: when the cluster goes quiet with a proc
+// still parked, Run's DeadlockError names it.
 func TestClusterRunNamesBlockedProcs(t *testing.T) {
 	c := NewCluster(1, 2)
 	l := c.Connect(c.Shard(0), c.Shard(1), 10)
@@ -114,11 +107,11 @@ func TestClusterRunNamesBlockedProcs(t *testing.T) {
 	if err == nil {
 		t.Fatalf("cluster Run returned nil with a proc parked")
 	}
-	var dl *ClusterDeadlockError
+	var dl *DeadlockError
 	if !errors.As(err, &dl) {
-		t.Fatalf("cluster Run returned %T, want *ClusterDeadlockError", err)
+		t.Fatalf("cluster Run returned %T, want *DeadlockError", err)
 	}
-	if len(dl.Blocked) != 1 || dl.Blocked[0] != "shard1/waiter" {
-		t.Fatalf("watchdog named %v, want [shard1/waiter]", dl.Blocked)
+	if len(dl.Blocked) != 1 || dl.Blocked[0] != "waiter" {
+		t.Fatalf("deadlock named %v, want [waiter]", dl.Blocked)
 	}
 }

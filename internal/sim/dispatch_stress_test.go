@@ -83,7 +83,7 @@ func stressTrace(seed uint64, nProcs, steps int, drive string) (digest string, l
 	default:
 		panic("unknown drive mode " + drive)
 	}
-	fmt.Fprintf(&sb, "final live=%d pending=%d\n", e.Live(), e.Pending())
+	fmt.Fprintf(&sb, "final live=%d pending=%d\n", e.live, e.Pending())
 
 	sum := sha256.Sum256([]byte(sb.String()))
 	return hex.EncodeToString(sum[:]), strings.Count(sb.String(), "\n")
@@ -127,7 +127,7 @@ func TestDispatchStressDriveModesAgree(t *testing.T) {
 }
 
 // TestRunReturnsOnDeadlock: when every live proc is parked with no event
-// that can wake it, Run must return (rather than hang) with Live() > 0 so
+// that can wake it, Run must return (rather than hang) with live procs > 0 so
 // the caller can diagnose the deadlock; a later wake lets the simulation
 // resume normally.
 func TestRunReturnsOnDeadlock(t *testing.T) {
@@ -142,11 +142,11 @@ func TestRunReturnsOnDeadlock(t *testing.T) {
 		})
 	}
 	e.Run()
-	if e.Live() != n {
-		t.Fatalf("Live() = %d after deadlocked Run, want %d", e.Live(), n)
+	if e.live != n {
+		t.Fatalf("live procs = %d after deadlocked Run, want %d", e.live, n)
 	}
-	if e.Pending() != 0 || e.PendingLive() != 0 {
-		t.Fatalf("deadlocked Run left Pending=%d PendingLive=%d, want 0/0", e.Pending(), e.PendingLive())
+	if e.Pending() != 0 || e.events.live() != 0 {
+		t.Fatalf("deadlocked Run left Pending=%d live events=%d, want 0/0", e.Pending(), e.events.live())
 	}
 	if finished != 0 {
 		t.Fatalf("finished = %d, want 0 (all procs parked)", finished)
@@ -154,7 +154,7 @@ func TestRunReturnsOnDeadlock(t *testing.T) {
 	// The deadlock is recoverable: wake everybody and drain.
 	q.WakeAll(0, nil)
 	e.Run()
-	if e.Live() != 0 || finished != n {
-		t.Fatalf("after WakeAll: Live=%d finished=%d, want 0/%d", e.Live(), finished, n)
+	if e.live != 0 || finished != n {
+		t.Fatalf("after WakeAll: live=%d finished=%d, want 0/%d", e.live, finished, n)
 	}
 }

@@ -24,30 +24,20 @@ type event struct {
 // maxTime is the open-ended run limit used by Run.
 const maxTime = Time(math.MaxInt64)
 
-// satAdd adds two non-negative times, saturating at maxTime instead of
-// wrapping. The cluster horizon computation adds lookahead to "no events
-// pending" markers (maxTime), which must stay at maxTime.
-func satAdd(a, b Time) Time {
-	if s := a + b; s >= a {
-		return s
-	}
-	return maxTime
-}
-
 // Engine is a deterministic discrete-event simulator. It owns the
 // simulated clock and the event queue, and runs exactly one proc or
 // callback at a time. All mutation of simulation state therefore happens
 // race-free, without locks, in a well-defined order.
 //
-// The engine loop runs on the goroutine that calls Run/RunUntil (in a
-// Cluster, the shard's goroutine), and every Proc is a coroutine. A proc
-// that parks carries the loop forward itself: callbacks, link events and
-// its own wakeup run inline with no switch at all, the same way dIPC
-// threads cross protection domains without trapping into the kernel.
-// Only when the next event wakes a different proc does the parking proc
-// yield to the loop, which resumes the target — two coroutine switches,
-// never a trip through the Go scheduler. Close unwinds the procs still
-// parked when a run is over.
+// The engine loop runs on the goroutine that calls Run/RunUntil (a
+// Cluster runs every shard on one engine), and every Proc is a
+// coroutine. A proc that parks carries the loop forward itself:
+// callbacks, link events and its own wakeup run inline with no switch at
+// all, the same way dIPC threads cross protection domains without
+// trapping into the kernel. Only when the next event wakes a different
+// proc does the parking proc yield to the loop, which resumes the target
+// — two coroutine switches, never a trip through the Go scheduler. Close
+// unwinds the procs still parked when a run is over.
 type Engine struct {
 	now    Time
 	seq    uint64
@@ -80,17 +70,8 @@ func (e *Engine) Rand() *Rand { return e.rng }
 
 // Pending returns the number of queued events, including stale entries
 // (abandoned timers and superseded wakeups) that will be dropped when
-// reached. PendingLive excludes those.
+// reached.
 func (e *Engine) Pending() int { return e.events.len() }
-
-// PendingLive returns the number of queued events that can still be
-// delivered: callbacks plus wakeups whose proc is on the event's
-// generation. An abandoned WaitTimeout deadline timer, for example,
-// counts toward Pending but not PendingLive.
-func (e *Engine) PendingLive() int { return e.events.live() }
-
-// Live returns the number of spawned Procs that have not yet finished.
-func (e *Engine) Live() int { return e.live }
 
 // push enqueues an event, classifying it immediately: a proc event whose
 // generation is already superseded or consumed (a Wake on a stale Waiter)
@@ -123,46 +104,19 @@ func (e *Engine) push(at Time, p *Proc, gen uint64, data payload, fn func()) {
 // link.go) instead of the engine counter. If fn is non-nil the event runs
 // it as a callback; otherwise the event dispatches lk's handler with the
 // unboxed word v (the link rides in the payload's boxed slot — a pointer
-// store, no allocation). A delivery timestamp below the clock means a
-// sender violated its declared lookahead, which the conservative protocol
-// is supposed to make impossible — report the protocol bug loudly rather
-// than silently reordering the past.
+// store, no allocation). Link.send never schedules into the past: its
+// delay is at least the link's non-negative lookahead.
 //
 //dipcvet:noalloc
 func (e *Engine) pushSeq(at Time, seq uint64, lk *Link, v uint64, fn func()) {
 	if e.closed {
 		panicClosed()
 	}
-	if at < e.now {
-		e.panicLookaheadViolated(at)
-	}
 	ev := event{at: at, seq: seq, fn: fn}
 	if fn == nil {
 		ev.data = payload{kind: payU64, boxed: lk, u64: v}
 	}
 	e.events.push(ev)
-}
-
-// panicLookaheadViolated keeps message construction off pushSeq's
-// //dipcvet:noalloc delivery lane.
-func (e *Engine) panicLookaheadViolated(at Time) {
-	panic(fmt.Sprintf("sim: link delivery at %v behind shard clock %v (lookahead violated)", at, e.now))
-}
-
-// nextLiveTime returns the timestamp of the earliest deliverable event,
-// pruning stale heads on the way. ok is false when nothing live remains.
-// Only the cluster barrier calls this, so the pruning cannot race with a
-// running shard.
-func (e *Engine) nextLiveTime() (t Time, ok bool) {
-	q := &e.events
-	for q.len() > 0 && staleEvent(q.head()) {
-		q.pop()
-		q.stale--
-	}
-	if q.len() == 0 {
-		return 0, false
-	}
-	return q.head().at, true
 }
 
 // bumpGen moves p to its next wake generation. Every event queued for the
@@ -444,18 +398,10 @@ func (e *Engine) Run() error {
 // RunUntil processes events up to and including time t, then sets the
 // clock to t. Events scheduled after t remain queued.
 func (e *Engine) RunUntil(t Time) {
-	e.runWindow(t)
+	e.limit = t
+	e.enter()
+	e.limit = maxTime
 	if e.now < t {
 		e.now = t
 	}
-}
-
-// runWindow is RunUntil without the final clock clamp: the cluster epoch
-// loop runs each shard to its conservative horizon but needs the clock to
-// stay at the last event actually delivered, so the next epoch's horizon
-// computation sees honest times.
-func (e *Engine) runWindow(limit Time) {
-	e.limit = limit
-	e.enter()
-	e.limit = maxTime
 }

@@ -46,7 +46,7 @@ func BenchmarkEngineWaitQueueContention(b *testing.B) {
 	var sweep func()
 	sweep = func() {
 		q.WakeAll(0, nil)
-		if e.Live() > 0 {
+		if e.live > 0 {
 			e.At(Nanosecond, sweep)
 		}
 	}

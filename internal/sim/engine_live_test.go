@@ -13,20 +13,20 @@ func TestPendingLiveExcludesAbandonedTimer(t *testing.T) {
 			t.Error("sleeper timed out despite early wake")
 		}
 		// The abandoned deadline timer is still queued (Pending) but
-		// must not be live (PendingLive).
+		// must not be live (events.live).
 		if e.Pending() != 1 {
 			t.Errorf("Pending() = %d, want 1 (the abandoned timer)", e.Pending())
 		}
-		if e.PendingLive() != 0 {
-			t.Errorf("PendingLive() = %d, want 0 after early wake", e.PendingLive())
+		if e.events.live() != 0 {
+			t.Errorf("live events = %d, want 0 after early wake", e.events.live())
 		}
 	})
 	e.Spawn("waker", 10*Nanosecond, func(p *Proc) {
 		q.WakeOne(0, nil)
 	})
 	e.Run()
-	if e.Pending() != 0 || e.PendingLive() != 0 {
-		t.Fatalf("after Run: Pending=%d PendingLive=%d, want 0/0", e.Pending(), e.PendingLive())
+	if e.Pending() != 0 || e.events.live() != 0 {
+		t.Fatalf("after Run: Pending=%d live events=%d, want 0/0", e.Pending(), e.events.live())
 	}
 }
 
@@ -39,8 +39,8 @@ func TestPendingLiveCountsLiveTimer(t *testing.T) {
 		q.WaitTimeout(p, 100*Nanosecond)
 	})
 	e.RunUntil(50 * Nanosecond)
-	if e.PendingLive() != 1 {
-		t.Fatalf("PendingLive() = %d, want 1 (in-flight deadline timer)", e.PendingLive())
+	if e.events.live() != 1 {
+		t.Fatalf("live events = %d, want 1 (in-flight deadline timer)", e.events.live())
 	}
 	e.Run()
 }
@@ -79,8 +79,8 @@ func TestStaleTimerPruningBoundsHeap(t *testing.T) {
 	if maxPending > 4*compactMin {
 		t.Fatalf("heap peaked at %d pending events; stale timers are not being pruned", maxPending)
 	}
-	if e.Pending() != 0 || e.PendingLive() != 0 {
-		t.Fatalf("after Run: Pending=%d PendingLive=%d, want 0/0", e.Pending(), e.PendingLive())
+	if e.Pending() != 0 || e.events.live() != 0 {
+		t.Fatalf("after Run: Pending=%d live events=%d, want 0/0", e.Pending(), e.events.live())
 	}
 }
 

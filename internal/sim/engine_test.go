@@ -37,8 +37,8 @@ func TestSleepAdvancesClock(t *testing.T) {
 	if at != 15*Nanosecond {
 		t.Fatalf("clock after sleeps = %v, want 15ns", at)
 	}
-	if e.Live() != 0 {
-		t.Fatalf("Live() = %d, want 0", e.Live())
+	if e.live != 0 {
+		t.Fatalf("live procs = %d, want 0", e.live)
 	}
 }
 
@@ -221,8 +221,8 @@ func TestRunUntil(t *testing.T) {
 	if e.Now() != 95*Nanosecond {
 		t.Fatalf("Now() = %v, want 95ns", e.Now())
 	}
-	if e.Live() != 1 {
-		t.Fatalf("Live() = %d, want 1 (ticker still parked)", e.Live())
+	if e.live != 1 {
+		t.Fatalf("live procs = %d, want 1 (ticker still parked)", e.live)
 	}
 }
 

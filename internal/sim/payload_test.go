@@ -35,14 +35,14 @@ func TestWaiterValidSpentAfterDelivery(t *testing.T) {
 	if reused {
 		t.Fatal("Valid() = true after the proc moved to a new generation")
 	}
-	if e.Live() != 0 {
-		t.Fatalf("Live() = %d, want 0 (ghost wake resumed the proc?)", e.Live())
+	if e.live != 0 {
+		t.Fatalf("live procs = %d, want 0 (ghost wake resumed the proc?)", e.live)
 	}
 }
 
 // TestWaiterValidAgreesWithPush cross-checks Valid against the engine's
 // push classification across the waiter lifecycle: whenever Valid reports
-// false, a Wake must land as a stale event (PendingLive unchanged).
+// false, a Wake must land as a stale event (live event count unchanged).
 func TestWaiterValidAgreesWithPush(t *testing.T) {
 	e := NewEngine(1)
 	e.Spawn("p", 0, func(p *Proc) {
@@ -52,10 +52,10 @@ func TestWaiterValidAgreesWithPush(t *testing.T) {
 		if w.Valid() {
 			t.Error("spent waiter reads valid")
 		}
-		liveBefore := e.PendingLive()
+		liveBefore := e.events.live()
 		w.Wake(0, nil)
-		if got := e.PendingLive(); got != liveBefore {
-			t.Errorf("Wake on spent waiter changed PendingLive: %d -> %d", liveBefore, got)
+		if got := e.events.live(); got != liveBefore {
+			t.Errorf("Wake on spent waiter changed live events: %d -> %d", liveBefore, got)
 		}
 	})
 	e.Run()

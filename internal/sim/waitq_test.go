@@ -72,7 +72,7 @@ func TestWaitQueueMixedTimeoutWakeAll(t *testing.T) {
 		})
 	}
 	e.Spawn("sweeper", 15, func(p *Proc) {
-		for e.Live() > 1 {
+		for e.live > 1 {
 			q.WakeAll(0, nil)
 			p.Sleep(35)
 		}
@@ -88,8 +88,8 @@ func TestWaitQueueMixedTimeoutWakeAll(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatalf("Len() = %d after all procs finished, want 0", q.Len())
 	}
-	if e.PendingLive() != 0 {
-		t.Fatalf("PendingLive() = %d after Run, want 0", e.PendingLive())
+	if e.events.live() != 0 {
+		t.Fatalf("live events = %d after Run, want 0", e.events.live())
 	}
 }
 
