@@ -3,15 +3,14 @@ package oltp
 import "repro/internal/kernel"
 
 // The database tier: a small but genuine storage engine in the shape of
-// the DVDStore schema — products searchable by category, customers with
-// their order history, and an order log. Rows keep only the columns a
-// query reads; a login's credential check is a charged cost. Query
-// execution does real index work on the in-memory structures and
-// charges one buffer-pool page touch per row it visits. The paper
-// measures after a 2-minute warmup (§7.4) with a buffer pool that holds
-// the whole store, so every page access is a hit; the on-disk
-// configuration differs from tmpfs only in committing orders through
-// synchronous log writes.
+// the DVDStore schema — products searchable by category and customers
+// with their order history. Rows keep only the columns a query reads; a
+// login's credential check is a charged cost. Query execution does real
+// index work on the in-memory structures and charges one buffer-pool
+// page touch per row it visits. The paper measures after a 2-minute
+// warmup (§7.4) with a buffer pool that holds the whole store, so every
+// page access is a hit; the on-disk configuration differs from tmpfs
+// only in committing orders through synchronous log writes.
 
 // Product is one row of the products table.
 type Product struct {
@@ -24,23 +23,14 @@ type Product struct {
 // Customer is one row of the customers table.
 type Customer struct {
 	ID     int
-	Orders []int
+	Orders int // order lines placed; a history query reads only the count
 }
 
-// Order is one row of the orders table.
-type Order struct {
-	ID       int
-	Customer int
-	Items    []int
-	Total    int
-}
-
-// DB is the database engine.
+// DB is the database engine. Tables are dense slices indexed by row id.
 type DB struct {
-	products   map[int]*Product
-	byCategory map[int][]int
-	customers  map[int]*Customer
-	orders     map[int]*Order
+	products   []Product
+	byCategory [][]int // product ids per category
+	customers  []Customer
 	nextOrder  int
 
 	disk *Disk
@@ -54,26 +44,20 @@ type DB struct {
 // nCustomers, like DVDStore's load phase.
 func NewDB(m *kernel.Machine, prm *Params, inMem bool) *DB {
 	db := &DB{
-		products:   make(map[int]*Product),
-		byCategory: make(map[int][]int),
-		customers:  make(map[int]*Customer),
-		orders:     make(map[int]*Order),
+		products:   make([]Product, prm.Products),
+		byCategory: make([][]int, prm.Categories),
+		customers:  make([]Customer, prm.Customers),
 		disk:       &Disk{m: m},
 		inMem:      inMem,
 		prm:        prm,
 	}
-	for i := 0; i < prm.Products; i++ {
-		p := &Product{
-			ID:       i,
-			Category: i % prm.Categories,
-			Price:    999 + (i%40)*100,
-			Stock:    100,
-		}
-		db.products[i] = p
+	for i := range db.products {
+		p := &db.products[i]
+		*p = Product{ID: i, Category: i % prm.Categories, Price: 999 + (i%40)*100, Stock: 100}
 		db.byCategory[p.Category] = append(db.byCategory[p.Category], i)
 	}
-	for i := 0; i < prm.Customers; i++ {
-		db.customers[i] = &Customer{ID: i}
+	for i := range db.customers {
+		db.customers[i].ID = i
 	}
 	return db
 }
@@ -83,10 +67,8 @@ func touchPage(t *kernel.Thread) { t.ExecUser(t.Machine().P.CacheLineTouch * 4) 
 
 // Query is one database request.
 type Query struct {
-	Kind     QueryKind
-	Key      int // category, customer or product id
-	Key2     int // secondary key (e.g. item)
-	Quantity int
+	Kind QueryKind
+	Key  int // category, customer or product id
 }
 
 // QueryKind selects the query plan.
@@ -103,65 +85,59 @@ const (
 	QUpdateStock                     // stock decrement
 )
 
-// QueryResult is a query result: a row count and an approximate wire size,
-// which the socket transports copy.
+// QueryResult is a query result: a row count, an approximate wire size,
+// which the socket transports copy, and the id of the row a point query
+// returns.
 type QueryResult struct {
 	Rows  int
 	Bytes int
-	Data  any
+	Row   int
+}
+
+// dbCall is one query's slot in a request: the PHP tier fills Q, the
+// database tier writes R in place, and both transports carry a pointer
+// to it, so neither the query nor its result is boxed per call.
+type dbCall struct {
+	Q Query
+	R QueryResult
 }
 
 // Exec runs one query on the calling thread, charging engine CPU time
 // and buffer-pool page touches.
+//
+//dipcvet:noalloc
 func (db *DB) Exec(t *kernel.Thread, q Query) QueryResult {
 	prm := db.prm
 	t.ExecUser(prm.DBExecCost) // parse/plan/lock/row work
 	switch q.Kind {
 	case QBrowseCategory:
-		ids := db.byCategory[q.Key%max(1, len(db.byCategory))]
-		n := min(10, len(ids))
+		n := min(10, len(db.byCategory[q.Key%len(db.byCategory)]))
 		for i := 0; i < n; i++ {
 			touchPage(t)
 		}
 		return QueryResult{Rows: n, Bytes: n * 120}
 	case QGetProduct:
-		p, ok := db.products[q.Key%max(1, len(db.products))]
-		if !ok {
-			return QueryResult{}
-		}
+		p := &db.products[q.Key%len(db.products)]
 		touchPage(t)
-		return QueryResult{Rows: 1, Bytes: 160, Data: p}
+		return QueryResult{Rows: 1, Bytes: 160, Row: p.ID}
 	case QLogin:
-		c, ok := db.customers[q.Key%max(1, len(db.customers))]
-		if !ok {
-			return QueryResult{}
-		}
+		c := &db.customers[q.Key%len(db.customers)]
 		touchPage(t)
 		t.ExecUser(prm.DBAuthCost) // password hash check
-		return QueryResult{Rows: 1, Bytes: 96, Data: c}
+		return QueryResult{Rows: 1, Bytes: 96, Row: c.ID}
 	case QOrderHistory:
-		c := db.customers[q.Key%max(1, len(db.customers))]
-		n := 0
-		if c != nil {
-			n = min(5, len(c.Orders))
-			for i := 0; i < n; i++ {
-				touchPage(t)
-			}
+		n := min(5, db.customers[q.Key%len(db.customers)].Orders)
+		for i := 0; i < n; i++ {
+			touchPage(t)
 		}
 		return QueryResult{Rows: n, Bytes: n * 140}
 	case QAddOrderLine:
 		db.nextOrder++
-		id := db.nextOrder
-		o := &Order{ID: id, Customer: q.Key, Items: []int{q.Key2}, Total: q.Quantity}
-		db.orders[id] = o
-		if c := db.customers[q.Key%max(1, len(db.customers))]; c != nil {
-			c.Orders = append(c.Orders, id)
-		}
+		db.customers[q.Key%len(db.customers)].Orders++
 		touchPage(t)
-		return QueryResult{Rows: 1, Bytes: 32, Data: id}
+		return QueryResult{Rows: 1, Bytes: 32, Row: db.nextOrder}
 	case QUpdateStock:
-		p := db.products[q.Key%max(1, len(db.products))]
-		if p != nil && p.Stock > 0 {
+		if p := &db.products[q.Key%len(db.products)]; p.Stock > 0 {
 			p.Stock--
 		}
 		touchPage(t)

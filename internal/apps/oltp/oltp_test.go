@@ -162,14 +162,14 @@ func TestDBQueries(t *testing.T) {
 		if r := db.Exec(th, Query{Kind: QBrowseCategory, Key: 3}); r.Rows != 10 {
 			t.Errorf("browse rows = %d, want 10", r.Rows)
 		}
-		if r := db.Exec(th, Query{Kind: QGetProduct, Key: 42}); r.Rows != 1 || r.Data.(*Product).ID != 42 {
+		if r := db.Exec(th, Query{Kind: QGetProduct, Key: 42}); r.Rows != 1 || r.Row != 42 {
 			t.Errorf("get product = %+v", r)
 		}
-		if r := db.Exec(th, Query{Kind: QLogin, Key: 7}); r.Data.(*Customer).ID != 7 {
+		if r := db.Exec(th, Query{Kind: QLogin, Key: 7}); r.Row != 7 {
 			t.Errorf("login = %+v", r)
 		}
 		// Order flow: add a line, then history sees it.
-		r := db.Exec(th, Query{Kind: QAddOrderLine, Key: 7, Key2: 42, Quantity: 1})
+		r := db.Exec(th, Query{Kind: QAddOrderLine, Key: 7})
 		if r.Rows != 1 {
 			t.Errorf("add order = %+v", r)
 		}
@@ -264,18 +264,32 @@ func TestGenOpMixAndDeterminism(t *testing.T) {
 	prm := DefaultParams()
 	counts := map[OpKind]int{}
 	rng := sim.NewRand(1)
+	var op Operation
 	for i := 0; i < 3000; i++ {
-		counts[GenOp(rng, prm).Kind]++
+		genOp(rng, prm, &op)
+		counts[op.Kind]++
 	}
 	if counts[OpBrowse] < 1200 || counts[OpLogin] < 400 || counts[OpPurchase] < 700 {
 		t.Fatalf("mix off: %v", counts)
 	}
-	// Determinism: identical seed, identical stream.
+	// Determinism: identical seed, identical stream. Refilling one
+	// reused Operation draws exactly what fresh ones do, and leaves no
+	// result of the previous operation in its slots.
 	a, b := sim.NewRand(42), sim.NewRand(42)
+	var reused Operation
 	for i := 0; i < 100; i++ {
-		x, y := GenOp(a, prm), GenOp(b, prm)
-		if x.Kind != y.Kind || len(x.Queries) != len(y.Queries) {
-			t.Fatal("GenOp not deterministic")
+		fresh := &Operation{}
+		genOp(a, prm, &reused)
+		genOp(b, prm, fresh)
+		if reused.Kind != fresh.Kind || len(reused.Queries) != len(fresh.Queries) {
+			t.Fatalf("op %d: reused %v/%d queries, fresh %v/%d", i,
+				reused.Kind, len(reused.Queries), fresh.Kind, len(fresh.Queries))
+		}
+		for j := range fresh.Queries {
+			if reused.Queries[j] != fresh.Queries[j] {
+				t.Fatalf("op %d query %d: reused %+v, fresh %+v", i, j, reused.Queries[j], fresh.Queries[j])
+			}
+			reused.Queries[j].R = QueryResult{Rows: 9, Bytes: 9, Row: 9} // a served result
 		}
 	}
 }

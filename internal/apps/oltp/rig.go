@@ -96,19 +96,25 @@ func (r *rig) serveChain(cfg *ChainFaultsConfig, brc *BreakerConfig) []*Breaker 
 
 // closedLoop spawns n off-machine clients ("client-0".."client-(n-1)")
 // that each submit a request, wait for its completion and submit the
-// next. With gen non-nil, client c's operations come from gen on its own
-// stream sim.NewRand(seed*7919+c); with gen nil requests carry no
-// operation. Each completion in [warmup, warmup+window], both ends
-// included, counts in r.outcomes as OpsOK (adding its latency to
-// r.okLatency) or OpsFailed; every completion counts in r.completed.
-func (r *rig) closedLoop(n int, seed uint64, gen func(*sim.Rand) *Operation, warmup, window sim.Time) {
+// next. Each client reuses one request and one Operation. With gen
+// non-nil, gen refills client c's operation before every submission
+// from the client's own stream sim.NewRand(seed*7919+c); with gen nil
+// requests carry no operation. Each completion in [warmup,
+// warmup+window], both ends included, counts in r.outcomes as OpsOK
+// (adding its latency to r.okLatency) or OpsFailed; every completion
+// counts in r.completed.
+func (r *rig) closedLoop(n int, seed uint64, gen func(*sim.Rand, *Operation), warmup, window sim.Time) {
 	for c := 0; c < n; c++ {
 		rng := sim.NewRand(seed*7919 + uint64(c))
 		r.eng.Spawn(fmt.Sprintf("client-%d", c), 0, func(p *sim.Proc) {
+			req := &request{}
+			if gen != nil {
+				req.op = &Operation{}
+			}
 			for {
-				req := &request{started: p.Now()}
+				req.started, req.err = p.Now(), nil
 				if gen != nil {
-					req.op = gen(rng)
+					gen(rng, req.op)
 				}
 				req.done = p.PrepareWait()
 				r.gw.Submit(req, p.Now())

@@ -101,6 +101,28 @@ func blockShare(bd stats.Breakdown, blocks ...stats.Block) float64 {
 
 // Run executes one OLTP configuration and returns its measurements.
 func Run(cfg Config) *Result {
+	r, stack := startStack(&cfg)
+	defer r.eng.Close()
+	bd, _ := r.measure(cfg.Warmup, cfg.Window)
+	res := &Result{
+		Config:    cfg,
+		Ops:       int(r.outcomes.OpsOK),
+		Breakdown: bd,
+	}
+	if res.Ops > 0 {
+		res.Throughput = float64(res.Ops) / cfg.Window.Seconds() * 60
+		res.AvgLatency = r.okLatency / sim.Time(res.Ops)
+	}
+	if r.completed > 0 {
+		res.CallsPerOp = float64(stack.calls) / float64(r.completed)
+	}
+	return res
+}
+
+// startStack fills cfg's defaults and wires its configuration on a new
+// rig: the tiers, the web worker pool and the closed-loop clients, ready
+// for the engine to run. The caller closes the rig's engine.
+func startStack(cfg *Config) (*rig, *Stack) {
 	if cfg.Threads <= 0 {
 		cfg.Threads = 16
 	}
@@ -117,10 +139,9 @@ func Run(cfg Config) *Result {
 		cfg.Window = sim.Millis(250)
 	}
 	r := newRig(cfg.Seed, cfg.CPUs, GatewayConfig{})
-	defer r.eng.Close()
 	r.m.StealOnIdle = !cfg.DisableSteal
 	stack := &Stack{Prm: r.prm, DB: NewDB(r.m, r.prm, cfg.InMemory)}
-	webProc, rt := buildTiers(r.m, stack, cfg)
+	webProc, rt := buildTiers(r.m, stack, *cfg)
 
 	// Web worker pool: in every configuration the web tier runs
 	// cfg.Threads workers accepting from the gateway. In the dIPC and
@@ -132,23 +153,9 @@ func Run(cfg Config) *Result {
 	})
 
 	// Driver: closed-loop clients living off-machine.
-	r.closedLoop(cfg.Clients, cfg.Seed, func(rng *sim.Rand) *Operation { return GenOp(rng, r.prm) },
+	r.closedLoop(cfg.Clients, cfg.Seed, func(rng *sim.Rand, op *Operation) { genOp(rng, r.prm, op) },
 		cfg.Warmup, cfg.Window)
-
-	bd, _ := r.measure(cfg.Warmup, cfg.Window)
-	res := &Result{
-		Config:    cfg,
-		Ops:       int(r.outcomes.OpsOK),
-		Breakdown: bd,
-	}
-	if res.Ops > 0 {
-		res.Throughput = float64(res.Ops) / cfg.Window.Seconds() * 60
-		res.AvgLatency = r.okLatency / sim.Time(res.Ops)
-	}
-	if r.completed > 0 {
-		res.CallsPerOp = float64(stack.calls) / float64(r.completed)
-	}
-	return res
+	return r, stack
 }
 
 // buildTiers constructs the per-mode processes and transports, returning

@@ -30,27 +30,29 @@ func (s *Stack) call(tr Transport, t *kernel.Thread, op string, payload any, req
 }
 
 // DBHandler is the database tier's request entry: execute a query or
-// fetch a result set.
+// fetch a result set. Both ops take the request's *dbCall slot: exec
+// writes the result into it and fetch reads it, and both return the
+// same pointer, so the result crosses the transport unboxed.
+//
+//dipcvet:noalloc
 func (s *Stack) DBHandler(t *kernel.Thread, op string, payload any) (any, int) {
+	c := payload.(*dbCall)
 	switch op {
 	case "exec":
-		q := payload.(Query)
-		r := s.DB.Exec(t, q)
-		return r, maxInt(64, r.Bytes)
+		c.R = s.DB.Exec(t, c.Q)
 	case "fetch":
 		t.ExecUser(s.Prm.DBFetchCost)
-		if r, ok := payload.(QueryResult); ok {
-			return r, maxInt(64, r.Bytes)
-		}
-		return QueryResult{}, 64
 	default:
-		panic(fmt.Sprintf("oltp: unknown db op %q", op))
+		panicUnknownOp("db", op)
 	}
+	return c, maxInt(64, c.R.Bytes)
 }
 
 // PHPHandler is the interpreter tier's request entry: FastCGI-style
 // begin/run/end. run interprets the page script, issuing exec+fetch
 // pairs against the database for every query in the operation.
+//
+//dipcvet:noalloc
 func (s *Stack) PHPHandler(t *kernel.Thread, op string, payload any) (any, int) {
 	switch op {
 	case "begin":
@@ -65,20 +67,17 @@ func (s *Stack) PHPHandler(t *kernel.Thread, op string, payload any) (any, int) 
 	case "run":
 		req := payload.(*Operation)
 		t.ExecUser(s.Prm.PHPBase)
-		for _, q := range req.Queries {
+		for i := range req.Queries {
+			c := &req.Queries[i]
 			t.ExecUser(s.Prm.PHPPerQuery)
-			r := s.call(s.DBT, t, "exec", q, s.Prm.ReqQuery)
+			s.call(s.DBT, t, "exec", c, s.Prm.ReqQuery)
 			// Multi-row results take extra cursor fetches.
-			rows := 1
-			if qr, ok := r.(QueryResult); ok {
-				rows = qr.Rows
-			}
 			fetches := 1
-			if rows > 4 {
+			if c.R.Rows > 4 {
 				fetches = 2
 			}
 			for f := 0; f < fetches; f++ {
-				s.call(s.DBT, t, "fetch", r, 64)
+				s.call(s.DBT, t, "fetch", c, 64)
 			}
 		}
 		return nil, s.Prm.RespWebPHP
@@ -86,13 +85,22 @@ func (s *Stack) PHPHandler(t *kernel.Thread, op string, payload any) (any, int) 
 		t.ExecUser(s.Prm.PHPBase / 32) // request teardown
 		return nil, 64
 	default:
-		panic(fmt.Sprintf("oltp: unknown php op %q", op))
+		panicUnknownOp("php", op)
+		return nil, 0
 	}
+}
+
+// panicUnknownOp reports a call to an op the tier does not export: a
+// wiring bug, not an outcome.
+func panicUnknownOp(tier, op string) {
+	panic(fmt.Sprintf("oltp: unknown %s op %q", tier, op))
 }
 
 // WebHandle serves one client request on a web worker thread: parse,
 // drive the interpreter through the FastCGI-ish begin/run/end exchange,
 // assemble the response.
+//
+//dipcvet:noalloc
 func (s *Stack) WebHandle(t *kernel.Thread, req *request) {
 	t.ExecUser(s.Prm.WebParse)
 	// The FastCGI exchange: begin-request, params records, the script

@@ -59,10 +59,12 @@ func (d *DirectTransport) TryCall(t *kernel.Thread, op string, payload any, reqB
 // responses come back on a per-caller reply socket — the paper's §2.3
 // "false concurrency".
 type SockTransport struct {
-	prm     *Params
-	req     *ipc.Socket
-	h       Handler
-	replies map[*kernel.Thread]*ipc.Socket
+	prm *Params
+	req *ipc.Socket
+	h   Handler
+	// calls holds each caller thread's request record, reused for every
+	// call: a caller has at most one request in flight.
+	calls map[*kernel.Thread]*sockReq
 	// Faults, when set, draws a per-call verdict before each TryCall.
 	Faults *faults.CallSite
 	// Proc is the serving process; when set and dead, TryCall fails fast
@@ -71,7 +73,7 @@ type SockTransport struct {
 	Proc *kernel.Process
 }
 
-// sockReq is the wire request.
+// sockReq is the wire request, carrying the caller's reply socket.
 type sockReq struct {
 	op      string
 	payload any
@@ -81,10 +83,10 @@ type sockReq struct {
 // NewSockTransport builds the socket endpoint for handler h.
 func NewSockTransport(prm *Params, h Handler) *SockTransport {
 	return &SockTransport{
-		prm:     prm,
-		req:     ipc.NewConn(0).AtoB,
-		h:       h,
-		replies: make(map[*kernel.Thread]*ipc.Socket),
+		prm:   prm,
+		req:   ipc.NewConn(0).AtoB,
+		h:     h,
+		calls: make(map[*kernel.Thread]*sockReq),
 	}
 }
 
@@ -93,27 +95,38 @@ func NewSockTransport(prm *Params, h Handler) *SockTransport {
 // RemoteError is unwrapped. Requests already accepted before a kill are
 // still answered — worker threads drain in flight, like a TCP stack
 // flushing established connections while refusing new ones.
+//
+//dipcvet:noalloc
 func (s *SockTransport) TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error) {
 	if s.Proc != nil && s.Proc.Dead {
-		return nil, fmt.Errorf("oltp: connect %s: %w", s.Proc.Name, faults.ErrDead)
+		return nil, refused(s.Proc)
 	}
 	if err := injectFault(t, s.Faults); err != nil {
 		return nil, err
 	}
-	reply := s.replies[t]
-	if reply == nil {
-		reply = ipc.NewConn(0).AtoB
-		s.replies[t] = reply
+	r := s.calls[t]
+	if r == nil {
+		//dipcvet:alloc-ok first call on this thread: its record and reply socket are built once
+		r = &sockReq{reply: ipc.NewConn(0).AtoB}
+		s.calls[t] = r //dipcvet:alloc-ok first-use insert; later calls on this thread reuse the record
 	}
+	r.op, r.payload = op, payload
 	t.ExecUser(s.prm.ProtoMarshal) // marshal request
-	s.req.Send(t, ipc.Message{Size: reqBytes, Payload: &sockReq{op: op, payload: payload, reply: reply}})
-	msg := reply.Recv(t)
+	s.req.Send(t, ipc.Message{Size: reqBytes, Payload: r})
+	msg := r.reply.Recv(t)
 	t.ExecUser(s.prm.ProtoMarshal) // unmarshal response
 	return unwrapRemote(msg.Payload)
 }
 
+// refused is the error of a call to a dead serving process.
+func refused(p *kernel.Process) error {
+	return fmt.Errorf("oltp: connect %s: %w", p.Name, faults.ErrDead)
+}
+
 // Worker runs one service thread: the per-tier thread pools of the
 // Linux configuration call this in a loop.
+//
+//dipcvet:noalloc
 func (s *SockTransport) Worker(t *kernel.Thread) {
 	for {
 		msg := s.req.Recv(t)
@@ -129,30 +142,41 @@ func (s *SockTransport) Worker(t *kernel.Thread) {
 // crosses into the target process in place.
 type DIPCTransport struct {
 	entries map[string]*core.ImportedEntry
+	// args holds each calling thread's argument record, reused for every
+	// call: the entry writes its result back into it (see handlerEntry).
+	args map[*kernel.Thread]*core.Args
 	// Faults, when set, draws a per-call verdict before each TryCall.
 	Faults *faults.CallSite
 }
 
 // NewDIPCTransport wraps resolved entries keyed by operation name.
 func NewDIPCTransport(entries map[string]*core.ImportedEntry) *DIPCTransport {
-	return &DIPCTransport{entries: entries}
+	return &DIPCTransport{entries: entries, args: make(map[*kernel.Thread]*core.Args)}
 }
 
 // TryCall implements Transport: dIPC's own error path (a dead callee
 // fails the proxy's liveness check) propagates as an error instead of a
 // panic, so chaos runs exercise the same descriptor revalidation the
 // core layer implements.
+//
+//dipcvet:noalloc
 func (d *DIPCTransport) TryCall(t *kernel.Thread, op string, payload any, reqBytes int) (any, error) {
 	if err := injectFault(t, d.Faults); err != nil {
 		return nil, err
 	}
 	ent, ok := d.entries[op]
 	if !ok {
-		return nil, fmt.Errorf("oltp: no dIPC entry for %q", op)
+		panicUnknownOp("dIPC", op)
 	}
-	out, err := ent.Call(t, &core.Args{Data: payload, StackBytes: 64})
+	in := d.args[t]
+	if in == nil {
+		in = &core.Args{StackBytes: 64} //dipcvet:alloc-ok first call on this thread builds its record once
+		d.args[t] = in                  //dipcvet:alloc-ok first-use insert; later calls on this thread reuse the record
+	}
+	in.Data = payload
+	out, err := ent.Call(t, in)
 	if err != nil {
-		return nil, fmt.Errorf("oltp: dIPC call %q: %w", op, err)
+		return nil, callFailed(op, err)
 	}
 	if out == nil {
 		return nil, nil
@@ -160,10 +184,26 @@ func (d *DIPCTransport) TryCall(t *kernel.Thread, op string, payload any, reqByt
 	return unwrapRemote(out.Data)
 }
 
+// callFailed wraps a failed dIPC call's error, off the call path.
+func callFailed(op string, err error) error { return fmt.Errorf("oltp: dIPC call %q: %w", op, err) }
+
 // handlerEntry adapts a Handler into a dIPC entry function.
 func handlerEntry(h Handler, op string) core.Func {
-	return func(t *kernel.Thread, in *core.Args) *core.Args {
-		out, _ := h(t, op, in.Data)
-		return &core.Args{Data: out}
-	}
+	return (&entry{h: h, op: op}).call
+}
+
+// entry is one exported op of a Handler.
+type entry struct {
+	h  Handler
+	op string
+}
+
+// call runs the handler on the caller's argument record and writes the
+// result back into it: the record belongs to the calling thread, which
+// reads the result as soon as the proxy returns.
+//
+//dipcvet:noalloc
+func (e *entry) call(t *kernel.Thread, in *core.Args) *core.Args {
+	in.Data, _ = e.h(t, e.op, in.Data)
+	return in
 }

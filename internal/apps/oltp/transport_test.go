@@ -3,6 +3,7 @@ package oltp
 import (
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/kernel"
 	"repro/internal/sim"
@@ -55,7 +56,10 @@ func TestSockTransportRoundTrip(t *testing.T) {
 }
 
 func TestSockTransportPerThreadReplySockets(t *testing.T) {
-	// Two concurrent callers must not steal each other's replies.
+	// Two concurrent callers must not steal each other's replies. The
+	// slow caller makes back-to-back calls, each reusing its request
+	// record, while the fast one's calls overtake them; every call must
+	// get its own payload back.
 	eng := sim.NewEngine(1)
 	m := kernel.NewMachine(eng, cost.Default(), 4)
 	pc := m.NewProcess("client")
@@ -68,17 +72,86 @@ func TestSockTransportPerThreadReplySockets(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		m.Spawn(ps, "worker", nil, tr.Worker)
 	}
-	results := map[int]any{}
+	var results [2][]any
 	for i := 0; i < 2; i++ {
 		i := i
 		m.Spawn(pc, "client", nil, func(th *kernel.Thread) {
-			// Client 0 asks for a slow reply, client 1 a fast one.
-			results[i] = mustCall(tr, th, "q", 100-90*i, 64)
+			// Client 0 asks for slow replies, client 1 for fast ones.
+			for k := 0; k < 4+4*i; k++ {
+				results[i] = append(results[i], mustCall(tr, th, "q", 100-90*i+k, 64))
+			}
 		})
 	}
 	eng.Run()
-	if results[0] != 100 || results[1] != 10 {
-		t.Fatalf("replies crossed: %v", results)
+	for i, got := range results {
+		if len(got) != 4+4*i {
+			t.Fatalf("client %d got %d replies, want %d", i, len(got), 4+4*i)
+		}
+		for k, r := range got {
+			if r != 100-90*i+k {
+				t.Fatalf("replies crossed: client %d call %d got %v, want %d", i, k, r, 100-90*i+k)
+			}
+		}
+	}
+}
+
+func TestDIPCTransportNestedCallsKeepTheirResults(t *testing.T) {
+	// One thread calls through two DIPCTransports, the inner call made
+	// from inside the outer one's entry. Each transport reuses the
+	// thread's argument record for its own calls, so the inner result
+	// must not overwrite the outer call's, on the first call or later.
+	eng := sim.NewEngine(1)
+	m := kernel.NewMachine(eng, cost.Default(), 1)
+	rt := core.NewRuntime(m)
+	front, mid, back := rt.NewProcess("front"), rt.NewProcess("mid"), rt.NewProcess("back")
+	sig := core.Signature{InRegs: 2, OutRegs: 1}
+	publish := func(p *kernel.Process, path string, h Handler, imp func(th *kernel.Thread)) {
+		m.Spawn(p, path+"-init", nil, func(th *kernel.Thread) {
+			mustEnter(rt, th)
+			if imp != nil {
+				imp(th)
+			}
+			eh, err := rt.EntryRegister(th, rt.DomDefault(th), []core.EntryDesc{{Name: "q", Fn: handlerEntry(h, "q"), Sig: sig}})
+			if err != nil {
+				panic(err)
+			}
+			if err := rt.Publish(th, path, eh); err != nil {
+				panic(err)
+			}
+		})
+		eng.Run()
+	}
+	dial := func(th *kernel.Thread, path string) *DIPCTransport {
+		ents, err := rt.MustImport(th, path, []core.EntryDesc{{Name: "q", Sig: sig}})
+		if err != nil {
+			panic(err)
+		}
+		return NewDIPCTransport(map[string]*core.ImportedEntry{"q": ents[0]})
+	}
+
+	publish(back, "/run/back", func(th *kernel.Thread, op string, payload any) (any, int) {
+		return payload.(int) * 10, 8
+	}, nil)
+	var inner *DIPCTransport
+	var innerGot []any
+	publish(mid, "/run/mid", func(th *kernel.Thread, op string, payload any) (any, int) {
+		innerGot = append(innerGot, mustCall(inner, th, "q", payload.(int)+1, 8))
+		return payload.(int) + 1000, 8
+	}, func(th *kernel.Thread) { inner = dial(th, "/run/back") })
+
+	var outerGot []any
+	m.Spawn(front, "caller", nil, func(th *kernel.Thread) {
+		mustEnter(rt, th)
+		outer := dial(th, "/run/mid")
+		for k := 0; k < 3; k++ {
+			outerGot = append(outerGot, mustCall(outer, th, "q", k, 8))
+		}
+	})
+	eng.Run()
+	for k := 0; k < 3; k++ {
+		if len(outerGot) != 3 || len(innerGot) != 3 || outerGot[k] != k+1000 || innerGot[k] != (k+1)*10 {
+			t.Fatalf("nested results crossed: outer %v, inner %v", outerGot, innerGot)
+		}
 	}
 }
 

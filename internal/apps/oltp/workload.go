@@ -26,47 +26,46 @@ func (k OpKind) String() string {
 	}
 }
 
-// Operation is one client request with its pre-drawn query plan.
+// Operation is one client request with its pre-drawn query plan. Each
+// query carries its own result slot, which the database tier fills.
 type Operation struct {
 	Kind    OpKind
-	Queries []Query
+	Queries []dbCall
 }
 
-// GenOp draws one operation from the DVDStore-like mix.
-func GenOp(rng *sim.Rand, prm *Params) *Operation {
+// genOp draws one operation from the DVDStore-like mix into op,
+// reusing its query slice.
+func genOp(rng *sim.Rand, prm *Params, op *Operation) {
+	op.Queries = op.Queries[:0]
+	add := func(q Query) { op.Queries = append(op.Queries, dbCall{Q: q}) }
 	w := rng.Intn(prm.BrowseWeight + prm.LoginWeight + prm.PurchaseWeight)
 	switch {
 	case w < prm.BrowseWeight:
-		op := &Operation{Kind: OpBrowse}
-		cat := rng.Intn(prm.Categories)
-		op.Queries = append(op.Queries, Query{Kind: QBrowseCategory, Key: cat})
+		op.Kind = OpBrowse
+		add(Query{Kind: QBrowseCategory, Key: rng.Intn(prm.Categories)})
 		for i := 0; i < prm.BrowseGets; i++ {
-			op.Queries = append(op.Queries, Query{Kind: QGetProduct, Key: rng.Intn(prm.Products)})
+			add(Query{Kind: QGetProduct, Key: rng.Intn(prm.Products)})
 		}
-		return op
 	case w < prm.BrowseWeight+prm.LoginWeight:
-		op := &Operation{Kind: OpLogin}
+		op.Kind = OpLogin
 		cust := rng.Intn(prm.Customers)
-		op.Queries = append(op.Queries, Query{Kind: QLogin, Key: cust})
+		add(Query{Kind: QLogin, Key: cust})
 		for i := 0; i < prm.LoginHistory; i++ {
-			op.Queries = append(op.Queries, Query{Kind: QOrderHistory, Key: cust})
+			add(Query{Kind: QOrderHistory, Key: cust})
 		}
-		return op
 	default:
-		op := &Operation{Kind: OpPurchase}
+		op.Kind = OpPurchase
 		cust := rng.Intn(prm.Customers)
-		op.Queries = append(op.Queries, Query{Kind: QLogin, Key: cust})
+		add(Query{Kind: QLogin, Key: cust})
 		for i := 0; i < prm.PurchaseGets; i++ {
-			op.Queries = append(op.Queries, Query{Kind: QGetProduct, Key: rng.Intn(prm.Products)})
+			add(Query{Kind: QGetProduct, Key: rng.Intn(prm.Products)})
 		}
 		for i := 0; i < prm.PurchaseLines; i++ {
 			item := rng.Intn(prm.Products)
-			op.Queries = append(op.Queries,
-				Query{Kind: QAddOrderLine, Key: cust, Key2: item, Quantity: 1},
-				Query{Kind: QUpdateStock, Key: item})
+			add(Query{Kind: QAddOrderLine, Key: cust})
+			add(Query{Kind: QUpdateStock, Key: item})
 		}
-		op.Queries = append(op.Queries, Query{Kind: QCommitOrder, Key: cust})
-		return op
+		add(Query{Kind: QCommitOrder, Key: cust})
 	}
 }
 

@@ -128,11 +128,11 @@ func TestMigrateToMovesThreadBetweenProcesses(t *testing.T) {
 	eng, m := newTestMachine(1)
 	pa, pb := m.NewProcess("a"), m.NewProcess("b")
 	m.Spawn(pa, "t", nil, func(th *Thread) {
-		if th.Process() != pa || len(pa.Threads) != 1 {
+		if th.Process() != pa || th.cpu.lastProc != pa {
 			t.Error("initial membership wrong")
 		}
 		th.MigrateTo(pb)
-		if th.Process() != pb || len(pa.Threads) != 0 || len(pb.Threads) != 1 {
+		if th.Process() != pb || th.cpu.lastProc != pb || th.cpu.lastPT != pb.PageTable {
 			t.Error("migration did not move membership")
 		}
 		th.ExecUser(10 * sim.Nanosecond)

@@ -5,16 +5,15 @@ import (
 	"repro/internal/mem"
 )
 
-// Process is a simulated OS process: an address space, threads and (for
+// Process is a simulated OS process: an address space and (for
 // dIPC-enabled processes) membership in the global virtual address
-// space.
+// space. A thread names its current process (Thread.Process).
 type Process struct {
 	PID  int
 	Name string
 
 	m         *Machine
 	PageTable *mem.PageTable
-	Threads   map[int]*Thread
 
 	// DefaultTag is the CODOMs tag of the process's default domain
 	// (§5.2: "all processes get a single default domain").
@@ -49,7 +48,6 @@ func (m *Machine) NewProcess(name string) *Process {
 		Name:      name,
 		m:         m,
 		PageTable: mem.NewPageTable(),
-		Threads:   make(map[int]*Thread),
 	}
 	p.DefaultTag = m.Arch.NewDomain().Tag
 	m.procs[p.PID] = p

@@ -67,9 +67,7 @@ func (t *Thread) Process() *Process { return t.proc }
 // accounting follows the thread (§6.1.2, track_process_call). The cost
 // is charged by the caller (the proxy).
 func (t *Thread) MigrateTo(p *Process) {
-	delete(t.proc.Threads, t.ID)
 	t.proc = p
-	p.Threads[t.ID] = t
 	if t.cpu != nil && t.cpu.cur == t {
 		// The CPU's notion of the current process follows the thread.
 		t.cpu.lastProc = p
@@ -99,7 +97,6 @@ func (m *Machine) Spawn(p *Process, name string, pin *CPU, fn func(t *Thread)) *
 		pinned: pin,
 		HW:     codoms.NewThreadCtx(),
 	}
-	p.Threads[t.ID] = t
 	t.sp = m.Eng.Spawn(name, 0, func(sp *sim.Proc) {
 		// First scheduling: claim a CPU or queue for one.
 		t.state = ThreadRunnable
@@ -258,7 +255,6 @@ func (t *Thread) exit() {
 	cpu := t.cpu
 	t.state = ThreadDead
 	t.cpu = nil
-	delete(t.proc.Threads, t.ID)
 	cpu.switchOut(t)
 }
 
