@@ -24,12 +24,7 @@
 // `run` and `bench` resolve -p the same way: each key goes to every
 // selected scenario that declares it, a key no selected scenario
 // declares is an error, and every configuration is resolved before the
-// first scenario runs. `-p shards=n` sets how many engine shards
-// partition the scenarios that run one clustered simulation (rack,
-// chaos-rack, failover-*): 1 is the sequential reference, 0 one shard
-// per host core. Results are byte-identical at every shard count; only
-// wall-clock time changes, so bench reports record the shard count and
-// bench -compare refuses to mix different ones.
+// first scenario runs.
 //
 // Independent sweep points run concurrently on a worker pool
 // (-parallel; default: one worker per CPU); the output is identical
@@ -46,7 +41,6 @@ import (
 	"runtime"
 	"runtime/pprof"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/experiments"
@@ -362,18 +356,6 @@ func cmdBench(reg *scenario.Registry, argv []string, stdout, stderr io.Writer) i
 	}
 
 	report := experiments.NewBenchReport()
-	report.Shards = 1
-	if v, ok := pairs["shards"]; ok {
-		n, _ := strconv.Atoi(v) // already validated by resolveConfigs
-		report.Shards = resolveShards(n)
-	}
-	// Wall-clock numbers at different shard counts measure different
-	// executions; refusing up front beats a silently bogus diff.
-	if baseline != nil && baseline.Shards != report.Shards {
-		fmt.Fprintf(stderr, "compare: baseline %s was measured at shards=%d, this run uses shards=%d; rerun with matching -p shards\n",
-			*compare, baseline.Shards, report.Shards)
-		return 2
-	}
 	gated := map[string]bool{}
 	if *gate != "" {
 		if baseline == nil {
@@ -486,15 +468,6 @@ func cmdBench(reg *scenario.Registry, argv []string, stdout, stderr io.Writer) i
 		return 1
 	}
 	return 0
-}
-
-// resolveShards maps a `shards` override to the shard count a run
-// records: 0 means one shard per host core.
-func resolveShards(n int) int {
-	if n == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return n
 }
 
 // cmdList prints every registered scenario, its parameter schema and

@@ -129,6 +129,8 @@ func TestBenchSubcommandCompare(t *testing.T) {
 	// fast) and one sure to "improve" (impossibly slow), plus a retired
 	// scenario that is no longer in the registry: it must be skipped
 	// (surfacing as "not run"), not fail the bench.
+	// Reports written before the shard knob was removed carry a
+	// "shards" field; such baselines must still load.
 	seed := `{
 	  "schema": "dipc-bench/v3",
 	  "shards": 1,
@@ -416,9 +418,6 @@ func TestWindowFlagForwardsToScenarioParams(t *testing.T) {
 	}
 	if p := params["table1"]; p["window"] != "" || p["bulk"] != "4096" {
 		t.Fatalf("table1 params = %v, want defaults only", p)
-	}
-	if report.Shards != 1 {
-		t.Fatalf("report shards = %d, want 1", report.Shards)
 	}
 }
 

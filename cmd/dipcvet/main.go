@@ -1,5 +1,5 @@
 // Command dipcvet runs the repo's contract analyzers — detrand,
-// noalloc, shardsafe — over Go packages. It is a multichecker with two
+// noalloc, hooksafe — over Go packages. It is a multichecker with two
 // entry modes:
 //
 // Standalone, for CI and local runs:
@@ -30,8 +30,8 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/detrand"
+	"repro/internal/analysis/hooksafe"
 	"repro/internal/analysis/noalloc"
-	"repro/internal/analysis/shardsafe"
 )
 
 // analyzers is the dipcvet suite. Order is presentation only; each
@@ -39,7 +39,7 @@ import (
 var analyzers = []*analysis.Analyzer{
 	detrand.Analyzer,
 	noalloc.Analyzer,
-	shardsafe.Analyzer,
+	hooksafe.Analyzer,
 }
 
 func main() {

@@ -1,6 +1,6 @@
 // Package analysis is a small, dependency-free analogue of
 // golang.org/x/tools/go/analysis: just enough framework to write the
-// repo's contract-enforcing vet checks (detrand, noalloc, shardsafe)
+// repo's contract-enforcing vet checks (detrand, noalloc, hooksafe)
 // against the standard library's go/ast and go/types. The module has no
 // third-party dependencies by policy, so the x/tools framework is
 // mirrored in shape — Analyzer, Pass, per-position diagnostics, an
@@ -16,7 +16,7 @@
 //     the event heap, cross-domain call descriptors, the APL cache, and
 //     sim.Link.SendU64 (noalloc);
 //   - hook safety: fault hooks and the replica health table stay
-//     nil-transparent (shardsafe).
+//     nil-transparent (hooksafe).
 //
 // Exemptions are explicit, reasoned source annotations (see directives.go),
 // never analyzer special cases: a legitimate wall-clock read is marked

@@ -60,7 +60,7 @@ func run(pass *analysis.Pass) {
 				checkCall(pass, n)
 			case *ast.GoStmt:
 				if !pass.Exempted(n.Pos(), "goroutine-ok") {
-					pass.Reportf(n.Pos(), "goroutine launched outside the engine/cluster machinery: execution order follows the host scheduler; run on the owning shard's engine or annotate //dipcvet:goroutine-ok <reason>")
+					pass.Reportf(n.Pos(), "goroutine launched outside the engine/cluster machinery: execution order follows the host scheduler; run on the model's engine or annotate //dipcvet:goroutine-ok <reason>")
 				}
 			case *ast.RangeStmt:
 				checkRange(pass, n, stack)

@@ -22,7 +22,7 @@ import (
 //	//dipcvet:alloc-ok <reason>
 //	//dipcvet:hook-ok <reason>
 //	    site exemptions, consumed by detrand (wallclock/rand/unordered/
-//	    goroutine), noalloc (alloc) and shardsafe (hook). An
+//	    goroutine), noalloc (alloc) and hooksafe (hook). An
 //	    exemption applies to its own source line and the line directly
 //	    below it, so it can ride at the end of the offending line or
 //	    stand alone above it. The reason is mandatory: an exemption

@@ -1,4 +1,4 @@
-// Package shardsafe enforces the fault layer's nil-transparency
+// Package hooksafe enforces the fault layer's nil-transparency
 // contract.
 //
 // Hook nil-transparency: a nil *faults.LinkState or *faults.CallSite is
@@ -10,13 +10,13 @@
 //     type must begin with a syntactic nil-receiver guard, unless it is
 //     one of the declared write-side mutators (SetDown, SetExtra on
 //     the faults hooks; Suspect, Clear on the health table) that only
-//     the owning writer — the Injector, or the health detector on its
-//     owning shard — invokes on states it created;
+//     the owning writer — the Injector, or the health detector —
+//     invokes on states it created;
 //   - call-site side: calls to those mutators outside the defining
 //     package must sit under a nil check of the receiver (if ls != nil
 //     { ... } or the else branch of ls == nil), or carry
 //     //dipcvet:hook-ok <reason>.
-package shardsafe
+package hooksafe
 
 import (
 	"go/ast"
@@ -27,9 +27,9 @@ import (
 	"repro/internal/analysis"
 )
 
-// Analyzer is the shardsafe pass.
+// Analyzer is the hooksafe pass.
 var Analyzer = &analysis.Analyzer{
-	Name: "shardsafe",
+	Name: "hooksafe",
 	Doc:  "checks fault-hook nil-safety",
 	Run:  run,
 }
@@ -43,9 +43,9 @@ var linkStateMutators = map[string]bool{
 }
 
 // replicaHealthMutators are the oltp.ReplicaHealth write-side methods:
-// only the owning health detector (on the owning shard) flips suspicion
-// state, so they are NOT nil-safe and call sites outside package oltp
-// need a nil guard or //dipcvet:hook-ok.
+// only the owning health detector flips suspicion state, so they are
+// NOT nil-safe and call sites outside package oltp need a nil guard or
+// //dipcvet:hook-ok.
 var replicaHealthMutators = map[string]bool{
 	"Suspect": true,
 	"Clear":   true,

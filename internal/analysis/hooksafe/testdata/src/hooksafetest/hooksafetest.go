@@ -1,6 +1,6 @@
-// Package shardsafetest exercises the hook-guard checks against the
+// Package hooksafetest exercises the hook-guard checks against the
 // real faults and oltp packages.
-package shardsafetest
+package hooksafetest
 
 import (
 	"repro/internal/apps/oltp"

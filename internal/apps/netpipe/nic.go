@@ -30,8 +30,7 @@ type NIC struct {
 func NewNIC(m *kernel.Machine) *NIC { return &NIC{m: m} }
 
 // SetFaults attaches a failure state to the NIC's transmit path. The
-// LinkState must be owned by this machine's shard (the fault injector
-// toggles it on this machine's engine).
+// fault injector toggles it on this machine's engine.
 func (n *NIC) SetFaults(ls *faults.LinkState) { n.flt = ls }
 
 // Up reports whether the transmit link is currently delivering; a send
@@ -57,9 +56,8 @@ func (n *NIC) flightTime(size int) sim.Time { return n.FlightTime(size) }
 
 // Lookahead is the minimum scheduling-visible delay of any NIC delivery —
 // the base latency, since FlightTime(size) >= NICBaseLatency for every
-// size. This is the wire a sharded simulation cuts along: a cross-machine
-// sim.Link declares this lookahead, which lets the two machines sit on
-// different shards.
+// size. A cross-machine sim.Link declares this lookahead, and every send
+// on it is checked against it.
 func (n *NIC) Lookahead() sim.Time { return n.m.P.NICBaseLatency }
 
 // PingPong blocks the calling thread for one ping-pong round trip of

@@ -87,7 +87,7 @@ func (c BreakerConfig) withDefaults() BreakerConfig {
 // Breaker wraps a Transport with circuit-breaking TryCall semantics.
 // Compose it inside a Retrier (Retrier{Inner: &Breaker{...}}) so
 // retries of a fast-fail are cheap backoff sleeps, not downstream
-// traffic. All state belongs to the calling threads' shard.
+// traffic.
 type Breaker struct {
 	Inner Transport
 	cfg   BreakerConfig
@@ -204,8 +204,7 @@ func (b *Breaker) setState(to int, now sim.Time) {
 }
 
 // Transitions returns the breaker's state-change timeline in sim-time
-// order. The slice is owned by the breaker's shard; read it only after
-// the run (or from the owning shard).
+// order; read it after the run.
 func (b *Breaker) Transitions() []BreakerTransition { return b.timeline }
 
 // Trips is how many times the breaker has opened.

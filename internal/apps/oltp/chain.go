@@ -54,7 +54,7 @@ type tierChain struct {
 	// the machine's engine after each init thread, so all of them have
 	// run on return. True: each init instead sleeps to a fixed multiple
 	// of replicaBootSlot — deeper tiers first, the front last — which is
-	// safe on a cluster shard, whose clock the builder must not advance.
+	// safe in a rack, whose clock the builder must not advance.
 	SlotBoot bool
 }
 

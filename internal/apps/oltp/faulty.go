@@ -67,13 +67,10 @@ func injectFault(t *kernel.Thread, site *faults.CallSite) error {
 type Retrier struct {
 	Inner  Transport
 	Policy faults.RetryPolicy
-	// Rel receives attempt-level accounting (may be nil). It must be
-	// owned by the same shard as every thread calling through this
-	// transport.
+	// Rel receives attempt-level accounting (may be nil).
 	Rel *stats.Reliability
 	// Jitter is the deterministic stream consumed by backoff jitter
-	// (Policy.Jitter > 0). Nil keeps the exact schedule; like Rel it
-	// must be owned by the calling shard.
+	// (Policy.Jitter > 0). Nil keeps the exact schedule.
 	Jitter *sim.Rand
 }
 

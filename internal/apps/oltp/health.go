@@ -10,7 +10,7 @@ import (
 // travel, and suspects a replica whose last acknowledgement is older
 // than a timeout — pure sim-clock arithmetic, no wall time, no global
 // randomness, so detection latency is a modeled quantity that replays
-// byte-identically at any shard count.
+// byte-identically.
 
 // DetectorConfig parameterizes the health detector.
 type DetectorConfig struct {
@@ -50,8 +50,8 @@ type HealthTransition struct {
 // detector-less) configurations wire nil and pay nothing. The readers
 // (Suspected, Suspicions, Transitions) are nil-safe; the mutators
 // (Suspect, Clear) are not — they are declared mutators that only the
-// owning detector on the owning shard may call, a contract enforced by
-// the shardsafe analyzer.
+// owning detector may call, a contract enforced by the hooksafe
+// analyzer.
 type ReplicaHealth struct {
 	suspected []bool
 	log       []HealthTransition
@@ -72,8 +72,7 @@ func (h *ReplicaHealth) Suspected(i int) bool {
 }
 
 // Transitions returns the suspicion flip log in sim-time order.
-// Nil-safe; the slice is owned by the detector's shard — read it only
-// after the run (or from the owning shard).
+// Nil-safe; read it after the run.
 func (h *ReplicaHealth) Transitions() []HealthTransition {
 	if h == nil {
 		return nil
@@ -82,7 +81,7 @@ func (h *ReplicaHealth) Transitions() []HealthTransition {
 }
 
 // Suspect marks replica i suspected at time now. Mutator: detector
-// (owning shard) only; no-op if already suspected.
+// only; no-op if already suspected.
 func (h *ReplicaHealth) Suspect(i int, now sim.Time) {
 	if h.suspected[i] {
 		return
@@ -92,7 +91,7 @@ func (h *ReplicaHealth) Suspect(i int, now sim.Time) {
 }
 
 // Clear marks replica i healthy again at time now. Mutator: detector
-// (owning shard) only; no-op if not suspected.
+// only; no-op if not suspected.
 func (h *ReplicaHealth) Clear(i int, now sim.Time) {
 	if !h.suspected[i] {
 		return
@@ -103,8 +102,8 @@ func (h *ReplicaHealth) Clear(i int, now sim.Time) {
 
 // deadInterval is one [From, Until) window during which a replica was
 // administratively dead (killed and not yet restarted), derived from
-// the static fault plan — so detector scoring needs no cross-shard read
-// of live process state.
+// the static fault plan — so detector scoring needs no read of live
+// process state.
 type deadInterval struct {
 	Replica     int
 	From, Until sim.Time

@@ -11,8 +11,7 @@ import (
 // TestRunnersReleaseGoroutines: every runner closes its engine on
 // return, so many runs in one process leave no simulated thread behind.
 // Twenty closed-loop windows over the three modes, one chain run and
-// two replicated racks (one sequential, one on a two-shard cluster)
-// must bring runtime.NumGoroutine back to where it started.
+// one replicated rack must bring runtime.NumGoroutine back to where it started.
 func TestRunnersReleaseGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 	modes := []Mode{ModeLinux, ModeDIPC, ModeIdeal}
@@ -25,11 +24,7 @@ func TestRunnersReleaseGoroutines(t *testing.T) {
 	}
 	RunChainFaults(ChainFaultsConfig{ChainConfig: ChainConfig{Mode: ModeDIPC, Depth: 2, Threads: 2,
 		Warmup: sim.Millis(1), Window: sim.Millis(1), Seed: 1}})
-	for _, shards := range []int{1, 2} {
-		cfg := testReplicatedConfig(ModeDIPC)
-		cfg.Shards = shards
-		RunReplicated(cfg)
-	}
+	RunReplicated(testReplicatedConfig(ModeDIPC))
 	n := runtime.NumGoroutine()
 	for i := 0; i < 100 && n > before; i++ {
 		time.Sleep(time.Millisecond)

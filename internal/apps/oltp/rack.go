@@ -42,21 +42,19 @@ const (
 )
 
 // rack is the multi-machine harness both rack runners (RunRing,
-// RunReplicated) build on: a sim.Cluster of machines placed round-robin
-// on shards, the fault injector, one accumulator per machine behind the
-// measuring gate, the NIC wires between machines, and the closed-loop
-// clients on machine 0's shard.
+// RunReplicated) build on: machines on one cluster engine, the fault
+// injector, one accumulator per machine behind the measuring gate, the
+// NIC wires between machines, and the closed-loop clients on machine 0.
 //
-// The model follows the cluster's ownership discipline: each machine
-// (and the clients, which live on machine 0's shard) is one part; parts
-// interact only through wires; the clients draw think time from their
-// own Rand streams seeded by client index; and wires are created in a
-// fixed order regardless of the shard count.
+// Each machine (with the clients on machine 0) is one part: parts
+// interact only through wires, the clients draw think time from their
+// own Rand streams seeded by client index, and wires are created in a
+// fixed order, which fixes their link IDs.
 type rack struct {
 	cl        *sim.Cluster
+	eng       *sim.Engine
 	ms        []*kernel.Machine
 	inj       *faults.Injector
-	eng0      *sim.Engine // machine 0's shard: clients, routing, detector
 	accs      []*stats.Accumulator
 	wires     []*wire
 	seed      uint64
@@ -69,30 +67,27 @@ type rack struct {
 	hedged  []bool
 }
 
-// newRack places machines machines of cpus cores each on a
-// shards-shard cluster and sizes the client state for clients clients.
-// The caller closes h.cl.
-func newRack(seed uint64, shards, machines, cpus, clients int, plan *faults.Plan) *rack {
-	cl := sim.NewCluster(seed, shards)
+// newRack builds machines machines of cpus cores each on one engine and
+// sizes the client state for clients clients. The caller closes h.cl.
+func newRack(seed uint64, machines, cpus, clients int, plan *faults.Plan) *rack {
+	cl := sim.NewCluster(seed, 1)
 	h := &rack{
 		cl:      cl,
-		ms:      kernel.PlaceMachines(cl, cost.Default(), machines, cpus),
+		eng:     cl.Shard(0).Engine(),
+		ms:      make([]*kernel.Machine, machines),
 		inj:     faults.NewInjector(plan),
-		eng0:    cl.Shard(0).Engine(),
 		accs:    make([]*stats.Accumulator, machines),
 		seed:    seed,
 		waiters: make([]sim.Waiter, clients),
 		curID:   make([]uint64, clients),
 		hedged:  make([]bool, clients),
 	}
-	for i := range h.accs {
+	for i := range h.ms {
+		h.ms[i] = kernel.NewMachine(h.eng, cost.Default(), cpus)
 		h.accs[i] = &stats.Accumulator{}
 	}
 	return h
 }
-
-// shard returns the shard that owns machine mi.
-func (h *rack) shard(mi int) *sim.Shard { return h.cl.Shard(mi % h.cl.Shards()) }
 
 // wire is one directed NIC link between two machines: the sending
 // machine's NIC, the NIC's failure state (the injector target), and the
@@ -104,7 +99,6 @@ type wire struct {
 	nic  *netpipe.NIC
 	ls   faults.LinkState
 	link *sim.Link
-	eng  *sim.Engine // the sending shard's engine, which owns ls
 }
 
 // connect wires machine from to machine to and registers the link's
@@ -113,9 +107,9 @@ type wire struct {
 func (h *rack) connect(name string, from, to int) *wire {
 	w := &wire{h: h, nic: netpipe.NewNIC(h.ms[from])}
 	w.nic.SetFaults(&w.ls)
-	w.eng = h.shard(from).Engine()
-	h.inj.Link(name, w.eng, &w.ls)
-	w.link = h.cl.Connect(h.shard(from), h.shard(to), w.nic.Lookahead())
+	h.inj.Link(name, h.eng, &w.ls)
+	sh := h.cl.Shard(0)
+	w.link = h.cl.Connect(sh, sh, w.nic.Lookahead())
 	h.wires = append(h.wires, w)
 	return w
 }
@@ -188,7 +182,7 @@ func (h *rack) complete(v uint64) {
 	h.waiters[ci].WakeU64(0, v)
 }
 
-// spawnClients starts the closed-loop clients on machine 0's shard,
+// spawnClients starts the closed-loop clients on machine 0,
 // client ci at start+ci, each with one explicit Rand stream for its
 // think time (determinism rule 2 — never the engine's). Every
 // operation gets up to 1+retry.MaxRetries attempts; rs picks each
@@ -208,7 +202,7 @@ func (h *rack) spawnClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBy
 		rng := sim.NewRand(h.seed + 0x9e3779b97f4a7c15*uint64(ci+1))
 		name := fmt.Sprintf("client%d", ci)
 		jitter := retryJitter(retry, plan, name)
-		h.eng0.Spawn(name, start+sim.Time(ci), func(sp *sim.Proc) {
+		h.eng.Spawn(name, start+sim.Time(ci), func(sp *sim.Proc) {
 			acc := h.accs[0]
 			seq := uint64(0)
 			for {
@@ -237,7 +231,7 @@ func (h *rack) spawnClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBy
 					h.hedged[ci] = false
 					routes[target].send(reqBytes, id, acc)
 					if h.rs.Policy == PolicyHedged && h.rs.N > 1 {
-						h.eng0.At(hedgeAfter, func() {
+						h.eng.At(hedgeAfter, func() {
 							if h.curID[ci] != id {
 								return // already answered or superseded
 							}
@@ -355,8 +349,8 @@ func (h *rack) readout(window sim.Time) RackResult {
 		LinkDowntime: make([]sim.Time, len(h.wires)),
 	}
 	for i, w := range h.wires {
-		// Post-run readout: the cluster has stopped, clocks are frozen.
-		res.LinkDowntime[i] = w.ls.Downtime(w.eng.Now())
+		// Post-run readout: the engine has stopped, its clock is frozen.
+		res.LinkDowntime[i] = w.ls.Downtime(h.eng.Now())
 	}
 	return res
 }

@@ -1,20 +1,19 @@
 package oltp
 
 import (
-	"fmt"
 	"testing"
 
 	"repro/internal/faults"
 	"repro/internal/sim"
 )
 
-// ringKill is a 4-machine ring whose svc2 — on a different shard than
-// the clients whenever shards > 1 — dies mid-window with no restart.
-func ringKill(shards int) RingConfig {
+// ringKill is a 4-machine ring whose svc2, two machines away from the
+// clients, dies mid-window with no restart.
+func ringKill() RingConfig {
 	return RingConfig{
 		Machines: 4, CPUs: 2, Workers: 2, Clients: 8, ReqBytes: 4096,
 		Work: sim.Micros(5), Window: sim.Millis(6), Warmup: sim.Millis(2),
-		Seed: 5, Shards: shards,
+		Seed: 5,
 		Plan: &faults.Plan{Seed: 5, Events: []faults.Event{
 			{At: sim.Millis(4), Kind: faults.KillProc, Target: "svc2"},
 		}},
@@ -23,13 +22,11 @@ func ringKill(shards int) RingConfig {
 }
 
 // TestRackChaosKillCrossShard kills a service tier that lives on a
-// different shard than the clients, mid-window, with no restart. The
-// clients must observe errors (deadline expiries), not hangs — the run
-// completes and both successes and failures are counted — and the
-// outcome must be identical at shards=1, 2 and 4: crash unwinding may
-// not depend on which host core the dead machine simulates on.
+// different machine than the clients, mid-window, with no restart. The
+// clients must observe errors (deadline expiries), not hangs: the run
+// completes and both successes and failures are counted.
 func TestRackChaosKillCrossShard(t *testing.T) {
-	ref := RunRing(ringKill(1))
+	ref := RunRing(ringKill())
 	if ref.Rel.OpsOK == 0 {
 		t.Fatal("no successful operations before the kill")
 	}
@@ -41,16 +38,6 @@ func TestRackChaosKillCrossShard(t *testing.T) {
 	}
 	if ref.Rel.Drops == 0 {
 		t.Fatal("the dead tier should be discarding deliveries")
-	}
-	for _, shards := range []int{2, 4} {
-		r := RunRing(ringKill(shards))
-		if r.Rel != ref.Rel {
-			t.Errorf("shards=%d reliability diverged:\n got %+v\nwant %+v", shards, r.Rel, ref.Rel)
-		}
-		if r.Merged.Ops != ref.Merged.Ops || r.Merged.Latency != ref.Merged.Latency {
-			t.Errorf("shards=%d ops/latency diverged: got (%d, %v), want (%d, %v)",
-				shards, r.Merged.Ops, r.Merged.Latency, ref.Merged.Ops, ref.Merged.Latency)
-		}
 	}
 }
 
@@ -64,12 +51,7 @@ func TestRackChaosConservationLaws(t *testing.T) {
 		name string
 		run  func() RackResult
 	}
-	var cases []lawCase
-	for _, shards := range []int{1, 2} {
-		shards := shards
-		cases = append(cases, lawCase{fmt.Sprintf("ring/shards=%d", shards),
-			func() RackResult { return *RunRing(ringKill(shards)) }})
-	}
+	cases := []lawCase{{"ring", func() RackResult { return *RunRing(ringKill()) }}}
 	for _, policy := range []RoutePolicy{PolicyHedged, PolicyFailover} {
 		policy := policy
 		cases = append(cases, lawCase{"replicated/" + policy.String(), func() RackResult {

@@ -6,20 +6,18 @@
 // wires, the closed-loop clients and the measurement; this file adds
 // the replicas, the probes and detector, the hedge timer's policy and
 // the breakers. Intra-machine hops use the per-mode transports (Linux
-// sockets vs dIPC proxies), inter-machine hops pay the modeled NIC
-// cost, and every failure-path counter merges shard-deterministically
-// so a replicated chaos run is byte-identical at any shard count.
+// sockets vs dIPC proxies) and inter-machine hops pay the modeled NIC
+// cost.
 //
 // Determinism of the boot phase deserves a note: each replica's chain
 // comes from the same builder as the single-machine runners (buildChain
 // in chain.go), but those interleave eng.Run() between dIPC init spawns
-// to order Publish before Import, and a cluster run would advance every
+// to order Publish before Import, and a rack run would advance every
 // machine of the rack, not just the one booting. Replicas instead take
 // the builder's SlotBoot strategy: every dIPC init thread sleeps to
 // a fixed slot on the sim clock — tier i publishes at slot (Depth-i),
 // the front imports after all tiers — so wiring is pure intra-machine
-// simulation, identical at every shard count, and provably finished
-// before the first request (clients start at a fixed later time).
+// simulation, provably finished before the first request (clients start at a fixed later time).
 package oltp
 
 import (
@@ -55,7 +53,9 @@ type ReplicatedConfig struct {
 	Warmup   sim.Time // must exceed the boot time (default 5ms)
 	Window   sim.Time // measurement window (default 20ms)
 	Seed     uint64
-	Shards   int // placement shards, all on one engine (<= 0: one per host core)
+	// Shards is ignored: every rack runs on one engine. It stays
+	// because perfbench's replicas workload still sets it.
+	Shards int
 
 	// Plan is the fault schedule. Targets: replica fronts "r1".."rN",
 	// tier processes "r<i>.svc<j>" (none under Ideal, whose tiers share
@@ -169,8 +169,8 @@ type ReplicatedResult struct {
 // during which each replica front is administratively dead — the ground
 // truth detector scoring compares suspicions against. KillProc "r<i>"
 // opens an interval, RestartProc "r<i>" closes it. Derivation from the
-// plan (not from live process state) keeps scoring free of cross-shard
-// reads.
+// plan (not from live process state) keeps scoring a pure function of
+// the plan.
 func planDeadIntervals(plan *faults.Plan, replicas int) []deadInterval {
 	if plan == nil {
 		return nil
@@ -210,7 +210,7 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 	}
 	cfg.applyDefaults()
 	R := cfg.Replicas
-	h := newRack(cfg.Seed, cfg.Shards, R+1, cfg.CPUs, cfg.Clients, cfg.Plan)
+	h := newRack(cfg.Seed, R+1, cfg.CPUs, cfg.Clients, cfg.Plan)
 	defer h.cl.Close()
 	prm := DefaultParams()
 
@@ -269,7 +269,7 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 		// clock; completions go to their client.
 		rx.link.SetHandler(func(v uint64) {
 			if v&ridProbeBit != 0 {
-				lastAck[r] = h.eng0.Now()
+				lastAck[r] = h.eng.Now()
 				return
 			}
 			h.complete(v)
@@ -298,9 +298,9 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 
 	// Health detector: probe every replica each period over the request
 	// wires, suspect any whose newest ack has gone stale, clear it when
-	// acks resume. Pure sim-clock arithmetic on shard 0.
+	// acks resume. Pure sim-clock arithmetic on machine 0.
 	det := cfg.Detector
-	h.eng0.Spawn("health-detector", replicatedBootTime, func(sp *sim.Proc) {
+	h.eng.Spawn("health-detector", replicatedBootTime, func(sp *sim.Proc) {
 		pseq := uint64(0)
 		for {
 			now := sp.Now()

@@ -19,7 +19,6 @@ func testReplicatedConfig(mode Mode) ReplicatedConfig {
 		Warmup:   sim.Millis(2),
 		Window:   sim.Millis(5),
 		Seed:     7,
-		Shards:   1,
 		Retry:    faults.RetryPolicy{Deadline: sim.Micros(300), MaxRetries: 2, Backoff: sim.Micros(10)},
 	}
 }
@@ -47,32 +46,6 @@ func TestReplicatedSmoke(t *testing.T) {
 		}
 		if res.Rel.Failovers != 0 {
 			t.Errorf("%v: %d failovers fault-free under PolicyFailover", mode, res.Rel.Failovers)
-		}
-	}
-}
-
-// TestReplicatedShardInvariance pins the sharded determinism contract at
-// the runner level: the same replicated chaos run must produce identical
-// counters at shards=1, 2 and 4.
-func TestReplicatedShardInvariance(t *testing.T) {
-	mk := func(shards int) *ReplicatedResult {
-		cfg := testReplicatedConfig(ModeDIPC)
-		cfg.Shards = shards
-		cfg.Policy = PolicyRoundRobin
-		cfg.Plan = &faults.Plan{Seed: 3, Events: []faults.Event{
-			{At: sim.Millis(3), Kind: faults.KillProc, Target: "r1"},
-			{At: sim.Millis(5), Kind: faults.RestartProc, Target: "r1"},
-		}}
-		return RunReplicated(cfg)
-	}
-	ref := mk(1)
-	for _, shards := range []int{2, 4} {
-		got := mk(shards)
-		if got.Rel != ref.Rel {
-			t.Errorf("shards=%d: Rel diverged\n got %+v\nwant %+v", shards, got.Rel, ref.Rel)
-		}
-		if got.P999 != ref.P999 || got.AvgLatency != ref.AvgLatency {
-			t.Errorf("shards=%d: latency diverged (p999 %v vs %v)", shards, got.P999, ref.P999)
 		}
 	}
 }

@@ -5,11 +5,7 @@
 // one) plus its forwarding workers. With a faults.Plan it takes
 // per-NIC link failures and tier kills; with a Retry deadline the
 // clients time out and back off. The `rack` scenario runs it with no
-// plan and no deadline, `chaos-rack` with both, and the runner follows
-// the cluster's ownership discipline — each LinkState is toggled by
-// injector events of its owning shard and read only by that shard's
-// threads, clients time out with Waiter-armed deadline wakes on their
-// own shard — so every run is digest-identical at every shard count.
+// plan and no deadline, `chaos-rack` with both.
 
 package oltp
 
@@ -32,7 +28,6 @@ type RingConfig struct {
 	Window   sim.Time // measurement window (after warmup)
 	Warmup   sim.Time
 	Seed     uint64
-	Shards   int // placement shards, all on one engine (<= 0: one per host core)
 
 	// Plan is the fault schedule. Targets: processes "svc1".."svcN"
 	// (machine index = tier index), links "link0".."linkN" (machine
@@ -52,7 +47,7 @@ func (c RingConfig) Validate() error {
 	return nil
 }
 
-// RunRing builds the ring on a sim.Cluster and runs warmup + window. A
+// RunRing builds the ring on one engine and runs warmup + window. A
 // request reaching a dead tier or a downed transmit link is dropped —
 // the client learns of it only through its deadline, exactly like a
 // lost packet.
@@ -60,7 +55,7 @@ func RunRing(c RingConfig) *RackResult {
 	if err := c.Validate(); err != nil {
 		panic(fmt.Sprintf("oltp: ring: %v", err))
 	}
-	h := newRack(c.Seed, c.Shards, c.Machines, c.CPUs, c.Clients, c.Plan)
+	h := newRack(c.Seed, c.Machines, c.CPUs, c.Clients, c.Plan)
 	defer h.cl.Close()
 
 	// The ring wires, in machine order: machine i transmits to i+1, and

@@ -47,9 +47,9 @@ func (p RoutePolicy) String() string {
 	}
 }
 
-// ReplicaSet is the pick-state for routing over N replicas. All fields
-// belong to the picking shard (clients and detector share it there);
-// Health may be nil (no detector: every replica reads healthy).
+// ReplicaSet is the pick-state for routing over N replicas, shared by
+// the clients and the detector on machine 0. Health may be nil (no
+// detector: every replica reads healthy).
 type ReplicaSet struct {
 	N      int
 	Policy RoutePolicy

@@ -85,7 +85,7 @@ func TestReplicatedFaultTargetNames(t *testing.T) {
 		run := func(plan *faults.Plan) func() {
 			return func() {
 				RunReplicated(ReplicatedConfig{Mode: mode, Replicas: replicas, Depth: depth,
-					Warmup: sim.Millis(2), Window: sim.Millis(1), Seed: 1, Shards: 1, Plan: plan})
+					Warmup: sim.Millis(2), Window: sim.Millis(1), Seed: 1, Plan: plan})
 			}
 		}
 		if err := installErr(run(killPlan(sim.Micros(1500), good...))); err != nil {

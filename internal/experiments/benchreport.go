@@ -26,19 +26,14 @@ const BenchSchema = "dipc-bench/v3"
 
 // BenchReport is the top-level document emitted as BENCH_*.json.
 type BenchReport struct {
-	Schema      string `json:"schema"`
-	GoVersion   string `json:"go_version"`
-	GOOS        string `json:"goos"`
-	GOARCH      string `json:"goarch"`
-	CPUs        int    `json:"cpus"`
-	Parallelism int    `json:"parallelism"`
-	// Shards is the resolved `shards` override of the run (1 when none
-	// was given). It is an execution parameter, so entry params omit it;
-	// two reports measure the same thing only at the same shard count,
-	// and bench -compare refuses to diff reports whose Shards differ.
-	Shards    int          `json:"shards"`
-	StartedAt string       `json:"started_at"` // RFC 3339, wall clock
-	Results   []BenchEntry `json:"results"`
+	Schema      string       `json:"schema"`
+	GoVersion   string       `json:"go_version"`
+	GOOS        string       `json:"goos"`
+	GOARCH      string       `json:"goarch"`
+	CPUs        int          `json:"cpus"`
+	Parallelism int          `json:"parallelism"`
+	StartedAt   string       `json:"started_at"` // RFC 3339, wall clock
+	Results     []BenchEntry `json:"results"`
 }
 
 // BenchEntry is one timed experiment.

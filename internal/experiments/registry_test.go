@@ -155,15 +155,6 @@ func TestRegistryDefaultsProduceRunnableConfigs(t *testing.T) {
 		}
 		got := cfg.ParamStrings()
 		for _, spec := range s.Params() {
-			if spec.Exec {
-				// Execution-only parameters must never leak into the
-				// canonical parameter map (they cannot affect results,
-				// so they must not affect digests).
-				if _, present := got[spec.Key]; present {
-					t.Errorf("scenario %q: exec parameter %q appears in ParamStrings", s.Name(), spec.Key)
-				}
-				continue
-			}
 			if spec.Compat {
 				// Back-compat parameters are omitted while at their
 				// declared default so pre-existing digests survive the

@@ -3,6 +3,7 @@ package experiments
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"sort"
 	"testing"
 
@@ -84,47 +85,81 @@ func TestScenarioGoldenCoverage(t *testing.T) {
 	}
 }
 
-// TestScenarioGoldenDigests runs each pinned scenario at its golden
-// parameter point and compares the SHA-256 of the canonical JSON.
-func TestScenarioGoldenDigests(t *testing.T) {
+// pinnedNames returns the pinned scenarios in sorted order, without the
+// slow entries under -short.
+func pinnedNames() []string {
 	names := make([]string, 0, len(scenarioGoldens))
-	for name := range scenarioGoldens {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		g := scenarioGoldens[name]
+	for name, g := range scenarioGoldens {
 		if g.slow && testing.Short() {
 			continue
 		}
-		s, ok := scenario.Default.Lookup(name)
-		if !ok {
-			continue // reported by the coverage test
-		}
-		cfg, err := scenario.NewConfig(s, g.overrides)
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
+}
+
+// runGolden runs the pinned scenario name at its golden parameter point
+// and returns the result with the SHA-256 of its canonical JSON.
+func runGolden(name string) (*scenario.Result, string, error) {
+	s, ok := scenario.Default.Lookup(name)
+	if !ok {
+		return nil, "", fmt.Errorf("not registered")
+	}
+	cfg, err := scenario.NewConfig(s, scenarioGoldens[name].overrides)
+	if err != nil {
+		return nil, "", fmt.Errorf("config: %w", err)
+	}
+	res, err := s.Run(cfg)
+	if err != nil {
+		return nil, "", fmt.Errorf("run: %w", err)
+	}
+	data, err := res.MarshalCanonical()
+	if err != nil {
+		return nil, "", fmt.Errorf("marshal: %w", err)
+	}
+	sum := sha256.Sum256(data)
+	return res, hex.EncodeToString(sum[:]), nil
+}
+
+// TestScenarioGoldenDigests runs each pinned scenario at its golden
+// parameter point and compares the SHA-256 of the canonical JSON.
+func TestScenarioGoldenDigests(t *testing.T) {
+	for _, name := range pinnedNames() {
+		res, got, err := runGolden(name)
 		if err != nil {
-			t.Errorf("%s: config: %v", name, err)
+			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		res, err := s.Run(cfg)
-		if err != nil {
-			t.Errorf("%s: run: %v", name, err)
-			continue
-		}
-		data, err := res.MarshalCanonical()
-		if err != nil {
-			t.Errorf("%s: marshal: %v", name, err)
-			continue
-		}
-		sum := sha256.Sum256(data)
-		if got := hex.EncodeToString(sum[:]); got != g.digest {
-			t.Errorf("%s: canonical JSON diverged from golden digest:\n got %s\nwant %s", name, got, g.digest)
+		if want := scenarioGoldens[name].digest; got != want {
+			t.Errorf("%s: canonical JSON diverged from golden digest:\n got %s\nwant %s", name, got, want)
 		}
 		if res.Scenario != name {
 			t.Errorf("%s: result names scenario %q", name, res.Scenario)
 		}
 		if len(res.Series) == 0 {
 			t.Errorf("%s: result has no series", name)
+		}
+	}
+}
+
+// TestScenarioGoldenParallelWidths reruns every pinned scenario with
+// its sweep on 1, 2 and 4 workers and requires each digest to equal the
+// pinned one: the output must not depend on the worker count.
+func TestScenarioGoldenParallelWidths(t *testing.T) {
+	defer SetParallelism(0)
+	for _, name := range pinnedNames() {
+		for _, width := range []int{1, 2, 4} {
+			SetParallelism(width)
+			_, got, err := runGolden(name)
+			if err != nil {
+				t.Errorf("%s -parallel %d: %v", name, width, err)
+				continue
+			}
+			if want := scenarioGoldens[name].digest; got != want {
+				t.Errorf("%s: digest at -parallel %d diverged from the golden digest:\n got %s\nwant %s",
+					name, width, got, want)
+			}
 		}
 	}
 }

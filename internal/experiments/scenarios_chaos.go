@@ -6,7 +6,7 @@
 // plans fire on the sim clock, the per-call fault streams are seeded
 // from (plan seed, site name), and the retry/backoff sleeps are
 // simulated time, so every chaos digest is pinned like any other golden
-// and byte-identical at every shard count and sweep width.
+// and byte-identical at every sweep width.
 
 package experiments
 
@@ -213,7 +213,7 @@ func init() {
 		runChaosKillScenario))
 
 	scenario.Register(scenario.NewChecked("chaos-rack",
-		"Flapping + degraded NIC links on the multi-machine ring: goodput and drops under lossy links at any shard count",
+		"Flapping + degraded NIC links on the multi-machine ring: goodput and drops under lossy links",
 		[]scenario.ParamSpec{
 			scenario.Param("machines", scenario.Int, "4", "machines in the ring (link1 flaps, link2 degrades)").AtLeast("3"),
 			scenario.Param("cpus", scenario.Int, "2", "cores per machine"),
@@ -229,7 +229,6 @@ func init() {
 			scenario.Param("deadline", scenario.Duration, "150us", "per-attempt client deadline"),
 			scenario.Param("retries", scenario.Int, "2", "retries per operation after the first attempt").AtLeast("0"),
 			scenario.Param("backoff", scenario.Duration, "10us", "initial retry backoff (doubles, capped at 8x)"),
-			shardsParam(),
 		},
 		func(cfg *scenario.Config) error {
 			if err := flapBudget(cfg); err != nil {

@@ -5,7 +5,7 @@
 // a routing policy — and reports availability, failover counts,
 // detector quality (false positives, detection latency) and hedging
 // outcomes. Everything fires on the sim clock, so the digests are
-// pinned like any other golden and byte-identical at any shard count.
+// pinned like any other golden.
 
 package experiments
 
@@ -50,7 +50,6 @@ func failoverBase(cfg *scenario.Config, mode oltp.Mode) oltp.ReplicatedConfig {
 		Warmup:   cfg.Duration("warmup"),
 		Window:   cfg.Duration("window"),
 		Seed:     5,
-		Shards:   cfg.Int("shards"),
 		Retry:    failoverRetry(cfg),
 	}
 }
@@ -275,8 +274,7 @@ func init() {
 		"Kill one replica's front mid-window (partial restart): replicated vs single-instance availability, detector latency, breaker fast-fails, Linux vs dIPC",
 		append(failoverCommonParams("1"),
 			scenario.Param("killat", scenario.Duration, "7ms", "sim time replica 1 (front and first tier) is killed"),
-			scenario.Param("restartat", scenario.Duration, "12ms", "sim time the front restarts, tier still dead (0: never)").AtLeast("0s"),
-			shardsParam()),
+			scenario.Param("restartat", scenario.Duration, "12ms", "sim time the front restarts, tier still dead (0: never)").AtLeast("0s")),
 		func(cfg *scenario.Config) error {
 			if err := failoverBase(cfg, oltp.ModeDIPC).Validate(); err != nil {
 				return err
@@ -291,8 +289,7 @@ func init() {
 			scenario.Param("flapperiod", scenario.Duration, "4ms", "time between link1 outages"),
 			scenario.Param("flapdown", scenario.Duration, "1500us", "length of each link1 outage"),
 			scenario.Param("probeevery", scenario.Duration, "150us", "health probe period"),
-			scenario.Param("timeouts", scenario.IntList, "400,1200", "detector suspicion timeouts to sweep (us)"),
-			shardsParam()),
+			scenario.Param("timeouts", scenario.IntList, "400,1200", "detector suspicion timeouts to sweep (us)")),
 		func(cfg *scenario.Config) error {
 			if err := flapBudget(cfg); err != nil {
 				return err
@@ -305,8 +302,7 @@ func init() {
 		"Hedged requests against a slow replica: tail latency and hedge win rate across the hedge trigger fraction, vs a no-hedge baseline",
 		append(failoverCommonParams("2"),
 			scenario.Param("slowfactor", scenario.Float, "6", "work multiplier on the slow replica (replica 2)"),
-			scenario.Param("hedgefracs", scenario.IntList, "25,50", "hedge triggers to sweep (% of attempt deadline)"),
-			shardsParam()),
+			scenario.Param("hedgefracs", scenario.IntList, "25,50", "hedge triggers to sweep (% of attempt deadline)")),
 		func(cfg *scenario.Config) error {
 			if f := cfg.Float("slowfactor"); f < 1 {
 				return fmt.Errorf("slowfactor %g below 1", f)

@@ -2,14 +2,8 @@
 // of machines passes requests over NIC links — closed-loop clients on
 // machine 0 inject a request that hops through every other machine (each
 // hop costs wire flight time plus application work) and completes back
-// at machine 0. Machines are the unit of placement
-// (kernel.PlaceMachines): with shards>1 they are placed round-robin on
-// the cluster's shards, which all run on one engine, and every
-// cross-shard hop is a NIC link with positive lookahead. The determinism
-// contract of sim.Cluster keeps the result digest byte-identical at
-// every shard count. The `shards` parameter is execution-only, so that
-// invariance holds by construction in the canonical output and is
-// checked for the simulated quantities by sharded_golden_test.go.
+// at machine 0. Every machine runs on one engine, and every hop between
+// machines is a NIC link whose lookahead is the wire's base latency.
 
 package experiments
 
@@ -28,7 +22,7 @@ func ringConfig(cfg *scenario.Config) oltp.RingConfig {
 		Workers: cfg.Int("workers"), Clients: cfg.Int("clients"),
 		ReqBytes: cfg.Int("reqbytes"), Work: cfg.Duration("work"),
 		Window: cfg.Duration("window"), Warmup: cfg.Duration("warmup"),
-		Seed: 5, Shards: cfg.Int("shards"),
+		Seed: 5,
 	}
 }
 
@@ -59,14 +53,9 @@ func runRackScenario(cfg *scenario.Config) (*scenario.Result, error) {
 	return res, nil
 }
 
-func shardsParam() scenario.ParamSpec {
-	return scenario.ExecParam("shards", scenario.Int, "1",
-		"placement shards for the clustered simulation, all on one engine (0: one per host core)").AtLeast("0")
-}
-
 func init() {
 	scenario.Register(scenario.NewChecked("rack",
-		"Multi-machine ring over NIC links: the sharded-engine workload (machines placed round-robin on shards)",
+		"Multi-machine ring over NIC links",
 		[]scenario.ParamSpec{
 			scenario.Param("machines", scenario.Int, "4", "machines in the ring (machine 0 hosts the clients)"),
 			scenario.Param("cpus", scenario.Int, "2", "cores per machine"),
@@ -76,7 +65,6 @@ func init() {
 			scenario.Param("work", scenario.Duration, "5us", "application work per hop"),
 			scenario.Param("window", scenario.Duration, "40ms", "measurement window (simulated time)"),
 			scenario.Param("warmup", scenario.Duration, "5ms", "warmup before measurement"),
-			shardsParam(),
 		},
 		func(cfg *scenario.Config) error { return ringConfig(cfg).Validate() },
 		runRackScenario))

@@ -20,8 +20,8 @@ const (
 // CallSite is one hooked call path's probabilistic fault stream. Each
 // site owns an explicit sim.Rand seeded from (plan seed, site name) by a
 // splitmix64-style mix — never from any engine's stream — so verdicts
-// are a pure function of the plan and the site's own call sequence,
-// independent of shard placement (determinism rule 2). A nil *CallSite
+// are a pure function of the plan and the site's own call sequence
+// (determinism rule 2). A nil *CallSite
 // is the always-OK hook; every method is nil-safe.
 type CallSite struct {
 	name        string

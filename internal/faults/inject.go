@@ -11,9 +11,8 @@ import (
 // named targets (processes, link states) together with the
 // engine that owns each one, and Install schedules every plan event as
 // an ordinary callback on that owning engine. Events therefore fire in
-// simulated-time order interleaved with the model's own events, on the
-// correct shard, at every shard count — fault injection inherits the
-// cluster's determinism instead of fighting it.
+// simulated-time order interleaved with the model's own events — fault
+// injection inherits the engine's determinism instead of fighting it.
 type Injector struct {
 	plan      *Plan
 	procs     map[string]procTarget
@@ -40,14 +39,14 @@ func NewInjector(plan *Plan) *Injector {
 	}
 }
 
-// Proc registers a kill/restart target. The machine's engine is the
-// owning shard's clock; events for this target fire there.
+// Proc registers a kill/restart target. Events for this target fire on
+// the machine's engine.
 func (in *Injector) Proc(name string, m *kernel.Machine, p *kernel.Process) {
 	in.procs[name] = procTarget{m: m, p: p}
 }
 
 // Link registers a link-failure target: the LinkState ls owned by the
-// given engine's shard (the sending side).
+// given engine (the sending side).
 func (in *Injector) Link(name string, eng *sim.Engine, ls *LinkState) {
 	in.links[name] = linkTarget{eng: eng, ls: ls}
 }

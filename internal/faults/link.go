@@ -4,10 +4,9 @@ import "repro/internal/sim"
 
 // LinkState is the failure state of one directed network link: a loss
 // window (down links black-hole sends) and a degradation window (extra
-// per-delivery delay). It is owned by the sending part's shard — the
-// Injector toggles it via events on that shard's engine, and only that
-// shard's model code reads it — so it needs no synchronization and obeys
-// the cluster's ownership discipline. A nil *LinkState reads as a
+// per-delivery delay). It is owned by the sending machine: the Injector
+// toggles it via events on that machine's engine, and only that
+// machine's model code reads it. A nil *LinkState reads as a
 // healthy link; the read-side methods are nil-safe so un-faulted wiring
 // costs nothing.
 type LinkState struct {

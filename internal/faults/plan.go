@@ -4,8 +4,7 @@
 // splitmix64-derived streams. Every fault fires as an
 // ordinary event on the simulated clock of the engine that owns its
 // target, so a chaos run obeys the same determinism contract as a
-// failure-free one: the same plan and seed reproduce the same digest at
-// every shard count.
+// failure-free one: the same plan and seed reproduce the same digest.
 //
 // The package deliberately knows nothing about transports or scenarios.
 // Models expose hooks (netpipe.NIC takes a LinkState, the oltp

@@ -11,7 +11,7 @@
 //
 // Determinism: the arrival draws consume one seeded sim.Rand stream of
 // their own (the detrand contract), so the event sequence is a pure
-// function of (seed, config) at every shard count.
+// function of (seed, config).
 package load
 
 import "repro/internal/sim"

@@ -36,7 +36,7 @@ type Config struct {
 // Generator drives one engine's open-loop traffic: a source proc draws
 // arrivals and hands them to a bounded pool of pre-spawned session
 // procs (a LIFO free list, so slot reuse is deterministic). All state
-// belongs to the owning engine's shard; fold Acc across shards with
+// belongs to the owning engine; fold Acc across generators with
 // stats.MergeAll.
 type Generator struct {
 	cfg Config

@@ -155,17 +155,10 @@ func FormatDuration(t sim.Time) string {
 // for `dipcbench list`.
 //
 // Min is the inclusive lower bound in the kind's canonical encoding,
-// applied to each element of an IntList; "" means none. Param, ExecParam
-// and CompatParam set it to the positive minimum ("1", "1ps") for Int,
+// applied to each element of an IntList; "" means none. Param and
+// CompatParam set it to the positive minimum ("1", "1ps") for Int,
 // IntList and Duration, and AtLeast declares another; Bool and Float take
 // none. NewConfig enforces it before any Checker runs.
-//
-// Exec marks an execution-only parameter: one that controls how the
-// simulation is executed (worker counts, shard placement) but is
-// forbidden from affecting its results. Exec parameters are excluded from
-// ParamStrings, so they never appear in canonical results or golden
-// digests: a run at shards=4 records the same parameters as one at
-// shards=1, and the sharded golden tests check that the results agree.
 //
 // Compat marks a back-compat parameter: a model knob added after the
 // scenario's digest was pinned, whose declared default reproduces the
@@ -179,18 +172,12 @@ type ParamSpec struct {
 	Default string
 	Min     string
 	Doc     string
-	Exec    bool
 	Compat  bool
 }
 
 // Param is a convenience constructor for a ParamSpec.
 func Param(key string, kind Kind, def, doc string) ParamSpec {
 	return ParamSpec{Key: key, Kind: kind, Default: def, Min: positiveMin(kind), Doc: doc}
-}
-
-// ExecParam is Param for an execution-only parameter (see ParamSpec.Exec).
-func ExecParam(key string, kind Kind, def, doc string) ParamSpec {
-	return ParamSpec{Key: key, Kind: kind, Default: def, Min: positiveMin(kind), Doc: doc, Exec: true}
 }
 
 // CompatParam is Param for a post-pinning back-compat parameter (see
@@ -355,18 +342,13 @@ func (c *Config) Ints(key string) []int { return c.value(key).([]int) }
 
 // ParamStrings returns every resolved model parameter in canonical
 // string form, the map recorded in Result.Params and BenchReport
-// entries. Execution-only parameters (ParamSpec.Exec) are omitted: they
-// are not allowed to change results, so they must not change the
-// canonical encoding either. Back-compat parameters (ParamSpec.Compat)
-// are omitted only while their resolved value still formats to the
-// declared default, so pinning survives the parameter's introduction
-// but any override is faithfully recorded.
+// entries. Back-compat parameters (ParamSpec.Compat) are omitted only
+// while their resolved value still formats to the declared default, so
+// pinning survives the parameter's introduction but any override is
+// faithfully recorded.
 func (c *Config) ParamStrings() map[string]string {
 	out := make(map[string]string, len(c.specs))
 	for _, spec := range c.specs {
-		if spec.Exec {
-			continue
-		}
 		v := spec.Kind.Format(c.values[spec.Key])
 		if spec.Compat && v == spec.Default {
 			continue

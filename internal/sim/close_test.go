@@ -151,7 +151,7 @@ func TestCloseDeferredEngineUse(t *testing.T) {
 func TestClusterClose(t *testing.T) {
 	before := runtime.NumGoroutine()
 	c := NewCluster(1, 3)
-	for i := 0; i < c.Shards(); i++ {
+	for i := 0; i < 3; i++ {
 		c.Shard(i).Engine().Spawn(fmt.Sprintf("p%d", i), 0, func(p *Proc) {
 			p.PrepareWait()
 			p.Wait()

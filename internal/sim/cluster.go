@@ -5,36 +5,25 @@ import (
 	"runtime"
 )
 
-// Cluster partitions one simulation into N shards that all run on a
-// single Engine. A shard is a placement label: the model decides which
-// part (machine, client pool) lives on which shard, and the cluster
-// checks that any Link between two different shards declares a positive
-// lookahead — the coupling that lets the parts be cut apart at all. The
-// modeled transports supply it naturally: a NIC link's lookahead is its
-// base wire latency, exactly where the dIPC paper puts cross-machine
+// Cluster runs a multi-part simulation — machines joined by modeled
+// wires — on a single Engine. A shard is a placement label: the model
+// decides which part lives on which shard, and the cluster checks that
+// any Link between two different shards declares a positive lookahead.
+// The modeled transports supply it naturally: a NIC link's lookahead is
+// its base wire latency, exactly where the dIPC paper puts cross-machine
 // cost.
 //
-// # Ownership discipline (the determinism contract)
+// # Determinism
 //
-// Results are byte-identical at every shard count if the model obeys
-// three rules:
+// A run is reproducible from its seed if the model obeys three rules:
 //
 //  1. Every mutable simulation object (machine, queue, proc) is owned by
-//     exactly one part, and parts interact only through Links. Waking a
-//     Waiter, pushing a callback with At, or touching shared state across
-//     a part boundary without a Link ties the parts to one placement.
+//     exactly one part, and parts interact only through Links.
 //  2. Parts draw randomness from their own explicit Rand streams (seeded
 //     from part identity), never from the engine's Rand.
-//  3. Parts are connected in a fixed order independent of the shard
-//     count, because link IDs (which break link-delivery timestamp ties,
-//     see Link) are assigned in Connect order.
-//
-// Under those rules the event order any single part observes is the same
-// total (at, seq) suborder in every placement, so per-part state — and
-// therefore anything merged from parts in a deterministic order — is
-// placement-invariant. Since every shard shares the one engine, a run at
-// shards=N executes exactly the shards=1 program; the differential golden
-// tests pin that the digests agree.
+//  3. Parts are connected in a fixed order, because link IDs (which
+//     break link-delivery timestamp ties, see Link) are assigned in
+//     Connect order.
 type Cluster struct {
 	eng    *Engine
 	shards []*Shard
@@ -61,9 +50,6 @@ func NewCluster(seed uint64, n int) *Cluster {
 	return c
 }
 
-// Shards returns the number of shards.
-func (c *Cluster) Shards() int { return len(c.shards) }
-
 // Shard returns shard i.
 func (c *Cluster) Shard(i int) *Shard { return c.shards[i] }
 
@@ -75,8 +61,8 @@ func (s *Shard) Engine() *Engine { return s.c.eng }
 // take at least lookahead of simulated time to arrive. A cross-shard link
 // must declare positive lookahead — zero-latency coupling is what placing
 // both parts on one shard expresses; Connect refuses rather than let a
-// placement hide it. Links must be created in an order that does not
-// depend on the shard count (see the determinism contract).
+// placement hide it. Links must be created in a fixed order (see the
+// determinism rules).
 func (c *Cluster) Connect(from, to *Shard, lookahead Time) *Link {
 	if from.c != c || to.c != c {
 		panic("sim: Connect across clusters")

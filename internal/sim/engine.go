@@ -101,22 +101,18 @@ func (e *Engine) push(at Time, p *Proc, gen uint64, data payload, fn func()) {
 
 // pushSeq enqueues a link-delivery event carrying an explicit,
 // caller-owned sequence number (the banded cross-link ordering, see
-// link.go) instead of the engine counter. If fn is non-nil the event runs
-// it as a callback; otherwise the event dispatches lk's handler with the
-// unboxed word v (the link rides in the payload's boxed slot — a pointer
-// store, no allocation). Link.send never schedules into the past: its
-// delay is at least the link's non-negative lookahead.
+// link.go) instead of the engine counter. The event dispatches lk's
+// handler with the unboxed word v (the link rides in the payload's boxed
+// slot — a pointer store, no allocation). Link.SendU64 never schedules
+// into the past: its delay is at least the link's non-negative
+// lookahead.
 //
 //dipcvet:noalloc
-func (e *Engine) pushSeq(at Time, seq uint64, lk *Link, v uint64, fn func()) {
+func (e *Engine) pushSeq(at Time, seq uint64, lk *Link, v uint64) {
 	if e.closed {
 		panicClosed()
 	}
-	ev := event{at: at, seq: seq, fn: fn}
-	if fn == nil {
-		ev.data = payload{kind: payU64, boxed: lk, u64: v}
-	}
-	e.events.push(ev)
+	e.events.push(event{at: at, seq: seq, data: payload{kind: payU64, boxed: lk, u64: v}})
 }
 
 // bumpGen moves p to its next wake generation. Every event queued for the
@@ -345,7 +341,7 @@ func (e *Engine) runCallback(fn func()) (ok bool) {
 	return true
 }
 
-// runLink delivers a link message event (pushSeq with fn == nil) to the
+// runLink delivers a link message event (pushed by pushSeq) to the
 // link's handler, with the same panic containment as runCallback.
 //
 //dipcvet:noalloc

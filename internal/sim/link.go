@@ -21,12 +21,11 @@ import "fmt"
 // Bit 63 puts all link deliveries in a band above every engine-local
 // event (the engine counter stays far below 2^63), so at equal
 // timestamps the engine first processes its own events, then link
-// deliveries ordered by (linkID, sendIdx). Both components are placement
+// deliveries ordered by (linkID, sendIdx). Both components are model
 // facts, not scheduling facts — linkID is assigned by Connect order and
 // sendIdx counts sends on that link — so the delivery order at a tied
-// instant does not depend on how the simulation is cut into shards. The
-// contract that makes this hold for whole simulations is the ownership
-// discipline documented on Cluster.
+// instant is fixed by the model alone. The rules that make this hold for
+// whole simulations are documented on Cluster.
 type Link struct {
 	id        int
 	eng       *Engine
@@ -40,9 +39,6 @@ const (
 	linkIDBits   = 23      // link id width
 	linkBand     = 1 << 63 // band bit: link deliveries sort after engine events
 )
-
-// Lookahead returns the minimum simulated delay declared at Connect time.
-func (l *Link) Lookahead() Time { return l.lookahead }
 
 // SetHandler installs the receiver-side function invoked for each SendU64
 // message. It runs in the engine context (like an At callback) and must not park. Must be set before the first SendU64.
@@ -59,22 +55,6 @@ func (l *Link) SendU64(d Time, v uint64) {
 	if l.handler == nil {
 		l.panicNoHandler()
 	}
-	l.send(d, v, nil)
-}
-
-// Send runs fn in the engine context after delay d
-// (which must be at least the declared lookahead). The closure lane costs
-// one allocation per send; use SendU64 on hot paths. Must be called from
-// the engine context.
-func (l *Link) Send(d Time, fn func()) {
-	if fn == nil {
-		panic(fmt.Sprintf("sim: Send(nil) on link %d", l.id))
-	}
-	l.send(d, 0, fn)
-}
-
-//dipcvet:noalloc
-func (l *Link) send(d Time, v uint64, fn func()) {
 	if d < l.lookahead {
 		l.panicBelowLookahead(d)
 	}
@@ -83,7 +63,7 @@ func (l *Link) send(d Time, v uint64, fn func()) {
 	if l.sendIdx >= 1<<linkSendBits {
 		l.panicSendOverflow()
 	}
-	l.eng.pushSeq(l.eng.now+d, seq, l, v, fn)
+	l.eng.pushSeq(l.eng.now+d, seq, l, v)
 }
 
 // panicBelowLookahead is the send fast path's cold failure lane: message

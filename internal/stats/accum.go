@@ -2,17 +2,15 @@ package stats
 
 import "repro/internal/sim"
 
-// Accumulator collects one partition's share of a sharded measurement: a
-// time breakdown plus operation count and summed latency. Each shard (or
-// machine, or part) of a parallel simulation owns exactly one
-// accumulator and mutates it only from its own shard's engine context;
+// Accumulator collects one partition's share of a measurement: a time
+// breakdown plus operation count and summed latency. Each machine (or
+// part) of a multi-machine simulation owns exactly one accumulator;
 // after the run the partitions are combined with Merge in a fixed order.
 // Because every field combines by addition — commutative and associative
 // over exact integers — merged totals are independent of the merge order,
-// but the deterministic-by-construction discipline used everywhere else
-// in this reproduction applies here too: callers merge in partition index
-// order (MergeAll) so even a future non-commutative field could not
-// introduce placement-dependent results.
+// but callers still merge in partition index order (MergeAll) so even a
+// future non-commutative field could not introduce order-dependent
+// results.
 type Accumulator struct {
 	Breakdown Breakdown
 	Ops       int64
@@ -21,7 +19,7 @@ type Accumulator struct {
 	// failure-free runs; see Reliability).
 	Rel Reliability
 	// Hist is the per-partition latency distribution; AddOp records into
-	// it, Merge folds it elementwise, so shard-local tails combine into
+	// it, Merge folds it elementwise, so per-partition tails combine into
 	// exact global percentiles (see Histogram).
 	Hist Histogram
 }

@@ -11,9 +11,9 @@ import (
 // above is split into 2^(histSubBits-1) linear sub-buckets per
 // power-of-two octave. Bucket boundaries are fixed at compile time, so
 // recording is a single shift/increment with zero allocation, and two
-// histograms recorded on different shards merge by elementwise addition
-// — commutative, associative, placement-invariant — which is what lets
-// an Accumulator fold per-shard tails into exact global percentiles.
+// histograms recorded on different partitions merge by elementwise
+// addition — commutative and associative — which is what lets an
+// Accumulator fold per-partition tails into exact global percentiles.
 //
 // Resolution: a value v > histSubCount falls in a bucket of width
 // 2^shift starting at (32..63)<<shift, so the reported quantile
@@ -87,7 +87,7 @@ func (h *Histogram) Count() int64 { return h.total }
 func (h *Histogram) Max() sim.Time { return h.max }
 
 // Merge folds other into h: elementwise counter addition plus the exact
-// max. Merging shard-local histograms in any order yields the same
+// max. Merging histograms in any order yields the same
 // result as recording every observation into one histogram.
 func (h *Histogram) Merge(other *Histogram) {
 	for i := range h.counts {

@@ -4,10 +4,9 @@ import "repro/internal/sim"
 
 // Reliability aggregates one partition's failure-path counters — the
 // degradation-under-failure companion of the time Breakdown. Like every
-// other accumulator in this package, each shard/machine/part owns
-// exactly one and mutates it only from its own engine context; merged
-// totals are sums of exact integers, so they are placement-invariant
-// when merged in partition order.
+// other accumulator in this package, each machine/part owns exactly
+// one; merged totals are sums of exact integers, so they do not depend
+// on the merge order.
 type Reliability struct {
 	OpsOK     int64 // operations that completed successfully
 	OpsFailed int64 // operations abandoned after exhausting retries
@@ -30,7 +29,7 @@ type Reliability struct {
 	Detections    int64 // suspect transitions that matched a real crash
 
 	// DetectLatency sums kill-to-suspicion time over Detections; divide
-	// by Detections for the mean (sums of exact integers merge shard-
+	// by Detections for the mean (sums of exact integers merge
 	// deterministically where a float mean would not).
 	DetectLatency sim.Time
 }

@@ -10,7 +10,7 @@
 #
 # Entry points: the dipcbench, oltp and netpipe commands, the five
 # examples and perfbench, whose functions are not counted. Workloads:
-#   - dipcbench: run all (shards 1 and 2), list, bench (plain, -json and
+#   - dipcbench: run all, list, bench (plain, -json and
 #     -compare BENCH_engine.json), the CI smokes (run table1 -json and
 #     the chaos-kill depth=0 error), and the flap-budget error inputs;
 #   - oltp: each mode, on disk and in memory; netpipe: each variant;
@@ -50,7 +50,6 @@ expect() {
 
 d=$bin/dipcbench
 expect 0 "$d" run all
-expect 0 "$d" run all -p shards=2
 expect 0 "$d" list
 expect 0 "$d" bench
 expect 0 "$d" bench -json "$work/out/bench.json"
