@@ -2,36 +2,23 @@ package oltp
 
 import "repro/internal/kernel"
 
-// The database tier: a small but genuine storage engine in the shape of
-// the DVDStore schema — products searchable by category and customers
-// with their order history. Rows keep only the columns a query reads; a
-// login's credential check is a charged cost. Query execution does real
-// index work on the in-memory structures and charges one buffer-pool
-// page touch per row it visits. The paper measures after a 2-minute
-// warmup (§7.4) with a buffer pool that holds the whole store, so every
-// page access is a hit; the on-disk configuration differs from tmpfs
-// only in committing orders through synchronous log writes.
+// The database tier: a small storage engine in the shape of the
+// DVDStore schema — products browsed by category and customers with
+// their order history. It stores only the columns a query reads or
+// writes, each product's stock and each customer's order count, as
+// dense slices indexed by row id. Product i belongs to category
+// i mod Categories, so a category's size is computed, not stored. A
+// login's credential check is a charged cost. Each query charges one
+// buffer-pool page touch per row it visits. The paper measures after a
+// 2-minute warmup (§7.4) with a buffer pool that holds the whole store,
+// so every page access is a hit; the on-disk configuration differs from
+// tmpfs only in committing orders through synchronous log writes.
 
-// Product is one row of the products table.
-type Product struct {
-	ID       int
-	Category int
-	Price    int // cents
-	Stock    int
-}
-
-// Customer is one row of the customers table.
-type Customer struct {
-	ID     int
-	Orders int // order lines placed; a history query reads only the count
-}
-
-// DB is the database engine. Tables are dense slices indexed by row id.
+// DB is the database engine.
 type DB struct {
-	products   []Product
-	byCategory [][]int // product ids per category
-	customers  []Customer
-	nextOrder  int
+	stock     []int // per product
+	orders    []int // order lines placed, per customer
+	nextOrder int
 
 	disk *Disk
 	// inMem marks the tmpfs configuration: no synchronous log writes.
@@ -40,24 +27,19 @@ type DB struct {
 	prm *Params
 }
 
-// NewDB populates the store with nProducts across nCategories and
-// nCustomers, like DVDStore's load phase.
+// NewDB populates the store with prm.Products products across
+// prm.Categories categories and prm.Customers customers, like
+// DVDStore's load phase.
 func NewDB(m *kernel.Machine, prm *Params, inMem bool) *DB {
 	db := &DB{
-		products:   make([]Product, prm.Products),
-		byCategory: make([][]int, prm.Categories),
-		customers:  make([]Customer, prm.Customers),
-		disk:       &Disk{m: m},
-		inMem:      inMem,
-		prm:        prm,
+		stock:  make([]int, prm.Products),
+		orders: make([]int, prm.Customers),
+		disk:   &Disk{m: m},
+		inMem:  inMem,
+		prm:    prm,
 	}
-	for i := range db.products {
-		p := &db.products[i]
-		*p = Product{ID: i, Category: i % prm.Categories, Price: 999 + (i%40)*100, Stock: 100}
-		db.byCategory[p.Category] = append(db.byCategory[p.Category], i)
-	}
-	for i := range db.customers {
-		db.customers[i].ID = i
+	for i := range db.stock {
+		db.stock[i] = 100
 	}
 	return db
 }
@@ -111,34 +93,35 @@ func (db *DB) Exec(t *kernel.Thread, q Query) QueryResult {
 	t.ExecUser(prm.DBExecCost) // parse/plan/lock/row work
 	switch q.Kind {
 	case QBrowseCategory:
-		n := min(10, len(db.byCategory[q.Key%len(db.byCategory)]))
+		// Category c holds products c, c+nc, c+2nc, ... below Products.
+		nc := prm.Categories
+		c := q.Key % nc
+		n := min(10, (prm.Products-c+nc-1)/nc)
 		for i := 0; i < n; i++ {
 			touchPage(t)
 		}
 		return QueryResult{Rows: n, Bytes: n * 120}
 	case QGetProduct:
-		p := &db.products[q.Key%len(db.products)]
 		touchPage(t)
-		return QueryResult{Rows: 1, Bytes: 160, Row: p.ID}
+		return QueryResult{Rows: 1, Bytes: 160, Row: q.Key % len(db.stock)}
 	case QLogin:
-		c := &db.customers[q.Key%len(db.customers)]
 		touchPage(t)
 		t.ExecUser(prm.DBAuthCost) // password hash check
-		return QueryResult{Rows: 1, Bytes: 96, Row: c.ID}
+		return QueryResult{Rows: 1, Bytes: 96, Row: q.Key % len(db.orders)}
 	case QOrderHistory:
-		n := min(5, db.customers[q.Key%len(db.customers)].Orders)
+		n := min(5, db.orders[q.Key%len(db.orders)])
 		for i := 0; i < n; i++ {
 			touchPage(t)
 		}
 		return QueryResult{Rows: n, Bytes: n * 140}
 	case QAddOrderLine:
 		db.nextOrder++
-		db.customers[q.Key%len(db.customers)].Orders++
+		db.orders[q.Key%len(db.orders)]++
 		touchPage(t)
 		return QueryResult{Rows: 1, Bytes: 32, Row: db.nextOrder}
 	case QUpdateStock:
-		if p := &db.products[q.Key%len(db.products)]; p.Stock > 0 {
-			p.Stock--
+		if s := &db.stock[q.Key%len(db.stock)]; *s > 0 {
+			*s--
 		}
 		touchPage(t)
 		return QueryResult{Rows: 1, Bytes: 16}

@@ -179,12 +179,40 @@ func TestDBQueries(t *testing.T) {
 		if r := db.Exec(th, Query{Kind: QUpdateStock, Key: 42}); r.Rows != 1 {
 			t.Errorf("stock = %+v", r)
 		}
-		if db.products[42].Stock != 99 {
-			t.Errorf("stock not decremented: %d", db.products[42].Stock)
+		if db.stock[42] != 99 {
+			t.Errorf("stock not decremented: %d", db.stock[42])
 		}
 	})
 	eng.Run()
 	_ = prm
+}
+
+// TestDBBrowseRowsPerCategory checks that a category browse returns as
+// many rows as the category holds, capped at 10, when Products is not a
+// multiple of Categories: product i belongs to category i mod Categories.
+func TestDBBrowseRowsPerCategory(t *testing.T) {
+	for _, tc := range []struct{ products, categories int }{{10, 4}, {3, 4}, {100, 16}, {10000, 16}} {
+		eng := sim.NewEngine(4)
+		m := kernel.NewMachine(eng, cost.Default(), 1)
+		prm := DefaultParams()
+		prm.Products, prm.Categories = tc.products, tc.categories
+		db := NewDB(m, prm, true)
+		size := make([]int, tc.categories)
+		for i := 0; i < tc.products; i++ {
+			size[i%tc.categories]++
+		}
+		m.Spawn(m.NewProcess("db"), "q", nil, func(th *kernel.Thread) {
+			for key := 0; key < 2*tc.categories; key++ {
+				want := min(10, size[key%tc.categories])
+				if r := db.Exec(th, Query{Kind: QBrowseCategory, Key: key}); r.Rows != want {
+					t.Errorf("products=%d categories=%d key=%d: %d rows, want %d",
+						tc.products, tc.categories, key, r.Rows, want)
+				}
+			}
+		})
+		eng.Run()
+		eng.Close()
+	}
 }
 
 func TestCommitWritesDiskOnlyOnDisk(t *testing.T) {

@@ -1,6 +1,8 @@
 package codoms
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -395,6 +397,135 @@ func TestDCSSwitchRestore(t *testing.T) {
 	b, _ := d.Pop()
 	if a.Base != 2 || b.Base != 1 {
 		t.Fatalf("caller stack corrupted: %v %v", a.Base, b.Base)
+	}
+}
+
+// TestDCSEdgesFromEmpty runs the capability stack's edge cases on a
+// stack that starts with no slots and grows on demand.
+func TestDCSEdgesFromEmpty(t *testing.T) {
+	const limit = 4
+	mk := func(base int) Capability {
+		return Capability{Base: mem.Addr(base), Size: 1, Perm: PermRead, valid: true}
+	}
+	push := func(d *DCS, n int) error {
+		for i := 1; i <= n; i++ {
+			if err := d.Push(mk(d.Top() + 1)); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	// wantStack pops d empty and checks it held want[0] on top, then
+	// want[1], and so on.
+	wantStack := func(d *DCS, want ...int) error {
+		for _, w := range want {
+			if c, err := d.Pop(); err != nil || int(c.Base) != w {
+				return fmt.Errorf("pop = %+v, %v; want Base %d", c, err, w)
+			}
+		}
+		if d.Depth() != 0 {
+			return fmt.Errorf("depth %d after popping %d entries", d.Depth(), len(want))
+		}
+		return nil
+	}
+	for _, tc := range []struct {
+		name  string
+		limit int
+		run   func(d *DCS) error
+	}{
+		{"switch and restore an unused stack", limit, func(d *DCS) error {
+			tok, err := d.SwitchTo(0)
+			if err != nil {
+				return err
+			}
+			if d.Depth() != 0 {
+				return fmt.Errorf("fresh stack depth %d", d.Depth())
+			}
+			if err := d.RestoreFrom(tok, 0); err != nil {
+				return err
+			}
+			return wantStack(d)
+		}},
+		{"push to the limit, then overflow", limit, func(d *DCS) error {
+			if err := push(d, limit); err != nil {
+				return err
+			}
+			err := d.Push(mk(99))
+			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("limit %d", limit)) {
+				return fmt.Errorf("push past the limit: %v, want an overflow naming limit %d", err, limit)
+			}
+			return wantStack(d, 4, 3, 2, 1)
+		}},
+		{"pop below the base", limit, func(d *DCS) error {
+			if err := push(d, 2); err != nil {
+				return err
+			}
+			if _, err := d.SetBase(2); err != nil {
+				return err
+			}
+			if _, err := d.Pop(); err == nil {
+				return fmt.Errorf("pop below the base allowed")
+			}
+			if _, err := d.SetBase(0); err != nil {
+				return err
+			}
+			return wantStack(d, 2, 1)
+		}},
+		{"re-restore after an overflowed restore", limit, func(d *DCS) error {
+			if err := push(d, limit); err != nil {
+				return err
+			}
+			tok, err := d.SwitchTo(1)
+			if err != nil {
+				return err
+			}
+			if err := push(d, 1); err != nil {
+				return err
+			}
+			if err := d.RestoreFrom(tok, 2); err == nil {
+				return fmt.Errorf("copy-back into a full caller stack did not overflow")
+			}
+			if err := d.RestoreFrom(tok, 0); err != nil {
+				return err
+			}
+			return wantStack(d, 3, 2, 1)
+		}},
+		{"re-restore after a restore that grew the caller stack", 6, func(d *DCS) error {
+			if err := push(d, 4); err != nil {
+				return err
+			}
+			tok, err := d.SwitchTo(0)
+			if err != nil {
+				return err
+			}
+			if err := push(d, 3); err != nil {
+				return err
+			}
+			if err := d.RestoreFrom(tok, 3); err == nil {
+				return fmt.Errorf("copy-back past the limit did not overflow")
+			}
+			if err := d.RestoreFrom(tok, 0); err != nil {
+				return err
+			}
+			// A later switch must not hand out the caller's stack.
+			tok, err = d.SwitchTo(0)
+			if err != nil {
+				return err
+			}
+			if err := push(d, 2); err != nil {
+				return err
+			}
+			if err := d.RestoreFrom(tok, 0); err != nil {
+				return err
+			}
+			return wantStack(d, 4, 3, 2, 1)
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.run(NewDCS(tc.limit)); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 

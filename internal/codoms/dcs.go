@@ -8,9 +8,8 @@ import "fmt"
 // proxies) may move the base, which is how DCS integrity is enforced
 // across cross-process calls (§5.2.3).
 type DCS struct {
-	slots []Capability
-	base  int // lowest index visible to the current domain
-	top   int // next free slot
+	slots []Capability // the stack; its length is the top register
+	base  int          // lowest index visible to the current domain
 	limit int
 
 	// Recycling pools for SwitchTo/RestoreFrom (DCS conf.+integrity runs
@@ -22,21 +21,22 @@ type DCS struct {
 	tokens []*dcsState
 }
 
-// NewDCS returns a capability stack with room for limit entries.
+// NewDCS returns an empty capability stack that holds at most limit
+// entries. Its slots grow as entries are pushed, so a thread that never
+// spills a capability holds none.
 func NewDCS(limit int) *DCS {
 	if limit <= 0 {
 		limit = 256
 	}
-	return &DCS{slots: make([]Capability, limit), limit: limit}
+	return &DCS{limit: limit}
 }
 
 // Push spills a capability. It fails when the stack is full.
 func (d *DCS) Push(c Capability) error {
-	if d.top >= d.limit {
+	if len(d.slots) >= d.limit {
 		return fmt.Errorf("codoms: DCS overflow (limit %d)", d.limit)
 	}
-	d.slots[d.top] = c
-	d.top++
+	d.slots = append(d.slots, c)
 	return nil
 }
 
@@ -44,46 +44,51 @@ func (d *DCS) Push(c Capability) error {
 // visible region is empty, so a callee can never pop its caller's
 // entries once the proxy has raised the base.
 func (d *DCS) Pop() (Capability, error) {
-	if d.top <= d.base {
+	top := len(d.slots) - 1
+	if top < d.base {
 		return Capability{}, fmt.Errorf("codoms: DCS underflow (base %d)", d.base)
 	}
-	d.top--
-	c := d.slots[d.top]
-	d.slots[d.top] = Capability{}
+	c := d.slots[top]
+	d.slots[top] = Capability{}
+	d.slots = d.slots[:top]
 	return c, nil
 }
 
 // Depth returns the number of entries visible to the current domain.
-func (d *DCS) Depth() int { return d.top - d.base }
+func (d *DCS) Depth() int { return len(d.slots) - d.base }
 
 // Top returns the absolute top index (used by proxies to compute the new
 // base that hides all but the argument entries).
-func (d *DCS) Top() int { return d.top }
+func (d *DCS) Top() int { return len(d.slots) }
 
 // SetBase moves the base register. This models a privileged operation:
 // only dIPC proxies call it (DCS integrity, §5.2.3). It returns the
 // previous base so the proxy can restore it on return.
 func (d *DCS) SetBase(n int) (old int, err error) {
-	if n < 0 || n > d.top {
-		return d.base, fmt.Errorf("codoms: DCS base %d out of range [0,%d]", n, d.top)
+	if n < 0 || n > len(d.slots) {
+		return d.base, fmt.Errorf("codoms: DCS base %d out of range [0,%d]", n, len(d.slots))
 	}
 	old = d.base
 	d.base = n
 	return old, nil
 }
 
-// restoreState captures base/top for the DCS confidentiality+integrity
-// property, where the proxy switches to a separate stack and back.
+// dcsState captures the caller's stack and base for the DCS
+// confidentiality+integrity property, where the proxy switches to a
+// separate stack and back.
 type dcsState struct {
 	slots []Capability
 	base  int
-	top   int
+	// partial marks a token whose restore overflowed while copying
+	// results back: the active stack is then the caller's own, which a
+	// re-restore must neither zero nor pool.
+	partial bool
 }
 
-// SwitchTo replaces the stack contents with a fresh empty stack that
-// contains only the nargs topmost entries of the old stack (the
-// capability arguments of the call, copied "according to the signature",
-// §5.2.3). It returns a token for RestoreFrom.
+// SwitchTo replaces the stack contents with a fresh stack that holds
+// only the nargs topmost entries of the old stack (the capability
+// arguments of the call, copied "according to the signature", §5.2.3).
+// It returns a token for RestoreFrom.
 func (d *DCS) SwitchTo(nargs int) (restore any, err error) {
 	if nargs < 0 || nargs > d.Depth() {
 		return nil, fmt.Errorf("codoms: DCS switch with %d args, have %d visible", nargs, d.Depth())
@@ -98,18 +103,15 @@ func (d *DCS) SwitchTo(nargs int) (restore any, err error) {
 	// The argument entries move to the callee's stack: they are consumed
 	// from the caller's, exactly as a callee popping them from a shared
 	// stack would.
-	*tok = dcsState{slots: d.slots, base: d.base, top: d.top - nargs}
+	top := len(d.slots) - nargs
+	*tok = dcsState{slots: d.slots[:top], base: d.base}
 	var fresh []Capability
 	if n := len(d.spares); n > 0 {
 		fresh = d.spares[n-1]
 		d.spares = d.spares[:n-1]
-	} else {
-		fresh = make([]Capability, d.limit)
 	}
-	copy(fresh, d.slots[d.top-nargs:d.top])
-	d.slots = fresh
+	d.slots = append(fresh, d.slots[top:]...)
 	d.base = 0
-	d.top = nargs
 	return tok, nil
 }
 
@@ -124,28 +126,23 @@ func (d *DCS) RestoreFrom(restore any, nres int) error {
 	if nres < 0 || nres > d.Depth() {
 		return fmt.Errorf("codoms: DCS restore with %d results, have %d", nres, d.Depth())
 	}
-	callee, calleeTop := d.slots, d.top
 	// A re-restore of a token whose first restore failed mid-copy (Push
-	// overflow followed by fault unwinding) arrives with the token
-	// aliasing the active stack; the "callee" is then the caller's live
-	// array and must not be zeroed or pooled.
-	aliased := &callee[0] == &tok.slots[0]
-	d.slots, d.base, d.top = tok.slots, tok.base, tok.top
-	for i := calleeTop - nres; i < calleeTop; i++ {
-		if err := d.Push(callee[i]); err != nil {
+	// overflow followed by fault unwinding) finds the caller's stack
+	// active; that "callee" must not be zeroed or pooled.
+	callee, owned := d.slots, !tok.partial
+	d.slots, d.base = tok.slots, tok.base
+	for _, c := range callee[len(callee)-nres:] {
+		if err := d.Push(c); err != nil {
 			// Token stays live: fault unwinding re-restores through it.
+			tok.partial = true
 			return err
 		}
 	}
 	*tok = dcsState{}
 	d.tokens = append(d.tokens, tok)
-	// Zero the used region (slots above the watermark were already
-	// zeroed by Pop) and keep the stack as a spare.
-	if !aliased && len(callee) == d.limit {
-		for i := 0; i < calleeTop; i++ {
-			callee[i] = Capability{}
-		}
-		d.spares = append(d.spares, callee)
+	if owned && cap(callee) > 0 {
+		clear(callee)
+		d.spares = append(d.spares, callee[:0])
 	}
 	return nil
 }

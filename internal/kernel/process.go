@@ -42,13 +42,14 @@ type Process struct {
 // NewProcess creates a conventional process with a private page table
 // and its own default domain.
 func (m *Machine) NewProcess(name string) *Process {
+	return m.newProcess(name, mem.NewPageTable())
+}
+
+// newProcess creates a process on page table pt with its own default
+// domain.
+func (m *Machine) newProcess(name string, pt *mem.PageTable) *Process {
 	m.nextPID++
-	p := &Process{
-		PID:       m.nextPID,
-		Name:      name,
-		m:         m,
-		PageTable: mem.NewPageTable(),
-	}
+	p := &Process{PID: m.nextPID, Name: name, m: m, PageTable: pt}
 	p.DefaultTag = m.Arch.NewDomain().Tag
 	m.procs[p.PID] = p
 	return p
@@ -59,9 +60,8 @@ func (m *Machine) NewProcess(name string) *Process {
 // memory through the global block allocator. Position-independent
 // executables are assumed (§6.1.3).
 func (m *Machine) NewDIPCProcess(name string, shared *mem.PageTable) *Process {
-	p := m.NewProcess(name)
+	p := m.newProcess(name, shared)
 	p.DIPC = true
-	p.PageTable = shared
 	p.VA = mem.NewSuballoc(m.Global)
 	// Reserve a page for the TLS segment.
 	base, err := p.VA.Alloc(mem.PageSize)

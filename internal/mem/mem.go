@@ -63,16 +63,20 @@ type PageInfo struct {
 // Present reports whether the entry maps a page.
 func (pi PageInfo) Present() bool { return pi.Flags.Has(FlagPresent) }
 
-// node is one interior or leaf node of the radix page table.
-type node struct {
-	children [entriesPerNode]*node    // interior levels
-	leaves   [entriesPerNode]PageInfo // level-1 only
-}
+// The radix page table's nodes have one fixed-size type per level:
+// interior nodes hold only pointers to the level below, and only leaf
+// (level-1) nodes hold page entries. The level-4 root is an array in the
+// PageTable itself.
+type (
+	level1 [entriesPerNode]PageInfo
+	level2 [entriesPerNode]*level1
+	level3 [entriesPerNode]*level2
+)
 
 // PageTable is a simulated 4-level page table. dIPC-enabled processes
 // share one PageTable; conventional processes each own one.
 type PageTable struct {
-	root      *node
+	root      [entriesPerNode]*level3
 	nextFrame uint64 // bump allocator for fresh physical frames
 	gen       uint64 // bumped on every mutation; see Gen
 }
@@ -84,9 +88,7 @@ type PageTable struct {
 func (pt *PageTable) Gen() uint64 { return pt.gen }
 
 // NewPageTable returns an empty table.
-func NewPageTable() *PageTable {
-	return &PageTable{root: &node{}}
-}
+func NewPageTable() *PageTable { return &PageTable{} }
 
 // indices decomposes a virtual address into its four level indices
 // (level 4 first).
@@ -100,23 +102,21 @@ func indices(va Addr) [numLevels]int {
 	return ix
 }
 
-// walk returns the leaf node and final index for va, optionally creating
-// intermediate nodes.
-func (pt *PageTable) walk(va Addr, create bool) (leaf *node, idx int) {
+// entry returns va's leaf entry, creating the nodes above it.
+func (pt *PageTable) entry(va Addr) *PageInfo {
 	ix := indices(va)
-	n := pt.root
-	for l := 0; l < numLevels-1; l++ {
-		child := n.children[ix[l]]
-		if child == nil {
-			if !create {
-				return nil, 0
-			}
-			child = &node{}
-			n.children[ix[l]] = child
-		}
-		n = child
+	l3 := child(&pt.root[ix[0]])
+	l2 := child(&l3[ix[1]])
+	l1 := child(&l2[ix[2]])
+	return &l1[ix[3]]
+}
+
+// child returns the node in slot, filling an empty slot with a new one.
+func child[T any](slot **T) *T {
+	if *slot == nil {
+		*slot = new(T)
 	}
-	return n, ix[numLevels-1]
+	return *slot
 }
 
 // AllocFrame returns a fresh simulated physical frame number.
@@ -134,11 +134,11 @@ func (pt *PageTable) Map(va Addr, n int, flags PageFlags, tag Tag) error {
 	}
 	for i := 0; i < n; i++ {
 		a := va + Addr(i)*PageSize
-		leaf, idx := pt.walk(a, true)
-		if leaf.leaves[idx].Present() {
+		e := pt.entry(a)
+		if e.Present() {
 			return fmt.Errorf("mem: page %#x already mapped", uint64(a))
 		}
-		leaf.leaves[idx] = PageInfo{Flags: flags | FlagPresent, Tag: tag, Frame: pt.AllocFrame()}
+		*e = PageInfo{Flags: flags | FlagPresent, Tag: tag, Frame: pt.AllocFrame()}
 		pt.gen++
 	}
 	return nil
@@ -146,11 +146,15 @@ func (pt *PageTable) Map(va Addr, n int, flags PageFlags, tag Tag) error {
 
 // Lookup translates va, returning its page info.
 func (pt *PageTable) Lookup(va Addr) (PageInfo, bool) {
-	leaf, idx := pt.walk(va, false)
-	if leaf == nil || !leaf.leaves[idx].Present() {
-		return PageInfo{}, false
+	ix := indices(va)
+	if l3 := pt.root[ix[0]]; l3 != nil {
+		if l2 := l3[ix[1]]; l2 != nil {
+			if l1 := l2[ix[2]]; l1 != nil && l1[ix[3]].Present() {
+				return l1[ix[3]], true
+			}
+		}
 	}
-	return leaf.leaves[idx], true
+	return PageInfo{}, false
 }
 
 // PagesIn returns how many pages cover size bytes.

@@ -137,3 +137,43 @@ func TestSuballoc(t *testing.T) {
 		t.Fatal("zero-size alloc must fail")
 	}
 }
+
+// TestMapAcrossNodeBoundaries maps runs of pages that straddle a leaf
+// node (pages 511/512), a 1 GiB level-2 node and a 512 GiB level-3 node.
+// Every page must read back its flags, tag and frame, the unmapped
+// neighbours must read absent, and mapping a page twice must still fail.
+func TestMapAcrossNodeBoundaries(t *testing.T) {
+	for _, tc := range []struct {
+		name     string
+		boundary Addr
+	}{
+		{"leaf", 512 * PageSize},
+		{"1GiB", 1 << 30},
+		{"512GiB", 1 << 39},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			pt := NewPageTable()
+			const n = 4
+			va := tc.boundary - 2*PageSize
+			flags, tag := FlagWrite|FlagCapStore, Tag(9)
+			if err := pt.Map(va, n, flags, tag); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < n; i++ {
+				pi, ok := pt.Lookup(va + Addr(i)*PageSize + 123)
+				want := PageInfo{Flags: flags | FlagPresent, Tag: tag, Frame: uint64(i + 1)}
+				if !ok || pi != want {
+					t.Errorf("page %d = %+v, %v; want %+v", i, pi, ok, want)
+				}
+			}
+			for _, a := range []Addr{va - PageSize, va + n*PageSize} {
+				if pi, ok := pt.Lookup(a); ok || pi != (PageInfo{}) {
+					t.Errorf("unmapped neighbour %#x = %+v, %v", uint64(a), pi, ok)
+				}
+			}
+			if err := pt.Map(tc.boundary, 1, 0, NilTag); err == nil {
+				t.Error("double map across the boundary must fail")
+			}
+		})
+	}
+}
