@@ -84,11 +84,23 @@ func buildChain(c *tierChain, m *kernel.Machine, prm *Params, inj *faults.Inject
 
 	transports = make([]Transport, c.Depth)
 	handler := func(i int) Handler {
+		// fail is the failure this tier last reported for its callee. A
+		// RemoteError is immutable once returned, so it is reused while
+		// the cause repeats (the causes are preconstructed errors), and
+		// a failing request allocates nothing.
+		var fail *RemoteError
+		callee := ""
+		if i < c.Depth {
+			callee = svcName(i + 1)
+		}
 		return func(t *kernel.Thread, op string, payload any) (any, int) {
 			t.ExecUser(c.Work)
 			if i < c.Depth {
 				if _, err := transports[i].TryCall(t, "hop", payload, c.ReqBytes); err != nil {
-					return &RemoteError{Tier: svcName(i + 1), Err: err}, c.ReqBytes
+					if fail == nil || fail.Err != err {
+						fail = &RemoteError{Tier: callee, Err: err}
+					}
+					return fail, c.ReqBytes
 				}
 			}
 			return payload, c.ReqBytes

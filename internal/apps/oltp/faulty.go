@@ -48,12 +48,14 @@ func unwrapRemote(out any) (any, error) {
 // deadline — a lost request is indistinguishable from a slow one until
 // the timer fires) and reports ErrTimeout, a slow stretches the call
 // and succeeds. Nil site: no draw, no cost, no error.
+//
+//dipcvet:noalloc
 func injectFault(t *kernel.Thread, site *faults.CallSite) error {
 	v, d := site.Draw()
 	switch v {
 	case faults.VerdictDrop:
 		t.SleepFor(d)
-		return fmt.Errorf("%s: %w", site.Name(), faults.ErrTimeout)
+		return site.DropErr()
 	case faults.VerdictSlow:
 		t.SleepFor(d)
 	}

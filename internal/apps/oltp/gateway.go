@@ -92,6 +92,9 @@ type Gateway struct {
 	cfg     GatewayConfig
 	pending sim.Queue[*request]
 	waiters kernel.TQueue
+	// free heads the list of finished pooled requests, linked through
+	// request.next, that Issue reuses.
+	free *request
 
 	// Token bucket: tokens accumulate continuously on the sim clock.
 	tokens   float64
@@ -120,17 +123,51 @@ func NewGateway(prm *Params, cfg GatewayConfig) *Gateway {
 	return g
 }
 
+// Issue submits a pooled request started now whose completion wakes
+// done — the open-loop client's path. The client learns the outcome from
+// the wake alone, so the gateway takes the request back when it
+// finishes it, even one whose client has already timed out and left.
+//
+//dipcvet:noalloc
+func (g *Gateway) Issue(now sim.Time, done sim.Waiter) {
+	req := g.free
+	if req != nil {
+		g.free, req.next = req.next, nil
+	} else {
+		//dipcvet:alloc-ok first use: the pool grows to the peak number of requests in flight
+		req = &request{pooled: true}
+	}
+	req.started, req.done, req.err = now, done, nil
+	g.Submit(req, now)
+}
+
+// finish reports err to req's client and returns a pooled request to
+// the free list; the client must not read a pooled request after its
+// wake.
+//
+//dipcvet:noalloc
+func (g *Gateway) finish(req *request, err error) {
+	req.err = err
+	req.done.Wake(0, err)
+	if req.pooled {
+		req.next, g.free = g.free, req
+	}
+}
+
 // reject reports the outcome to the client without charging any server
 // time: the cheap shed is the whole point of admission control. (The
 // TCP reset that carries it is client-side cost, off-machine.)
+//
+//dipcvet:noalloc
 func (g *Gateway) reject(req *request, err error) {
-	req.err = err
-	req.done.Wake(0, err)
+	g.finish(req, err)
 }
 
 // Submit delivers a client request at simulated time now (called from a
 // client sim.Proc, off-machine: no local cost). A rejected request
 // is completed immediately with an error wrapping faults.ErrRejected.
+//
+//dipcvet:noalloc
 func (g *Gateway) Submit(req *request, now sim.Time) {
 	if g.cfg.Policy == AdmitToken {
 		g.refill(now)
@@ -220,11 +257,17 @@ func (g *Gateway) pop() *request {
 
 // Reply sends the response (or the in-band failure) back to the client,
 // charging the write path.
+//
+//dipcvet:noalloc
 func (g *Gateway) Reply(t *kernel.Thread, req *request, err error) {
+	g.write(t)
+	g.finish(req, err)
+}
+
+// write charges the response's write syscall on t.
+func (g *Gateway) write(t *kernel.Thread) {
 	t.Syscall(func() {
 		p := t.Machine().P
 		t.Exec(p.SockKernel+p.KernelCopy(g.prm.IngressResp), stats.BlockKernel)
 	})
-	req.err = err
-	req.done.Wake(0, err)
 }

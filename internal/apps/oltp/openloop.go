@@ -73,36 +73,8 @@ type OpenLoopResult struct {
 // target names follow RunChainFaults ("gateway", "svc1".."svcN", sites
 // "hop1".."hopN").
 func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
-	cfg.applyDefaults()
-	if cfg.MeanGap <= 0 {
-		cfg.MeanGap = sim.Micros(50)
-	}
-	if cfg.Sessions <= 0 {
-		cfg.Sessions = 4 * cfg.Clients
-	}
-	if cfg.Requests <= 0 {
-		cfg.Requests = 4
-	}
-	if cfg.Deadline <= 0 {
-		cfg.Deadline = 4 * cfg.Retry.Deadline
-	}
-
-	r := newRig(cfg.Seed, cfg.CPUs, cfg.Gateway)
+	r, gen, breakers := startOpenLoop(&cfg)
 	defer r.eng.Close()
-	breakers := r.serveChain(&cfg.ChainFaultsConfig, cfg.Breaker)
-
-	gen := load.Start(r.eng, load.Config{
-		Arrivals:     load.NewPoisson(cfg.Seed+2, cfg.MeanGap),
-		Sessions:     cfg.Sessions,
-		Requests:     cfg.Requests,
-		Deadline:     cfg.Deadline,
-		MeasureStart: cfg.Warmup,
-		MeasureEnd:   cfg.Warmup + cfg.Window,
-		Issue: func(p *sim.Proc, w sim.Waiter) {
-			r.gw.Submit(&request{started: p.Now(), done: w}, p.Now())
-		},
-	})
-
 	bd, attempts := r.measure(cfg.Warmup, cfg.Window)
 	res := &OpenLoopResult{
 		Config:       cfg,
@@ -134,4 +106,37 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 		res.FastFails += br.FastFails()
 	}
 	return res
+}
+
+// startOpenLoop applies cfg's defaults and builds its rig — the chain
+// behind the gateway and the load generator feeding it — without
+// running it. The caller closes r.eng.
+func startOpenLoop(cfg *OpenLoopConfig) (*rig, *load.Generator, []*Breaker) {
+	cfg.applyDefaults()
+	if cfg.MeanGap <= 0 {
+		cfg.MeanGap = sim.Micros(50)
+	}
+	if cfg.Sessions <= 0 {
+		cfg.Sessions = 4 * cfg.Clients
+	}
+	if cfg.Requests <= 0 {
+		cfg.Requests = 4
+	}
+	if cfg.Deadline <= 0 {
+		cfg.Deadline = 4 * cfg.Retry.Deadline
+	}
+
+	r := newRig(cfg.Seed, cfg.CPUs, cfg.Gateway)
+	breakers := r.serveChain(&cfg.ChainFaultsConfig, cfg.Breaker)
+
+	gen := load.Start(r.eng, load.Config{
+		Arrivals:     load.NewPoisson(cfg.Seed+2, cfg.MeanGap),
+		Sessions:     cfg.Sessions,
+		Requests:     cfg.Requests,
+		Deadline:     cfg.Deadline,
+		MeasureStart: cfg.Warmup,
+		MeasureEnd:   cfg.Warmup + cfg.Window,
+		Issue:        func(p *sim.Proc, w sim.Waiter) { r.gw.Issue(p.Now(), w) },
+	})
+	return r, gen, breakers
 }

@@ -160,6 +160,8 @@ func (h *rack) serve(mi int, proc *kernel.Process, rt *core.Runtime, prefix stri
 // client's current ID (copy and error bits masked) or it is stale — a
 // loser of a hedge race or a reply that missed its deadline — and is
 // dropped with cancellation accounting.
+//
+//dipcvet:noalloc
 func (h *rack) complete(v uint64) {
 	ci := int(v & ridClientMask)
 	if h.curID[ci] != v&^uint64(ridCopyBit|ridErrMask) {
@@ -202,8 +204,29 @@ func (h *rack) spawnClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBy
 		rng := sim.NewRand(h.seed + 0x9e3779b97f4a7c15*uint64(ci+1))
 		name := fmt.Sprintf("client%d", ci)
 		jitter := retryJitter(retry, plan, name)
+		acc := h.accs[0]
+		// target is the replica the current attempt went to. The hedge
+		// timer is built once per client and handed the attempt's ID as
+		// its word, so arming it allocates nothing.
+		target := 0
+		hedge := func(id uint64) {
+			if h.curID[ci] != id {
+				return // already answered or superseded
+			}
+			alt := h.rs.Next(target)
+			if alt == target {
+				return
+			}
+			if h.measuring {
+				// Win/loss attribution rides the same gate, so a
+				// warmup hedge can never win inside the window and
+				// push HedgeWins past Hedges.
+				acc.Rel.Hedges++
+				h.hedged[ci] = true
+			}
+			routes[alt].send(reqBytes, id|ridCopyBit, acc)
+		}
 		h.eng.Spawn(name, start+sim.Time(ci), func(sp *sim.Proc) {
-			acc := h.accs[0]
 			seq := uint64(0)
 			for {
 				begin := sp.Now()
@@ -221,7 +244,7 @@ func (h *rack) spawnClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBy
 					}
 					seq++
 					id := seq<<ridSeqShift | uint64(ci)
-					target := h.rs.Pick(base, attempt)
+					target = h.rs.Pick(base, attempt)
 					if retry.Deadline > 0 {
 						h.waiters[ci] = sp.PrepareTimedWait(retry.Deadline)
 					} else {
@@ -231,23 +254,7 @@ func (h *rack) spawnClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBy
 					h.hedged[ci] = false
 					routes[target].send(reqBytes, id, acc)
 					if h.rs.Policy == PolicyHedged && h.rs.N > 1 {
-						h.eng.At(hedgeAfter, func() {
-							if h.curID[ci] != id {
-								return // already answered or superseded
-							}
-							alt := h.rs.Next(target)
-							if alt == target {
-								return
-							}
-							if h.measuring {
-								// Win/loss attribution rides the same gate,
-								// so a warmup hedge can never win inside the
-								// window and push HedgeWins past Hedges.
-								acc.Rel.Hedges++
-								h.hedged[ci] = true
-							}
-							routes[alt].send(reqBytes, id|ridCopyBit, acc)
-						})
+						h.eng.AtU64(hedgeAfter, hedge, id)
 					}
 					v, completed := sp.WaitU64()
 					if !completed {

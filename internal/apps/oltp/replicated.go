@@ -209,9 +209,39 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 		panic(fmt.Sprintf("oltp: replicated: %v", err))
 	}
 	cfg.applyDefaults()
+	h, health, repBreakers := startReplicated(&cfg)
+	defer h.cl.Close()
+	h.measure(cfg.Warmup, cfg.Window)
+
+	// Detector scoring over the whole run (warmup suspicion churn is
+	// part of the detector's record), folded into machine 0's share so
+	// it merges like every other counter.
+	scoreDetector(&h.accs[0].Rel, health.Transitions(), planDeadIntervals(cfg.Plan, cfg.Replicas))
+	res := &ReplicatedResult{
+		RackResult: h.readout(cfg.Window),
+		Health:     health.Transitions(),
+		Breakers:   make([][]BreakerTransition, cfg.Replicas),
+	}
+	for r, brs := range repBreakers {
+		for _, br := range brs {
+			if br == nil {
+				continue
+			}
+			res.Breakers[r] = append(res.Breakers[r], br.Transitions()...)
+			res.Trips += br.Trips()
+			res.FastFails += br.FastFails()
+		}
+	}
+	return res
+}
+
+// startReplicated builds the rack of a validated, defaulted cfg — the
+// replicas, their wires, the detector and the clients — without running
+// it. It returns the rack (the caller closes h.cl), the detector's
+// health state and each replica's breakers in hop order.
+func startReplicated(cfg *ReplicatedConfig) (*rack, *ReplicaHealth, [][]*Breaker) {
 	R := cfg.Replicas
 	h := newRack(cfg.Seed, R+1, cfg.CPUs, cfg.Clients, cfg.Plan)
-	defer h.cl.Close()
 	prm := DefaultParams()
 
 	// Per-replica plumbing, indexed by 0-based replica r (machine r+1):
@@ -319,26 +349,5 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 
 	h.spawnClients(replicatedBootTime+1, ReplicaSet{N: R, Policy: cfg.Policy, Health: health}, txs,
 		cfg.ReqBytes, cfg.Retry, cfg.Plan, sim.Time(float64(cfg.Retry.Deadline)*cfg.HedgeFraction))
-	h.measure(cfg.Warmup, cfg.Window)
-
-	// Detector scoring over the whole run (warmup suspicion churn is
-	// part of the detector's record), folded into machine 0's share so
-	// it merges like every other counter.
-	scoreDetector(&h.accs[0].Rel, health.Transitions(), planDeadIntervals(cfg.Plan, R))
-	res := &ReplicatedResult{
-		RackResult: h.readout(cfg.Window),
-		Health:     health.Transitions(),
-		Breakers:   make([][]BreakerTransition, R),
-	}
-	for r, brs := range repBreakers {
-		for _, br := range brs {
-			if br == nil {
-				continue
-			}
-			res.Breakers[r] = append(res.Breakers[r], br.Transitions()...)
-			res.Trips += br.Trips()
-			res.FastFails += br.FastFails()
-		}
-	}
-	return res
+	return h, health, repBreakers
 }

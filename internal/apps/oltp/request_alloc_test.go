@@ -5,6 +5,7 @@ import (
 	"runtime/debug"
 	"testing"
 
+	"repro/internal/faults"
 	"repro/internal/sim"
 )
 
@@ -36,6 +37,103 @@ func TestOLTPRequestSteadyStateAllocs(t *testing.T) {
 			}
 			if n := after.Mallocs - before.Mallocs; n != 0 {
 				t.Errorf("steady-state request path allocates %.3f objects/request (%d over %d requests), want 0",
+					float64(n)/float64(reqs), n, reqs)
+			}
+		})
+	}
+}
+
+// steadyAllocs runs warm, then measure, and returns the heap objects
+// measure allocated. Like TestOLTPRequestSteadyStateAllocs it holds one
+// P and no GC throughout, so MemStats sees only the simulation.
+func steadyAllocs(warm, measure func()) uint64 {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	warm()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	measure()
+	runtime.ReadMemStats(&after)
+	return after.Mallocs - before.Mallocs
+}
+
+// TestOpenLoopSteadyStateAllocs pins the open-loop request path: once
+// the generator has spawned its peak of sessions and the gateway's
+// request pool is full, a request allocates nothing — not the arrival
+// source, the session, the pooled request, the Retrier and Breaker on
+// each hop, nor the dropped calls' timeout errors.
+func TestOpenLoopSteadyStateAllocs(t *testing.T) {
+	for _, mode := range []Mode{ModeLinux, ModeDIPC} {
+		t.Run(mode.String(), func(t *testing.T) {
+			// A drop rate high enough to fire in the window.
+			cfg := openLoopShape(mode, 3, 0.01)
+			cfg.Window = sim.Second
+			r, gen, _ := startOpenLoop(&cfg)
+			defer r.eng.Close()
+			var spawned int
+			var offered, drops int64
+			n := steadyAllocs(func() {
+				r.eng.RunUntil(sim.Millis(400))
+				spawned, offered, drops = gen.Spawned, gen.Offered, r.rel.Timeouts
+			}, func() { r.eng.RunUntil(sim.Millis(440)) })
+			if gen.Spawned != spawned {
+				t.Fatalf("generator spawned %d sessions in the measured window; warm up longer", gen.Spawned-spawned)
+			}
+			reqs := gen.Offered - offered
+			if reqs < 500 {
+				t.Fatalf("only %d requests issued in the measured window, want >= 500", reqs)
+			}
+			if r.rel.Timeouts == drops {
+				t.Fatalf("no dropped call in the measured window; the drop path went unmeasured")
+			}
+			if n != 0 {
+				t.Errorf("steady-state open-loop path allocates %.3f objects/request (%d over %d requests), want 0",
+					float64(n)/float64(reqs), n, reqs)
+			}
+		})
+	}
+}
+
+// TestReplicatedSteadyStateAllocs pins the replicated request path: a
+// hedged operation across the rack — the client's attempt and hedge
+// timers, the NIC wires, each replica's inbox and tier chain, and the
+// completion back at the client — allocates nothing once warm.
+func TestReplicatedSteadyStateAllocs(t *testing.T) {
+	for _, mode := range []Mode{ModeLinux, ModeDIPC} {
+		t.Run(mode.String(), func(t *testing.T) {
+			// The perfbench replicas shape: hedging around a 6x-slow
+			// replica, with rare per-call slowdowns.
+			cfg := ReplicatedConfig{
+				Mode: mode, Replicas: 2, Depth: 2, Threads: 2, Clients: 4,
+				Work: sim.Micros(10), Warmup: sim.Millis(4), Window: sim.Millis(1), Seed: 3,
+				Plan: &faults.Plan{Seed: 3, SlowProb: 0.01, SlowBy: sim.Micros(10)},
+				Retry: faults.RetryPolicy{Deadline: sim.Micros(300), MaxRetries: 2,
+					Backoff: sim.Micros(20), MaxBackoff: sim.Micros(160)},
+				Policy:        PolicyHedged,
+				HedgeFraction: 0.5,
+				SlowReplica:   2,
+				SlowFactor:    6,
+			}
+			cfg.applyDefaults()
+			h, _, _ := startReplicated(&cfg)
+			defer h.cl.Close()
+			// measure opens the counting gate; the test then runs on.
+			h.measure(cfg.Warmup, cfg.Window)
+			rel := &h.accs[0].Rel
+			var ops, hedges int64
+			n := steadyAllocs(func() {
+				h.cl.RunUntil(sim.Millis(100))
+				ops, hedges = rel.OpsOK+rel.OpsFailed, rel.Hedges
+			}, func() { h.cl.RunUntil(sim.Millis(140)) })
+			reqs := rel.OpsOK + rel.OpsFailed - ops
+			if reqs < 500 {
+				t.Fatalf("only %d operations completed in the measured window, want >= 500", reqs)
+			}
+			if rel.Hedges == hedges {
+				t.Fatalf("no hedge fired in the measured window; the hedge path went unmeasured")
+			}
+			if n != 0 {
+				t.Errorf("steady-state replicated path allocates %.3f objects/operation (%d over %d operations), want 0",
 					float64(n)/float64(reqs), n, reqs)
 			}
 		})

@@ -3,6 +3,9 @@ package oltp
 import (
 	"runtime"
 	"testing"
+
+	"repro/internal/faults"
+	"repro/internal/sim"
 )
 
 // setupBytes returns the heap bytes startStack allocates for cfg.
@@ -56,6 +59,45 @@ func BenchmarkStartStack(b *testing.B) {
 				cfg := Config{Mode: mode, InMemory: true, Threads: 16, CPUs: 4, Seed: 1001}
 				r, _ := startStack(&cfg)
 				r.eng.Close()
+			}
+		})
+	}
+}
+
+// openLoopShape is perfbench's openloop workload: 80k req/s of
+// 4-request sessions through a drop-tail gateway into a depth-2 chain,
+// a Breaker inside a Retrier on every hop, and per-call drops at
+// dropProb.
+func openLoopShape(mode Mode, seed uint64, dropProb float64) OpenLoopConfig {
+	return OpenLoopConfig{
+		ChainFaultsConfig: ChainFaultsConfig{
+			ChainConfig: ChainConfig{Mode: mode, Depth: 2, Threads: 8, CPUs: 4,
+				Work: sim.Micros(10), Warmup: sim.Millis(5), Seed: seed},
+			Plan:  &faults.Plan{Seed: seed, DropProb: dropProb},
+			Retry: faults.RetryPolicy{Deadline: sim.Micros(500), MaxRetries: 1, Backoff: sim.Micros(20)},
+		},
+		MeanGap:  4 * sim.Second / 80_000,
+		Sessions: 512,
+		Requests: 4,
+		Deadline: sim.Millis(2),
+		Gateway:  GatewayConfig{Policy: AdmitFIFO, Capacity: 64},
+		Breaker:  &BreakerConfig{},
+	}
+}
+
+// BenchmarkOpenLoopSetup measures one open-loop setup: a RunOpenLoop
+// of perfbench's openloop shape with a 1ns window, so nothing but
+// building the chain, the gateway and the load generator (and closing
+// the engine) costs time. Sessions are spawned as arrivals need them,
+// so the 512-session pool costs nothing here.
+func BenchmarkOpenLoopSetup(b *testing.B) {
+	for _, mode := range []Mode{ModeLinux, ModeDIPC} {
+		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := openLoopShape(mode, 1, 0.002)
+				cfg.Warmup, cfg.Window = 1, 1
+				RunOpenLoop(cfg)
 			}
 		})
 	}

@@ -77,4 +77,9 @@ type request struct {
 	// err is the failure outcome reported back to the client (nil on
 	// success).
 	err error
+	// pooled marks a request Gateway.Issue took from its free list; the
+	// gateway returns it there when it finishes the request. A
+	// closed-loop client owns its request and leaves pooled unset.
+	pooled bool
+	next   *request // free-list link while pooled and idle
 }

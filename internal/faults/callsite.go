@@ -1,6 +1,10 @@
 package faults
 
-import "repro/internal/sim"
+import (
+	"fmt"
+
+	"repro/internal/sim"
+)
 
 // Verdict is the fate the fault stream assigns one call attempt.
 type Verdict uint8
@@ -24,12 +28,12 @@ const (
 // (determinism rule 2). A nil *CallSite
 // is the always-OK hook; every method is nil-safe.
 type CallSite struct {
-	name        string
 	rng         *sim.Rand
 	dropProb    float64
 	slowProb    float64
 	slowBy      sim.Time
 	dropPenalty sim.Time
+	dropErr     error // "<name>: " + ErrTimeout, built once per site
 }
 
 // Site derives the named call site's fault stream from the plan.
@@ -41,12 +45,12 @@ func (p *Plan) Site(name string, dropPenalty sim.Time) *CallSite {
 		return nil
 	}
 	return &CallSite{
-		name:        name,
 		rng:         sim.NewRand(siteSeed(p.Seed, name)),
 		dropProb:    p.DropProb,
 		slowProb:    p.SlowProb,
 		slowBy:      p.SlowBy,
 		dropPenalty: dropPenalty,
+		dropErr:     fmt.Errorf("%s: %w", name, ErrTimeout),
 	}
 }
 
@@ -84,12 +88,14 @@ func (s *CallSite) Draw() (Verdict, sim.Time) {
 	return VerdictOK, 0
 }
 
-// Name returns the site's registered name ("" for the nil hook).
-func (s *CallSite) Name() string {
+// DropErr returns the error a dropped call at this site reports: the
+// site's name wrapping ErrTimeout, shared by every drop (nil for the nil
+// hook, which never drops).
+func (s *CallSite) DropErr() error {
 	if s == nil {
-		return ""
+		return nil
 	}
-	return s.name
+	return s.dropErr
 }
 
 // siteSeed mixes the plan seed with an FNV-1a hash of the site name

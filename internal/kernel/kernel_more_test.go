@@ -195,3 +195,36 @@ func TestSpawnManyThreadsCompletes(t *testing.T) {
 		t.Fatalf("scheduler lost too much time: %v", eng.Now())
 	}
 }
+
+// The word lane carries a WakeU64 word to BlockU64 both ways a wake
+// can land: on a blocked thread (through the CPU switch) and inside
+// Block's arm window ("wake beats sleep"). A second wake in the arm
+// window is rejected and must not overwrite the pending word.
+func TestWakeU64CarriesWord(t *testing.T) {
+	eng, m := newTestMachine(2)
+	p := m.NewProcess("p")
+	var q TQueue
+	var blocked, pending uint64
+	var blockedOK, pendingOK, second bool
+	m.Spawn(p, "sleeper", nil, func(th *Thread) {
+		blocked, blockedOK = q.BlockOnU64(th)
+		pending, pendingOK = th.BlockU64(func() {
+			th.WakeU64(7, nil)
+			second = th.WakeU64(8, nil) || th.Wake("boxed", nil)
+		})
+	})
+	m.Spawn(p, "waker", nil, func(th *Thread) {
+		th.ExecUser(50 * sim.Nanosecond)
+		q.WakeOneU64(42, th)
+	})
+	eng.Run()
+	if blocked != 42 || !blockedOK {
+		t.Fatalf("blocked thread got (%d, %v), want (42, true)", blocked, blockedOK)
+	}
+	if second {
+		t.Fatalf("a second wake inside the arm window was accepted")
+	}
+	if pending != 7 || !pendingOK {
+		t.Fatalf("arm-window wake delivered (%d, %v), want (7, true)", pending, pendingOK)
+	}
+}

@@ -50,12 +50,17 @@ func (c *CPU) reserve(t *Thread) {
 
 // fire schedules t's actual resumption after delay and finalizes the
 // switch bookkeeping. When this CPU switch is the next simulated event,
-// the engine loop resumes t's proc coroutine directly — and the common
-// nil wakeData travels the engine's unboxed payload lane.
+// the engine loop resumes t's proc coroutine directly — and a nil
+// wakeData or a WakeU64 word travels the engine's unboxed payload lanes.
 func (c *CPU) fire(t *Thread, delay sim.Time) {
 	c.lastPT = t.proc.PageTable
 	c.lastProc = t.proc
 	t.quantumLeft = c.m.P.QuantumDefault
+	if t.wordWake {
+		t.wordWake = false
+		t.schedWaiter.WakeU64(delay, t.wakeWord)
+		return
+	}
 	t.schedWaiter.Wake(delay, t.wakeData)
 	t.wakeData = nil
 }

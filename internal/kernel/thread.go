@@ -39,8 +39,11 @@ type Thread struct {
 
 	schedWaiter  sim.Waiter
 	wakeData     any
-	blockPending bool // inside Block's arm window
-	pendingWake  bool // a Wake arrived during the arm window
+	wakeWord     uint64 // WakeU64's word, when wordWake is set
+	wordWake     bool   // the accepted wake carries wakeWord, not wakeData
+	blockPending bool   // inside Block's arm window
+	pendingWake  bool   // a Wake arrived during the arm window
+	sleepWake    func() // SleepFor's timer callback, built on first use
 
 	// HW is the CODOMs per-hardware-thread context, carried with the
 	// thread by the scheduler (the APL cache is switched lazily, §7.5).
@@ -183,15 +186,49 @@ func (t *Thread) Yield() {
 
 // Block parks the thread after running arm, which must arrange for a
 // future t.Wake (enqueue on a wait queue, start a device operation,
-// arm a timer...). It returns the value passed to Wake.
+// arm a timer...). It returns the value passed to Wake (a WakeU64 word
+// comes back boxed; BlockU64 keeps it unboxed).
 func (t *Thread) Block(arm func()) any {
+	if t.park(arm) {
+		data := t.wakeData
+		t.wakeData = nil
+		if t.wordWake {
+			t.wordWake = false
+			return t.wakeWord
+		}
+		return data
+	}
+	return t.sp.Wait()
+}
+
+// BlockU64 is Block for wakers on the word lane (WakeU64,
+// TQueue.WakeOneU64): the word travels the engine's unboxed payload
+// lane to the thread with no interface boxing. ok reports whether the
+// wake carried a word.
+//
+//dipcvet:noalloc
+func (t *Thread) BlockU64(arm func()) (v uint64, ok bool) {
+	if t.park(arm) {
+		t.wakeData = nil
+		ok, t.wordWake = t.wordWake, false
+		return t.wakeWord, ok
+	}
+	return t.sp.WaitU64()
+}
+
+// park runs arm and gives up the CPU, leaving t to wait for its wake.
+// It reports true instead when a wake arrived while arm was running —
+// the standard "wake beats sleep" rule — whose value is then in
+// wakeData or wakeWord and the thread keeps its CPU.
+//
+//dipcvet:noalloc
+func (t *Thread) park(arm func()) (woken bool) {
 	t.mustBeRunning()
 	cpu := t.cpu
 	// arm runs while t still owns the CPU so that wakeups it issues
 	// (e.g. waking a server before sleeping for its reply) attribute
 	// IPI time to this thread. A Wake aimed at t while arm is running
-	// is recorded and consumed below instead of being lost — the
-	// standard "wake beats sleep" rule.
+	// is recorded and consumed by the caller instead of being lost.
 	t.blockPending = true
 	if arm != nil {
 		arm()
@@ -199,41 +236,77 @@ func (t *Thread) Block(arm func()) any {
 	t.blockPending = false
 	if t.pendingWake {
 		t.pendingWake = false
-		data := t.wakeData
-		t.wakeData = nil
-		return data
+		return true
 	}
 	t.schedWaiter = t.sp.PrepareWait()
 	t.state = ThreadBlocked
 	t.cpu = nil
 	cpu.switchOut(t)
-	return t.sp.Wait()
+	return false
 }
 
 // Wake makes a blocked thread runnable, delivering data as the return
 // value of its Block. waker attributes IPI costs (nil for devices).
 // Waking a non-blocked thread is ignored (like a spurious futex wake).
 func (t *Thread) Wake(data any, waker *Thread) bool {
-	if t.state != ThreadBlocked {
-		if t.blockPending && !t.pendingWake {
-			t.pendingWake = true
-			t.wakeData = data
-			return true
-		}
+	if !t.wakeable() {
 		return false
 	}
-	t.state = ThreadRunnable
-	t.wakeData = data
-	t.targetCPU().place(t, waker)
+	t.wakeData, t.wordWake = data, false
+	t.resume(waker)
 	return true
 }
 
+// WakeU64 is Wake with an unboxed word, delivered by BlockU64.
+//
+//dipcvet:noalloc
+func (t *Thread) WakeU64(v uint64, waker *Thread) bool {
+	if !t.wakeable() {
+		return false
+	}
+	t.wakeWord, t.wordWake = v, true
+	t.resume(waker)
+	return true
+}
+
+// wakeable reports whether a wake aimed at t now takes effect: t is
+// blocked, or inside Block's arm window with no wake recorded yet. A
+// rejected wake must leave the pending one's value alone, so callers
+// store their value only after this test.
+func (t *Thread) wakeable() bool {
+	return t.state == ThreadBlocked || (t.blockPending && !t.pendingWake)
+}
+
+// resume completes an accepted wake whose value is already stored:
+// inside the arm window it is recorded for park to consume, otherwise
+// the thread is made runnable.
+func (t *Thread) resume(waker *Thread) {
+	if t.state != ThreadBlocked {
+		t.pendingWake = true
+		return
+	}
+	t.state = ThreadRunnable
+	t.targetCPU().place(t, waker)
+}
+
 // SleepFor blocks the thread for d without occupying a CPU (client think
-// time, device waits).
+// time, device waits). The timer is armed before the thread parks —
+// the same event slot Block's arm would give it — and fires the
+// thread's one reusable wake callback, so a sleep allocates nothing.
+//
+//dipcvet:noalloc
 func (t *Thread) SleepFor(d sim.Time) {
-	t.Block(func() {
-		t.m.Eng.At(d, func() { t.Wake(nil, nil) })
-	})
+	t.m.Eng.At(d, t.sleepWaker())
+	t.Block(nil)
+}
+
+// sleepWaker returns the callback that ends a SleepFor, building it on
+// the thread's first sleep.
+func (t *Thread) sleepWaker() func() {
+	if t.sleepWake == nil {
+		t.sleepWake = func() { t.Wake(nil, nil) }
+	}
+	return t.sleepWake
 }
 
 // Syscall models a system call executing fn in kernel mode: trap,

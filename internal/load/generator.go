@@ -34,10 +34,12 @@ type Config struct {
 }
 
 // Generator drives one engine's open-loop traffic: a source proc draws
-// arrivals and hands them to a bounded pool of pre-spawned session
-// procs (a LIFO free list, so slot reuse is deterministic). All state
-// belongs to the owning engine; fold Acc across generators with
-// stats.MergeAll.
+// arrivals and hands them to a bounded pool of session procs. An
+// arrival takes the most recently parked idle session (a LIFO free
+// list, so slot reuse is deterministic); only when none is idle does it
+// spawn a new one, up to Config.Sessions, so a run pays for as many
+// sessions as its peak concurrency. All state belongs to the owning
+// engine; fold Acc across generators with stats.MergeAll.
 type Generator struct {
 	cfg Config
 
@@ -52,12 +54,16 @@ type Generator struct {
 	Sessions int64
 	// Balked counts in-window arrivals lost to pool exhaustion.
 	Balked int64
+	// Spawned counts the session procs spawned so far, over the whole
+	// run: the run's peak concurrency, at most Config.Sessions.
+	Spawned int
 
 	idle []sim.Waiter
 }
 
-// Start spawns the generator's procs on eng. The simulation must not
-// have started yet.
+// Start spawns the generator's arrival source on eng; sessions are
+// spawned as arrivals need them. The simulation must not have started
+// yet.
 func Start(eng *sim.Engine, cfg Config) *Generator {
 	if cfg.Arrivals == nil {
 		panic("load: Config.Arrivals is required")
@@ -72,17 +78,17 @@ func Start(eng *sim.Engine, cfg Config) *Generator {
 		cfg.Requests = 1
 	}
 	g := &Generator{cfg: cfg, idle: make([]sim.Waiter, 0, cfg.Sessions)}
-
-	for i := 0; i < cfg.Sessions; i++ {
-		eng.Spawn(fmt.Sprintf("load-sess%d", i), 0, g.session)
-	}
-	// The source spawns after the sessions so that by its first arrival
-	// draw every slot has parked into the free list.
-	eng.Spawn("load-src", 0, func(p *sim.Proc) { g.source(p) })
+	eng.Spawn("load-src", 0, g.source)
 	return g
 }
 
-// source draws arrivals and dispatches them to free session slots.
+// source draws arrivals and dispatches them to session slots: an idle
+// session if one is parked, else a new one while fewer than Sessions
+// exist. Spawning at delay 0 takes the same event slot as waking a
+// parked session, and sessions hold no per-slot state, so which of the
+// two serves an arrival changes nothing the simulation observes.
+//
+//dipcvet:noalloc
 func (g *Generator) source(p *sim.Proc) {
 	for {
 		p.Sleep(g.cfg.Arrivals.Next())
@@ -91,32 +97,39 @@ func (g *Generator) source(p *sim.Proc) {
 			return
 		}
 		inWin := now >= g.cfg.MeasureStart
-		if n := len(g.idle); n > 0 {
+		n := len(g.idle)
+		switch {
+		case n > 0:
 			w := g.idle[n-1] // LIFO: deterministic slot reuse
 			g.idle = g.idle[:n-1]
-			if inWin {
-				g.Sessions++
-			}
 			w.Wake(0, nil)
-		} else if inWin {
-			g.Balked++
+		case g.Spawned < g.cfg.Sessions:
+			// The new session serves this client before it first parks.
+			//dipcvet:alloc-ok one proc per session slot, at most Config.Sessions per run
+			p.Engine().Spawn(fmt.Sprintf("load-sess%d", g.Spawned), 0, g.session)
+			g.Spawned++
+		default:
+			if inWin {
+				g.Balked++
+			}
+			continue
+		}
+		if inWin {
+			g.Sessions++
 		}
 	}
 }
 
-// session runs one slot: park in the free list, serve an arriving
-// client's request burst, repeat. A client whose request fails — times
-// out, is rejected, errors — abandons the rest of its session: churn
-// under overload returns the slot to the pool instead of piling more
-// work onto a struggling system, while the open-loop arrival source
-// keeps offering fresh clients. Only success keeps a client engaged,
-// so every failed session costs exactly one counted failure no matter
-// how fast the system reported it.
+// session runs one slot: serve the arriving client's request burst,
+// park in the free list until the next client, repeat. A client whose
+// request fails — times out, is rejected, errors — abandons the rest
+// of its session: churn under overload returns the slot to the pool
+// instead of piling more work onto a struggling system, while the
+// open-loop arrival source keeps offering fresh clients. Only success
+// keeps a client engaged, so every failed session costs exactly one
+// counted failure no matter how fast the system reported it.
 func (g *Generator) session(sp *sim.Proc) {
 	for {
-		w := sp.PrepareWait()
-		g.idle = append(g.idle, w)
-		sp.Wait()
 		abandoned := false
 		for r := 0; r < g.cfg.Requests && !abandoned; r++ {
 			start := sp.Now()
@@ -159,5 +172,8 @@ func (g *Generator) session(sp *sim.Proc) {
 				g.Acc.AddOp(end - start)
 			}
 		}
+		w := sp.PrepareWait()
+		g.idle = append(g.idle, w)
+		sp.Wait()
 	}
 }

@@ -183,3 +183,71 @@ func TestGeneratorErrorClassification(t *testing.T) {
 		t.Fatalf("rejected %d + faults %d != failed %d", gen.Acc.Rel.Rejected, gen.Acc.Rel.Faults, gen.Acc.Rel.OpsFailed)
 	}
 }
+
+// Sessions are spawned only when an arrival finds none idle, so a run
+// pays for its peak concurrency, not for Config.Sessions: a window too
+// short for any arrival spawns none, a light load spawns exactly as
+// many as were ever busy at once, and an overload stops at the cap and
+// balks the rest.
+func TestGeneratorSpawnsSessionsOnDemand(t *testing.T) {
+	gap, latency := sim.Micros(100), sim.Micros(250)
+	start := func(sessions int, end, latency sim.Time) *Generator {
+		eng := sim.NewEngine(1)
+		t.Cleanup(eng.Close)
+		gen := Start(eng, Config{
+			Arrivals:   NewPoisson(21, gap),
+			Sessions:   sessions,
+			Requests:   1,
+			MeasureEnd: end,
+			Issue:      func(p *sim.Proc, w sim.Waiter) { w.Wake(latency, nil) },
+		})
+		eng.RunUntil(sim.Millis(100))
+		return gen
+	}
+
+	t.Run("empty-window", func(t *testing.T) {
+		if gen := start(512, 1, latency); gen.Spawned != 0 || gen.Sessions != 0 {
+			t.Fatalf("a 1ns window spawned %d sessions and began %d, want 0", gen.Spawned, gen.Sessions)
+		}
+	})
+
+	t.Run("peak-concurrency", func(t *testing.T) {
+		end := sim.Millis(20)
+		gen := start(512, end, latency)
+		// Replay the arrivals: a client is busy from its arrival for
+		// the backend latency, so the peak is the most arrivals that
+		// fall within one latency of each other.
+		a := NewPoisson(21, gap)
+		var arrivals []sim.Time
+		for at := a.Next(); at <= end; at += a.Next() {
+			arrivals = append(arrivals, at)
+		}
+		peak := 0
+		for k, at := range arrivals {
+			busy := 0
+			for _, prev := range arrivals[:k+1] {
+				if prev+latency > at {
+					busy++
+				}
+			}
+			peak = max(peak, busy)
+		}
+		if peak < 2 {
+			t.Fatalf("peak concurrency %d: the load is too light to tell reuse from spawning", peak)
+		}
+		if gen.Spawned != peak {
+			t.Fatalf("spawned %d sessions, want the peak concurrency %d", gen.Spawned, peak)
+		}
+		if gen.Sessions != int64(len(arrivals)) || gen.Balked != 0 {
+			t.Fatalf("began %d sessions and balked %d for %d arrivals, want all begun", gen.Sessions, gen.Balked, len(arrivals))
+		}
+	})
+
+	t.Run("capped", func(t *testing.T) {
+		gen := start(2, sim.Millis(5), sim.Millis(50))
+		if gen.Spawned != 2 || gen.Balked == 0 {
+			t.Fatalf("spawned %d sessions and balked %d under overload with Sessions=2, want 2 and > 0",
+				gen.Spawned, gen.Balked)
+		}
+	})
+}

@@ -196,6 +196,18 @@ func (e *Engine) At(d Time, fn func()) {
 	e.push(e.now+d, nil, 0, payload{}, fn)
 }
 
+// AtU64 is At for a callback that takes a word: fn(v) runs in the
+// engine context after delay d. The word rides the event's unboxed lane
+// and fn its boxed slot (a func value is pointer-shaped, so storing it
+// allocates nothing), so a caller that builds fn once schedules timers
+// with no per-call closure. The event takes the same (at, seq) slot an
+// At call would.
+//
+//dipcvet:noalloc
+func (e *Engine) AtU64(d Time, fn func(uint64), v uint64) {
+	e.push(e.now+d, nil, 0, payload{kind: payU64, boxed: fn, u64: v}, nil)
+}
+
 // Spawn creates a new simulated thread running fn and schedules it to
 // start after delay d. fn runs as a coroutine that executes only while
 // the engine has dispatched it; when fn returns, the loop carries on
@@ -299,7 +311,7 @@ func (e *Engine) schedule(self *Proc) (pl payload, woke bool) {
 				if !e.runCallback(ev.fn) {
 					break // abort: enter re-throws panicVal
 				}
-			} else if !e.runLink(&ev) {
+			} else if !e.runWord(&ev) {
 				break
 			}
 			continue
@@ -341,19 +353,28 @@ func (e *Engine) runCallback(fn func()) (ok bool) {
 	return true
 }
 
-// runLink delivers a link message event (pushed by pushSeq) to the
-// link's handler, with the same panic containment as runCallback.
+// runWord delivers a word event — a link message (pushed by pushSeq)
+// to the link's handler, or an AtU64 timer to its callback — with the
+// same panic containment as runCallback.
 //
 //dipcvet:noalloc
-func (e *Engine) runLink(ev *event) (ok bool) {
-	lk := ev.data.boxed.(*Link)
+func (e *Engine) runWord(ev *event) (ok bool) {
 	//dipcvet:alloc-ok open-coded defer; the closure stays on the stack
 	defer func() {
 		if r := recover(); r != nil && e.panicVal == nil {
-			e.panicVal = fmt.Errorf("sim: link %d handler panicked: %v", lk.id, r)
+			if lk, ok := ev.data.boxed.(*Link); ok {
+				e.panicVal = fmt.Errorf("sim: link %d handler panicked: %v", lk.id, r)
+			} else {
+				e.panicVal = fmt.Errorf("sim: callback panicked: %v", r)
+			}
 		}
 	}()
-	lk.handler(ev.data.u64)
+	switch h := ev.data.boxed.(type) {
+	case *Link:
+		h.handler(ev.data.u64)
+	case func(uint64):
+		h(ev.data.u64)
+	}
 	return true
 }
 

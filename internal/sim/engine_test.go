@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -389,5 +390,24 @@ func TestExpIsMonotoneInSeedStream(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// AtU64 hands its word to the callback and takes the same (at, seq)
+// slot an At call would: timers at one instant run in call order
+// whichever of the two scheduled them.
+func TestAtU64OrdersWithAt(t *testing.T) {
+	e := NewEngine(1)
+	var got []uint64
+	record := func(v uint64) { got = append(got, v) }
+	e.At(5, func() { got = append(got, 1) })
+	e.AtU64(5, record, 2)
+	e.At(5, func() { got = append(got, 3) })
+	e.AtU64(3, record, 0)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint64{0, 1, 2, 3}; !slices.Equal(got, want) {
+		t.Fatalf("timers ran as %v, want %v", got, want)
 	}
 }
