@@ -4,16 +4,47 @@ package sim
 
 import "iter"
 
-// newCoro starts body as a coroutine that has not yet run. next runs it
-// until it yields or returns (ok is false once it has returned); stop
-// makes a pending yield return false and waits for body to return.
-// Switching costs one runtime.coroswitch, not a trip through the
-// scheduler.
+// coro is one iter.Pull coroutine used as a symmetric switch point. The
+// runtime keeps exactly one goroutine blocked in a coroutine, and any
+// goroutine may switch into it: the switch resumes the blocked goroutine
+// and blocks the caller there instead. iter.Pull spells that switch as
+// next or yield and requires the two to alternate, whoever calls them;
+// the owning Proc's nextDue tracks whose turn it is, so swap can use
+// either. (The flag sits in Proc beside finished, which with an int32
+// queued count keeps a Proc in the 112-byte size class.) A switch costs
+// one runtime.coroswitch, not a trip through the scheduler.
 //
 // iter.Pull needs the Go 1.23 standard library while the module's
 // language version stays at go1.21 (a newer go.mod line would break the
 // nested perfbench module's build), so this file carries the build
 // constraint that raises its own language version.
-func newCoro(body func(yield func(struct{}) bool)) (next func() (struct{}, bool), stop func()) {
-	return iter.Pull(body)
+type coro struct {
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool // set by the body when it first runs
+	stop  func()              // retires the coroutine before its body runs
+}
+
+// startCoro creates p's coroutine with body, which has not yet run: p's
+// goroutine starts out blocked in it. body must store its yield argument
+// in p.co.yield before anything else.
+func (p *Proc) startCoro(body func(yield func(struct{}) bool)) {
+	p.co.next, p.co.stop = iter.Pull(body)
+	p.nextDue = true
+	p.at = p
+}
+
+// swap resumes the goroutine blocked in p's coroutine and blocks the
+// caller there until another swap on it resumes the caller (true), or
+// until p's body returns and the runtime resumes the goroutine blocked
+// in its coroutine (false).
+//
+//dipcvet:noalloc
+func (p *Proc) swap() bool {
+	if p.nextDue {
+		p.nextDue = false
+		_, ok := p.co.next()
+		return ok
+	}
+	p.nextDue = true
+	return p.co.yield(struct{}{})
 }

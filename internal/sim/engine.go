@@ -29,26 +29,28 @@ const maxTime = Time(math.MaxInt64)
 // callback at a time. All mutation of simulation state therefore happens
 // race-free, without locks, in a well-defined order.
 //
-// The engine loop runs on the goroutine that calls Run/RunUntil (a
-// Cluster runs every shard on one engine), and every Proc is a
-// coroutine. A proc that parks carries the loop forward itself:
+// Every Proc is a coroutine, and the engine loop runs on whichever
+// goroutine holds control: the one that called Run/RunUntil (the root)
+// or a proc that parks. A parking proc carries the loop forward itself:
 // callbacks, link events and its own wakeup run inline with no switch at
-// all, the same way dIPC threads cross protection domains without
-// trapping into the kernel. Only when the next event wakes a different
-// proc does the parking proc yield to the loop, which resumes the target
-// — two coroutine switches, never a trip through the Go scheduler. Close
-// unwinds the procs still parked when a run is over.
+// all. When the next event wakes a different proc, the parking proc
+// transfers control straight to it — one coroutine switch, no trip back
+// to the root and none through the Go scheduler — the way a dIPC call
+// enters its callee through a proxy instead of a kernel dispatcher.
+// Control returns to the root only when the run stops. Close unwinds the
+// procs still parked when a run is over.
 type Engine struct {
 	now    Time
 	seq    uint64
 	events eventQueue
 	rng    *Rand
 
-	handoff  *Proc   // proc the loop resumes next; set by schedule
+	rootAt   *Proc   // whose coroutine the root is blocked in while procs run
 	live     int     // procs spawned and not yet finished
 	procs    []*Proc // roster of spawned procs (deadlock diagnostics, Close)
 	panicVal any     // re-thrown panic from a proc or callback
 	closed   bool    // Close has run; the engine schedules nothing more
+	switches uint32  // coroutine switches made by transfer (tests read it)
 
 	limit Time // events scheduled after this instant stay queued
 }
@@ -119,7 +121,7 @@ func (e *Engine) pushSeq(at Time, seq uint64, lk *Link, v uint64) {
 // old generation becomes permanently undeliverable at this instant, so the
 // whole batch is reclassified as stale in O(1).
 func (e *Engine) bumpGen(p *Proc) {
-	e.events.stale += p.queued
+	e.events.stale += int(p.queued)
 	p.queued = 0
 	p.gen++
 	e.events.maybeCompact()
@@ -129,7 +131,7 @@ func (e *Engine) bumpGen(p *Proc) {
 // now stale. The roster is compacted once finished procs dominate it, so
 // churn-heavy models do not accumulate dead entries.
 func (e *Engine) procExited(p *Proc) {
-	e.events.stale += p.queued
+	e.events.stale += int(p.queued)
 	p.queued = 0
 	e.live--
 	if len(e.procs) >= 64 && e.live*2 < len(e.procs) {
@@ -210,15 +212,15 @@ func (e *Engine) AtU64(d Time, fn func(uint64), v uint64) {
 
 // Spawn creates a new simulated thread running fn and schedules it to
 // start after delay d. fn runs as a coroutine that executes only while
-// the engine has dispatched it; when fn returns, the loop carries on
-// with the next event.
+// the engine has dispatched it; when fn returns, the goroutine that had
+// switched into the proc's coroutine resumes and carries the loop on.
 func (e *Engine) Spawn(name string, d Time, fn func(p *Proc)) *Proc {
 	if e.closed {
 		panicClosed()
 	}
 	p := &Proc{eng: e, name: name}
-	p.next, p.stop = newCoro(func(yield func(struct{}) bool) {
-		p.yield = yield
+	p.startCoro(func(yield func(struct{}) bool) {
+		p.co.yield = yield
 		defer func() {
 			p.finished = true
 			e.procExited(p)
@@ -260,15 +262,18 @@ func (e *Engine) Close() {
 	}
 	e.closed = true
 	// procExited compacts the roster while procs unwind, so stop them
-	// from a copy.
+	// from a copy. A stopped proc's body returns into the goroutine
+	// blocked in its coroutine; if that is a proc, it unwinds too, and
+	// so on until the root resumes and its transfer returns.
 	for _, p := range slices.Clone(e.procs) {
-		if p.finished {
-			continue
-		}
-		p.stop()
-		if !p.finished { // never dispatched: its body never ran
+		switch {
+		case p.finished:
+		case p.co.yield == nil: // never dispatched: its body never runs
+			p.co.stop()
 			p.finished = true
 			e.procExited(p)
+		default:
+			e.transfer(&e.rootAt, &p.at)
 		}
 	}
 	if e.panicVal != nil {
@@ -279,14 +284,15 @@ func (e *Engine) Close() {
 }
 
 // schedule is the engine loop body. It runs inline on whoever holds
-// control — enter, or a parking proc — popping events until either the
-// next wakeup targets a proc or a stop condition (queue empty, limit
-// boundary, an aborting panic) ends the run.
+// control — the root in enter, or a parking proc — popping events until
+// either the next wakeup targets a proc or a stop condition (queue
+// empty, limit boundary, an aborting panic) ends the run; then it
+// returns the target, or nil.
 //
-// self names the parking proc, so its own wakeup is returned inline with
-// no switch (woke reports it); self is nil when enter calls. A wakeup for
-// any other proc is stored in the target's wake slot and the target
-// recorded in e.handoff for enter to resume.
+// self names the parking proc, so its own wakeup comes back as pl with
+// no switch; self is nil when the root calls. A wakeup for any other
+// proc is stored in the target's wake slot for the caller to transfer
+// control to.
 //
 // Stale wakeups (a timer firing after its waiter was already woken
 // through another path) are dropped at the head without advancing the
@@ -295,7 +301,7 @@ func (e *Engine) Close() {
 // scheduled after the window.
 //
 //dipcvet:noalloc
-func (e *Engine) schedule(self *Proc) (pl payload, woke bool) {
+func (e *Engine) schedule(self *Proc) (to *Proc, pl payload) {
 	for {
 		for e.events.len() > 0 && staleEvent(e.events.head()) {
 			e.events.pop()
@@ -309,7 +315,7 @@ func (e *Engine) schedule(self *Proc) (pl payload, woke bool) {
 		if ev.proc == nil {
 			if ev.fn != nil {
 				if !e.runCallback(ev.fn) {
-					break // abort: enter re-throws panicVal
+					break // abort: the root re-throws panicVal
 				}
 			} else if !e.runWord(&ev) {
 				break
@@ -321,16 +327,15 @@ func (e *Engine) schedule(self *Proc) (pl payload, woke bool) {
 		// that was woken early) is stale as of now.
 		p := ev.proc
 		p.delivered = ev.gen
-		e.events.stale += p.queued - 1
+		e.events.stale += int(p.queued) - 1
 		p.queued = 0
 		if p == self {
-			return ev.data, true
+			return p, ev.data
 		}
 		p.wake = ev.data
-		e.handoff = p
-		return payload{}, false
+		return p, payload{}
 	}
-	return payload{}, false
+	return nil, payload{}
 }
 
 // runCallback executes a callback event, reporting false if it panicked.
@@ -338,7 +343,7 @@ func (e *Engine) schedule(self *Proc) (pl payload, woke bool) {
 // may be running inside a parking proc: a raw panic would unwind that
 // innocent proc's user code and be misattributed to it by Spawn's
 // recover. Containing it means a panicking callback behaves identically
-// wherever the loop runs: the loop stops and enter re-throws
+// wherever the loop runs: the loop stops and the root re-throws
 // "sim: callback panicked".
 //
 //dipcvet:noalloc
@@ -378,20 +383,41 @@ func (e *Engine) runWord(ev *event) (ok bool) {
 	return true
 }
 
-// enter drives the engine on the calling goroutine: it runs the loop,
-// resumes each proc the loop hands control to until the run stops, then
-// re-throws any panic a proc or callback raised. A proc that returns
-// leaves the loop to enter, which carries on from the next event.
+// transfer hands control from the running participant to a parked one
+// in one coroutine switch. The participants are the procs and the root
+// (the caller of Run/RunUntil/Close); transfer names each by the field
+// recording whose coroutine its goroutine is blocked in, nil while it
+// runs: p.at for a proc, e.rootAt for the root. It switches on the
+// coroutine *to names, and from's goroutine becomes the one blocked
+// there. It returns true when a later transfer hands control back to
+// from, false when instead the body of that coroutine returned and the
+// runtime resumed from.
+//
+//dipcvet:noalloc
+func (e *Engine) transfer(from, to **Proc) bool {
+	at := *to
+	*to = nil
+	*from = at
+	e.switches++
+	ok := at.swap()
+	*from = nil
+	return ok
+}
+
+// enter drives the engine as the root: it runs the loop and transfers
+// control to the first proc it wakes; procs then pass control among
+// themselves until one of them finds the run over and transfers back.
+// A proc body that returns resumes whoever was blocked in its coroutine;
+// if that is the root, it carries the loop on. Last, enter re-throws any
+// panic a proc or callback raised.
 func (e *Engine) enter() {
 	if e.closed {
 		panic("sim: run of a closed engine")
 	}
-	e.schedule(nil)
-	for e.handoff != nil {
-		p := e.handoff
-		e.handoff = nil
-		if _, ok := p.next(); !ok && e.panicVal == nil {
-			e.schedule(nil)
+	for e.panicVal == nil {
+		to, _ := e.schedule(nil)
+		if to == nil || e.transfer(&e.rootAt, &to.at) {
+			break
 		}
 	}
 	if e.panicVal != nil {

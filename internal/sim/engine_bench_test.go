@@ -78,8 +78,17 @@ func BenchmarkEngineSleepWake(b *testing.B) {
 // dispatches.
 func BenchmarkEngineRunPingPong(b *testing.B) {
 	e := NewEngine(1)
+	spawnPingPong(e, b.N)
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
+// spawnPingPong spawns two procs that pass control back and forth
+// through two WaitQueues for n rounds, each round two proc-to-proc
+// wakes.
+func spawnPingPong(e *Engine, n int) {
 	var q1, q2 WaitQueue
-	n := b.N
 	e.Spawn("a", 0, func(p *Proc) {
 		for i := 0; i < n; i++ {
 			q1.Wait(p)
@@ -94,6 +103,36 @@ func BenchmarkEngineRunPingPong(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkEngineHandoffRing measures proc-to-proc handoff alone: 8
+// procs pass one token round a ring of WaitQueues, each waking the next
+// and parking until the token comes round again. One op is one handoff.
+func BenchmarkEngineHandoffRing(b *testing.B) {
+	const procs = 8
+	e := NewEngine(1)
+	var ring [procs]WaitQueue
+	n := uint64(b.N)
+	for i := 0; i < procs; i++ {
+		i := i
+		// Proc 0 starts last, once every other proc waits for the token.
+		start := Time(0)
+		if i == 0 {
+			start = Nanosecond
+		}
+		e.Spawn("r", start, func(p *Proc) {
+			next := &ring[(i+1)%procs]
+			tok := uint64(0)
+			if i > 0 {
+				tok, _ = ring[i].WaitU64(p)
+			}
+			for tok < n {
+				next.WakeOneU64(0, tok+1)
+				tok, _ = ring[i].WaitU64(p)
+			}
+			next.WakeOneU64(0, tok) // pass the end on round the ring
+		})
+	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()

@@ -9,14 +9,14 @@ package sim
 type Proc struct {
 	eng       *Engine
 	name      string
-	next      func() (struct{}, bool) // resume the coroutine (enter's loop)
-	stop      func()                  // unwind the coroutine (Close)
-	yield     func(struct{}) bool     // suspend back to the loop (park)
-	wake      payload                 // payload of a wakeup handed over by schedule
+	co        coro    // the coroutine the proc's body runs in
+	at        *Proc   // whose coroutine the proc's goroutine is blocked in; nil while running
+	wake      payload // payload of a wakeup handed over by schedule
 	gen       uint64
 	delivered uint64 // highest generation whose wakeup was dispatched
-	queued    int    // live events in the engine heap for the current gen
+	queued    int32  // live events in the engine heap for the current gen
 	finished  bool
+	nextDue   bool // co's next, not yield, makes its next switch
 }
 
 // Name returns the name given at Spawn time (used in traces and tests).
@@ -29,11 +29,16 @@ func (p *Proc) Engine() *Engine { return p.eng }
 func (p *Proc) Now() Time { return p.eng.now }
 
 // park suspends the proc until the engine delivers a wakeup for the
-// current generation. It first carries the engine loop forward inline:
-// either the next event wakes this proc — control never moves and the
-// payload comes back with no switch — or the loop hands control to
-// another proc, and this coroutine yields until its own wakeup resumes
-// it. A yield that returns false means Close is stopping the proc.
+// current generation. It carries the engine loop forward inline: either
+// the next event wakes this proc — control never moves and the payload
+// comes back with no switch — or control transfers to the proc the
+// event wakes, or to the root when the run stops. The proc is resumed
+//   - by the transfer that delivers its wakeup: park returns it;
+//   - because the body of the coroutine it was blocked in returned:
+//     park carries the loop on, or hands control to the root if a
+//     panic is pending;
+//   - either way once Close has begun: park panics errProcStopped to
+//     unwind the proc.
 //
 //dipcvet:noalloc
 func (p *Proc) park() payload {
@@ -41,15 +46,27 @@ func (p *Proc) park() payload {
 	if e.closed {
 		panicClosed()
 	}
-	if pl, woke := e.schedule(p); woke {
-		return pl
+	for {
+		to := &e.rootAt
+		if e.panicVal == nil {
+			next, pl := e.schedule(p)
+			if next == p {
+				return pl
+			}
+			if next != nil {
+				to = &next.at
+			}
+		}
+		woke := e.transfer(&p.at, to)
+		if e.closed {
+			panic(errProcStopped)
+		}
+		if woke {
+			pl := p.wake
+			p.wake = payload{}
+			return pl
+		}
 	}
-	if !p.yield(struct{}{}) {
-		panic(errProcStopped)
-	}
-	pl := p.wake
-	p.wake = payload{}
-	return pl
 }
 
 // Sleep advances simulated time by d from this Proc's perspective.
