@@ -294,6 +294,12 @@ func (e *Engine) Close() {
 // proc is stored in the target's wake slot for the caller to transfer
 // control to.
 //
+// first, if non-nil, is an event already taken off the queue — the head
+// a slow Sleep swapped its own wakeup for — and is dispatched before
+// anything is popped. The caller guarantees it is live, due within the
+// limit and ordered before every queued event, so it is exactly the
+// event the first pop would have returned.
+//
 // Stale wakeups (a timer firing after its waiter was already woken
 // through another path) are dropped at the head without advancing the
 // clock, before the limit test, so an abandoned deadline inside a
@@ -301,16 +307,21 @@ func (e *Engine) Close() {
 // scheduled after the window.
 //
 //dipcvet:noalloc
-func (e *Engine) schedule(self *Proc) (to *Proc, pl payload) {
+func (e *Engine) schedule(self *Proc, first *event) (to *Proc, pl payload) {
 	for {
-		for e.events.len() > 0 && staleEvent(e.events.head()) {
-			e.events.pop()
-			e.events.stale--
+		var ev event
+		if first != nil {
+			ev, first = *first, nil
+		} else {
+			for e.events.len() > 0 && staleEvent(e.events.head()) {
+				e.events.pop()
+				e.events.stale--
+			}
+			if e.events.len() == 0 || e.events.head().at > e.limit {
+				break
+			}
+			ev = e.events.pop()
 		}
-		if e.events.len() == 0 || e.events.head().at > e.limit {
-			break
-		}
-		ev := e.events.pop()
 		e.now = ev.at
 		if ev.proc == nil {
 			if ev.fn != nil {
@@ -415,7 +426,7 @@ func (e *Engine) enter() {
 		panic("sim: run of a closed engine")
 	}
 	for e.panicVal == nil {
-		to, _ := e.schedule(nil)
+		to, _ := e.schedule(nil, nil)
 		if to == nil || e.transfer(&e.rootAt, &to.at) {
 			break
 		}

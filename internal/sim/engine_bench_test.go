@@ -72,6 +72,43 @@ func BenchmarkEngineSleepWake(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkEngineInterleavedSleep measures Sleep's slow path in the
+// heap shape of the open-loop runs. Four procs, like fig8's four busy
+// CPUs, sleep equal slices from staggered starts, so every Sleep finds
+// another proc's wakeup due first and yields to it. Beneath them sit 128
+// live timers parked 2ms out, like the session deadlines, each re-armed
+// when it fires. One op is one Sleep.
+func BenchmarkEngineInterleavedSleep(b *testing.B) {
+	const (
+		procs   = 4
+		timers  = 128
+		slice   = 10 * Nanosecond
+		timeout = 2 * Millisecond
+	)
+	e := NewEngine(1)
+	n := 0
+	var rearm func(uint64)
+	rearm = func(uint64) {
+		if n < b.N {
+			e.AtU64(timeout, rearm, 0)
+		}
+	}
+	for i := 0; i < timers; i++ {
+		e.AtU64(timeout+Time(i)*Nanosecond, rearm, 0)
+	}
+	for i := 0; i < procs; i++ {
+		e.Spawn("cpu", Time(i)*Nanosecond, func(p *Proc) {
+			for n < b.N {
+				n++
+				p.Sleep(slice)
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run()
+}
+
 // BenchmarkEngineRunPingPong measures a full sleep/wake round trip
 // between two procs under Run — the dispatch path itself, as the
 // experiments drive it (Run/RunUntil). One op is one round: two

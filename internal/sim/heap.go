@@ -6,7 +6,10 @@ package sim
 // capacity instead of allocating a node per event, and comparisons never
 // box through heap.Interface/any. A 4-ary layout halves the tree depth of
 // a binary heap and keeps all children of a node in adjacent slots, which
-// the sift loops exploit for cache locality.
+// the sift loops exploit for cache locality. Besides push and pop it
+// offers replaceTop, the "hold" of the discrete-event literature: a slow
+// Sleep removes the head it yields to and inserts its own wakeup in one
+// sift down, where push then pop would walk the tree twice.
 //
 // The queue also tracks how many of its entries are stale — events that
 // can never be delivered because their target proc finished or moved to a
@@ -26,9 +29,10 @@ const compactMin = 32
 
 // staleEvent reports whether ev is permanently undeliverable: its proc
 // finished, moved past the event's generation, or already consumed the
-// generation's wakeup (delivered watermark). All three are monotonic, so
-// once stale an event stays stale and compaction may discard it. Note an
-// event pushed by a running proc for its own upcoming park (Sleep) has
+// generation (delivered watermark) — by a delivered wakeup, or in place
+// by a fast-path Sleep. All three are monotonic, so once stale an event
+// stays stale and compaction may discard it. Note an event queued by a
+// running proc for its own upcoming park (a slow Sleep's wakeup) has
 // gen == proc.gen > delivered and is correctly considered live even
 // though the proc is not parked yet.
 func staleEvent(ev *event) bool {
@@ -73,6 +77,20 @@ func (q *eventQueue) pop() event {
 	if n > 1 {
 		q.siftDown(0)
 	}
+	return top
+}
+
+// replaceTop removes and returns the minimum event and inserts ev in
+// the same step: ev takes the root's place and sifts down once. This is
+// the discrete-event "hold" — a slow Sleep yields to the head while
+// queueing its own wakeup — at the cost of one sift instead of push's
+// sift up plus pop's sift down. Callers must have checked len() > 0.
+//
+//dipcvet:noalloc
+func (q *eventQueue) replaceTop(ev event) event {
+	top := q.ev[0]
+	q.ev[0] = ev
+	q.siftDown(0)
 	return top
 }
 

@@ -31,22 +31,44 @@ func (r *refQueue) pop() event {
 }
 
 // TestHeapMatchesReference drives the 4-ary heap and the insertion-sorted
-// reference through identical random push/pop schedules and demands the
-// exact same pop sequence, including FIFO ties at equal timestamps.
+// reference through identical random push/pop/replaceTop schedules and
+// demands the exact same pop sequence, including ties at equal
+// timestamps. Sequence numbers come from two rising counters, the
+// engine's and the link band above it, so at a tied instant seq decides
+// either way: an event inserted later can still sort first. A
+// replaceTop is a pop followed by a push in the reference.
 func TestHeapMatchesReference(t *testing.T) {
 	schedule := func(seed uint64) bool {
 		rng := NewRand(seed)
 		var h eventQueue
 		var ref refQueue
-		var seq uint64
-		for op := 0; op < 400; op++ {
-			if h.len() == 0 || rng.Intn(3) != 0 {
+		var seq, linkSeq uint64 = 0, linkBand
+		next := func() event {
+			// Small time range to force plenty of (at, seq) ties.
+			ev := event{at: Time(rng.Intn(16))}
+			if rng.Intn(4) == 0 {
+				linkSeq++
+				ev.seq = linkSeq
+			} else {
 				seq++
-				// Small time range to force plenty of (at, seq) ties.
-				ev := event{at: Time(rng.Intn(16)), seq: seq}
+				ev.seq = seq
+			}
+			return ev
+		}
+		for op := 0; op < 400; op++ {
+			switch k := rng.Intn(6); {
+			case h.len() == 0 || k < 3:
+				ev := next()
 				h.push(ev)
 				ref.push(ev)
-			} else {
+			case k < 5:
+				ev := next()
+				got, want := h.replaceTop(ev), ref.pop()
+				ref.push(ev)
+				if got.at != want.at || got.seq != want.seq {
+					return false
+				}
+			default:
 				got, want := h.pop(), ref.pop()
 				if got.at != want.at || got.seq != want.seq {
 					return false

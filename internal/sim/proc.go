@@ -32,7 +32,10 @@ func (p *Proc) Now() Time { return p.eng.now }
 // current generation. It carries the engine loop forward inline: either
 // the next event wakes this proc — control never moves and the payload
 // comes back with no switch — or control transfers to the proc the
-// event wakes, or to the root when the run stops. The proc is resumed
+// event wakes, or to the root when the run stops. first, if non-nil, is
+// the event the loop dispatches before it pops anything (see
+// Engine.schedule): Sleep's slow path passes the head it swapped its
+// wakeup for. The proc is resumed
 //   - by the transfer that delivers its wakeup: park returns it;
 //   - because the body of the coroutine it was blocked in returned:
 //     park carries the loop on, or hands control to the root if a
@@ -41,7 +44,7 @@ func (p *Proc) Now() Time { return p.eng.now }
 //     unwind the proc.
 //
 //dipcvet:noalloc
-func (p *Proc) park() payload {
+func (p *Proc) park(first *event) payload {
 	e := p.eng
 	if e.closed {
 		panicClosed()
@@ -49,7 +52,8 @@ func (p *Proc) park() payload {
 	for {
 		to := &e.rootAt
 		if e.panicVal == nil {
-			next, pl := e.schedule(p)
+			next, pl := e.schedule(p, first)
+			first = nil
 			if next == p {
 				return pl
 			}
@@ -74,11 +78,21 @@ func (p *Proc) park() payload {
 // Fast path: events are only ever pushed by whoever holds engine
 // control, and that is this proc right now — so if the queue holds no
 // live event at or before now+d, the engine loop could only pop this
-// proc's own wakeup straight back. In that case the heap round trip, the
-// generation bookkeeping of delivery and the park are all skipped and
-// the clock advances inline. The fast path is disabled
-// across the RunUntil limit (the wakeup must stay queued past the
-// window), where the queued event is observable.
+// proc's own wakeup straight back. In that case the heap round trip and
+// the park are skipped and the clock advances inline. No event is queued
+// for a new generation, so the generation is not bumped either: the
+// current one is consumed in place, exactly as delivering its wakeup
+// would. The fast path is disabled across the RunUntil limit (the wakeup
+// must stay queued past the window), where the queued event is
+// observable.
+//
+// Slow path: the head is live and due first, so the loop's next step
+// would pop it. The wakeup takes its place in one sift down
+// (replaceTop) and the old head goes to the loop as its first event,
+// rather than a push whose sift up is undone at once by a pop's sift
+// down. Past the RunUntil limit, with a panic pending, on a closed
+// engine (push reports it) or when the head sorts after the wakeup,
+// Sleep takes the plain push and park.
 //
 //dipcvet:noalloc
 func (p *Proc) Sleep(d Time) {
@@ -98,17 +112,44 @@ func (p *Proc) Sleep(d Time) {
 				panicClosed()
 			}
 			// Exactly the state a delivered wakeup would leave behind:
-			// prior events for the old generation become stale, the new
+			// events still queued for the generation become stale, the
 			// generation is consumed, the clock stands at the wake time.
-			e.bumpGen(p)
+			if p.queued != 0 {
+				q.stale += int(p.queued)
+				p.queued = 0
+				q.maybeCompact()
+			}
 			p.delivered = p.gen
 			e.now = at
+			return
+		}
+		// A link delivery due at the wake instant sorts after the wakeup
+		// (its seq is in the link band), so the test is before, not at.
+		wake := event{at: at, seq: e.seq + 1, proc: p, gen: p.gen + 1}
+		if e.panicVal == nil && !e.closed && before(q.head(), &wake) {
+			// bumpGen and push's bookkeeping, without push's sift.
+			q.stale += int(p.queued)
+			p.gen++
+			p.queued = 1
+			e.seq++
+			head := q.replaceTop(wake)
+			first := &head
+			// The gen bump just above retires any event for the sleeper's
+			// old generation, and the swapped-out head may be one: say a
+			// Waiter.Wake(0, ...) for this proc queued before it slept.
+			// Drop it as the loop would have.
+			if staleEvent(first) {
+				q.stale--
+				first = nil
+			}
+			q.maybeCompact()
+			p.park(first)
 			return
 		}
 	}
 	e.bumpGen(p)
 	e.push(at, p, p.gen, payload{}, nil)
-	p.park()
+	p.park(nil)
 }
 
 // Waiter is a one-shot wake handle for a parked Proc. It is created
@@ -132,7 +173,7 @@ func (p *Proc) PrepareWait() Waiter {
 // Wait parks until the Waiter from the preceding PrepareWait is fired,
 // returning the data passed to Wake.
 func (p *Proc) Wait() any {
-	return p.park().value()
+	return p.park(nil).value()
 }
 
 // WaitU64 is Wait for wakers on the unboxed uint64 lane (WakeU64,
@@ -142,7 +183,7 @@ func (p *Proc) Wait() any {
 //
 //dipcvet:noalloc
 func (p *Proc) WaitU64() (v uint64, ok bool) {
-	pl := p.park()
+	pl := p.park(nil)
 	return pl.u64, pl.kind == payU64
 }
 
@@ -150,8 +191,9 @@ func (p *Proc) WaitU64() (v uint64, ok bool) {
 // is live, still on the waiter's generation, and that generation's wakeup
 // has not already been dispatched. The delivered-watermark test matches
 // push's staleness classification — after a wakeup is delivered the
-// generation stays current until the proc's next PrepareWait/Sleep, and a
-// Waiter for it must read as spent, not valid.
+// generation stays current until the proc's next PrepareWait or slow
+// Sleep (a fast Sleep consumes it in place), and a Waiter for it must
+// read as spent, not valid.
 func (w Waiter) Valid() bool {
 	return w.p != nil && !w.p.finished && w.gen == w.p.gen && w.gen > w.p.delivered
 }

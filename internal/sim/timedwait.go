@@ -34,7 +34,7 @@ func (p *Proc) PrepareTimedWait(d Time) Waiter {
 // completion wake's payload (which may itself be nil — a bare Wake is a
 // completion, not a timeout).
 func (p *Proc) WaitTimed() (v any, completed bool) {
-	pl := p.park()
+	pl := p.park(nil)
 	if pl.kind == payTimeout {
 		return nil, false
 	}

@@ -59,7 +59,7 @@ func (q *WaitQueue) WaitTimeout(p *Proc, d Time) (any, bool) {
 	w := p.PrepareWait()
 	q.q.PushBack(w)
 	w.wake(d, payload{kind: payTimeout})
-	pl := p.park()
+	pl := p.park(nil)
 	if pl.kind == payTimeout {
 		q.remove(w)
 		return nil, false
