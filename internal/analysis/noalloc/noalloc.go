@@ -11,7 +11,12 @@
 //   - calls into fmt and errors (Sprintf, Errorf, New, ...): message
 //     construction belongs on cold paths — preconstruct the error or
 //     move the construction into an unmarked helper called only on the
-//     failure branch (the PR 5 deadErr pattern);
+//     failure branch (the deadErr pattern). errors.Is and errors.As
+//     construct nothing, but they assert to interface types (below);
+//   - type assertions and type-switch cases to interface types: the
+//     runtime resolves them through per-site caches that it refills by
+//     allocating, now and then, on a miss. Match concrete types, or
+//     compare sentinels by identity (faults.Class);
 //   - make, new, &composite{...}, slice/map composite literals;
 //   - append: growing a non-pooled slice allocates; appends into pooled
 //     backing arrays are annotated, not exempted silently;
@@ -74,6 +79,19 @@ func checkFunc(pass *analysis.Pass, fd *ast.FuncDecl) {
 			return false // the literal's body is not on the marked path
 		case *ast.CallExpr:
 			checkCall(pass, n)
+		case *ast.TypeAssertExpr:
+			// x.(type) in a switch has no Type; its cases are checked below.
+			if n.Type != nil && isInterface(pass.TypeOf(n.Type)) {
+				report(pass, n.Pos(), "assertion to interface type %s refills a runtime cache by allocating; match a concrete type", pass.TypeOf(n.Type))
+			}
+		case *ast.TypeSwitchStmt:
+			for _, c := range n.Body.List {
+				for _, t := range c.(*ast.CaseClause).List {
+					if isInterface(pass.TypeOf(t)) {
+						report(pass, t.Pos(), "type-switch case %s is an interface type; the switch refills a runtime cache by allocating", pass.TypeOf(t))
+					}
+				}
+			}
 		case *ast.UnaryExpr:
 			if n.Op == token.AND {
 				if _, ok := n.X.(*ast.CompositeLit); ok {
@@ -138,16 +156,20 @@ func checkCall(pass *analysis.Pass, call *ast.CallExpr) {
 		}
 	}
 
-	// Allocating stdlib constructors: all of fmt is construction;
-	// errors.New/Join construct, but Is/As/Unwrap only inspect.
+	// Allocating stdlib calls: all of fmt is construction; errors.New
+	// and Join construct, errors.Is and As assert to interface types
+	// (see the package doc); Unwrap only inspects.
 	if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
 		if fn, ok := pass.Info.Uses[sel.Sel].(*types.Func); ok && fn.Pkg() != nil {
 			switch fn.Pkg().Path() {
 			case "fmt":
 				report(pass, call.Pos(), "call to fmt.%s allocates; preconstruct the value or move construction to a cold helper", fn.Name())
 			case "errors":
-				if fn.Name() == "New" || fn.Name() == "Join" {
+				switch fn.Name() {
+				case "New", "Join":
 					report(pass, call.Pos(), "call to errors.%s allocates; preconstruct the value or move construction to a cold helper", fn.Name())
+				case "Is", "As":
+					report(pass, call.Pos(), "call to errors.%s asserts to interface types, which refills runtime caches by allocating; compare sentinels or match concrete types", fn.Name())
 				}
 			}
 		}
@@ -277,6 +299,12 @@ func unparen(e ast.Expr) ast.Expr {
 		}
 		e = p.X
 	}
+}
+
+// isInterface reports whether t is an interface type (nil, the untyped
+// nil of a `case nil`, is not).
+func isInterface(t types.Type) bool {
+	return t != nil && types.IsInterface(t)
 }
 
 func isString(t types.Type) bool {

@@ -17,8 +17,37 @@ type box struct {
 func fmtAndErrors(n int) error {
 	s := fmt.Sprintf("n=%d", n) // want `call to fmt.Sprintf allocates` `packs 1 variadic` `boxes int`
 	_ = s
-	_ = errors.Is(nil, nil)   // inspection, not construction: not flagged
+	_ = errors.Is(nil, nil)   // want `call to errors.Is asserts to interface types`
+	_ = errors.As(nil, nil)   // want `call to errors.As asserts to interface types`
+	_ = errors.Unwrap(nil)    // inspection only: not flagged
 	return errors.New("boom") // want `call to errors.New allocates`
+}
+
+type wrapper interface{ Unwrap() error }
+
+type sentinel struct{}
+
+func (*sentinel) Error() string { return "sentinel" }
+
+// assertions: asserting to an interface type goes through a runtime
+// cache that refills by allocating; a concrete type is a compare.
+//
+//dipcvet:noalloc
+func assertions(v any, err error) bool {
+	_, ok := v.(error)      // want `assertion to interface type error`
+	_, ok = err.(wrapper)   // want `assertion to interface type noalloctest.wrapper`
+	_, ok = err.(*sentinel) // concrete: not flagged
+	switch v.(type) {
+	case nil, *sentinel, int: // nil and concrete cases: not flagged
+	case fmt.Stringer: // want `type-switch case fmt.Stringer is an interface type`
+	}
+	switch e := err.(type) {
+	case *sentinel:
+		_ = e
+	case wrapper: // want `type-switch case noalloctest.wrapper is an interface type`
+	}
+	_, cold := v.(error) //dipcvet:alloc-ok reached only by foreign types, off the hot path
+	return ok && cold
 }
 
 // constructs: make/new/composite literals/append/closures/go.

@@ -19,7 +19,7 @@ import (
 // ErrBreakerOpen is the fast-fail outcome. It wraps faults.ErrRejected:
 // a breaker shed is load shedding, not a new failure — the failure
 // already happened downstream.
-var ErrBreakerOpen = fmt.Errorf("oltp: circuit breaker open: %w", faults.ErrRejected)
+var ErrBreakerOpen error = &faults.Error{Msg: "oltp: circuit breaker open", Err: faults.ErrRejected}
 
 // Breaker states.
 const (

@@ -88,7 +88,7 @@ func buildChain(c *tierChain, m *kernel.Machine, prm *Params, inj *faults.Inject
 		// RemoteError is immutable once returned, so it is reused while
 		// the cause repeats (the causes are preconstructed errors), and
 		// a failing request allocates nothing.
-		var fail *RemoteError
+		var fail *faults.RemoteError
 		callee := ""
 		if i < c.Depth {
 			callee = svcName(i + 1)
@@ -98,7 +98,7 @@ func buildChain(c *tierChain, m *kernel.Machine, prm *Params, inj *faults.Inject
 			if i < c.Depth {
 				if _, err := transports[i].TryCall(t, "hop", payload, c.ReqBytes); err != nil {
 					if fail == nil || fail.Err != err {
-						fail = &RemoteError{Tier: callee, Err: err}
+						fail = &faults.RemoteError{Tier: callee, Err: err}
 					}
 					return fail, c.ReqBytes
 				}

@@ -1,9 +1,6 @@
 package oltp
 
 import (
-	"errors"
-	"fmt"
-
 	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/sim"
@@ -18,26 +15,13 @@ import (
 // charges of a world where every call succeeds — what the paper
 // measures.
 
-// RemoteError is an in-band failure traveling up the chain as an
-// ordinary response payload — the simulation analogue of a 5xx page: the
-// transport delivered fine, the tier behind it did not.
-type RemoteError struct {
-	Tier string // the tier that failed, e.g. "svc3"
-	Err  error  // why
-}
-
-// Error implements error.
-func (e *RemoteError) Error() string { return fmt.Sprintf("remote %s: %v", e.Tier, e.Err) }
-
-// Unwrap exposes the cause for errors.Is chains.
-func (e *RemoteError) Unwrap() error { return e.Err }
-
-// unwrapRemote converts an in-band RemoteError payload into a Go error;
-// any other payload passes through. All TryCall implementations funnel
-// handler output through this, so a failure N tiers down surfaces at the
-// client as an error without any transport growing an error channel.
+// unwrapRemote converts an in-band faults.RemoteError payload into a Go
+// error; any other payload passes through. All TryCall implementations
+// funnel handler output through this, so a failure N tiers down surfaces
+// at the client as an error without any transport growing an error
+// channel.
 func unwrapRemote(out any) (any, error) {
-	if re, ok := out.(*RemoteError); ok {
+	if re, ok := out.(*faults.RemoteError); ok {
 		return nil, re
 	}
 	return out, nil
@@ -109,17 +93,18 @@ func (r *Retrier) TryCall(t *kernel.Thread, op string, payload any, reqBytes int
 			return out, nil
 		}
 		lastErr = err
+		class := faults.Class(err)
 		if r.Rel != nil {
-			switch {
-			case errors.Is(err, faults.ErrTimeout):
+			switch class {
+			case faults.ErrTimeout:
 				r.Rel.Timeouts++
-			case errors.Is(err, faults.ErrRejected):
+			case faults.ErrRejected:
 				r.Rel.Rejected++
 			default:
 				r.Rel.Faults++
 			}
 		}
-		if errors.Is(err, faults.ErrRejected) {
+		if class == faults.ErrRejected {
 			// A rejection is a deliberate shed by admission control or a
 			// breaker, not a transient: retrying it is exactly the
 			// amplification those tiers exist to prevent.

@@ -1,8 +1,6 @@
 package oltp
 
 import (
-	"fmt"
-
 	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/sim"
@@ -79,9 +77,9 @@ type GatewayConfig struct {
 // Rejection sentinels are preconstructed so the hot shed path performs
 // no allocation per rejected request.
 var (
-	errGatewayFull  = fmt.Errorf("oltp: admission queue full: %w", faults.ErrRejected)
-	errGatewayStale = fmt.Errorf("oltp: deadline budget exhausted in queue: %w", faults.ErrRejected)
-	errGatewayToken = fmt.Errorf("oltp: token bucket empty: %w", faults.ErrRejected)
+	errGatewayFull  error = &faults.Error{Msg: "oltp: admission queue full", Err: faults.ErrRejected}
+	errGatewayStale error = &faults.Error{Msg: "oltp: deadline budget exhausted in queue", Err: faults.ErrRejected}
+	errGatewayToken error = &faults.Error{Msg: "oltp: token bucket empty", Err: faults.ErrRejected}
 )
 
 // Gateway is the bounded, policy-governed front door. All state belongs

@@ -21,7 +21,6 @@
 package oltp
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 
@@ -316,7 +315,7 @@ func startReplicated(cfg *ReplicatedConfig) (*rack, *ReplicaHealth, [][]*Breaker
 				}
 				class := uint64(respOK)
 				if err != nil {
-					if errors.Is(err, faults.ErrRejected) {
+					if faults.Class(err) == faults.ErrRejected {
 						class = respRejected
 					} else {
 						class = respFault

@@ -116,7 +116,7 @@ func TestRouterFailsOverOnError(t *testing.T) {
 // with its cause intact.
 func TestNestedClassification(t *testing.T) {
 	brCfg := BreakerConfig{Window: 4, Threshold: 0.5, Cooldown: sim.Millis(10), Probes: 1}
-	remote := &RemoteError{Tier: "svc2", Err: errTierFault}
+	remote := &faults.RemoteError{Tier: "svc2", Err: errTierFault}
 
 	type stack struct {
 		name  string
@@ -159,7 +159,7 @@ func TestNestedClassification(t *testing.T) {
 				if err == nil {
 					t.Fatalf("expected residual error")
 				}
-				var re *RemoteError
+				var re *faults.RemoteError
 				if !errors.As(err, &re) || re.Tier != "svc2" {
 					t.Errorf("RemoteError did not unwrap through %s: %v", st.name, err)
 				}

@@ -120,7 +120,7 @@ func (s *SockTransport) TryCall(t *kernel.Thread, op string, payload any, reqByt
 
 // refused is the error of a call to a dead serving process.
 func refused(p *kernel.Process) error {
-	return fmt.Errorf("oltp: connect %s: %w", p.Name, faults.ErrDead)
+	return &faults.Error{Msg: "oltp: connect " + p.Name, Err: faults.ErrDead}
 }
 
 // Worker runs one service thread: the per-tier thread pools of the
@@ -185,7 +185,9 @@ func (d *DIPCTransport) TryCall(t *kernel.Thread, op string, payload any, reqByt
 }
 
 // callFailed wraps a failed dIPC call's error, off the call path.
-func callFailed(op string, err error) error { return fmt.Errorf("oltp: dIPC call %q: %w", op, err) }
+func callFailed(op string, err error) error {
+	return &faults.Error{Msg: fmt.Sprintf("oltp: dIPC call %q", op), Err: err}
+}
 
 // handlerEntry adapts a Handler into a dIPC entry function.
 func handlerEntry(h Handler, op string) core.Func {

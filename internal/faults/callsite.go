@@ -1,10 +1,6 @@
 package faults
 
-import (
-	"fmt"
-
-	"repro/internal/sim"
-)
+import "repro/internal/sim"
 
 // Verdict is the fate the fault stream assigns one call attempt.
 type Verdict uint8
@@ -50,7 +46,7 @@ func (p *Plan) Site(name string, dropPenalty sim.Time) *CallSite {
 		slowProb:    p.SlowProb,
 		slowBy:      p.SlowBy,
 		dropPenalty: dropPenalty,
-		dropErr:     fmt.Errorf("%s: %w", name, ErrTimeout),
+		dropErr:     &Error{Msg: name, Err: ErrTimeout},
 	}
 }
 

@@ -127,25 +127,34 @@ func (t *Thread) targetCPU() *CPU {
 	return t.m.leastLoadedCPU()
 }
 
-// mustBeRunning guards APIs that only the current thread may call.
+// mustBeRunning guards APIs that only the current thread may call. It
+// is small enough to inline; the message is built in panicNotRunning.
 func (t *Thread) mustBeRunning() {
 	if t.state != ThreadRunning || t.cpu == nil || t.cpu.cur != t {
-		cur := "<nil>"
-		cpu := -1
-		if t.cpu != nil {
-			cpu = t.cpu.ID
-			if t.cpu.cur != nil {
-				cur = t.cpu.cur.Name
-			}
-		}
-		panic(fmt.Sprintf("kernel: thread %q used while not running (state=%d cpu=%d cur=%q)",
-			t.Name, t.state, cpu, cur))
+		t.panicNotRunning()
 	}
+}
+
+// panicNotRunning reports a thread used while it does not hold its CPU.
+func (t *Thread) panicNotRunning() {
+	cur := "<nil>"
+	cpu := -1
+	if t.cpu != nil {
+		cpu = t.cpu.ID
+		if t.cpu.cur != nil {
+			cur = t.cpu.cur.Name
+		}
+	}
+	panic(fmt.Sprintf("kernel: thread %q used while not running (state=%d cpu=%d cur=%q)",
+		t.Name, t.state, cpu, cur))
 }
 
 // Exec charges d of computation to block b, advancing simulated time.
 // The quantum expires at Exec boundaries: if other threads are queued on
-// this CPU the thread round-robins.
+// this CPU the thread round-robins. A slice that nothing precedes — the
+// common case — advances the clock without leaving Exec: the guard and
+// Proc.Advance inline here (scripts/inline.sh checks that they do), and
+// only a slice that something precedes goes to Proc.Sleep.
 func (t *Thread) Exec(d sim.Time, b stats.Block) {
 	if d <= 0 {
 		return
@@ -156,7 +165,9 @@ func (t *Thread) Exec(d sim.Time, b stats.Block) {
 		if slice > t.quantumLeft {
 			slice = t.quantumLeft
 		}
-		t.sp.Sleep(slice)
+		if !t.sp.Advance(slice) {
+			t.sp.Sleep(slice)
+		}
 		t.cpu.Acct.Add(b, slice)
 		d -= slice
 		t.quantumLeft -= slice

@@ -1,7 +1,6 @@
 package load
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/faults"
@@ -157,12 +156,8 @@ func (g *Generator) session(sp *sim.Proc) {
 				g.Acc.Rel.OpsFailed++
 				g.Acc.Rel.Timeouts++
 			case v != nil:
-				err, ok := v.(error)
-				if !ok {
-					panic(fmt.Sprintf("load: completion wake carried %T, want error or nil", v))
-				}
 				g.Acc.Rel.OpsFailed++
-				if errors.Is(err, faults.ErrRejected) {
+				if faults.Class(wakeErr(v)) == faults.ErrRejected {
 					g.Acc.Rel.Rejected++
 				} else {
 					g.Acc.Rel.Faults++
@@ -176,4 +171,29 @@ func (g *Generator) session(sp *sim.Proc) {
 		g.idle = append(g.idle, w)
 		sp.Wait()
 	}
+}
+
+// wakeErr returns the error a completion wake carried. The wrappers the
+// request path builds (faults.Error, faults.RemoteError) are matched by
+// concrete type, which costs a compare; only another type takes the
+// assertion to error.
+//
+//dipcvet:noalloc
+func wakeErr(v any) error {
+	switch e := v.(type) {
+	case *faults.Error:
+		return e
+	case *faults.RemoteError:
+		return e
+	}
+	err, ok := v.(error) //dipcvet:alloc-ok reached only by error types the request path does not build
+	if !ok {
+		panicNotError(v)
+	}
+	return err
+}
+
+// panicNotError reports a completion wake that carried no error.
+func panicNotError(v any) {
+	panic(fmt.Sprintf("load: completion wake carried %T, want error or nil", v))
 }

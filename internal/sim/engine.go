@@ -9,16 +9,17 @@ import (
 )
 
 // event is a single entry in the engine's time-ordered queue. An event
-// either resumes a parked Proc or runs a callback in the engine context.
-// Events are stored by value inside eventQueue's pooled slice; the engine
-// never allocates per event in steady state.
+// either resumes a parked Proc or runs a handler in the engine context:
+// with proc nil, data.boxed holds the handler — a func() (At), a
+// func(uint64) (AtU64) or a *Link (a link delivery) — and data.u64 its
+// word. Events are stored by value inside eventQueue's pooled slice; the
+// engine never allocates per event in steady state.
 type event struct {
 	at   Time
 	seq  uint64  // tie-breaker: FIFO among events at the same instant
 	proc *Proc   // if non-nil, resume this proc...
 	gen  uint64  // ...but only if it is still parked on this generation
-	data payload // value returned from the proc's park
-	fn   func()  // if proc is nil, run this callback
+	data payload // value returned from the proc's park, or the handler
 }
 
 // maxTime is the open-ended run limit used by Run.
@@ -37,8 +38,10 @@ const maxTime = Time(math.MaxInt64)
 // transfers control straight to it — one coroutine switch, no trip back
 // to the root and none through the Go scheduler — the way a dIPC call
 // enters its callee through a proxy instead of a kernel dispatcher.
-// Control returns to the root only when the run stops. Close unwinds the
-// procs still parked when a run is over.
+// park makes that switch inline, in its own frame, so a resumed proc
+// returns straight through park and Sleep to its caller. Control
+// returns to the root only when the run stops. Close unwinds the procs
+// still parked when a run is over.
 type Engine struct {
 	now    Time
 	seq    uint64
@@ -50,7 +53,7 @@ type Engine struct {
 	procs    []*Proc // roster of spawned procs (deadlock diagnostics, Close)
 	panicVal any     // re-thrown panic from a proc or callback
 	closed   bool    // Close has run; the engine schedules nothing more
-	switches uint32  // coroutine switches made by transfer (tests read it)
+	switches uint32  // coroutine switches made by park and transfer (tests read it)
 
 	limit Time // events scheduled after this instant stay queued
 }
@@ -59,8 +62,9 @@ type Engine struct {
 // deterministic seed.
 func NewEngine(seed uint64) *Engine {
 	return &Engine{
-		rng:   NewRand(seed),
-		limit: maxTime,
+		rng:    NewRand(seed),
+		limit:  maxTime,
+		events: eventQueue{bound: maxTime, ceil: maxTime},
 	}
 }
 
@@ -82,7 +86,7 @@ func (e *Engine) Pending() int { return e.events.len() }
 // the whole batch to stale the moment it becomes undeliverable.
 //
 //dipcvet:noalloc
-func (e *Engine) push(at Time, p *Proc, gen uint64, data payload, fn func()) {
+func (e *Engine) push(at Time, p *Proc, gen uint64, data payload) {
 	if e.closed {
 		panicClosed()
 	}
@@ -97,7 +101,7 @@ func (e *Engine) push(at Time, p *Proc, gen uint64, data payload, fn func()) {
 			e.events.stale++
 		}
 	}
-	e.events.push(event{at: at, seq: e.seq, proc: p, gen: gen, data: data, fn: fn})
+	e.events.push(event{at: at, seq: e.seq, proc: p, gen: gen, data: data})
 	e.events.maybeCompact()
 }
 
@@ -193,9 +197,10 @@ func (e *Engine) Deadlock() error {
 
 // At schedules fn to run in the engine context after delay d. The callback
 // must not park (it does not run on a Proc); it is intended for timers,
-// interrupt delivery and bookkeeping.
+// interrupt delivery and bookkeeping. fn rides the event's boxed slot (a
+// func value is pointer-shaped, so storing it allocates nothing).
 func (e *Engine) At(d Time, fn func()) {
-	e.push(e.now+d, nil, 0, payload{}, fn)
+	e.push(e.now+d, nil, 0, payload{boxed: fn})
 }
 
 // AtU64 is At for a callback that takes a word: fn(v) runs in the
@@ -207,7 +212,7 @@ func (e *Engine) At(d Time, fn func()) {
 //
 //dipcvet:noalloc
 func (e *Engine) AtU64(d Time, fn func(uint64), v uint64) {
-	e.push(e.now+d, nil, 0, payload{kind: payU64, boxed: fn, u64: v}, nil)
+	e.push(e.now+d, nil, 0, payload{kind: payU64, boxed: fn, u64: v})
 }
 
 // Spawn creates a new simulated thread running fn and schedules it to
@@ -233,7 +238,7 @@ func (e *Engine) Spawn(name string, d Time, fn func(p *Proc)) *Proc {
 	e.live++
 	e.procs = append(e.procs, p)
 	e.bumpGen(p)
-	e.push(e.now+d, p, p.gen, payload{}, nil)
+	e.push(e.now+d, p, p.gen, payload{})
 	return p
 }
 
@@ -261,6 +266,7 @@ func (e *Engine) Close() {
 		return
 	}
 	e.closed = true
+	e.events.setCeil(0)
 	// procExited compacts the roster while procs unwind, so stop them
 	// from a copy. A stopped proc's body returns into the goroutine
 	// blocked in its coroutine; if that is a proc, it unwinds too, and
@@ -273,7 +279,7 @@ func (e *Engine) Close() {
 			p.finished = true
 			e.procExited(p)
 		default:
-			e.transfer(&e.rootAt, &p.at)
+			e.transfer(&p.at)
 		}
 	}
 	if e.panicVal != nil {
@@ -324,12 +330,8 @@ func (e *Engine) schedule(self *Proc, first *event) (to *Proc, pl payload) {
 		}
 		e.now = ev.at
 		if ev.proc == nil {
-			if ev.fn != nil {
-				if !e.runCallback(ev.fn) {
-					break // abort: the root re-throws panicVal
-				}
-			} else if !e.runWord(&ev) {
-				break
+			if !e.runWord(&ev) {
+				break // abort: the root re-throws panicVal
 			}
 			continue
 		}
@@ -349,29 +351,15 @@ func (e *Engine) schedule(self *Proc, first *event) (to *Proc, pl payload) {
 	return nil, payload{}
 }
 
-// runCallback executes a callback event, reporting false if it panicked.
-// The panic is contained here — not allowed to unwind — because the loop
-// may be running inside a parking proc: a raw panic would unwind that
-// innocent proc's user code and be misattributed to it by Spawn's
-// recover. Containing it means a panicking callback behaves identically
-// wherever the loop runs: the loop stops and the root re-throws
-// "sim: callback panicked".
-//
-//dipcvet:noalloc
-func (e *Engine) runCallback(fn func()) (ok bool) {
-	//dipcvet:alloc-ok open-coded defer; the closure stays on the stack
-	defer func() {
-		if r := recover(); r != nil && e.panicVal == nil {
-			e.panicVal = fmt.Errorf("sim: callback panicked: %v", r)
-		}
-	}()
-	fn()
-	return true
-}
-
-// runWord delivers a word event — a link message (pushed by pushSeq)
-// to the link's handler, or an AtU64 timer to its callback — with the
-// same panic containment as runCallback.
+// runWord runs an engine-context event — an At callback, an AtU64
+// callback with its word, or a link delivery's word to the link's
+// handler — reporting false if it panicked. The panic is contained
+// here — not allowed to unwind — because the loop may be running inside
+// a parking proc: a raw panic would unwind that innocent proc's user
+// code and be misattributed to it by Spawn's recover. Containing it
+// means a panicking handler behaves identically wherever the loop runs:
+// the loop stops and the root re-throws "sim: callback panicked" (or
+// "sim: link N handler panicked").
 //
 //dipcvet:noalloc
 func (e *Engine) runWord(ev *event) (ok bool) {
@@ -386,32 +374,34 @@ func (e *Engine) runWord(ev *event) (ok bool) {
 		}
 	}()
 	switch h := ev.data.boxed.(type) {
-	case *Link:
-		h.handler(ev.data.u64)
+	case func():
+		h()
 	case func(uint64):
 		h(ev.data.u64)
+	case *Link:
+		h.handler(ev.data.u64)
 	}
 	return true
 }
 
-// transfer hands control from the running participant to a parked one
-// in one coroutine switch. The participants are the procs and the root
-// (the caller of Run/RunUntil/Close); transfer names each by the field
-// recording whose coroutine its goroutine is blocked in, nil while it
-// runs: p.at for a proc, e.rootAt for the root. It switches on the
-// coroutine *to names, and from's goroutine becomes the one blocked
-// there. It returns true when a later transfer hands control back to
-// from, false when instead the body of that coroutine returned and the
-// runtime resumed from.
+// transfer hands control from the root (the caller of Run, RunUntil or
+// Close) to a parked proc in one coroutine switch. Each participant is
+// named by the field recording whose coroutine its goroutine is blocked
+// in, nil while it runs: p.at for a proc, e.rootAt for the root.
+// transfer switches on the coroutine *to names, and the root's goroutine
+// becomes the one blocked there. It returns true when a later switch
+// hands control back to the root, false when instead the body of that
+// coroutine returned and the runtime resumed the root. A parking proc
+// makes the same switch inline (Proc.park).
 //
 //dipcvet:noalloc
-func (e *Engine) transfer(from, to **Proc) bool {
+func (e *Engine) transfer(to **Proc) bool {
 	at := *to
 	*to = nil
-	*from = at
+	e.rootAt = at
 	e.switches++
 	ok := at.swap()
-	*from = nil
+	e.rootAt = nil
 	return ok
 }
 
@@ -427,7 +417,7 @@ func (e *Engine) enter() {
 	}
 	for e.panicVal == nil {
 		to, _ := e.schedule(nil, nil)
-		if to == nil || e.transfer(&e.rootAt, &to.at) {
+		if to == nil || e.transfer(&to.at) {
 			break
 		}
 	}
@@ -444,7 +434,7 @@ func (e *Engine) enter() {
 // worker pools on purpose — setup phases, service loops awaiting traffic
 // — ignore it and keep driving the sim).
 func (e *Engine) Run() error {
-	e.limit = maxTime
+	e.setLimit(maxTime)
 	e.enter()
 	return e.Deadlock()
 }
@@ -452,10 +442,20 @@ func (e *Engine) Run() error {
 // RunUntil processes events up to and including time t, then sets the
 // clock to t. Events scheduled after t remain queued.
 func (e *Engine) RunUntil(t Time) {
-	e.limit = t
+	e.setLimit(t)
 	e.enter()
-	e.limit = maxTime
+	e.setLimit(maxTime)
 	if e.now < t {
 		e.now = t
 	}
+}
+
+// setLimit sets the run limit and caps the queue's bound one past it,
+// so Proc.Advance never moves the clock beyond the limit.
+func (e *Engine) setLimit(t Time) {
+	e.limit = t
+	if t < maxTime {
+		t++
+	}
+	e.events.setCeil(t)
 }

@@ -18,9 +18,18 @@ package sim
 // when they outnumber the live entries the whole heap is compacted in one
 // O(n) pass so abandoned timers cannot keep the heap deep for the rest of
 // the run.
+//
+// Last, the queue keeps bound current: a lower bound on the at of its
+// earliest live entry, capped by ceil. Every operation that can change
+// the root (push, pop, replaceTop, compact) updates it, so Proc.Advance
+// tests "does anything precede this wakeup?" with one compare. A stale
+// root only lowers the bound, which is conservative: the caller falls
+// back to Sleep, whose slow path drops it.
 type eventQueue struct {
 	ev    []event
-	stale int // entries for which staleEvent() holds
+	stale int  // entries for which staleEvent() holds
+	bound Time // min(ceil, ev[0].at); ceil when the queue is empty
+	ceil  Time // one past the run limit; 0 once the engine is closed
 }
 
 // compactMin is the minimum heap size before compaction is considered;
@@ -61,6 +70,26 @@ func before(a, b *event) bool {
 func (q *eventQueue) push(ev event) {
 	q.ev = append(q.ev, ev) //dipcvet:alloc-ok pooled capacity: the heap slice reaches steady-state depth and stops growing
 	q.siftUp(len(q.ev) - 1)
+	if ev.at < q.bound {
+		q.bound = ev.at
+	}
+}
+
+// setCeil caps bound at c: one past the run limit, so Advance never
+// moves the clock across it, or 0 on a closed engine, so Advance always
+// declines and Sleep reports the closed engine.
+func (q *eventQueue) setCeil(c Time) {
+	q.ceil = c
+	q.rebound()
+}
+
+// rebound recomputes bound after the root changed.
+func (q *eventQueue) rebound() {
+	b := q.ceil
+	if len(q.ev) > 0 && q.ev[0].at < b {
+		b = q.ev[0].at
+	}
+	q.bound = b
 }
 
 // pop removes and returns the minimum event. The vacated tail slot is
@@ -77,6 +106,7 @@ func (q *eventQueue) pop() event {
 	if n > 1 {
 		q.siftDown(0)
 	}
+	q.rebound()
 	return top
 }
 
@@ -91,6 +121,7 @@ func (q *eventQueue) replaceTop(ev event) event {
 	top := q.ev[0]
 	q.ev[0] = ev
 	q.siftDown(0)
+	q.rebound()
 	return top
 }
 
@@ -164,6 +195,7 @@ func (q *eventQueue) compact() {
 			q.siftDown(i)
 		}
 	}
+	q.rebound()
 }
 
 func (q *eventQueue) maybeCompact() {

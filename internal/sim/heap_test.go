@@ -36,12 +36,22 @@ func (r *refQueue) pop() event {
 // timestamps. Sequence numbers come from two rising counters, the
 // engine's and the link band above it, so at a tied instant seq decides
 // either way: an event inserted later can still sort first. A
-// replaceTop is a pop followed by a push in the reference.
+// replaceTop is a pop followed by a push in the reference. After every
+// step the cached bound must not exceed the earliest event's at (every
+// event here is live), and it is exact: min(ceil, that at), with the
+// ceiling moved now and then as RunUntil moves it.
 func TestHeapMatchesReference(t *testing.T) {
 	schedule := func(seed uint64) bool {
 		rng := NewRand(seed)
-		var h eventQueue
+		h := eventQueue{bound: maxTime, ceil: maxTime}
 		var ref refQueue
+		boundOK := func() bool {
+			want := h.ceil
+			if len(ref) > 0 && ref[0].at < want {
+				want = ref[0].at
+			}
+			return h.bound == want
+		}
 		var seq, linkSeq uint64 = 0, linkBand
 		next := func() event {
 			// Small time range to force plenty of (at, seq) ties.
@@ -56,7 +66,13 @@ func TestHeapMatchesReference(t *testing.T) {
 			return ev
 		}
 		for op := 0; op < 400; op++ {
-			switch k := rng.Intn(6); {
+			switch k := rng.Intn(7); {
+			case k == 6:
+				if rng.Intn(2) == 0 {
+					h.setCeil(maxTime)
+				} else {
+					h.setCeil(Time(rng.Intn(20)))
+				}
 			case h.len() == 0 || k < 3:
 				ev := next()
 				h.push(ev)
@@ -74,10 +90,13 @@ func TestHeapMatchesReference(t *testing.T) {
 					return false
 				}
 			}
+			if !boundOK() {
+				return false
+			}
 		}
 		for h.len() > 0 {
 			got, want := h.pop(), ref.pop()
-			if got.at != want.at || got.seq != want.seq {
+			if got.at != want.at || got.seq != want.seq || !boundOK() {
 				return false
 			}
 		}
@@ -92,7 +111,9 @@ func TestHeapMatchesReference(t *testing.T) {
 // live traffic so maybeCompact fires mid-schedule, and checks the live pop
 // sequence against the reference (which never holds the stale entries).
 // It also asserts the pruning invariant: after every push, stale entries
-// never make up more than half of a compactMin-sized heap.
+// never make up more than half of a compactMin-sized heap; and that the
+// cached bound tracks the root and never exceeds the earliest live
+// event's at.
 func TestHeapCompactionPreservesOrder(t *testing.T) {
 	schedule := func(seed uint64) bool {
 		rng := NewRand(seed)
@@ -116,18 +137,28 @@ func TestHeapCompactionPreservesOrder(t *testing.T) {
 			case rng.Intn(2) == 0:
 				// Live callback event, mirrored into the reference.
 				at := e.now + Time(rng.Intn(16))
-				e.push(at, nil, 0, payload{}, func() {})
+				e.push(at, nil, 0, payload{boxed: func() {}})
 				ref.push(event{at: at, seq: e.seq})
 			default:
 				// Permanently stale wakeup: generation 0 while the proc
 				// is on generation 1. Counted stale at push, compacted
 				// away once it dominates the heap.
-				e.push(e.now+Time(rng.Intn(16)), staleProc, 0, payload{}, nil)
+				e.push(e.now+Time(rng.Intn(16)), staleProc, 0, payload{})
 			}
 			// Pruning invariant: a push (the only point maybeCompact
 			// runs) must leave stale entries at no more than half of a
 			// compactMin-sized heap. Pops may transiently exceed it.
 			if pushed && e.events.len() >= compactMin && e.events.stale*2 > e.events.len() {
+				return false
+			}
+			// The bound is the root's at, stale or not (compaction
+			// moves the root too), so a stale root may hold it below
+			// the earliest live event, never above it.
+			root := e.events.ceil
+			if e.events.len() > 0 && e.events.head().at < root {
+				root = e.events.head().at
+			}
+			if e.events.bound != root || len(ref) > 0 && e.events.bound > ref[0].at {
 				return false
 			}
 		}
@@ -149,7 +180,7 @@ func TestHeapPopReleasesSlots(t *testing.T) {
 	q.pop()
 	for i := range q.ev[:cap(q.ev)] {
 		slot := q.ev[:cap(q.ev)][i]
-		if slot.data.boxed != nil || slot.data.kind != payNil || slot.proc != nil || slot.fn != nil {
+		if slot.data.boxed != nil || slot.data.kind != payNil || slot.proc != nil {
 			t.Fatalf("pooled slot %d still holds references: %+v", i, slot)
 		}
 	}

@@ -35,8 +35,13 @@ func (p *Proc) Now() Time { return p.eng.now }
 // event wakes, or to the root when the run stops. first, if non-nil, is
 // the event the loop dispatches before it pops anything (see
 // Engine.schedule): Sleep's slow path passes the head it swapped its
-// wakeup for. The proc is resumed
-//   - by the transfer that delivers its wakeup: park returns it;
+// wakeup for.
+//
+// The switch is Engine.transfer from this proc instead of the root,
+// written out in park's own frame together with swap's alternation of
+// next and yield, so a resumed proc unwinds only through park, Sleep
+// and its caller. The proc is resumed
+//   - by the switch that delivers its wakeup: park returns it;
 //   - because the body of the coroutine it was blocked in returned:
 //     park carries the loop on, or hands control to the root if a
 //     panic is pending;
@@ -61,7 +66,19 @@ func (p *Proc) park(first *event) payload {
 				to = &next.at
 			}
 		}
-		woke := e.transfer(&p.at, to)
+		at := *to
+		*to = nil
+		p.at = at
+		e.switches++
+		var woke bool
+		if at.nextDue {
+			at.nextDue = false
+			_, woke = at.co.next()
+		} else {
+			at.nextDue = true
+			woke = at.co.yield(struct{}{})
+		}
+		p.at = nil
 		if e.closed {
 			panic(errProcStopped)
 		}
@@ -71,6 +88,27 @@ func (p *Proc) park(first *event) payload {
 			return pl
 		}
 	}
+}
+
+// Advance is Sleep(d) for the case where nothing can precede the
+// wakeup: no queued entry is due at or before now+d, the wakeup stays
+// within the RunUntil limit, and no event is queued for the proc's
+// current generation. It then advances the clock in place, exactly as
+// Sleep's fast path would, and reports true; otherwise it changes
+// nothing and reports false, and the caller sleeps. The test is one
+// compare against the queue's cached bound, which is conservative — a
+// stale head or a closed engine makes it fail, as does a negative d —
+// so Advance is small enough to inline into a caller's loop
+// (Thread.Exec's slices).
+func (p *Proc) Advance(d Time) bool {
+	e := p.eng
+	at := e.now + d
+	if d < 0 || at >= e.events.bound || p.queued != 0 {
+		return false
+	}
+	p.delivered = p.gen
+	e.now = at
+	return true
 }
 
 // Sleep advances simulated time by d from this Proc's perspective.
@@ -148,7 +186,7 @@ func (p *Proc) Sleep(d Time) {
 		}
 	}
 	e.bumpGen(p)
-	e.push(at, p, p.gen, payload{}, nil)
+	e.push(at, p, p.gen, payload{})
 	p.park(nil)
 }
 
@@ -218,5 +256,5 @@ func (w Waiter) wake(d Time, pl payload) {
 	if w.p == nil {
 		return
 	}
-	w.p.eng.push(w.p.eng.now+d, w.p, w.gen, pl, nil)
+	w.p.eng.push(w.p.eng.now+d, w.p, w.gen, pl)
 }

@@ -78,23 +78,36 @@ func TestFastSleepRetiresWaiter(t *testing.T) {
 // slow Sleep wakes, (at, seq) still decides. An At callback queued
 // before the Sleep runs first; a link delivery at that instant sorts in
 // the band after every engine event, so the sleeper's wakeup comes
-// first and the head is not swapped out ahead of it.
+// first and the head is not swapped out ahead of it. Thread.Exec's
+// slice (Advance, then Sleep) must decline at the tie and order alike.
 func TestSleepTiesWithHead(t *testing.T) {
-	e := NewEngine(1)
-	var trace []string
-	lk := &Link{eng: e, handler: func(uint64) { trace = append(trace, "link") }}
-	e.Spawn("a", 0, func(p *Proc) {
-		e.At(5*Nanosecond, func() { trace = append(trace, "at") })
-		p.Sleep(5 * Nanosecond)
-		trace = append(trace, "a")
-		lk.SendU64(5*Nanosecond, 0)
-		p.Sleep(5 * Nanosecond)
-		trace = append(trace, "a")
-	})
-	if err := e.Run(); err != nil {
-		t.Fatalf("Run = %v", err)
+	sleeps := []struct {
+		name  string
+		sleep func(*Proc, Time)
+	}{
+		{"Sleep", (*Proc).Sleep},
+		{"Advance", func(p *Proc, d Time) { exec(p, d) }},
 	}
-	if want := []string{"at", "a", "a", "link"}; !slices.Equal(trace, want) {
-		t.Fatalf("trace = %q, want %q", trace, want)
+	for _, s := range sleeps {
+		sleep := s.sleep
+		t.Run(s.name, func(t *testing.T) {
+			e := NewEngine(1)
+			var trace []string
+			lk := &Link{eng: e, handler: func(uint64) { trace = append(trace, "link") }}
+			e.Spawn("a", 0, func(p *Proc) {
+				e.At(5*Nanosecond, func() { trace = append(trace, "at") })
+				sleep(p, 5*Nanosecond)
+				trace = append(trace, "a")
+				lk.SendU64(5*Nanosecond, 0)
+				sleep(p, 5*Nanosecond)
+				trace = append(trace, "a")
+			})
+			if err := e.Run(); err != nil {
+				t.Fatalf("Run = %v", err)
+			}
+			if want := []string{"at", "a", "a", "link"}; !slices.Equal(trace, want) {
+				t.Fatalf("trace = %q, want %q", trace, want)
+			}
+		})
 	}
 }
