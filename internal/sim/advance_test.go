@@ -130,3 +130,40 @@ func TestAdvanceAfterClose(t *testing.T) {
 		t.Error("Advance moved the clock of a closed engine")
 	}
 }
+
+// TestTimerLaneHeadBoundsAdvance: a deadline that heads a timer lane is
+// an ordinary heap entry for the run limit and the bound. Past the
+// RunUntil limit it stays queued; inside the run, Advance moves the
+// clock up to just before it and declines a slice that would end at it.
+func TestTimerLaneHeadBoundsAdvance(t *testing.T) {
+	const deadline = 10 * Nanosecond
+	e := NewEngine(1)
+	var timedOutAt Time
+	e.Spawn("waiter", 0, func(p *Proc) {
+		p.PrepareTimedWait(deadline)
+		if _, completed := p.WaitTimed(); !completed {
+			timedOutAt = p.Now()
+		}
+	})
+	e.RunUntil(5 * Nanosecond)
+	if e.events.len() != 1 || e.events.head().data.timer == 0 || timedOutAt != 0 {
+		t.Fatalf("after RunUntil: %d queued, timed out at %v; want the lane head queued", e.events.len(), timedOutAt)
+	}
+	var before, at bool
+	e.Spawn("worker", 0, func(p *Proc) {
+		before = p.Advance(deadline - 5*Nanosecond - Picosecond)
+		at = p.Advance(Picosecond)
+	})
+	if err := e.Run(); err != nil {
+		t.Fatalf("Run = %v", err)
+	}
+	if !before {
+		t.Error("Advance declined a slice ending before the lane head")
+	}
+	if at {
+		t.Error("Advance moved the clock onto the lane head")
+	}
+	if timedOutAt != deadline {
+		t.Errorf("timed out at %v, want %v", timedOutAt, deadline)
+	}
+}

@@ -63,6 +63,34 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 	}
 }
 
+// TestCloseUnwindsTimedWaits: procs parked in timed waits whose
+// deadlines lie beyond the RunUntil window, one heading the timer lane
+// and the rest in its ring, are unwound by Close.
+func TestCloseUnwindsTimedWaits(t *testing.T) {
+	before := runtime.NumGoroutine()
+	e := NewEngine(1)
+	unwound := 0
+	for i := 0; i < 3; i++ {
+		e.Spawn(fmt.Sprintf("waiter%d", i), Time(i), func(p *Proc) {
+			defer func() { unwound++ }()
+			p.PrepareTimedWait(Second)
+			p.WaitTimed()
+			t.Error("a waiter resumed past the window")
+		})
+	}
+	e.RunUntil(10 * Nanosecond)
+	if e.events.len() != 1 || e.events.rest != 2 {
+		t.Fatalf("heap %d, ring %d before Close; want the lane head and two ring entries", e.events.len(), e.events.rest)
+	}
+	e.Close()
+	if unwound != 3 || e.live != 0 {
+		t.Errorf("deferred code ran for %d procs, %d live; want 3, 0", unwound, e.live)
+	}
+	if n := settleGoroutines(before); n > before {
+		t.Errorf("goroutines = %d after Close, want %d", n, before)
+	}
+}
+
 // TestCloseNeverDispatchedProcs: a proc whose start event was never
 // reached is retired without its body ever running.
 func TestCloseNeverDispatchedProcs(t *testing.T) {

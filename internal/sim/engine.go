@@ -42,6 +42,16 @@ const maxTime = Time(math.MaxInt64)
 // returns straight through park and Sleep to its caller. Control
 // returns to the root only when the run stops. Close unwinds the procs
 // still parked when a run is over.
+//
+// The event queue is a heap with a few fixed-delay timer lanes beside
+// it. Timed-wait deadlines (PrepareTimedWait, WaitQueue.WaitTimeout)
+// and AtU64 timers wait on the lane for their delay: a FIFO that is
+// already in (at, seq) order, because the clock never goes back and seq
+// only grows. Each nonempty lane keeps its earliest entry in the heap,
+// so the heap's root is still the next event, and the loop, Sleep and
+// Advance read it as before. The pop order is the one a single heap
+// would give: (at, seq) is a total order, and merging sorted runs
+// through a heap yields it whatever the split.
 type Engine struct {
 	now    Time
 	seq    uint64
@@ -74,19 +84,44 @@ func (e *Engine) Now() Time { return e.now }
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *Rand { return e.rng }
 
-// Pending returns the number of queued events, including stale entries
-// (abandoned timers and superseded wakeups) that will be dropped when
-// reached.
-func (e *Engine) Pending() int { return e.events.len() }
+// Pending returns the number of queued events, in the heap and in its
+// timer lanes, including stale entries (abandoned timers and superseded
+// wakeups) that will be dropped when reached.
+func (e *Engine) Pending() int { return e.events.size() }
 
-// push enqueues an event, classifying it immediately: a proc event whose
-// generation is already superseded or consumed (a Wake on a stale Waiter)
-// is counted stale at birth, everything else is charged to the proc's
-// queued count so the bookkeeping in bumpGen/procExited/schedule can move
-// the whole batch to stale the moment it becomes undeliverable.
+// push enqueues an event due at at.
 //
 //dipcvet:noalloc
 func (e *Engine) push(at Time, p *Proc, gen uint64, data payload) {
+	e.events.push(e.event(at, p, gen, data))
+	e.events.maybeCompact()
+}
+
+// pushTimer enqueues a timer due d from now on the queue's timer lane
+// for d (see eventQueue). A delay that would put the timer before now
+// (d < 0, or now+d overflowing) is clamped to now by event and goes to
+// the heap, since the lane's order rests on at == now+d.
+//
+//dipcvet:noalloc
+func (e *Engine) pushTimer(d Time, p *Proc, gen uint64, data payload) {
+	at := e.now + d
+	if at < e.now {
+		e.push(at, p, gen, data)
+		return
+	}
+	e.events.pushTimer(d, e.event(at, p, gen, data))
+	e.events.maybeCompact()
+}
+
+// event builds the queue entry for a push, classifying it immediately:
+// a proc event whose generation is already superseded or consumed (a
+// Wake on a stale Waiter) is counted stale at birth, everything else is
+// charged to the proc's queued count so the bookkeeping in
+// bumpGen/procExited/schedule can move the whole batch to stale the
+// moment it becomes undeliverable.
+//
+//dipcvet:noalloc
+func (e *Engine) event(at Time, p *Proc, gen uint64, data payload) event {
 	if e.closed {
 		panicClosed()
 	}
@@ -101,8 +136,7 @@ func (e *Engine) push(at Time, p *Proc, gen uint64, data payload) {
 			e.events.stale++
 		}
 	}
-	e.events.push(event{at: at, seq: e.seq, proc: p, gen: gen, data: data})
-	e.events.maybeCompact()
+	return event{at: at, seq: e.seq, proc: p, gen: gen, data: data}
 }
 
 // pushSeq enqueues a link-delivery event carrying an explicit,
@@ -208,11 +242,13 @@ func (e *Engine) At(d Time, fn func()) {
 // and fn its boxed slot (a func value is pointer-shaped, so storing it
 // allocates nothing), so a caller that builds fn once schedules timers
 // with no per-call closure. The event takes the same (at, seq) slot an
-// At call would.
+// At call would; it waits on the timer lane for d, so a caller that arms
+// one delay over and over (the Router's hedge timers) keeps its timers
+// out of the heap.
 //
 //dipcvet:noalloc
 func (e *Engine) AtU64(d Time, fn func(uint64), v uint64) {
-	e.push(e.now+d, nil, 0, payload{kind: payU64, boxed: fn, u64: v})
+	e.pushTimer(d, nil, 0, payload{kind: payU64, boxed: fn, u64: v})
 }
 
 // Spawn creates a new simulated thread running fn and schedules it to

@@ -77,7 +77,8 @@ func BenchmarkEngineSleepWake(b *testing.B) {
 // CPUs, sleep equal slices from staggered starts, so every Sleep finds
 // another proc's wakeup due first and yields to it. Beneath them sit 128
 // live timers parked 2ms out, like the session deadlines, each re-armed
-// when it fires. One op is one Sleep.
+// when it fires; the re-armed ones share one delay, so they wait on a
+// timer lane rather than in the heap. One op is one Sleep.
 func BenchmarkEngineInterleavedSleep(b *testing.B) {
 	const (
 		procs   = 4
@@ -195,8 +196,11 @@ func BenchmarkEngineCallbackChain(b *testing.B) {
 
 // BenchmarkEngineTimeoutChurn measures the WaitTimeout wake-before-
 // deadline pattern from the OLTP runs under Run: every op abandons a
-// timer event, so this path exercises stale accounting and periodic
-// compaction. One op is one early wake of the sleeper.
+// timer event. The deadlines share one delay, so they wait on one timer
+// lane: each lands at the back of its ring, and the heap holds the
+// lane's earliest entry alone. The path exercises stale accounting and
+// the periodic compaction of the lane ring. One op is one early wake of
+// the sleeper.
 func BenchmarkEngineTimeoutChurn(b *testing.B) {
 	e := NewEngine(1)
 	var q WaitQueue
@@ -217,4 +221,47 @@ func BenchmarkEngineTimeoutChurn(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
+}
+
+// BenchmarkEngineSessionDeadlines reproduces the heap shape of the
+// open-loop workload: 64 sessions each arm a 2 ms timed wait, and a
+// worker per session completes it after a chain of five Sleeps of about
+// 2 µs, long before the deadline. Every op abandons one deadline, so
+// some 200 abandoned deadlines per session are queued at any time; they
+// wait on one timer lane while the workers' wakeups cycle through the
+// heap. One op is one completed request.
+func BenchmarkEngineSessionDeadlines(b *testing.B) {
+	e := NewEngine(1)
+	const sessions = 64
+	n := 0
+	for i := 0; i < sessions; i++ {
+		step := 2*Microsecond + Time(i)*Nanosecond
+		var req, idle Waiter // the session's completion and the worker's wake handles
+		e.Spawn("worker", 0, func(p *Proc) {
+			for {
+				idle = p.PrepareWait()
+				p.Wait()
+				for k := 0; k < 5; k++ {
+					p.Sleep(step)
+				}
+				req.Wake(0, nil)
+			}
+		})
+		e.Spawn("session", Time(1+i)*Nanosecond, func(p *Proc) {
+			for n < b.N {
+				req = p.PrepareTimedWait(2 * Millisecond)
+				idle.Wake(0, nil)
+				if _, ok := p.WaitTimed(); !ok {
+					b.Error("a session deadline fired")
+					return
+				}
+				n++
+			}
+		})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	e.Run() // the workers stay parked: Run reports them, Close unwinds them
+	b.StopTimer()
+	e.Close()
 }

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"errors"
+	"testing"
+)
 
 // TestPendingLiveExcludesAbandonedTimer is the observable fix for the
 // WaitTimeout stale-timer leak: a wake that lands before the deadline
@@ -46,15 +49,17 @@ func TestPendingLiveCountsLiveTimer(t *testing.T) {
 }
 
 // TestStaleTimerPruningBoundsHeap runs a wake-before-timeout storm and
-// checks compaction keeps the heap proportional to the live event count
-// instead of accumulating one abandoned timer per iteration (the pre-PR
-// engine would peak at ~iters pending events here, because every deadline
-// sat in the heap until it expired a full simulated second later).
+// checks compaction keeps the queue proportional to the live event count
+// instead of accumulating one abandoned timer per iteration (an engine
+// without compaction would peak at ~iters pending events here, because
+// every deadline stays queued until it expires a full simulated second
+// later). The deadlines share one delay, so they wait on a timer lane,
+// and compaction must filter its ring.
 func TestStaleTimerPruningBoundsHeap(t *testing.T) {
 	const iters = 2000
 	e := NewEngine(1)
 	var q WaitQueue
-	maxPending := 0
+	maxPending, maxRing := 0, 0
 	e.Spawn("sleeper", 0, func(p *Proc) {
 		for i := 0; i < iters; i++ {
 			if _, ok := q.WaitTimeout(p, Second); !ok {
@@ -69,6 +74,7 @@ func TestStaleTimerPruningBoundsHeap(t *testing.T) {
 			if pend := e.Pending(); pend > maxPending {
 				maxPending = pend
 			}
+			maxRing = max(maxRing, e.events.rest)
 			p.Sleep(Nanosecond)
 		}
 	})
@@ -77,7 +83,10 @@ func TestStaleTimerPruningBoundsHeap(t *testing.T) {
 	// the wake in flight, the waker's sleep); with pruning the heap stays
 	// within compaction slack of that, nowhere near the iteration count.
 	if maxPending > 4*compactMin {
-		t.Fatalf("heap peaked at %d pending events; stale timers are not being pruned", maxPending)
+		t.Fatalf("queue peaked at %d pending events; stale timers are not being pruned", maxPending)
+	}
+	if maxRing < compactMin/2 {
+		t.Fatalf("lane rings peaked at %d entries; the deadlines did not wait on a lane", maxRing)
 	}
 	if e.Pending() != 0 || e.events.live() != 0 {
 		t.Fatalf("after Run: Pending=%d live events=%d, want 0/0", e.Pending(), e.events.live())
@@ -172,6 +181,80 @@ func TestRandomScheduleDeterminism(t *testing.T) {
 			if first[i] != second[i] {
 				t.Fatalf("seed %d: traces diverge at step %d: %v vs %v", seed, i, first[i], second[i])
 			}
+		}
+	}
+}
+
+// TestTimerLanePendingAndDeadlock: Pending and Deadlock count the
+// entries waiting in a lane ring. A live deadline heads the lane past the
+// run limit while three stale ones wait in the ring behind it, so the
+// stale entries outnumber the heap's; the engine still holds one live
+// event and is not deadlocked.
+func TestTimerLanePendingAndDeadlock(t *testing.T) {
+	e := NewEngine(1)
+	var timedOutAt Time
+	e.Spawn("a", 0, func(p *Proc) {
+		p.PrepareTimedWait(Second)
+		if _, completed := p.WaitTimed(); !completed {
+			timedOutAt = p.Now()
+		}
+		p.PrepareWait()
+		p.Wait() // parks for good
+	})
+	e.Spawn("b", Nanosecond, func(p *Proc) {
+		for i := 0; i < 3; i++ {
+			w := p.PrepareTimedWait(Second)
+			w.Wake(0, nil) // completes at once: the deadline is stale
+			p.WaitTimed()
+		}
+	})
+	e.RunUntil(10 * Nanosecond)
+	if e.events.len() != 1 || e.events.rest != 3 || e.events.stale != 3 {
+		t.Fatalf("heap %d, ring %d, stale %d; want a's live lane head and three stale ring entries",
+			e.events.len(), e.events.rest, e.events.stale)
+	}
+	if e.Pending() != 4 {
+		t.Errorf("Pending() = %d, want 4: the ring entries count", e.Pending())
+	}
+	if err := e.Deadlock(); err != nil {
+		t.Errorf("Deadlock() = %v with a's deadline live", err)
+	}
+	err := e.Run()
+	if timedOutAt != Second {
+		t.Fatalf("a timed out at %v, want %v", timedOutAt, Second)
+	}
+	var dl *DeadlockError
+	if !errors.As(err, &dl) || len(dl.Blocked) != 1 || dl.Blocked[0] != "a" {
+		t.Fatalf("Run = %v, want a deadlock naming a", err)
+	}
+	if e.Pending() != 0 || e.events.stale != 0 {
+		t.Errorf("after Run: Pending %d, stale %d; want 0, 0", e.Pending(), e.events.stale)
+	}
+	e.Close()
+}
+
+// TestTimerLaneTagStaysInQueue: a woken proc never sees a lane's tag in
+// its payload, whether its deadline reaches it by a pop or as the head a
+// slow Sleep swaps its wakeup for.
+func TestTimerLaneTagStaysInQueue(t *testing.T) {
+	for _, viaSleep := range []bool{false, true} {
+		e := NewEngine(1)
+		var pl payload
+		e.Spawn("waiter", 0, func(p *Proc) {
+			p.PrepareTimedWait(10 * Nanosecond)
+			if !e.events.lanes[0].armed {
+				t.Error("the deadline does not wait on a lane")
+			}
+			pl = p.park(nil)
+		})
+		if viaSleep {
+			e.Spawn("sleeper", 0, func(p *Proc) { p.Sleep(20 * Nanosecond) })
+		}
+		if err := e.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if pl.kind != payTimeout || pl.timer != 0 {
+			t.Errorf("via Sleep %v: woken with kind %d, lane tag %d; want the timeout, no tag", viaSleep, pl.kind, pl.timer)
 		}
 	}
 }

@@ -395,7 +395,9 @@ func TestExpIsMonotoneInSeedStream(t *testing.T) {
 
 // AtU64 hands its word to the callback and takes the same (at, seq)
 // slot an At call would: timers at one instant run in call order
-// whichever of the two scheduled them.
+// whichever of the two scheduled them. AtU64 timers of one delay wait
+// on a timer lane, the second in the lane's ring, and still interleave
+// with the heap's events in that order.
 func TestAtU64OrdersWithAt(t *testing.T) {
 	e := NewEngine(1)
 	var got []uint64
@@ -404,10 +406,14 @@ func TestAtU64OrdersWithAt(t *testing.T) {
 	e.AtU64(5, record, 2)
 	e.At(5, func() { got = append(got, 3) })
 	e.AtU64(3, record, 0)
+	e.AtU64(5, record, 4)
+	if e.events.rest != 1 || e.Pending() != 5 {
+		t.Fatalf("%d timers in lane rings, %d pending; want 1, 5", e.events.rest, e.Pending())
+	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if want := []uint64{0, 1, 2, 3}; !slices.Equal(got, want) {
+	if want := []uint64{0, 1, 2, 3, 4}; !slices.Equal(got, want) {
 		t.Fatalf("timers ran as %v, want %v", got, want)
 	}
 }

@@ -11,13 +11,31 @@ package sim
 // Sleep removes the head it yields to and inserts its own wakeup in one
 // sift down, where push then pop would walk the tree twice.
 //
+// Timers armed with a fixed delay skip most of the heap: pushTimer files
+// them on a timer lane keyed by their delay, the constant-interval case
+// of Varghese and Lauck's timing wheels. Every entry of a lane has at =
+// now+delay on a clock that never goes back and a seq that only grows,
+// so a lane arrives already sorted and a FIFO holds it with no sift.
+// Each nonempty lane keeps exactly its earliest entry in the heap and
+// the rest in a ring behind it; pop and replaceTop, removing a lane's
+// entry, refill the heap from that lane's ring. The heap's root is
+// therefore still the earliest queued event, and the loop, Sleep,
+// Advance and bound read it as before. The pop sequence cannot change
+// either: (at, seq) is a total order, and merging sorted runs through a
+// heap pops the same sequence as one heap over all of them. A
+// session deadline that its request beats — the common case — thus
+// waits in a ring instead of deepening the heap every other event
+// sifts through. Lanes are claimed by the first delays that arrive, up
+// to numLanes, and an empty lane is re-keyed to a new delay; once all
+// are busy with other delays, a timer goes to the heap.
+//
 // The queue also tracks how many of its entries are stale — events that
 // can never be delivered because their target proc finished or moved to a
 // newer generation (e.g. the abandoned deadline timer left behind when a
-// WaitTimeout is woken early). Stale entries are dropped when popped, and
-// when they outnumber the live entries the whole heap is compacted in one
-// O(n) pass so abandoned timers cannot keep the heap deep for the rest of
-// the run.
+// WaitTimeout is woken early). Stale entries are dropped when popped or
+// when a lane refill reaches them, and when they outnumber the live
+// entries the heap and the lane rings are compacted in one O(n) pass so
+// abandoned timers cannot keep the queue long for the rest of the run.
 //
 // Last, the queue keeps bound current: a lower bound on the at of its
 // earliest live entry, capped by ceil. Every operation that can change
@@ -27,12 +45,28 @@ package sim
 // back to Sleep, whose slow path drops it.
 type eventQueue struct {
 	ev    []event
-	stale int  // entries for which staleEvent() holds
+	stale int  // entries, in the heap or a lane ring, for which staleEvent() holds
 	bound Time // min(ceil, ev[0].at); ceil when the queue is empty
 	ceil  Time // one past the run limit; 0 once the engine is closed
+	rest  int  // entries waiting in lane rings
+	lanes [numLanes]timerLane
 }
 
-// compactMin is the minimum heap size before compaction is considered;
+// timerLane holds the timers of one fixed delay in (at, seq) order. Its
+// earliest entry sits in the heap, tagged with the lane's number in
+// payload.timer; the rest wait in the ring.
+type timerLane struct {
+	delay Time
+	armed bool // the lane's earliest entry sits in the heap
+	ring  Queue[event]
+}
+
+// numLanes is the number of timer lanes. A run arms a few fixed delays
+// (session deadlines, hedge timers); more lanes would only lengthen the
+// scan in pushTimer.
+const numLanes = 4
+
+// compactMin is the minimum queue size before compaction is considered;
 // below it the stale entries are cheaper to drop lazily at pop.
 const compactMin = 32
 
@@ -49,10 +83,15 @@ func staleEvent(ev *event) bool {
 	return p != nil && (p.finished || ev.gen != p.gen || ev.gen <= p.delivered)
 }
 
+// len returns the number of entries in the heap. The heap is empty only
+// when the lanes are too, since each nonempty lane has an entry there.
 func (q *eventQueue) len() int { return len(q.ev) }
 
+// size returns the number of queued entries: the heap's and the lanes'.
+func (q *eventQueue) size() int { return len(q.ev) + q.rest }
+
 // live returns the number of entries that are not known-stale.
-func (q *eventQueue) live() int { return len(q.ev) - q.stale }
+func (q *eventQueue) live() int { return q.size() - q.stale }
 
 // before is the strict (at, seq) ordering; seq is unique, so this is a
 // total order and the pop sequence is independent of heap shape.
@@ -75,6 +114,57 @@ func (q *eventQueue) push(ev event) {
 	}
 }
 
+// pushTimer inserts ev, a timer armed d after the current instant
+// (ev.at == now+d, d >= 0), on the lane keyed by d: into the heap if the
+// lane is empty, else at the back of its ring. With no lane free for d,
+// ev goes to the heap untagged.
+//
+//dipcvet:noalloc
+func (q *eventQueue) pushTimer(d Time, ev event) {
+	free := -1
+	for i := range q.lanes {
+		l := &q.lanes[i]
+		if !l.armed {
+			if free < 0 {
+				free = i
+			}
+		} else if l.delay == d {
+			//dipcvet:alloc-ok pooled capacity: the ring doubles until it holds the lane's steady-state backlog
+			l.ring.PushBack(ev)
+			q.rest++
+			return
+		}
+	}
+	if free >= 0 {
+		q.lanes[free].delay = d
+		q.lanes[free].armed = true
+		ev.data.timer = uint8(free + 1)
+	}
+	q.push(ev)
+}
+
+// refill is called with the lane tag of an entry leaving the heap. It
+// moves the lane's next live entry, tagged, into *dst, a heap slot,
+// dropping the stale ones in front of it. With none left the lane is
+// disarmed and refill reports false; *dst then holds scratch that the
+// caller overwrites or clears.
+//
+//dipcvet:noalloc
+func (q *eventQueue) refill(lane uint8, dst *event) bool {
+	l := &q.lanes[lane-1]
+	for l.ring.Len() > 0 {
+		*dst = l.ring.PopFront()
+		q.rest--
+		if !staleEvent(dst) {
+			dst.data.timer = lane
+			return true
+		}
+		q.stale--
+	}
+	l.armed = false
+	return false
+}
+
 // setCeil caps bound at c: one past the run limit, so Advance never
 // moves the clock across it, or 0 on a closed engine, so Advance always
 // declines and Sleep reports the closed engine.
@@ -92,13 +182,24 @@ func (q *eventQueue) rebound() {
 	q.bound = b
 }
 
-// pop removes and returns the minimum event. The vacated tail slot is
-// zeroed so the pooled backing array does not pin procs, payloads or
-// closures past their lifetime.
+// pop removes and returns the minimum event, and refills the heap from
+// its lane if it had one. The vacated tail slot is zeroed so the pooled
+// backing array does not pin procs, payloads or closures past their
+// lifetime. The returned event carries no lane tag.
 //
 //dipcvet:noalloc
 func (q *eventQueue) pop() event {
 	top := q.ev[0]
+	if lane := top.data.timer; lane != 0 {
+		top.data.timer = 0
+		if q.refill(lane, &q.ev[0]) {
+			// The lane's next entry sorts after top, so it can take the
+			// root's place and sift down, as in replaceTop.
+			q.siftDown(0)
+			q.rebound()
+			return top
+		}
+	}
 	n := len(q.ev) - 1
 	q.ev[0] = q.ev[n]
 	q.ev[n] = event{}
@@ -114,13 +215,27 @@ func (q *eventQueue) pop() event {
 // the same step: ev takes the root's place and sifts down once. This is
 // the discrete-event "hold" — a slow Sleep yields to the head while
 // queueing its own wakeup — at the cost of one sift instead of push's
-// sift up plus pop's sift down. Callers must have checked len() > 0.
+// sift up plus pop's sift down. If the head came from a lane, the lane's
+// next entry is pushed as a leaf: it is due after the head, usually long
+// after, so its sift up stops at once. Callers must have checked
+// len() > 0. The returned event carries no lane tag.
 //
 //dipcvet:noalloc
 func (q *eventQueue) replaceTop(ev event) event {
 	top := q.ev[0]
 	q.ev[0] = ev
 	q.siftDown(0)
+	if lane := top.data.timer; lane != 0 {
+		top.data.timer = 0
+		q.ev = append(q.ev, event{}) //dipcvet:alloc-ok pooled capacity, as in push
+		n := len(q.ev) - 1
+		if q.refill(lane, &q.ev[n]) {
+			q.siftUp(n)
+		} else {
+			q.ev[n] = event{}
+			q.ev = q.ev[:n]
+		}
+	}
 	q.rebound()
 	return top
 }
@@ -171,22 +286,45 @@ func (q *eventQueue) siftDown(i int) {
 	q.ev[i] = ev
 }
 
-// maybeCompact rebuilds the heap without its stale entries once they
-// outnumber the live ones. It is called on the paths that create stale
-// entries (generation bumps, proc exit, pushes of already-stale wakes), so
-// a WaitTimeout-heavy workload keeps the heap depth proportional to the
-// number of live events rather than the number of abandoned timers.
-// Compaction cannot change the pop sequence: (at, seq) is a total order,
-// so any valid heap over the same live set pops identically.
+// compact rebuilds the heap and the lane rings without their stale
+// entries. A lane whose earliest entry was dropped from the heap moves
+// its next live entry there, so the lane invariant holds again before
+// the heap is rebuilt. Compaction cannot change the pop sequence: (at,
+// seq) is a total order, so any valid heap over the same live set pops
+// identically.
 func (q *eventQueue) compact() {
 	kept := q.ev[:0]
+	for i := range q.lanes {
+		q.lanes[i].armed = false
+	}
 	for i := range q.ev {
-		if !staleEvent(&q.ev[i]) {
-			kept = append(kept, q.ev[i])
+		if ev := &q.ev[i]; !staleEvent(ev) {
+			if ev.data.timer != 0 {
+				q.lanes[ev.data.timer-1].armed = true
+			}
+			kept = append(kept, *ev)
 		}
 	}
 	for i := len(kept); i < len(q.ev); i++ {
 		q.ev[i] = event{}
+	}
+	q.rest = 0
+	for i := range q.lanes {
+		l := &q.lanes[i]
+		for n := l.ring.Len(); n > 0; n-- {
+			if ev := l.ring.PopFront(); !staleEvent(&ev) {
+				l.ring.PushBack(ev)
+			}
+		}
+		if !l.armed && l.ring.Len() > 0 {
+			// kept is shorter than the heap was by at least this lane's
+			// dropped entry, so the append stays within its capacity.
+			ev := l.ring.PopFront()
+			ev.data.timer = uint8(i + 1)
+			kept = append(kept, ev)
+			l.armed = true
+		}
+		q.rest += l.ring.Len()
 	}
 	q.ev = kept
 	q.stale = 0
@@ -198,8 +336,13 @@ func (q *eventQueue) compact() {
 	q.rebound()
 }
 
+// maybeCompact compacts the queue once stale entries outnumber the live
+// ones. It is called on the paths that create stale entries (generation
+// bumps, proc exit, pushes of already-stale wakes), so a
+// WaitTimeout-heavy workload keeps the queue proportional to the number
+// of live events rather than the number of abandoned timers.
 func (q *eventQueue) maybeCompact() {
-	if len(q.ev) >= compactMin && q.stale*2 > len(q.ev) {
+	if n := q.size(); n >= compactMin && q.stale*2 > n {
 		q.compact()
 	}
 }

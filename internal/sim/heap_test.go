@@ -30,102 +30,229 @@ func (r *refQueue) pop() event {
 	return ev
 }
 
-// TestHeapMatchesReference drives the 4-ary heap and the insertion-sorted
-// reference through identical random push/pop/replaceTop schedules and
-// demands the exact same pop sequence, including ties at equal
-// timestamps. Sequence numbers come from two rising counters, the
-// engine's and the link band above it, so at a tied instant seq decides
-// either way: an event inserted later can still sort first. A
-// replaceTop is a pop followed by a push in the reference. After every
-// step the cached bound must not exceed the earliest event's at (every
-// event here is live), and it is exact: min(ceil, that at), with the
-// ceiling moved now and then as RunUntil moves it.
-func TestHeapMatchesReference(t *testing.T) {
-	schedule := func(seed uint64) bool {
-		rng := NewRand(seed)
-		h := eventQueue{bound: maxTime, ceil: maxTime}
-		var ref refQueue
-		boundOK := func() bool {
-			want := h.ceil
-			if len(ref) > 0 && ref[0].at < want {
-				want = ref[0].at
-			}
-			return h.bound == want
+// checkQueue reports the first broken invariant of q, or "": the stale
+// count is exact over the heap and the lane rings, rest counts the ring
+// entries, and each lane is armed exactly when one heap entry carries
+// its tag, a ring waits only behind an armed lane, and the ring is in
+// (at, seq) order after that heap entry.
+func checkQueue(q *eventQueue) string {
+	stale, rest := 0, 0
+	var heads [numLanes]*event
+	for i := range q.ev {
+		ev := &q.ev[i]
+		if staleEvent(ev) {
+			stale++
 		}
-		var seq, linkSeq uint64 = 0, linkBand
-		next := func() event {
-			// Small time range to force plenty of (at, seq) ties.
-			ev := event{at: Time(rng.Intn(16))}
-			if rng.Intn(4) == 0 {
-				linkSeq++
-				ev.seq = linkSeq
-			} else {
-				seq++
-				ev.seq = seq
+		if l := ev.data.timer; l != 0 {
+			if heads[l-1] != nil {
+				return "two heap entries carry one lane's tag"
 			}
-			return ev
+			heads[l-1] = ev
 		}
-		for op := 0; op < 400; op++ {
-			switch k := rng.Intn(7); {
-			case k == 6:
-				if rng.Intn(2) == 0 {
-					h.setCeil(maxTime)
-				} else {
-					h.setCeil(Time(rng.Intn(20)))
-				}
-			case h.len() == 0 || k < 3:
-				ev := next()
-				h.push(ev)
-				ref.push(ev)
-			case k < 5:
-				ev := next()
-				got, want := h.replaceTop(ev), ref.pop()
-				ref.push(ev)
-				if got.at != want.at || got.seq != want.seq {
-					return false
-				}
-			default:
-				got, want := h.pop(), ref.pop()
-				if got.at != want.at || got.seq != want.seq {
-					return false
-				}
-			}
-			if !boundOK() {
-				return false
-			}
-		}
-		for h.len() > 0 {
-			got, want := h.pop(), ref.pop()
-			if got.at != want.at || got.seq != want.seq || !boundOK() {
-				return false
-			}
-		}
-		return len(ref) == 0
 	}
-	if err := quick.Check(schedule, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
+	for i := range q.lanes {
+		l := &q.lanes[i]
+		if l.armed != (heads[i] != nil) {
+			return "a lane's armed flag disagrees with the heap"
+		}
+		prev := heads[i]
+		for k := 0; k < l.ring.Len(); k++ {
+			ev := l.ring.At(k)
+			if prev == nil || !before(prev, ev) {
+				return "a lane ring is out of (at, seq) order or waits behind no heap entry"
+			}
+			if staleEvent(ev) {
+				stale++
+			}
+			prev = ev
+		}
+		rest += l.ring.Len()
+	}
+	if stale != q.stale {
+		return "the stale count is off"
+	}
+	if rest != q.rest {
+		return "rest does not count the ring entries"
+	}
+	return ""
+}
+
+// TestHeapMatchesReference drives the 4-ary heap with its timer lanes
+// and the insertion-sorted reference through identical random
+// push/pushTimer/pop/replaceTop schedules and demands the exact same pop
+// sequence, including ties at equal timestamps. Sequence numbers come
+// from two rising counters, the engine's and the link band above it, so
+// at a tied instant seq decides either way: an event inserted later can
+// still sort first. Timers take engine seqs, at = now+delay for a few
+// fixed delays, on a clock that, as in the engine, moves forward to
+// each popped event's at; the second delay set has more delays than lanes, so some
+// timers fall back to the heap and emptied lanes are re-keyed. A
+// replaceTop is a pop followed by a push in the reference. After every
+// step the lane invariants hold (checkQueue), and the cached bound must
+// not exceed the earliest event's at (every event here is live): it is
+// exact, min(ceil, that at), with the ceiling moved now and then as
+// RunUntil moves it.
+func TestHeapMatchesReference(t *testing.T) {
+	for _, delays := range [][]Time{{3, 7, 12}, {0, 2, 5, 9, 14, 20}} {
+		schedule := func(seed uint64) bool {
+			return heapMatchesReference(t, seed, delays)
+		}
+		if err := quick.Check(schedule, &quick.Config{MaxCount: 50}); err != nil {
+			t.Fatalf("delays %v: %v", delays, err)
+		}
+	}
+}
+
+func heapMatchesReference(t *testing.T, seed uint64, delays []Time) bool {
+	rng := NewRand(seed)
+	h := eventQueue{bound: maxTime, ceil: maxTime}
+	var ref refQueue
+	var now Time
+	check := func() bool {
+		want := h.ceil
+		if len(ref) > 0 && ref[0].at < want {
+			want = ref[0].at
+		}
+		if h.bound != want {
+			t.Logf("seed %d: bound %v, want %v", seed, h.bound, want)
+			return false
+		}
+		if msg := checkQueue(&h); msg != "" {
+			t.Logf("seed %d: %s", seed, msg)
+			return false
+		}
+		return true
+	}
+	var seq, linkSeq uint64 = 0, linkBand
+	next := func() event {
+		// Small time range to force plenty of (at, seq) ties.
+		ev := event{at: now + Time(rng.Intn(16))}
+		if rng.Intn(4) == 0 {
+			linkSeq++
+			ev.seq = linkSeq
+		} else {
+			seq++
+			ev.seq = seq
+		}
+		return ev
+	}
+	popped := func(got, want event) bool {
+		// replaceTop may insert before the root it removes, which the
+		// engine never does; the clock still only moves forward.
+		now = max(now, got.at)
+		return got.at == want.at && got.seq == want.seq && got.data.timer == 0
+	}
+	for op := 0; op < 400; op++ {
+		switch k := rng.Intn(9); {
+		case k == 8:
+			if rng.Intn(2) == 0 {
+				h.setCeil(maxTime)
+			} else {
+				h.setCeil(now + Time(rng.Intn(20)))
+			}
+		case k >= 6:
+			d := delays[rng.Intn(len(delays))]
+			seq++
+			ev := event{at: now + d, seq: seq}
+			h.pushTimer(d, ev)
+			ref.push(ev)
+		case h.len() == 0 || k < 2:
+			ev := next()
+			h.push(ev)
+			ref.push(ev)
+		case k < 4:
+			ev := next()
+			got, want := h.replaceTop(ev), ref.pop()
+			ref.push(ev)
+			if !popped(got, want) {
+				return false
+			}
+		default:
+			if !popped(h.pop(), ref.pop()) {
+				return false
+			}
+		}
+		if !check() {
+			return false
+		}
+	}
+	for h.len() > 0 {
+		if !popped(h.pop(), ref.pop()) || !check() {
+			return false
+		}
+	}
+	return len(ref) == 0 && h.size() == 0
+}
+
+// TestTimerLaneFallback: once every lane is busy with another delay, a
+// timer goes to the heap untagged; a lane that empties is re-keyed to
+// the next new delay.
+func TestTimerLaneFallback(t *testing.T) {
+	q := eventQueue{bound: maxTime, ceil: maxTime}
+	var seq uint64
+	arm := func(d Time) {
+		seq++
+		q.pushTimer(d, event{at: d, seq: seq})
+	}
+	for d := Time(1); d <= numLanes; d++ {
+		arm(d)
+		arm(d)
+	}
+	if q.len() != numLanes || q.rest != numLanes {
+		t.Fatalf("heap %d, rings %d after two timers on each of %d delays; want %d and %d",
+			q.len(), q.rest, numLanes, numLanes, numLanes)
+	}
+	arm(100)
+	if q.len() != numLanes+1 || q.rest != numLanes {
+		t.Fatalf("a delay with every lane busy: heap %d, rings %d; want %d and %d",
+			q.len(), q.rest, numLanes+1, numLanes)
+	}
+	for i := range q.ev {
+		if q.ev[i].at == 100 && q.ev[i].data.timer != 0 {
+			t.Fatal("the fallback timer carries a lane tag")
+		}
+	}
+	// Lane 1 (delay 1) drains with two pops, and delay 200 claims it.
+	q.pop()
+	q.pop()
+	if q.lanes[0].armed {
+		t.Fatal("a drained lane is still armed")
+	}
+	arm(200)
+	if l := &q.lanes[0]; !l.armed || l.delay != 200 {
+		t.Fatalf("lane 1: armed %v, delay %v; want re-keyed to 200", l.armed, l.delay)
+	}
+	if msg := checkQueue(&q); msg != "" {
+		t.Fatal(msg)
 	}
 }
 
 // TestHeapCompactionPreservesOrder interleaves stale-event creation with
 // live traffic so maybeCompact fires mid-schedule, and checks the live pop
 // sequence against the reference (which never holds the stale entries).
-// It also asserts the pruning invariant: after every push, stale entries
-// never make up more than half of a compactMin-sized heap; and that the
-// cached bound tracks the root and never exceeds the earliest live
-// event's at.
+// Half the events are timers on two delays, so stale entries sit in the
+// lane rings and at the lanes' heads, and pops drop them in refills as
+// well as at the root. It also asserts the pruning invariant: after
+// every push, stale entries never make up more than half of a
+// compactMin-sized queue; that the lane invariants hold (checkQueue);
+// and that the cached bound tracks the root and never exceeds the
+// earliest live event's at.
 func TestHeapCompactionPreservesOrder(t *testing.T) {
 	schedule := func(seed uint64) bool {
 		rng := NewRand(seed)
 		e := NewEngine(seed)
 		staleProc := &Proc{eng: e, name: "stale", gen: 1}
 		var ref refQueue
+		delays := []Time{5, 11}
 		for op := 0; op < 600; op++ {
 			pushed := true
+			timer := rng.Intn(2) == 0
+			d := delays[rng.Intn(len(delays))]
 			switch {
 			case e.events.len() > 0 && rng.Intn(3) == 0:
 				pushed = false
 				ev := e.events.pop()
+				e.now = max(e.now, ev.at)
 				if ev.proc != nil { // stale wake dropped, as in schedule
 					e.events.stale--
 					continue
@@ -137,18 +264,32 @@ func TestHeapCompactionPreservesOrder(t *testing.T) {
 			case rng.Intn(2) == 0:
 				// Live callback event, mirrored into the reference.
 				at := e.now + Time(rng.Intn(16))
-				e.push(at, nil, 0, payload{boxed: func() {}})
+				if timer {
+					at = e.now + d
+					e.pushTimer(d, nil, 0, payload{boxed: func() {}})
+				} else {
+					e.push(at, nil, 0, payload{boxed: func() {}})
+				}
 				ref.push(event{at: at, seq: e.seq})
+			case timer:
+				// Permanently stale timer: generation 0 while the proc
+				// is on generation 1. It lands at a lane's head or in
+				// its ring.
+				e.pushTimer(d, staleProc, 0, payload{})
 			default:
-				// Permanently stale wakeup: generation 0 while the proc
-				// is on generation 1. Counted stale at push, compacted
-				// away once it dominates the heap.
+				// Permanently stale wakeup, counted stale at push and
+				// compacted away once it dominates the heap.
 				e.push(e.now+Time(rng.Intn(16)), staleProc, 0, payload{})
 			}
 			// Pruning invariant: a push (the only point maybeCompact
 			// runs) must leave stale entries at no more than half of a
-			// compactMin-sized heap. Pops may transiently exceed it.
-			if pushed && e.events.len() >= compactMin && e.events.stale*2 > e.events.len() {
+			// compactMin-sized queue. Pops may transiently exceed it.
+			n := e.events.size()
+			if pushed && n >= compactMin && e.events.stale*2 > n {
+				return false
+			}
+			if msg := checkQueue(&e.events); msg != "" {
+				t.Logf("seed %d: %s", seed, msg)
 				return false
 			}
 			// The bound is the root's at, stale or not (compaction
@@ -169,8 +310,9 @@ func TestHeapCompactionPreservesOrder(t *testing.T) {
 	}
 }
 
-// TestHeapPopReleasesSlots checks the pooled slice does not pin payloads:
-// pop must zero the vacated slot.
+// TestHeapPopReleasesSlots checks the pooled slice and the lane rings do
+// not pin payloads: pop, a replaceTop whose lane refill finds only a
+// stale entry, and the refill itself must zero the slots they vacate.
 func TestHeapPopReleasesSlots(t *testing.T) {
 	var q eventQueue
 	data := boxPayload("payload")
@@ -178,8 +320,20 @@ func TestHeapPopReleasesSlots(t *testing.T) {
 	q.push(event{at: 2, seq: 2, data: data})
 	q.pop()
 	q.pop()
-	for i := range q.ev[:cap(q.ev)] {
-		slot := q.ev[:cap(q.ev)][i]
+	stale := &Proc{gen: 1}
+	q.pushTimer(5, event{at: 5, seq: 3, data: data})
+	q.pushTimer(5, event{at: 5, seq: 4, proc: stale, data: data})
+	q.stale++
+	q.replaceTop(event{at: 6, seq: 5})
+	q.pop()
+	if q.size() != 0 || q.stale != 0 {
+		t.Fatalf("%d entries, %d stale left; want none", q.size(), q.stale)
+	}
+	slots := q.ev[:cap(q.ev)]
+	for i := range q.lanes {
+		slots = append(slots, q.lanes[i].ring.buf...)
+	}
+	for i, slot := range slots {
 		if slot.data.boxed != nil || slot.data.kind != payNil || slot.proc != nil {
 			t.Fatalf("pooled slot %d still holds references: %+v", i, slot)
 		}

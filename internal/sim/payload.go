@@ -10,6 +10,7 @@ type payload struct {
 	boxed any    // payBoxed: arbitrary caller value, boxed as before
 	u64   uint64 // payU64: unboxed word-sized value
 	kind  uint8
+	timer uint8 // 1 + index of the timer lane a heap entry heads, else 0
 }
 
 const (

@@ -18,14 +18,17 @@ package sim
 
 // PrepareTimedWait arms the Proc for a wait bounded by d: it bumps the
 // generation like PrepareWait and immediately schedules the deadline
-// wake carrying the canonical timeout payload. The returned Waiter is
+// wake carrying the canonical timeout payload. It is the one way a timed
+// wait arms its deadline (WaitQueue.WaitTimeout calls it too), and the
+// deadline waits on the engine's timer lane for d, so the deadlines a
+// workload abandons do not deepen the event heap. The returned Waiter is
 // the completion handle — fire it (Wake/WakeU64) to win the race
 // against the deadline.
 //
 //dipcvet:noalloc
 func (p *Proc) PrepareTimedWait(d Time) Waiter {
 	w := p.PrepareWait()
-	w.wake(d, payload{kind: payTimeout})
+	p.eng.pushTimer(d, p, w.gen, payload{kind: payTimeout})
 	return w
 }
 

@@ -135,3 +135,27 @@ func TestTimedWaitStaleAcrossRounds(t *testing.T) {
 		t.Fatalf("round 2 did not deliver its own completion")
 	}
 }
+
+// TestTimedWaitOverflowingDeadline: a deadline past the end of the
+// clock wraps and is clamped to now, as every push is; such a timer
+// would break its lane's order, so it goes to the heap and fires at
+// once even while an earlier timer of the same delay heads the lane.
+func TestTimedWaitOverflowingDeadline(t *testing.T) {
+	eng := NewEngine(1)
+	var end Time
+	completed := true
+	eng.Spawn("forever", 0, func(p *Proc) {
+		p.PrepareTimedWait(maxTime) // due at maxTime: heads the lane
+		p.WaitTimed()
+	})
+	eng.Spawn("wraps", Nanosecond, func(p *Proc) {
+		p.PrepareTimedWait(maxTime)
+		_, completed = p.WaitTimed()
+		end = p.Now()
+	})
+	eng.RunUntil(Microsecond)
+	if completed || end != Nanosecond {
+		t.Fatalf("completed %v at %v; want a timeout at 1ns", completed, end)
+	}
+	eng.Close()
+}

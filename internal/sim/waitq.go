@@ -56,9 +56,8 @@ func (q *WaitQueue) WaitU64(p *Proc) (uint64, bool) {
 // WaitTimeout parks p for at most d. The boolean result is false if the
 // wait timed out, in which case p has been removed from the queue.
 func (q *WaitQueue) WaitTimeout(p *Proc, d Time) (any, bool) {
-	w := p.PrepareWait()
+	w := p.PrepareTimedWait(d)
 	q.q.PushBack(w)
-	w.wake(d, payload{kind: payTimeout})
 	pl := p.park(nil)
 	if pl.kind == payTimeout {
 		q.remove(w)
