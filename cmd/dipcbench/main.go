@@ -4,7 +4,7 @@
 //
 //	dipcbench [-parallel n] [-cpuprofile path] [-memprofile path] <verb> ...
 //	dipcbench list
-//	dipcbench run <scenario|group|all> [-p key=value ...] [-json path]
+//	dipcbench run <scenario|group|all> [-p key=value ...] [-json path] [-engine-stats]
 //	dipcbench bench [-runs n] [-warmup n] [-compare baseline.json]
 //	          [-regress pct] [-gate names] [-p key=value ...]
 //	          [-json path] [scenario|group|all ...]
@@ -13,7 +13,9 @@
 // defaults, and the group names. `run` executes one scenario, a group or
 // `all` in registration order and prints each result; with -json (one
 // scenario only) it also writes the canonical dipc-scenario/v1 JSON
-// document. `bench` wall-clock-times the selected scenarios (default:
+// document, and with -engine-stats it prints after each result what the
+// scenario's engines did (events dispatched, callbacks among them,
+// coroutine switches; host-side counts that no result includes). `bench` wall-clock-times the selected scenarios (default:
 // the scenarios of the -compare baseline, else all) over -runs measured
 // iterations after -warmup unmeasured ones, prints min/median per
 // scenario, optionally diffs against a committed BENCH_*.json baseline
@@ -45,12 +47,13 @@ import (
 
 	"repro/internal/experiments"
 	"repro/internal/scenario"
+	"repro/internal/sim"
 )
 
 const usage = `usage:
   dipcbench [-parallel n] [-cpuprofile path] [-memprofile path] <verb> ...
   dipcbench list
-  dipcbench run <scenario|group|all> [-p key=value ...] [-json path]
+  dipcbench run <scenario|group|all> [-p key=value ...] [-json path] [-engine-stats]
   dipcbench bench [-runs n] [-warmup n] [-compare baseline.json] [-regress pct]
             [-gate names] [-p key=value ...] [-json path] [scenario|group|all ...]
 `
@@ -240,6 +243,7 @@ func cmdRun(reg *scenario.Registry, argv []string, stdout, stderr io.Writer) int
 	pairs := paramFlags{}
 	sub.Var(pairs, "p", "scenario parameter override (`key=value`, repeatable)")
 	jsonPath := sub.String("json", "", "write the canonical dipc-scenario/v1 JSON document to this path (one scenario only)")
+	engineStats := sub.Bool("engine-stats", false, "after each scenario, print what its engines dispatched (host-side counts, in no result)")
 	names, code, ok := parseVerb(sub, argv)
 	if !ok {
 		return code
@@ -268,11 +272,17 @@ func cmdRun(reg *scenario.Registry, argv []string, stdout, stderr io.Writer) int
 	}
 	var res *scenario.Result
 	for i, s := range scns {
+		before := sim.TotalStats()
 		if res, err = s.Run(cfgs[i]); err != nil {
 			fmt.Fprintf(stderr, "%s: %v\n", s.Name(), err)
 			return 1
 		}
 		fmt.Fprintln(stdout, res.RenderText())
+		if *engineStats {
+			after := sim.TotalStats()
+			fmt.Fprintf(stdout, "engine stats (%s): dispatched %d, callbacks %d, switches %d\n\n", s.Name(),
+				after.Dispatched-before.Dispatched, after.Callbacks-before.Callbacks, after.Switches-before.Switches)
+		}
 	}
 	if *jsonPath == "" {
 		return 0

@@ -51,7 +51,7 @@ func TestAdvanceAtLimit(t *testing.T) {
 func TestAdvanceDeclinesStaleHead(t *testing.T) {
 	e := NewEngine(1)
 	var advanced bool
-	var switches uint32
+	var switches uint64
 	e.Spawn("p", 0, func(p *Proc) {
 		w := p.PrepareWait()
 		w.Wake(Nanosecond, nil)
@@ -61,9 +61,9 @@ func TestAdvanceDeclinesStaleHead(t *testing.T) {
 			t.Errorf("queue holds %d entries, %d stale; want the stale head alone", e.events.len(), e.events.stale)
 			return
 		}
-		switches = e.switches
+		switches = e.stats.Switches
 		advanced = exec(p, 5*Nanosecond)
-		switches = e.switches - switches
+		switches = e.stats.Switches - switches
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run = %v", err)

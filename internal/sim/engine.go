@@ -6,6 +6,7 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 )
 
 // event is a single entry in the engine's time-ordered queue. An event
@@ -63,7 +64,8 @@ type Engine struct {
 	procs    []*Proc // roster of spawned procs (deadlock diagnostics, Close)
 	panicVal any     // re-thrown panic from a proc or callback
 	closed   bool    // Close has run; the engine schedules nothing more
-	switches uint32  // coroutine switches made by park and transfer (tests read it)
+	stats    Stats   // what the loop has done (Stats)
+	folded   Stats   // the part of stats already added to the process totals
 
 	limit Time // events scheduled after this instant stay queued
 }
@@ -80,6 +82,41 @@ func NewEngine(seed uint64) *Engine {
 
 // Now returns the current simulated time.
 func (e *Engine) Now() Time { return e.now }
+
+// Stats counts what an engine's loop has done since NewEngine. It is a
+// host-side measurement: no simulated value depends on it, and no
+// result or digest includes it.
+type Stats struct {
+	Dispatched uint64 // events the loop delivered: proc wakeups and callbacks
+	Callbacks  uint64 // of those, At and AtU64 callbacks and link deliveries
+	Switches   uint64 // coroutine switches, by park and by the root
+}
+
+// Stats returns the engine's counts so far.
+func (e *Engine) Stats() Stats { return e.stats }
+
+// totals sums the Stats of every engine in the process, folded in as
+// each run returns (TotalStats).
+var totals struct{ dispatched, callbacks, switches atomic.Uint64 }
+
+// TotalStats returns the Stats of every engine in the process summed
+// over the runs that have returned, for a command that runs engines it
+// does not own (dipcbench -engine-stats). Sums do not depend on the
+// order the runs finish in, so the totals are the same whatever the
+// number of workers that ran them.
+func TotalStats() Stats {
+	return Stats{totals.dispatched.Load(), totals.callbacks.Load(), totals.switches.Load()}
+}
+
+// foldStats adds what the engine did since the last fold to the
+// process totals.
+func (e *Engine) foldStats() {
+	s := e.Stats()
+	totals.dispatched.Add(s.Dispatched - e.folded.Dispatched)
+	totals.callbacks.Add(s.Callbacks - e.folded.Callbacks)
+	totals.switches.Add(s.Switches - e.folded.Switches)
+	e.folded = s
+}
 
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *Rand { return e.rng }
@@ -365,7 +402,9 @@ func (e *Engine) schedule(self *Proc, first *event) (to *Proc, pl payload) {
 			ev = e.events.pop()
 		}
 		e.now = ev.at
+		e.stats.Dispatched++
 		if ev.proc == nil {
+			e.stats.Callbacks++
 			if !e.runWord(&ev) {
 				break // abort: the root re-throws panicVal
 			}
@@ -435,7 +474,7 @@ func (e *Engine) transfer(to **Proc) bool {
 	at := *to
 	*to = nil
 	e.rootAt = at
-	e.switches++
+	e.stats.Switches++
 	ok := at.swap()
 	e.rootAt = nil
 	return ok
@@ -457,6 +496,7 @@ func (e *Engine) enter() {
 			break
 		}
 	}
+	e.foldStats()
 	if e.panicVal != nil {
 		v := e.panicVal
 		e.panicVal = nil

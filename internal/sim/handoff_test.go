@@ -19,7 +19,7 @@ func TestHandoffIsOneSwitch(t *testing.T) {
 		if err := e.Run(); err != nil {
 			t.Fatalf("n=%d: Run = %v", n, err)
 		}
-		if got, want := e.switches, uint32(2*n); got != want {
+		if got, want := e.stats.Switches, uint64(2*n); got != want {
 			t.Errorf("n=%d: %d coroutine switches, want %d", n, got, want)
 		}
 	}
@@ -64,8 +64,8 @@ func TestProcReturnsIntoBlockedProc(t *testing.T) {
 	}
 	// root→a, a→b, a→c, c→d, c→a, root→c; the two returns into a
 	// blocked proc and the two into the root are not switches.
-	if e.switches != 6 {
-		t.Errorf("%d coroutine switches, want 6", e.switches)
+	if e.stats.Switches != 6 {
+		t.Errorf("%d coroutine switches, want 6", e.stats.Switches)
 	}
 	if e.live != 0 {
 		t.Errorf("live procs = %d, want 0", e.live)

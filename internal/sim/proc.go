@@ -69,7 +69,7 @@ func (p *Proc) park(first *event) payload {
 		at := *to
 		*to = nil
 		p.at = at
-		e.switches++
+		e.stats.Switches++
 		var woke bool
 		if at.nextDue {
 			at.nextDue = false
