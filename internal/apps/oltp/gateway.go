@@ -74,6 +74,20 @@ type GatewayConfig struct {
 	TokenBurst int
 }
 
+// respClass is the completion class of a request that ended with err:
+// respOK, respRejected for a shed (faults.ErrRejected), else respFault.
+//
+//dipcvet:noalloc
+func respClass(err error) uint64 {
+	switch {
+	case err == nil:
+		return respOK
+	case faults.Class(err) == faults.ErrRejected:
+		return respRejected
+	}
+	return respFault
+}
+
 // Rejection sentinels are preconstructed so the hot shed path performs
 // no allocation per rejected request.
 var (
@@ -83,9 +97,9 @@ var (
 )
 
 // Gateway is the bounded, policy-governed front door. All state belongs
-// to the owning machine's engine; clients submitting and workers
-// receiving must run on that engine.
+// to eng; clients submitting and workers receiving must run on it.
 type Gateway struct {
+	eng     *sim.Engine
 	prm     *Params
 	cfg     GatewayConfig
 	pending sim.Queue[*request]
@@ -105,8 +119,8 @@ type Gateway struct {
 	RejectedToken int64
 }
 
-// NewGateway builds the admission tier.
-func NewGateway(prm *Params, cfg GatewayConfig) *Gateway {
+// NewGateway builds the admission tier on eng.
+func NewGateway(eng *sim.Engine, prm *Params, cfg GatewayConfig) *Gateway {
 	if cfg.Capacity <= 0 {
 		cfg.Capacity = 64
 	}
@@ -116,18 +130,19 @@ func NewGateway(prm *Params, cfg GatewayConfig) *Gateway {
 	if cfg.TokenBurst <= 0 {
 		cfg.TokenBurst = cfg.Capacity
 	}
-	g := &Gateway{prm: prm, cfg: cfg}
+	g := &Gateway{eng: eng, prm: prm, cfg: cfg}
 	g.tokens = float64(cfg.TokenBurst)
 	return g
 }
 
-// Issue submits a pooled request started now whose completion wakes
-// done — the open-loop client's path. The client learns the outcome from
-// the wake alone, so the gateway takes the request back when it
-// finishes it, even one whose client has already timed out and left.
+// Issue submits a pooled request numbered id, started now, whose
+// completion word goes to done — the open-loop client's path (see
+// load.Config.Issue). The client learns the outcome from the word
+// alone, so the gateway takes the request back when it finishes it,
+// even one whose client has already timed out and left.
 //
 //dipcvet:noalloc
-func (g *Gateway) Issue(now sim.Time, done sim.Waiter) {
+func (g *Gateway) Issue(id uint64, done func(uint64)) {
 	req := g.free
 	if req != nil {
 		g.free, req.next = req.next, nil
@@ -135,18 +150,19 @@ func (g *Gateway) Issue(now sim.Time, done sim.Waiter) {
 		//dipcvet:alloc-ok first use: the pool grows to the peak number of requests in flight
 		req = &request{pooled: true}
 	}
-	req.started, req.done, req.err = now, done, nil
-	g.Submit(req, now)
+	req.started, req.id, req.done = g.eng.Now(), id, done
+	g.Submit(req)
 }
 
-// finish reports err to req's client and returns a pooled request to
-// the free list; the client must not read a pooled request after its
-// wake.
+// finish reports err to req's client: it schedules req.done, now, with
+// the word req.id<<2 | respClass(err), so the client's code runs as an
+// event of its own, never inside a worker's reply or a rejecting
+// submit. A pooled request returns to the free list; its client must
+// not read it after the word.
 //
 //dipcvet:noalloc
 func (g *Gateway) finish(req *request, err error) {
-	req.err = err
-	req.done.Wake(0, err)
+	g.eng.AtU64(0, req.done, req.id<<2|respClass(err))
 	if req.pooled {
 		req.next, g.free = g.free, req
 	}
@@ -161,14 +177,14 @@ func (g *Gateway) reject(req *request, err error) {
 	g.finish(req, err)
 }
 
-// Submit delivers a client request at simulated time now (called from a
-// client sim.Proc, off-machine: no local cost). A rejected request
-// is completed immediately with an error wrapping faults.ErrRejected.
+// Submit delivers a client request now (called from an off-machine
+// client's callback: no local cost). A rejected request is completed
+// at once with an error wrapping faults.ErrRejected.
 //
 //dipcvet:noalloc
-func (g *Gateway) Submit(req *request, now sim.Time) {
+func (g *Gateway) Submit(req *request) {
 	if g.cfg.Policy == AdmitToken {
-		g.refill(now)
+		g.refill(g.eng.Now())
 		if g.tokens < 1 {
 			g.RejectedToken++
 			g.reject(req, errGatewayToken)
@@ -230,7 +246,7 @@ func (g *Gateway) Recv(t *kernel.Thread) *request {
 				return
 			}
 			if g.cfg.Policy == AdmitLIFO && g.cfg.Budget > 0 &&
-				t.Machine().Eng.Now()-req.started > g.cfg.Budget {
+				g.eng.Now()-req.started > g.cfg.Budget {
 				g.RejectedStale++
 				g.reject(req, errGatewayStale)
 				continue

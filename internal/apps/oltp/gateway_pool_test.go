@@ -33,7 +33,7 @@ func poolGateway(t *testing.T, cfg GatewayConfig, serve sim.Time) (eng *sim.Engi
 	eng = sim.NewEngine(1)
 	t.Cleanup(eng.Close)
 	m := kernel.NewMachine(eng, cost.Default(), 1)
-	g = NewGateway(DefaultParams(), cfg)
+	g = NewGateway(eng, DefaultParams(), cfg)
 	replies = new(int64)
 	m.Spawn(m.NewProcess("gw"), "worker", nil, func(th *kernel.Thread) {
 		for {
@@ -82,7 +82,7 @@ func TestGatewayPoolReturnsEachRequestOnce(t *testing.T) {
 				at := sim.Time(round) * sim.Millis(1)
 				eng.RunUntil(at)
 				for i := 0; i < tc.burst; i++ {
-					g.Issue(at, sim.Waiter{})
+					g.Issue(0, ignore)
 				}
 				eng.RunUntil(at + sim.Micros(500))
 				if g.pending.Len() != 0 {
@@ -106,6 +106,9 @@ func TestGatewayPoolReturnsEachRequestOnce(t *testing.T) {
 	}
 }
 
+// ignore takes a completion word and drops it.
+func ignore(uint64) {}
+
 // sameRequests reports whether a and b hold the same requests in any
 // order.
 func sameRequests(a, b []*request) bool {
@@ -127,16 +130,20 @@ func sameRequests(a, b []*request) bool {
 func TestGatewayPoolKeepsAbandonedRequests(t *testing.T) {
 	eng, g, _ := poolGateway(t, GatewayConfig{Policy: AdmitFIFO, Capacity: 8}, sim.Micros(50))
 	// The blocker occupies the only worker for 50us.
-	g.Issue(0, sim.Waiter{})
+	g.Issue(0, ignore)
 	var abandoned, next *request
-	eng.Spawn("client", 0, func(p *sim.Proc) {
-		g.Issue(p.Now(), p.PrepareTimedWait(sim.Micros(5)))
+	// The client gives up on request 1 after 5us, then issues request 2.
+	var done uint64
+	eng.At(0, func() {
+		g.Issue(1, func(v uint64) { done = v })
 		abandoned = *g.pending.At(g.pending.Len() - 1)
-		if _, completed := p.WaitTimed(); completed {
-			t.Errorf("request completed before its deadline, while the worker was busy")
-		}
-		g.Issue(p.Now(), p.PrepareTimedWait(sim.Micros(5)))
-		next = *g.pending.At(g.pending.Len() - 1)
+		eng.At(sim.Micros(5), func() {
+			if done != 0 {
+				t.Errorf("request completed before its deadline, while the worker was busy")
+			}
+			g.Issue(2, ignore)
+			next = *g.pending.At(g.pending.Len() - 1)
+		})
 	})
 	eng.RunUntil(sim.Micros(10))
 	if abandoned == nil || next == nil {

@@ -136,7 +136,7 @@ func startOpenLoop(cfg *OpenLoopConfig) (*rig, *load.Generator, []*Breaker) {
 		Deadline:     cfg.Deadline,
 		MeasureStart: cfg.Warmup,
 		MeasureEnd:   cfg.Warmup + cfg.Window,
-		Issue:        func(p *sim.Proc, w sim.Waiter) { r.gw.Issue(p.Now(), w) },
+		Issue:        r.gw.Issue,
 	})
 	return r, gen, breakers
 }

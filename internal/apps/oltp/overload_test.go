@@ -122,7 +122,7 @@ func TestGatewayFIFODropTail(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := kernel.NewMachine(eng, cost.Default(), 1)
 	prm := DefaultParams()
-	gw := NewGateway(prm, GatewayConfig{Policy: AdmitFIFO, Capacity: 4})
+	gw := NewGateway(eng, prm, GatewayConfig{Policy: AdmitFIFO, Capacity: 4})
 	p := m.NewProcess("gw")
 	m.Spawn(p, "worker", nil, func(t *kernel.Thread) {
 		for {
@@ -132,32 +132,30 @@ func TestGatewayFIFODropTail(t *testing.T) {
 		}
 	})
 	var rejected, completed int
-	eng.Spawn("client", 0, func(cp *sim.Proc) {
-		for i := 0; i < 40; i++ {
-			w := cp.PrepareWait()
-			req := &request{started: cp.Now(), done: w}
-			gw.Submit(req, cp.Now())
-			v, _ := cp.WaitTimed()
-			if v != nil {
-				if !errors.Is(v.(error), faults.ErrRejected) {
-					t.Errorf("rejection error %v does not wrap ErrRejected", v)
-				}
-				rejected++
-			} else {
-				completed++
-			}
-			// Open-loop-ish: fire the next request quickly regardless.
-			cp.Sleep(sim.Micros(1))
+	req := &request{}
+	submit := func() {
+		req.started = eng.Now()
+		gw.Submit(req)
+	}
+	req.done = func(v uint64) {
+		switch v & 3 {
+		case respRejected:
+			rejected++
+		case respOK:
+			completed++
+		default:
+			t.Errorf("completion word %#x is neither a success nor a rejection", v)
 		}
-	})
+		// Open-loop-ish: fire the next request quickly regardless.
+		if rejected+completed < 40 {
+			eng.At(sim.Micros(1), submit)
+		}
+	}
+	eng.At(0, submit)
 	// One closed-loop client can't overflow a queue; add a flood of
 	// one-shot submitters that never wait.
 	for f := 0; f < 30; f++ {
-		f := f
-		eng.Spawn(fmt.Sprintf("flood-%d", f), sim.Micros(2), func(cp *sim.Proc) {
-			w := cp.PrepareWait()
-			gw.Submit(&request{started: cp.Now(), done: w}, cp.Now())
-		})
+		eng.At(sim.Micros(2), func() { gw.Submit(&request{started: eng.Now(), done: ignore}) })
 	}
 	eng.RunUntil(sim.Millis(20))
 	if gw.RejectedFull == 0 {
@@ -177,7 +175,7 @@ func TestGatewayLIFOFreshness(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := kernel.NewMachine(eng, cost.Default(), 1)
 	prm := DefaultParams()
-	gw := NewGateway(prm, GatewayConfig{Policy: AdmitLIFO, Capacity: 8, Budget: sim.Micros(200)})
+	gw := NewGateway(eng, prm, GatewayConfig{Policy: AdmitLIFO, Capacity: 8, Budget: sim.Micros(200)})
 	var servedAges []sim.Time
 	p := m.NewProcess("gw")
 	m.Spawn(p, "worker", nil, func(t *kernel.Thread) {
@@ -189,11 +187,7 @@ func TestGatewayLIFOFreshness(t *testing.T) {
 		}
 	})
 	for f := 0; f < 40; f++ {
-		f := f
-		eng.Spawn(fmt.Sprintf("flood-%d", f), sim.Time(f)*sim.Micros(10), func(cp *sim.Proc) {
-			w := cp.PrepareWait()
-			gw.Submit(&request{started: cp.Now(), done: w}, cp.Now())
-		})
+		eng.At(sim.Time(f)*sim.Micros(10), func() { gw.Submit(&request{started: eng.Now(), done: ignore}) })
 	}
 	eng.RunUntil(sim.Millis(10))
 	if gw.RejectedStale == 0 && gw.RejectedFull == 0 {
@@ -208,25 +202,21 @@ func TestGatewayLIFOFreshness(t *testing.T) {
 	}
 }
 
-// A full AdmitLIFO queue sheds its oldest entry with errGatewayFull to
-// admit the newest, and Recv serves the newest first.
+// A full AdmitLIFO queue sheds its oldest entry as rejected to admit
+// the newest, and Recv serves the newest first.
 func TestGatewayLIFOOrder(t *testing.T) {
 	eng := sim.NewEngine(1)
 	m := kernel.NewMachine(eng, cost.Default(), 1)
-	gw := NewGateway(DefaultParams(), GatewayConfig{Policy: AdmitLIFO, Capacity: 3})
+	gw := NewGateway(eng, DefaultParams(), GatewayConfig{Policy: AdmitLIFO, Capacity: 3})
+	var words []uint64
 	reqs := make([]*request, 5)
 	for i := range reqs {
-		reqs[i] = &request{}
-		gw.Submit(reqs[i], 0)
+		reqs[i] = &request{id: uint64(i), done: func(v uint64) { words = append(words, v) }}
+		gw.Submit(reqs[i])
 	}
-	for i, req := range reqs {
-		var want error
-		if i < 2 {
-			want = errGatewayFull
-		}
-		if req.err != want {
-			t.Errorf("request %d: err %v, want %v", i, req.err, want)
-		}
+	eng.RunUntil(0)
+	if want := []uint64{0<<2 | respRejected, 1<<2 | respRejected}; !slices.Equal(words, want) {
+		t.Errorf("completion words %v, want %v: the two oldest shed", words, want)
 	}
 	var got []int
 	onThread(eng, m, func(t *kernel.Thread) {
@@ -246,7 +236,7 @@ func TestGatewayTokenBucket(t *testing.T) {
 	m := kernel.NewMachine(eng, cost.Default(), 1)
 	prm := DefaultParams()
 	// 100k tokens/s = one admit per 10us; flood at one submit per 2us.
-	gw := NewGateway(prm, GatewayConfig{Policy: AdmitToken, Capacity: 64, TokenRate: 100_000, TokenBurst: 1})
+	gw := NewGateway(eng, prm, GatewayConfig{Policy: AdmitToken, Capacity: 64, TokenRate: 100_000, TokenBurst: 1})
 	p := m.NewProcess("gw")
 	m.Spawn(p, "worker", nil, func(t *kernel.Thread) {
 		for {
@@ -254,13 +244,9 @@ func TestGatewayTokenBucket(t *testing.T) {
 			gw.Reply(t, req, nil)
 		}
 	})
-	eng.Spawn("flood", 0, func(cp *sim.Proc) {
-		for i := 0; i < 500; i++ {
-			w := cp.PrepareWait()
-			gw.Submit(&request{started: cp.Now(), done: w}, cp.Now())
-			cp.Sleep(sim.Micros(2))
-		}
-	})
+	for i := 0; i < 500; i++ {
+		eng.At(sim.Time(i)*sim.Micros(2), func() { gw.Submit(&request{started: eng.Now(), done: ignore}) })
+	}
 	eng.RunUntil(sim.Millis(2))
 	if gw.RejectedToken == 0 {
 		t.Fatalf("no token rejections flooding 5x the metered rate")

@@ -8,6 +8,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/faults"
 	"repro/internal/kernel"
+	"repro/internal/load"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -34,11 +35,12 @@ const (
 	ridSeqShift   = 16
 )
 
-// Response error classes carried in-band (bits 13..14).
+// Response error classes carried in-band (bits 13..14), and in the
+// low bits of a Gateway completion word, which load.Generator reads.
 const (
-	respOK       = 0
-	respFault    = 1
-	respRejected = 2
+	respOK       = load.ClassOK
+	respFault    = load.ClassFailed
+	respRejected = load.ClassRejected
 )
 
 // rack is the multi-machine harness both rack runners (RunRing,
@@ -62,7 +64,7 @@ type rack struct {
 
 	// Closed-loop client state, indexed by client.
 	rs      ReplicaSet
-	waiters []sim.Waiter
+	replies []func(uint64) // takes the response word of the current attempt
 	curID   []uint64
 	hedged  []bool
 }
@@ -78,7 +80,7 @@ func newRack(seed uint64, machines, cpus, clients int, plan *faults.Plan) *rack 
 		inj:     faults.NewInjector(plan),
 		accs:    make([]*stats.Accumulator, machines),
 		seed:    seed,
-		waiters: make([]sim.Waiter, clients),
+		replies: make([]func(uint64), clients),
 		curID:   make([]uint64, clients),
 		hedged:  make([]bool, clients),
 	}
@@ -156,10 +158,11 @@ func (h *rack) serve(mi int, proc *kernel.Process, rt *core.Runtime, prefix stri
 	}
 }
 
-// complete delivers a response word to its client. It must match the
-// client's current ID (copy and error bits masked) or it is stale — a
-// loser of a hedge race or a reply that missed its deadline — and is
-// dropped with cancellation accounting.
+// complete delivers a response word to its client, as an event of its
+// own at this instant rather than inside the link handler. It must
+// match the client's current ID (copy and error bits masked) or it is
+// stale — a loser of a hedge race or a reply that missed its deadline —
+// and is dropped with cancellation accounting.
 //
 //dipcvet:noalloc
 func (h *rack) complete(v uint64) {
@@ -181,34 +184,38 @@ func (h *rack) complete(v uint64) {
 		h.hedged[ci] = false
 	}
 	h.curID[ci] = 0
-	h.waiters[ci].WakeU64(0, v)
+	h.eng.AtU64(0, h.replies[ci], v)
 }
 
-// spawnClients starts the closed-loop clients on machine 0,
-// client ci at start+ci, each with one explicit Rand stream for its
-// think time (determinism rule 2 — never the engine's). Every
-// operation gets up to 1+retry.MaxRetries attempts; rs picks each
-// attempt's replica and routes[i] carries requests to replica i. An
-// attempt waits with a deadline wake when retry.Deadline > 0 (whichever
-// of deadline and completion fires first wins; the loser is a stale
-// wake the engine discards) and untimed otherwise, so a fault-free run
-// arms no timer that would only go stale. Under PolicyHedged a timer at
-// hedgeAfter issues a copy-bit duplicate to the next healthy replica if
-// the primary has not answered yet; first response wins.
-func (h *rack) spawnClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBytes int,
+// startClients starts the closed-loop clients on machine 0, client ci
+// at start+ci, each with one explicit Rand stream for its think time
+// (determinism rule 2 — never the engine's). A client runs on no
+// simulated CPU, so it is a set of engine callbacks built once, not a
+// proc. Every operation gets up to 1+retry.MaxRetries attempts; rs
+// picks each attempt's replica and routes[i] carries requests to
+// replica i. An attempt arms a deadline timer when retry.Deadline > 0
+// (whichever of deadline and response comes first wins; the other
+// finds the attempt's ID gone and does nothing) and none otherwise, so
+// a fault-free run arms no timer that would only lose. Under
+// PolicyHedged a timer at hedgeAfter issues a copy-bit duplicate to the
+// next healthy replica if the primary has not answered yet; first
+// response wins.
+func (h *rack) startClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBytes int,
 	retry faults.RetryPolicy, plan *faults.Plan, hedgeAfter sim.Time,
 ) {
 	h.rs = rs
 	for ci := range h.curID {
 		ci := ci
 		rng := sim.NewRand(h.seed + 0x9e3779b97f4a7c15*uint64(ci+1))
-		name := fmt.Sprintf("client%d", ci)
-		jitter := retryJitter(retry, plan, name)
+		jitter := retryJitter(retry, plan, fmt.Sprintf("client%d", ci))
 		acc := h.accs[0]
-		// target is the replica the current attempt went to. The hedge
-		// timer is built once per client and handed the attempt's ID as
-		// its word, so arming it allocates nothing.
-		target := 0
+		// The operation in progress: when it began, its replica order,
+		// its attempt number, and the replica the attempt went to.
+		// Timers carry the attempt's ID as their word.
+		var seq uint64
+		var begin sim.Time
+		var base, attempt, target int
+		var op, try func()
 		hedge := func(id uint64) {
 			if h.curID[ci] != id {
 				return // already answered or superseded
@@ -226,78 +233,88 @@ func (h *rack) spawnClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBy
 			}
 			routes[alt].send(reqBytes, id|ridCopyBit, acc)
 		}
-		h.eng.Spawn(name, start+sim.Time(ci), func(sp *sim.Proc) {
-			seq := uint64(0)
-			for {
-				begin := sp.Now()
-				ok := false
-				base := h.rs.Begin()
-				for attempt := 0; attempt <= retry.MaxRetries; attempt++ {
-					if attempt > 0 {
-						if h.measuring {
-							acc.Rel.Retries++
-						}
-						sp.Sleep(retry.BackoffJittered(attempt-1, jitter))
-					}
-					if h.measuring {
-						acc.Rel.Attempts++
-					}
-					seq++
-					id := seq<<ridSeqShift | uint64(ci)
-					target = h.rs.Pick(base, attempt)
-					if retry.Deadline > 0 {
-						h.waiters[ci] = sp.PrepareTimedWait(retry.Deadline)
-					} else {
-						h.waiters[ci] = sp.PrepareWait()
-					}
-					h.curID[ci] = id
-					h.hedged[ci] = false
-					routes[target].send(reqBytes, id, acc)
-					if h.rs.Policy == PolicyHedged && h.rs.N > 1 {
-						h.eng.AtU64(hedgeAfter, hedge, id)
-					}
-					v, completed := sp.WaitU64()
-					if !completed {
-						if h.measuring {
-							acc.Rel.Timeouts++
-						}
-						h.curID[ci] = 0 // cancel: a late reply is stale now
-						continue
-					}
-					switch int(v>>ridErrShift) & 3 {
-					case respOK:
-						ok = true
-					case respRejected:
-						// The replica shed the call; routing retries it
-						// elsewhere. With a single replica there is no
-						// elsewhere — honor the rejection like the
-						// Retrier does and stop.
-						if h.measuring {
-							acc.Rel.Rejected++
-						}
-						if h.rs.N == 1 {
-							attempt = retry.MaxRetries
-						}
-					default:
-						if h.measuring {
-							acc.Rel.Faults++
-						}
-					}
-					if ok {
-						break
-					}
+		// end closes the operation and thinks before the next one.
+		end := func(ok bool) {
+			if h.measuring {
+				if ok {
+					acc.Rel.OpsOK++
+					acc.AddOp(h.eng.Now() - begin)
+				} else {
+					acc.Rel.OpsFailed++
 				}
-				if h.measuring {
-					if ok {
-						acc.Rel.OpsOK++
-						acc.AddOp(sp.Now() - begin)
-					} else {
-						acc.Rel.OpsFailed++
-					}
-				}
-				sp.Sleep(rng.Duration(0, 2*sim.Microsecond))
 			}
-		})
+			h.eng.At(rng.Duration(0, 2*sim.Microsecond), op)
+		}
+		// again follows a failed attempt: back off and try again, or
+		// fail the operation once its attempts are spent.
+		again := func() {
+			attempt++
+			if attempt > retry.MaxRetries {
+				end(false)
+				return
+			}
+			if h.measuring {
+				acc.Rel.Retries++
+			}
+			h.eng.At(retry.BackoffJittered(attempt-1, jitter), try)
+		}
+		timeout := func(id uint64) {
+			if h.curID[ci] != id {
+				return // answered in time
+			}
+			if h.measuring {
+				acc.Rel.Timeouts++
+			}
+			h.curID[ci] = 0 // cancel: a late reply is stale now
+			again()
+		}
+		op = func() {
+			begin = h.eng.Now()
+			base = h.rs.Begin()
+			attempt = 0
+			try()
+		}
+		try = func() {
+			if h.measuring {
+				acc.Rel.Attempts++
+			}
+			seq++
+			id := seq<<ridSeqShift | uint64(ci)
+			target = h.rs.Pick(base, attempt)
+			if retry.Deadline > 0 {
+				h.eng.AtU64(retry.Deadline, timeout, id)
+			}
+			h.curID[ci] = id
+			h.hedged[ci] = false
+			routes[target].send(reqBytes, id, acc)
+			if h.rs.Policy == PolicyHedged && h.rs.N > 1 {
+				h.eng.AtU64(hedgeAfter, hedge, id)
+			}
+		}
+		h.replies[ci] = func(v uint64) {
+			switch int(v>>ridErrShift) & 3 {
+			case respOK:
+				end(true)
+				return
+			case respRejected:
+				// The replica shed the call; routing retries it
+				// elsewhere. With a single replica there is no
+				// elsewhere — honor the rejection like the Retrier
+				// does and stop.
+				if h.measuring {
+					acc.Rel.Rejected++
+				}
+				if h.rs.N == 1 {
+					attempt = retry.MaxRetries
+				}
+			default:
+				if h.measuring {
+					acc.Rel.Faults++
+				}
+			}
+			again()
+		}
+		h.eng.At(start+sim.Time(ci), op)
 	}
 }
 

@@ -313,40 +313,33 @@ func startReplicated(cfg *ReplicatedConfig) (*rack, *ReplicaHealth, [][]*Breaker
 				if err == nil {
 					_, err = unwrapRemote(out)
 				}
-				class := uint64(respOK)
-				if err != nil {
-					if faults.Class(err) == faults.ErrRejected {
-						class = respRejected
-					} else {
-						class = respFault
-					}
-				}
-				return v | class<<ridErrShift
+				return v | respClass(err)<<ridErrShift
 			})
 	}
 
 	// Health detector: probe every replica each period over the request
 	// wires, suspect any whose newest ack has gone stale, clear it when
-	// acks resume. Pure sim-clock arithmetic on machine 0.
+	// acks resume. Pure sim-clock arithmetic on machine 0, in a timer
+	// callback: the detector runs on no simulated CPU.
 	det := cfg.Detector
-	h.eng.Spawn("health-detector", replicatedBootTime, func(sp *sim.Proc) {
-		pseq := uint64(0)
-		for {
-			now := sp.Now()
-			for r := 0; r < R; r++ {
-				if now-lastAck[r] > det.Timeout {
-					health.Suspect(r, now)
-				} else {
-					health.Clear(r, now)
-				}
-				pseq++
-				txs[r].send(probeBytes, uint64(ridProbeBit)|pseq<<ridSeqShift|uint64(r), nil)
+	pseq := uint64(0)
+	var probe func()
+	probe = func() {
+		now := h.eng.Now()
+		for r := 0; r < R; r++ {
+			if now-lastAck[r] > det.Timeout {
+				health.Suspect(r, now)
+			} else {
+				health.Clear(r, now)
 			}
-			sp.Sleep(det.Every)
+			pseq++
+			txs[r].send(probeBytes, uint64(ridProbeBit)|pseq<<ridSeqShift|uint64(r), nil)
 		}
-	})
+		h.eng.At(det.Every, probe)
+	}
+	h.eng.At(replicatedBootTime, probe)
 
-	h.spawnClients(replicatedBootTime+1, ReplicaSet{N: R, Policy: cfg.Policy, Health: health}, txs,
+	h.startClients(replicatedBootTime+1, ReplicaSet{N: R, Policy: cfg.Policy, Health: health}, txs,
 		cfg.ReqBytes, cfg.Retry, cfg.Plan, sim.Time(float64(cfg.Retry.Deadline)*cfg.HedgeFraction))
 	return h, health, repBreakers
 }

@@ -58,7 +58,7 @@ func steadyAllocs(warm, measure func()) uint64 {
 }
 
 // TestOpenLoopSteadyStateAllocs pins the open-loop request path: once
-// the generator has spawned its peak of sessions and the gateway's
+// the generator has created its peak of sessions and the gateway's
 // request pool is full, a request allocates nothing — not the arrival
 // source, the session, the pooled request, the Retrier and Breaker on
 // each hop, nor the dropped calls' timeout errors.
@@ -70,14 +70,14 @@ func TestOpenLoopSteadyStateAllocs(t *testing.T) {
 			cfg.Window = sim.Second
 			r, gen, _ := startOpenLoop(&cfg)
 			defer r.eng.Close()
-			var spawned int
+			var created int
 			var offered, drops int64
 			n := steadyAllocs(func() {
 				r.eng.RunUntil(sim.Millis(400))
-				spawned, offered, drops = gen.Spawned, gen.Offered, r.rel.Timeouts
+				created, offered, drops = gen.Created, gen.Offered, r.rel.Timeouts
 			}, func() { r.eng.RunUntil(sim.Millis(440)) })
-			if gen.Spawned != spawned {
-				t.Fatalf("generator spawned %d sessions in the measured window; warm up longer", gen.Spawned-spawned)
+			if gen.Created != created {
+				t.Fatalf("generator created %d sessions in the measured window; warm up longer", gen.Created-created)
 			}
 			reqs := gen.Offered - offered
 			if reqs < 500 {

@@ -36,7 +36,7 @@ type rig struct {
 func newRig(seed uint64, cpus int, gwc GatewayConfig) *rig {
 	eng := sim.NewEngine(seed + 1)
 	prm := DefaultParams()
-	return &rig{eng: eng, m: kernel.NewMachine(eng, cost.Default(), cpus), prm: prm, gw: NewGateway(prm, gwc)}
+	return &rig{eng: eng, m: kernel.NewMachine(eng, cost.Default(), cpus), prm: prm, gw: NewGateway(eng, prm, gwc)}
 }
 
 // serve spawns the front worker pool: n threads of proc named name-0..
@@ -94,42 +94,42 @@ func (r *rig) serveChain(cfg *ChainFaultsConfig, brc *BreakerConfig) []*Breaker 
 	return breakers
 }
 
-// closedLoop spawns n off-machine clients ("client-0".."client-(n-1)")
-// that each submit a request, wait for its completion and submit the
-// next. Each client reuses one request and one Operation. With gen
-// non-nil, gen refills client c's operation before every submission
-// from the client's own stream sim.NewRand(seed*7919+c); with gen nil
-// requests carry no operation. Each completion in [warmup,
-// warmup+window], both ends included, counts in r.outcomes as OpsOK
-// (adding its latency to r.okLatency) or OpsFailed; every completion
-// counts in r.completed.
+// closedLoop starts n off-machine clients that each submit a request,
+// wait for its completion and submit the next. A client is a pair of
+// engine callbacks, not a proc: it runs on no simulated CPU. Each
+// client reuses one request and one Operation. With gen non-nil, gen
+// refills client c's operation before every submission from the
+// client's own stream sim.NewRand(seed*7919+c); with gen nil requests
+// carry no operation. Each completion in [warmup, warmup+window], both
+// ends included, counts in r.outcomes as OpsOK (adding its latency to
+// r.okLatency) or OpsFailed; every completion counts in r.completed.
 func (r *rig) closedLoop(n int, seed uint64, gen func(*sim.Rand, *Operation), warmup, window sim.Time) {
 	for c := 0; c < n; c++ {
 		rng := sim.NewRand(seed*7919 + uint64(c))
-		r.eng.Spawn(fmt.Sprintf("client-%d", c), 0, func(p *sim.Proc) {
-			req := &request{}
+		req := &request{}
+		if gen != nil {
+			req.op = &Operation{}
+		}
+		submit := func() {
+			req.started = r.eng.Now()
 			if gen != nil {
-				req.op = &Operation{}
+				gen(rng, req.op)
 			}
-			for {
-				req.started, req.err = p.Now(), nil
-				if gen != nil {
-					gen(rng, req.op)
-				}
-				req.done = p.PrepareWait()
-				r.gw.Submit(req, p.Now())
-				p.Wait()
-				r.completed++
-				if end := p.Now(); end >= warmup && end <= warmup+window {
-					if req.err != nil {
-						r.outcomes.OpsFailed++
-					} else {
-						r.outcomes.OpsOK++
-						r.okLatency += end - req.started
-					}
+			r.gw.Submit(req)
+		}
+		req.done = func(v uint64) {
+			r.completed++
+			if end := r.eng.Now(); end >= warmup && end <= warmup+window {
+				if v&3 != respOK {
+					r.outcomes.OpsFailed++
+				} else {
+					r.outcomes.OpsOK++
+					r.okLatency += end - req.started
 				}
 			}
-		})
+			submit()
+		}
+		r.eng.At(0, submit)
 	}
 }
 

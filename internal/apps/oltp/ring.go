@@ -85,7 +85,7 @@ func RunRing(c RingConfig) *RackResult {
 			})
 	}
 
-	h.spawnClients(0, ReplicaSet{N: 1}, outs[:1], c.ReqBytes, c.Retry, c.Plan, 0)
+	h.startClients(0, ReplicaSet{N: 1}, outs[:1], c.ReqBytes, c.Retry, c.Plan, 0)
 	h.measure(c.Warmup, c.Window)
 	res := h.readout(c.Window)
 	return &res

@@ -224,22 +224,17 @@ func TestRetrierHonorsRejectionThroughRouter(t *testing.T) {
 // use, so one errors.Is covers every rejection source.
 func TestGatewayRejectionClassifies(t *testing.T) {
 	eng := sim.NewEngine(1)
-	gw := NewGateway(DefaultParams(), GatewayConfig{Policy: AdmitFIFO, Capacity: 1})
-	var rejected *request
-	eng.Spawn("client", 0, func(p *sim.Proc) {
-		// No workers: the first submit queues, the second overflows.
-		first := &request{done: p.PrepareWait()}
-		gw.Submit(first, p.Now())
-		second := &request{}
-		second.done = p.PrepareWait()
-		gw.Submit(second, p.Now())
-		rejected = second
-	})
+	gw := NewGateway(eng, DefaultParams(), GatewayConfig{Policy: AdmitFIFO, Capacity: 1})
+	words := map[uint64]bool{}
+	record := func(v uint64) { words[v] = true }
+	// No workers: the first submit queues, the second overflows.
+	gw.Submit(&request{id: 1, done: record})
+	gw.Submit(&request{id: 2, done: record})
 	eng.Run()
-	if rejected == nil || rejected.err == nil {
-		t.Fatalf("queue overflow did not reject")
+	if len(words) != 1 || !words[2<<2|respRejected] {
+		t.Fatalf("completion words %v; want only request 2, rejected", words)
 	}
-	if !errors.Is(rejected.err, faults.ErrRejected) {
-		t.Errorf("gateway rejection lost its class: %v", rejected.err)
+	if !errors.Is(errGatewayFull, faults.ErrRejected) || respClass(errGatewayFull) != respRejected {
+		t.Errorf("gateway rejection lost its class: %v", errGatewayFull)
 	}
 }

@@ -73,10 +73,11 @@ func genOp(rng *sim.Rand, prm *Params, op *Operation) {
 type request struct {
 	op      *Operation
 	started sim.Time
-	done    sim.Waiter
-	// err is the failure outcome reported back to the client (nil on
-	// success).
-	err error
+	// done takes the completion word id<<2 | class when the gateway
+	// finishes the request (Gateway.finish); id names the request to
+	// its client.
+	done func(uint64)
+	id   uint64
 	// pooled marks a request Gateway.Issue took from its free list; the
 	// gateway returns it there when it finishes the request. A
 	// closed-loop client owns its request and leaves pooled unset.

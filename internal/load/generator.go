@@ -1,12 +1,24 @@
 package load
 
 import (
-	"fmt"
-
-	"repro/internal/faults"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
+
+// Outcome classes: a request's completion word is id<<2 | class.
+const (
+	ClassOK       = 0 // the request succeeded
+	ClassFailed   = 1 // it failed inside the system
+	ClassRejected = 2 // admission control shed it (faults.ErrRejected)
+)
+
+// timedOut is the class a session's own deadline reports; no
+// completion word carries it.
+const timedOut = 3
+
+// slotBits is the width of the session slot in a request ID; the rest
+// numbers the generator's requests, so IDs are never reused.
+const slotBits = 24
 
 // Config parameterizes one open-loop generator.
 type Config struct {
@@ -26,21 +38,26 @@ type Config struct {
 	// MeasureStart and MeasureEnd gate every counter: requests count as
 	// offered by issue time, outcomes by completion time.
 	MeasureStart, MeasureEnd sim.Time
-	// Issue fires one request on the session's proc, arranging for w to
-	// be woken on completion with nil (success) or an error. A wake
-	// wrapping faults.ErrRejected counts as shed by admission control.
-	Issue func(p *sim.Proc, w sim.Waiter)
+	// Issue submits the request numbered id, now. The system must
+	// complete it by scheduling done once with the word id<<2 | class,
+	// class one of ClassOK, ClassFailed and ClassRejected (for
+	// example with Engine.AtU64(d, done, word)). A word for a request
+	// whose session has given up on it is ignored.
+	Issue func(id uint64, done func(uint64))
 }
 
-// Generator drives one engine's open-loop traffic: a source proc draws
-// arrivals and hands them to a bounded pool of session procs. An
-// arrival takes the most recently parked idle session (a LIFO free
-// list, so slot reuse is deterministic); only when none is idle does it
-// spawn a new one, up to Config.Sessions, so a run pays for as many
-// sessions as its peak concurrency. All state belongs to the owning
-// engine; fold Acc across generators with stats.MergeAll.
+// Generator drives one engine's open-loop traffic: an arrival source
+// hands clients to a bounded pool of sessions. Both are engine
+// callbacks, not procs: an off-machine client runs on no simulated CPU,
+// so it needs no thread of its own. Each arrival takes the most
+// recently parked idle session (a LIFO free list, so slot reuse is
+// deterministic); only when none is idle does it create a new one, up
+// to Config.Sessions, so a run pays for as many sessions as its peak
+// concurrency. All state belongs to the owning engine; fold Acc across
+// generators with stats.MergeAll.
 type Generator struct {
 	cfg Config
+	eng *sim.Engine
 
 	// Acc collects in-window outcomes: ops, latency sum, the latency
 	// histogram (successes only) and the op-level Reliability counters
@@ -53,15 +70,32 @@ type Generator struct {
 	Sessions int64
 	// Balked counts in-window arrivals lost to pool exhaustion.
 	Balked int64
-	// Spawned counts the session procs spawned so far, over the whole
-	// run: the run's peak concurrency, at most Config.Sessions.
-	Spawned int
+	// Created counts the sessions created so far, over the whole run:
+	// the run's peak concurrency, at most Config.Sessions.
+	Created int
 
-	idle []sim.Waiter
+	sessions []session // by slot
+	idle     []uint64  // slots of the parked sessions, most recent last
+	issued   uint64    // requests issued so far; numbers request IDs
+
+	// The callbacks, built once so that scheduling them allocates
+	// nothing.
+	arriveFn  func()
+	beginFn   func(uint64)
+	doneFn    func(uint64)
+	timeoutFn func(uint64)
 }
 
-// Start spawns the generator's arrival source on eng; sessions are
-// spawned as arrivals need them. The simulation must not have started
+// session is one slot's client: the request it waits for and how many
+// it has issued.
+type session struct {
+	id    uint64   // the outstanding request's ID, 0 while none is
+	start sim.Time // when the outstanding request was issued
+	sent  int      // requests the current client has issued
+}
+
+// Start arms the generator's arrival source on eng; sessions are
+// created as arrivals need them. The simulation must not have started
 // yet.
 func Start(eng *sim.Engine, cfg Config) *Generator {
 	if cfg.Arrivals == nil {
@@ -73,127 +107,133 @@ func Start(eng *sim.Engine, cfg Config) *Generator {
 	if cfg.Sessions <= 0 {
 		cfg.Sessions = 256
 	}
+	if cfg.Sessions > 1<<slotBits {
+		panic("load: Config.Sessions exceeds 1<<24")
+	}
 	if cfg.Requests <= 0 {
 		cfg.Requests = 1
 	}
-	g := &Generator{cfg: cfg, idle: make([]sim.Waiter, 0, cfg.Sessions)}
-	eng.Spawn("load-src", 0, g.source)
+	g := &Generator{cfg: cfg, eng: eng}
+	g.arriveFn, g.beginFn, g.doneFn, g.timeoutFn = g.arrive, g.begin, g.done, g.timeout
+	// The source starts at 0 and then waits for its first arrival.
+	eng.At(0, func() { eng.At(cfg.Arrivals.Next(), g.arriveFn) })
 	return g
 }
 
-// source draws arrivals and dispatches them to session slots: an idle
-// session if one is parked, else a new one while fewer than Sessions
-// exist. Spawning at delay 0 takes the same event slot as waking a
-// parked session, and sessions hold no per-slot state, so which of the
-// two serves an arrival changes nothing the simulation observes.
+// arrive dispatches one arrival to a session slot — an idle session if
+// one is parked, else a new one while fewer than Sessions exist — and
+// waits for the next. Waking a parked session and starting a new one
+// take the same event slot, and sessions keep no state from one client
+// to the next, so which of the two serves an arrival changes nothing
+// the simulation observes.
 //
 //dipcvet:noalloc
-func (g *Generator) source(p *sim.Proc) {
-	for {
-		p.Sleep(g.cfg.Arrivals.Next())
-		now := p.Now()
-		if now > g.cfg.MeasureEnd {
-			return
-		}
-		inWin := now >= g.cfg.MeasureStart
-		n := len(g.idle)
-		switch {
-		case n > 0:
-			w := g.idle[n-1] // LIFO: deterministic slot reuse
-			g.idle = g.idle[:n-1]
-			w.Wake(0, nil)
-		case g.Spawned < g.cfg.Sessions:
-			// The new session serves this client before it first parks.
-			//dipcvet:alloc-ok one proc per session slot, at most Config.Sessions per run
-			p.Engine().Spawn(fmt.Sprintf("load-sess%d", g.Spawned), 0, g.session)
-			g.Spawned++
-		default:
-			if inWin {
-				g.Balked++
-			}
-			continue
-		}
-		if inWin {
+func (g *Generator) arrive() {
+	now := g.eng.Now()
+	if now > g.cfg.MeasureEnd {
+		return
+	}
+	begun := true
+	switch n := len(g.idle); {
+	case n > 0:
+		g.eng.AtU64(0, g.beginFn, g.idle[n-1]) // LIFO: deterministic slot reuse
+		g.idle = g.idle[:n-1]
+	case g.Created < g.cfg.Sessions:
+		//dipcvet:alloc-ok one slot per session, at most Config.Sessions per run
+		g.sessions = append(g.sessions, session{})
+		g.eng.AtU64(0, g.beginFn, uint64(g.Created))
+		g.Created++
+	default:
+		begun = false
+	}
+	if now >= g.cfg.MeasureStart {
+		if begun {
 			g.Sessions++
+		} else {
+			g.Balked++
 		}
 	}
+	g.eng.At(g.cfg.Arrivals.Next(), g.arriveFn)
 }
 
-// session runs one slot: serve the arriving client's request burst,
-// park in the free list until the next client, repeat. A client whose
-// request fails — times out, is rejected, errors — abandons the rest
-// of its session: churn under overload returns the slot to the pool
-// instead of piling more work onto a struggling system, while the
-// open-loop arrival source keeps offering fresh clients. Only success
-// keeps a client engaged, so every failed session costs exactly one
-// counted failure no matter how fast the system reported it.
-func (g *Generator) session(sp *sim.Proc) {
-	for {
-		abandoned := false
-		for r := 0; r < g.cfg.Requests && !abandoned; r++ {
-			start := sp.Now()
-			if start > g.cfg.MeasureEnd {
-				break
-			}
-			var d sim.Waiter
-			if g.cfg.Deadline > 0 {
-				d = sp.PrepareTimedWait(g.cfg.Deadline)
-			} else {
-				d = sp.PrepareWait()
-			}
-			if start >= g.cfg.MeasureStart {
-				g.Offered++
-			}
-			g.cfg.Issue(sp, d)
-			v, completed := sp.WaitTimed()
-			end := sp.Now()
-			abandoned = !completed || v != nil
-			if end < g.cfg.MeasureStart || end > g.cfg.MeasureEnd {
-				continue
-			}
-			switch {
-			case !completed:
-				g.Acc.Rel.OpsFailed++
-				g.Acc.Rel.Timeouts++
-			case v != nil:
-				g.Acc.Rel.OpsFailed++
-				if faults.Class(wakeErr(v)) == faults.ErrRejected {
-					g.Acc.Rel.Rejected++
-				} else {
-					g.Acc.Rel.Faults++
-				}
-			default:
-				g.Acc.Rel.OpsOK++
-				g.Acc.AddOp(end - start)
-			}
-		}
-		w := sp.PrepareWait()
-		g.idle = append(g.idle, w)
-		sp.Wait()
-	}
-}
-
-// wakeErr returns the error a completion wake carried. The wrappers the
-// request path builds (faults.Error, faults.RemoteError) are matched by
-// concrete type, which costs a compare; only another type takes the
-// assertion to error.
+// begin starts the client that arrived at session slot.
 //
 //dipcvet:noalloc
-func wakeErr(v any) error {
-	switch e := v.(type) {
-	case *faults.Error:
-		return e
-	case *faults.RemoteError:
-		return e
-	}
-	err, ok := v.(error) //dipcvet:alloc-ok reached only by error types the request path does not build
-	if !ok {
-		panicNotError(v)
-	}
-	return err
+func (g *Generator) begin(slot uint64) {
+	g.sessions[slot].sent = 0
+	g.issue(slot)
 }
 
-// panicNotError reports a completion wake that carried no error.
-func panicNotError(v any) {
-	panic(fmt.Sprintf("load: completion wake carried %T, want error or nil", v))
+// issue sends the session's next request, armed with its deadline, or
+// parks the session in the free list once its client is done.
+//
+//dipcvet:noalloc
+func (g *Generator) issue(slot uint64) {
+	s := &g.sessions[slot]
+	now := g.eng.Now()
+	if s.sent == g.cfg.Requests || now > g.cfg.MeasureEnd {
+		//dipcvet:alloc-ok pooled capacity: the free list grows to the peak number of idle sessions
+		g.idle = append(g.idle, slot)
+		return
+	}
+	g.issued++
+	s.id, s.start = g.issued<<slotBits|slot, now
+	s.sent++
+	if g.cfg.Deadline > 0 {
+		g.eng.AtU64(g.cfg.Deadline, g.timeoutFn, s.id)
+	}
+	if now >= g.cfg.MeasureStart {
+		g.Offered++
+	}
+	g.cfg.Issue(s.id, g.doneFn)
+}
+
+// done takes a completion word from the system.
+//
+//dipcvet:noalloc
+func (g *Generator) done(v uint64) { g.complete(v>>2, v&3) }
+
+// timeout fires a request's deadline.
+//
+//dipcvet:noalloc
+func (g *Generator) timeout(id uint64) { g.complete(id, timedOut) }
+
+// complete ends request id with class, unless its session no longer
+// waits for it: whichever of the completion and the deadline comes
+// first wins, and the other is a no-op. A client whose request fails —
+// times out, is rejected, errors — abandons the rest of its session:
+// churn under overload returns the slot to the pool instead of piling
+// more work onto a struggling system, while the open-loop arrival
+// source keeps offering fresh clients. Only success keeps a client
+// engaged, so every failed session costs exactly one counted failure
+// no matter how fast the system reported it.
+//
+//dipcvet:noalloc
+func (g *Generator) complete(id, class uint64) {
+	slot := id & (1<<slotBits - 1)
+	s := &g.sessions[slot]
+	if s.id != id {
+		return
+	}
+	s.id = 0
+	if end := g.eng.Now(); end >= g.cfg.MeasureStart && end <= g.cfg.MeasureEnd {
+		switch class {
+		case ClassOK:
+			g.Acc.Rel.OpsOK++
+			g.Acc.AddOp(end - s.start)
+		case timedOut:
+			g.Acc.Rel.OpsFailed++
+			g.Acc.Rel.Timeouts++
+		case ClassRejected:
+			g.Acc.Rel.OpsFailed++
+			g.Acc.Rel.Rejected++
+		default:
+			g.Acc.Rel.OpsFailed++
+			g.Acc.Rel.Faults++
+		}
+	}
+	if class != ClassOK {
+		s.sent = g.cfg.Requests // abandon: the next issue parks the session
+	}
+	g.issue(slot)
 }

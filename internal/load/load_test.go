@@ -1,13 +1,19 @@
 package load
 
 import (
-	"errors"
 	"fmt"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
-	"repro/internal/faults"
 	"repro/internal/sim"
 )
+
+// replyAfter returns an Issue that completes every request with class
+// after d, the way a system under test schedules its completion word.
+func replyAfter(eng *sim.Engine, d sim.Time, class uint64) func(uint64, func(uint64)) {
+	return func(id uint64, done func(uint64)) { eng.AtU64(d, done, id<<2|class) }
+}
 
 // countArrivals drains the process over a horizon and returns how many
 // arrivals land in it.
@@ -69,9 +75,7 @@ func TestGeneratorBasic(t *testing.T) {
 			Deadline:     sim.Millis(1),
 			MeasureStart: sim.Millis(1),
 			MeasureEnd:   sim.Millis(21),
-			Issue: func(p *sim.Proc, w sim.Waiter) {
-				w.Wake(latency, nil)
-			},
+			Issue:        replyAfter(eng, latency, ClassOK),
 		})
 		eng.RunUntil(sim.Millis(21))
 		return gen, latency
@@ -110,9 +114,7 @@ func TestGeneratorDeadline(t *testing.T) {
 		Deadline:     sim.Micros(50),
 		MeasureStart: 0,
 		MeasureEnd:   sim.Millis(10),
-		Issue: func(p *sim.Proc, w sim.Waiter) {
-			w.Wake(sim.Millis(5), nil) // far past the deadline
-		},
+		Issue:        replyAfter(eng, sim.Millis(5), ClassOK), // far past the deadline
 	})
 	eng.RunUntil(sim.Millis(10))
 	if gen.Acc.Rel.OpsOK != 0 {
@@ -138,10 +140,8 @@ func TestGeneratorBalks(t *testing.T) {
 		Requests:     1,
 		MeasureStart: 0,
 		MeasureEnd:   sim.Millis(5),
-		Issue: func(p *sim.Proc, w sim.Waiter) {
-			// Never wakes inside the window: the slot stays busy.
-			w.Wake(sim.Millis(50), nil)
-		},
+		// Never completes inside the window: the slot stays busy.
+		Issue: replyAfter(eng, sim.Millis(50), ClassOK),
 	})
 	eng.RunUntil(sim.Millis(5))
 	if gen.Sessions != 1 {
@@ -152,10 +152,7 @@ func TestGeneratorBalks(t *testing.T) {
 	}
 }
 
-// errBackend stands in for any failure that is not a shed.
-var errBackend = errors.New("backend failure")
-
-// Rejection errors surface in the Rejected counter, other errors in
+// Rejections surface in the Rejected counter, other failures in
 // Faults.
 func TestGeneratorErrorClassification(t *testing.T) {
 	eng := sim.NewEngine(1)
@@ -166,13 +163,13 @@ func TestGeneratorErrorClassification(t *testing.T) {
 		Requests:     1,
 		MeasureStart: 0,
 		MeasureEnd:   sim.Millis(2),
-		Issue: func(p *sim.Proc, w sim.Waiter) {
+		Issue: func(id uint64, done func(uint64)) {
 			n++
+			class := uint64(ClassFailed)
 			if n%2 == 0 {
-				w.Wake(0, fmt.Errorf("gateway: %w", faults.ErrRejected))
-			} else {
-				w.Wake(0, errBackend)
+				class = ClassRejected
 			}
+			eng.AtU64(0, done, id<<2|class)
 		},
 	})
 	eng.RunUntil(sim.Millis(2))
@@ -184,9 +181,9 @@ func TestGeneratorErrorClassification(t *testing.T) {
 	}
 }
 
-// Sessions are spawned only when an arrival finds none idle, so a run
+// Sessions are created only when an arrival finds none idle, so a run
 // pays for its peak concurrency, not for Config.Sessions: a window too
-// short for any arrival spawns none, a light load spawns exactly as
+// short for any arrival creates none, a light load creates exactly as
 // many as were ever busy at once, and an overload stops at the cap and
 // balks the rest.
 func TestGeneratorSpawnsSessionsOnDemand(t *testing.T) {
@@ -199,15 +196,15 @@ func TestGeneratorSpawnsSessionsOnDemand(t *testing.T) {
 			Sessions:   sessions,
 			Requests:   1,
 			MeasureEnd: end,
-			Issue:      func(p *sim.Proc, w sim.Waiter) { w.Wake(latency, nil) },
+			Issue:      replyAfter(eng, latency, ClassOK),
 		})
 		eng.RunUntil(sim.Millis(100))
 		return gen
 	}
 
 	t.Run("empty-window", func(t *testing.T) {
-		if gen := start(512, 1, latency); gen.Spawned != 0 || gen.Sessions != 0 {
-			t.Fatalf("a 1ns window spawned %d sessions and began %d, want 0", gen.Spawned, gen.Sessions)
+		if gen := start(512, 1, latency); gen.Created != 0 || gen.Sessions != 0 {
+			t.Fatalf("a 1ns window created %d sessions and began %d, want 0", gen.Created, gen.Sessions)
 		}
 	})
 
@@ -233,10 +230,10 @@ func TestGeneratorSpawnsSessionsOnDemand(t *testing.T) {
 			peak = max(peak, busy)
 		}
 		if peak < 2 {
-			t.Fatalf("peak concurrency %d: the load is too light to tell reuse from spawning", peak)
+			t.Fatalf("peak concurrency %d: the load is too light to tell reuse from creation", peak)
 		}
-		if gen.Spawned != peak {
-			t.Fatalf("spawned %d sessions, want the peak concurrency %d", gen.Spawned, peak)
+		if gen.Created != peak {
+			t.Fatalf("created %d sessions, want the peak concurrency %d", gen.Created, peak)
 		}
 		if gen.Sessions != int64(len(arrivals)) || gen.Balked != 0 {
 			t.Fatalf("began %d sessions and balked %d for %d arrivals, want all begun", gen.Sessions, gen.Balked, len(arrivals))
@@ -245,9 +242,52 @@ func TestGeneratorSpawnsSessionsOnDemand(t *testing.T) {
 
 	t.Run("capped", func(t *testing.T) {
 		gen := start(2, sim.Millis(5), sim.Millis(50))
-		if gen.Spawned != 2 || gen.Balked == 0 {
-			t.Fatalf("spawned %d sessions and balked %d under overload with Sessions=2, want 2 and > 0",
-				gen.Spawned, gen.Balked)
+		if gen.Created != 2 || gen.Balked == 0 {
+			t.Fatalf("created %d sessions and balked %d under overload with Sessions=2, want 2 and > 0",
+				gen.Created, gen.Balked)
 		}
 	})
+}
+
+// TestGeneratorSteadyStateAllocs: once the generator has created its
+// peak of sessions, a request allocates nothing — not the arrival, the
+// session's deadline and completion callbacks, nor the free list.
+func TestGeneratorSteadyStateAllocs(t *testing.T) {
+	eng := sim.NewEngine(1)
+	t.Cleanup(eng.Close)
+	gen := Start(eng, Config{
+		Arrivals:   NewPoisson(23, sim.Micros(20)),
+		Sessions:   8, // below the peak, so warm-up reaches the cap
+		Requests:   3,
+		Deadline:   sim.Micros(100),
+		MeasureEnd: sim.Second,
+		// One request in eight outlives its deadline.
+		Issue: func(id uint64, done func(uint64)) {
+			d := sim.Micros(30)
+			if id%8 == 0 {
+				d = sim.Micros(150)
+			}
+			eng.AtU64(d, done, id<<2|ClassOK)
+		},
+	})
+	// One P and no GC, so MemStats sees only the simulation.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	eng.RunUntil(sim.Millis(100))
+	created, offered, timeouts := gen.Created, gen.Offered, gen.Acc.Rel.Timeouts
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	eng.RunUntil(sim.Millis(200))
+	runtime.ReadMemStats(&after)
+	if created != 8 || gen.Balked == 0 {
+		t.Fatalf("%d sessions created, %d arrivals balked; want the cap of 8 reached", created, gen.Balked)
+	}
+	reqs := gen.Offered - offered
+	if reqs < 5000 || gen.Acc.Rel.Timeouts == timeouts {
+		t.Fatalf("%d requests and %d timeouts in the measured window, want >= 5000 and some", reqs, gen.Acc.Rel.Timeouts-timeouts)
+	}
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Errorf("steady-state generator allocates %.3f objects/request (%d over %d requests), want 0",
+			float64(n)/float64(reqs), n, reqs)
+	}
 }

@@ -131,7 +131,7 @@ func TestAdvanceAfterClose(t *testing.T) {
 	}
 }
 
-// TestTimerLaneHeadBoundsAdvance: a deadline that heads a timer lane is
+// TestTimerLaneHeadBoundsAdvance: a timer that heads a timer lane is
 // an ordinary heap entry for the run limit and the bound. Past the
 // RunUntil limit it stays queued; inside the run, Advance moves the
 // clock up to just before it and declines a slice that would end at it.
@@ -139,12 +139,7 @@ func TestTimerLaneHeadBoundsAdvance(t *testing.T) {
 	const deadline = 10 * Nanosecond
 	e := NewEngine(1)
 	var timedOutAt Time
-	e.Spawn("waiter", 0, func(p *Proc) {
-		p.PrepareTimedWait(deadline)
-		if _, completed := p.WaitTimed(); !completed {
-			timedOutAt = p.Now()
-		}
-	})
+	e.AtU64(deadline, func(uint64) { timedOutAt = e.now }, 0)
 	e.RunUntil(5 * Nanosecond)
 	if e.events.len() != 1 || e.events.head().data.timer == 0 || timedOutAt != 0 {
 		t.Fatalf("after RunUntil: %d queued, timed out at %v; want the lane head queued", e.events.len(), timedOutAt)

@@ -64,8 +64,7 @@ func TestCloseUnwindsParkedProcs(t *testing.T) {
 }
 
 // TestCloseUnwindsTimedWaits: procs parked in timed waits whose
-// deadlines lie beyond the RunUntil window, one heading the timer lane
-// and the rest in its ring, are unwound by Close.
+// deadlines lie beyond the RunUntil window are unwound by Close.
 func TestCloseUnwindsTimedWaits(t *testing.T) {
 	before := runtime.NumGoroutine()
 	e := NewEngine(1)
@@ -73,14 +72,14 @@ func TestCloseUnwindsTimedWaits(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		e.Spawn(fmt.Sprintf("waiter%d", i), Time(i), func(p *Proc) {
 			defer func() { unwound++ }()
-			p.PrepareTimedWait(Second)
-			p.WaitTimed()
+			prepareTimedWait(p, Second)
+			waitTimed(p)
 			t.Error("a waiter resumed past the window")
 		})
 	}
 	e.RunUntil(10 * Nanosecond)
-	if e.events.len() != 1 || e.events.rest != 2 {
-		t.Fatalf("heap %d, ring %d before Close; want the lane head and two ring entries", e.events.len(), e.events.rest)
+	if e.events.len() != 3 || e.events.live() != 3 {
+		t.Fatalf("%d queued, %d live before Close; want the three deadlines", e.events.len(), e.events.live())
 	}
 	e.Close()
 	if unwound != 3 || e.live != 0 {

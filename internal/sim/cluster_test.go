@@ -69,7 +69,7 @@ func ringTrace(seed uint64, parts, shards int, until Time) string {
 					}
 					v = vv
 				}
-				pt.trace = append(pt.trace, uint64(p.Now()), v)
+				pt.trace = append(pt.trace, uint64(p.eng.now), v)
 				p.Sleep(Time(pt.rng.Intn(60)))
 				pt.out.SendU64(ringLookahead+Time(pt.rng.Intn(40)), v+1)
 			}

@@ -33,7 +33,7 @@ func stressTrace(seed uint64, nProcs, steps int, drive string) (digest string, l
 		e.Spawn(fmt.Sprintf("p%d", i), Time(i%7), func(p *Proc) {
 			r := e.Rand()
 			for s := 0; s < steps; s++ {
-				fmt.Fprintf(&sb, "%d %s %d", int64(p.Now()), p.Name(), s)
+				fmt.Fprintf(&sb, "%d %s %d", int64(p.eng.now), p.Name(), s)
 				switch r.Intn(7) {
 				case 0:
 					p.Sleep(Time(r.Intn(50)))
@@ -42,14 +42,14 @@ func stressTrace(seed uint64, nProcs, steps int, drive string) (digest string, l
 					woke := q.WakeOne(Time(r.Intn(4)), s)
 					fmt.Fprintf(&sb, " wakeone %v\n", woke)
 				case 2:
-					v, ok := q.WaitTimeout(p, Time(r.Intn(40)+1))
+					v, ok := waitTimeout(&q, p, Time(r.Intn(40)+1))
 					fmt.Fprintf(&sb, " waittimeout %v %v\n", v, ok)
 				case 3:
 					n := q.WakeAll(0, nil)
 					fmt.Fprintf(&sb, " wakeall %d\n", n)
 					p.Sleep(Time(r.Intn(9)))
 				case 4:
-					v, ok := q2.WaitTimeout(p, Time(r.Intn(25)+1))
+					v, ok := waitTimeout(&q2, p, Time(r.Intn(25)+1))
 					fmt.Fprintf(&sb, " wt2 %v %v\n", v, ok)
 				case 5:
 					woke := q2.WakeOne(0, s)
@@ -59,7 +59,7 @@ func stressTrace(seed uint64, nProcs, steps int, drive string) (digest string, l
 					fmt.Fprintf(&sb, " waited %v\n", v)
 				}
 			}
-			fmt.Fprintf(&sb, "%d %s done\n", int64(p.Now()), p.Name())
+			fmt.Fprintf(&sb, "%d %s done\n", int64(p.eng.now), p.Name())
 		})
 	}
 	// Background wakers so plain Waits cannot block forever: WakeAll both

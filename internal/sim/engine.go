@@ -44,11 +44,14 @@ const maxTime = Time(math.MaxInt64)
 // returns to the root only when the run stops. Close unwinds the procs
 // still parked when a run is over.
 //
+// Work that runs on no simulated CPU — the off-machine clients, the
+// health detector, timers — is not a proc at all but a chain of
+// callbacks (At, AtU64): it needs no coroutine, no stack and no switch.
+//
 // The event queue is a heap with a few fixed-delay timer lanes beside
-// it. Timed-wait deadlines (PrepareTimedWait, WaitQueue.WaitTimeout)
-// and AtU64 timers wait on the lane for their delay: a FIFO that is
-// already in (at, seq) order, because the clock never goes back and seq
-// only grows. Each nonempty lane keeps its earliest entry in the heap,
+// it. AtU64 timers (client deadlines, hedge timers, deferred replies)
+// wait on the lane for their delay: a FIFO that is already in (at, seq)
+// order, because the clock never goes back and seq only grows. Each nonempty lane keeps its earliest entry in the heap,
 // so the heap's root is still the next event, and the loop, Sleep and
 // Advance read it as before. The pop order is the one a single heap
 // would give: (at, seq) is a total order, and merging sorted runs
@@ -122,32 +125,42 @@ func (e *Engine) foldStats() {
 func (e *Engine) Rand() *Rand { return e.rng }
 
 // Pending returns the number of queued events, in the heap and in its
-// timer lanes, including stale entries (abandoned timers and superseded
-// wakeups) that will be dropped when reached.
+// timer lanes, including stale wakeups (superseded by a newer wait of
+// their proc) that will be dropped when reached.
 func (e *Engine) Pending() int { return e.events.size() }
 
-// push enqueues an event due at at.
+// after returns the instant d from now. It is the one place a delay
+// becomes a time: a negative d means now, and a sum past the end of the
+// clock saturates at maxTime, so the clock never goes back and an
+// overflowing delay stays queued past any RunUntil limit.
+//
+//dipcvet:noalloc
+func (e *Engine) after(d Time) Time {
+	at := e.now + d
+	if at < e.now { // d < 0, or the sum wrapped: now is never negative
+		if d < 0 {
+			return e.now
+		}
+		return maxTime
+	}
+	return at
+}
+
+// push enqueues an event due at at, which is not before now (after).
 //
 //dipcvet:noalloc
 func (e *Engine) push(at Time, p *Proc, gen uint64, data payload) {
 	e.events.push(e.event(at, p, gen, data))
-	e.events.maybeCompact()
 }
 
-// pushTimer enqueues a timer due d from now on the queue's timer lane
-// for d (see eventQueue). A delay that would put the timer before now
-// (d < 0, or now+d overflowing) is clamped to now by event and goes to
-// the heap, since the lane's order rests on at == now+d.
+// pushTimer enqueues a callback due d from now on the queue's timer
+// lane for d (see eventQueue). The due time after(d) never decreases as
+// the clock moves on, so the lane stays in (at, seq) order even for a
+// negative or saturated delay.
 //
 //dipcvet:noalloc
-func (e *Engine) pushTimer(d Time, p *Proc, gen uint64, data payload) {
-	at := e.now + d
-	if at < e.now {
-		e.push(at, p, gen, data)
-		return
-	}
-	e.events.pushTimer(d, e.event(at, p, gen, data))
-	e.events.maybeCompact()
+func (e *Engine) pushTimer(d Time, data payload) {
+	e.events.pushTimer(d, e.event(e.after(d), nil, 0, data))
 }
 
 // event builds the queue entry for a push, classifying it immediately:
@@ -161,9 +174,6 @@ func (e *Engine) pushTimer(d Time, p *Proc, gen uint64, data payload) {
 func (e *Engine) event(at Time, p *Proc, gen uint64, data payload) event {
 	if e.closed {
 		panicClosed()
-	}
-	if at < e.now {
-		at = e.now
 	}
 	e.seq++
 	if p != nil {
@@ -199,7 +209,6 @@ func (e *Engine) bumpGen(p *Proc) {
 	e.events.stale += int(p.queued)
 	p.queued = 0
 	p.gen++
-	e.events.maybeCompact()
 }
 
 // procExited records that p finished: any wakeups still queued for it are
@@ -271,7 +280,7 @@ func (e *Engine) Deadlock() error {
 // interrupt delivery and bookkeeping. fn rides the event's boxed slot (a
 // func value is pointer-shaped, so storing it allocates nothing).
 func (e *Engine) At(d Time, fn func()) {
-	e.push(e.now+d, nil, 0, payload{boxed: fn})
+	e.push(e.after(d), nil, 0, payload{boxed: fn})
 }
 
 // AtU64 is At for a callback that takes a word: fn(v) runs in the
@@ -285,7 +294,7 @@ func (e *Engine) At(d Time, fn func()) {
 //
 //dipcvet:noalloc
 func (e *Engine) AtU64(d Time, fn func(uint64), v uint64) {
-	e.pushTimer(d, nil, 0, payload{kind: payU64, boxed: fn, u64: v})
+	e.pushTimer(d, payload{kind: payU64, boxed: fn, u64: v})
 }
 
 // Spawn creates a new simulated thread running fn and schedules it to
@@ -311,7 +320,7 @@ func (e *Engine) Spawn(name string, d Time, fn func(p *Proc)) *Proc {
 	e.live++
 	e.procs = append(e.procs, p)
 	e.bumpGen(p)
-	e.push(e.now+d, p, p.gen, payload{})
+	e.push(e.after(d), p, p.gen, payload{})
 	return p
 }
 
@@ -379,11 +388,10 @@ func (e *Engine) Close() {
 // limit and ordered before every queued event, so it is exactly the
 // event the first pop would have returned.
 //
-// Stale wakeups (a timer firing after its waiter was already woken
-// through another path) are dropped at the head without advancing the
-// clock, before the limit test, so an abandoned deadline inside a
-// RunUntil window cannot bait the loop into delivering a live event
-// scheduled after the window.
+// Stale wakeups (a wake for a generation its proc has left behind) are
+// dropped at the head without advancing the clock, before the limit
+// test, so a stale entry inside a RunUntil window cannot bait the loop
+// into delivering a live event scheduled after the window.
 //
 //dipcvet:noalloc
 func (e *Engine) schedule(self *Proc, first *event) (to *Proc, pl payload) {
@@ -411,8 +419,8 @@ func (e *Engine) schedule(self *Proc, first *event) (to *Proc, pl payload) {
 			continue
 		}
 		// Delivering this wakeup consumes the generation: any other event
-		// still queued for it (say, the deadline timer of a WaitTimeout
-		// that was woken early) is stale as of now.
+		// still queued for it (a second Wake of the same Waiter) is stale
+		// as of now.
 		p := ev.proc
 		p.delivered = ev.gen
 		e.events.stale += int(p.queued) - 1

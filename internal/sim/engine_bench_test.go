@@ -194,49 +194,56 @@ func BenchmarkEngineCallbackChain(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEngineTimeoutChurn measures the WaitTimeout wake-before-
-// deadline pattern from the OLTP runs under Run: every op abandons a
-// timer event. The deadlines share one delay, so they wait on one timer
-// lane: each lands at the back of its ring, and the heap holds the
-// lane's earliest entry alone. The path exercises stale accounting and
-// the periodic compaction of the lane ring. One op is one early wake of
-// the sleeper.
+// BenchmarkEngineTimeoutChurn measures the reply-before-deadline
+// pattern of the off-machine clients under Run: every op arms a
+// deadline callback a second out, which loses to the reply a nanosecond
+// later and runs as a no-op when its time comes. The deadlines share
+// one delay, so they wait on one timer lane: each lands at the back of
+// its ring, and the heap holds the lane's earliest entry alone. One op
+// is one reply.
 func BenchmarkEngineTimeoutChurn(b *testing.B) {
 	e := NewEngine(1)
-	var q WaitQueue
-	e.Spawn("sleeper", 0, func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			if _, ok := q.WaitTimeout(p, Second); !ok {
-				b.Error("sleeper timed out")
-				return
-			}
+	var issued, replied uint64
+	var reply, timeout func(uint64)
+	issue := func() {
+		issued++
+		e.AtU64(Second, timeout, issued)
+		e.AtU64(Nanosecond, reply, issued)
+	}
+	timeout = func(id uint64) {
+		if id > replied {
+			b.Error("a deadline beat its reply")
 		}
-	})
-	e.Spawn("waker", Nanosecond, func(p *Proc) {
-		for i := 0; i < b.N; i++ {
-			q.WakeOne(0, nil)
-			p.Sleep(Nanosecond)
+	}
+	reply = func(id uint64) {
+		replied = id
+		if id < uint64(b.N) {
+			issue()
 		}
-	})
+	}
+	e.At(0, issue)
 	b.ReportAllocs()
 	b.ResetTimer()
 	e.Run()
 }
 
-// BenchmarkEngineSessionDeadlines reproduces the heap shape of the
-// open-loop workload: 64 sessions each arm a 2 ms timed wait, and a
-// worker per session completes it after a chain of five Sleeps of about
-// 2 µs, long before the deadline. Every op abandons one deadline, so
-// some 200 abandoned deadlines per session are queued at any time; they
-// wait on one timer lane while the workers' wakeups cycle through the
-// heap. One op is one completed request.
+// BenchmarkEngineSessionDeadlines reproduces the event shape of the
+// open-loop workload: 64 callback sessions each arm a 2 ms deadline and
+// wake a worker proc, which completes the request after a chain of
+// five Sleeps of about 2 µs, long before the deadline, by scheduling
+// the session's completion callback. Every op leaves one deadline to
+// lose, so some 200 losing deadlines per session are queued at any
+// time; they wait on one timer lane while the workers' wakeups cycle
+// through the heap. One op is one completed request.
 func BenchmarkEngineSessionDeadlines(b *testing.B) {
 	e := NewEngine(1)
 	const sessions = 64
 	n := 0
 	for i := 0; i < sessions; i++ {
 		step := 2*Microsecond + Time(i)*Nanosecond
-		var req, idle Waiter // the session's completion and the worker's wake handles
+		var idle Waiter    // the worker's wake handle
+		var seq, id uint64 // requests issued; the outstanding one's ID
+		var done, timeout func(uint64)
 		e.Spawn("worker", 0, func(p *Proc) {
 			for {
 				idle = p.PrepareWait()
@@ -244,20 +251,30 @@ func BenchmarkEngineSessionDeadlines(b *testing.B) {
 				for k := 0; k < 5; k++ {
 					p.Sleep(step)
 				}
-				req.Wake(0, nil)
+				e.AtU64(0, done, id)
 			}
 		})
-		e.Spawn("session", Time(1+i)*Nanosecond, func(p *Proc) {
-			for n < b.N {
-				req = p.PrepareTimedWait(2 * Millisecond)
-				idle.Wake(0, nil)
-				if _, ok := p.WaitTimed(); !ok {
-					b.Error("a session deadline fired")
-					return
-				}
-				n++
+		issue := func() {
+			seq++
+			id = seq
+			e.AtU64(2*Millisecond, timeout, id)
+			idle.Wake(0, nil)
+		}
+		done = func(v uint64) {
+			if v != id {
+				return
 			}
-		})
+			id = 0
+			if n++; n < b.N {
+				issue()
+			}
+		}
+		timeout = func(v uint64) {
+			if v == id {
+				b.Error("a session deadline fired")
+			}
+		}
+		e.At(Time(1+i)*Nanosecond, issue)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -12,7 +12,7 @@ func TestPendingLiveExcludesAbandonedTimer(t *testing.T) {
 	e := NewEngine(1)
 	var q WaitQueue
 	e.Spawn("sleeper", 0, func(p *Proc) {
-		if _, ok := q.WaitTimeout(p, Second); !ok {
+		if _, ok := waitTimeout(&q, p, Second); !ok {
 			t.Error("sleeper timed out despite early wake")
 		}
 		// The abandoned deadline timer is still queued (Pending) but
@@ -39,7 +39,7 @@ func TestPendingLiveCountsLiveTimer(t *testing.T) {
 	e := NewEngine(1)
 	var q WaitQueue
 	e.Spawn("sleeper", 0, func(p *Proc) {
-		q.WaitTimeout(p, 100*Nanosecond)
+		waitTimeout(&q, p, 100*Nanosecond)
 	})
 	e.RunUntil(50 * Nanosecond)
 	if e.events.live() != 1 {
@@ -48,48 +48,57 @@ func TestPendingLiveCountsLiveTimer(t *testing.T) {
 	e.Run()
 }
 
-// TestStaleTimerPruningBoundsHeap runs a wake-before-timeout storm and
-// checks compaction keeps the queue proportional to the live event count
-// instead of accumulating one abandoned timer per iteration (an engine
-// without compaction would peak at ~iters pending events here, because
-// every deadline stays queued until it expires a full simulated second
-// later). The deadlines share one delay, so they wait on a timer lane,
-// and compaction must filter its ring.
-func TestStaleTimerPruningBoundsHeap(t *testing.T) {
+// TestLaneDeadlinesBoundHeap runs a reply-before-deadline storm the
+// way the off-machine clients do: each request arms a deadline callback
+// a simulated second out and a reply callback a nanosecond out, and
+// each checks the request ID, so the reply wins and the deadline finds
+// nothing to do. Every deadline loses, yet none is stale: they wait in
+// their lane's ring, so the heap holds a few entries however many
+// deadlines are pending.
+func TestLaneDeadlinesBoundHeap(t *testing.T) {
 	const iters = 2000
 	e := NewEngine(1)
-	var q WaitQueue
-	maxPending, maxRing := 0, 0
-	e.Spawn("sleeper", 0, func(p *Proc) {
-		for i := 0; i < iters; i++ {
-			if _, ok := q.WaitTimeout(p, Second); !ok {
-				t.Error("unexpected timeout")
-				return
-			}
-		}
-	})
-	e.Spawn("waker", Nanosecond, func(p *Proc) {
-		for i := 0; i < iters; i++ {
-			q.WakeOne(0, nil)
-			if pend := e.Pending(); pend > maxPending {
-				maxPending = pend
-			}
-			maxRing = max(maxRing, e.events.rest)
-			p.Sleep(Nanosecond)
-		}
-	})
-	e.Run()
-	// At most a handful of events are ever live (current deadline timer,
-	// the wake in flight, the waker's sleep); with pruning the heap stays
-	// within compaction slack of that, nowhere near the iteration count.
-	if maxPending > 4*compactMin {
-		t.Fatalf("queue peaked at %d pending events; stale timers are not being pruned", maxPending)
+	var cur, issued uint64
+	replies, timeouts, maxHeap, maxRing := 0, 0, 0, 0
+	var reply, timeout func(uint64)
+	issue := func() {
+		issued++
+		cur = issued
+		e.AtU64(Second, timeout, cur)
+		e.AtU64(Nanosecond, reply, cur)
 	}
-	if maxRing < compactMin/2 {
-		t.Fatalf("lane rings peaked at %d entries; the deadlines did not wait on a lane", maxRing)
+	timeout = func(id uint64) {
+		if id == cur {
+			timeouts++
+		}
 	}
-	if e.Pending() != 0 || e.events.live() != 0 {
-		t.Fatalf("after Run: Pending=%d live events=%d, want 0/0", e.Pending(), e.events.live())
+	reply = func(id uint64) {
+		if id != cur {
+			return
+		}
+		cur = 0
+		replies++
+		maxHeap = max(maxHeap, e.events.len())
+		maxRing = max(maxRing, e.events.rest)
+		if replies < iters {
+			issue()
+		}
+	}
+	e.At(0, issue)
+	if err := e.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if replies != iters || timeouts != 0 {
+		t.Fatalf("%d replies, %d timeouts; want %d and 0", replies, timeouts, iters)
+	}
+	if maxHeap > numLanes {
+		t.Fatalf("heap peaked at %d entries; the deadlines did not wait on a lane", maxHeap)
+	}
+	if maxRing < iters-2 {
+		t.Fatalf("lane rings peaked at %d entries, want about %d pending deadlines", maxRing, iters)
+	}
+	if e.Pending() != 0 || e.Now() != Second+(iters-1)*Nanosecond {
+		t.Fatalf("after Run: Pending=%d, clock %v; want 0 and the last deadline", e.Pending(), e.Now())
 	}
 }
 
@@ -103,12 +112,12 @@ func TestRunUntilDoesNotOvershootStaleHead(t *testing.T) {
 	var q WaitQueue
 	var wokeAt, sleptUntil Time
 	e.Spawn("a", 0, func(p *Proc) {
-		if _, ok := q.WaitTimeout(p, 10); !ok {
+		if _, ok := waitTimeout(&q, p, 10); !ok {
 			t.Error("should have been woken, not timed out")
 		}
-		wokeAt = p.Now()
+		wokeAt = p.eng.now
 		p.Sleep(1000) // next live event: t=1001
-		sleptUntil = p.Now()
+		sleptUntil = p.eng.now
 	})
 	e.Spawn("waker", 1, func(p *Proc) {
 		q.WakeOne(0, nil) // abandons a's deadline timer at t=10
@@ -144,7 +153,7 @@ func TestRandomScheduleDeterminism(t *testing.T) {
 			e.Spawn("w", Time(i), func(p *Proc) {
 				r := e.Rand()
 				for step := 0; step < 200; step++ {
-					out = append(out, p.Now())
+					out = append(out, p.eng.now)
 					switch r.Intn(4) {
 					case 0:
 						p.Sleep(Time(r.Intn(20)))
@@ -152,7 +161,7 @@ func TestRandomScheduleDeterminism(t *testing.T) {
 						q.WakeOne(Time(r.Intn(3)), nil)
 					case 2:
 						if q.Len() > 0 || r.Intn(2) == 0 {
-							q.WaitTimeout(p, Time(r.Intn(30)+1))
+							waitTimeout(&q, p, Time(r.Intn(30)+1))
 						}
 					case 3:
 						q.WakeAll(0, nil)
@@ -186,42 +195,36 @@ func TestRandomScheduleDeterminism(t *testing.T) {
 }
 
 // TestTimerLanePendingAndDeadlock: Pending and Deadlock count the
-// entries waiting in a lane ring. A live deadline heads the lane past the
-// run limit while three stale ones wait in the ring behind it, so the
-// stale entries outnumber the heap's; the engine still holds one live
-// event and is not deadlocked.
+// entries waiting in a lane ring. A proc parks for good while four
+// callbacks of one delay wait past the run limit, one at the lane's
+// head in the heap and three in its ring; the engine holds live events
+// and is not deadlocked until they have run.
 func TestTimerLanePendingAndDeadlock(t *testing.T) {
 	e := NewEngine(1)
-	var timedOutAt Time
 	e.Spawn("a", 0, func(p *Proc) {
-		p.PrepareTimedWait(Second)
-		if _, completed := p.WaitTimed(); !completed {
-			timedOutAt = p.Now()
-		}
 		p.PrepareWait()
 		p.Wait() // parks for good
 	})
-	e.Spawn("b", Nanosecond, func(p *Proc) {
-		for i := 0; i < 3; i++ {
-			w := p.PrepareTimedWait(Second)
-			w.Wake(0, nil) // completes at once: the deadline is stale
-			p.WaitTimed()
+	fired := 0
+	e.At(Nanosecond, func() {
+		for i := 0; i < 4; i++ {
+			e.AtU64(Second, func(uint64) { fired++ }, 0)
 		}
 	})
 	e.RunUntil(10 * Nanosecond)
-	if e.events.len() != 1 || e.events.rest != 3 || e.events.stale != 3 {
-		t.Fatalf("heap %d, ring %d, stale %d; want a's live lane head and three stale ring entries",
+	if e.events.len() != 1 || e.events.rest != 3 || e.events.stale != 0 {
+		t.Fatalf("heap %d, ring %d, stale %d; want the lane head and three ring entries, none stale",
 			e.events.len(), e.events.rest, e.events.stale)
 	}
 	if e.Pending() != 4 {
 		t.Errorf("Pending() = %d, want 4: the ring entries count", e.Pending())
 	}
 	if err := e.Deadlock(); err != nil {
-		t.Errorf("Deadlock() = %v with a's deadline live", err)
+		t.Errorf("Deadlock() = %v with four timers live", err)
 	}
 	err := e.Run()
-	if timedOutAt != Second {
-		t.Fatalf("a timed out at %v, want %v", timedOutAt, Second)
+	if fired != 4 {
+		t.Fatalf("%d timers fired, want 4", fired)
 	}
 	var dl *DeadlockError
 	if !errors.As(err, &dl) || len(dl.Blocked) != 1 || dl.Blocked[0] != "a" {
@@ -233,28 +236,40 @@ func TestTimerLanePendingAndDeadlock(t *testing.T) {
 	e.Close()
 }
 
-// TestTimerLaneTagStaysInQueue: a woken proc never sees a lane's tag in
-// its payload, whether its deadline reaches it by a pop or as the head a
-// slow Sleep swaps its wakeup for.
+// TestTimerLaneTagStaysInQueue: a lane's tag never leaves the queue. A
+// timer leaving its lane, by the loop's pop or as the head a slow Sleep
+// swaps its wakeup for, runs with its own word, the emptied lane is
+// disarmed, and the proc's wakeup carries no tag.
 func TestTimerLaneTagStaysInQueue(t *testing.T) {
 	for _, viaSleep := range []bool{false, true} {
 		e := NewEngine(1)
-		var pl payload
-		e.Spawn("waiter", 0, func(p *Proc) {
-			p.PrepareTimedWait(10 * Nanosecond)
-			if !e.events.lanes[0].armed {
-				t.Error("the deadline does not wait on a lane")
+		var got uint64
+		e.AtU64(10*Nanosecond, func(v uint64) {
+			got = v
+			if e.events.lanes[0].armed {
+				t.Error("the lane is still armed after its only timer left it")
 			}
-			pl = p.park(nil)
-		})
+			if msg := checkQueue(&e.events); msg != "" {
+				t.Error(msg)
+			}
+		}, 42)
+		if !e.events.lanes[0].armed {
+			t.Fatal("the timer does not wait on a lane")
+		}
+		var pl payload
 		if viaSleep {
-			e.Spawn("sleeper", 0, func(p *Proc) { p.Sleep(20 * Nanosecond) })
+			e.Spawn("sleeper", 0, func(p *Proc) {
+				p.Sleep(20 * Nanosecond)
+				w := p.PrepareWait()
+				w.Wake(0, nil)
+				pl = p.park(nil)
+			})
 		}
 		if err := e.Run(); err != nil {
 			t.Fatal(err)
 		}
-		if pl.kind != payTimeout || pl.timer != 0 {
-			t.Errorf("via Sleep %v: woken with kind %d, lane tag %d; want the timeout, no tag", viaSleep, pl.kind, pl.timer)
+		if got != 42 || pl.timer != 0 {
+			t.Errorf("via Sleep %v: timer ran with word %d, wakeup lane tag %d; want 42, no tag", viaSleep, got, pl.timer)
 		}
 	}
 }

@@ -32,7 +32,7 @@ func TestSleepAdvancesClock(t *testing.T) {
 	e.Spawn("a", 0, func(p *Proc) {
 		p.Sleep(10 * Nanosecond)
 		p.Sleep(5 * Nanosecond)
-		at = p.Now()
+		at = p.eng.now
 	})
 	e.Run()
 	if at != 15*Nanosecond {
@@ -96,7 +96,7 @@ func TestWaiterWake(t *testing.T) {
 		w := p.PrepareWait()
 		e.At(7*Nanosecond, func() { w.Wake(0, "hello") })
 		got = p.Wait()
-		done = p.Now()
+		done = p.eng.now
 	})
 	e.Run()
 	if got != "hello" || done != 7*Nanosecond {
@@ -152,8 +152,8 @@ func TestWaitQueueTimeout(t *testing.T) {
 	var ok bool
 	var at Time
 	e.Spawn("sleeper", 0, func(p *Proc) {
-		_, ok = q.WaitTimeout(p, 50*Nanosecond)
-		at = p.Now()
+		_, ok = waitTimeout(&q, p, 50*Nanosecond)
+		at = p.eng.now
 	})
 	e.Run()
 	if ok {
@@ -174,7 +174,7 @@ func TestWaitQueueWakeBeforeTimeout(t *testing.T) {
 	var got any
 	var ok bool
 	e.Spawn("sleeper", 0, func(p *Proc) {
-		got, ok = q.WaitTimeout(p, 50*Nanosecond)
+		got, ok = waitTimeout(&q, p, 50*Nanosecond)
 	})
 	e.Spawn("waker", 10*Nanosecond, func(p *Proc) {
 		q.WakeOne(0, 99)

@@ -32,7 +32,7 @@ func TestHandoffIsOneSwitch(t *testing.T) {
 func TestProcReturnsIntoBlockedProc(t *testing.T) {
 	e := NewEngine(1)
 	var trace []string
-	note := func(p *Proc) { trace = append(trace, fmt.Sprintf("%v %s", p.Now(), p.Name())) }
+	note := func(p *Proc) { trace = append(trace, fmt.Sprintf("%v %s", p.eng.now, p.Name())) }
 	a := e.Spawn("a", 0, func(p *Proc) {
 		p.Sleep(10 * Nanosecond) // hands control to b: a blocks in b's coroutine
 		note(p)

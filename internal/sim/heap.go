@@ -13,9 +13,10 @@ package sim
 //
 // Timers armed with a fixed delay skip most of the heap: pushTimer files
 // them on a timer lane keyed by their delay, the constant-interval case
-// of Varghese and Lauck's timing wheels. Every entry of a lane has at =
-// now+delay on a clock that never goes back and a seq that only grows,
-// so a lane arrives already sorted and a FIFO holds it with no sift.
+// of Varghese and Lauck's timing wheels. Every entry of a lane is due
+// its delay after the instant it was armed, on a clock that never goes
+// back, and has a seq that only grows, so a lane arrives already sorted
+// and a FIFO holds it with no sift.
 // Each nonempty lane keeps exactly its earliest entry in the heap and
 // the rest in a ring behind it; pop and replaceTop, removing a lane's
 // entry, refill the heap from that lane's ring. The heap's root is
@@ -27,25 +28,23 @@ package sim
 // waits in a ring instead of deepening the heap every other event
 // sifts through. Lanes are claimed by the first delays that arrive, up
 // to numLanes, and an empty lane is re-keyed to a new delay; once all
-// are busy with other delays, a timer goes to the heap.
+// are busy with other delays, a timer goes to the heap. A lane holds
+// only callbacks, which are never stale.
 //
-// The queue also tracks how many of its entries are stale — events that
-// can never be delivered because their target proc finished or moved to a
-// newer generation (e.g. the abandoned deadline timer left behind when a
-// WaitTimeout is woken early). Stale entries are dropped when popped or
-// when a lane refill reaches them, and when they outnumber the live
-// entries the heap and the lane rings are compacted in one O(n) pass so
-// abandoned timers cannot keep the queue long for the rest of the run.
+// The queue also counts its stale entries: proc wakeups that can never
+// be delivered because their proc finished or moved to a newer
+// generation (a second Wake of one Waiter, say). They sit in the heap
+// until they reach its root, where the loop drops them.
 //
 // Last, the queue keeps bound current: a lower bound on the at of its
 // earliest live entry, capped by ceil. Every operation that can change
-// the root (push, pop, replaceTop, compact) updates it, so Proc.Advance
-// tests "does anything precede this wakeup?" with one compare. A stale
-// root only lowers the bound, which is conservative: the caller falls
-// back to Sleep, whose slow path drops it.
+// the root (push, pop, replaceTop) updates it, so Proc.Advance tests
+// "does anything precede this wakeup?" with one compare. A stale root
+// only lowers the bound, which is conservative: the caller falls back
+// to Sleep, whose slow path drops it.
 type eventQueue struct {
 	ev    []event
-	stale int  // entries, in the heap or a lane ring, for which staleEvent() holds
+	stale int  // heap entries for which staleEvent() holds
 	bound Time // min(ceil, ev[0].at); ceil when the queue is empty
 	ceil  Time // one past the run limit; 0 once the engine is closed
 	rest  int  // entries waiting in lane rings
@@ -66,15 +65,11 @@ type timerLane struct {
 // scan in pushTimer.
 const numLanes = 4
 
-// compactMin is the minimum queue size before compaction is considered;
-// below it the stale entries are cheaper to drop lazily at pop.
-const compactMin = 32
-
 // staleEvent reports whether ev is permanently undeliverable: its proc
 // finished, moved past the event's generation, or already consumed the
 // generation (delivered watermark) — by a delivered wakeup, or in place
 // by a fast-path Sleep. All three are monotonic, so once stale an event
-// stays stale and compaction may discard it. Note an event queued by a
+// stays stale. Note an event queued by a
 // running proc for its own upcoming park (a slow Sleep's wakeup) has
 // gen == proc.gen > delivered and is correctly considered live even
 // though the proc is not parked yet.
@@ -114,10 +109,10 @@ func (q *eventQueue) push(ev event) {
 	}
 }
 
-// pushTimer inserts ev, a timer armed d after the current instant
-// (ev.at == now+d, d >= 0), on the lane keyed by d: into the heap if the
-// lane is empty, else at the back of its ring. With no lane free for d,
-// ev goes to the heap untagged.
+// pushTimer inserts ev, a callback armed d after the current instant,
+// on the lane keyed by d: into the heap if the lane is empty, else at
+// the back of its ring. With no lane free for d, ev goes to the heap
+// untagged.
 //
 //dipcvet:noalloc
 func (q *eventQueue) pushTimer(d Time, ev event) {
@@ -144,25 +139,21 @@ func (q *eventQueue) pushTimer(d Time, ev event) {
 }
 
 // refill is called with the lane tag of an entry leaving the heap. It
-// moves the lane's next live entry, tagged, into *dst, a heap slot,
-// dropping the stale ones in front of it. With none left the lane is
-// disarmed and refill reports false; *dst then holds scratch that the
-// caller overwrites or clears.
+// moves the lane's next entry, tagged, into *dst, a heap slot. With none
+// left the lane is disarmed and refill reports false, leaving *dst as
+// it was.
 //
 //dipcvet:noalloc
 func (q *eventQueue) refill(lane uint8, dst *event) bool {
 	l := &q.lanes[lane-1]
-	for l.ring.Len() > 0 {
-		*dst = l.ring.PopFront()
-		q.rest--
-		if !staleEvent(dst) {
-			dst.data.timer = lane
-			return true
-		}
-		q.stale--
+	if l.ring.Len() == 0 {
+		l.armed = false
+		return false
 	}
-	l.armed = false
-	return false
+	*dst = l.ring.PopFront()
+	dst.data.timer = lane
+	q.rest--
+	return true
 }
 
 // setCeil caps bound at c: one past the run limit, so Advance never
@@ -227,13 +218,10 @@ func (q *eventQueue) replaceTop(ev event) event {
 	q.siftDown(0)
 	if lane := top.data.timer; lane != 0 {
 		top.data.timer = 0
-		q.ev = append(q.ev, event{}) //dipcvet:alloc-ok pooled capacity, as in push
-		n := len(q.ev) - 1
-		if q.refill(lane, &q.ev[n]) {
-			q.siftUp(n)
-		} else {
-			q.ev[n] = event{}
-			q.ev = q.ev[:n]
+		var next event
+		if q.refill(lane, &next) {
+			q.ev = append(q.ev, next) //dipcvet:alloc-ok pooled capacity, as in push
+			q.siftUp(len(q.ev) - 1)
 		}
 	}
 	q.rebound()
@@ -284,65 +272,4 @@ func (q *eventQueue) siftDown(i int) {
 		i = best
 	}
 	q.ev[i] = ev
-}
-
-// compact rebuilds the heap and the lane rings without their stale
-// entries. A lane whose earliest entry was dropped from the heap moves
-// its next live entry there, so the lane invariant holds again before
-// the heap is rebuilt. Compaction cannot change the pop sequence: (at,
-// seq) is a total order, so any valid heap over the same live set pops
-// identically.
-func (q *eventQueue) compact() {
-	kept := q.ev[:0]
-	for i := range q.lanes {
-		q.lanes[i].armed = false
-	}
-	for i := range q.ev {
-		if ev := &q.ev[i]; !staleEvent(ev) {
-			if ev.data.timer != 0 {
-				q.lanes[ev.data.timer-1].armed = true
-			}
-			kept = append(kept, *ev)
-		}
-	}
-	for i := len(kept); i < len(q.ev); i++ {
-		q.ev[i] = event{}
-	}
-	q.rest = 0
-	for i := range q.lanes {
-		l := &q.lanes[i]
-		for n := l.ring.Len(); n > 0; n-- {
-			if ev := l.ring.PopFront(); !staleEvent(&ev) {
-				l.ring.PushBack(ev)
-			}
-		}
-		if !l.armed && l.ring.Len() > 0 {
-			// kept is shorter than the heap was by at least this lane's
-			// dropped entry, so the append stays within its capacity.
-			ev := l.ring.PopFront()
-			ev.data.timer = uint8(i + 1)
-			kept = append(kept, ev)
-			l.armed = true
-		}
-		q.rest += l.ring.Len()
-	}
-	q.ev = kept
-	q.stale = 0
-	if n := len(q.ev); n > 1 {
-		for i := (n - 2) / 4; i >= 0; i-- {
-			q.siftDown(i)
-		}
-	}
-	q.rebound()
-}
-
-// maybeCompact compacts the queue once stale entries outnumber the live
-// ones. It is called on the paths that create stale entries (generation
-// bumps, proc exit, pushes of already-stale wakes), so a
-// WaitTimeout-heavy workload keeps the queue proportional to the number
-// of live events rather than the number of abandoned timers.
-func (q *eventQueue) maybeCompact() {
-	if n := q.size(); n >= compactMin && q.stale*2 > n {
-		q.compact()
-	}
 }

@@ -31,9 +31,9 @@ func (r *refQueue) pop() event {
 }
 
 // checkQueue reports the first broken invariant of q, or "": the stale
-// count is exact over the heap and the lane rings, rest counts the ring
-// entries, and each lane is armed exactly when one heap entry carries
-// its tag, a ring waits only behind an armed lane, and the ring is in
+// count is exact over the heap, rest counts the ring entries, and each
+// lane is armed exactly when one heap entry carries its tag, a ring
+// waits only behind an armed lane, holds only callbacks, and is in
 // (at, seq) order after that heap entry.
 func checkQueue(q *eventQueue) string {
 	stale, rest := 0, 0
@@ -61,8 +61,8 @@ func checkQueue(q *eventQueue) string {
 			if prev == nil || !before(prev, ev) {
 				return "a lane ring is out of (at, seq) order or waits behind no heap entry"
 			}
-			if staleEvent(ev) {
-				stale++
+			if ev.proc != nil || prev.proc != nil {
+				return "a lane holds a proc wakeup"
 			}
 			prev = ev
 		}
@@ -227,17 +227,14 @@ func TestTimerLaneFallback(t *testing.T) {
 	}
 }
 
-// TestHeapCompactionPreservesOrder interleaves stale-event creation with
-// live traffic so maybeCompact fires mid-schedule, and checks the live pop
-// sequence against the reference (which never holds the stale entries).
-// Half the events are timers on two delays, so stale entries sit in the
-// lane rings and at the lanes' heads, and pops drop them in refills as
-// well as at the root. It also asserts the pruning invariant: after
-// every push, stale entries never make up more than half of a
-// compactMin-sized queue; that the lane invariants hold (checkQueue);
-// and that the cached bound tracks the root and never exceeds the
-// earliest live event's at.
-func TestHeapCompactionPreservesOrder(t *testing.T) {
+// TestHeapDropsStaleWakeups interleaves stale proc wakeups with live
+// traffic, half of it callbacks on two timer lanes, and checks the live
+// pop sequence against the reference (which never holds the stale
+// entries): stale wakeups wait in the heap, never in a lane, and the
+// loop drops them when they reach the root. After every step the lane
+// invariants hold (checkQueue), and the cached bound tracks the root
+// and never exceeds the earliest live event's at.
+func TestHeapDropsStaleWakeups(t *testing.T) {
 	schedule := func(seed uint64) bool {
 		rng := NewRand(seed)
 		e := NewEngine(seed)
@@ -245,12 +242,8 @@ func TestHeapCompactionPreservesOrder(t *testing.T) {
 		var ref refQueue
 		delays := []Time{5, 11}
 		for op := 0; op < 600; op++ {
-			pushed := true
-			timer := rng.Intn(2) == 0
-			d := delays[rng.Intn(len(delays))]
 			switch {
 			case e.events.len() > 0 && rng.Intn(3) == 0:
-				pushed = false
 				ev := e.events.pop()
 				e.now = max(e.now, ev.at)
 				if ev.proc != nil { // stale wake dropped, as in schedule
@@ -264,37 +257,26 @@ func TestHeapCompactionPreservesOrder(t *testing.T) {
 			case rng.Intn(2) == 0:
 				// Live callback event, mirrored into the reference.
 				at := e.now + Time(rng.Intn(16))
-				if timer {
+				if rng.Intn(2) == 0 {
+					d := delays[rng.Intn(len(delays))]
 					at = e.now + d
-					e.pushTimer(d, nil, 0, payload{boxed: func() {}})
+					e.pushTimer(d, payload{boxed: func() {}})
 				} else {
 					e.push(at, nil, 0, payload{boxed: func() {}})
 				}
 				ref.push(event{at: at, seq: e.seq})
-			case timer:
-				// Permanently stale timer: generation 0 while the proc
-				// is on generation 1. It lands at a lane's head or in
-				// its ring.
-				e.pushTimer(d, staleProc, 0, payload{})
 			default:
-				// Permanently stale wakeup, counted stale at push and
-				// compacted away once it dominates the heap.
+				// Permanently stale wakeup, counted stale at push:
+				// generation 0 while the proc is on generation 1.
 				e.push(e.now+Time(rng.Intn(16)), staleProc, 0, payload{})
-			}
-			// Pruning invariant: a push (the only point maybeCompact
-			// runs) must leave stale entries at no more than half of a
-			// compactMin-sized queue. Pops may transiently exceed it.
-			n := e.events.size()
-			if pushed && n >= compactMin && e.events.stale*2 > n {
-				return false
 			}
 			if msg := checkQueue(&e.events); msg != "" {
 				t.Logf("seed %d: %s", seed, msg)
 				return false
 			}
-			// The bound is the root's at, stale or not (compaction
-			// moves the root too), so a stale root may hold it below
-			// the earliest live event, never above it.
+			// The bound is the root's at, stale or not, so a stale
+			// root may hold it below the earliest live event, never
+			// above it.
 			root := e.events.ceil
 			if e.events.len() > 0 && e.events.head().at < root {
 				root = e.events.head().at
@@ -311,8 +293,8 @@ func TestHeapCompactionPreservesOrder(t *testing.T) {
 }
 
 // TestHeapPopReleasesSlots checks the pooled slice and the lane rings do
-// not pin payloads: pop, a replaceTop whose lane refill finds only a
-// stale entry, and the refill itself must zero the slots they vacate.
+// not pin payloads: pop, a replaceTop that refills the heap from a
+// lane, and the refill itself must zero the slots they vacate.
 func TestHeapPopReleasesSlots(t *testing.T) {
 	var q eventQueue
 	data := boxPayload("payload")
@@ -320,14 +302,13 @@ func TestHeapPopReleasesSlots(t *testing.T) {
 	q.push(event{at: 2, seq: 2, data: data})
 	q.pop()
 	q.pop()
-	stale := &Proc{gen: 1}
 	q.pushTimer(5, event{at: 5, seq: 3, data: data})
-	q.pushTimer(5, event{at: 5, seq: 4, proc: stale, data: data})
-	q.stale++
+	q.pushTimer(5, event{at: 5, seq: 4, data: data})
 	q.replaceTop(event{at: 6, seq: 5})
 	q.pop()
-	if q.size() != 0 || q.stale != 0 {
-		t.Fatalf("%d entries, %d stale left; want none", q.size(), q.stale)
+	q.pop()
+	if q.size() != 0 {
+		t.Fatalf("%d entries left; want none", q.size())
 	}
 	slots := q.ev[:cap(q.ev)]
 	for i := range q.lanes {

@@ -63,7 +63,7 @@ func (l *Link) SendU64(d Time, v uint64) {
 	if l.sendIdx >= 1<<linkSendBits {
 		l.panicSendOverflow()
 	}
-	l.eng.pushSeq(l.eng.now+d, seq, l, v)
+	l.eng.pushSeq(l.eng.after(d), seq, l, v)
 }
 
 // panicBelowLookahead is the send fast path's cold failure lane: message

@@ -4,8 +4,7 @@ package sim
 // paths — Sleep's timer, bare WakeOne, the kernel's futex and timer
 // wakes — carry nil or a machine word; routing those through dedicated
 // lanes keeps the event heap and the procs' wake slots free of interface
-// values, and lets WaitTimeout classify its deadline marker with an
-// integer compare instead of a type assertion.
+// values.
 type payload struct {
 	boxed any    // payBoxed: arbitrary caller value, boxed as before
 	u64   uint64 // payU64: unboxed word-sized value
@@ -14,23 +13,20 @@ type payload struct {
 }
 
 const (
-	payNil     uint8 = iota // nil payload (Sleep, bare wakes)
-	payU64                  // unboxed uint64 (WakeU64 / WakeOneU64)
-	payTimeout              // a timed wait's deadline marker
-	payBoxed                // anything else
+	payNil   uint8 = iota // nil payload (Sleep, bare wakes)
+	payU64                // unboxed uint64 (WakeU64 / WakeOneU64)
+	payBoxed              // anything else
 )
 
-// boxPayload wraps an arbitrary wake value. nil and the timeout mark are
-// routed to their unboxed lanes. uint64 values deliberately are not: the
+// boxPayload wraps an arbitrary wake value. nil is routed to its
+// unboxed lane; a zero-size value such as the timeout mark boxes
+// without allocating. uint64 values deliberately are not: the
 // caller already boxed the value to pass it as any, and unboxing here
 // would just force the consuming Wait to box it again; callers that want
 // the word lane use the typed WakeU64 entry points instead.
 func boxPayload(v any) payload {
-	switch v.(type) {
-	case nil:
+	if v == nil {
 		return payload{}
-	case timeoutMark:
-		return payload{kind: payTimeout}
 	}
 	return payload{kind: payBoxed, boxed: v}
 }
@@ -44,8 +40,6 @@ func (pl payload) value() any {
 		return nil
 	case payU64:
 		return pl.u64
-	case payTimeout:
-		return timeoutMark{}
 	default:
 		return pl.boxed
 	}

@@ -22,12 +22,6 @@ type Proc struct {
 // Name returns the name given at Spawn time (used in traces and tests).
 func (p *Proc) Name() string { return p.name }
 
-// Engine returns the owning engine.
-func (p *Proc) Engine() *Engine { return p.eng }
-
-// Now returns the current simulated time.
-func (p *Proc) Now() Time { return p.eng.now }
-
 // park suspends the proc until the engine delivers a wakeup for the
 // current generation. It carries the engine loop forward inline: either
 // the next event wakes this proc — control never moves and the payload
@@ -99,11 +93,12 @@ func (p *Proc) park(first *event) payload {
 // compare against the queue's cached bound, which is conservative — a
 // stale head or a closed engine makes it fail, as does a negative d —
 // so Advance is small enough to inline into a caller's loop
-// (Thread.Exec's slices).
+// (Thread.Exec's slices). A negative d or a now+d that overflows the
+// clock reads as before now, and declines too: Sleep then saturates it.
 func (p *Proc) Advance(d Time) bool {
 	e := p.eng
 	at := e.now + d
-	if d < 0 || at >= e.events.bound || p.queued != 0 {
+	if at < e.now || at >= e.events.bound || p.queued != 0 {
 		return false
 	}
 	p.delivered = p.gen
@@ -134,11 +129,8 @@ func (p *Proc) Advance(d Time) bool {
 //
 //dipcvet:noalloc
 func (p *Proc) Sleep(d Time) {
-	if d < 0 {
-		d = 0
-	}
 	e := p.eng
-	at := e.now + d
+	at := e.after(d)
 	if at <= e.limit {
 		q := &e.events
 		for q.len() > 0 && staleEvent(q.head()) {
@@ -152,11 +144,8 @@ func (p *Proc) Sleep(d Time) {
 			// Exactly the state a delivered wakeup would leave behind:
 			// events still queued for the generation become stale, the
 			// generation is consumed, the clock stands at the wake time.
-			if p.queued != 0 {
-				q.stale += int(p.queued)
-				p.queued = 0
-				q.maybeCompact()
-			}
+			q.stale += int(p.queued)
+			p.queued = 0
 			p.delivered = p.gen
 			e.now = at
 			return
@@ -180,7 +169,6 @@ func (p *Proc) Sleep(d Time) {
 				q.stale--
 				first = nil
 			}
-			q.maybeCompact()
 			p.park(first)
 			return
 		}
@@ -256,5 +244,5 @@ func (w Waiter) wake(d Time, pl payload) {
 	if w.p == nil {
 		return
 	}
-	w.p.eng.push(w.p.eng.now+d, w.p, w.gen, pl)
+	w.p.eng.push(w.p.eng.after(d), w.p, w.gen, pl)
 }

@@ -14,7 +14,7 @@ import (
 func TestSleepSkipsOwnRetiredWake(t *testing.T) {
 	e := NewEngine(1)
 	var trace []string
-	note := func(p *Proc) { trace = append(trace, fmt.Sprintf("%v %s", p.Now(), p.Name())) }
+	note := func(p *Proc) { trace = append(trace, fmt.Sprintf("%v %s", p.eng.now, p.Name())) }
 	e.Spawn("a", 0, func(p *Proc) {
 		w := p.PrepareWait()
 		w.Wake(0, nil)
@@ -48,8 +48,8 @@ func TestFastSleepRetiresWaiter(t *testing.T) {
 			t.Errorf("live events before Sleep = %d, want 1", n)
 		}
 		p.Sleep(Nanosecond) // the queued wake is due later: fast path
-		if p.Now() != Nanosecond || e.events.len() != 1 {
-			t.Errorf("after Sleep: now %v with %d queued, want 1ns with 1 (fast path)", p.Now(), e.events.len())
+		if p.eng.now != Nanosecond || e.events.len() != 1 {
+			t.Errorf("after Sleep: now %v with %d queued, want 1ns with 1 (fast path)", p.eng.now, e.events.len())
 		}
 		if w.Valid() {
 			t.Error("Waiter taken before a fast Sleep still reads Valid")
@@ -64,7 +64,7 @@ func TestFastSleepRetiresWaiter(t *testing.T) {
 		next := p.PrepareWait()
 		next.Wake(3*Nanosecond, "fresh")
 		got = p.Wait()
-		at = p.Now()
+		at = p.eng.now
 	})
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run = %v", err)

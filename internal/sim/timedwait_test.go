@@ -2,6 +2,38 @@ package sim
 
 import "testing"
 
+// A timed wait is built from one Waiter armed twice: the completion
+// wake, and a deadline wake carrying TimeoutValue that is queued when
+// the wait is armed. Whichever the loop delivers first wins; the other
+// is a stale wake for a generation the proc has left behind, and the
+// engine drops it. (Off-machine clients race a deadline against a
+// reply the same way, as two callbacks matched on a request ID.)
+
+// prepareTimedWait arms p for a wait bounded by d and returns the
+// completion handle.
+func prepareTimedWait(p *Proc, d Time) Waiter {
+	w := p.PrepareWait()
+	w.Wake(d, TimeoutValue())
+	return w
+}
+
+// waitTimed parks until the wait armed by prepareTimedWait resolves.
+// completed is false if the deadline fired first.
+func waitTimed(p *Proc) (v any, completed bool) {
+	if v = p.Wait(); TimedOut(v) {
+		return nil, false
+	}
+	return v, true
+}
+
+// waitTimeout parks p on q for at most d; false reports the deadline.
+// A timed-out waiter stays queued, spent, and the wake paths skip it.
+func waitTimeout(q *WaitQueue, p *Proc, d Time) (any, bool) {
+	w := prepareTimedWait(p, d)
+	q.q.PushBack(w)
+	return waitTimed(p)
+}
+
 // Completion before the deadline: the timed wait returns the completion
 // payload and the abandoned deadline timer never fires.
 func TestTimedWaitCompletes(t *testing.T) {
@@ -10,10 +42,10 @@ func TestTimedWaitCompletes(t *testing.T) {
 	var completed bool
 	var end Time
 	eng.Spawn("sleeper", 0, func(p *Proc) {
-		w := p.PrepareTimedWait(Micros(100))
+		w := prepareTimedWait(p, Micros(100))
 		w.Wake(Micros(10), "done")
-		got, completed = p.WaitTimed()
-		end = p.Now()
+		got, completed = waitTimed(p)
+		end = p.eng.now
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -37,14 +69,14 @@ func TestTimedWaitDeadline(t *testing.T) {
 	var end Time
 	var lateDelivered bool
 	eng.Spawn("sleeper", 0, func(p *Proc) {
-		w := p.PrepareTimedWait(Micros(50))
+		w := prepareTimedWait(p, Micros(50))
 		w.Wake(Micros(200), "late")
-		_, completed = p.WaitTimed()
-		end = p.Now()
+		_, completed = waitTimed(p)
+		end = p.eng.now
 		// Park again past the late wake's fire time: if the stale wake
 		// were delivered it would cut this sleep short.
 		p.Sleep(Micros(500))
-		lateDelivered = p.Now() != Micros(550)
+		lateDelivered = p.eng.now != Micros(550)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -68,9 +100,9 @@ func TestTimedWaitNilCompletion(t *testing.T) {
 	var got any
 	var completed bool
 	eng.Spawn("sleeper", 0, func(p *Proc) {
-		w := p.PrepareTimedWait(Micros(100))
+		w := prepareTimedWait(p, Micros(100))
 		w.Wake(Micros(5), nil)
-		got, completed = p.WaitTimed()
+		got, completed = waitTimed(p)
 	})
 	if err := eng.Run(); err != nil {
 		t.Fatal(err)
@@ -88,11 +120,11 @@ func TestTimedWaitU64Lane(t *testing.T) {
 	var firstOK, secondOK bool
 	var firstV uint64
 	eng.Spawn("client", 0, func(p *Proc) {
-		w := p.PrepareTimedWait(Micros(100))
+		w := prepareTimedWait(p, Micros(100))
 		w.WakeU64(Micros(10), 42)
 		firstV, firstOK = p.WaitU64()
 
-		p.PrepareTimedWait(Micros(30))
+		prepareTimedWait(p, Micros(30))
 		_, secondOK = p.WaitU64()
 	})
 	if err := eng.Run(); err != nil {
@@ -113,16 +145,16 @@ func TestTimedWaitStaleAcrossRounds(t *testing.T) {
 	var rounds []bool
 	eng.Spawn("client", 0, func(p *Proc) {
 		// Round 1: completion arrives after the deadline (stale).
-		w := p.PrepareTimedWait(Micros(10))
+		w := prepareTimedWait(p, Micros(10))
 		w.Wake(Micros(20), "round1-late")
-		_, ok := p.WaitTimed()
+		_, ok := waitTimed(p)
 		rounds = append(rounds, ok)
 
 		// Round 2: its own completion arrives in time and must be the
 		// one delivered, not round 1's leftover.
-		w2 := p.PrepareTimedWait(Micros(100))
+		w2 := prepareTimedWait(p, Micros(100))
 		w2.Wake(Micros(15), "round2")
-		v, ok2 := p.WaitTimed()
+		v, ok2 := waitTimed(p)
 		rounds = append(rounds, ok2 && v == "round2")
 	})
 	if err := eng.Run(); err != nil {
@@ -136,26 +168,32 @@ func TestTimedWaitStaleAcrossRounds(t *testing.T) {
 	}
 }
 
-// TestTimedWaitOverflowingDeadline: a deadline past the end of the
-// clock wraps and is clamped to now, as every push is; such a timer
-// would break its lane's order, so it goes to the heap and fires at
-// once even while an earlier timer of the same delay heads the lane.
+// TestTimedWaitOverflowingDeadline: a delay past the end of the clock
+// saturates at the end of time, in Sleep, At and AtU64 alike, once the
+// clock is past 0 (where now+d wraps negative). Such an event stays
+// queued past any RunUntil limit, Advance declines it, and the clock
+// never goes back.
 func TestTimedWaitOverflowingDeadline(t *testing.T) {
 	eng := NewEngine(1)
-	var end Time
-	completed := true
-	eng.Spawn("forever", 0, func(p *Proc) {
-		p.PrepareTimedWait(maxTime) // due at maxTime: heads the lane
-		p.WaitTimed()
+	woke, fired := false, 0
+	eng.Spawn("forever", Nanosecond, func(p *Proc) {
+		if p.Advance(maxTime) {
+			t.Error("Advance took an overflowing delay")
+		}
+		p.Sleep(maxTime)
+		woke = true
 	})
-	eng.Spawn("wraps", Nanosecond, func(p *Proc) {
-		p.PrepareTimedWait(maxTime)
-		_, completed = p.WaitTimed()
-		end = p.Now()
+	eng.At(Nanosecond, func() {
+		eng.At(maxTime, func() { fired++ })
+		eng.AtU64(maxTime, func(uint64) { fired++ }, 0)
+		eng.AtU64(maxTime, func(uint64) { fired++ }, 0) // behind the first on its lane
 	})
 	eng.RunUntil(Microsecond)
-	if completed || end != Nanosecond {
-		t.Fatalf("completed %v at %v; want a timeout at 1ns", completed, end)
+	if woke || fired != 0 || eng.Now() != Microsecond {
+		t.Fatalf("woke %v, %d timers fired, clock %v; want none by 1us, clock at 1us", woke, fired, eng.Now())
+	}
+	if n := eng.Pending(); n != 4 {
+		t.Fatalf("%d events pending, want the sleeper's wakeup and the 3 timers", n)
 	}
 	eng.Close()
 }

@@ -45,9 +45,9 @@ func TestWaitQueueRingWraparound(t *testing.T) {
 }
 
 // TestWaitQueueMixedTimeoutWakeAll stresses the ring under the full op
-// mix: plain Waits, WaitTimeouts that expire (remove blanks a mid-ring
-// slot), WaitTimeouts that are woken early (stale timer left in the
-// engine heap), and WakeAll sweeps that reset the ring.
+// mix: plain Waits, timed waits that expire (a spent waiter stays
+// queued mid-ring), timed waits that are woken early (stale deadline
+// left in the engine heap), and WakeAll sweeps that empty the ring.
 func TestWaitQueueMixedTimeoutWakeAll(t *testing.T) {
 	e := NewEngine(7)
 	var q WaitQueue
@@ -59,7 +59,7 @@ func TestWaitQueueMixedTimeoutWakeAll(t *testing.T) {
 			for r := 0; r < 30; r++ {
 				if i%2 == 0 {
 					// Short timeout: sometimes expires before the sweep.
-					if _, ok := q.WaitTimeout(p, Time(20+i)); ok {
+					if _, ok := waitTimeout(&q, p, Time(20+i)); ok {
 						wakes++
 					} else {
 						timeouts++
@@ -93,28 +93,30 @@ func TestWaitQueueMixedTimeoutWakeAll(t *testing.T) {
 	}
 }
 
-// TestWaitQueueRemoveMidRing checks a timeout removal that is neither the
-// oldest nor the newest waiter: the slot is blanked in place, the two
-// neighbours keep their FIFO positions, and Len reflects the removal.
-func TestWaitQueueRemoveMidRing(t *testing.T) {
+// TestWaitQueueSkipsSpentMidRing checks a timed-out waiter that is
+// neither the oldest nor the newest: it stays queued, spent, the two
+// neighbours keep their FIFO positions, and WakeOne skips it.
+func TestWaitQueueSkipsSpentMidRing(t *testing.T) {
 	e := NewEngine(3)
 	var q WaitQueue
 	var order []string
 	e.Spawn("a", 0, func(p *Proc) { q.Wait(p); order = append(order, "a") })
 	e.Spawn("b", 1, func(p *Proc) {
-		if _, ok := q.WaitTimeout(p, 10); ok {
+		if _, ok := waitTimeout(&q, p, 10); ok {
 			t.Error("b should have timed out")
 		}
 		order = append(order, "b-timeout")
 	})
 	e.Spawn("c", 2, func(p *Proc) { q.Wait(p); order = append(order, "c") })
 	e.Spawn("observer", 12, func(p *Proc) { // after b's t=11 timeout
-		if q.Len() != 2 {
-			t.Errorf("Len() = %d after mid-ring timeout, want 2", q.Len())
+		if q.Len() != 3 {
+			t.Errorf("Len() = %d after mid-ring timeout, want 3 (b still queued)", q.Len())
 		}
 		q.WakeOne(0, nil)
 		p.Sleep(1)
-		q.WakeOne(0, nil)
+		if !q.WakeOne(0, nil) || q.Len() != 0 {
+			t.Error("the second WakeOne did not skip b to wake c")
+		}
 	})
 	e.Run()
 	want := []string{"b-timeout", "a", "c"}
