@@ -15,7 +15,8 @@
 // scenario only) it also writes the canonical dipc-scenario/v1 JSON
 // document, and with -engine-stats it prints after each result what the
 // scenario's engines did (events dispatched, callbacks among them,
-// coroutine switches; host-side counts that no result includes). `bench` wall-clock-times the selected scenarios (default:
+// coroutine switches, procs spawned; host-side counts that no result
+// includes). `bench` wall-clock-times the selected scenarios (default:
 // the scenarios of the -compare baseline, else all) over -runs measured
 // iterations after -warmup unmeasured ones, prints min/median per
 // scenario, optionally diffs against a committed BENCH_*.json baseline
@@ -280,8 +281,9 @@ func cmdRun(reg *scenario.Registry, argv []string, stdout, stderr io.Writer) int
 		fmt.Fprintln(stdout, res.RenderText())
 		if *engineStats {
 			after := sim.TotalStats()
-			fmt.Fprintf(stdout, "engine stats (%s): dispatched %d, callbacks %d, switches %d\n\n", s.Name(),
-				after.Dispatched-before.Dispatched, after.Callbacks-before.Callbacks, after.Switches-before.Switches)
+			fmt.Fprintf(stdout, "engine stats (%s): dispatched %d, callbacks %d, switches %d, procs spawned %d\n\n", s.Name(),
+				after.Dispatched-before.Dispatched, after.Callbacks-before.Callbacks,
+				after.Switches-before.Switches, after.Spawned-before.Spawned)
 		}
 	}
 	if *jsonPath == "" {

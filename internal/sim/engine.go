@@ -93,6 +93,7 @@ type Stats struct {
 	Dispatched uint64 // events the loop delivered: proc wakeups and callbacks
 	Callbacks  uint64 // of those, At and AtU64 callbacks and link deliveries
 	Switches   uint64 // coroutine switches, by park and by the root
+	Spawned    uint64 // procs spawned
 }
 
 // Stats returns the engine's counts so far.
@@ -100,7 +101,7 @@ func (e *Engine) Stats() Stats { return e.stats }
 
 // totals sums the Stats of every engine in the process, folded in as
 // each run returns (TotalStats).
-var totals struct{ dispatched, callbacks, switches atomic.Uint64 }
+var totals struct{ dispatched, callbacks, switches, spawned atomic.Uint64 }
 
 // TotalStats returns the Stats of every engine in the process summed
 // over the runs that have returned, for a command that runs engines it
@@ -108,7 +109,7 @@ var totals struct{ dispatched, callbacks, switches atomic.Uint64 }
 // order the runs finish in, so the totals are the same whatever the
 // number of workers that ran them.
 func TotalStats() Stats {
-	return Stats{totals.dispatched.Load(), totals.callbacks.Load(), totals.switches.Load()}
+	return Stats{totals.dispatched.Load(), totals.callbacks.Load(), totals.switches.Load(), totals.spawned.Load()}
 }
 
 // foldStats adds what the engine did since the last fold to the
@@ -118,6 +119,7 @@ func (e *Engine) foldStats() {
 	totals.dispatched.Add(s.Dispatched - e.folded.Dispatched)
 	totals.callbacks.Add(s.Callbacks - e.folded.Callbacks)
 	totals.switches.Add(s.Switches - e.folded.Switches)
+	totals.spawned.Add(s.Spawned - e.folded.Spawned)
 	e.folded = s
 }
 
@@ -318,6 +320,7 @@ func (e *Engine) Spawn(name string, d Time, fn func(p *Proc)) *Proc {
 		fn(p)
 	})
 	e.live++
+	e.stats.Spawned++
 	e.procs = append(e.procs, p)
 	e.bumpGen(p)
 	e.push(e.after(d), p, p.gen, payload{})
