@@ -5,12 +5,12 @@ import (
 	"repro/internal/stats"
 )
 
-// Deterministic sim-time health detection. A detector process probes
-// every replica on a fixed period over the same NIC links requests
-// travel, and suspects a replica whose last acknowledgement is older
-// than a timeout — pure sim-clock arithmetic, no wall time, no global
-// randomness, so detection latency is a modeled quantity that replays
-// byte-identically.
+// Deterministic sim-time health detection. A detector, a timer callback
+// since it runs on no simulated CPU, probes every replica on a fixed
+// period over the same NIC links requests travel, and suspects a
+// replica whose last acknowledgement is older than a timeout — pure
+// sim-clock arithmetic, no wall time, no global randomness, so
+// detection latency is a modeled quantity that replays byte-identically.
 
 // DetectorConfig parameterizes the health detector.
 type DetectorConfig struct {

@@ -21,7 +21,7 @@ const goldenStressDigest = "e42d33f92bfa187090afbee90b74ecaac7c6e017750fac027712
 var stressDriveModes = []string{"run", "until"}
 
 // stressTrace runs nProcs procs through `steps` randomized
-// Sleep/Wait/WakeOne/WaitTimeout/WakeAll operations over two shared
+// Sleep/Wait/WakeOne/timed-wait/WakeAll operations over two shared
 // WaitQueues, recording every operation with its simulated timestamp, and
 // returns the SHA-256 digest of the trace plus the number of trace lines.
 // Background WakeAll ticks bound how long plain Waits can block.

@@ -6,7 +6,7 @@ import (
 )
 
 // TestPendingLiveExcludesAbandonedTimer is the observable fix for the
-// WaitTimeout stale-timer leak: a wake that lands before the deadline
+// stale-timer leak: a wake that lands before a timed wait's deadline
 // must leave zero live residue from the abandoned timer event.
 func TestPendingLiveExcludesAbandonedTimer(t *testing.T) {
 	e := NewEngine(1)
@@ -33,7 +33,7 @@ func TestPendingLiveExcludesAbandonedTimer(t *testing.T) {
 	}
 }
 
-// TestPendingLiveCountsLiveTimer: while a WaitTimeout is still in flight
+// TestPendingLiveCountsLiveTimer: while a timed wait is still in flight
 // its deadline timer IS live.
 func TestPendingLiveCountsLiveTimer(t *testing.T) {
 	e := NewEngine(1)
@@ -102,7 +102,7 @@ func TestLaneDeadlinesBoundHeap(t *testing.T) {
 	}
 }
 
-// TestRunUntilDoesNotOvershootStaleHead: an abandoned WaitTimeout timer
+// TestRunUntilDoesNotOvershootStaleHead: an abandoned timed-wait deadline
 // whose deadline falls inside the RunUntil window must not cause the
 // next LIVE event — scheduled after the window — to be delivered early.
 // (An earlier engine overshot here: it dropped the stale head and then
@@ -139,7 +139,7 @@ func TestRunUntilDoesNotOvershootStaleHead(t *testing.T) {
 }
 
 // TestRandomScheduleDeterminism drives the engine through seeded random
-// mixtures of Sleep/Wait/WaitTimeout/WakeOne/WakeAll/At and requires the
+// mixtures of Sleep/Wait/timed waits/WakeOne/WakeAll/At and requires the
 // full dispatch trace — (time, proc, payload) triples — to be identical
 // across runs. Combined with the golden digests in internal/experiments
 // (captured from the pre-PR container/heap engine), this pins the new

@@ -69,10 +69,9 @@ const numLanes = 4
 // finished, moved past the event's generation, or already consumed the
 // generation (delivered watermark) — by a delivered wakeup, or in place
 // by a fast-path Sleep. All three are monotonic, so once stale an event
-// stays stale. Note an event queued by a
-// running proc for its own upcoming park (a slow Sleep's wakeup) has
-// gen == proc.gen > delivered and is correctly considered live even
-// though the proc is not parked yet.
+// stays stale. An event queued by a running proc for its own upcoming
+// park (a slow Sleep's wakeup) has gen == proc.gen > delivered and is
+// live although the proc is not parked yet.
 func staleEvent(ev *event) bool {
 	p := ev.proc
 	return p != nil && (p.finished || ev.gen != p.gen || ev.gen <= p.delivered)
