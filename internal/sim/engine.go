@@ -51,7 +51,8 @@ const maxTime = Time(math.MaxInt64)
 // The event queue is a heap with a few fixed-delay timer lanes beside
 // it. AtU64 timers (client deadlines, hedge timers, deferred replies)
 // wait on the lane for their delay: a FIFO that is already in (at, seq)
-// order, because the clock never goes back and seq only grows. Each nonempty lane keeps its earliest entry in the heap,
+// order, because the clock never goes back and seq only grows. Each
+// nonempty lane keeps its earliest entry in the heap,
 // so the heap's root is still the next event, and the loop, Sleep and
 // Advance read it as before. The pop order is the one a single heap
 // would give: (at, seq) is a total order, and merging sorted runs

@@ -91,10 +91,10 @@ func (p *Proc) park(first *event) payload {
 // Sleep's fast path would, and reports true; otherwise it changes
 // nothing and reports false, and the caller sleeps. The test is one
 // compare against the queue's cached bound, which is conservative — a
-// stale head or a closed engine makes it fail, as does a negative d —
-// so Advance is small enough to inline into a caller's loop
-// (Thread.Exec's slices). A negative d or a now+d that overflows the
-// clock reads as before now, and declines too: Sleep then saturates it.
+// stale head or a closed engine makes it fail, and so does a negative d
+// or a now+d that overflows the clock, either of which reads as before
+// now (Sleep then clamps or saturates it) — so Advance is small enough
+// to inline into a caller's loop (Thread.Exec's slices).
 func (p *Proc) Advance(d Time) bool {
 	e := p.eng
 	at := e.now + d
