@@ -28,6 +28,29 @@ func TestRunAnchorsAndTable1(t *testing.T) {
 	}
 }
 
+// -engine-stats appends the engines' counts after a scenario's result
+// and changes nothing before them; the counts are the same at any
+// -parallel width.
+func TestRunEngineStats(t *testing.T) {
+	render := func(args ...string) string {
+		var out, errb bytes.Buffer
+		if code := run(args, &out, &errb); code != 0 {
+			t.Fatalf("%v: exit %d, stderr: %s", args, code, errb.String())
+		}
+		return out.String()
+	}
+	plain := render("run", "overload-knee", "-p", "window=2ms", "-p", "warmup=1ms")
+	seq := render("-parallel", "1", "run", "overload-knee", "-p", "window=2ms", "-p", "warmup=1ms", "-engine-stats")
+	par := render("-parallel", "4", "run", "overload-knee", "-p", "window=2ms", "-p", "warmup=1ms", "-engine-stats")
+	result, stats, ok := strings.Cut(seq, "engine stats (overload-knee): dispatched ")
+	if !ok || result != plain {
+		t.Fatalf("-engine-stats output does not extend the plain result:\n%s\nvs\n%s", seq, plain)
+	}
+	if !strings.Contains(stats, ", procs spawned ") || seq != par {
+		t.Fatalf("engine stats %q; at -parallel 4:\n%s", stats, par)
+	}
+}
+
 func TestRunFig8ScalingExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("OLTP sweep is slow")
