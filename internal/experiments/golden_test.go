@@ -12,9 +12,10 @@ import (
 
 // Golden digests captured from the pre-pooling engine (container/heap +
 // *event nodes, commit 7373e09) running sequentially. The specialized
-// 4-ary value heap, stale-event compaction and WaitQueue ring buffer must
-// not perturb a single byte of any figure: (at, seq) delivery order is
-// the determinism contract of the whole reproduction.
+// 4-ary value heap, its timer lanes, the callback clients and the
+// WaitQueue ring buffer must not perturb a single byte of any figure:
+// (at, seq) delivery order is the determinism contract of the whole
+// reproduction.
 const (
 	goldenFig2 = "b694d82b6631dd01c7caecdf50dc259492451ae76520b40866f93951dd664c42"
 	goldenFig5 = "e719786c2748ae13519369bf3450951649f078a192283c6e7c92774f4077d6e4"
