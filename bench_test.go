@@ -21,7 +21,6 @@ import (
 	"repro/internal/archcmp"
 	"repro/internal/cost"
 	"repro/internal/experiments"
-	"repro/internal/loader"
 	"repro/internal/sim"
 )
 
@@ -102,11 +101,13 @@ func BenchmarkFig6(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r = experiments.RunFig6(sizes)
 	}
-	if rpc, ok := r.SeriesByLabel("Local RPC (!=CPU)"); ok {
-		b.ReportMetric(rpc.Y[len(rpc.Y)-1], "simns-added/rpc-1MB")
-	}
-	if d, ok := r.SeriesByLabel("dIPC - Low (=CPU;+proc)"); ok {
-		b.ReportMetric(d.Y[len(d.Y)-1], "simns-added/dipc-1MB")
+	for _, s := range r.Series {
+		switch s.Label {
+		case "Local RPC (!=CPU)":
+			b.ReportMetric(s.Y[len(s.Y)-1], "simns-added/rpc-1MB")
+		case "dIPC - Low (=CPU;+proc)":
+			b.ReportMetric(s.Y[len(s.Y)-1], "simns-added/dipc-1MB")
+		}
 	}
 }
 
@@ -166,17 +167,6 @@ func BenchmarkFig8Scaling(b *testing.B) {
 		}
 	}
 	b.ReportMetric(r.ScalingFactor(oltp.ModeDIPC), "x-dipc-scaling")
-}
-
-// BenchmarkSetjmpVsTry regenerates the §5.3.1 stub experiment (paper:
-// try-style recovery ~2.5x faster than setjmp-style).
-func BenchmarkSetjmpVsTry(b *testing.B) {
-	p := cost.Default()
-	var speedup float64
-	for i := 0; i < b.N; i++ {
-		speedup = loader.RecoverySpeedup(p)
-	}
-	b.ReportMetric(speedup, "x-try-vs-setjmp")
 }
 
 // BenchmarkSensitivity regenerates the §7.5 analysis (paper: calls could

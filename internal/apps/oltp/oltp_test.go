@@ -134,9 +134,23 @@ func TestThroughputRisesWithThreadsOnDisk(t *testing.T) {
 	}
 }
 
+// callsPerOpEstimate returns the expected cross-tier calls per
+// operation for p's mix: six FastCGI exchanges plus, per query, one
+// execute and one or two cursor fetches.
+func callsPerOpEstimate(p *Params) float64 {
+	total := p.BrowseWeight + p.LoginWeight + p.PurchaseWeight
+	browseQ := 1 + p.BrowseGets
+	loginQ := 1 + p.LoginHistory
+	purchaseQ := 1 + p.PurchaseGets + 2*p.PurchaseLines + 1
+	avgQ := (float64(p.BrowseWeight)*float64(browseQ) +
+		float64(p.LoginWeight)*float64(loginQ) +
+		float64(p.PurchaseWeight)*float64(purchaseQ)) / float64(total)
+	return 6 + 2.1*avgQ
+}
+
 func TestCallsPerOpInExpectedRange(t *testing.T) {
 	r := runCfg(ModeIdeal, true, 4)
-	est := (&Stack{Prm: DefaultParams()}).CallsPerOpEstimate()
+	est := callsPerOpEstimate(DefaultParams())
 	if r.CallsPerOp < est*0.6 || r.CallsPerOp > est*1.8 {
 		t.Fatalf("calls/op = %.1f, estimate %.1f", r.CallsPerOp, est)
 	}

@@ -114,21 +114,6 @@ func (s *Stack) WebHandle(t *kernel.Thread, req *request) {
 	t.ExecUser(s.Prm.WebRespond)
 }
 
-// CallsPerOpEstimate returns the expected cross-tier calls per
-// operation for the configured mix: six FastCGI exchanges plus, per
-// query, one execute and one or two cursor fetches.
-func (s *Stack) CallsPerOpEstimate() float64 {
-	p := s.Prm
-	total := p.BrowseWeight + p.LoginWeight + p.PurchaseWeight
-	browseQ := 1 + p.BrowseGets
-	loginQ := 1 + p.LoginHistory
-	purchaseQ := 1 + p.PurchaseGets + 2*p.PurchaseLines + 1
-	avgQ := (float64(p.BrowseWeight)*float64(browseQ) +
-		float64(p.LoginWeight)*float64(loginQ) +
-		float64(p.PurchaseWeight)*float64(purchaseQ)) / float64(total)
-	return 6 + 2.1*avgQ
-}
-
 func maxInt(a, b int) int {
 	if a > b {
 		return a

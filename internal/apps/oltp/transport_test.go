@@ -157,9 +157,7 @@ func TestDIPCTransportNestedCallsKeepTheirResults(t *testing.T) {
 
 func TestWorkloadEstimateMatchesHandlers(t *testing.T) {
 	// The static estimate should track what the handlers actually do.
-	prm := DefaultParams()
-	s := &Stack{Prm: prm}
-	est := s.CallsPerOpEstimate()
+	est := callsPerOpEstimate(DefaultParams())
 	if est < 25 || est > 60 {
 		t.Fatalf("estimate = %.1f, outside the designed range", est)
 	}

@@ -7,14 +7,14 @@
 //
 // The package exposes the Table-2 object API:
 //
-//   - isolation domains   (DomDefault, DomCreate, DomCopy, DomMmap)
+//   - isolation domains   (DomDefault, DomCreate)
 //   - domain grants       (GrantCreate)
 //   - entry points        (EntryRegister, EntryRequest)
 //
 // plus the runtime machinery behind them: proxy template specialization
 // (§6.1.1), the process-tracking hot/warm/cold paths (§6.1.2), the kernel
-// control stack with crash unwinding (§5.2.1), thread-split timeouts
-// (§5.4) and the global virtual address space (§6.1.3).
+// control stack with crash unwinding (§5.2.1) and the global virtual
+// address space (§6.1.3).
 package core
 
 import (
@@ -39,16 +39,13 @@ type Runtime struct {
 	// FoldStubs folds the caller/callee isolation stubs into the proxy
 	// assuming worst-case register liveness, matching the paper's
 	// macro-benchmark configuration, which lacked compiler backend
-	// support (§7.4). The loader clears it per-entry when compiler
-	// annotations provide stubs.
+	// support (§7.4). Left false, the caller and callee stubs are
+	// separate and sized to the entry's signature.
 	FoldStubs bool
 
 	// WorstCaseLiveRegs is the register count assumed live when stubs
 	// are folded ("all non-volatile registers are considered live").
 	WorstCaseLiveRegs int
-
-	// crossCalls counts proxied cross-domain calls (§7.5 sensitivity).
-	crossCalls uint64
 }
 
 // NewRuntime creates a dIPC runtime on machine m with a fresh shared
@@ -70,9 +67,6 @@ func NewRuntime(m *kernel.Machine) *Runtime {
 func (rt *Runtime) NewProcess(name string) *kernel.Process {
 	return rt.M.NewDIPCProcess(name, rt.PT)
 }
-
-// CrossCalls returns the number of proxied calls performed so far.
-func (rt *Runtime) CrossCalls() uint64 { return rt.crossCalls }
 
 // EnterProcessCode places the thread's instruction pointer on a code
 // page belonging to the calling process's default domain, modeling the
@@ -99,9 +93,6 @@ func (rt *Runtime) EnterProcessCode(t *kernel.Thread) (mem.Addr, error) {
 	t.HW.SetIP(base)
 	return base, nil
 }
-
-// Arch returns the CODOMs system configuration.
-func (rt *Runtime) Arch() *codoms.System { return rt.M.Arch }
 
 // errBadPerm builds the permission-failure error used across the API.
 func errBadPerm(op string, need, have Perm) error {

@@ -30,7 +30,7 @@ func TestCapabilityArgumentsFlowThroughDCS(t *testing.T) {
 					// register-resident capabilities authorize accesses.
 					saved := th.HW.CapRegs[0]
 					th.HW.CapRegs[0] = cap
-					calleeAccess = w.rt.Arch().Check(th.HW, w.rt.PT, cap.Base, 8, codoms.AccessRead)
+					calleeAccess = w.rt.M.Arch.Check(th.HW, w.rt.PT, cap.Base, 8, codoms.AccessRead)
 					th.HW.CapRegs[0] = saved
 					_ = th.HW.DCS.Push(cap) // pass it back as the result
 				}
@@ -52,14 +52,9 @@ func TestCapabilityArgumentsFlowThroughDCS(t *testing.T) {
 		// Allocate a buffer in the caller's domain and mint an async
 		// capability over it.
 		self := w.rt.DomDefault(th)
-		var err error
-		callerBuf, err = w.rt.DomMmap(th, self, mem.PageSize, mem.FlagWrite)
-		if err != nil {
-			t.Error(err)
-			return
-		}
+		callerBuf = w.mapDomain(t, th, self, mem.PageSize)
 		rc := &codoms.RevCounter{}
-		cap, err := w.rt.Arch().NewFromAPL(th.HW, w.rt.PT, self.Tag(), callerBuf, 256,
+		cap, err := w.rt.M.Arch.NewFromAPL(th.HW, w.rt.PT, self.tag, callerBuf, 256,
 			codoms.PermRead, codoms.CapAsync, rc)
 		if err != nil {
 			t.Error(err)
@@ -114,7 +109,7 @@ func TestKCSDepthDuringNestedCalls(t *testing.T) {
 	var depthInDB int
 	// db leaf records the depth.
 	w.export(t, PolicyLow, func(th *kernel.Thread, in *Args) *Args {
-		depthInDB = KCSDepth(th)
+		depthInDB = kcsDepth(th)
 		return &Args{Regs: []uint64{1}}
 	})
 	var phpEnts []*ImportedEntry
@@ -157,7 +152,7 @@ func TestKCSDepthDuringNestedCalls(t *testing.T) {
 		if _, err := ents[0].Call(th, &Args{Regs: []uint64{1, 2}}); err != nil {
 			t.Error(err)
 		}
-		if d := KCSDepth(th); d != 0 {
+		if d := kcsDepth(th); d != 0 {
 			t.Errorf("depth after return = %d", d)
 		}
 	})
@@ -245,23 +240,19 @@ func TestGrantRevokeCutsDirectAccess(t *testing.T) {
 	w := newWorld(1)
 	w.run(t, w.web, func(th *kernel.Thread) {
 		pool := w.rt.DomCreate(th)
-		buf, err := w.rt.DomMmap(th, pool, mem.PageSize, mem.FlagWrite)
-		if err != nil {
-			t.Error(err)
-			return
-		}
+		buf := w.mapDomain(t, th, pool, mem.PageSize)
 		self := w.rt.DomDefault(th)
-		ro, _ := w.rt.DomCopy(th, pool, PermRead)
+		ro := DomainHandle{rt: w.rt, tag: pool.tag, perm: PermRead}
 		if err := w.rt.GrantCreate(th, self, ro); err != nil {
 			t.Error(err)
 			return
 		}
-		arch := w.rt.Arch()
+		arch := w.rt.M.Arch
 		if err := arch.Check(th.HW, w.rt.PT, buf, 8, codoms.AccessRead); err != nil {
 			t.Errorf("read after grant: %v", err)
 		}
 		// grant_revoke sets the APL entry back to nil.
-		if err := arch.Grant(self.Tag(), ro.Tag(), codoms.PermNil); err != nil {
+		if err := arch.Grant(self.tag, ro.tag, codoms.PermNil); err != nil {
 			t.Error(err)
 		}
 		if err := arch.Check(th.HW, w.rt.PT, buf, 8, codoms.AccessRead); err == nil {

@@ -36,6 +36,30 @@ func newWorld(ncpus int) *world {
 	}
 }
 
+// mapDomain maps size bytes tagged with h's domain out of the calling
+// process's share of the global address space, the memory a test reads
+// through CODOMs checks. It runs on a simulated thread, so a failure is
+// reported with Error, not Fatal.
+func (w *world) mapDomain(t *testing.T, th *kernel.Thread, h DomainHandle, size int) mem.Addr {
+	t.Helper()
+	base, err := th.Process().VA.Alloc(size)
+	if err == nil {
+		err = w.rt.PT.Map(base, mem.PagesIn(size), mem.FlagWrite, h.tag)
+	}
+	if err != nil {
+		t.Error(err)
+	}
+	return base
+}
+
+// kcsDepth returns the thread's cross-domain call depth.
+func kcsDepth(th *kernel.Thread) int {
+	if ts, ok := th.Ext.(*threadState); ok {
+		return len(ts.kcs)
+	}
+	return 0
+}
+
 // run executes fn on a fresh thread of proc and drives the sim to
 // completion, re-panicking simulation errors.
 func (w *world) run(t *testing.T, proc *kernel.Process, fn func(th *kernel.Thread)) {
@@ -185,7 +209,7 @@ func TestFaultUnwindsToCaller(t *testing.T) {
 			Name: "query", Sig: Signature{InRegs: 2, OutRegs: 1}, Policy: PolicyHigh,
 		}})
 		_, err = ents[0].Call(th, &Args{Regs: []uint64{1, 2}})
-		depthAfter = KCSDepth(th)
+		depthAfter = kcsDepth(th)
 		procAfter = th.Process()
 	})
 	if err == nil {
@@ -267,7 +291,7 @@ func TestNestedFaultUnwindsThroughChain(t *testing.T) {
 	var proc *kernel.Process
 	w.run(t, w.web, func(th *kernel.Thread) {
 		_, err = outer(th)
-		depth = KCSDepth(th)
+		depth = kcsDepth(th)
 		proc = th.Process()
 	})
 	if err == nil {
@@ -475,30 +499,6 @@ func measureCross(t *testing.T, callerPol, calleePol IsoProps) sim.Time {
 	return avg
 }
 
-func TestDomMmapTagsPagesAndChecksPerms(t *testing.T) {
-	w := newWorld(1)
-	w.run(t, w.web, func(th *kernel.Thread) {
-		d1 := w.rt.DomCreate(th)
-		base, err := w.rt.DomMmap(th, d1, 3*mem.PageSize, mem.FlagWrite)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		pi, ok := w.rt.PT.Lookup(base)
-		if !ok || pi.Tag != d1.Tag() {
-			t.Errorf("mmap page tag = %v", pi.Tag)
-		}
-		// Permission failures.
-		ro, _ := w.rt.DomCopy(th, d1, PermRead)
-		if _, err := w.rt.DomMmap(th, ro, mem.PageSize, 0); err == nil {
-			t.Error("mmap via read handle must fail")
-		}
-		if _, err := w.rt.DomCopy(th, ro, PermOwner); err == nil {
-			t.Error("DomCopy must not upgrade permissions")
-		}
-	})
-}
-
 func TestGrantCreateEnablesDirectAccess(t *testing.T) {
 	// §5.2.2: grant_create can open direct data access between process
 	// domains, bypassing proxies entirely.
@@ -509,16 +509,8 @@ func TestGrantCreateEnablesDirectAccess(t *testing.T) {
 	w.m.Spawn(w.db, "db-init", nil, func(th *kernel.Thread) {
 		w.rt.EnterProcessCode(th)
 		pool := w.rt.DomCreate(th)
-		var err error
-		dbData, err = w.rt.DomMmap(th, pool, mem.PageSize, mem.FlagWrite)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		ro, _ := w.rt.DomCopy(th, pool, PermRead)
-		eh := &EntryHandle{} // placeholder for fd passing
-		_ = eh
-		w.handoff = ro
+		dbData = w.mapDomain(t, th, pool, mem.PageSize)
+		w.handoff = DomainHandle{rt: w.rt, tag: pool.tag, perm: PermRead}
 	})
 	w.eng.Run()
 	w.run(t, w.web, func(th *kernel.Thread) {
@@ -540,50 +532,6 @@ func TestGrantCreateEnablesDirectAccess(t *testing.T) {
 	})
 	if checkErr != nil {
 		t.Fatalf("read after grant: %v", checkErr)
-	}
-}
-
-func TestCallWithTimeout(t *testing.T) {
-	w := newWorld(2)
-	w.export(t, StackConfIntegrity, func(th *kernel.Thread, in *Args) *Args {
-		th.SleepFor(sim.Millis(2)) // slow callee
-		return &Args{Regs: []uint64{7}}
-	})
-	var fastOut *Args
-	var fastErr, slowErr, reqErr error
-	w.run(t, w.web, func(th *kernel.Thread) {
-		ents, err := w.rt.MustImport(th, "/run/db.sock", []EntryDesc{{
-			Name: "query", Sig: Signature{InRegs: 2, OutRegs: 1}, Policy: StackConfIntegrity,
-		}})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		// Generous timeout: completes.
-		fastOut, fastErr = ents[0].CallWithTimeout(th, &Args{Regs: []uint64{1, 2}}, sim.Millis(10))
-		// Tight timeout: splits.
-		_, slowErr = ents[0].CallWithTimeout(th, &Args{Regs: []uint64{1, 2}}, sim.Micros(100))
-	})
-	if fastErr != nil || fastOut == nil || fastOut.Regs[0] != 7 {
-		t.Fatalf("in-time call: %+v, %v", fastOut, fastErr)
-	}
-	if slowErr == nil {
-		t.Fatal("tight timeout must error")
-	}
-	_ = reqErr
-
-	// Timeouts without stack confidentiality+integrity are rejected.
-	w2 := newWorld(1)
-	w2.export(t, PolicyLow, func(th *kernel.Thread, in *Args) *Args { return in })
-	var polErr error
-	w2.run(t, w2.web, func(th *kernel.Thread) {
-		ents, _ := w2.rt.MustImport(th, "/run/db.sock", []EntryDesc{{
-			Name: "query", Sig: Signature{InRegs: 2, OutRegs: 1},
-		}})
-		_, polErr = ents[0].CallWithTimeout(th, nil, sim.Millis(1))
-	})
-	if polErr == nil {
-		t.Fatal("timeout without stack conf+integ must be rejected (§5.4)")
 	}
 }
 

@@ -38,7 +38,7 @@ func TestRevocationInvalidatesCachedVerdicts(t *testing.T) {
 			}
 		}
 		// grant_revoke: clear the caller's APL entry for the proxy domain.
-		if err := w.rt.M.Arch.Grant(self.Tag(), domP.Tag(), codoms.PermNil); err != nil {
+		if err := w.rt.M.Arch.Grant(self.tag, domP.tag, codoms.PermNil); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := ents[0].Call(th, args); err == nil {

@@ -215,7 +215,6 @@ func (px *Proxy) invoke(t *kernel.Thread, in *Args) (out *Args, err error) {
 		// mutate. Nil-arg calls are off the measured hot paths.
 		in = &Args{} //dipcvet:alloc-ok cold branch: measured hot paths always pass non-nil args
 	}
-	rt.crossCalls++
 
 	// ---- caller stub: isolate_call ----
 	t.Exec(d.callerEnter, d.stubBlock)

@@ -111,15 +111,6 @@ func state(t *kernel.Thread) *threadState {
 	return ts
 }
 
-// KCSDepth returns the thread's current cross-domain call depth
-// (diagnostics and tests).
-func KCSDepth(t *kernel.Thread) int {
-	if ts, ok := t.Ext.(*threadState); ok {
-		return len(ts.kcs)
-	}
-	return 0
-}
-
 // trackProcessCall implements the §6.1.2 lookup on the call path and
 // migrates the thread into the target process. The hot path indexes a
 // per-thread cache array with the hardware domain tag retrieved from the

@@ -315,21 +315,3 @@ func (p *Params) KernelCopy(n int) sim.Time {
 	}
 	return p.CopyFixed + sim.Time(float64(p.Copy(n)-p.CopyFixed)*p.KernelCopyFactor)
 }
-
-// EmptySyscall is the end-to-end cost of a do-nothing system call, the
-// 34 ns anchor from §2.2.
-func (p *Params) EmptySyscall() sim.Time {
-	return p.SyscallTrap + p.SyscallDispatch + p.SyscallRet
-}
-
-// ContextSwitch is the same-process, same-CPU thread switch cost
-// (scheduling plus register state), excluding page-table work.
-func (p *Params) ContextSwitch() sim.Time {
-	return p.SchedPickNext + p.CtxSwitchRegs + p.CtxSwitchPollution
-}
-
-// ProcessSwitch adds the address-space and process-descriptor costs on
-// top of a context switch.
-func (p *Params) ProcessSwitch() sim.Time {
-	return p.ContextSwitch() + p.PageTableSwitch + p.TLBRefill + p.CurrentSwitch
-}

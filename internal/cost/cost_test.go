@@ -9,7 +9,7 @@ import (
 
 func TestEmptySyscallAnchor(t *testing.T) {
 	p := Default()
-	got := p.EmptySyscall().Nanoseconds()
+	got := (p.SyscallTrap + p.SyscallDispatch + p.SyscallRet).Nanoseconds()
 	if got < 30 || got > 38 {
 		t.Fatalf("empty syscall = %.1fns, want ~34ns (paper §2.2)", got)
 	}
@@ -73,14 +73,16 @@ func TestCopyZeroAndNegative(t *testing.T) {
 
 func TestProcessSwitchCostStructure(t *testing.T) {
 	p := Default()
-	if p.ProcessSwitch() <= p.ContextSwitch() {
+	threadSwitch := p.SchedPickNext + p.CtxSwitchRegs + p.CtxSwitchPollution
+	processSwitch := threadSwitch + p.PageTableSwitch + p.TLBRefill + p.CurrentSwitch
+	if processSwitch <= threadSwitch {
 		t.Fatal("a process switch must cost more than a thread switch")
 	}
 	// §2.2: ~80% of a same-CPU semaphore round trip is software, so the
 	// pure hardware part (traps + page-table switch) must be a clear
 	// minority of the total switch cost.
 	hw := 2*(p.SyscallTrap+p.SyscallRet) + p.PageTableSwitch
-	sw := p.ProcessSwitch() - p.PageTableSwitch
+	sw := processSwitch - p.PageTableSwitch
 	if float64(hw) > 0.5*float64(hw+sw) {
 		t.Fatalf("hardware share too large: hw=%v sw=%v", hw, sw)
 	}
@@ -88,7 +90,7 @@ func TestProcessSwitchCostStructure(t *testing.T) {
 
 func TestCrossCPUCostsDwarfLocalOnes(t *testing.T) {
 	p := Default()
-	if p.IPISend+p.IPIHandle < 2*p.EmptySyscall() {
+	if p.IPISend+p.IPIHandle < 2*(p.SyscallTrap+p.SyscallDispatch+p.SyscallRet) {
 		t.Fatal("IPI round half should dwarf a syscall (§2.2)")
 	}
 }
@@ -106,8 +108,9 @@ func TestDomainSwitchIsFree(t *testing.T) {
 func TestProxyCheaperThanSyscall(t *testing.T) {
 	p := Default()
 	proxyMin := p.KCSPush + p.KCSPop + p.StackCheck + p.FuncCall
-	if proxyMin >= p.EmptySyscall() {
+	syscall := p.SyscallTrap + p.SyscallDispatch + p.SyscallRet
+	if proxyMin >= syscall {
 		t.Fatalf("minimal proxy (%v) must beat a syscall (%v): Fig. 5 dIPC-Low < syscall",
-			proxyMin, p.EmptySyscall())
+			proxyMin, syscall)
 	}
 }

@@ -139,13 +139,15 @@ func TestFig2CrossCPUIdle(t *testing.T) {
 
 func TestFig6Shapes(t *testing.T) {
 	r := RunFig6([]int{1, 4096, 262144})
-	rpc, ok := r.SeriesByLabel("Local RPC (!=CPU)")
+	series := make(map[string]stats.Series)
+	for _, s := range r.Series {
+		series[s.Label] = s
+	}
+	rpc, ok := series["Local RPC (!=CPU)"]
 	if !ok {
 		t.Fatal("missing RPC series")
 	}
-	dipc, _ := r.SeriesByLabel("dIPC - Low (=CPU;+proc)")
-	sem, _ := r.SeriesByLabel("Sem. (!=CPU)")
-	sys, _ := r.SeriesByLabel("Syscall")
+	dipc, sem, sys := series["dIPC - Low (=CPU;+proc)"], series["Sem. (!=CPU)"], series["Syscall"]
 	// Copy-based primitives grow with size; the paper's "distance
 	// grows with size".
 	if !(rpc.Y[2] > rpc.Y[0]*2) {

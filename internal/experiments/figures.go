@@ -178,16 +178,6 @@ func RunFig6(sizes []int) *Fig6Result {
 	return res
 }
 
-// SeriesByLabel finds a series.
-func (r *Fig6Result) SeriesByLabel(label string) (stats.Series, bool) {
-	for _, s := range r.Series {
-		if s.Label == label {
-			return s, true
-		}
-	}
-	return stats.Series{}, false
-}
-
 // Render formats the sweep as a table.
 func (r *Fig6Result) Render() string {
 	tb := &stats.Table{Title: "Figure 6: added time over a function call [ns] by argument size"}

@@ -54,51 +54,9 @@ func TestDirectSwitchChargesNoFullSchedule(t *testing.T) {
 	// SchedPickNext; crude bound: total sched time under the normal
 	// switch cost for the whole run.
 	bd := m.Snapshot()
-	full := m.P.ContextSwitch() * 4 // initial placements etc.
+	full := (m.P.SchedPickNext + m.P.CtxSwitchRegs + m.P.CtxSwitchPollution) * 4 // initial placements etc.
 	if bd[stats.BlockSched] > full {
 		t.Fatalf("sched time %v exceeds %v: direct switch too expensive", bd[stats.BlockSched], full)
-	}
-}
-
-func TestBlockTimeoutExpires(t *testing.T) {
-	eng, m := newTestMachine(1)
-	p := m.NewProcess("p")
-	var ok bool
-	var at sim.Time
-	m.Spawn(p, "t", nil, func(th *Thread) {
-		start := eng.Now()
-		_, ok = th.BlockTimeout(nil, 50*sim.Microsecond)
-		at = eng.Now() - start
-	})
-	eng.Run()
-	if ok {
-		t.Fatal("should have timed out")
-	}
-	if at < 50*sim.Microsecond || at > 60*sim.Microsecond {
-		t.Fatalf("timed out after %v, want ~50us", at)
-	}
-}
-
-func TestBlockTimeoutWakeWins(t *testing.T) {
-	eng, m := newTestMachine(1)
-	p := m.NewProcess("p")
-	var got any
-	var ok bool
-	var sleeper *Thread
-	sleeper = m.Spawn(p, "t", nil, func(th *Thread) {
-		got, ok = th.BlockTimeout(nil, sim.Millis(10))
-	})
-	m.Spawn(p, "waker", nil, func(th *Thread) {
-		th.ExecUser(10 * sim.Microsecond)
-		sleeper.Wake("v", th)
-	})
-	eng.Run()
-	if !ok || got != "v" {
-		t.Fatalf("got %v, %v", got, ok)
-	}
-	// The disarmed timer must not fire into a later block.
-	if eng.Pending() != 0 {
-		eng.Run()
 	}
 }
 

@@ -34,8 +34,8 @@ func TestAdvanceAtLimit(t *testing.T) {
 	if pastLimit {
 		t.Error("a slice ending 1 ps past the limit advanced inline")
 	}
-	if e.Now() != limit || e.Pending() != 1 || e.live != 1 {
-		t.Fatalf("after the window: now %v, %d pending, %d live; want %v, 1, 1", e.Now(), e.Pending(), e.live, limit)
+	if e.Now() != limit || e.events.size() != 1 || e.live != 1 {
+		t.Fatalf("after the window: now %v, %d pending, %d live; want %v, 1, 1", e.Now(), e.events.size(), e.live, limit)
 	}
 	if err := e.Run(); err != nil {
 		t.Fatalf("Run = %v", err)

@@ -21,10 +21,10 @@ const goldenStressDigest = "e42d33f92bfa187090afbee90b74ecaac7c6e017750fac027712
 var stressDriveModes = []string{"run", "until"}
 
 // stressTrace runs nProcs procs through `steps` randomized
-// Sleep/Wait/WakeOne/timed-wait/WakeAll operations over two shared
+// Sleep/Wait/WakeOne/timed-wait/wakeAll operations over two shared
 // WaitQueues, recording every operation with its simulated timestamp, and
 // returns the SHA-256 digest of the trace plus the number of trace lines.
-// Background WakeAll ticks bound how long plain Waits can block.
+// Background wakeAll ticks bound how long plain Waits can block.
 func stressTrace(seed uint64, nProcs, steps int, drive string) (digest string, lines int) {
 	e := NewEngine(seed)
 	var q, q2 WaitQueue
@@ -33,7 +33,7 @@ func stressTrace(seed uint64, nProcs, steps int, drive string) (digest string, l
 		e.Spawn(fmt.Sprintf("p%d", i), Time(i%7), func(p *Proc) {
 			r := e.Rand()
 			for s := 0; s < steps; s++ {
-				fmt.Fprintf(&sb, "%d %s %d", int64(p.eng.now), p.Name(), s)
+				fmt.Fprintf(&sb, "%d %s %d", int64(p.eng.now), p.name, s)
 				switch r.Intn(7) {
 				case 0:
 					p.Sleep(Time(r.Intn(50)))
@@ -45,7 +45,7 @@ func stressTrace(seed uint64, nProcs, steps int, drive string) (digest string, l
 					v, ok := waitTimeout(&q, p, Time(r.Intn(40)+1))
 					fmt.Fprintf(&sb, " waittimeout %v %v\n", v, ok)
 				case 3:
-					n := q.WakeAll(0, nil)
+					n := wakeAll(&q)
 					fmt.Fprintf(&sb, " wakeall %d\n", n)
 					p.Sleep(Time(r.Intn(9)))
 				case 4:
@@ -59,16 +59,16 @@ func stressTrace(seed uint64, nProcs, steps int, drive string) (digest string, l
 					fmt.Fprintf(&sb, " waited %v\n", v)
 				}
 			}
-			fmt.Fprintf(&sb, "%d %s done\n", int64(p.eng.now), p.Name())
+			fmt.Fprintf(&sb, "%d %s done\n", int64(p.eng.now), p.name)
 		})
 	}
-	// Background wakers so plain Waits cannot block forever: WakeAll both
+	// Background wakers so plain Waits cannot block forever: wake all of both
 	// queues every 25 simulated units across a horizon far beyond the
 	// workload's natural span.
 	for tick := Time(25); tick < 40000; tick += 25 {
 		e.At(tick, func() {
-			q.WakeAll(0, nil)
-			q2.WakeAll(0, nil)
+			wakeAll(&q)
+			wakeAll(&q2)
 		})
 	}
 
@@ -83,7 +83,7 @@ func stressTrace(seed uint64, nProcs, steps int, drive string) (digest string, l
 	default:
 		panic("unknown drive mode " + drive)
 	}
-	fmt.Fprintf(&sb, "final live=%d pending=%d\n", e.live, e.Pending())
+	fmt.Fprintf(&sb, "final live=%d pending=%d\n", e.live, e.events.size())
 
 	sum := sha256.Sum256([]byte(sb.String()))
 	return hex.EncodeToString(sum[:]), strings.Count(sb.String(), "\n")
@@ -145,16 +145,16 @@ func TestRunReturnsOnDeadlock(t *testing.T) {
 	if e.live != n {
 		t.Fatalf("live procs = %d after deadlocked Run, want %d", e.live, n)
 	}
-	if e.Pending() != 0 || e.events.live() != 0 {
-		t.Fatalf("deadlocked Run left Pending=%d live events=%d, want 0/0", e.Pending(), e.events.live())
+	if e.events.size() != 0 || e.events.live() != 0 {
+		t.Fatalf("deadlocked Run left Pending=%d live events=%d, want 0/0", e.events.size(), e.events.live())
 	}
 	if finished != 0 {
 		t.Fatalf("finished = %d, want 0 (all procs parked)", finished)
 	}
 	// The deadlock is recoverable: wake everybody and drain.
-	q.WakeAll(0, nil)
+	wakeAll(&q)
 	e.Run()
 	if e.live != 0 || finished != n {
-		t.Fatalf("after WakeAll: live=%d finished=%d, want 0/%d", e.live, finished, n)
+		t.Fatalf("after wakeAll: live=%d finished=%d, want 0/%d", e.live, finished, n)
 	}
 }

@@ -127,11 +127,6 @@ func (e *Engine) foldStats() {
 // Rand returns the engine's deterministic random source.
 func (e *Engine) Rand() *Rand { return e.rng }
 
-// Pending returns the number of queued events, in the heap and in its
-// timer lanes, including stale wakeups (superseded by a newer wait of
-// their proc) that will be dropped when reached.
-func (e *Engine) Pending() int { return e.events.size() }
-
 // after returns the instant d from now. It is the one place a delay
 // becomes a time: a negative d means now, and a sum past the end of the
 // clock saturates at maxTime, so the clock never goes back and an

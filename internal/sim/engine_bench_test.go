@@ -26,7 +26,7 @@ func BenchmarkEngineChurn(b *testing.B) {
 }
 
 // BenchmarkEngineWaitQueueContention measures a herd of waiters cycling
-// through one WaitQueue under Run: WakeAll sweeps refill the ring while
+// through one WaitQueue under Run: wakeAll sweeps refill the ring while
 // each woken proc immediately re-waits, exercising ring growth,
 // wraparound and the event heap under fan-out. One op is one delivered
 // wakeup.
@@ -45,7 +45,7 @@ func BenchmarkEngineWaitQueueContention(b *testing.B) {
 	}
 	var sweep func()
 	sweep = func() {
-		q.WakeAll(0, nil)
+		wakeAll(&q)
 		if e.live > 0 {
 			e.At(Nanosecond, sweep)
 		}
@@ -144,12 +144,13 @@ func spawnPingPong(e *Engine, n int) {
 }
 
 // BenchmarkEngineHandoffRing measures proc-to-proc handoff alone: 8
-// procs pass one token round a ring of WaitQueues, each waking the next
-// and parking until the token comes round again. One op is one handoff.
+// procs pass one token round a ring, each waking the next on the word
+// lane and parking until the token comes round again. One op is one
+// handoff.
 func BenchmarkEngineHandoffRing(b *testing.B) {
 	const procs = 8
 	e := NewEngine(1)
-	var ring [procs]WaitQueue
+	var ring [procs]Waiter
 	n := uint64(b.N)
 	for i := 0; i < procs; i++ {
 		i := i
@@ -160,15 +161,20 @@ func BenchmarkEngineHandoffRing(b *testing.B) {
 		}
 		e.Spawn("r", start, func(p *Proc) {
 			next := &ring[(i+1)%procs]
+			wait := func() uint64 {
+				ring[i] = p.PrepareWait()
+				tok, _ := p.WaitU64()
+				return tok
+			}
 			tok := uint64(0)
 			if i > 0 {
-				tok, _ = ring[i].WaitU64(p)
+				tok = wait()
 			}
 			for tok < n {
-				next.WakeOneU64(0, tok+1)
-				tok, _ = ring[i].WaitU64(p)
+				next.WakeU64(0, tok+1)
+				tok = wait()
 			}
-			next.WakeOneU64(0, tok) // pass the end on round the ring
+			next.WakeU64(0, tok) // pass the end on round the ring
 		})
 	}
 	b.ReportAllocs()

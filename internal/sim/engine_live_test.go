@@ -17,8 +17,8 @@ func TestPendingLiveExcludesAbandonedTimer(t *testing.T) {
 		}
 		// The abandoned deadline timer is still queued (Pending) but
 		// must not be live (events.live).
-		if e.Pending() != 1 {
-			t.Errorf("Pending() = %d, want 1 (the abandoned timer)", e.Pending())
+		if e.events.size() != 1 {
+			t.Errorf("%d events queued, want 1 (the abandoned timer)", e.events.size())
 		}
 		if e.events.live() != 0 {
 			t.Errorf("live events = %d, want 0 after early wake", e.events.live())
@@ -28,8 +28,8 @@ func TestPendingLiveExcludesAbandonedTimer(t *testing.T) {
 		q.WakeOne(0, nil)
 	})
 	e.Run()
-	if e.Pending() != 0 || e.events.live() != 0 {
-		t.Fatalf("after Run: Pending=%d live events=%d, want 0/0", e.Pending(), e.events.live())
+	if e.events.size() != 0 || e.events.live() != 0 {
+		t.Fatalf("after Run: Pending=%d live events=%d, want 0/0", e.events.size(), e.events.live())
 	}
 }
 
@@ -97,8 +97,8 @@ func TestLaneDeadlinesBoundHeap(t *testing.T) {
 	if maxRing < iters-2 {
 		t.Fatalf("lane rings peaked at %d entries, want about %d pending deadlines", maxRing, iters)
 	}
-	if e.Pending() != 0 || e.Now() != Second+(iters-1)*Nanosecond {
-		t.Fatalf("after Run: Pending=%d, clock %v; want 0 and the last deadline", e.Pending(), e.Now())
+	if e.events.size() != 0 || e.Now() != Second+(iters-1)*Nanosecond {
+		t.Fatalf("after Run: Pending=%d, clock %v; want 0 and the last deadline", e.events.size(), e.Now())
 	}
 }
 
@@ -139,7 +139,7 @@ func TestRunUntilDoesNotOvershootStaleHead(t *testing.T) {
 }
 
 // TestRandomScheduleDeterminism drives the engine through seeded random
-// mixtures of Sleep/Wait/timed waits/WakeOne/WakeAll/At and requires the
+// mixtures of Sleep/Wait/timed waits/WakeOne/wakeAll/At and requires the
 // full dispatch trace — (time, proc, payload) triples — to be identical
 // across runs. Combined with the golden digests in internal/experiments
 // (captured from the pre-PR container/heap engine), this pins the new
@@ -160,11 +160,11 @@ func TestRandomScheduleDeterminism(t *testing.T) {
 					case 1:
 						q.WakeOne(Time(r.Intn(3)), nil)
 					case 2:
-						if q.Len() > 0 || r.Intn(2) == 0 {
+						if q.q.Len() > 0 || r.Intn(2) == 0 {
 							waitTimeout(&q, p, Time(r.Intn(30)+1))
 						}
 					case 3:
-						q.WakeAll(0, nil)
+						wakeAll(&q)
 						p.Sleep(Time(r.Intn(5)))
 					}
 				}
@@ -173,10 +173,10 @@ func TestRandomScheduleDeterminism(t *testing.T) {
 		// Background wakers so Wait'ers cannot deadlock forever.
 		e.At(0, func() {})
 		for tick := Time(0); tick < 5000; tick += 50 {
-			e.At(tick, func() { q.WakeAll(0, nil) })
+			e.At(tick, func() { wakeAll(&q) })
 		}
 		e.RunUntil(6000)
-		q.WakeAll(0, nil)
+		wakeAll(&q)
 		e.Run()
 		return out
 	}
@@ -216,8 +216,8 @@ func TestTimerLanePendingAndDeadlock(t *testing.T) {
 		t.Fatalf("heap %d, ring %d, stale %d; want the lane head and three ring entries, none stale",
 			e.events.len(), e.events.rest, e.events.stale)
 	}
-	if e.Pending() != 4 {
-		t.Errorf("Pending() = %d, want 4: the ring entries count", e.Pending())
+	if e.events.size() != 4 {
+		t.Errorf("%d events queued, want 4: the ring entries count", e.events.size())
 	}
 	if err := e.Deadlock(); err != nil {
 		t.Errorf("Deadlock() = %v with four timers live", err)
@@ -230,8 +230,8 @@ func TestTimerLanePendingAndDeadlock(t *testing.T) {
 	if !errors.As(err, &dl) || len(dl.Blocked) != 1 || dl.Blocked[0] != "a" {
 		t.Fatalf("Run = %v, want a deadlock naming a", err)
 	}
-	if e.Pending() != 0 || e.events.stale != 0 {
-		t.Errorf("after Run: Pending %d, stale %d; want 0, 0", e.Pending(), e.events.stale)
+	if e.events.size() != 0 || e.events.stale != 0 {
+		t.Errorf("after Run: Pending %d, stale %d; want 0, 0", e.events.size(), e.events.stale)
 	}
 	e.Close()
 }

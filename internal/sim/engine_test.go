@@ -196,8 +196,8 @@ func TestWakeAll(t *testing.T) {
 		})
 	}
 	e.Spawn("waker", Nanosecond, func(p *Proc) {
-		if n := q.WakeAll(0, nil); n != 5 {
-			t.Errorf("WakeAll = %d, want 5", n)
+		if n := wakeAll(&q); n != 5 {
+			t.Errorf("wakeAll = %d, want 5", n)
 		}
 	})
 	e.Run()
@@ -407,8 +407,8 @@ func TestAtU64OrdersWithAt(t *testing.T) {
 	e.At(5, func() { got = append(got, 3) })
 	e.AtU64(3, record, 0)
 	e.AtU64(5, record, 4)
-	if e.events.rest != 1 || e.Pending() != 5 {
-		t.Fatalf("%d timers in lane rings, %d pending; want 1, 5", e.events.rest, e.Pending())
+	if e.events.rest != 1 || e.events.size() != 5 {
+		t.Fatalf("%d timers in lane rings, %d pending; want 1, 5", e.events.rest, e.events.size())
 	}
 	if err := e.Run(); err != nil {
 		t.Fatal(err)

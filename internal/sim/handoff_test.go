@@ -32,7 +32,7 @@ func TestHandoffIsOneSwitch(t *testing.T) {
 func TestProcReturnsIntoBlockedProc(t *testing.T) {
 	e := NewEngine(1)
 	var trace []string
-	note := func(p *Proc) { trace = append(trace, fmt.Sprintf("%v %s", p.eng.now, p.Name())) }
+	note := func(p *Proc) { trace = append(trace, fmt.Sprintf("%v %s", p.eng.now, p.name)) }
 	a := e.Spawn("a", 0, func(p *Proc) {
 		p.Sleep(10 * Nanosecond) // hands control to b: a blocks in b's coroutine
 		note(p)
@@ -124,7 +124,7 @@ func TestCloseProcsBlockedInEachOther(t *testing.T) {
 			defer func() { unwound[i]++ }()
 			p.PrepareWait()
 			p.Wait() // never fired: hands control to the next start
-			t.Errorf("%s resumed", p.Name())
+			t.Errorf("%s resumed", p.name)
 		})
 	}
 	late := false

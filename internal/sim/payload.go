@@ -14,13 +14,12 @@ type payload struct {
 
 const (
 	payNil   uint8 = iota // nil payload (Sleep, bare wakes)
-	payU64                // unboxed uint64 (WakeU64 / WakeOneU64)
+	payU64                // unboxed uint64 (WakeU64)
 	payBoxed              // anything else
 )
 
 // boxPayload wraps an arbitrary wake value. nil is routed to its
-// unboxed lane; a zero-size value such as the timeout mark boxes
-// without allocating. uint64 values deliberately are not: the
+// unboxed lane; a zero-size value boxes without allocating. uint64 values deliberately are not: the
 // caller already boxed the value to pass it as any, and unboxing here
 // would just force the consuming Wait to box it again; callers that want
 // the word lane use the typed WakeU64 entry points instead.

@@ -61,24 +61,26 @@ func TestWaiterValidAgreesWithPush(t *testing.T) {
 	e.Run()
 }
 
-// TestU64FastLane: a uint64 payload sent with the typed wake entry points
-// round-trips unboxed and is observable through both the typed and the
-// generic receive paths.
+// TestU64FastLane: a uint64 payload sent with WakeU64 round-trips
+// unboxed and is observable through both the typed and the generic
+// receive paths.
 func TestU64FastLane(t *testing.T) {
 	e := NewEngine(1)
-	var q WaitQueue
+	var typedW, genericW Waiter
 	var typedV uint64
 	var typedOK bool
 	var generic any
 	e.Spawn("typed", 0, func(p *Proc) {
-		typedV, typedOK = q.WaitU64(p)
+		typedW = p.PrepareWait()
+		typedV, typedOK = p.WaitU64()
 	})
 	e.Spawn("generic", 0, func(p *Proc) {
-		generic = q.Wait(p)
+		genericW = p.PrepareWait()
+		generic = p.Wait()
 	})
 	e.Spawn("waker", Nanosecond, func(p *Proc) {
-		q.WakeOneU64(0, 0xfeedface)
-		q.WakeOneU64(0, 42)
+		typedW.WakeU64(0, 0xfeedface)
+		genericW.WakeU64(0, 42)
 	})
 	e.Run()
 	if !typedOK || typedV != 0xfeedface {
@@ -93,17 +95,19 @@ func TestU64FastLane(t *testing.T) {
 // boxed value reports ok=false rather than a bogus word.
 func TestU64FastLaneMismatch(t *testing.T) {
 	e := NewEngine(1)
-	var q WaitQueue
+	var a, b Waiter
 	var ok1, ok2 bool
 	e.Spawn("a", 0, func(p *Proc) {
-		_, ok1 = q.WaitU64(p)
+		a = p.PrepareWait()
+		_, ok1 = p.WaitU64()
 	})
 	e.Spawn("b", 0, func(p *Proc) {
-		_, ok2 = q.WaitU64(p)
+		b = p.PrepareWait()
+		_, ok2 = p.WaitU64()
 	})
 	e.Spawn("waker", Nanosecond, func(p *Proc) {
-		q.WakeOne(0, nil)
-		q.WakeOne(0, "boxed")
+		a.Wake(0, nil)
+		b.Wake(0, "boxed")
 	})
 	e.Run()
 	if ok1 || ok2 {
@@ -127,22 +131,19 @@ func TestWaiterWakeU64(t *testing.T) {
 	}
 }
 
-// TestTimeoutValueRoundTrip: the exported timeout payload is recognized
-// by TimedOut after a full trip through a Waiter wake — the contract the
-// kernel's BlockTimeout relies on.
+// TestTimeoutValueRoundTrip: the timed-wait helpers' zero-size
+// timeoutMark comes out of a full trip through a Waiter wake equal to
+// the value sent, which is how waitTimed recognizes a deadline.
 func TestTimeoutValueRoundTrip(t *testing.T) {
-	if !TimedOut(TimeoutValue()) {
-		t.Fatal("TimedOut(TimeoutValue()) = false")
-	}
 	e := NewEngine(1)
 	var got any
 	e.Spawn("p", 0, func(p *Proc) {
 		w := p.PrepareWait()
-		e.At(Nanosecond, func() { w.Wake(0, TimeoutValue()) })
+		e.At(Nanosecond, func() { w.Wake(0, timeoutMark{}) })
 		got = p.Wait()
 	})
 	e.Run()
-	if !TimedOut(got) {
-		t.Fatalf("payload %v (%T) not recognized by TimedOut after round trip", got, got)
+	if got != (timeoutMark{}) {
+		t.Fatalf("payload %v (%T) is not the timeout mark after a round trip", got, got)
 	}
 }

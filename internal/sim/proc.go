@@ -19,9 +19,6 @@ type Proc struct {
 	nextDue   bool // co's next, not yield, makes its next switch
 }
 
-// Name returns the name given at Spawn time (used in traces and tests).
-func (p *Proc) Name() string { return p.name }
-
 // park suspends the proc until the engine delivers a wakeup for the
 // current generation. It carries the engine loop forward inline: either
 // the next event wakes this proc — control never moves and the payload
@@ -202,10 +199,10 @@ func (p *Proc) Wait() any {
 	return p.park(nil).value()
 }
 
-// WaitU64 is Wait for wakers on the unboxed uint64 lane (WakeU64,
-// WaitQueue.WakeOneU64): the word round-trips through the event heap and
-// the proc's wake slot without interface boxing on either side. ok reports
-// whether the wake actually carried a uint64 payload.
+// WaitU64 is Wait for wakers on the unboxed uint64 lane (WakeU64): the
+// word round-trips through the event heap and the proc's wake slot
+// without interface boxing on either side. ok reports whether the wake
+// actually carried a uint64 payload.
 //
 //dipcvet:noalloc
 func (p *Proc) WaitU64() (v uint64, ok bool) {

@@ -14,7 +14,7 @@ import (
 func TestSleepSkipsOwnRetiredWake(t *testing.T) {
 	e := NewEngine(1)
 	var trace []string
-	note := func(p *Proc) { trace = append(trace, fmt.Sprintf("%v %s", p.eng.now, p.Name())) }
+	note := func(p *Proc) { trace = append(trace, fmt.Sprintf("%v %s", p.eng.now, p.name)) }
 	e.Spawn("a", 0, func(p *Proc) {
 		w := p.PrepareWait()
 		w.Wake(0, nil)

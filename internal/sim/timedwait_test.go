@@ -3,24 +3,28 @@ package sim
 import "testing"
 
 // A timed wait is built from one Waiter armed twice: the completion
-// wake, and a deadline wake carrying TimeoutValue that is queued when
+// wake, and a deadline wake carrying timeoutMark that is queued when
 // the wait is armed. Whichever the loop delivers first wins; the other
 // is a stale wake for a generation the proc has left behind, and the
 // engine drops it. (Off-machine clients race a deadline against a
 // reply the same way, as two callbacks matched on a request ID.)
 
+// timeoutMark is the deadline wake's payload. It has no size, so
+// boxing it allocates nothing.
+type timeoutMark struct{}
+
 // prepareTimedWait arms p for a wait bounded by d and returns the
 // completion handle.
 func prepareTimedWait(p *Proc, d Time) Waiter {
 	w := p.PrepareWait()
-	w.Wake(d, TimeoutValue())
+	w.Wake(d, timeoutMark{})
 	return w
 }
 
 // waitTimed parks until the wait armed by prepareTimedWait resolves.
 // completed is false if the deadline fired first.
 func waitTimed(p *Proc) (v any, completed bool) {
-	if v = p.Wait(); TimedOut(v) {
+	if v = p.Wait(); v == (timeoutMark{}) {
 		return nil, false
 	}
 	return v, true
@@ -192,7 +196,7 @@ func TestTimedWaitOverflowingDeadline(t *testing.T) {
 	if woke || fired != 0 || eng.Now() != Microsecond {
 		t.Fatalf("woke %v, %d timers fired, clock %v; want none by 1us, clock at 1us", woke, fired, eng.Now())
 	}
-	if n := eng.Pending(); n != 4 {
+	if n := eng.events.size(); n != 4 {
 		t.Fatalf("%d events pending, want the sleeper's wakeup and the 3 timers", n)
 	}
 	eng.Close()

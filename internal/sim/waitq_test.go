@@ -2,6 +2,16 @@ package sim
 
 import "testing"
 
+// wakeAll wakes every valid waiter on q now, one WakeOne at a time,
+// and returns how many it woke.
+func wakeAll(q *WaitQueue) int {
+	n := 0
+	for q.WakeOne(0, nil) {
+		n++
+	}
+	return n
+}
+
 // TestWaitQueueRingWraparound cycles far more Wait/WakeOne pairs than the
 // ring's capacity while keeping a few waiters resident, so head repeatedly
 // wraps past the end of the buffer; FIFO order must survive every wrap.
@@ -39,15 +49,15 @@ func TestWaitQueueRingWraparound(t *testing.T) {
 				i, v, i%workers, order[:i+1])
 		}
 	}
-	if q.Len() != 0 {
-		t.Fatalf("Len() = %d after drain, want 0", q.Len())
+	if q.q.Len() != 0 {
+		t.Fatalf("Len() = %d after drain, want 0", q.q.Len())
 	}
 }
 
 // TestWaitQueueMixedTimeoutWakeAll stresses the ring under the full op
 // mix: plain Waits, timed waits that expire (a spent waiter stays
 // queued mid-ring), timed waits that are woken early (stale deadline
-// left in the engine heap), and WakeAll sweeps that empty the ring.
+// left in the engine heap), and wakeAll sweeps that empty the ring.
 func TestWaitQueueMixedTimeoutWakeAll(t *testing.T) {
 	e := NewEngine(7)
 	var q WaitQueue
@@ -73,7 +83,7 @@ func TestWaitQueueMixedTimeoutWakeAll(t *testing.T) {
 	}
 	e.Spawn("sweeper", 15, func(p *Proc) {
 		for e.live > 1 {
-			q.WakeAll(0, nil)
+			wakeAll(&q)
 			p.Sleep(35)
 		}
 	})
@@ -85,8 +95,8 @@ func TestWaitQueueMixedTimeoutWakeAll(t *testing.T) {
 	if timeouts == 0 {
 		t.Fatal("schedule never exercised the timeout/remove path")
 	}
-	if q.Len() != 0 {
-		t.Fatalf("Len() = %d after all procs finished, want 0", q.Len())
+	if q.q.Len() != 0 {
+		t.Fatalf("Len() = %d after all procs finished, want 0", q.q.Len())
 	}
 	if e.events.live() != 0 {
 		t.Fatalf("live events = %d after Run, want 0", e.events.live())
@@ -109,12 +119,12 @@ func TestWaitQueueSkipsSpentMidRing(t *testing.T) {
 	})
 	e.Spawn("c", 2, func(p *Proc) { q.Wait(p); order = append(order, "c") })
 	e.Spawn("observer", 12, func(p *Proc) { // after b's t=11 timeout
-		if q.Len() != 3 {
-			t.Errorf("Len() = %d after mid-ring timeout, want 3 (b still queued)", q.Len())
+		if q.q.Len() != 3 {
+			t.Errorf("Len() = %d after mid-ring timeout, want 3 (b still queued)", q.q.Len())
 		}
 		q.WakeOne(0, nil)
 		p.Sleep(1)
-		if !q.WakeOne(0, nil) || q.Len() != 0 {
+		if !q.WakeOne(0, nil) || q.q.Len() != 0 {
 			t.Error("the second WakeOne did not skip b to wake c")
 		}
 	})

@@ -3,18 +3,23 @@
 #
 # Builds every entry point with coverage on, drives the workloads below,
 # and prints each function whose coverage stays at 0%, except the
-# diagnostics (Error, String, Unwrap and panic* helpers), then their
-# count on the last line. Run it from anywhere inside the checkout:
+# diagnostics (Error, String, Unwrap and panic* helpers), and each
+# package under internal/ that no entry point links, except the
+# dipcvet analyzers under internal/analysis (the lint job runs those).
+# The count of both is the last line. Run it from anywhere inside the
+# checkout:
 #
 #	bash scripts/reach.sh
 #
-# Entry points: the dipcbench, oltp and netpipe commands, the five
-# examples and perfbench, whose functions are not counted. Workloads:
-#   - dipcbench: run all, list, bench (plain, -json and
-#     -compare BENCH_engine.json), the CI smokes (run table1 -json and
-#     the chaos-kill depth=0 error), and the flap-budget error inputs;
+# Entry points: the dipcbench, oltp and netpipe commands and perfbench,
+# whose functions are not counted. The examples are not entry points:
+# code that only an example runs counts as unreached. Workloads:
+#   - dipcbench: run all, list, bench (plain, -json, -compare
+#     BENCH_engine.json and a one-scenario -gate), the CI smokes (run
+#     table1 -json and the chaos-kill depth=0 error), the flap-budget
+#     error inputs, an unknown scenario, fig6 at full resolution and
+#     chaos-retrystorm with jittered backoff;
 #   - oltp: each mode, on disk and in memory; netpipe: each variant;
-#   - each example with its defaults;
 #   - each perfbench workload for one second at --trace 0 and --trace 1.
 # Everything it builds and writes goes to a temporary directory.
 set -euo pipefail
@@ -26,11 +31,21 @@ bin=$work/bin
 mkdir -p "$bin" "$work/cov" "$work/out"
 cd "$root"
 
-for c in cmd/dipcbench cmd/oltp cmd/netpipe \
-	examples/driver examples/plugin examples/quickstart examples/timeout examples/webstack; do
-	go build -cover -coverpkg=./... -o "$bin/${c##*/}" "./$c"
+cmds="./cmd/dipcbench ./cmd/oltp ./cmd/netpipe"
+for c in $cmds; do
+	go build -cover -coverpkg=./... -o "$bin/${c##*/}" "$c"
 done
 go -C perfbench build -cover -coverpkg=repro/... -o "$bin/perfbench" .
+
+# Packages no entry point links have no coverage data at all, so they
+# are listed from the import graph instead.
+{
+	go list -deps $cmds
+	go -C perfbench list -deps .
+} | sort -u >"$work/out/linked"
+go list ./internal/... | grep -v '^repro/internal/analysis\(/\|$\)' | sort |
+	comm -23 - "$work/out/linked" |
+	awk '{ print $1 "\t(package not linked by any entry point)" }' >"$work/out/unlinked"
 
 export GOCOVERDIR=$work/cov
 
@@ -54,12 +69,18 @@ expect 0 "$d" list
 expect 0 "$d" bench
 expect 0 "$d" bench -json "$work/out/bench.json"
 expect 0 "$d" bench -compare BENCH_engine.json
+# With one scenario gated and run, the suite median is that scenario's
+# own delta, so host speed cannot trip the gate.
+expect 0 "$d" bench -compare BENCH_engine.json -gate crosscall crosscall
 expect 0 "$d" run table1 -p bulk=1024 -json "$work/out/scenario.json"
 expect 2 "$d" run chaos-kill -p depth=0
 for s in chaos-rack failover-flap; do
 	expect 2 "$d" run "$s" -p flapperiod=1ps -p window=1ms
 	grep -q flapperiod "$work/out/stderr"
 done
+expect 2 "$d" run nosuch
+expect 0 "$d" run fig6 -p full=true
+expect 0 "$d" run chaos-retrystorm -p jitter=0.5
 
 for m in linux dipc ideal; do
 	expect 0 "$bin/oltp" -mode "$m" -threads 8 -window 20
@@ -67,9 +88,6 @@ for m in linux dipc ideal; do
 done
 for v in bare dipc dipcproc kernel sem pipe; do
 	expect 0 "$bin/netpipe" -variant "$v" -maxpow 4 -rounds 10
-done
-for e in driver plugin quickstart timeout webstack; do
-	expect 0 "$bin/$e"
 done
 
 # perfbench writes its build and profile files under .bench_build in
@@ -86,6 +104,6 @@ go tool covdata func -i="$work/cov" |
 		sub(/.*\./, "", name)
 		if (name !~ /^(Error|String|Unwrap|panic.*)$/) print $1 "\t" $2
 	}' |
-	sort >"$work/out/unreached"
+	sort | cat - "$work/out/unlinked" >"$work/out/unreached"
 cat "$work/out/unreached"
 wc -l <"$work/out/unreached"
