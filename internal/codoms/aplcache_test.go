@@ -3,8 +3,6 @@ package codoms
 import (
 	"math/rand"
 	"testing"
-
-	"repro/internal/mem"
 )
 
 // refAPLCache is the previous linear-scan implementation (including its
@@ -144,68 +142,5 @@ func TestAPLCacheEvictionReindex(t *testing.T) {
 				t.Fatalf("after insert %d: evicted tag %d still resident", i, lo-1)
 			}
 		}
-	}
-}
-
-// TestDCSDoubleRestoreAfterOverflow pins the pooled SwitchTo/RestoreFrom
-// failure path: when the result copy-back overflows the restored caller
-// stack, the token stays live and the fault unwinder re-restores through
-// it with nres=0. The second restore must neither zero the caller's live
-// entries nor leak the active backing array into the spare pool.
-func TestDCSDoubleRestoreAfterOverflow(t *testing.T) {
-	d := NewDCS(4)
-	mk := func(base uint64) Capability {
-		return Capability{Base: mem.Addr(base), Size: 1, Perm: PermRead, valid: true}
-	}
-	for i := 1; i <= 4; i++ { // caller stack at the limit
-		if err := d.Push(mk(uint64(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tok, err := d.SwitchTo(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := d.Push(mk(42)); err != nil { // callee result on top of the argument
-		t.Fatal(err)
-	}
-	// Caller stack is back at 3 entries (limit 4); two results overflow.
-	if err := d.RestoreFrom(tok, 2); err == nil {
-		t.Fatal("copy-back into a full caller stack must overflow")
-	}
-	// Fault unwinding: discard the callee stack through the same token.
-	if err := d.RestoreFrom(tok, 0); err != nil {
-		t.Fatalf("unwind restore: %v", err)
-	}
-	// Caller entries must be intact; the partially-pushed result above
-	// the token's watermark is dropped by the unwind restore, exactly as
-	// with the old value-token implementation.
-	want := []uint64{3, 2, 1}
-	for i, w := range want {
-		c, err := d.Pop()
-		if err != nil {
-			t.Fatalf("pop %d: %v", i, err)
-		}
-		if uint64(c.Base) != w || !c.valid {
-			t.Fatalf("pop %d = %+v, want Base %d (caller stack corrupted)", i, c, w)
-		}
-	}
-	// The recycled pool must not alias a stack that was live at recycle
-	// time: a fresh switch must hand out a different backing array.
-	if err := d.Push(mk(7)); err != nil {
-		t.Fatal(err)
-	}
-	tok2, err := d.SwitchTo(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Depth() != 0 {
-		t.Fatalf("fresh stack depth = %d, want 0", d.Depth())
-	}
-	if err := d.RestoreFrom(tok2, 0); err != nil {
-		t.Fatal(err)
-	}
-	if c, err := d.Pop(); err != nil || c.Base != 7 {
-		t.Fatalf("caller entry after second switch = %+v, %v", c, err)
 	}
 }

@@ -6,63 +6,24 @@ import (
 	"repro/internal/mem"
 )
 
-// CapKind distinguishes the paper's two capability flavours (§4.2 /
-// §4.1.5 of the CODOMs paper).
-type CapKind int
-
-const (
-	// CapSync capabilities are thread-private: cheap, cannot be passed
-	// to other threads, and implicitly revoked when the frame that
-	// created them returns.
-	CapSync CapKind = iota
-	// CapAsync capabilities may cross threads and support immediate
-	// revocation through a revocation counter.
-	CapAsync
-)
-
-// CapSizeBytes is the in-memory footprint of a capability (§4.2).
-const CapSizeBytes = 32
-
-// RevCounter implements immediate revocation for asynchronous
-// capabilities: each capability snapshots the counter at creation and is
-// valid only while the snapshot matches.
-type RevCounter struct {
-	current uint64
-}
-
-// Revoke invalidates every capability derived under the current epoch.
-func (rc *RevCounter) Revoke() { rc.current++ }
-
 // Capability is an unforgeable grant of access to [Base, Base+Size).
-// User code can only obtain one through NewFromAPL or Derive, mirroring
-// the hardware rule that a capability is always derived from the current
-// domain's APL or from an existing capability.
+// User code can only obtain one through NewFromAPL, mirroring the
+// hardware rule that a capability is always derived from the current
+// domain's APL. The model has only the synchronous kind of §4.2: a
+// capability is private to the thread that created it.
 type Capability struct {
 	Base mem.Addr
 	Size mem.Addr
 	Perm Perm
-	Kind CapKind
 
-	owner *ThreadCtx  // synchronous capabilities: creating thread
-	rc    *RevCounter // asynchronous capabilities
-	epoch uint64
+	owner *ThreadCtx // creating thread
 	valid bool
 }
 
-// Valid reports whether the capability can authorize accesses right now
-// from thread ctx.
+// ValidFor reports whether the capability can authorize accesses right
+// now from thread ctx.
 func (c Capability) ValidFor(ctx *ThreadCtx) bool {
-	if !c.valid || c.Size == 0 {
-		return false
-	}
-	switch c.Kind {
-	case CapSync:
-		return c.owner == ctx
-	case CapAsync:
-		return c.rc == nil || c.rc.current == c.epoch
-	default:
-		return false
-	}
+	return c.valid && c.Size != 0 && c.owner == ctx
 }
 
 // Covers reports whether the capability spans [va, va+size) with at
@@ -79,59 +40,28 @@ func (c Capability) Covers(va mem.Addr, size int, perm Perm) bool {
 // deriving the authority from the current code domain's APL (or implicit
 // self access). Every page in the range must belong to the target domain
 // tag, and the APL permission must dominate perm.
-//
-// kind selects a synchronous (thread-private) or asynchronous capability;
-// asynchronous ones take a revocation counter (which may be shared by
-// several capabilities to revoke them as a group).
-func (s *System) NewFromAPL(ctx *ThreadCtx, pt *mem.PageTable, tag Tag, base mem.Addr, size int, perm Perm, kind CapKind, rc *RevCounter) (Capability, error) {
+func (s *System) NewFromAPL(ctx *ThreadCtx, pt *mem.PageTable, tag Tag, base mem.Addr, size int, perm Perm) (Capability, error) {
 	subject := ctx.CodeDomain(pt)
 	have := s.APLPerm(subject, tag)
 	if have < perm {
 		return Capability{}, fmt.Errorf("codoms: domain %d holds %v over %d, cannot mint %v capability",
 			subject, have, tag, perm)
 	}
+	if size <= 0 {
+		return Capability{}, fmt.Errorf("codoms: capability of %d bytes", size)
+	}
 	// All covered pages must carry the target tag; otherwise the
 	// capability would launder access to a third domain.
-	for off := mem.Addr(0); off < mem.Addr(size); off += mem.PageSize {
-		pi, ok := pt.Lookup(base + off)
+	for a := base &^ (mem.PageSize - 1); a < base+mem.Addr(size); a += mem.PageSize {
+		pi, ok := pt.Lookup(a)
 		if !ok {
-			return Capability{}, fmt.Errorf("codoms: capability over unmapped page %#x", uint64(base+off))
+			return Capability{}, fmt.Errorf("codoms: capability over unmapped page %#x", uint64(a))
 		}
 		if pi.Tag != tag {
-			return Capability{}, fmt.Errorf("codoms: page %#x tagged %d, not %d", uint64(base+off), pi.Tag, tag)
+			return Capability{}, fmt.Errorf("codoms: page %#x tagged %d, not %d", uint64(a), pi.Tag, tag)
 		}
 	}
-	c := Capability{
-		Base: base, Size: mem.Addr(size), Perm: perm, Kind: kind, valid: true,
-	}
-	switch kind {
-	case CapSync:
-		c.owner = ctx
-	case CapAsync:
-		c.rc = rc
-		if rc != nil {
-			c.epoch = rc.current
-		}
-	}
-	return c, nil
-}
-
-// Derive narrows an existing capability: the child must be a sub-range
-// with a permission no stronger than the parent's. The child inherits the
-// parent's kind, owner and revocation epoch — hardware cannot widen
-// authority.
-func Derive(parent Capability, base mem.Addr, size int, perm Perm) (Capability, error) {
-	if perm > parent.Perm {
-		return Capability{}, fmt.Errorf("codoms: derive cannot raise %v to %v", parent.Perm, perm)
-	}
-	if !parent.Covers(base, size, perm) {
-		return Capability{}, fmt.Errorf("codoms: derive range [%#x,+%d) escapes parent", uint64(base), size)
-	}
-	child := parent
-	child.Base = base
-	child.Size = mem.Addr(size)
-	child.Perm = perm
-	return child, nil
+	return Capability{Base: base, Size: mem.Addr(size), Perm: perm, owner: ctx, valid: true}, nil
 }
 
 // NumCapRegs is the number of per-thread capability registers (§4.2).

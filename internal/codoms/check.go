@@ -6,70 +6,35 @@ import (
 	"repro/internal/mem"
 )
 
-// Access is the kind of memory access being checked.
-type Access int
-
-const (
-	// AccessRead is an ordinary load.
-	AccessRead Access = iota
-	// AccessWrite is an ordinary store.
-	AccessWrite
-	// AccessExec is an instruction fetch.
-	AccessExec
-	// AccessCapLoad loads a capability from tagged storage.
-	AccessCapLoad
-	// AccessCapStore stores a capability to tagged storage.
-	AccessCapStore
-)
-
-// String names the access kind.
-func (a Access) String() string {
-	switch a {
-	case AccessRead:
-		return "read"
-	case AccessWrite:
-		return "write"
-	case AccessExec:
-		return "exec"
-	case AccessCapLoad:
-		return "capload"
-	case AccessCapStore:
-		return "capstore"
-	default:
-		return fmt.Sprintf("Access(%d)", int(a))
-	}
-}
-
-// Fault is the error produced by a failed CODOMs check; the OS layer
-// turns it into the thread-crash path of §5.2.1.
+// Fault is the error produced by a failed CODOMs check. The model
+// checks only control transfers and privileged instructions, so every
+// fault is an exec fault; dIPC returns it to the caller of the proxy.
 type Fault struct {
 	Subject Tag
 	VA      mem.Addr
-	Kind    Access
 	Reason  string
 }
 
 // Error implements error.
 func (f *Fault) Error() string {
-	return fmt.Sprintf("codoms fault: domain %d %s at %#x: %s", f.Subject, f.Kind, uint64(f.VA), f.Reason)
+	return fmt.Sprintf("codoms fault: domain %d exec at %#x: %s", f.Subject, uint64(f.VA), f.Reason)
 }
 
 // ThreadCtx is the per-hardware-thread CODOMs state: the instruction
 // pointer (whose page tag defines the subject domain), the 8 capability
-// registers, the capability stack and the APL cache.
+// registers and the APL cache.
 type ThreadCtx struct {
 	ip       mem.Addr
 	ipDomain Tag // cached tag of the current code page
 	ipValid  bool
 
 	CapRegs [NumCapRegs]Capability
-	DCS     *DCS
 	Cache   *APLCache
 }
 
 // NewThreadCtx returns a fresh hardware thread context.
 func NewThreadCtx() *ThreadCtx {
-	return &ThreadCtx{DCS: NewDCS(0), Cache: NewAPLCache()}
+	return &ThreadCtx{Cache: NewAPLCache()}
 }
 
 // SetIP moves the instruction pointer, invalidating the cached subject
@@ -114,91 +79,6 @@ func (ctx *ThreadCtx) CodeDomain(pt *mem.PageTable) Tag {
 	return pi.Tag
 }
 
-// need maps an access kind to the APL/capability permission it requires.
-func (a Access) need() Perm {
-	switch a {
-	case AccessWrite, AccessCapStore:
-		return PermWrite
-	default:
-		return PermRead
-	}
-}
-
-// Check validates a data access of size bytes at va by the code currently
-// executing on ctx, per §4.1/§4.2: the page's protection bits are always
-// honoured, then authority comes from (a) the subject's own tag, (b) the
-// subject's APL, or (c) any valid capability register covering the range.
-func (s *System) Check(ctx *ThreadCtx, pt *mem.PageTable, va mem.Addr, size int, acc Access) error {
-	subject := ctx.CodeDomain(pt)
-	if size <= 0 {
-		size = 1
-	}
-	fault := func(reason string) error {
-		return &Fault{Subject: subject, VA: va, Kind: acc, Reason: reason}
-	}
-	// Page-level checks over the whole range.
-	end := va + mem.Addr(size)
-	target := Tag(0)
-	for a := va &^ (mem.PageSize - 1); a < end; a += mem.PageSize {
-		pi, ok := pt.Lookup(a)
-		if !ok {
-			return fault("page not mapped")
-		}
-		if a == va&^(mem.PageSize-1) {
-			target = pi.Tag
-		} else if pi.Tag != target {
-			return fault("access spans domains")
-		}
-		// Per-page protection bits are honoured regardless of APL
-		// grants (§4.1).
-		switch acc {
-		case AccessWrite:
-			if !pi.Flags.Has(mem.FlagWrite) {
-				return fault("page not writable")
-			}
-			if pi.Flags.Has(mem.FlagCapStore) {
-				return fault("ordinary store to capability storage")
-			}
-		case AccessRead:
-			if pi.Flags.Has(mem.FlagCapStore) {
-				return fault("ordinary load from capability storage")
-			}
-		case AccessExec:
-			if !pi.Flags.Has(mem.FlagExec) {
-				return fault("page not executable")
-			}
-		case AccessCapLoad:
-			if !pi.Flags.Has(mem.FlagCapStore) {
-				return fault("capability load from untagged page")
-			}
-		case AccessCapStore:
-			if !pi.Flags.Has(mem.FlagCapStore) {
-				return fault("capability store to untagged page")
-			}
-			if !pi.Flags.Has(mem.FlagWrite) {
-				return fault("capability store to read-only page")
-			}
-		}
-	}
-	// (a) own domain.
-	if target == subject {
-		return nil
-	}
-	// (b) APL.
-	if s.APLPerm(subject, target) >= acc.need() {
-		return nil
-	}
-	// (c) capability registers: by default accesses are checked against
-	// all 8 (§4.2).
-	for i := range ctx.CapRegs {
-		c := ctx.CapRegs[i]
-		if c.ValidFor(ctx) && c.Covers(va, size, acc.need()) {
-			return nil
-		}
-	}
-	return fault(fmt.Sprintf("no APL grant (%v) or covering capability", s.APLPerm(subject, target)))
-}
-
 // CheckCall validates a control transfer to target: the target must be
 // executable and the subject must reach it through its own domain, an APL
 // entry (call permission restricted to aligned entry points, read or
@@ -206,7 +86,7 @@ func (s *System) Check(ctx *ThreadCtx, pt *mem.PageTable, va mem.Addr, size int,
 func (s *System) CheckCall(ctx *ThreadCtx, pt *mem.PageTable, target mem.Addr) error {
 	subject := ctx.CodeDomain(pt)
 	fault := func(reason string) error {
-		return &Fault{Subject: subject, VA: target, Kind: AccessExec, Reason: reason}
+		return &Fault{Subject: subject, VA: target, Reason: reason}
 	}
 	pi, ok := pt.Lookup(target)
 	if !ok {
@@ -346,7 +226,7 @@ func (s *System) CheckPrivCached(ctx *ThreadCtx, pt *mem.PageTable, v *PrivVerdi
 func (s *System) CheckPriv(ctx *ThreadCtx, pt *mem.PageTable) error {
 	pi, ok := pt.Lookup(ctx.ip)
 	if !ok || !pi.Flags.Has(mem.FlagPrivCap) {
-		return &Fault{Subject: ctx.CodeDomain(pt), VA: ctx.ip, Kind: AccessExec,
+		return &Fault{Subject: ctx.CodeDomain(pt), VA: ctx.ip,
 			Reason: "privileged instruction outside privileged-capability page"}
 	}
 	return nil

@@ -7,15 +7,16 @@ import (
 	"repro/internal/mem"
 )
 
-// Property: a valid capability authorizes exactly the accesses inside
-// its bounds with permissions up to its own, and nothing outside.
+// Property: a capability covers exactly the ranges inside its bounds
+// with permissions up to its own, and nothing outside, and only on the
+// thread that minted it.
 func TestCapabilityBoundsProperty(t *testing.T) {
 	s := NewSystem()
 	pt := mem.NewPageTable()
 	owner := s.NewDomain()
 	stranger := s.NewDomain()
 	const pages = 16
-	if err := pt.Map(0x100000, pages, mem.FlagWrite|mem.FlagExec, owner.Tag); err != nil {
+	if err := pt.Map(0x100000, pages, mem.FlagExec, owner.Tag); err != nil {
 		t.Fatal(err)
 	}
 	// A code page for the stranger to execute from.
@@ -24,6 +25,8 @@ func TestCapabilityBoundsProperty(t *testing.T) {
 	}
 	ownerCtx := NewThreadCtx()
 	ownerCtx.SetIP(0x100000)
+	other := NewThreadCtx()
+	other.SetIP(0x900000)
 
 	f := func(offRaw, sizeRaw uint16, accOff uint16, accSize uint8, wantWrite bool) bool {
 		base := mem.Addr(0x100000) + mem.Addr(offRaw)%(pages*mem.PageSize/2)
@@ -35,36 +38,26 @@ func TestCapabilityBoundsProperty(t *testing.T) {
 		if wantWrite {
 			perm = PermWrite
 		}
-		rc := &RevCounter{}
-		cap, err := s.NewFromAPL(ownerCtx, pt, owner.Tag, base, size, perm, CapAsync, rc)
+		cap, err := s.NewFromAPL(ownerCtx, pt, owner.Tag, base, size, perm)
 		if err != nil {
 			return false
 		}
-		ctx := NewThreadCtx()
-		ctx.SetIP(0x900000)
-		ctx.CapRegs[3] = cap
+		if !cap.ValidFor(ownerCtx) || cap.ValidFor(other) {
+			return false // valid on the minting thread only
+		}
 
 		va := base + mem.Addr(accOff)
 		n := int(accSize)%64 + 1
 		inBounds := va >= base && int(va)+n <= int(base)+size
-		readOK := s.Check(ctx, pt, va, n, AccessRead) == nil
-		writeOK := s.Check(ctx, pt, va, n, AccessWrite) == nil
+		readOK := cap.Covers(va, n, PermRead)
+		writeOK := cap.Covers(va, n, PermWrite)
 		if inBounds {
-			if !readOK {
-				return false // read is always covered by read or write caps
-			}
-			if writeOK != wantWrite {
-				return false // write only with a write capability
-			}
-		} else if readOK || writeOK {
-			// The access may still be legal if it lands inside the
-			// capability after wrapping... it cannot: va >= base and
-			// out-of-bounds means past the end.
-			return false
+			// Read is always covered by read or write capabilities,
+			// write only by a write capability.
+			return readOK && writeOK == wantWrite
 		}
-		// After revocation nothing is allowed.
-		rc.Revoke()
-		return s.Check(ctx, pt, va, n, AccessRead) != nil
+		// va >= base, so out of bounds means past the end.
+		return !readOK && !writeOK
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {
 		t.Fatal(err)
@@ -102,10 +95,10 @@ func TestGrantDirectionalityProperty(t *testing.T) {
 		s := NewSystem()
 		pt := mem.NewPageTable()
 		a, b := s.NewDomain(), s.NewDomain()
-		if err := pt.Map(0, 1, mem.FlagExec|mem.FlagWrite, a.Tag); err != nil {
+		if err := pt.Map(0, 1, mem.FlagExec, a.Tag); err != nil {
 			return false
 		}
-		if err := pt.Map(mem.PageSize, 1, mem.FlagExec|mem.FlagWrite, b.Tag); err != nil {
+		if err := pt.Map(mem.PageSize, 1, mem.FlagExec, b.Tag); err != nil {
 			return false
 		}
 		perm := Perm(permRaw%3) + PermCall
@@ -115,37 +108,11 @@ func TestGrantDirectionalityProperty(t *testing.T) {
 		bctx := NewThreadCtx()
 		bctx.SetIP(mem.PageSize) // executing in B
 		// B must not gain anything from A's grant.
-		return s.Check(bctx, pt, 0, 8, AccessRead) != nil &&
-			s.Check(bctx, pt, 0, 8, AccessWrite) != nil
+		_, capErr := s.NewFromAPL(bctx, pt, a.Tag, 0, 8, PermRead)
+		return s.APLPerm(b.Tag, a.Tag) == PermNil && capErr != nil &&
+			s.CheckCall(bctx, pt, 0) != nil
 	}
 	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: DCS push/pop round-trips preserve LIFO content within the
-// visible window.
-func TestDCSLIFOProperty(t *testing.T) {
-	f := func(bases []uint16) bool {
-		if len(bases) > 200 {
-			bases = bases[:200]
-		}
-		d := NewDCS(256)
-		for _, b := range bases {
-			if d.Push(Capability{Base: mem.Addr(b), Size: 1, valid: true}) != nil {
-				return false
-			}
-		}
-		for i := len(bases) - 1; i >= 0; i-- {
-			c, err := d.Pop()
-			if err != nil || c.Base != mem.Addr(bases[i]) {
-				return false
-			}
-		}
-		_, err := d.Pop()
-		return err != nil // empty now
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -1,10 +1,7 @@
 package codoms
 
 import (
-	"fmt"
-	"strings"
 	"testing"
-	"testing/quick"
 
 	"repro/internal/mem"
 )
@@ -19,7 +16,7 @@ func fig4(t *testing.T) (s *System, pt *mem.PageTable, a, b, c *Domain) {
 	a, b, c = s.NewDomain(), s.NewDomain(), s.NewDomain()
 	pageOwner := map[int]*Domain{0: c, 1: a, 2: a, 3: b, 4: a, 5: c, 6: c, 7: a}
 	for page, d := range pageOwner {
-		if err := pt.Map(mem.Addr(page)*mem.PageSize, 1, mem.FlagWrite|mem.FlagExec, d.Tag); err != nil {
+		if err := pt.Map(mem.Addr(page)*mem.PageSize, 1, mem.FlagExec, d.Tag); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -40,18 +37,26 @@ func ctxAt(page int, off mem.Addr) *ThreadCtx {
 }
 
 func TestFig4SelfAccess(t *testing.T) {
-	s, pt, _, _, _ := fig4(t)
+	s, pt, a, _, _ := fig4(t)
 	ctx := ctxAt(1, 0) // executing in A
-	if err := s.Check(ctx, pt, 2*mem.PageSize+100, 8, AccessWrite); err != nil {
-		t.Fatalf("A writing its own page 2: %v", err)
+	if got := ctx.CodeDomain(pt); got != a.Tag {
+		t.Fatalf("subject domain = %d, want A (%d)", got, a.Tag)
 	}
-	if err := s.Check(ctx, pt, 7*mem.PageSize, 8, AccessRead); err != nil {
-		t.Fatalf("A reading its own page 7: %v", err)
+	// A domain implicitly holds write over itself.
+	if _, err := s.NewFromAPL(ctx, pt, a.Tag, 2*mem.PageSize+100, 8, PermWrite); err != nil {
+		t.Fatalf("A minting write over its own page 2: %v", err)
+	}
+	if _, err := s.NewFromAPL(ctx, pt, a.Tag, 7*mem.PageSize, 8, PermRead); err != nil {
+		t.Fatalf("A minting read over its own page 7: %v", err)
+	}
+	// Its own code is callable at any address, aligned or not.
+	if err := s.CheckCall(ctx, pt, 7*mem.PageSize+24); err != nil {
+		t.Fatalf("A calling into its own page 7 mid-page: %v", err)
 	}
 }
 
 func TestFig4CallPermission(t *testing.T) {
-	s, pt, _, _, _ := fig4(t)
+	s, pt, a, b, _ := fig4(t)
 	ctx := ctxAt(1, 0) // executing in A
 	// Aligned entry point in B (page 3).
 	if err := s.CheckCall(ctx, pt, 3*mem.PageSize); err != nil {
@@ -66,17 +71,20 @@ func TestFig4CallPermission(t *testing.T) {
 		t.Fatal("A called into C without any grant")
 	}
 	// A cannot read B either: call permission is not read.
-	if err := s.Check(ctx, pt, 3*mem.PageSize, 8, AccessRead); err == nil {
-		t.Fatal("A read B with only call permission")
+	if got := s.APLPerm(a.Tag, b.Tag); got != PermCall {
+		t.Fatalf("A holds %v over B, want call", got)
+	}
+	if _, err := s.NewFromAPL(ctx, pt, b.Tag, 3*mem.PageSize, 8, PermRead); err == nil {
+		t.Fatal("A minted a read capability over B with only call permission")
 	}
 }
 
 func TestFig4CodeCentricSubjectSwitch(t *testing.T) {
-	s, pt, _, _, _ := fig4(t)
+	s, pt, _, _, c := fig4(t)
 	ctx := ctxAt(1, 0) // executing in A
-	// A cannot touch C...
-	if err := s.Check(ctx, pt, 5*mem.PageSize, 4, AccessRead); err == nil {
-		t.Fatal("A read C")
+	// A cannot read C...
+	if _, err := s.NewFromAPL(ctx, pt, c.Tag, 5*mem.PageSize, 4, PermRead); err == nil {
+		t.Fatal("A minted a read capability over C")
 	}
 	// ...but after calling into B, the *instruction pointer* is the
 	// subject, so C becomes readable (B has read on C).
@@ -84,16 +92,16 @@ func TestFig4CodeCentricSubjectSwitch(t *testing.T) {
 	if err := s.CallCached(ctx, pt, 3*mem.PageSize, &v); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Check(ctx, pt, 5*mem.PageSize, 4, AccessRead); err != nil {
-		t.Fatalf("B reading C: %v", err)
+	if _, err := s.NewFromAPL(ctx, pt, c.Tag, 5*mem.PageSize, 4, PermRead); err != nil {
+		t.Fatalf("B minting read over C: %v", err)
 	}
 	// Read permission allows jumping to arbitrary addresses in C.
 	if err := s.CheckCall(ctx, pt, 6*mem.PageSize+24); err != nil {
 		t.Fatalf("B jumping into C mid-page: %v", err)
 	}
 	// But read is not write.
-	if err := s.Check(ctx, pt, 5*mem.PageSize, 4, AccessWrite); err == nil {
-		t.Fatal("B wrote C with read permission")
+	if _, err := s.NewFromAPL(ctx, pt, c.Tag, 5*mem.PageSize, 4, PermWrite); err == nil {
+		t.Fatal("B minted a write capability over C with read permission")
 	}
 }
 
@@ -104,30 +112,37 @@ func TestPageBitsHonoredOverAPL(t *testing.T) {
 	if err := pt.Map(0, 1, mem.FlagExec, a.Tag); err != nil { // code page of A
 		t.Fatal(err)
 	}
-	if err := pt.Map(mem.PageSize, 1, 0, b.Tag); err != nil { // read-only page of B
+	if err := pt.Map(mem.PageSize, 1, 0, b.Tag); err != nil { // data page of B
+		t.Fatal(err)
+	}
+	if err := pt.Map(2*mem.PageSize, 1, mem.FlagExec, b.Tag); err != nil { // code page of B
 		t.Fatal(err)
 	}
 	if err := s.Grant(a.Tag, b.Tag, PermWrite); err != nil {
 		t.Fatal(err)
 	}
 	ctx := ctxAt(0, 0)
-	if err := s.Check(ctx, pt, mem.PageSize, 4, AccessRead); err != nil {
-		t.Fatalf("read should pass: %v", err)
+	if err := s.CheckCall(ctx, pt, 2*mem.PageSize+8); err != nil {
+		t.Fatalf("call into B's code should pass: %v", err)
 	}
-	// APL write grant cannot override the page's read-only bit (§4.1).
-	if err := s.Check(ctx, pt, mem.PageSize, 4, AccessWrite); err == nil {
-		t.Fatal("write to read-only page allowed by APL grant")
+	// An APL write grant cannot override the page's missing exec bit
+	// (§4.1).
+	if err := s.CheckCall(ctx, pt, mem.PageSize); err == nil {
+		t.Fatal("call into a non-executable page allowed by APL grant")
 	}
 }
 
 func TestAccessSpanningDomainsFaults(t *testing.T) {
 	s, pt, a, _, _ := fig4(t)
-	_ = a
 	ctx := ctxAt(1, 0)
-	// Pages 1 (A) and 0 would be fine individually... pick 4 (A) and 5 (C):
-	va := mem.Addr(4*mem.PageSize + mem.PageSize - 4)
-	if err := s.Check(ctx, pt, va, 16, AccessRead); err == nil {
-		t.Fatal("access spanning two domains must fault")
+	// The last bytes of page 4 (A) are A's own...
+	end4 := mem.Addr(5 * mem.PageSize)
+	if _, err := s.NewFromAPL(ctx, pt, a.Tag, end4-16, 16, PermRead); err != nil {
+		t.Fatalf("capability over the end of A's page 4: %v", err)
+	}
+	// ...but a range that runs on into page 5 (C) spans two domains.
+	if _, err := s.NewFromAPL(ctx, pt, a.Tag, end4-4, 16, PermRead); err == nil {
+		t.Fatal("capability spanning two domains must be refused")
 	}
 }
 
@@ -137,14 +152,23 @@ func TestGrantRevoke(t *testing.T) {
 	if err := s.Grant(a.Tag, b.Tag, PermWrite); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Check(ctx, pt, 3*mem.PageSize, 4, AccessWrite); err != nil {
-		t.Fatalf("write after grant upgrade: %v", err)
+	if got := s.APLPerm(a.Tag, b.Tag); got != PermWrite {
+		t.Fatalf("A holds %v over B after the upgrade, want write", got)
+	}
+	if _, err := s.NewFromAPL(ctx, pt, b.Tag, 3*mem.PageSize, 4, PermWrite); err != nil {
+		t.Fatalf("write capability after grant upgrade: %v", err)
 	}
 	if err := s.Grant(a.Tag, b.Tag, PermNil); err != nil { // grant_revoke
 		t.Fatal(err)
 	}
-	if err := s.Check(ctx, pt, 3*mem.PageSize, 4, AccessRead); err == nil {
-		t.Fatal("access after revoke")
+	if got := s.APLPerm(a.Tag, b.Tag); got != PermNil {
+		t.Fatalf("A holds %v over B after revoke, want nil", got)
+	}
+	if _, err := s.NewFromAPL(ctx, pt, b.Tag, 3*mem.PageSize, 4, PermRead); err == nil {
+		t.Fatal("read capability after revoke")
+	}
+	if err := s.CheckCall(ctx, pt, 3*mem.PageSize); err == nil {
+		t.Fatal("call after revoke")
 	}
 	// Grants involving unknown domains fail.
 	if err := s.Grant(Tag(999), b.Tag, PermRead); err == nil {
@@ -156,10 +180,9 @@ func TestGrantRevoke(t *testing.T) {
 }
 
 func TestCapabilityFromAPL(t *testing.T) {
-	s, pt, _, b, c := fig4(t)
-	_ = b
+	s, pt, _, _, c := fig4(t)
 	ctx := ctxAt(3, 0) // executing in B, which has read over C
-	cap, err := s.NewFromAPL(ctx, pt, c.Tag, 5*mem.PageSize, 64, PermRead, CapSync, nil)
+	cap, err := s.NewFromAPL(ctx, pt, c.Tag, 5*mem.PageSize, 64, PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,135 +190,79 @@ func TestCapabilityFromAPL(t *testing.T) {
 		t.Fatal("capability does not cover its own range")
 	}
 	// Cannot mint more authority than the APL holds.
-	if _, err := s.NewFromAPL(ctx, pt, c.Tag, 5*mem.PageSize, 64, PermWrite, CapSync, nil); err == nil {
+	if _, err := s.NewFromAPL(ctx, pt, c.Tag, 5*mem.PageSize, 64, PermWrite); err == nil {
 		t.Fatal("minted write capability from read grant")
 	}
 	// Cannot mint over pages of a different domain.
-	if _, err := s.NewFromAPL(ctx, pt, c.Tag, 1*mem.PageSize, 64, PermRead, CapSync, nil); err == nil {
+	if _, err := s.NewFromAPL(ctx, pt, c.Tag, 1*mem.PageSize, 64, PermRead); err == nil {
 		t.Fatal("minted capability over foreign pages")
 	}
 	// Unmapped pages are rejected.
-	if _, err := s.NewFromAPL(ctx, pt, c.Tag, 100*mem.PageSize, 64, PermRead, CapSync, nil); err == nil {
+	if _, err := s.NewFromAPL(ctx, pt, c.Tag, 100*mem.PageSize, 64, PermRead); err == nil {
 		t.Fatal("minted capability over unmapped pages")
 	}
 }
 
 func TestCapabilityAuthorizesAccess(t *testing.T) {
-	s, pt, a, _, c := fig4(t)
-	_ = a
-	// B mints a read capability over part of C and "passes" it to a
-	// thread executing in A (async capabilities may cross threads).
-	bctx := ctxAt(3, 0)
-	rc := &RevCounter{}
-	cap, err := s.NewFromAPL(bctx, pt, c.Tag, 5*mem.PageSize, 256, PermRead, CapAsync, rc)
+	s, pt, _, _, c := fig4(t)
+	// A thread executing in B mints capabilities over part of C, then
+	// moves on into A's code, which holds no grant over C: from there
+	// only its capability registers authorize calls into C.
+	ctx := ctxAt(3, 0)
+	read, err := s.NewFromAPL(ctx, pt, c.Tag, 5*mem.PageSize, 256, PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}
-	actx := ctxAt(1, 0)
-	actx.CapRegs[2] = cap
-	if err := s.Check(actx, pt, 5*mem.PageSize+8, 16, AccessRead); err != nil {
-		t.Fatalf("capability-authorized read failed: %v", err)
+	call, err := s.NewFromAPL(ctx, pt, c.Tag, 6*mem.PageSize, 256, PermCall)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx.SetIP(1 * mem.PageSize)
+	if err := s.CheckCall(ctx, pt, 5*mem.PageSize+8); err == nil {
+		t.Fatal("A called into C with no grant and no capability")
+	}
+	ctx.CapRegs[2] = read
+	ctx.CapRegs[3] = call
+	// A read capability authorizes any target inside its bounds.
+	if err := s.CheckCall(ctx, pt, 5*mem.PageSize+8); err != nil {
+		t.Fatalf("capability-authorized call failed: %v", err)
 	}
 	// Out of capability bounds fails.
-	if err := s.Check(actx, pt, 5*mem.PageSize+300, 16, AccessRead); err == nil {
-		t.Fatal("read beyond capability bounds allowed")
+	if err := s.CheckCall(ctx, pt, 5*mem.PageSize+300); err == nil {
+		t.Fatal("call beyond capability bounds allowed")
 	}
-	// Immediate revocation (§4.2).
-	rc.Revoke()
-	if err := s.Check(actx, pt, 5*mem.PageSize+8, 16, AccessRead); err == nil {
-		t.Fatal("revoked capability still authorizes")
+	// A call capability authorizes aligned entry points only.
+	if err := s.CheckCall(ctx, pt, 6*mem.PageSize+s.EntryAlign); err != nil {
+		t.Fatalf("call capability denied an aligned entry: %v", err)
+	}
+	if err := s.CheckCall(ctx, pt, 6*mem.PageSize+8); err == nil {
+		t.Fatal("call capability allowed an unaligned target")
 	}
 }
 
 func TestSyncCapabilityIsThreadPrivate(t *testing.T) {
 	s, pt, _, _, c := fig4(t)
 	bctx := ctxAt(3, 0)
-	cap, err := s.NewFromAPL(bctx, pt, c.Tag, 5*mem.PageSize, 64, PermRead, CapSync, nil)
+	cap, err := s.NewFromAPL(bctx, pt, c.Tag, 5*mem.PageSize, 64, PermRead)
 	if err != nil {
 		t.Fatal(err)
 	}
 	other := ctxAt(1, 0)
 	other.CapRegs[0] = cap
-	if err := s.Check(other, pt, 5*mem.PageSize, 8, AccessRead); err == nil {
+	if cap.ValidFor(other) {
+		t.Fatal("capability valid on a foreign thread")
+	}
+	if err := s.CheckCall(other, pt, 5*mem.PageSize+8); err == nil {
 		t.Fatal("synchronous capability honoured on a foreign thread")
 	}
 	// It does work on its owner.
 	bctx.CapRegs[0] = cap
 	bctx.SetIP(1 * mem.PageSize) // even from other code (owner thread is what counts)
-	if err := s.Check(bctx, pt, 5*mem.PageSize, 8, AccessRead); err != nil {
+	if !cap.ValidFor(bctx) {
+		t.Fatal("capability invalid on its owner")
+	}
+	if err := s.CheckCall(bctx, pt, 5*mem.PageSize+8); err != nil {
 		t.Fatalf("owner thread denied: %v", err)
-	}
-}
-
-func TestDeriveNeverWidens(t *testing.T) {
-	parent := Capability{Base: 0x1000, Size: 0x1000, Perm: PermRead, Kind: CapSync, valid: true}
-	if _, err := Derive(parent, 0x1000, 16, PermWrite); err == nil {
-		t.Fatal("derive widened permission")
-	}
-	if _, err := Derive(parent, 0x1800, 0x1000, PermRead); err == nil {
-		t.Fatal("derive escaped range")
-	}
-	child, err := Derive(parent, 0x1800, 0x100, PermCall)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if child.Perm != PermCall || child.Base != 0x1800 {
-		t.Fatalf("child = %+v", child)
-	}
-}
-
-func TestDerivePropertyNarrowing(t *testing.T) {
-	f := func(baseOff, size uint16, permRaw uint8) bool {
-		parent := Capability{Base: 0x10000, Size: 0x10000, Perm: PermWrite, Kind: CapSync, valid: true}
-		b := parent.Base + mem.Addr(baseOff)
-		sz := int(size)%0x1000 + 1
-		perm := Perm(permRaw % 4)
-		child, err := Derive(parent, b, sz, perm)
-		if err != nil {
-			// Allowed to fail only if out of range (perm can't exceed write).
-			return b+mem.Addr(sz) > parent.Base+parent.Size
-		}
-		return child.Perm <= parent.Perm &&
-			child.Base >= parent.Base &&
-			child.Base+child.Size <= parent.Base+parent.Size
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCapabilityStorageBits(t *testing.T) {
-	s := NewSystem()
-	pt := mem.NewPageTable()
-	d := s.NewDomain()
-	if err := pt.Map(0, 1, mem.FlagExec, d.Tag); err != nil {
-		t.Fatal(err)
-	}
-	// Page 1: ordinary data; page 2: capability storage.
-	if err := pt.Map(1*mem.PageSize, 1, mem.FlagWrite, d.Tag); err != nil {
-		t.Fatal(err)
-	}
-	if err := pt.Map(2*mem.PageSize, 1, mem.FlagWrite|mem.FlagCapStore, d.Tag); err != nil {
-		t.Fatal(err)
-	}
-	ctx := ctxAt(0, 0)
-	// Capabilities can only go to capability-storage pages.
-	if err := s.Check(ctx, pt, 1*mem.PageSize, CapSizeBytes, AccessCapStore); err == nil {
-		t.Fatal("capability store to plain page allowed")
-	}
-	if err := s.Check(ctx, pt, 2*mem.PageSize, CapSizeBytes, AccessCapStore); err != nil {
-		t.Fatalf("capability store to tagged page: %v", err)
-	}
-	if err := s.Check(ctx, pt, 2*mem.PageSize, CapSizeBytes, AccessCapLoad); err != nil {
-		t.Fatalf("capability load from tagged page: %v", err)
-	}
-	// User code cannot tamper with stored capabilities via plain loads
-	// and stores (§4.2).
-	if err := s.Check(ctx, pt, 2*mem.PageSize, 8, AccessWrite); err == nil {
-		t.Fatal("plain store to capability storage allowed")
-	}
-	if err := s.Check(ctx, pt, 2*mem.PageSize, 8, AccessRead); err == nil {
-		t.Fatal("plain load from capability storage allowed")
 	}
 }
 
@@ -316,216 +283,6 @@ func TestPrivilegedCapabilityBit(t *testing.T) {
 	ctx.SetIP(mem.PageSize)
 	if err := s.CheckPriv(ctx, pt); err != nil {
 		t.Fatalf("privileged page denied: %v", err)
-	}
-}
-
-func TestDCSPushPopAndBase(t *testing.T) {
-	d := NewDCS(4)
-	c := Capability{Base: 1, Size: 1, Perm: PermRead, valid: true}
-	for i := 0; i < 4; i++ {
-		if err := d.Push(c); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := d.Push(c); err == nil {
-		t.Fatal("overflow not detected")
-	}
-	// Raise the base (what a proxy does to hide caller entries).
-	old, err := d.SetBase(3)
-	if err != nil || old != 0 {
-		t.Fatalf("SetBase = %d, %v", old, err)
-	}
-	if d.Depth() != 1 {
-		t.Fatalf("visible depth = %d, want 1", d.Depth())
-	}
-	if _, err := d.Pop(); err != nil {
-		t.Fatal(err)
-	}
-	// The callee cannot pop beyond the proxied base.
-	if _, err := d.Pop(); err == nil {
-		t.Fatal("pop below base allowed")
-	}
-	if _, err := d.SetBase(old); err != nil {
-		t.Fatal(err)
-	}
-	if d.Depth() != 3 {
-		t.Fatalf("depth after restore = %d, want 3", d.Depth())
-	}
-	if _, err := d.SetBase(99); err == nil {
-		t.Fatal("out-of-range base allowed")
-	}
-}
-
-func TestDCSSwitchRestore(t *testing.T) {
-	d := NewDCS(8)
-	mk := func(base mem.Addr) Capability {
-		return Capability{Base: base, Size: 1, Perm: PermRead, valid: true}
-	}
-	for i := 1; i <= 3; i++ {
-		if err := d.Push(mk(mem.Addr(i))); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Switch with one capability argument.
-	tok, err := d.SwitchTo(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Depth() != 1 {
-		t.Fatalf("fresh stack depth = %d, want 1 (the argument)", d.Depth())
-	}
-	arg, err := d.Pop()
-	if err != nil || arg.Base != 3 {
-		t.Fatalf("argument = %+v, %v", arg, err)
-	}
-	// Callee pushes a result.
-	if err := d.Push(mk(42)); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.RestoreFrom(tok, 1); err != nil {
-		t.Fatal(err)
-	}
-	if d.Depth() != 3 { // two original entries + one result
-		t.Fatalf("restored depth = %d, want 3", d.Depth())
-	}
-	res, _ := d.Pop()
-	if res.Base != 42 {
-		t.Fatalf("result = %+v", res)
-	}
-	// The callee's private pushes are gone; caller entries intact.
-	a, _ := d.Pop()
-	b, _ := d.Pop()
-	if a.Base != 2 || b.Base != 1 {
-		t.Fatalf("caller stack corrupted: %v %v", a.Base, b.Base)
-	}
-}
-
-// TestDCSEdgesFromEmpty runs the capability stack's edge cases on a
-// stack that starts with no slots and grows on demand.
-func TestDCSEdgesFromEmpty(t *testing.T) {
-	const limit = 4
-	mk := func(base int) Capability {
-		return Capability{Base: mem.Addr(base), Size: 1, Perm: PermRead, valid: true}
-	}
-	push := func(d *DCS, n int) error {
-		for i := 1; i <= n; i++ {
-			if err := d.Push(mk(d.Top() + 1)); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	// wantStack pops d empty and checks it held want[0] on top, then
-	// want[1], and so on.
-	wantStack := func(d *DCS, want ...int) error {
-		for _, w := range want {
-			if c, err := d.Pop(); err != nil || int(c.Base) != w {
-				return fmt.Errorf("pop = %+v, %v; want Base %d", c, err, w)
-			}
-		}
-		if d.Depth() != 0 {
-			return fmt.Errorf("depth %d after popping %d entries", d.Depth(), len(want))
-		}
-		return nil
-	}
-	for _, tc := range []struct {
-		name  string
-		limit int
-		run   func(d *DCS) error
-	}{
-		{"switch and restore an unused stack", limit, func(d *DCS) error {
-			tok, err := d.SwitchTo(0)
-			if err != nil {
-				return err
-			}
-			if d.Depth() != 0 {
-				return fmt.Errorf("fresh stack depth %d", d.Depth())
-			}
-			if err := d.RestoreFrom(tok, 0); err != nil {
-				return err
-			}
-			return wantStack(d)
-		}},
-		{"push to the limit, then overflow", limit, func(d *DCS) error {
-			if err := push(d, limit); err != nil {
-				return err
-			}
-			err := d.Push(mk(99))
-			if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("limit %d", limit)) {
-				return fmt.Errorf("push past the limit: %v, want an overflow naming limit %d", err, limit)
-			}
-			return wantStack(d, 4, 3, 2, 1)
-		}},
-		{"pop below the base", limit, func(d *DCS) error {
-			if err := push(d, 2); err != nil {
-				return err
-			}
-			if _, err := d.SetBase(2); err != nil {
-				return err
-			}
-			if _, err := d.Pop(); err == nil {
-				return fmt.Errorf("pop below the base allowed")
-			}
-			if _, err := d.SetBase(0); err != nil {
-				return err
-			}
-			return wantStack(d, 2, 1)
-		}},
-		{"re-restore after an overflowed restore", limit, func(d *DCS) error {
-			if err := push(d, limit); err != nil {
-				return err
-			}
-			tok, err := d.SwitchTo(1)
-			if err != nil {
-				return err
-			}
-			if err := push(d, 1); err != nil {
-				return err
-			}
-			if err := d.RestoreFrom(tok, 2); err == nil {
-				return fmt.Errorf("copy-back into a full caller stack did not overflow")
-			}
-			if err := d.RestoreFrom(tok, 0); err != nil {
-				return err
-			}
-			return wantStack(d, 3, 2, 1)
-		}},
-		{"re-restore after a restore that grew the caller stack", 6, func(d *DCS) error {
-			if err := push(d, 4); err != nil {
-				return err
-			}
-			tok, err := d.SwitchTo(0)
-			if err != nil {
-				return err
-			}
-			if err := push(d, 3); err != nil {
-				return err
-			}
-			if err := d.RestoreFrom(tok, 3); err == nil {
-				return fmt.Errorf("copy-back past the limit did not overflow")
-			}
-			if err := d.RestoreFrom(tok, 0); err != nil {
-				return err
-			}
-			// A later switch must not hand out the caller's stack.
-			tok, err = d.SwitchTo(0)
-			if err != nil {
-				return err
-			}
-			if err := push(d, 2); err != nil {
-				return err
-			}
-			if err := d.RestoreFrom(tok, 0); err != nil {
-				return err
-			}
-			return wantStack(d, 4, 3, 2, 1)
-		}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			if err := tc.run(NewDCS(tc.limit)); err != nil {
-				t.Fatal(err)
-			}
-		})
 	}
 }
 

@@ -1,6 +1,6 @@
-// Package codoms is a functional model of the CODOMs architecture
-// (Vilanova et al., ISCA 2014) with the dIPC-specific extensions from
-// §4.3 of the dIPC paper.
+// Package codoms is a functional model of the control side of the
+// CODOMs architecture (Vilanova et al., ISCA 2014) with the
+// dIPC-specific extensions from §4.3 of the dIPC paper.
 //
 // CODOMs subdivides a single page table into multiple protection domains:
 // every page carries a domain tag, every domain has an Access Protection
@@ -8,13 +8,16 @@
 // write, and access control is *code-centric* — the subject of a check is
 // the domain of the currently executing instruction, not the current OS
 // process. Transient sharing happens through unforgeable capabilities
-// held in 8 per-thread capability registers or spilled to a bounded
-// per-thread capability stack (DCS).
+// held in 8 per-thread capability registers.
 //
-// The model is behaviourally complete: checks really allow or deny,
-// capabilities really cover ranges and really get revoked. Timing is
-// handled by the layers above (the paper itself shows the hardware cost
-// of a domain crossing is negligible).
+// The model checks what dIPC's proxied calls run: control transfers
+// (CheckCall, CallCached), privileged instructions (CheckPriv), the
+// thread-private capabilities a proxy mints from its APL, and the APL
+// cache. Data accesses are not checked, and the per-thread capability
+// stack (DCS) and asynchronous, revocable capabilities are not modeled;
+// the layers above charge their costs. Timing is handled by those layers
+// too (the paper itself shows the hardware cost of a domain crossing is
+// negligible).
 package codoms
 
 import (

@@ -13,8 +13,9 @@
 //
 // plus the runtime machinery behind them: proxy template specialization
 // (§6.1.1), the process-tracking hot/warm/cold paths (§6.1.2), the kernel
-// control stack with crash unwinding (§5.2.1) and the global virtual
-// address space (§6.1.3).
+// control stack (§5.2.1) and the global virtual address space (§6.1.3).
+// Crash recovery (§5.2.1) is not modeled: a call into a killed process
+// fails up front, and calls already inside it finish.
 package core
 
 import (

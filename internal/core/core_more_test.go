@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/codoms"
@@ -8,85 +9,6 @@ import (
 	"repro/internal/mem"
 	"repro/internal/sim"
 )
-
-func TestCapabilityArgumentsFlowThroughDCS(t *testing.T) {
-	// A caller passes a capability argument on the DCS under the
-	// DCS-confidentiality policy: the callee sees exactly that one
-	// entry, uses it to access the caller's buffer, and pushes a result
-	// capability back.
-	w := newWorld(1)
-	var calleeSaw int
-	var calleeAccess error
-	var callerBuf mem.Addr
-	capSig := Signature{InRegs: 2, OutRegs: 1, CapArgs: 1, CapRets: 1}
-	w.m.Spawn(w.db, "db-init", nil, func(th *kernel.Thread) {
-		w.rt.EnterProcessCode(th)
-		eh, err := w.rt.EntryRegister(th, w.rt.DomDefault(th), []EntryDesc{{
-			Name: "query",
-			Fn: func(th *kernel.Thread, in *Args) *Args {
-				calleeSaw = th.HW.DCS.Depth()
-				if cap, err := th.HW.DCS.Pop(); err == nil {
-					// Pop loads the capability into a register; only
-					// register-resident capabilities authorize accesses.
-					saved := th.HW.CapRegs[0]
-					th.HW.CapRegs[0] = cap
-					calleeAccess = w.rt.M.Arch.Check(th.HW, w.rt.PT, cap.Base, 8, codoms.AccessRead)
-					th.HW.CapRegs[0] = saved
-					_ = th.HW.DCS.Push(cap) // pass it back as the result
-				}
-				return &Args{}
-			},
-			Sig:    capSig,
-			Policy: DCSConfIntegrity,
-		}})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := w.rt.Publish(th, "/run/db.sock", eh); err != nil {
-			t.Error(err)
-		}
-	})
-	w.eng.Run()
-	w.run(t, w.web, func(th *kernel.Thread) {
-		// Allocate a buffer in the caller's domain and mint an async
-		// capability over it.
-		self := w.rt.DomDefault(th)
-		callerBuf = w.mapDomain(t, th, self, mem.PageSize)
-		rc := &codoms.RevCounter{}
-		cap, err := w.rt.M.Arch.NewFromAPL(th.HW, w.rt.PT, self.tag, callerBuf, 256,
-			codoms.PermRead, codoms.CapAsync, rc)
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if err := th.HW.DCS.Push(cap); err != nil {
-			t.Error(err)
-			return
-		}
-		ents, err := w.rt.MustImport(th, "/run/db.sock", []EntryDesc{{
-			Name: "query", Sig: capSig, Policy: DCSConfIntegrity,
-		}})
-		if err != nil {
-			t.Error(err)
-			return
-		}
-		if _, err := ents[0].Call(th, &Args{Regs: []uint64{1, 2}}); err != nil {
-			t.Error(err)
-			return
-		}
-		// The result capability came back on the caller's stack.
-		if th.HW.DCS.Depth() != 1 {
-			t.Errorf("caller DCS depth after call = %d, want 1 result", th.HW.DCS.Depth())
-		}
-	})
-	if calleeSaw != 1 {
-		t.Fatalf("callee saw %d DCS entries, want exactly the 1 argument", calleeSaw)
-	}
-	if calleeAccess != nil {
-		t.Fatalf("callee could not use the passed capability: %v", calleeAccess)
-	}
-}
 
 func TestSigMismatchOnCapArgsRejected(t *testing.T) {
 	w := newWorld(1)
@@ -248,14 +170,17 @@ func TestGrantRevokeCutsDirectAccess(t *testing.T) {
 			return
 		}
 		arch := w.rt.M.Arch
-		if err := arch.Check(th.HW, w.rt.PT, buf, 8, codoms.AccessRead); err != nil {
+		if _, err := arch.NewFromAPL(th.HW, w.rt.PT, ro.tag, buf, 8, codoms.PermRead); err != nil {
 			t.Errorf("read after grant: %v", err)
 		}
 		// grant_revoke sets the APL entry back to nil.
 		if err := arch.Grant(self.tag, ro.tag, codoms.PermNil); err != nil {
 			t.Error(err)
 		}
-		if err := arch.Check(th.HW, w.rt.PT, buf, 8, codoms.AccessRead); err == nil {
+		if got := arch.APLPerm(self.tag, ro.tag); got != codoms.PermNil {
+			t.Errorf("web holds %v over the pool after revoke, want nil", got)
+		}
+		if _, err := arch.NewFromAPL(th.HW, w.rt.PT, ro.tag, buf, 8, codoms.PermRead); err == nil {
 			t.Error("read after revoke must fault")
 		}
 	})
@@ -303,17 +228,95 @@ func TestProxyCodePagesArePrivileged(t *testing.T) {
 }
 
 func TestDeadCalleeRejectedUpFront(t *testing.T) {
+	sig := Signature{InRegs: 2, OutRegs: 1}
+	t.Run("callee", func(t *testing.T) {
+		w := newWorld(1)
+		w.export(t, PolicyLow, func(th *kernel.Thread, in *Args) *Args { return in })
+		var err error
+		w.run(t, w.web, func(th *kernel.Thread) {
+			ents, _ := w.rt.MustImport(th, "/run/db.sock", []EntryDesc{{Name: "query", Sig: sig}})
+			w.m.Kill(w.db)
+			_, err = ents[0].Call(th, &Args{Regs: []uint64{1, 2}})
+		})
+		if err == nil || !strings.Contains(err.Error(), `"db" is dead`) {
+			t.Fatalf("calling into a dead process: %v, want an error naming db", err)
+		}
+	})
+	t.Run("intermediate process", func(t *testing.T) {
+		// web -> php -> db with php killed: web's call fails before it
+		// enters php, so db never runs.
+		w := newWorld(1)
+		dbRan := false
+		php, outer := buildChain(t, w, func(th *kernel.Thread, in *Args) *Args {
+			dbRan = true
+			return in
+		}, func(*kernel.Thread, error) {})
+		var err error
+		var depth int
+		var proc *kernel.Process
+		w.run(t, w.web, func(th *kernel.Thread) {
+			w.m.Kill(php)
+			_, err = outer(th)
+			depth, proc = kcsDepth(th), th.Process()
+		})
+		if err == nil || !strings.Contains(err.Error(), `"php" is dead`) {
+			t.Fatalf("call into a dead php: %v, want an error naming php", err)
+		}
+		if dbRan || depth != 0 || proc != w.web {
+			t.Fatalf("after the rejected call: db ran=%v, depth=%d, proc=%s", dbRan, depth, proc.Name)
+		}
+	})
+	t.Run("killed mid-chain", func(t *testing.T) {
+		// db dies before web's call reaches it: the call into the live
+		// php goes through, and php's call into db is rejected.
+		w := newWorld(1)
+		var innerErr error
+		_, outer := buildChain(t, w, func(th *kernel.Thread, in *Args) *Args { return in },
+			func(th *kernel.Thread, err error) { innerErr = err })
+		var err error
+		w.run(t, w.web, func(th *kernel.Thread) {
+			w.m.Kill(w.db)
+			_, err = outer(th)
+		})
+		if innerErr == nil || !strings.Contains(innerErr.Error(), `"db" is dead`) {
+			t.Fatalf("php's call into a dead db: %v, want an error naming db", innerErr)
+		}
+		if err != nil {
+			t.Fatalf("web's call into the live php: %v", err)
+		}
+	})
+}
+
+func TestHandleWithoutOwnerPermissionRejected(t *testing.T) {
+	// EntryRequest returns a call-permission handle to the proxy domain:
+	// enough to grant oneself access to it, not to manage it.
 	w := newWorld(1)
 	w.export(t, PolicyLow, func(th *kernel.Thread, in *Args) *Args { return in })
-	var err error
+	var grantErr, registerErr error
 	w.run(t, w.web, func(th *kernel.Thread) {
-		ents, _ := w.rt.MustImport(th, "/run/db.sock", []EntryDesc{{
+		eh, err := w.rt.Resolve(th, "/run/db.sock")
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		domP, _, err := w.rt.EntryRequest(th, eh, []EntryDesc{{
 			Name: "query", Sig: Signature{InRegs: 2, OutRegs: 1},
 		}})
-		w.m.Kill(w.db)
-		_, err = ents[0].Call(th, &Args{Regs: []uint64{1, 2}})
+		if err != nil {
+			t.Error(err)
+			return
+		}
+		grantErr = w.rt.GrantCreate(th, domP, w.rt.DomDefault(th))
+		_, registerErr = w.rt.EntryRegister(th, domP, []EntryDesc{{
+			Name: "evil", Fn: func(th *kernel.Thread, in *Args) *Args { return in },
+		}})
 	})
-	if err == nil {
-		t.Fatal("calling into a dead process must fail")
+	for _, c := range []struct {
+		op  string
+		err error
+	}{{"grant_create", grantErr}, {"entry_register", registerErr}} {
+		if c.err == nil || !strings.Contains(c.err.Error(), c.op) || !strings.Contains(c.err.Error(), "owner") {
+			t.Errorf("%s with a call handle: %v, want an error naming %s and owner", c.op, c.err, c.op)
+		}
 	}
 }

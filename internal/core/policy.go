@@ -22,10 +22,13 @@ const (
 	// copying arguments and results by signature (trusted proxy).
 	StackConfIntegrity
 	// DCSIntegrity raises the DCS base register to hide non-argument
-	// capability entries (trusted proxy).
+	// capability entries (trusted proxy). Modeled as cost only: the
+	// proxy charges DCSAdjust, and no capability stack is simulated.
 	DCSIntegrity
 	// DCSConfIntegrity gives the callee a separate capability stack
-	// (trusted proxy; callee side only).
+	// (trusted proxy; callee side only). Modeled as cost only: the proxy
+	// charges DCSSwitch plus a CapLoadStore per capability argument and
+	// result of the signature.
 	DCSConfIntegrity
 )
 

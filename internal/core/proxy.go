@@ -14,13 +14,6 @@ import (
 // capability it mints in prepare_ret (P3).
 const retCapReg = codoms.NumCapRegs - 1
 
-// DCS handling modes baked into the call descriptor (§5.2.3).
-const (
-	dcsNone = iota
-	dcsInteg
-	dcsConf
-)
-
 // callDesc is a proxy's precompiled call descriptor: everything the
 // per-call path can resolve ahead of time, folded flat at proxy
 // instantiation so that invoke is straight-line code. This mirrors the
@@ -37,9 +30,6 @@ type callDesc struct {
 	enter       sim.Time // prepare_ret + policy enter (charged to BlockProxy)
 	exit        sim.Time // deprepare_ret + policy exit (charged to BlockProxy)
 	stubBlock   stats.Block
-	dcsMode     uint8
-	capArgs     int
-	capRets     int
 
 	// deadErr is the preconstructed dead-callee error: the message only
 	// depends on the callee process, so the hot path never calls
@@ -147,18 +137,17 @@ func (px *Proxy) compile() {
 		enter += p.StackSwitch + p.Copy(px.sig.StackBytes)
 		exit += p.StackSwitch + p.Copy(px.sig.StackRet)
 	}
+	// The DCS policies are modeled as cost only: the capability stack's
+	// contents are not simulated.
 	switch {
 	case px.mp.proxy.Has(DCSConfIntegrity):
-		d.dcsMode = dcsConf
 		enter += p.DCSSwitch + sim.Time(px.sig.CapArgs)*p.CapLoadStore
 		exit += p.DCSSwitch + sim.Time(px.sig.CapRets)*p.CapLoadStore
 	case px.mp.proxy.Has(DCSIntegrity):
-		d.dcsMode = dcsInteg
 		enter += p.DCSAdjust
 		exit += p.DCSAdjust
 	}
 	d.enter, d.exit = enter, exit
-	d.capArgs, d.capRets = px.sig.CapArgs, px.sig.CapRets
 	d.deadErr = fmt.Errorf("dipc: callee process %q is dead", px.calleeProc.Name)
 }
 
@@ -175,7 +164,7 @@ func (px *Proxy) returnCap(ts *threadState, hw *codoms.ThreadCtx) (codoms.Capabi
 		return rc.cap, nil
 	}
 	c, err := arch.NewFromAPL(hw, pt, px.domTag, px.retAddr,
-		int(arch.EntryAlign), codoms.PermCall, codoms.CapSync, nil)
+		int(arch.EntryAlign), codoms.PermCall)
 	if err != nil {
 		return codoms.Capability{}, err
 	}
@@ -192,15 +181,16 @@ func (px *Proxy) returnCap(ts *threadState, hw *codoms.ThreadCtx) (codoms.Capabi
 // through the minted return capability), maintains the KCS, migrates the
 // thread across processes, and charges every modeled instruction.
 //
-// A fault raised below this frame (via core.Fault, a CODOMs violation,
-// or a process kill) unwinds here and surfaces as the returned error,
-// after all proxy state has been restored (P3/P5).
+// A call into a dead process fails before it enters the proxy. A CODOMs
+// fault on the way into the callee or back into proxy_ret surfaces as
+// the returned error, after the proxy has restored its state (P3).
+// Crashes inside the callee (§5.2.1) are not modeled.
 func (ie *ImportedEntry) Call(t *kernel.Thread, in *Args) (*Args, error) {
 	return ie.proxy.invoke(t, in)
 }
 
 //dipcvet:noalloc
-func (px *Proxy) invoke(t *kernel.Thread, in *Args) (out *Args, err error) {
+func (px *Proxy) invoke(t *kernel.Thread, in *Args) (*Args, error) {
 	rt := px.rt
 	p := rt.M.P
 	hw := t.HW
@@ -242,26 +232,6 @@ func (px *Proxy) invoke(t *kernel.Thread, in *Args) (out *Args, err error) {
 	fr.savedCap = hw.CapRegs[retCapReg]
 	hw.CapRegs[retCapReg] = retCap
 
-	switch d.dcsMode {
-	case dcsConf:
-		// isolate_pcall: give the callee a separate capability stack
-		// holding only the signature's capability arguments.
-		tok, derr := hw.DCS.SwitchTo(min(d.capArgs, hw.DCS.Depth()))
-		if derr != nil {
-			hw.CapRegs[retCapReg] = fr.savedCap
-			hw.SetIP(callerIP)
-			return nil, derr
-		}
-		fr.dcsToken = tok
-	case dcsInteg:
-		old, derr := hw.DCS.SetBase(hw.DCS.Top() - min(d.capArgs, hw.DCS.Depth()))
-		if derr != nil {
-			hw.CapRegs[retCapReg] = fr.savedCap
-			hw.SetIP(callerIP)
-			return nil, derr
-		}
-		fr.oldDCSBase = old
-	}
 	t.Exec(d.enter, stats.BlockProxy)
 
 	// Pre-size the KCS to the deepest chain this proxy's template has
@@ -284,26 +254,6 @@ func (px *Proxy) invoke(t *kernel.Thread, in *Args) (out *Args, err error) {
 		t.Exec(p.TLSSwitch, stats.BlockTLS)
 	}
 
-	// Crash unwinding: restore this frame and either absorb or keep
-	// propagating (§5.2.1).
-	//dipcvet:alloc-ok open-coded defer; the closure stays on the stack
-	defer func() {
-		r := recover()
-		if r == nil {
-			return
-		}
-		u, ok := r.(*unwindError)
-		if !ok {
-			panic(r)
-		}
-		px.unwindFrame(t, ts, depth)
-		if u.depth == depth {
-			out, err = nil, u.err
-			return
-		}
-		panic(u)
-	}()
-
 	// ---- call into the target entry point ----
 	if cerr := rt.M.Arch.CallCached(hw, rt.PT, px.entry.addr, &d.callEntry); cerr != nil {
 		px.unwindFrame(t, ts, depth)
@@ -323,20 +273,6 @@ func (px *Proxy) invoke(t *kernel.Thread, in *Args) (out *Args, err error) {
 	}
 
 	// ---- proxy_ret: deprepare_ret + policy exit ----
-	switch d.dcsMode {
-	case dcsConf:
-		nres := min(d.capRets, hw.DCS.Depth())
-		if derr := hw.DCS.RestoreFrom(ts.kcs[depth-1].dcsToken, nres); derr != nil {
-			px.unwindFrame(t, ts, depth)
-			return nil, derr
-		}
-		ts.kcs[depth-1].dcsToken = nil
-	case dcsInteg:
-		if _, derr := hw.DCS.SetBase(ts.kcs[depth-1].oldDCSBase); derr != nil {
-			px.unwindFrame(t, ts, depth)
-			return nil, derr
-		}
-	}
 	if px.cross {
 		px.trackProcessRet(t, &ts.kcs[depth-1])
 		t.Exec(p.TLSSwitch, stats.BlockTLS)
@@ -358,8 +294,8 @@ func (px *Proxy) invoke(t *kernel.Thread, in *Args) (out *Args, err error) {
 }
 
 // unwindFrame restores the proxy state recorded in the KCS entry at
-// depth (1-based) during fault unwinding or a failed call, then pops it.
-// The restore mirrors proxy_ret: process migration, TLS, DCS and the
+// depth (1-based) after a failed call, then pops it. The restore mirrors
+// proxy_ret: process migration, TLS, the DCS policy's cost and the
 // spilled capability register.
 func (px *Proxy) unwindFrame(t *kernel.Thread, ts *threadState, depth int) {
 	if depth != len(ts.kcs) {
@@ -367,24 +303,19 @@ func (px *Proxy) unwindFrame(t *kernel.Thread, ts *threadState, depth int) {
 	}
 	p := px.rt.M.P
 	fr := &ts.kcs[depth-1]
-	hw := t.HW
 	cost := p.KCSPop
 	if fr.migrated {
 		t.MigrateTo(fr.callerProc)
 		cost += p.TrackProcessHot/2 + p.TLSSwitch
 	}
-	if fr.dcsToken != nil {
-		// Discard the callee's capability stack; no results cross back.
-		_ = hw.DCS.RestoreFrom(fr.dcsToken, 0)
-		cost += p.DCSSwitch
-	} else if px.mp.proxy.Has(DCSIntegrity) {
-		if fr.oldDCSBase <= hw.DCS.Top() {
-			_, _ = hw.DCS.SetBase(fr.oldDCSBase)
-		}
+	switch {
+	case px.mp.proxy.Has(DCSConfIntegrity):
+		cost += p.DCSSwitch // discard the callee's stack; no results cross back
+	case px.mp.proxy.Has(DCSIntegrity):
 		cost += p.DCSAdjust
 	}
-	hw.CapRegs[retCapReg] = fr.savedCap
+	t.HW.CapRegs[retCapReg] = fr.savedCap
 	ts.kcs = ts.kcs[:depth-1]
 	t.Exec(cost, stats.BlockProxy)
-	hw.SetIP(fr.callerIP)
+	t.HW.SetIP(fr.callerIP)
 }

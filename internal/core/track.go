@@ -82,7 +82,8 @@ type threadState struct {
 }
 
 // kcsEntry is one kernel-control-stack frame: who called through which
-// proxy, and everything the proxy must restore on return or unwind (P3).
+// proxy, and everything the proxy must restore on return or after a
+// failed call (P3).
 type kcsEntry struct {
 	proxy       *Proxy
 	callerProc  *kernel.Process
@@ -90,13 +91,10 @@ type kcsEntry struct {
 	callerDom   codoms.Tag        // subject domain of the caller's code page
 	callerPTGen uint64            // page-table generation callerDom was read under
 	savedCap    codoms.Capability // capability register spilled for prepare_ret
-	oldDCSBase  int               // DCS integrity restore point
-	dcsToken    any               // DCS confidentiality restore token
 	migrated    bool
 }
 
-// state returns (creating on first use) the thread's dIPC state and
-// installs the fault unwinder.
+// state returns (creating on first use) the thread's dIPC state.
 func state(t *kernel.Thread) *threadState {
 	if ts, ok := t.Ext.(*threadState); ok {
 		return ts
@@ -107,7 +105,6 @@ func state(t *kernel.Thread) *threadState {
 	}
 	ts.kcs = ts.kcsInline[:0]
 	t.Ext = ts
-	installUnwinder(t, ts)
 	return ts
 }
 

@@ -1,7 +1,6 @@
 package kernel
 
 import (
-	"errors"
 	"testing"
 
 	"repro/internal/cost"
@@ -250,38 +249,6 @@ func TestPinningRespected(t *testing.T) {
 	if m.CPUs[0].Acct[stats.BlockUser] != 0 {
 		t.Fatal("pinned thread charged CPU 0")
 	}
-}
-
-func TestFaultHandlerRecovers(t *testing.T) {
-	eng, m := newTestMachine(1)
-	p := m.NewProcess("p")
-	recovered := false
-	m.Spawn(p, "t", nil, func(th *Thread) {
-		th.OnFault = func(err error) bool {
-			recovered = true
-			return true
-		}
-		th.Fault(errors.New("synthetic fault"))
-		th.ExecUser(10 * sim.Nanosecond)
-	})
-	eng.Run()
-	if !recovered {
-		t.Fatal("fault handler not invoked")
-	}
-}
-
-func TestUnhandledFaultPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unhandled fault must panic the simulation")
-		}
-	}()
-	eng, m := newTestMachine(1)
-	p := m.NewProcess("p")
-	m.Spawn(p, "t", nil, func(th *Thread) {
-		th.Fault(errors.New("boom"))
-	})
-	eng.Run()
 }
 
 func TestKillProcess(t *testing.T) {

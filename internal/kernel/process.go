@@ -71,9 +71,10 @@ func (m *Machine) NewDIPCProcess(name string, shared *mem.PageTable) *Process {
 	return p
 }
 
-// Kill marks the process dead. Threads currently inside it observe the
-// flag at their next fault-check point; dIPC treats process kills with
-// the same KCS-unwinding technique as thread crashes (§5.2.1).
+// Kill marks the process dead and deregisters it. Nothing interrupts
+// the threads already inside it: calls in flight finish. Layers above
+// read the flag at their next entry; a dIPC call into the process fails
+// up front.
 func (m *Machine) Kill(p *Process) {
 	p.Dead = true
 	delete(m.procs, p.PID)

@@ -49,11 +49,6 @@ type Thread struct {
 	// thread by the scheduler (the APL cache is switched lazily, §7.5).
 	HW *codoms.ThreadCtx
 
-	// OnFault, when set, handles a protection fault or kill raised on
-	// this thread. dIPC installs its KCS unwinder here (§5.2.1). If it
-	// returns false (or is nil) the thread dies.
-	OnFault func(err error) bool
-
 	// Ext is a slot for higher layers (the dIPC runtime hangs the KCS
 	// and per-thread tracking caches here).
 	Ext any
@@ -340,18 +335,4 @@ func (t *Thread) exit() {
 	t.state = ThreadDead
 	t.cpu = nil
 	cpu.switchOut(t)
-}
-
-// Fault raises a protection fault (or kill) on the thread. If an OnFault
-// handler recovers, execution continues; otherwise the thread panics the
-// simulation — tests treat that as a crashed workload.
-func (t *Thread) Fault(err error) {
-	// Fault delivery enters the kernel.
-	t.Exec(t.m.P.SyscallTrap, stats.BlockSyscall)
-	t.Exec(t.m.P.SyscallDispatch, stats.BlockDispatch)
-	if t.OnFault != nil && t.OnFault(err) {
-		t.Exec(t.m.P.SyscallRet, stats.BlockSyscall)
-		return
-	}
-	panic(fmt.Sprintf("kernel: unhandled fault on thread %q: %v", t.Name, err))
 }

@@ -1,6 +1,6 @@
 // Package mem models the memory system underneath the simulated OS: a
 // 4-level page table extended with the CODOMs per-page metadata (domain
-// tag, privileged-capability bit, capability-storage bit) and the global
+// tag, executable and privileged-capability bits) and the global
 // virtual-address-space allocator that dIPC's shared page table relies
 // on (§6.1.3 of the paper).
 package mem
@@ -28,19 +28,12 @@ type PageFlags uint8
 const (
 	// FlagPresent marks a mapped page.
 	FlagPresent PageFlags = 1 << iota
-	// FlagWrite allows stores (CODOMs still honours this bit even when
-	// an APL grants write access to the page's domain, §4.1).
-	FlagWrite
 	// FlagExec allows instruction fetch.
 	FlagExec
 	// FlagPrivCap is the CODOMs privileged capability bit: code pages
 	// carrying it may execute privileged instructions without a mode
 	// switch (§4.1).
 	FlagPrivCap
-	// FlagCapStore is the CODOMs capability storage bit: capabilities
-	// may be stored to and loaded from this page, and ordinary stores
-	// to it are forbidden so user code cannot forge capabilities (§4.2).
-	FlagCapStore
 )
 
 // Has reports whether all bits in mask are set.

@@ -8,11 +8,11 @@ import (
 func TestMapLookup(t *testing.T) {
 	pt := NewPageTable()
 	va := Addr(0x40000000)
-	if err := pt.Map(va, 4, FlagWrite|FlagExec, Tag(7)); err != nil {
+	if err := pt.Map(va, 4, FlagExec|FlagPrivCap, Tag(7)); err != nil {
 		t.Fatal(err)
 	}
 	pi, ok := pt.Lookup(va + 3*PageSize)
-	if !ok || pi.Tag != 7 || !pi.Flags.Has(FlagWrite) {
+	if !ok || pi.Tag != 7 || !pi.Flags.Has(FlagExec|FlagPrivCap) {
 		t.Fatalf("Lookup = %+v, %v", pi, ok)
 	}
 	if _, ok := pt.Lookup(va + 4*PageSize); ok {
@@ -61,7 +61,7 @@ func TestLookupRoundTripProperty(t *testing.T) {
 		if pi, ok := pt.Lookup(va); ok {
 			return pi.Present()
 		}
-		if err := pt.Map(va, 1, FlagWrite, tag); err != nil {
+		if err := pt.Map(va, 1, FlagExec, tag); err != nil {
 			return false
 		}
 		pi, ok := pt.Lookup(va)
@@ -155,7 +155,7 @@ func TestMapAcrossNodeBoundaries(t *testing.T) {
 			pt := NewPageTable()
 			const n = 4
 			va := tc.boundary - 2*PageSize
-			flags, tag := FlagWrite|FlagCapStore, Tag(9)
+			flags, tag := FlagExec|FlagPrivCap, Tag(9)
 			if err := pt.Map(va, n, flags, tag); err != nil {
 				t.Fatal(err)
 			}

@@ -17,8 +17,9 @@
 #   - dipcbench: run all, list, bench (plain, -json, -compare
 #     BENCH_engine.json and a one-scenario -gate), the CI smokes (run
 #     table1 -json and the chaos-kill depth=0 error), the flap-budget
-#     error inputs, an unknown scenario, fig6 at full resolution and
-#     chaos-retrystorm with jittered backoff;
+#     error inputs, an unknown scenario, fig6 at full resolution,
+#     chaos-retrystorm with jittered backoff and a crosscall chain 40
+#     deep, whose 41 domains cycle through the 32-entry APL cache;
 #   - oltp: each mode, on disk and in memory; netpipe: each variant;
 #   - each perfbench workload for one second at --trace 0 and --trace 1.
 # Everything it builds and writes goes to a temporary directory.
@@ -81,6 +82,7 @@ done
 expect 2 "$d" run nosuch
 expect 0 "$d" run fig6 -p full=true
 expect 0 "$d" run chaos-retrystorm -p jitter=0.5
+expect 0 "$d" run crosscall -p depth=40 -p calls=1000
 
 for m in linux dipc ideal; do
 	expect 0 "$bin/oltp" -mode "$m" -threads 8 -window 20
