@@ -5,8 +5,8 @@ import "repro/internal/kernel"
 // The database tier: a small storage engine in the shape of the
 // DVDStore schema — products browsed by category and customers with
 // their order history. It stores only the columns a query reads or
-// writes, each product's stock and each customer's order count, as
-// dense slices indexed by row id. Product i belongs to category
+// writes, each product's sold count and each customer's order count,
+// as dense slices indexed by row id. Product i belongs to category
 // i mod Categories, so a category's size is computed, not stored. A
 // login's credential check is a charged cost. Each query charges one
 // buffer-pool page touch per row it visits. The paper measures after a
@@ -16,8 +16,8 @@ import "repro/internal/kernel"
 
 // DB is the database engine.
 type DB struct {
-	stock     []int // per product
-	orders    []int // order lines placed, per customer
+	sold      []uint8 // units sold, per product; never above initialStock
+	orders    []int32 // order lines placed, per customer
 	nextOrder int
 
 	disk *Disk
@@ -27,21 +27,21 @@ type DB struct {
 	prm *Params
 }
 
+// initialStock is every product's stock after the load phase. A
+// product's stock is initialStock less its sold count.
+const initialStock = 100
+
 // NewDB populates the store with prm.Products products across
 // prm.Categories categories and prm.Customers customers, like
 // DVDStore's load phase.
 func NewDB(m *kernel.Machine, prm *Params, inMem bool) *DB {
-	db := &DB{
-		stock:  make([]int, prm.Products),
-		orders: make([]int, prm.Customers),
+	return &DB{
+		sold:   make([]uint8, prm.Products),
+		orders: make([]int32, prm.Customers),
 		disk:   &Disk{m: m},
 		inMem:  inMem,
 		prm:    prm,
 	}
-	for i := range db.stock {
-		db.stock[i] = 100
-	}
-	return db
 }
 
 // touchPage charges one warm buffer-pool page access.
@@ -103,13 +103,13 @@ func (db *DB) Exec(t *kernel.Thread, q Query) QueryResult {
 		return QueryResult{Rows: n, Bytes: n * 120}
 	case QGetProduct:
 		touchPage(t)
-		return QueryResult{Rows: 1, Bytes: 160, Row: q.Key % len(db.stock)}
+		return QueryResult{Rows: 1, Bytes: 160, Row: q.Key % len(db.sold)}
 	case QLogin:
 		touchPage(t)
 		t.ExecUser(prm.DBAuthCost) // password hash check
 		return QueryResult{Rows: 1, Bytes: 96, Row: q.Key % len(db.orders)}
 	case QOrderHistory:
-		n := min(5, db.orders[q.Key%len(db.orders)])
+		n := min(5, int(db.orders[q.Key%len(db.orders)]))
 		for i := 0; i < n; i++ {
 			touchPage(t)
 		}
@@ -120,8 +120,8 @@ func (db *DB) Exec(t *kernel.Thread, q Query) QueryResult {
 		touchPage(t)
 		return QueryResult{Rows: 1, Bytes: 32, Row: db.nextOrder}
 	case QUpdateStock:
-		if s := &db.stock[q.Key%len(db.stock)]; *s > 0 {
-			*s--
+		if s := &db.sold[q.Key%len(db.sold)]; *s < initialStock {
+			*s++
 		}
 		touchPage(t)
 		return QueryResult{Rows: 1, Bytes: 16}

@@ -193,8 +193,15 @@ func TestDBQueries(t *testing.T) {
 		if r := db.Exec(th, Query{Kind: QUpdateStock, Key: 42}); r.Rows != 1 {
 			t.Errorf("stock = %+v", r)
 		}
-		if db.stock[42] != 99 {
-			t.Errorf("stock not decremented: %d", db.stock[42])
+		if db.sold[42] != 1 {
+			t.Errorf("sale not counted: sold %d", db.sold[42])
+		}
+		// Stock never goes below 0: sales past initialStock are not counted.
+		for i := 0; i < initialStock+5; i++ {
+			db.Exec(th, Query{Kind: QUpdateStock, Key: 42})
+		}
+		if db.sold[42] != initialStock {
+			t.Errorf("sold %d of a stock of %d", db.sold[42], initialStock)
 		}
 	})
 	eng.Run()
@@ -307,12 +314,18 @@ func TestGenOpMixAndDeterminism(t *testing.T) {
 	counts := map[OpKind]int{}
 	rng := sim.NewRand(1)
 	var op Operation
+	longest := 0
 	for i := 0; i < 3000; i++ {
 		genOp(rng, prm, &op)
 		counts[op.Kind]++
+		longest = max(longest, len(op.Queries))
 	}
 	if counts[OpBrowse] < 1200 || counts[OpLogin] < 400 || counts[OpPurchase] < 700 {
 		t.Fatalf("mix off: %v", counts)
+	}
+	// A closed-loop client sizes its query slice to maxPlan once.
+	if longest != prm.maxPlan() {
+		t.Fatalf("longest plan = %d queries, maxPlan = %d", longest, prm.maxPlan())
 	}
 	// Determinism: identical seed, identical stream. Refilling one
 	// reused Operation draws exactly what fresh ones do, and leaves no

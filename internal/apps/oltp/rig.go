@@ -97,7 +97,8 @@ func (r *rig) serveChain(cfg *ChainFaultsConfig, brc *BreakerConfig) []*Breaker 
 // closedLoop starts n off-machine clients that each submit a request,
 // wait for its completion and submit the next. A client is a pair of
 // engine callbacks, not a proc: it runs on no simulated CPU. Each
-// client reuses one request and one Operation. With gen non-nil, gen
+// client reuses one request and one Operation, whose query slice has
+// room for the mix's largest plan from the start. With gen non-nil, gen
 // refills client c's operation before every submission from the
 // client's own stream sim.NewRand(seed*7919+c); with gen nil requests
 // carry no operation. Each completion in [warmup, warmup+window], both
@@ -108,7 +109,7 @@ func (r *rig) closedLoop(n int, seed uint64, gen func(*sim.Rand, *Operation), wa
 		rng := sim.NewRand(seed*7919 + uint64(c))
 		req := &request{}
 		if gen != nil {
-			req.op = &Operation{}
+			req.op = &Operation{Queries: make([]dbCall, 0, r.prm.maxPlan())}
 		}
 		submit := func() {
 			req.started = r.eng.Now()

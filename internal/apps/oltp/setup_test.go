@@ -20,9 +20,9 @@ func setupBytes(cfg Config) uint64 {
 
 // TestOLTPSetupBytesPerThread pins that per-run setup pays only for what
 // a run touches: each thread and client a fig8 stack adds costs at most
-// 4 KiB of heap. A thread that never runs CODOMs code holds no
-// capability-stack slots, the database stores only the columns its
-// queries read, and page-table nodes carry only their level's entries.
+// 4 KiB of heap. A thread is one allocation that carries its CODOMs
+// context and APL cache inline, and a closed-loop client sizes its
+// query slice once.
 func TestOLTPSetupBytesPerThread(t *testing.T) {
 	const lo, hi, limit = 16, 256, 4 << 10
 	for _, mode := range []Mode{ModeLinux, ModeDIPC, ModeIdeal} {
@@ -43,6 +43,32 @@ func TestOLTPSetupBytesPerThread(t *testing.T) {
 				small, lo, large, hi, perProc)
 			if perProc > limit {
 				t.Errorf("setup allocates %.0f B per added proc, want <= %d", perProc, limit)
+			}
+		})
+	}
+}
+
+// TestFig8SetupBytes pins the fixed cost of one fig8 setup at Threads=16
+// (perfbench's fig8 shape) at about 1.25x what it measured when the
+// database's stock and order columns became uint8 and int32 and the page
+// table became a sorted list of mapped runs. Before that change the same
+// setups allocated 199 KB (Linux), 211 KB (dIPC) and 137 KB (Ideal);
+// after it, 118 KB, 82 KB and 64 KB. The first setup in a process also
+// pays one-time runtime costs, so the test measures the second.
+func TestFig8SetupBytes(t *testing.T) {
+	for _, tc := range []struct {
+		mode    Mode
+		ceiling uint64
+	}{
+		{ModeLinux, 148 << 10},
+		{ModeDIPC, 102 << 10},
+		{ModeIdeal, 80 << 10},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			cfg := Config{Mode: tc.mode, InMemory: true, Threads: 16, CPUs: 4, Seed: 1001}
+			setupBytes(cfg)
+			if got := setupBytes(cfg); got > tc.ceiling {
+				t.Errorf("fig8 setup allocates %d B, want <= %d", got, tc.ceiling)
 			}
 		})
 	}
@@ -98,6 +124,41 @@ func BenchmarkOpenLoopSetup(b *testing.B) {
 				cfg := openLoopShape(mode, 1, 0.002)
 				cfg.Warmup, cfg.Window = 1, 1
 				RunOpenLoop(cfg)
+			}
+		})
+	}
+}
+
+// replicatedShape is perfbench's replicas workload: two replicas of a
+// depth-2 chain behind a hedging Router, replica 2 slowed 6x, per-call
+// slowdowns at 1%, with the health detector probing.
+func replicatedShape(mode Mode, seed uint64) ReplicatedConfig {
+	return ReplicatedConfig{
+		Mode: mode, Replicas: 2, Depth: 2, Threads: 2, Clients: 4,
+		Work: sim.Micros(10), Warmup: sim.Millis(4), Seed: seed, Shards: 2,
+		Plan: &faults.Plan{Seed: seed, SlowProb: 0.01, SlowBy: sim.Micros(10)},
+		Retry: faults.RetryPolicy{Deadline: sim.Micros(300), MaxRetries: 2,
+			Backoff: sim.Micros(20), MaxBackoff: sim.Micros(160)},
+		Policy:        PolicyHedged,
+		HedgeFraction: 0.5,
+		SlowReplica:   2,
+		SlowFactor:    6,
+	}
+}
+
+// BenchmarkReplicatedSetup measures one replicated-rack setup: a
+// RunReplicated of perfbench's replicas shape whose warmup just outlasts
+// the 1ms boot and whose window is 1ns, so building the machines, the
+// replicas, the router and the clients (and closing the engine) is
+// almost all it costs.
+func BenchmarkReplicatedSetup(b *testing.B) {
+	for _, mode := range []Mode{ModeLinux, ModeDIPC} {
+		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				cfg := replicatedShape(mode, 1)
+				cfg.Warmup, cfg.Window = sim.Millis(1)+1, 1
+				RunReplicated(cfg)
 			}
 		})
 	}

@@ -69,6 +69,11 @@ func genOp(rng *sim.Rand, prm *Params, op *Operation) {
 	}
 }
 
+// maxPlan is the number of queries in the mix's largest plan.
+func (prm *Params) maxPlan() int {
+	return max(1+prm.BrowseGets, 1+prm.LoginHistory, 2+prm.PurchaseGets+2*prm.PurchaseLines)
+}
+
 // request is one in-flight client request crossing the Gateway.
 type request struct {
 	op      *Operation

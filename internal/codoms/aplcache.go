@@ -1,7 +1,5 @@
 package codoms
 
-import "fmt"
-
 // APLCacheSize is the per-hardware-thread APL cache capacity; its 32
 // entries yield the 5-bit hardware domain tag of §4.3.
 const APLCacheSize = 32
@@ -24,6 +22,7 @@ type APLCacheEntry struct {
 // recently executed domains (§4.1). dIPC's extension (§4.3) adds a
 // privileged instruction to retrieve the hardware tag of a cached
 // domain, which the process-tracking fast path uses as an array index.
+// The zero value is an empty cache.
 type APLCache struct {
 	entries [APLCacheSize]APLCacheEntry
 	index   [aplIndexSize]uint8 // open-addressed tag -> slot+1 map
@@ -33,10 +32,7 @@ type APLCache struct {
 	lookups uint64
 }
 
-// NewAPLCache returns an empty cache.
-func NewAPLCache() *APLCache { return &APLCache{} }
-
-// probe is the internal tag search shared by Lookup, Insert and HWTagOf.
+// probe is the internal tag search shared by Lookup and Insert.
 // It never touches the client-visible counters, so Insert's own
 // presence check cannot distort the lookup statistics.
 //
@@ -79,7 +75,10 @@ func (c *APLCache) reindex() {
 	}
 }
 
-// Lookup returns the hardware tag for a domain if cached.
+// Lookup returns the hardware tag for a domain if cached. It is the
+// dIPC-specific privileged instruction (§4.3) that retrieves the 5-bit
+// hardware domain tag of a cached domain; on a miss the caller takes the
+// slow path and refills.
 //
 //dipcvet:noalloc
 func (c *APLCache) Lookup(tag Tag) (uint8, bool) {
@@ -114,16 +113,6 @@ func (c *APLCache) Insert(tag Tag) uint8 {
 	c.entries[v] = APLCacheEntry{Tag: tag, HWTag: uint8(v), valid: true}
 	c.reindex()
 	return uint8(v)
-}
-
-// HWTagOf is the dIPC-specific privileged instruction (§4.3): retrieve
-// the 5-bit hardware domain tag of any cached domain. It fails if the
-// domain is not present (the caller then takes the slow path and refills).
-func (c *APLCache) HWTagOf(tag Tag) (uint8, error) {
-	if hw, ok := c.Lookup(tag); ok {
-		return hw, nil
-	}
-	return 0, fmt.Errorf("codoms: domain %d not in APL cache", tag)
 }
 
 // HitRate returns the fraction of client lookups served from the cache

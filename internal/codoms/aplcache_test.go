@@ -55,7 +55,7 @@ func (c *refAPLCache) Insert(tag Tag) uint8 {
 // every step.
 func TestAPLCacheMatchesScanReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(0xA91C4C4E))
-	got := NewAPLCache()
+	got := &APLCache{}
 	want := &refAPLCache{}
 	for step := 0; step < 50000; step++ {
 		tag := Tag(rng.Intn(3*APLCacheSize) + 1)
@@ -83,7 +83,7 @@ func TestAPLCacheMatchesScanReference(t *testing.T) {
 // internal presence probe must leave the client lookup counter alone —
 // in particular it must never decrement it.
 func TestAPLCacheInsertDoesNotCountLookups(t *testing.T) {
-	c := NewAPLCache()
+	c := &APLCache{}
 	c.Insert(Tag(1)) // miss + refill
 	c.Insert(Tag(1)) // already cached
 	if c.lookups != 0 || c.misses != 1 {
@@ -99,7 +99,7 @@ func TestAPLCacheInsertDoesNotCountLookups(t *testing.T) {
 
 // TestAPLCacheHitRate checks the accessor over a known trace.
 func TestAPLCacheHitRate(t *testing.T) {
-	c := NewAPLCache()
+	c := &APLCache{}
 	if hr := c.HitRate(); hr != 1 {
 		t.Fatalf("empty-history hit rate = %v, want 1", hr)
 	}
@@ -120,7 +120,7 @@ func TestAPLCacheHitRate(t *testing.T) {
 // after the clock wraps several times, lookups must still resolve every
 // resident tag and nothing else.
 func TestAPLCacheEvictionReindex(t *testing.T) {
-	c := NewAPLCache()
+	c := &APLCache{}
 	last := make(map[Tag]uint8)
 	for i := 1; i <= 5*APLCacheSize; i++ {
 		tag := Tag(i)

@@ -22,19 +22,14 @@ func (f *Fault) Error() string {
 
 // ThreadCtx is the per-hardware-thread CODOMs state: the instruction
 // pointer (whose page tag defines the subject domain), the 8 capability
-// registers and the APL cache.
+// registers and the APL cache. The zero value is a fresh context.
 type ThreadCtx struct {
 	ip       mem.Addr
 	ipDomain Tag // cached tag of the current code page
 	ipValid  bool
 
 	CapRegs [NumCapRegs]Capability
-	Cache   *APLCache
-}
-
-// NewThreadCtx returns a fresh hardware thread context.
-func NewThreadCtx() *ThreadCtx {
-	return &ThreadCtx{Cache: NewAPLCache()}
+	Cache   APLCache
 }
 
 // SetIP moves the instruction pointer, invalidating the cached subject

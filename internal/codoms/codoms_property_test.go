@@ -23,9 +23,9 @@ func TestCapabilityBoundsProperty(t *testing.T) {
 	if err := pt.Map(0x900000, 1, mem.FlagExec, stranger.Tag); err != nil {
 		t.Fatal(err)
 	}
-	ownerCtx := NewThreadCtx()
+	ownerCtx := &ThreadCtx{}
 	ownerCtx.SetIP(0x100000)
-	other := NewThreadCtx()
+	other := &ThreadCtx{}
 	other.SetIP(0x900000)
 
 	f := func(offRaw, sizeRaw uint16, accOff uint16, accSize uint8, wantWrite bool) bool {
@@ -68,7 +68,7 @@ func TestCapabilityBoundsProperty(t *testing.T) {
 // resident domains.
 func TestAPLCacheUniqueHWTagsProperty(t *testing.T) {
 	f := func(tagsRaw []uint16) bool {
-		c := NewAPLCache()
+		c := &APLCache{}
 		for _, tr := range tagsRaw {
 			c.Insert(Tag(tr%100 + 1))
 		}
@@ -105,7 +105,7 @@ func TestGrantDirectionalityProperty(t *testing.T) {
 		if err := s.Grant(a.Tag, b.Tag, perm); err != nil {
 			return false
 		}
-		bctx := NewThreadCtx()
+		bctx := &ThreadCtx{}
 		bctx.SetIP(mem.PageSize) // executing in B
 		// B must not gain anything from A's grant.
 		_, capErr := s.NewFromAPL(bctx, pt, a.Tag, 0, 8, PermRead)

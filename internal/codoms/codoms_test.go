@@ -31,7 +31,7 @@ func fig4(t *testing.T) (s *System, pt *mem.PageTable, a, b, c *Domain) {
 
 // ctxAt returns a thread context executing inside the given page.
 func ctxAt(page int, off mem.Addr) *ThreadCtx {
-	ctx := NewThreadCtx()
+	ctx := &ThreadCtx{}
 	ctx.SetIP(mem.Addr(page)*mem.PageSize + off)
 	return ctx
 }
@@ -287,7 +287,7 @@ func TestPrivilegedCapabilityBit(t *testing.T) {
 }
 
 func TestAPLCacheInsertLookup(t *testing.T) {
-	c := NewAPLCache()
+	c := &APLCache{}
 	hw1 := c.Insert(Tag(10))
 	hw2 := c.Insert(Tag(20))
 	if hw1 == hw2 {
@@ -300,16 +300,13 @@ func TestAPLCacheInsertLookup(t *testing.T) {
 	if got := c.Insert(Tag(10)); got != hw1 {
 		t.Fatalf("re-insert changed hw tag: %d vs %d", got, hw1)
 	}
-	if _, err := c.HWTagOf(Tag(10)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.HWTagOf(Tag(99)); err == nil {
-		t.Fatal("HWTagOf on missing domain must fail")
+	if _, ok := c.Lookup(Tag(99)); ok {
+		t.Fatal("Lookup of a domain never inserted must miss")
 	}
 }
 
 func TestAPLCacheEviction(t *testing.T) {
-	c := NewAPLCache()
+	c := &APLCache{}
 	for i := 1; i <= APLCacheSize; i++ {
 		c.Insert(Tag(i))
 	}

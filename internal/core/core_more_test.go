@@ -170,7 +170,7 @@ func TestGrantRevokeCutsDirectAccess(t *testing.T) {
 			return
 		}
 		arch := w.rt.M.Arch
-		if _, err := arch.NewFromAPL(th.HW, w.rt.PT, ro.tag, buf, 8, codoms.PermRead); err != nil {
+		if _, err := arch.NewFromAPL(&th.HW, w.rt.PT, ro.tag, buf, 8, codoms.PermRead); err != nil {
 			t.Errorf("read after grant: %v", err)
 		}
 		// grant_revoke sets the APL entry back to nil.
@@ -180,7 +180,7 @@ func TestGrantRevokeCutsDirectAccess(t *testing.T) {
 		if got := arch.APLPerm(self.tag, ro.tag); got != codoms.PermNil {
 			t.Errorf("web holds %v over the pool after revoke, want nil", got)
 		}
-		if _, err := arch.NewFromAPL(th.HW, w.rt.PT, ro.tag, buf, 8, codoms.PermRead); err == nil {
+		if _, err := arch.NewFromAPL(&th.HW, w.rt.PT, ro.tag, buf, 8, codoms.PermRead); err == nil {
 			t.Error("read after revoke must fault")
 		}
 	})

@@ -173,7 +173,7 @@ func TestDirectCallBypassingProxyFails(t *testing.T) {
 	var direct error
 	w.run(t, w.web, func(th *kernel.Thread) {
 		eh, _ := w.rt.Resolve(th, "/run/db.sock")
-		direct = w.rt.M.Arch.CheckCall(th.HW, w.rt.PT, eh.entries[0].addr)
+		direct = w.rt.M.Arch.CheckCall(&th.HW, w.rt.PT, eh.entries[0].addr)
 	})
 	if direct == nil {
 		t.Fatal("direct call into the callee's domain must be denied")
@@ -479,7 +479,7 @@ func TestGrantCreateEnablesDirectAccess(t *testing.T) {
 		ro := w.handoff
 		arch := w.rt.M.Arch
 		// Before the grant: no access.
-		if _, err := arch.NewFromAPL(th.HW, w.rt.PT, ro.tag, dbData, 8, codoms.PermRead); err == nil {
+		if _, err := arch.NewFromAPL(&th.HW, w.rt.PT, ro.tag, dbData, 8, codoms.PermRead); err == nil {
 			t.Error("web read db pool before grant")
 		}
 		self := w.rt.DomDefault(th)
@@ -490,11 +490,11 @@ func TestGrantCreateEnablesDirectAccess(t *testing.T) {
 		if got := arch.APLPerm(th.HW.CodeDomain(w.rt.PT), ro.tag); got != codoms.PermRead {
 			t.Errorf("web holds %v over the pool after grant, want read", got)
 		}
-		if _, err := arch.NewFromAPL(th.HW, w.rt.PT, ro.tag, dbData, 8, codoms.PermRead); err != nil {
+		if _, err := arch.NewFromAPL(&th.HW, w.rt.PT, ro.tag, dbData, 8, codoms.PermRead); err != nil {
 			t.Errorf("read after grant: %v", err)
 		}
 		// Write stays denied (read-only handle).
-		if _, err := arch.NewFromAPL(th.HW, w.rt.PT, ro.tag, dbData, 8, codoms.PermWrite); err == nil {
+		if _, err := arch.NewFromAPL(&th.HW, w.rt.PT, ro.tag, dbData, 8, codoms.PermWrite); err == nil {
 			t.Error("read grant allowed a write")
 		}
 	})

@@ -154,26 +154,38 @@ func TestCrossCallSteadyStateAllocs(t *testing.T) {
 		{"high-depth1", true, 1},
 		{"low-depth8", false, 8},
 	} {
-		t.Run(tc.name, func(t *testing.T) {
-			_, run := buildCrossCallRig(t, tc.high, tc.depth)
-			// The engine hands control between goroutines over channels,
-			// and the runtime keeps the sudogs those handoffs park on in
-			// per-P caches. A GC cycle empties the caches, and a goroutine
-			// moving to another P can find that P's cache empty; either
-			// way the refill allocates, and MemStats would charge it to
-			// the call path. One P and no GC keep the caches warm.
-			defer debug.SetGCPercent(debug.SetGCPercent(-1))
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-			const rounds = 512
-			var before, after runtime.MemStats
-			run(64, rounds,
-				func() { runtime.ReadMemStats(&before) },
-				func() { runtime.ReadMemStats(&after) })
-			perOp := float64(after.Mallocs-before.Mallocs) / rounds
-			if perOp > 0 {
-				t.Errorf("steady-state cross-call allocates %.3f objects/op (total %d over %d calls), want 0",
-					perOp, after.Mallocs-before.Mallocs, rounds)
-			}
-		})
+		t.Run(tc.name, func(t *testing.T) { checkSteadyStateAllocs(t, tc.high, tc.depth) })
+	}
+}
+
+// TestDeepChainSteadyStateAllocs runs the crosscall chain 40 deep, as
+// scripts/reach.sh does. Forty domains overflow the 32-entry APL cache,
+// so every call misses it somewhere on the way down and refills a slot;
+// a miss must cost a slow-path refill, never a host allocation.
+func TestDeepChainSteadyStateAllocs(t *testing.T) {
+	checkSteadyStateAllocs(t, false, 40)
+}
+
+// checkSteadyStateAllocs fails t unless calls into a chain depth deep
+// allocate nothing once warm.
+func checkSteadyStateAllocs(t *testing.T, high bool, depth int) {
+	_, run := buildCrossCallRig(t, high, depth)
+	// The engine hands control between goroutines over channels,
+	// and the runtime keeps the sudogs those handoffs park on in
+	// per-P caches. A GC cycle empties the caches, and a goroutine
+	// moving to another P can find that P's cache empty; either
+	// way the refill allocates, and MemStats would charge it to
+	// the call path. One P and no GC keep the caches warm.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const rounds = 512
+	var before, after runtime.MemStats
+	run(64, rounds,
+		func() { runtime.ReadMemStats(&before) },
+		func() { runtime.ReadMemStats(&after) })
+	perOp := float64(after.Mallocs-before.Mallocs) / rounds
+	if perOp > 0 {
+		t.Errorf("steady-state cross-call allocates %.3f objects/op (total %d over %d calls), want 0",
+			perOp, after.Mallocs-before.Mallocs, rounds)
 	}
 }

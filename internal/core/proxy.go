@@ -193,7 +193,7 @@ func (ie *ImportedEntry) Call(t *kernel.Thread, in *Args) (*Args, error) {
 func (px *Proxy) invoke(t *kernel.Thread, in *Args) (*Args, error) {
 	rt := px.rt
 	p := rt.M.P
-	hw := t.HW
+	hw := &t.HW
 	ts := state(t)
 	d := &px.desc
 	if px.calleeProc.Dead {

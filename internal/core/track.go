@@ -117,7 +117,7 @@ func state(t *kernel.Thread) *threadState {
 func (px *Proxy) trackProcessCall(t *kernel.Thread, ts *threadState) {
 	p := t.Machine().P
 	tag := px.calleeProc.DefaultTag
-	if hw, err := t.HW.Cache.HWTagOf(tag); err == nil {
+	if hw, ok := t.HW.Cache.Lookup(tag); ok {
 		if e := ts.trackCache[hw]; e != nil && ts.trackTags[hw] == tag && e.proc == px.calleeProc {
 			t.Exec(p.TrackProcessHot, stats.BlockProxy)
 			t.MigrateTo(px.calleeProc)

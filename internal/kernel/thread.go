@@ -47,7 +47,7 @@ type Thread struct {
 
 	// HW is the CODOMs per-hardware-thread context, carried with the
 	// thread by the scheduler (the APL cache is switched lazily, §7.5).
-	HW *codoms.ThreadCtx
+	HW codoms.ThreadCtx
 
 	// Ext is a slot for higher layers (the dIPC runtime hangs the KCS
 	// and per-thread tracking caches here).
@@ -93,7 +93,6 @@ func (m *Machine) Spawn(p *Process, name string, pin *CPU, fn func(t *Thread)) *
 		m:      m,
 		proc:   p,
 		pinned: pin,
-		HW:     codoms.NewThreadCtx(),
 	}
 	t.sp = m.Eng.Spawn(name, 0, func(sp *sim.Proc) {
 		// First scheduling: claim a CPU or queue for one.
