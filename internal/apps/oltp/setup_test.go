@@ -8,23 +8,34 @@ import (
 	"repro/internal/sim"
 )
 
-// setupBytes returns the heap bytes startStack allocates for cfg.
-func setupBytes(cfg Config) uint64 {
+// runBytes returns the heap bytes one call of run allocates.
+func runBytes(run func()) uint64 {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	r, _ := startStack(&cfg)
+	run()
 	runtime.ReadMemStats(&after)
-	r.eng.Close()
 	return after.TotalAlloc - before.TotalAlloc
+}
+
+// setupBytes returns the heap bytes startStack allocates for cfg.
+func setupBytes(cfg Config) uint64 {
+	var r *rig
+	n := runBytes(func() { r, _ = startStack(&cfg) })
+	r.eng.Close()
+	return n
 }
 
 // TestOLTPSetupBytesPerThread pins that per-run setup pays only for what
 // a run touches: each thread and client a fig8 stack adds costs at most
-// 4 KiB of heap. A thread is one allocation that carries its CODOMs
-// context and APL cache inline, and a closed-loop client sizes its
-// query slice once.
+// 1152 B of heap. A thread is one 160-byte allocation; only a thread that
+// makes dIPC calls adds dIPC's per-thread state, which carries its CODOMs
+// context and APL cache inline; and a closed-loop client sizes its query
+// slice once. With the CODOMs context inside every kernel thread, an
+// added proc cost 1498 B (Linux) and 1344 B (dIPC, Ideal); since it
+// moved into dIPC's state, about 845 B and 907 B (950 B and 976 B
+// under the race detector).
 func TestOLTPSetupBytesPerThread(t *testing.T) {
-	const lo, hi, limit = 16, 256, 4 << 10
+	const lo, hi, limit = 16, 256, 1152
 	for _, mode := range []Mode{ModeLinux, ModeDIPC, ModeIdeal} {
 		t.Run(mode.String(), func(t *testing.T) {
 			// One unit of Threads adds a client plus a web worker; under
@@ -36,6 +47,10 @@ func TestOLTPSetupBytesPerThread(t *testing.T) {
 			cfg := func(threads int) Config {
 				return Config{Mode: mode, InMemory: true, Threads: threads, CPUs: 4, Seed: 1001}
 			}
+			// The first large setup in a process also pays one-time
+			// runtime costs, such as the goroutine records of its procs,
+			// so both sizes are measured after one.
+			setupBytes(cfg(hi))
 			small, large := setupBytes(cfg(lo)), setupBytes(cfg(hi))
 			added := (hi - lo) * procsPerThread
 			perProc := (float64(large) - float64(small)) / float64(added)
@@ -49,20 +64,22 @@ func TestOLTPSetupBytesPerThread(t *testing.T) {
 }
 
 // TestFig8SetupBytes pins the fixed cost of one fig8 setup at Threads=16
-// (perfbench's fig8 shape) at about 1.25x what it measured when the
-// database's stock and order columns became uint8 and int32 and the page
-// table became a sorted list of mapped runs. Before that change the same
-// setups allocated 199 KB (Linux), 211 KB (dIPC) and 137 KB (Ideal);
-// after it, 118 KB, 82 KB and 64 KB. The first setup in a process also
-// pays one-time runtime costs, so the test measures the second.
+// (perfbench's fig8 shape) at about 1.25x what it measured once the
+// CODOMs context moved from every kernel thread into dIPC's per-thread
+// state: 77 KB (Linux), 71 KB (dIPC) and 50 KB (Ideal), against 118 KB,
+// 82 KB and 64 KB before. (Before the database's stock and order columns
+// became uint8 and int32 and the page table a sorted list of mapped
+// runs, the same setups allocated 199 KB, 211 KB and 137 KB.) The first
+// setup in a process also pays one-time runtime costs, so the test
+// measures the second.
 func TestFig8SetupBytes(t *testing.T) {
 	for _, tc := range []struct {
 		mode    Mode
 		ceiling uint64
 	}{
-		{ModeLinux, 148 << 10},
-		{ModeDIPC, 102 << 10},
-		{ModeIdeal, 80 << 10},
+		{ModeLinux, 96 << 10},
+		{ModeDIPC, 90 << 10},
+		{ModeIdeal, 63 << 10},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
 			cfg := Config{Mode: tc.mode, InMemory: true, Threads: 16, CPUs: 4, Seed: 1001}
@@ -121,9 +138,38 @@ func BenchmarkOpenLoopSetup(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cfg := openLoopShape(mode, 1, 0.002)
-				cfg.Warmup, cfg.Window = 1, 1
-				RunOpenLoop(cfg)
+				openLoopSetup(mode)
+			}
+		})
+	}
+}
+
+// openLoopSetup is one BenchmarkOpenLoopSetup iteration.
+func openLoopSetup(mode Mode) {
+	cfg := openLoopShape(mode, 1, 0.002)
+	cfg.Warmup, cfg.Window = 1, 1
+	RunOpenLoop(cfg)
+}
+
+// TestOpenLoopSetupBytes pins the bytes of one BenchmarkOpenLoopSetup
+// iteration at about 1.25x what it measured once the CODOMs context
+// moved from every kernel thread into dIPC's per-thread state and the
+// latency histogram's counters became 32-bit: 38 KB (Linux) and 35 KB
+// (dIPC), against 67 KB and 47 KB before. The first run in a process
+// also pays one-time runtime costs, so the test measures the second.
+func TestOpenLoopSetupBytes(t *testing.T) {
+	for _, tc := range []struct {
+		mode    Mode
+		ceiling uint64
+	}{
+		{ModeLinux, 47 << 10},
+		{ModeDIPC, 44 << 10},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			run := func() { openLoopSetup(tc.mode) }
+			run()
+			if got := runBytes(run); got > tc.ceiling {
+				t.Errorf("open-loop setup allocates %d B, want <= %d", got, tc.ceiling)
 			}
 		})
 	}
@@ -156,9 +202,40 @@ func BenchmarkReplicatedSetup(b *testing.B) {
 		b.Run(mode.String(), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				cfg := replicatedShape(mode, 1)
-				cfg.Warmup, cfg.Window = sim.Millis(1)+1, 1
-				RunReplicated(cfg)
+				replicatedSetup(mode)
+			}
+		})
+	}
+}
+
+// replicatedSetup is one BenchmarkReplicatedSetup iteration.
+func replicatedSetup(mode Mode) {
+	cfg := replicatedShape(mode, 1)
+	cfg.Warmup, cfg.Window = sim.Millis(1)+1, 1
+	RunReplicated(cfg)
+}
+
+// TestReplicatedSetupBytes pins the bytes of one BenchmarkReplicatedSetup
+// iteration once the CODOMs context moved from every kernel thread into
+// dIPC's per-thread state and the four latency histograms' counters
+// (three machines and the merged total) became 32-bit: 59 KB (Linux)
+// and 86 KB (dIPC), against 102 KB and 107 KB before. Linux's ceiling is
+// about 1.25x its measurement; dIPC's is about 1.16x, so that it stays
+// below what dIPC measured before. The first run in a process also pays
+// one-time runtime costs, so the test measures the second.
+func TestReplicatedSetupBytes(t *testing.T) {
+	for _, tc := range []struct {
+		mode    Mode
+		ceiling uint64
+	}{
+		{ModeLinux, 72 << 10},
+		{ModeDIPC, 98 << 10},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			run := func() { replicatedSetup(tc.mode) }
+			run()
+			if got := runBytes(run); got > tc.ceiling {
+				t.Errorf("replicated setup allocates %d B, want <= %d", got, tc.ceiling)
 			}
 		})
 	}

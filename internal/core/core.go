@@ -73,11 +73,12 @@ func (rt *Runtime) NewProcess(name string) *kernel.Process {
 // page belonging to the calling process's default domain, modeling the
 // application code the thread executes. Each thread must do this once
 // before issuing dIPC calls — the CODOMs checks take the subject domain
-// from the instruction pointer's page tag.
+// from the instruction pointer's page tag — so it is where a thread's
+// dIPC state, CODOMs context included, is usually created.
 func (rt *Runtime) EnterProcessCode(t *kernel.Thread) (mem.Addr, error) {
 	proc := t.Process()
 	if base, ok := rt.codeBases[proc]; ok {
-		t.HW.SetIP(base)
+		state(t).hw.SetIP(base)
 		return base, nil
 	}
 	if proc.VA == nil {
@@ -91,9 +92,13 @@ func (rt *Runtime) EnterProcessCode(t *kernel.Thread) (mem.Addr, error) {
 		rt.codeBases = make(map[*kernel.Process]mem.Addr)
 	}
 	rt.codeBases[proc] = base
-	t.HW.SetIP(base)
+	state(t).hw.SetIP(base)
 	return base, nil
 }
+
+// APLHitRate returns the hit rate of t's APL cache, which lives in the
+// CODOMs context of t's dIPC state.
+func APLHitRate(t *kernel.Thread) float64 { return state(t).hw.Cache.HitRate() }
 
 // errBadPerm builds the permission-failure error used across the API.
 func errBadPerm(op string, need, have Perm) error {

@@ -170,7 +170,7 @@ func TestGrantRevokeCutsDirectAccess(t *testing.T) {
 			return
 		}
 		arch := w.rt.M.Arch
-		if _, err := arch.NewFromAPL(&th.HW, w.rt.PT, ro.tag, buf, 8, codoms.PermRead); err != nil {
+		if _, err := arch.NewFromAPL(&state(th).hw, w.rt.PT, ro.tag, buf, 8, codoms.PermRead); err != nil {
 			t.Errorf("read after grant: %v", err)
 		}
 		// grant_revoke sets the APL entry back to nil.
@@ -180,7 +180,7 @@ func TestGrantRevokeCutsDirectAccess(t *testing.T) {
 		if got := arch.APLPerm(self.tag, ro.tag); got != codoms.PermNil {
 			t.Errorf("web holds %v over the pool after revoke, want nil", got)
 		}
-		if _, err := arch.NewFromAPL(&th.HW, w.rt.PT, ro.tag, buf, 8, codoms.PermRead); err == nil {
+		if _, err := arch.NewFromAPL(&state(th).hw, w.rt.PT, ro.tag, buf, 8, codoms.PermRead); err == nil {
 			t.Error("read after revoke must fault")
 		}
 	})
@@ -318,5 +318,46 @@ func TestHandleWithoutOwnerPermissionRejected(t *testing.T) {
 		if c.err == nil || !strings.Contains(c.err.Error(), c.op) || !strings.Contains(c.err.Error(), "owner") {
 			t.Errorf("%s with a call handle: %v, want an error naming %s and owner", c.op, c.err, c.op)
 		}
+	}
+}
+
+// TestExtClashPanics: a thread whose Ext holds another layer's value
+// (the L4 server path keeps its current call there) panics on its first
+// dIPC call, naming the type it found, instead of overwriting the value.
+func TestExtClashPanics(t *testing.T) {
+	type otherLayer struct{ n int }
+	w := newWorld(1)
+	w.export(t, PolicyLow, func(th *kernel.Thread, in *Args) *Args { return in })
+	var ents []*ImportedEntry
+	w.run(t, w.web, func(th *kernel.Thread) {
+		var err error
+		ents, err = w.rt.MustImport(th, "/run/db.sock", []EntryDesc{{
+			Name: "query", Sig: Signature{InRegs: 2, OutRegs: 1}, Policy: PolicyLow,
+		}})
+		if err != nil {
+			t.Error(err)
+		}
+	})
+	if ents == nil {
+		t.Fatal("no entry imported")
+	}
+	held := &otherLayer{n: 7}
+	var msg any
+	kept := false
+	w.m.Spawn(w.web, "l4-server", nil, func(th *kernel.Thread) {
+		th.Ext = held
+		defer func() {
+			msg = recover()
+			kept = th.Ext == held
+		}()
+		ents[0].Call(th, &Args{Regs: []uint64{1, 2}})
+	})
+	w.eng.Run()
+	s, ok := msg.(string)
+	if !ok || !strings.Contains(s, "*core.otherLayer") {
+		t.Fatalf("first dIPC call with a foreign Ext: recovered %v, want a panic naming *core.otherLayer", msg)
+	}
+	if !kept {
+		t.Error("the dIPC call overwrote the thread's Ext")
 	}
 }

@@ -158,12 +158,12 @@ func (px *Proxy) compile() {
 // cache only avoids re-deriving a bit-identical value on the host.
 //
 //dipcvet:noalloc
-func (px *Proxy) returnCap(ts *threadState, hw *codoms.ThreadCtx) (codoms.Capability, error) {
+func (px *Proxy) returnCap(ts *threadState) (codoms.Capability, error) {
 	arch, pt := px.rt.M.Arch, px.rt.PT
 	if rc, ok := ts.retCaps[px]; ok && rc.epoch == arch.Epoch() && rc.ptGen == pt.Gen() {
 		return rc.cap, nil
 	}
-	c, err := arch.NewFromAPL(hw, pt, px.domTag, px.retAddr,
+	c, err := arch.NewFromAPL(&ts.hw, pt, px.domTag, px.retAddr,
 		int(arch.EntryAlign), codoms.PermCall)
 	if err != nil {
 		return codoms.Capability{}, err
@@ -193,8 +193,8 @@ func (ie *ImportedEntry) Call(t *kernel.Thread, in *Args) (*Args, error) {
 func (px *Proxy) invoke(t *kernel.Thread, in *Args) (*Args, error) {
 	rt := px.rt
 	p := rt.M.P
-	hw := &t.HW
 	ts := state(t)
+	hw := &ts.hw
 	d := &px.desc
 	if px.calleeProc.Dead {
 		return nil, d.deadErr
@@ -224,7 +224,7 @@ func (px *Proxy) invoke(t *kernel.Thread, in *Args) (*Args, error) {
 	// ---- proxy entry: prepare_ret + policy enter ----
 	fr := kcsEntry{proxy: px, callerProc: t.Process(), callerIP: callerIP,
 		callerDom: callerDom, callerPTGen: rt.PT.Gen()}
-	retCap, rerr := px.returnCap(ts, hw)
+	retCap, rerr := px.returnCap(ts)
 	if rerr != nil {
 		hw.SetIP(callerIP)
 		return nil, rerr
@@ -314,8 +314,8 @@ func (px *Proxy) unwindFrame(t *kernel.Thread, ts *threadState, depth int) {
 	case px.mp.proxy.Has(DCSIntegrity):
 		cost += p.DCSAdjust
 	}
-	t.HW.CapRegs[retCapReg] = fr.savedCap
+	ts.hw.CapRegs[retCapReg] = fr.savedCap
 	ts.kcs = ts.kcs[:depth-1]
 	t.Exec(cost, stats.BlockProxy)
-	t.HW.SetIP(fr.callerIP)
+	ts.hw.SetIP(fr.callerIP)
 }

@@ -1,33 +1,27 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/codoms"
 	"repro/internal/kernel"
 	"repro/internal/mem"
 	"repro/internal/stats"
 )
 
-// procEntry is the per-thread record locating a target process: the
-// process plus this thread's per-process thread identifier (§5.2.1:
-// "primary threads appear with different identifiers on each process").
-type procEntry struct {
-	proc *kernel.Process
-	tid  int
-}
-
 // trackNode is one node of the per-thread binary search tree indexed by
-// domain tag (the §6.1.2 warm path).
+// domain tag (the §6.1.2 warm path), locating the tag's process.
 type trackNode struct {
 	tag         codoms.Tag
-	entry       *procEntry
+	proc        *kernel.Process
 	left, right *trackNode
 }
 
-func (n *trackNode) find(tag codoms.Tag) *procEntry {
+func (n *trackNode) find(tag codoms.Tag) *kernel.Process {
 	for n != nil {
 		switch {
 		case tag == n.tag:
-			return n.entry
+			return n.proc
 		case tag < n.tag:
 			n = n.left
 		default:
@@ -37,17 +31,17 @@ func (n *trackNode) find(tag codoms.Tag) *procEntry {
 	return nil
 }
 
-func insertNode(n *trackNode, tag codoms.Tag, e *procEntry) *trackNode {
+func insertNode(n *trackNode, tag codoms.Tag, proc *kernel.Process) *trackNode {
 	if n == nil {
-		return &trackNode{tag: tag, entry: e}
+		return &trackNode{tag: tag, proc: proc}
 	}
 	switch {
 	case tag < n.tag:
-		n.left = insertNode(n.left, tag, e)
+		n.left = insertNode(n.left, tag, proc)
 	case tag > n.tag:
-		n.right = insertNode(n.right, tag, e)
+		n.right = insertNode(n.right, tag, proc)
 	default:
-		n.entry = e
+		n.proc = proc
 	}
 	return n
 }
@@ -66,19 +60,24 @@ type retCapEntry struct {
 	ptGen uint64
 }
 
-// threadState is the dIPC per-thread state hung off kernel.Thread.Ext:
-// the kernel control stack, the process-tracking cache array (indexed by
-// the 5-bit hardware domain tag), the tracking tree and the per-proxy
+// threadState is the dIPC per-thread state hung off kernel.Thread.Ext,
+// dIPC's one allocation per thread, made on the thread's first dIPC use
+// (EnterProcessCode or its first call). It holds the thread's CODOMs
+// per-hardware-thread context — §4.1's APL cache and the capability
+// registers, which travel with the thread (the APL cache is switched
+// lazily, §7.5) — so a thread of the Linux or Ideal baselines, which
+// model an unmodified machine, carries none. Beside it are the kernel
+// control stack, the process-tracking cache array (indexed by the 5-bit
+// hardware domain tag), the tracking tree and the per-proxy
 // return-capability cache.
 type threadState struct {
+	hw         codoms.ThreadCtx
 	kcs        []kcsEntry
 	kcsInline  [kcsInlineDepth]kcsEntry
 	retCaps    map[*Proxy]retCapEntry
-	trackCache [codoms.APLCacheSize]*procEntry
+	trackCache [codoms.APLCacheSize]*kernel.Process
 	trackTags  [codoms.APLCacheSize]codoms.Tag
 	trackTree  *trackNode
-	homeProc   *kernel.Process
-	nextTIDs   map[int]int // per-target-process tid assignment
 }
 
 // kcsEntry is one kernel-control-stack frame: who called through which
@@ -94,15 +93,18 @@ type kcsEntry struct {
 	migrated    bool
 }
 
-// state returns (creating on first use) the thread's dIPC state.
+// state returns the thread's dIPC state, creating it on first use. A
+// thread that makes dIPC calls leaves Ext to dIPC: state panics on a
+// value another layer put there rather than overwrite it.
 func state(t *kernel.Thread) *threadState {
-	if ts, ok := t.Ext.(*threadState); ok {
+	ts, ok := t.Ext.(*threadState)
+	if ok {
 		return ts
 	}
-	ts := &threadState{
-		homeProc: t.Process(),
-		nextTIDs: make(map[int]int),
+	if t.Ext != nil {
+		panic(fmt.Sprintf("dipc: thread %q holds a %T in Ext, not dIPC state", t.Name, t.Ext))
 	}
+	ts = &threadState{}
 	ts.kcs = ts.kcsInline[:0]
 	t.Ext = ts
 	return ts
@@ -117,17 +119,17 @@ func state(t *kernel.Thread) *threadState {
 func (px *Proxy) trackProcessCall(t *kernel.Thread, ts *threadState) {
 	p := t.Machine().P
 	tag := px.calleeProc.DefaultTag
-	if hw, ok := t.HW.Cache.Lookup(tag); ok {
-		if e := ts.trackCache[hw]; e != nil && ts.trackTags[hw] == tag && e.proc == px.calleeProc {
+	if hw, ok := ts.hw.Cache.Lookup(tag); ok {
+		if ts.trackCache[hw] == px.calleeProc && ts.trackTags[hw] == tag {
 			t.Exec(p.TrackProcessHot, stats.BlockProxy)
 			t.MigrateTo(px.calleeProc)
 			return
 		}
 	}
-	if e := ts.trackTree.find(tag); e != nil {
+	if proc := ts.trackTree.find(tag); proc != nil {
 		// Warm: refill the APL cache slot and the cache array.
-		hw := t.HW.Cache.Insert(tag)
-		ts.trackCache[hw] = e
+		hw := ts.hw.Cache.Insert(tag)
+		ts.trackCache[hw] = proc
 		ts.trackTags[hw] = tag
 		t.Exec(p.TrackProcessWarm, stats.BlockProxy)
 		t.MigrateTo(px.calleeProc)
@@ -135,11 +137,9 @@ func (px *Proxy) trackProcessCall(t *kernel.Thread, ts *threadState) {
 	}
 	// Cold: upcall into the target process's management thread, which
 	// creates the per-process thread identity via a system call.
-	ts.nextTIDs[px.calleeProc.PID]++
-	e := &procEntry{proc: px.calleeProc, tid: ts.nextTIDs[px.calleeProc.PID]}
-	ts.trackTree = insertNode(ts.trackTree, tag, e)
-	hw := t.HW.Cache.Insert(tag)
-	ts.trackCache[hw] = e
+	ts.trackTree = insertNode(ts.trackTree, tag, px.calleeProc)
+	hw := ts.hw.Cache.Insert(tag)
+	ts.trackCache[hw] = px.calleeProc
 	ts.trackTags[hw] = tag
 	t.Exec(p.TrackProcessCold, stats.BlockKernel)
 	t.MigrateTo(px.calleeProc)

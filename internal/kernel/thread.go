@@ -3,7 +3,6 @@ package kernel
 import (
 	"fmt"
 
-	"repro/internal/codoms"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -45,12 +44,11 @@ type Thread struct {
 	pendingWake  bool   // a Wake arrived during the arm window
 	sleepWake    func() // SleepFor's timer callback, built on first use
 
-	// HW is the CODOMs per-hardware-thread context, carried with the
-	// thread by the scheduler (the APL cache is switched lazily, §7.5).
-	HW codoms.ThreadCtx
-
-	// Ext is a slot for higher layers (the dIPC runtime hangs the KCS
-	// and per-thread tracking caches here).
+	// Ext is a slot for higher layers. The dIPC runtime hangs its
+	// per-thread state here: the thread's CODOMs context (APL cache and
+	// capability registers), the KCS and the tracking caches. A thread
+	// that never makes a dIPC call, as on the Linux and Ideal baselines,
+	// carries none of it.
 	Ext any
 }
 

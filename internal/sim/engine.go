@@ -151,16 +151,6 @@ func (e *Engine) push(at Time, p *Proc, gen uint64, data payload) {
 	e.events.push(e.event(at, p, gen, data))
 }
 
-// pushTimer enqueues a callback due d from now on the queue's timer
-// lane for d (see eventQueue). The due time after(d) never decreases as
-// the clock moves on, so the lane stays in (at, seq) order even for a
-// negative or saturated delay.
-//
-//dipcvet:noalloc
-func (e *Engine) pushTimer(d Time, data payload) {
-	e.events.pushTimer(d, e.event(e.after(d), nil, 0, data))
-}
-
 // event builds the queue entry for a push, classifying it immediately:
 // a proc event whose generation is already superseded or consumed (a
 // Wake on a stale Waiter) is counted stale at birth, everything else is
@@ -282,17 +272,21 @@ func (e *Engine) At(d Time, fn func()) {
 }
 
 // AtU64 is At for a callback that takes a word: fn(v) runs in the
-// engine context after delay d. The word rides the event's unboxed lane
-// and fn its boxed slot (a func value is pointer-shaped, so storing it
-// allocates nothing), so a caller that builds fn once schedules timers
-// with no per-call closure. The event takes the same (at, seq) slot an
-// At call would; it waits on the timer lane for d, so a caller that arms
-// one delay over and over (the Router's hedge timers) keeps its timers
-// out of the heap.
+// engine context after delay d. A caller that builds fn once schedules
+// timers with no per-call closure. The timer takes the same (at, seq)
+// slot an At call would and waits on the timer lane for d, so a caller
+// that arms one delay over and over (the Router's hedge timers) keeps
+// its timers out of the heap. In a lane ring it is a 32-byte laneTimer;
+// as a heap entry fn rides the event's boxed slot (a func value is
+// pointer-shaped, so storing it allocates nothing) and v its word.
 //
 //dipcvet:noalloc
 func (e *Engine) AtU64(d Time, fn func(uint64), v uint64) {
-	e.pushTimer(d, payload{kind: payU64, boxed: fn, u64: v})
+	if e.closed {
+		panicClosed()
+	}
+	e.seq++
+	e.events.pushTimer(d, laneTimer{at: e.after(d), seq: e.seq, fn: fn, v: v})
 }
 
 // Spawn creates a new simulated thread running fn and schedules it to

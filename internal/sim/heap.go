@@ -28,8 +28,10 @@ package sim
 // waits in a ring instead of deepening the heap every other event
 // sifts through. Lanes are claimed by the first delays that arrive, up
 // to numLanes, and an empty lane is re-keyed to a new delay; once all
-// are busy with other delays, a timer goes to the heap. A lane holds
-// only callbacks, which are never stale.
+// are busy with other delays, a timer goes to the heap. A ring holds
+// 32-byte laneTimer values, not 64-byte events: by their type they are
+// AtU64 callbacks, never proc wakeups, so never stale. refill turns one
+// into a tagged event as it enters the heap.
 //
 // The queue also counts its stale entries: proc wakeups that can never
 // be delivered because their proc finished or moved to a newer
@@ -57,7 +59,23 @@ type eventQueue struct {
 type timerLane struct {
 	delay Time
 	armed bool // the lane's earliest entry sits in the heap
-	ring  Queue[event]
+	ring  Queue[laneTimer]
+}
+
+// laneTimer is an AtU64 timer as it waits in a lane ring: its (at, seq)
+// slot, its callback and the callback's word, half the bytes of an event.
+type laneTimer struct {
+	at  Time
+	seq uint64
+	fn  func(uint64)
+	v   uint64
+}
+
+// event returns lt as the heap entry heading lane (1 + its index).
+//
+//dipcvet:noalloc
+func (lt *laneTimer) event(lane uint8) event {
+	return event{at: lt.at, seq: lt.seq, data: payload{kind: payU64, boxed: lt.fn, u64: lt.v, timer: lane}}
 }
 
 // numLanes is the number of timer lanes. A run arms a few fixed delays
@@ -108,13 +126,13 @@ func (q *eventQueue) push(ev event) {
 	}
 }
 
-// pushTimer inserts ev, a callback armed d after the current instant,
+// pushTimer inserts lt, a callback armed d after the current instant,
 // on the lane keyed by d: into the heap if the lane is empty, else at
-// the back of its ring. With no lane free for d, ev goes to the heap
+// the back of its ring. With no lane free for d, lt goes to the heap
 // untagged.
 //
 //dipcvet:noalloc
-func (q *eventQueue) pushTimer(d Time, ev event) {
+func (q *eventQueue) pushTimer(d Time, lt laneTimer) {
 	free := -1
 	for i := range q.lanes {
 		l := &q.lanes[i]
@@ -124,23 +142,24 @@ func (q *eventQueue) pushTimer(d Time, ev event) {
 			}
 		} else if l.delay == d {
 			//dipcvet:alloc-ok pooled capacity: the ring doubles until it holds the lane's steady-state backlog
-			l.ring.PushBack(ev)
+			l.ring.PushBack(lt)
 			q.rest++
 			return
 		}
 	}
+	var lane uint8
 	if free >= 0 {
 		q.lanes[free].delay = d
 		q.lanes[free].armed = true
-		ev.data.timer = uint8(free + 1)
+		lane = uint8(free + 1)
 	}
-	q.push(ev)
+	q.push(lt.event(lane))
 }
 
 // refill is called with the lane tag of an entry leaving the heap. It
-// moves the lane's next entry, tagged, into *dst, a heap slot. With none
-// left the lane is disarmed and refill reports false, leaving *dst as
-// it was.
+// moves the lane's next timer into *dst, a heap slot, as an entry tagged
+// with the lane. With none left the lane is disarmed and refill reports
+// false, leaving *dst as it was.
 //
 //dipcvet:noalloc
 func (q *eventQueue) refill(lane uint8, dst *event) bool {
@@ -149,8 +168,8 @@ func (q *eventQueue) refill(lane uint8, dst *event) bool {
 		l.armed = false
 		return false
 	}
-	*dst = l.ring.PopFront()
-	dst.data.timer = lane
+	lt := l.ring.PopFront()
+	*dst = lt.event(lane)
 	q.rest--
 	return true
 }

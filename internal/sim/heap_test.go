@@ -32,9 +32,10 @@ func (r *refQueue) pop() event {
 
 // checkQueue reports the first broken invariant of q, or "": the stale
 // count is exact over the heap, rest counts the ring entries, and each
-// lane is armed exactly when one heap entry carries its tag, a ring
-// waits only behind an armed lane, holds only callbacks, and is in
-// (at, seq) order after that heap entry.
+// lane is armed exactly when one heap entry carries its tag, that entry
+// is a callback, a ring waits only behind an armed lane, and it is in
+// (at, seq) order after that heap entry. That a ring holds only
+// callbacks is a fact of its element type.
 func checkQueue(q *eventQueue) string {
 	stale, rest := 0, 0
 	var heads [numLanes]*event
@@ -56,15 +57,15 @@ func checkQueue(q *eventQueue) string {
 			return "a lane's armed flag disagrees with the heap"
 		}
 		prev := heads[i]
+		if prev != nil && prev.proc != nil {
+			return "a lane's heap entry is a proc wakeup"
+		}
 		for k := 0; k < l.ring.Len(); k++ {
-			ev := l.ring.At(k)
-			if prev == nil || !before(prev, ev) {
+			ev := l.ring.At(k).event(uint8(i + 1))
+			if prev == nil || !before(prev, &ev) {
 				return "a lane ring is out of (at, seq) order or waits behind no heap entry"
 			}
-			if ev.proc != nil || prev.proc != nil {
-				return "a lane holds a proc wakeup"
-			}
-			prev = ev
+			prev = &ev
 		}
 		rest += l.ring.Len()
 	}
@@ -153,9 +154,8 @@ func heapMatchesReference(t *testing.T, seed uint64, delays []Time) bool {
 		case k >= 6:
 			d := delays[rng.Intn(len(delays))]
 			seq++
-			ev := event{at: now + d, seq: seq}
-			h.pushTimer(d, ev)
-			ref.push(ev)
+			h.pushTimer(d, laneTimer{at: now + d, seq: seq})
+			ref.push(event{at: now + d, seq: seq})
 		case h.len() == 0 || k < 2:
 			ev := next()
 			h.push(ev)
@@ -192,7 +192,7 @@ func TestTimerLaneFallback(t *testing.T) {
 	var seq uint64
 	arm := func(d Time) {
 		seq++
-		q.pushTimer(d, event{at: d, seq: seq})
+		q.pushTimer(d, laneTimer{at: d, seq: seq})
 	}
 	for d := Time(1); d <= numLanes; d++ {
 		arm(d)
@@ -260,7 +260,7 @@ func TestHeapDropsStaleWakeups(t *testing.T) {
 				if rng.Intn(2) == 0 {
 					d := delays[rng.Intn(len(delays))]
 					at = e.now + d
-					e.pushTimer(d, payload{boxed: func() {}})
+					e.AtU64(d, func(uint64) {}, 0)
 				} else {
 					e.push(at, nil, 0, payload{boxed: func() {}})
 				}
@@ -293,8 +293,8 @@ func TestHeapDropsStaleWakeups(t *testing.T) {
 }
 
 // TestHeapPopReleasesSlots checks the pooled slice and the lane rings do
-// not pin payloads: pop, a replaceTop that refills the heap from a
-// lane, and the refill itself must zero the slots they vacate.
+// not pin payloads or callbacks: pop, a replaceTop that refills the heap
+// from a lane, and the refill itself must zero the slots they vacate.
 func TestHeapPopReleasesSlots(t *testing.T) {
 	var q eventQueue
 	data := boxPayload("payload")
@@ -302,21 +302,25 @@ func TestHeapPopReleasesSlots(t *testing.T) {
 	q.push(event{at: 2, seq: 2, data: data})
 	q.pop()
 	q.pop()
-	q.pushTimer(5, event{at: 5, seq: 3, data: data})
-	q.pushTimer(5, event{at: 5, seq: 4, data: data})
+	fn := func(uint64) {}
+	q.pushTimer(5, laneTimer{at: 5, seq: 3, fn: fn, v: 1})
+	q.pushTimer(5, laneTimer{at: 5, seq: 4, fn: fn, v: 1})
 	q.replaceTop(event{at: 6, seq: 5})
 	q.pop()
 	q.pop()
 	if q.size() != 0 {
 		t.Fatalf("%d entries left; want none", q.size())
 	}
-	slots := q.ev[:cap(q.ev)]
-	for i := range q.lanes {
-		slots = append(slots, q.lanes[i].ring.buf...)
-	}
-	for i, slot := range slots {
+	for i, slot := range q.ev[:cap(q.ev)] {
 		if slot.data.boxed != nil || slot.data.kind != payNil || slot.proc != nil {
-			t.Fatalf("pooled slot %d still holds references: %+v", i, slot)
+			t.Fatalf("pooled heap slot %d still holds references: %+v", i, slot)
+		}
+	}
+	for i := range q.lanes {
+		for k, lt := range q.lanes[i].ring.buf {
+			if lt.fn != nil || lt.at != 0 || lt.seq != 0 || lt.v != 0 {
+				t.Fatalf("lane %d ring slot %d still holds a timer: %+v", i, k, lt)
+			}
 		}
 	}
 }

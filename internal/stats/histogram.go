@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"math/bits"
 
 	"repro/internal/sim"
@@ -20,16 +21,25 @@ import (
 // overstates the true value by at most one bucket width — a relative
 // error bound of 1/histHalf (3.125% at histSubBits=6). The maximum is
 // tracked exactly and caps every quantile, so Quantile(1) is exact.
+//
+// Counters are 32 bits: a bucket holds at most 2^32-1 observations, and
+// Record and Merge panic rather than wrap past that. A run records a few
+// thousand to a few tens of thousands of operations, so the bound is
+// far off, and it halves the histogram every Accumulator carries.
 type Histogram struct {
-	counts [histBuckets]int64
+	counts [histBuckets]uint32
 	total  int64
 	max    sim.Time
 }
 
+// bucketFullMsg is what Record and Merge panic with when a bucket
+// would pass its 32-bit bound.
+const bucketFullMsg = "stats: histogram bucket count would pass 2^32-1"
+
 const (
 	// histSubBits fixes the trade-off between footprint and tail
 	// resolution: 64 sub-buckets per octave (32 after the first),
-	// ~15 KiB of counters, 3.125% worst-case quantile error.
+	// ~7.5 KiB of 32-bit counters, 3.125% worst-case quantile error.
 	histSubBits  = 6
 	histSubCount = 1 << histSubBits // exact unit buckets below this value
 	histHalf     = histSubCount >> 1
@@ -66,14 +76,18 @@ func histUpper(i int) sim.Time {
 
 // Record adds one latency observation. Negative values clamp to zero.
 // This is the per-operation hot path of the open-loop runners; it must
-// never allocate.
+// never allocate. It panics if the value's bucket is full.
 //
 //dipcvet:noalloc
 func (h *Histogram) Record(v sim.Time) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[histIndex(uint64(v))]++
+	c := &h.counts[histIndex(uint64(v))]
+	if *c == math.MaxUint32 {
+		panic(bucketFullMsg)
+	}
+	*c++
 	h.total++
 	if v > h.max {
 		h.max = v
@@ -88,10 +102,25 @@ func (h *Histogram) Max() sim.Time { return h.max }
 
 // Merge folds other into h: elementwise counter addition plus the exact
 // max. Merging histograms in any order yields the same
-// result as recording every observation into one histogram.
+// result as recording every observation into one histogram. It panics,
+// leaving h as it was, if a bucket's sum would pass 2^32-1.
 func (h *Histogram) Merge(other *Histogram) {
-	for i := range h.counts {
-		h.counts[i] += other.counts[i]
+	// No bucket past the one holding other's exact max has a count. Sum
+	// in 64 bits and OR the sums together: a bit above the low 32 marks
+	// an overflow, found with no branch per bucket.
+	from := other.counts[:histIndex(uint64(other.max))+1]
+	to := h.counts[:len(from)]
+	var sums uint64
+	for i, c := range from {
+		s := uint64(to[i]) + uint64(c)
+		sums |= s
+		to[i] = uint32(s)
+	}
+	if sums > math.MaxUint32 {
+		for i, c := range from {
+			to[i] -= c // undo the wrapped sums
+		}
+		panic(bucketFullMsg)
 	}
 	h.total += other.total
 	if other.max > h.max {
@@ -125,7 +154,7 @@ func (h *Histogram) Quantile(q float64) sim.Time {
 	}
 	var cum int64
 	for i := range h.counts {
-		cum += h.counts[i]
+		cum += int64(h.counts[i])
 		if cum >= rank {
 			if u := histUpper(i); u < h.max {
 				return u
