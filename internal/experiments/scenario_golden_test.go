@@ -1,86 +1,92 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
+	"bytes"
+	"encoding/json"
+	"flag"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/scenario"
 )
 
-// Golden SHA-256 digests of every scenario's canonical dipc-scenario/v1
-// JSON document at a fixed parameter point, captured on the current
-// engine (PR 3). Together with golden_test.go (which pins the legacy
-// text of Fig2/Fig5/OLTP to the pre-pooling engine) this extends the
-// determinism contract to the whole registry: any change to a simulated
-// quantity, to series construction, or to the canonical encoding shows
-// up as a digest mismatch.
+// update rewrites the golden files from the current run instead of
+// comparing against them: go test -run TestScenarioGoldenFiles -update.
+// A re-pin is then reviewed as the git diff of testdata/golden.
+var update = flag.Bool("update", false, "rewrite testdata/golden/*.json from the current run")
+
+// scenarioGoldens pins every scenario's canonical dipc-scenario/v1 JSON
+// document at a fixed parameter point to testdata/golden/<name>.json.
+// Together with golden_test.go (which pins an OLTP slice to the
+// pre-pooling engine) this extends the determinism contract to the
+// whole registry: any change to a simulated quantity, to series
+// construction, or to the canonical encoding fails the byte comparison.
 //
 // OLTP-backed entries use shrunken windows so the full table stays
 // runnable in CI; `slow` entries are skipped under -short.
 var scenarioGoldens = map[string]struct {
 	overrides map[string]string
-	digest    string
 	slow      bool
 }{
-	"anchors":      {nil, "d05cae37f25a9e6ea2e6fa87398cac4a6e1f7b136dca0e7126de35367d53527a", false},
-	"table1":       {nil, "b808967f802964d39f7437913ec0def77936052f67d1989bb87f2e055becb4f2", false},
-	"fig2":         {nil, "72cfbcff8e2fdf062fd83ea8ec08ac05b977871e02537672ad0e7ebdb0b1d6ba", false},
-	"fig5":         {nil, "6cebdd407424354187ba20b84c62928cee79f276358ace302f2b4ea7640edabc", false},
-	"fig6":         {map[string]string{"maxpow": "8"}, "f8454ffb97e36c6c23bb509b8084e18337599f1fd0b8932660bc8722d0cf8171", false},
-	"fig7":         {map[string]string{"step": "6"}, "4657c8a74f31da02dde7d50cb9edafbc3807f4edd2f520ded59d6e8e87109466", false},
-	"ablation-tls": {nil, "67306b5e1ad52b20f857c8cbd9f349637e203e85178c967c3904bd6c621b9b14", false},
-	"fig1":         {map[string]string{"window": "30ms"}, "1ef59d21ec64709ae848f5497e1fa21566398f2d22cc9baa5a6484801bc04e02", true},
-	"fig8": {map[string]string{"threads": "4,16", "window": "20ms"},
-		"325754619f28134029ad47da36aec7a55e7c48d877cddee9438f50084bc08814", true},
-	"fig8scaling": {map[string]string{"cpus": "1,2", "threads": "4", "window": "20ms"},
-		"2dd0a304a257562938c8b3c9f244e3bc230e2523f4710eac7bd7cd55e3dc976a", true},
-	"sensitivity": {map[string]string{"threads": "4", "window": "20ms"},
-		"f225f1683cd2a203b897e44e1b21b7f6d1ddb489bb370760a5eddbae150042c4", true},
-	"ablation-sharedpt": {map[string]string{"threads": "4", "window": "20ms"},
-		"52cb04bfbf49963ff55ca8de15a698e6714e4d5db10e51f3619cd48f0137703a", true},
-	"ablation-steal": {map[string]string{"threads": "4", "window": "20ms"},
-		"5e56c672aa925106a105c3433dc413870deedc2f565bc39cd627d8e283c2c5c8", true},
-	"chain": {map[string]string{"depth": "1,2", "threads": "4", "window": "20ms"},
-		"b9c0fef5ea99e0653010c63372e71e5b854ff52cd8e191caaea9fa955bb18917", true},
-	"crosscall":     {nil, "59b36b2287e85cf8f8ceab222adedb467530d73aac0e45a9304b2e4b0964d20b", false},
-	"crosscalldeep": {nil, "36e8a478a68eb33a3584a721d4efa69499fe154a60bf58d37e1de4632949ae40", false},
-	"rack": {map[string]string{"window": "10ms", "warmup": "2ms"},
-		"c1ce13c9be9945c7278c6db36ea4169708fb446163f6e22a2f2aba342928df4f", false},
-	"chaos-kill": {map[string]string{"window": "10ms", "warmup": "3ms", "killat": "5ms", "restartat": "8ms"},
-		"1b59910f97f7c3dae700e5daf6ad38060dc8b6e4ec3a5da3e60d7d7cc07a5d7d", false},
-	"chaos-rack": {map[string]string{"window": "8ms", "warmup": "2ms", "flapperiod": "3ms", "flapdown": "1ms"},
-		"c20c57ea64aaa4fb62eae089670cf9779d542dfa2f364bf0ffd6b5b62bff0cc6", false},
-	"chaos-retrystorm": {map[string]string{"window": "5ms", "warmup": "2ms"},
-		"d1af28d2762d6c430e70ad9f736a39a8e850e52570e7803c1294e70bf4044cfb", false},
-	"overload-knee": {map[string]string{"window": "10ms", "warmup": "3ms"},
-		"850bdbc020ac453b8f241bfd2c2f6a2f25d991ba89fa3f96d51dacf00e872a76", false},
-	"overload-shed": {map[string]string{"window": "10ms", "warmup": "3ms"},
-		"356d3fd19106746a190bf0d5befd44d146cc8e1c34fb08fd4bc7234ff8620269", false},
-	"overload-storm": {nil,
-		"dc143cae409a796a6e8dc2f55ef75bef7189576fe77406935c2e5a02d1fd8fb4", false},
-	"failover-kill": {map[string]string{"window": "8ms", "warmup": "2ms", "killat": "3ms", "restartat": "5ms"},
-		"756f9a405e842a5744f0bbc13e9109316f6cc84afbdc7131a5871a313da3a32c", false},
-	"failover-flap": {map[string]string{"window": "8ms", "warmup": "2ms"},
-		"56412ac7434671602120e54ed9660235d4e7f393fcae045961103bc1fe0403f9", false},
-	"failover-hedge": {map[string]string{"window": "8ms", "warmup": "2ms"},
-		"2b36611a3dae5674249d02a850b27fa4675a264e79c24677e15a1c6c84ebd7e7", false},
+	"anchors":           {nil, false},
+	"table1":            {nil, false},
+	"fig2":              {nil, false},
+	"fig5":              {nil, false},
+	"fig6":              {map[string]string{"maxpow": "8"}, false},
+	"fig7":              {map[string]string{"step": "6"}, false},
+	"ablation-tls":      {nil, false},
+	"fig1":              {map[string]string{"window": "30ms"}, true},
+	"fig8":              {map[string]string{"threads": "4,16", "window": "20ms"}, true},
+	"fig8scaling":       {map[string]string{"cpus": "1,2", "threads": "4", "window": "20ms"}, true},
+	"sensitivity":       {map[string]string{"threads": "4", "window": "20ms"}, true},
+	"ablation-sharedpt": {map[string]string{"threads": "4", "window": "20ms"}, true},
+	"ablation-steal":    {map[string]string{"threads": "4", "window": "20ms"}, true},
+	"chain":             {map[string]string{"depth": "1,2", "threads": "4", "window": "20ms"}, true},
+	"crosscall":         {nil, false},
+	"crosscalldeep":     {nil, false},
+	"rack":              {map[string]string{"window": "10ms", "warmup": "2ms"}, false},
+	"chaos-kill":        {map[string]string{"window": "10ms", "warmup": "3ms", "killat": "5ms", "restartat": "8ms"}, false},
+	"chaos-rack":        {map[string]string{"window": "8ms", "warmup": "2ms", "flapperiod": "3ms", "flapdown": "1ms"}, false},
+	"chaos-retrystorm":  {map[string]string{"window": "5ms", "warmup": "2ms"}, false},
+	"overload-knee":     {map[string]string{"window": "10ms", "warmup": "3ms"}, false},
+	"overload-shed":     {map[string]string{"window": "10ms", "warmup": "3ms"}, false},
+	"overload-storm":    {nil, false},
+	"failover-kill":     {map[string]string{"window": "8ms", "warmup": "2ms", "killat": "3ms", "restartat": "5ms"}, false},
+	"failover-flap":     {map[string]string{"window": "8ms", "warmup": "2ms"}, false},
+	"failover-hedge":    {map[string]string{"window": "8ms", "warmup": "2ms"}, false},
+}
+
+// goldenPath is where scenario name's pinned document lives.
+func goldenPath(name string) string {
+	return filepath.Join("testdata", "golden", name+".json")
 }
 
 // TestScenarioGoldenCoverage enforces, by iterating the registry, that
-// every registered scenario is digest-pinned and every pin names a
-// registered scenario.
+// every registered scenario is pinned, every pin names a registered
+// scenario, and every golden file belongs to a pin.
 func TestScenarioGoldenCoverage(t *testing.T) {
 	for _, s := range scenario.Default.All() {
 		if _, pinned := scenarioGoldens[s.Name()]; !pinned {
-			t.Errorf("scenario %q has no golden digest entry", s.Name())
+			t.Errorf("scenario %q has no golden entry", s.Name())
 		}
 	}
 	for name := range scenarioGoldens {
 		if _, ok := scenario.Default.Lookup(name); !ok {
-			t.Errorf("golden digest for unregistered scenario %q", name)
+			t.Errorf("golden entry for unregistered scenario %q", name)
+		}
+	}
+	files, err := filepath.Glob(goldenPath("*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if _, pinned := scenarioGoldens[strings.TrimSuffix(filepath.Base(f), ".json")]; !pinned {
+			t.Errorf("golden file %s belongs to no golden entry", f)
 		}
 	}
 }
@@ -100,30 +106,96 @@ func pinnedNames() []string {
 }
 
 // runGolden runs the pinned scenario name at its golden parameter point
-// and returns the result with the SHA-256 of its canonical JSON.
-func runGolden(name string) (*scenario.Result, string, error) {
+// and returns the result with its canonical JSON.
+func runGolden(name string) (*scenario.Result, []byte, error) {
 	s, ok := scenario.Default.Lookup(name)
 	if !ok {
-		return nil, "", fmt.Errorf("not registered")
+		return nil, nil, fmt.Errorf("not registered")
 	}
 	cfg, err := scenario.NewConfig(s, scenarioGoldens[name].overrides)
 	if err != nil {
-		return nil, "", fmt.Errorf("config: %w", err)
+		return nil, nil, fmt.Errorf("config: %w", err)
 	}
 	res, err := s.Run(cfg)
 	if err != nil {
-		return nil, "", fmt.Errorf("run: %w", err)
+		return nil, nil, fmt.Errorf("run: %w", err)
 	}
 	data, err := res.MarshalCanonical()
 	if err != nil {
-		return nil, "", fmt.Errorf("marshal: %w", err)
+		return nil, nil, fmt.Errorf("marshal: %w", err)
 	}
-	sum := sha256.Sum256(data)
-	return res, hex.EncodeToString(sum[:]), nil
+	return res, data, nil
+}
+
+// checkGolden compares got with name's golden file byte for byte and
+// describes the first difference.
+func checkGolden(name string, got []byte) error {
+	want, err := os.ReadFile(goldenPath(name))
+	if err != nil {
+		return err
+	}
+	if bytes.Equal(got, want) {
+		return nil
+	}
+	return fmt.Errorf("canonical JSON diverged from %s: %s (rerun with -update to re-pin)",
+		goldenPath(name), firstDifference(want, got))
+}
+
+// firstDifference names the first series and point, note or parameter
+// where got departs from want, or else the first differing line.
+func firstDifference(want, got []byte) string {
+	var w, g scenario.Result
+	if json.Unmarshal(want, &w) == nil && json.Unmarshal(got, &g) == nil {
+		for i := 0; i < max(len(w.Series), len(g.Series)); i++ {
+			if i >= len(w.Series) {
+				return fmt.Sprintf("added series %q", g.Series[i].Label)
+			}
+			if i >= len(g.Series) {
+				return fmt.Sprintf("missing series %q", w.Series[i].Label)
+			}
+			ws, gs := w.Series[i], g.Series[i]
+			if ws.Label != gs.Label || ws.Unit != gs.Unit {
+				return fmt.Sprintf("series %d is %q [%s], want %q [%s]", i, gs.Label, gs.Unit, ws.Label, ws.Unit)
+			}
+			for j := 0; j < max(len(ws.Points), len(gs.Points)); j++ {
+				switch {
+				case j >= len(ws.Points):
+					return fmt.Sprintf("series %q: added point %d %+v", ws.Label, j, gs.Points[j])
+				case j >= len(gs.Points):
+					return fmt.Sprintf("series %q: missing point %d %+v", ws.Label, j, ws.Points[j])
+				case !reflect.DeepEqual(ws.Points[j], gs.Points[j]):
+					return fmt.Sprintf("series %q point %d (x=%v %q): got y=%v, want y=%v (per-CPU equal: %v)",
+						ws.Label, j, ws.Points[j].X, ws.Points[j].Label, gs.Points[j].Y, ws.Points[j].Y,
+						reflect.DeepEqual(ws.Points[j].PerCPU, gs.Points[j].PerCPU))
+				}
+			}
+		}
+		for i := 0; i < max(len(w.Notes), len(g.Notes)); i++ {
+			switch {
+			case i >= len(w.Notes):
+				return fmt.Sprintf("added note %q", g.Notes[i])
+			case i >= len(g.Notes):
+				return fmt.Sprintf("missing note %q", w.Notes[i])
+			case w.Notes[i] != g.Notes[i]:
+				return fmt.Sprintf("note %d is %q, want %q", i, g.Notes[i], w.Notes[i])
+			}
+		}
+		if !reflect.DeepEqual(w.Params, g.Params) {
+			return fmt.Sprintf("params are %v, want %v", g.Params, w.Params)
+		}
+	}
+	wl, gl := strings.Split(string(want), "\n"), strings.Split(string(got), "\n")
+	for i := 0; i < min(len(wl), len(gl)); i++ {
+		if wl[i] != gl[i] {
+			return fmt.Sprintf("line %d is %q, want %q", i+1, gl[i], wl[i])
+		}
+	}
+	return fmt.Sprintf("%d lines, want %d", len(gl), len(wl))
 }
 
 // TestScenarioGoldenDigests runs each pinned scenario at its golden
-// parameter point and compares the SHA-256 of the canonical JSON.
+// parameter point and compares its canonical JSON with the golden file.
+// With -update it rewrites the file instead.
 func TestScenarioGoldenDigests(t *testing.T) {
 	for _, name := range pinnedNames() {
 		res, got, err := runGolden(name)
@@ -131,8 +203,12 @@ func TestScenarioGoldenDigests(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 			continue
 		}
-		if want := scenarioGoldens[name].digest; got != want {
-			t.Errorf("%s: canonical JSON diverged from golden digest:\n got %s\nwant %s", name, got, want)
+		if *update {
+			if err := os.WriteFile(goldenPath(name), got, 0o644); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := checkGolden(name, got); err != nil {
+			t.Errorf("%s: %v", name, err)
 		}
 		if res.Scenario != name {
 			t.Errorf("%s: result names scenario %q", name, res.Scenario)
@@ -144,8 +220,8 @@ func TestScenarioGoldenDigests(t *testing.T) {
 }
 
 // TestScenarioGoldenParallelWidths reruns every pinned scenario with
-// its sweep on 1, 2 and 4 workers and requires each digest to equal the
-// pinned one: the output must not depend on the worker count.
+// its sweep on 1, 2 and 4 workers and requires each document to equal
+// the golden file: the output must not depend on the worker count.
 func TestScenarioGoldenParallelWidths(t *testing.T) {
 	defer SetParallelism(0)
 	for _, name := range pinnedNames() {
@@ -156,9 +232,8 @@ func TestScenarioGoldenParallelWidths(t *testing.T) {
 				t.Errorf("%s -parallel %d: %v", name, width, err)
 				continue
 			}
-			if want := scenarioGoldens[name].digest; got != want {
-				t.Errorf("%s: digest at -parallel %d diverged from the golden digest:\n got %s\nwant %s",
-					name, width, got, want)
+			if err := checkGolden(name, got); err != nil {
+				t.Errorf("%s -parallel %d: %v", name, width, err)
 			}
 		}
 	}
