@@ -4,8 +4,10 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/apps/netpipe"
 	"repro/internal/apps/oltp"
 	"repro/internal/cost"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -253,5 +255,53 @@ func TestSensitivity(t *testing.T) {
 	}
 	if !strings.Contains(r.Render(), "Sensitivity") {
 		t.Fatal("render incomplete")
+	}
+}
+
+// pointAt returns the Y of the point at x in the named series.
+func pointAt(t *testing.T, res *scenario.Result, label string, x float64) float64 {
+	t.Helper()
+	for _, p := range series(t, res, label).Points {
+		if p.X == x {
+			return p.Y
+		}
+	}
+	t.Fatalf("%s: series %q has no point at x=%v", res.Scenario, label, x)
+	return 0
+}
+
+// TestFig8CellSeriesMatchOLTPRun checks one fig8 cell's per-cell series
+// against oltp.Run under the same configuration.
+func TestFig8CellSeriesMatchOLTPRun(t *testing.T) {
+	res := runScenarioAt(t, "fig8", map[string]string{"threads": "8", "window": "20ms"})
+	r := oltp.Run(oltp.Config{Mode: oltp.ModeDIPC, InMemory: true, Threads: 8, Window: sim.Millis(20), Seed: 5})
+	for label, want := range map[string]float64{
+		"dIPC (in-memory)":              r.Throughput,
+		"dIPC (in-memory) avg latency":  r.AvgLatency.Nanoseconds(),
+		"dIPC (in-memory) user share":   100 * r.UserShare(),
+		"dIPC (in-memory) kernel share": 100 * r.KernelShare(),
+		"dIPC (in-memory) idle share":   100 * r.IdleShare(),
+		"dIPC (in-memory) calls":        r.CallsPerOp,
+	} {
+		if got := pointAt(t, res, label, 8); got != want {
+			t.Errorf("%s at 8 threads = %v, oltp.Run gives %v", label, got, want)
+		}
+	}
+	if r.Throughput == 0 || r.CallsPerOp == 0 {
+		t.Fatalf("empty cell: %+v", r)
+	}
+}
+
+// TestFig7AbsoluteLatencyMatchesNetpipe checks fig7's absolute latency
+// series against a direct netpipe run of the same size and rounds.
+func TestFig7AbsoluteLatencyMatchesNetpipe(t *testing.T) {
+	res := runScenarioAt(t, "fig7", map[string]string{"step": "12"})
+	for _, v := range []netpipe.Variant{netpipe.Bare, netpipe.DIPC} {
+		for _, size := range []int{1, 4096} {
+			want := netpipe.Setup(v, 1).RunLatency(size, 60).Nanoseconds()
+			if got := pointAt(t, res, "latency: "+v.String(), float64(size)); got != want || got <= 0 {
+				t.Errorf("%s at %d B = %v ns, netpipe gives %v ns", v, size, got, want)
+			}
+		}
 	}
 }

@@ -231,6 +231,9 @@ type Fig7Result struct {
 	Sizes   []int
 	Latency map[netpipe.Variant]stats.Series // latency overhead %
 	BW      map[netpipe.Variant]stats.Series // bandwidth overhead %
+	// AbsLatency is each variant's mean round-trip latency in ns, the
+	// bare baseline included.
+	AbsLatency map[netpipe.Variant]stats.Series
 }
 
 // Fig7Variants are the isolation mechanisms compared.
@@ -246,9 +249,10 @@ func RunFig7(sizes []int) *Fig7Result {
 		}
 	}
 	res := &Fig7Result{
-		Sizes:   sizes,
-		Latency: make(map[netpipe.Variant]stats.Series),
-		BW:      make(map[netpipe.Variant]stats.Series),
+		Sizes:      sizes,
+		Latency:    make(map[netpipe.Variant]stats.Series),
+		BW:         make(map[netpipe.Variant]stats.Series),
+		AbsLatency: make(map[netpipe.Variant]stats.Series),
 	}
 	const latRounds, bwMsgs = 60, 150
 	// The bare baselines are variant-independent and deterministic, so
@@ -265,7 +269,10 @@ func RunFig7(sizes []int) *Fig7Result {
 	})
 	// One sweep point per (variant, size) pair, computing the same
 	// overhead formulas as the sequential loop.
-	type fig7Point struct{ lat, bw float64 }
+	type fig7Point struct {
+		lat, bw float64
+		abs     sim.Time
+	}
 	pts := sweep(len(Fig7Variants)*len(sizes), func(i int) fig7Point {
 		v := Fig7Variants[i/len(sizes)]
 		si := i % len(sizes)
@@ -274,18 +281,27 @@ func RunFig7(sizes []int) *Fig7Result {
 		return fig7Point{
 			lat: (float64(gotLat) - float64(bases[si].lat)) / float64(bases[si].lat) * 100,
 			bw:  (1 - gotBW/bases[si].bw) * 100,
+			abs: gotLat,
 		}
 	})
+	bare := stats.Series{Label: netpipe.Bare.String()}
+	for si, size := range sizes {
+		bare.Add(float64(size), bases[si].lat.Nanoseconds())
+	}
+	res.AbsLatency[netpipe.Bare] = bare
 	for vi, v := range Fig7Variants {
 		lat := stats.Series{Label: v.String()}
 		bw := stats.Series{Label: v.String()}
+		abs := stats.Series{Label: v.String()}
 		for si, size := range sizes {
 			p := pts[vi*len(sizes)+si]
 			lat.Add(float64(size), p.lat)
 			bw.Add(float64(size), p.bw)
+			abs.Add(float64(size), p.abs.Nanoseconds())
 		}
 		res.Latency[v] = lat
 		res.BW[v] = bw
+		res.AbsLatency[v] = abs
 	}
 	return res
 }
@@ -389,12 +405,20 @@ func RunFig8(inMemory bool, threads []int, window sim.Time) *Fig8Result {
 	return &Fig8Result{InMemory: inMemory, Cells: cells}
 }
 
-// Throughput returns the cell's ops/min (0 if absent).
-func (r *Fig8Result) Throughput(mode oltp.Mode, threads int) float64 {
+// Cell returns the run of one (mode, threads) cell, or nil if absent.
+func (r *Fig8Result) Cell(mode oltp.Mode, threads int) *oltp.Result {
 	for _, c := range r.Cells {
 		if c.Mode == mode && c.Threads == threads {
-			return c.Result.Throughput
+			return c.Result
 		}
+	}
+	return nil
+}
+
+// Throughput returns the cell's ops/min (0 if absent).
+func (r *Fig8Result) Throughput(mode oltp.Mode, threads int) float64 {
+	if c := r.Cell(mode, threads); c != nil {
+		return c.Throughput
 	}
 	return 0
 }

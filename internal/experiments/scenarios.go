@@ -12,7 +12,9 @@ package experiments
 
 import (
 	"fmt"
+	"strings"
 
+	"repro/internal/apps/netpipe"
 	"repro/internal/apps/oltp"
 	"repro/internal/scenario"
 	"repro/internal/stats"
@@ -191,17 +193,46 @@ func fig8ThreadsAxis(cells []Fig8Cell) []int {
 
 var oltpModes = []oltp.Mode{oltp.ModeLinux, oltp.ModeDIPC, oltp.ModeIdeal}
 
-// fig8Series converts one storage configuration into per-mode series.
-func fig8Series(r *Fig8Result, storage string) []scenario.Series {
+// fig8Quantity is one per-cell quantity fig8 reports for every mode and
+// storage: the series label suffix, its unit and how to read it.
+type fig8Quantity struct {
+	suffix, unit string
+	value        func(*oltp.Result) float64
+}
+
+var fig8Quantities = []fig8Quantity{
+	{"", "ops/min", func(r *oltp.Result) float64 { return r.Throughput }},
+	{" avg latency", "ns", func(r *oltp.Result) float64 { return r.AvgLatency.Nanoseconds() }},
+	{" user share", "%", func(r *oltp.Result) float64 { return 100 * r.UserShare() }},
+	{" kernel share", "%", func(r *oltp.Result) float64 { return 100 * r.KernelShare() }},
+	{" idle share", "%", func(r *oltp.Result) float64 { return 100 * r.IdleShare() }},
+	{" calls", "calls/op", func(r *oltp.Result) float64 { return r.CallsPerOp }},
+}
+
+// fig8Series converts one storage configuration into per-mode series of
+// quantity q.
+func fig8Series(r *Fig8Result, storage string, q fig8Quantity) []scenario.Series {
 	var out []scenario.Series
 	for _, mode := range oltpModes {
-		s := scenario.Series{Label: fmt.Sprintf("%s (%s)", mode, storage), Unit: "ops/min"}
+		s := scenario.Series{Label: fmt.Sprintf("%s (%s)%s", mode, storage, q.suffix), Unit: q.unit}
 		for _, th := range fig8ThreadsAxis(r.Cells) {
-			s.Points = append(s.Points, scenario.Point{X: float64(th), Y: r.Throughput(mode, th)})
+			s.Points = append(s.Points, scenario.Point{X: float64(th), Y: q.value(r.Cell(mode, th))})
 		}
 		out = append(out, s)
 	}
 	return out
+}
+
+// fig8SpeedupNote states dIPC's and Ideal's throughput over Linux at
+// each thread count of one storage configuration.
+func fig8SpeedupNote(r *Fig8Result, storage string) string {
+	var parts []string
+	for _, th := range fig8ThreadsAxis(r.Cells) {
+		lin := r.Throughput(oltp.ModeLinux, th)
+		parts = append(parts, fmt.Sprintf("%d threads dIPC %.2fx Ideal %.2fx", th,
+			r.Throughput(oltp.ModeDIPC, th)/lin, r.Throughput(oltp.ModeIdeal, th)/lin))
+	}
+	return fmt.Sprintf("%s speedup over Linux: %s", storage, strings.Join(parts, ", "))
 }
 
 // ---- scenario runs ----
@@ -221,13 +252,14 @@ func runAnchorsScenario(cfg *scenario.Config) (*scenario.Result, error) {
 
 func runTable1Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 	r := RunTable1(cfg.Int("bulk"))
-	var names []string
+	var names, ops []string
 	var sw, data, total []float64
 	for _, row := range r.Rows {
 		names = append(names, row.Arch.String())
 		sw = append(sw, row.SwitchCost.Nanoseconds())
 		data = append(data, row.DataCost.Nanoseconds())
 		total = append(total, row.Total().Nanoseconds())
+		ops = append(ops, row.Arch.String()+": "+row.Operations)
 	}
 	return &scenario.Result{
 		Scenario: "table1",
@@ -237,7 +269,8 @@ func runTable1Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 			labeledPoints("data", "ns", names, data),
 			labeledPoints("total", "ns", names, total),
 		},
-		Text: r.Render(),
+		Notes: ops,
+		Text:  r.Render(),
 	}, nil
 }
 
@@ -295,6 +328,11 @@ func runFig7Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 		bw.Label = "bandwidth overhead: " + bw.Label
 		series = append(series, statsSeries("%", []stats.Series{bw})...)
 	}
+	for _, v := range append([]netpipe.Variant{netpipe.Bare}, Fig7Variants...) {
+		abs := r.AbsLatency[v]
+		abs.Label = "latency: " + abs.Label
+		series = append(series, statsSeries("ns", []stats.Series{abs})...)
+	}
 	return &scenario.Result{
 		Scenario: "fig7",
 		Params:   cfg.ParamStrings(),
@@ -336,11 +374,16 @@ func runFig8Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 	window := cfg.Duration("window")
 	onDisk := RunFig8(false, threads, window)
 	inMem := RunFig8(true, threads, window)
-	series := append(fig8Series(onDisk, "on-disk"), fig8Series(inMem, "in-memory")...)
+	var series []scenario.Series
+	for _, q := range fig8Quantities {
+		series = append(series, fig8Series(onDisk, "on-disk", q)...)
+		series = append(series, fig8Series(inMem, "in-memory", q)...)
+	}
 	return &scenario.Result{
 		Scenario: "fig8",
 		Params:   cfg.ParamStrings(),
 		Series:   series,
+		Notes:    []string{fig8SpeedupNote(onDisk, "on-disk"), fig8SpeedupNote(inMem, "in-memory")},
 		Text:     onDisk.Render() + "\n" + inMem.Render(),
 	}, nil
 }
