@@ -21,7 +21,7 @@ func TestRunAnchorsAndTable1(t *testing.T) {
 		}
 	}
 	got := out.String()
-	for _, want := range []string{"Scalar anchors", "function call", "Table 1", "CODOMs"} {
+	for _, want := range []string{"== scenario anchors ==", "Function call", "== scenario table1 ==", "CODOMs"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("output missing %q:\n%s", want, got)
 		}
@@ -59,8 +59,10 @@ func TestRunFig8ScalingExperiment(t *testing.T) {
 	if code := run([]string{"run", "fig8scaling", "-p", "window=40ms"}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	if !strings.Contains(out.String(), "vs cores") {
-		t.Fatalf("missing scaling table:\n%s", out.String())
+	for _, want := range []string{"== scenario fig8scaling ==", "dIPC [ops/min]", "scaling across the sweep"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("missing %q in scaling table:\n%s", want, out.String())
+		}
 	}
 }
 
@@ -276,9 +278,11 @@ func TestRunSubcommandEmitsCanonicalJSON(t *testing.T) {
 	if code := run([]string{"run", "fig2", "-json", path}, &out, &errb); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
-	// Text output is the pinned legacy rendering.
-	if !strings.Contains(out.String(), "Figure 2") {
-		t.Fatalf("missing figure text:\n%s", out.String())
+	// Text output shows the round trips and their per-CPU breakdowns.
+	for _, want := range []string{"== scenario fig2 ==", "round trip [ns]", "Sem. (=CPU) [ns]", "Page table switch"} {
+		if !strings.Contains(out.String(), want) {
+			t.Fatalf("missing %q in figure text:\n%s", want, out.String())
+		}
 	}
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -453,7 +457,7 @@ func TestLegacyAblationsAliasResolves(t *testing.T) {
 		t.Fatalf("exit %d, stderr: %s", code, errb.String())
 	}
 	got := out.String()
-	for _, want := range []string{"TLS segment switch", "shared page table", "idle stealing"} {
+	for _, want := range []string{"== scenario ablation-tls ==", "== scenario ablation-sharedpt ==", "== scenario ablation-steal =="} {
 		if !strings.Contains(got, want) {
 			t.Errorf("ablations output missing %q", want)
 		}

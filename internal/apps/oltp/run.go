@@ -73,31 +73,19 @@ type Result struct {
 // UserShare, KernelShare, IdleShare report the Fig. 1 breakdown
 // fractions of the measurement window.
 func (r *Result) UserShare() float64 {
-	return blockShare(r.Breakdown, stats.BlockUser, stats.BlockStub)
+	return r.Breakdown.Share(stats.BlockUser, stats.BlockStub)
 }
 
 // KernelShare is everything privileged: kernel code, syscall paths,
 // scheduling, page-table work, and dIPC's proxies/TLS (which run
 // privileged but outside the kernel).
 func (r *Result) KernelShare() float64 {
-	return blockShare(r.Breakdown, stats.BlockSyscall, stats.BlockDispatch, stats.BlockKernel,
+	return r.Breakdown.Share(stats.BlockSyscall, stats.BlockDispatch, stats.BlockKernel,
 		stats.BlockSched, stats.BlockPT, stats.BlockProxy, stats.BlockTLS)
 }
 
 // IdleShare is the idle/IO-wait fraction.
-func (r *Result) IdleShare() float64 { return blockShare(r.Breakdown, stats.BlockIdle) }
-
-func blockShare(bd stats.Breakdown, blocks ...stats.Block) float64 {
-	total := bd.Total()
-	if total == 0 {
-		return 0
-	}
-	var sum sim.Time
-	for _, b := range blocks {
-		sum += bd[b]
-	}
-	return float64(sum) / float64(total)
-}
+func (r *Result) IdleShare() float64 { return r.Breakdown.Share(stats.BlockIdle) }
 
 // Run executes one OLTP configuration and returns its measurements.
 func Run(cfg Config) *Result {

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/apps/oltp"
 	"repro/internal/cost"
 	"repro/internal/sim"
@@ -53,18 +50,6 @@ func RunTLSAblation() *TLSAblationResult {
 	}
 }
 
-// Render formats the ablation.
-func (r *TLSAblationResult) Render() string {
-	var sb strings.Builder
-	sb.WriteString("== Ablation: TLS segment switch (§6.1.2, §7.2) ==\n")
-	fmt.Fprintf(&sb, "  dIPC+proc Low:  %s -> %s without TLS switch (%.2fx)\n",
-		r.LowBase, r.LowNoTLS, r.LowSpeedup())
-	fmt.Fprintf(&sb, "  dIPC+proc High: %s -> %s without TLS switch (%.2fx)\n",
-		r.HighBase, r.HighNoTLS, r.HighSpeedup())
-	sb.WriteString("  paper: optimizing the TLS switch would yield 1.54x-3.22x\n")
-	return sb.String()
-}
-
 // SharedPTAblationResult quantifies the global virtual address space
 // (§6.1.3): what the OLTP numbers would look like if dIPC processes kept
 // private page tables (and so paid CR3 switches and TLB refills whenever
@@ -98,16 +83,6 @@ func RunSharedPTAblation(threads int, window sim.Time) *SharedPTAblationResult {
 	return &SharedPTAblationResult{SharedPT: runs[0], PrivatePT: runs[1]}
 }
 
-// Render formats the ablation.
-func (r *SharedPTAblationResult) Render() string {
-	var sb strings.Builder
-	sb.WriteString("== Ablation: shared page table / global VA space (§6.1.3) ==\n")
-	fmt.Fprintf(&sb, "  dIPC, shared table:  %8.0f ops/min\n", r.SharedPT.Throughput)
-	fmt.Fprintf(&sb, "  dIPC, private table: %8.0f ops/min (%.1f%% slower)\n",
-		r.PrivatePT.Throughput, 100*r.Penalty())
-	return sb.String()
-}
-
 // StealAblationResult quantifies the scheduler's idle-steal rebalancing
 // under the IPC-heavy Linux configuration (the transient imbalance the
 // paper blames for synchronous-IPC idle time, §7.4).
@@ -127,15 +102,4 @@ func RunStealAblation(threads int, window sim.Time) *StealAblationResult {
 	}
 	runs := sweep(len(cfgs), func(i int) *oltp.Result { return oltp.Run(cfgs[i]) })
 	return &StealAblationResult{WithSteal: runs[0], NoSteal: runs[1]}
-}
-
-// Render formats the ablation.
-func (r *StealAblationResult) Render() string {
-	var sb strings.Builder
-	sb.WriteString("== Ablation: scheduler idle stealing under IPC load ==\n")
-	fmt.Fprintf(&sb, "  with steal: %8.0f ops/min, idle %4.1f%%\n",
-		r.WithSteal.Throughput, 100*r.WithSteal.IdleShare())
-	fmt.Fprintf(&sb, "  no steal:   %8.0f ops/min, idle %4.1f%%\n",
-		r.NoSteal.Throughput, 100*r.NoSteal.IdleShare())
-	return sb.String()
 }

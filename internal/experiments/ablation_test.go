@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/sim"
@@ -24,9 +23,8 @@ func TestTLSAblation(t *testing.T) {
 	if low <= high {
 		t.Fatalf("Low (%.2fx) must benefit more than High (%.2fx)", low, high)
 	}
-	if !strings.Contains(r.Render(), "TLS") {
-		t.Fatal("render incomplete")
-	}
+	requireText(t, renderScenario(t, "ablation-tls", nil),
+		"Low no-TLS", "High no-TLS", "Low speedup without TLS switch")
 }
 
 func TestSharedPTAblation(t *testing.T) {
@@ -51,9 +49,8 @@ func TestSharedPTAblation(t *testing.T) {
 		t.Fatalf("private tables should not beat shared: %.0f vs %.0f",
 			r.PrivatePT.Throughput, r.SharedPT.Throughput)
 	}
-	if !strings.Contains(r.Render(), "shared") {
-		t.Fatal("render incomplete")
-	}
+	requireText(t, renderScenario(t, "ablation-sharedpt", map[string]string{"threads": "8", "window": "100ms"}),
+		"shared table", "private table", "private-table penalty")
 }
 
 func TestStealAblation(t *testing.T) {
@@ -72,7 +69,6 @@ func TestStealAblation(t *testing.T) {
 		t.Fatalf("removing idle stealing should not help throughput: %.0f vs %.0f",
 			r.NoSteal.Throughput, r.WithSteal.Throughput)
 	}
-	if !strings.Contains(r.Render(), "steal") {
-		t.Fatal("render incomplete")
-	}
+	requireText(t, renderScenario(t, "ablation-steal", map[string]string{"threads": "8", "window": "100ms"}),
+		"with steal", "no steal", "idle share [%]")
 }

@@ -85,10 +85,10 @@ func TestFig5CrossProcAnchors(t *testing.T) {
 	low, _ := r.Find("dIPC - Low (=CPU;+proc)")
 	high, _ := r.Find("dIPC - High (=CPU;+proc)")
 	// Paper: 28x and 53x a function call.
-	if ratio := low.Ratio(p); ratio < 17 || ratio > 40 {
+	if ratio := float64(low.Mean) / float64(p.FuncCall); ratio < 17 || ratio > 40 {
 		t.Fatalf("+proc Low = %.0fx, want ~28x", ratio)
 	}
-	if ratio := high.Ratio(p); ratio < 33 || ratio > 75 {
+	if ratio := float64(high.Mean) / float64(p.FuncCall); ratio < 33 || ratio > 75 {
 		t.Fatalf("+proc High = %.0fx, want ~53x", ratio)
 	}
 	sem, _ := r.Find("Sem. (=CPU)")
@@ -172,14 +172,28 @@ func TestFig6Shapes(t *testing.T) {
 	}
 }
 
-func TestTable1Render(t *testing.T) {
-	r := RunTable1(4096)
-	out := r.Render()
-	for _, want := range []string{"CODOMs", "CHERI", "MMP", "Conventional"} {
+// renderScenario returns the text dipcbench prints for a registered
+// scenario run with overrides.
+func renderScenario(t *testing.T, name string, overrides map[string]string) string {
+	t.Helper()
+	return runScenarioAt(t, name, overrides).RenderText()
+}
+
+// requireText fails unless out contains every wanted string.
+func requireText(t *testing.T, out string, wants ...string) {
+	t.Helper()
+	for _, want := range wants {
 		if !strings.Contains(out, want) {
-			t.Fatalf("table missing %s:\n%s", want, out)
+			t.Fatalf("rendering missing %q:\n%s", want, out)
 		}
 	}
+}
+
+func TestTable1Render(t *testing.T) {
+	r := RunTable1(4096)
+	out := renderScenario(t, "table1", map[string]string{"bulk": "4096"})
+	requireText(t, out, "CODOMs", "CHERI", "MMP", "Conventional", "total [ns]",
+		"CODOMs: S: call + return // D: capability setup")
 	if len(r.Rows) != 4 {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}
@@ -196,9 +210,8 @@ func TestFig1Shape(t *testing.T) {
 	if r.Ideal.IdleShare() > 0.05 {
 		t.Fatalf("Ideal idle = %.1f%%, want ~1%%", 100*r.Ideal.IdleShare())
 	}
-	if !strings.Contains(r.Render(), "IPC overhead") {
-		t.Fatal("render incomplete")
-	}
+	requireText(t, renderScenario(t, "fig1", map[string]string{"window": "120ms"}),
+		"IPC overhead", "idle share [%]")
 }
 
 func TestFig8SmallSweep(t *testing.T) {
@@ -217,9 +230,9 @@ func TestFig8SmallSweep(t *testing.T) {
 			t.Fatalf("T=%d: dIPC efficiency %.1f%% below 94%%", th, 100*dip/ide)
 		}
 	}
-	if !strings.Contains(r.Render(), "Figure 8") {
-		t.Fatal("render incomplete")
-	}
+	requireText(t, renderScenario(t, "fig8", map[string]string{"threads": "4,16", "window": "100ms"}),
+		"dIPC (in-memory) [ops/min]", "dIPC (in-memory) avg latency [ns]", "dIPC (in-memory) calls [calls/op]",
+		"in-memory speedup over Linux: 4 threads dIPC")
 }
 
 func TestFig7SmallSweep(t *testing.T) {
@@ -228,9 +241,8 @@ func TestFig7SmallSweep(t *testing.T) {
 	if dipcLat.Y[0] > 3 {
 		t.Fatalf("dIPC latency overhead = %.1f%%, want ~1%%", dipcLat.Y[0])
 	}
-	if !strings.Contains(r.Render(), "Figure 7") {
-		t.Fatal("render incomplete")
-	}
+	requireText(t, renderScenario(t, "fig7", map[string]string{"step": "2"}),
+		"latency overhead: dIPC [%]", "bandwidth overhead: dIPC [%]", "latency: Bare (native) [ns]", "4096")
 }
 
 func TestSensitivity(t *testing.T) {
@@ -253,9 +265,8 @@ func TestSensitivity(t *testing.T) {
 	if r.Speedup <= 1.3 {
 		t.Fatalf("measured speedup = %.2fx", r.Speedup)
 	}
-	if !strings.Contains(r.Render(), "Sensitivity") {
-		t.Fatal("render incomplete")
-	}
+	requireText(t, renderScenario(t, "sensitivity", map[string]string{"threads": "8", "window": "100ms"}),
+		"calls/op", "break-even slowdown [x]", "measured speedup [x]")
 }
 
 // pointAt returns the Y of the point at x in the named series.

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/apps/netpipe"
 	"repro/internal/apps/oltp"
 	"repro/internal/archcmp"
@@ -33,28 +30,11 @@ func RunFig2() *Fig2Result {
 	return &Fig2Result{Bars: sweep(len(bars), func(i int) Measurement { return bars[i]() })}
 }
 
-// Render formats the stacked-bar data as text.
-func (r *Fig2Result) Render() string {
-	var sb strings.Builder
-	sb.WriteString("== Figure 2: time breakdown of IPC primitives (1-byte argument) ==\n")
-	for _, b := range r.Bars {
-		fmt.Fprintf(&sb, "%s: %s round trip\n", b.Label, b.Mean)
-		for cpu, bd := range b.PerCPU {
-			if bd.Total() == 0 {
-				continue
-			}
-			fmt.Fprintf(&sb, " CPU %d:\n%s", cpu, bd.String())
-		}
-	}
-	return sb.String()
-}
-
 // ---- Figure 5: performance of synchronous calls ----
 
 // Fig5Result holds the latency bars of Fig. 5.
 type Fig5Result struct {
 	Bars []Measurement
-	P    *cost.Params
 }
 
 // RunFig5 measures every configuration in the figure, fanning the
@@ -76,10 +56,7 @@ func RunFig5() *Fig5Result {
 		func() Measurement { return MeasureL4(true) },
 		func() Measurement { return MeasureUserRPC(1) },
 	}
-	return &Fig5Result{
-		P:    cost.Default(),
-		Bars: sweep(len(bars), func(i int) Measurement { return bars[i]() }),
-	}
+	return &Fig5Result{Bars: sweep(len(bars), func(i int) Measurement { return bars[i]() })}
 }
 
 // Find returns the bar with the given label.
@@ -110,26 +87,10 @@ func (r *Fig5Result) Headlines() (vsRPC, vsL4, lowHighSpread float64) {
 	return
 }
 
-// Render formats the figure.
-func (r *Fig5Result) Render() string {
-	var sb strings.Builder
-	sb.WriteString("== Figure 5: performance of synchronous calls (1-byte argument) ==\n")
-	for _, b := range r.Bars {
-		fmt.Fprintf(&sb, "  %-26s %10s  (%.0fx a function call)\n",
-			b.Label, b.Mean, b.Ratio(r.P))
-	}
-	vsRPC, vsL4, spread := r.Headlines()
-	fmt.Fprintf(&sb, "Headlines: dIPC is %.2fx faster than local RPC (paper: 64.12x), "+
-		"%.2fx faster than L4 (paper: 8.87x); asymmetric policies span %.2fx (paper: 8.47x)\n",
-		vsRPC, vsL4, spread)
-	return sb.String()
-}
-
 // ---- Figure 6: argument size sweep ----
 
 // Fig6Result holds the added-time series of Fig. 6.
 type Fig6Result struct {
-	Sizes  []int
 	Series []stats.Series // Y values: added ns over a function call
 }
 
@@ -148,7 +109,7 @@ func RunFig6(sizes []int) *Fig6Result {
 		sizes = Fig6Sizes(20)
 	}
 	base := MeasureFunc().Mean
-	res := &Fig6Result{Sizes: sizes}
+	res := &Fig6Result{}
 	kinds := []struct {
 		label string
 		f     func(size int) Measurement
@@ -178,57 +139,22 @@ func RunFig6(sizes []int) *Fig6Result {
 	return res
 }
 
-// Render formats the sweep as a table.
-func (r *Fig6Result) Render() string {
-	tb := &stats.Table{Title: "Figure 6: added time over a function call [ns] by argument size"}
-	tb.Columns = append(tb.Columns, "size [B]")
-	for _, s := range r.Series {
-		tb.Columns = append(tb.Columns, s.Label)
-	}
-	for i, size := range r.Sizes {
-		row := []string{fmt.Sprintf("%d", size)}
-		for _, s := range r.Series {
-			row = append(row, fmt.Sprintf("%.0f", s.Y[i]))
-		}
-		tb.AddRow(row...)
-	}
-	return tb.String()
-}
-
 // ---- Table 1: architecture comparison ----
 
 // Table1Result holds the comparison rows.
 type Table1Result struct {
-	Rows      []archcmp.Result
-	BulkBytes int
+	Rows []archcmp.Result
 }
 
 // RunTable1 computes the comparison for the given bulk size.
 func RunTable1(bulkBytes int) *Table1Result {
-	return &Table1Result{
-		Rows:      archcmp.Compare(cost.Default(), bulkBytes),
-		BulkBytes: bulkBytes,
-	}
-}
-
-// Render formats the table.
-func (r *Table1Result) Render() string {
-	tb := &stats.Table{
-		Title:   fmt.Sprintf("Table 1: round-trip domain switch + %d B bulk data", r.BulkBytes),
-		Columns: []string{"Architecture", "Switch", "Data", "Total", "Operations"},
-	}
-	for _, row := range r.Rows {
-		tb.AddRow(row.Arch.String(), row.SwitchCost.String(), row.DataCost.String(),
-			row.Total().String(), row.Operations)
-	}
-	return tb.String()
+	return &Table1Result{Rows: archcmp.Compare(cost.Default(), bulkBytes)}
 }
 
 // ---- Figure 7: Infiniband driver isolation ----
 
 // Fig7Result holds the overhead curves.
 type Fig7Result struct {
-	Sizes   []int
 	Latency map[netpipe.Variant]stats.Series // latency overhead %
 	BW      map[netpipe.Variant]stats.Series // bandwidth overhead %
 	// AbsLatency is each variant's mean round-trip latency in ns, the
@@ -249,7 +175,6 @@ func RunFig7(sizes []int) *Fig7Result {
 		}
 	}
 	res := &Fig7Result{
-		Sizes:      sizes,
 		Latency:    make(map[netpipe.Variant]stats.Series),
 		BW:         make(map[netpipe.Variant]stats.Series),
 		AbsLatency: make(map[netpipe.Variant]stats.Series),
@@ -306,30 +231,6 @@ func RunFig7(sizes []int) *Fig7Result {
 	return res
 }
 
-// Render formats both panels.
-func (r *Fig7Result) Render() string {
-	var sb strings.Builder
-	for _, panel := range []struct {
-		name string
-		data map[netpipe.Variant]stats.Series
-	}{{"latency overhead [%]", r.Latency}, {"bandwidth overhead [%]", r.BW}} {
-		tb := &stats.Table{Title: "Figure 7: " + panel.name}
-		tb.Columns = append(tb.Columns, "size [B]")
-		for _, v := range Fig7Variants {
-			tb.Columns = append(tb.Columns, v.String())
-		}
-		for i, size := range r.Sizes {
-			row := []string{fmt.Sprintf("%d", size)}
-			for _, v := range Fig7Variants {
-				row = append(row, fmt.Sprintf("%.1f", panel.data[v].Y[i]))
-			}
-			tb.AddRow(row...)
-		}
-		sb.WriteString(tb.String())
-	}
-	return sb.String()
-}
-
 // ---- Figure 1: OLTP time breakdown ----
 
 // Fig1Result compares the Linux and Ideal stacks.
@@ -353,22 +254,6 @@ func (r *Fig1Result) Speedup() float64 {
 	return float64(r.Linux.AvgLatency) / float64(r.Ideal.AvgLatency)
 }
 
-// Render formats the two bars.
-func (r *Fig1Result) Render() string {
-	var sb strings.Builder
-	sb.WriteString("== Figure 1: OLTP time breakdown (Linux vs Ideal) ==\n")
-	for _, row := range []struct {
-		name string
-		res  *oltp.Result
-	}{{"Linux", r.Linux}, {"Ideal (unsafe)", r.Ideal}} {
-		fmt.Fprintf(&sb, "  %-14s latency=%-9s user=%4.1f%% kernel=%4.1f%% idle=%4.1f%%\n",
-			row.name, row.res.AvgLatency,
-			100*row.res.UserShare(), 100*row.res.KernelShare(), 100*row.res.IdleShare())
-	}
-	fmt.Fprintf(&sb, "IPC overhead: %.2fx (paper: 1.92x)\n", r.Speedup())
-	return sb.String()
-}
-
 // ---- Figure 8: OLTP throughput ----
 
 // Fig8Cell is one bar of Fig. 8.
@@ -380,8 +265,7 @@ type Fig8Cell struct {
 
 // Fig8Result holds one storage configuration's bars.
 type Fig8Result struct {
-	InMemory bool
-	Cells    []Fig8Cell
+	Cells []Fig8Cell
 }
 
 // Fig8Threads is the paper's concurrency axis.
@@ -402,7 +286,7 @@ func RunFig8(inMemory bool, threads []int, window sim.Time) *Fig8Result {
 		})
 		return Fig8Cell{Mode: mode, Threads: th, Result: r}
 	})
-	return &Fig8Result{InMemory: inMemory, Cells: cells}
+	return &Fig8Result{Cells: cells}
 }
 
 // Cell returns the run of one (mode, threads) cell, or nil if absent.
@@ -421,39 +305,4 @@ func (r *Fig8Result) Throughput(mode oltp.Mode, threads int) float64 {
 		return c.Throughput
 	}
 	return 0
-}
-
-// Render formats the figure with the per-concurrency speedups the paper
-// annotates.
-func (r *Fig8Result) Render() string {
-	storage := "on-disk DB"
-	if r.InMemory {
-		storage = "in-memory DB"
-	}
-	tb := &stats.Table{
-		Title:   "Figure 8: OLTP throughput [ops/min], " + storage,
-		Columns: []string{"threads", "Linux", "dIPC", "dIPC speedup", "Ideal", "Ideal speedup", "dIPC/Ideal"},
-	}
-	seen := map[int]bool{}
-	for _, c := range r.Cells {
-		if seen[c.Threads] {
-			continue
-		}
-		seen[c.Threads] = true
-		lin := r.Throughput(oltp.ModeLinux, c.Threads)
-		dip := r.Throughput(oltp.ModeDIPC, c.Threads)
-		ide := r.Throughput(oltp.ModeIdeal, c.Threads)
-		row := []string{fmt.Sprintf("%d", c.Threads),
-			fmt.Sprintf("%.0f", lin), fmt.Sprintf("%.0f", dip), "-",
-			fmt.Sprintf("%.0f", ide), "-", "-"}
-		if lin > 0 {
-			row[3] = fmt.Sprintf("%.2fx", dip/lin)
-			row[5] = fmt.Sprintf("%.2fx", ide/lin)
-		}
-		if ide > 0 {
-			row[6] = fmt.Sprintf("%.1f%%", 100*dip/ide)
-		}
-		tb.AddRow(row...)
-	}
-	return tb.String()
 }

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"testing"
 
@@ -10,60 +8,45 @@ import (
 	"repro/internal/sim"
 )
 
-// Golden digests captured from the pre-pooling engine (container/heap +
-// *event nodes, commit 7373e09) running sequentially. The specialized
-// 4-ary value heap, its timer lanes, the callback clients and the
-// WaitQueue ring buffer must not perturb a single byte of any figure:
-// (at, seq) delivery order is the determinism contract of the whole
-// reproduction.
-const (
-	goldenOLTP = "93000.000000 225000.000000 120000.000000 216000.000000"
-	goldenFig2 = "b694d82b6631dd01c7caecdf50dc259492451ae76520b40866f93951dd664c42"
-	goldenFig5 = "e719786c2748ae13519369bf3450951649f078a192283c6e7c92774f4077d6e4"
-)
+// goldenOLTP is an in-memory OLTP slice captured from the pre-pooling
+// engine (container/heap + *event nodes, commit 7373e09) running
+// sequentially. The specialized 4-ary value heap, its timer lanes, the
+// callback clients and the WaitQueue ring buffer must not perturb a
+// single byte of it: (at, seq) delivery order is the determinism
+// contract of the whole reproduction. The golden files under
+// testdata/golden pin every scenario, fig2 and fig5 included.
+const goldenOLTP = "93000.000000 225000.000000 120000.000000 216000.000000"
 
-func digest(s string) string {
-	sum := sha256.Sum256([]byte(s))
-	return hex.EncodeToString(sum[:])
-}
-
-// TestEngineOutputsMatchPrePoolingEngine is the PR's differential test:
-// Fig2, Fig5 and an in-memory OLTP slice, byte-compared (via SHA-256)
-// against the engine they were captured from before the event-path
-// rewrite.
-func TestEngineOutputsMatchPrePoolingEngine(t *testing.T) {
-	SetParallelism(1) // digests were captured on the sequential path
-	defer SetParallelism(0)
-
-	if got := digest(RunFig2().Render()); got != goldenFig2 {
-		t.Errorf("Fig2 output diverged from pre-pooling engine:\n got %s\nwant %s", got, goldenFig2)
-	}
-	if got := digest(RunFig5().Render()); got != goldenFig5 {
-		t.Errorf("Fig5 output diverged from pre-pooling engine:\n got %s\nwant %s", got, goldenFig5)
-	}
-
+// oltpSlice formats Linux and dIPC throughput at 4 and 16 threads of an
+// in-memory Fig. 8 sweep with a 20 ms window.
+func oltpSlice() string {
 	r := RunFig8(true, []int{4, 16}, sim.Millis(20))
-	s := fmt.Sprintf("%.6f %.6f %.6f %.6f",
+	return fmt.Sprintf("%.6f %.6f %.6f %.6f",
 		r.Throughput(oltp.ModeLinux, 4), r.Throughput(oltp.ModeDIPC, 4),
 		r.Throughput(oltp.ModeLinux, 16), r.Throughput(oltp.ModeDIPC, 16))
-	if s != goldenOLTP {
+}
+
+// TestEngineOutputsMatchPrePoolingEngine is the event-path rewrite's
+// differential test: the OLTP slice, compared against the engine it was
+// captured from.
+func TestEngineOutputsMatchPrePoolingEngine(t *testing.T) {
+	SetParallelism(1) // the slice was captured on the sequential path
+	defer SetParallelism(0)
+	if s := oltpSlice(); s != goldenOLTP {
 		t.Errorf("OLTP slice diverged from pre-pooling engine:\n got %s\nwant %s", s, goldenOLTP)
 	}
 }
 
-// TestEngineOutputsParallelMatchesSequential re-checks the PR-1 harness
-// guarantee against the same goldens: worker-pool fan-out must not change
-// a byte either.
+// TestEngineOutputsParallelMatchesSequential re-checks the harness
+// guarantee against the same golden: worker-pool fan-out must not
+// change a byte either.
 func TestEngineOutputsParallelMatchesSequential(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered by the sequential golden test")
 	}
 	SetParallelism(4)
 	defer SetParallelism(0)
-	if got := digest(RunFig2().Render()); got != goldenFig2 {
-		t.Errorf("parallel Fig2 diverged: got %s want %s", got, goldenFig2)
-	}
-	if got := digest(RunFig5().Render()); got != goldenFig5 {
-		t.Errorf("parallel Fig5 diverged: got %s want %s", got, goldenFig5)
+	if s := oltpSlice(); s != goldenOLTP {
+		t.Errorf("parallel OLTP slice diverged:\n got %s\nwant %s", s, goldenOLTP)
 	}
 }

@@ -7,8 +7,6 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
-
-	"repro/internal/sim"
 )
 
 // withParallelism runs f under a fixed worker count and restores the
@@ -120,64 +118,66 @@ func TestSweepStopsHandingOutJobsAfterPanic(t *testing.T) {
 	})
 }
 
-// TestMicroSweepsDeterministicAcrossWorkerCounts is the harness's core
-// guarantee: the rendered output of a converted sweep is byte-identical
-// whatever the worker count (and therefore identical to the sequential
-// path, which is the workers=1 case).
-func TestMicroSweepsDeterministicAcrossWorkerCounts(t *testing.T) {
-	fig6Sizes := []int{1, 4096}
-	workerCounts := []int{2, 7}
-	if testing.Short() {
-		fig6Sizes = []int{1}
-		workerCounts = []int{4}
+// canonicalJSON runs a registered scenario with overrides and returns
+// its canonical JSON document.
+func canonicalJSON(t *testing.T, name string, overrides map[string]string) string {
+	t.Helper()
+	data, err := runScenarioAt(t, name, overrides).MarshalCanonical()
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
 	}
-	render := func() (fig6, tls, fig2 string) {
-		fig6 = RunFig6(fig6Sizes).Render()
-		tls = RunTLSAblation().Render()
-		fig2 = RunFig2().Render()
-		return
-	}
-	var seqFig6, seqTLS, seqFig2 string
-	withParallelism(1, func() { seqFig6, seqTLS, seqFig2 = render() })
-	for _, workers := range workerCounts {
+	return string(data)
+}
+
+// requireSameAcrossWidths runs each scenario sequentially and then at
+// every worker count, and requires byte-identical canonical JSON.
+func requireSameAcrossWidths(t *testing.T, widths []int, runs map[string]map[string]string) {
+	t.Helper()
+	seq := make(map[string]string)
+	withParallelism(1, func() {
+		for name, overrides := range runs {
+			seq[name] = canonicalJSON(t, name, overrides)
+		}
+	})
+	for _, workers := range widths {
 		withParallelism(workers, func() {
-			fig6, tls, fig2 := render()
-			if fig6 != seqFig6 {
-				t.Errorf("workers=%d: Fig6 diverged from sequential:\n%s\nvs\n%s", workers, fig6, seqFig6)
-			}
-			if tls != seqTLS {
-				t.Errorf("workers=%d: TLS ablation diverged:\n%s\nvs\n%s", workers, tls, seqTLS)
-			}
-			if fig2 != seqFig2 {
-				t.Errorf("workers=%d: Fig2 diverged:\n%s\nvs\n%s", workers, fig2, seqFig2)
+			for name, overrides := range runs {
+				if got := canonicalJSON(t, name, overrides); got != seq[name] {
+					t.Errorf("workers=%d: %s diverged from sequential:\n%s\nvs\n%s", workers, name, got, seq[name])
+				}
 			}
 		})
 	}
+}
+
+// TestMicroSweepsDeterministicAcrossWorkerCounts is the harness's core
+// guarantee: a converted sweep's canonical JSON is byte-identical
+// whatever the worker count (and therefore identical to the sequential
+// path, which is the workers=1 case).
+func TestMicroSweepsDeterministicAcrossWorkerCounts(t *testing.T) {
+	maxPow := "12"
+	workerCounts := []int{2, 7}
+	if testing.Short() {
+		maxPow = "0"
+		workerCounts = []int{4}
+	}
+	requireSameAcrossWidths(t, workerCounts, map[string]map[string]string{
+		"fig6":         {"maxpow": maxPow},
+		"ablation-tls": nil,
+		"fig2":         nil,
+	})
 }
 
 // TestOLTPSweepDeterministicAcrossWorkerCounts checks the macro
 // benchmark path (Fig. 8 plus the scaling extension) the same way. The
 // OLTP runs dominate test wall-clock, so it is trimmed under -short.
 func TestOLTPSweepDeterministicAcrossWorkerCounts(t *testing.T) {
-	threads := []int{4, 16}
-	window := sim.Millis(60)
-	cpus := []int{1, 4}
+	threads, window, cpus := "4,16", "60ms", "1,4"
 	if testing.Short() {
-		threads = []int{4}
-		window = sim.Millis(30)
-		cpus = []int{2}
+		threads, window, cpus = "4", "30ms", "2"
 	}
-	var seq8, seqScal string
-	withParallelism(1, func() {
-		seq8 = RunFig8(true, threads, window).Render()
-		seqScal = RunFig8Scaling(cpus, 8, window).Render()
-	})
-	withParallelism(4, func() {
-		if got := RunFig8(true, threads, window).Render(); got != seq8 {
-			t.Errorf("Fig8 diverged from sequential:\n%s\nvs\n%s", got, seq8)
-		}
-		if got := RunFig8Scaling(cpus, 8, window).Render(); got != seqScal {
-			t.Errorf("Fig8Scaling diverged from sequential:\n%s\nvs\n%s", got, seqScal)
-		}
+	requireSameAcrossWidths(t, []int{4}, map[string]map[string]string{
+		"fig8":        {"threads": threads, "window": window},
+		"fig8scaling": {"cpus": cpus, "threads": "8", "window": window},
 	})
 }

@@ -25,15 +25,6 @@ type Measurement struct {
 	PerCPU []stats.Breakdown
 }
 
-// Ratio returns the mean as a multiple of a 2 ns function call, the
-// paper's preferred scale in Fig. 5.
-func (ms Measurement) Ratio(p *cost.Params) float64 {
-	if p.FuncCall == 0 {
-		return 0
-	}
-	return float64(ms.Mean) / float64(p.FuncCall)
-}
-
 // microHarness runs op() `rounds` times (after warmup) on a caller
 // thread and returns the measurement.
 type microHarness struct {

@@ -1,11 +1,8 @@
 package experiments
 
 import (
-	"fmt"
-
 	"repro/internal/apps/oltp"
 	"repro/internal/sim"
-	"repro/internal/stats"
 )
 
 // The throughput-vs-cores OLTP scaling study. The paper fixes the
@@ -85,39 +82,4 @@ func (r *Fig8ScalingResult) ScalingFactor(mode oltp.Mode) float64 {
 		return 0
 	}
 	return r.Throughput(mode, maxC) / lo
-}
-
-// Render formats the curves like the Fig. 8 table, one row per core
-// count.
-func (r *Fig8ScalingResult) Render() string {
-	tb := &stats.Table{
-		Title: fmt.Sprintf("Figure 8b (extension): OLTP throughput [ops/min] vs cores, "+
-			"in-memory DB, %d threads/component", r.Threads),
-		Columns: []string{"cores", "Linux", "dIPC", "dIPC speedup", "Ideal", "Ideal speedup", "dIPC/Ideal"},
-	}
-	seen := map[int]bool{}
-	for _, c := range r.Cells {
-		if seen[c.CPUs] {
-			continue
-		}
-		seen[c.CPUs] = true
-		lin := r.Throughput(oltp.ModeLinux, c.CPUs)
-		dip := r.Throughput(oltp.ModeDIPC, c.CPUs)
-		ide := r.Throughput(oltp.ModeIdeal, c.CPUs)
-		row := []string{fmt.Sprintf("%d", c.CPUs),
-			fmt.Sprintf("%.0f", lin), fmt.Sprintf("%.0f", dip), "-",
-			fmt.Sprintf("%.0f", ide), "-", "-"}
-		if lin > 0 {
-			row[3] = fmt.Sprintf("%.2fx", dip/lin)
-			row[5] = fmt.Sprintf("%.2fx", ide/lin)
-		}
-		if ide > 0 {
-			row[6] = fmt.Sprintf("%.1f%%", 100*dip/ide)
-		}
-		tb.AddRow(row...)
-	}
-	return tb.String() + fmt.Sprintf(
-		"scaling across the sweep: Linux %.2fx, dIPC %.2fx, Ideal %.2fx\n",
-		r.ScalingFactor(oltp.ModeLinux), r.ScalingFactor(oltp.ModeDIPC),
-		r.ScalingFactor(oltp.ModeIdeal))
 }

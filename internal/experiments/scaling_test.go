@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/apps/oltp"
@@ -11,9 +10,11 @@ import (
 func TestFig8ScalingShape(t *testing.T) {
 	cpus := []int{1, 2, 4}
 	window := sim.Millis(80)
+	params := map[string]string{"cpus": "1,2,4", "threads": "8", "window": "80ms"}
 	if testing.Short() {
 		cpus = []int{1, 4}
 		window = sim.Millis(40)
+		params["cpus"], params["window"] = "1,4", "40ms"
 	}
 	r := RunFig8Scaling(cpus, 8, window)
 	if len(r.Cells) != 3*len(cpus) {
@@ -47,10 +48,7 @@ func TestFig8ScalingShape(t *testing.T) {
 			t.Errorf("%s: scaling factor %.2f, want > 1", mode, f)
 		}
 	}
-	out := r.Render()
-	if !strings.Contains(out, "vs cores") || !strings.Contains(out, "scaling across the sweep") {
-		t.Fatalf("render incomplete:\n%s", out)
-	}
+	requireText(t, renderScenario(t, "fig8scaling", params), "dIPC [ops/min]", "scaling across the sweep")
 }
 
 func TestFig8ScalingDefaults(t *testing.T) {

@@ -1,9 +1,9 @@
 // Scenario registrations: every experiment of the paper's evaluation,
 // exposed through the first-class scenario API (internal/scenario).
 // Each registration wraps the corresponding Run* function, declares its
-// typed parameters (the values cmd/dipcbench used to hardcode), builds
-// the uniform series model for the canonical JSON encoding, and pins the
-// legacy text rendering byte-for-byte (the golden digests depend on it).
+// typed parameters, and builds the uniform series model that both the
+// canonical JSON (pinned by the golden files) and the text rendering
+// are made from.
 //
 // Registration order is the execution order of "all" and matches the
 // original hand-wired cmd/dipcbench step table.
@@ -238,15 +238,10 @@ func fig8SpeedupNote(r *Fig8Result, storage string) string {
 // ---- scenario runs ----
 
 func runAnchorsScenario(cfg *scenario.Config) (*scenario.Result, error) {
-	f := MeasureFunc()
-	s := MeasureSyscall()
-	text := fmt.Sprintf("== Scalar anchors (§2.2) ==\n  function call: %s (paper: <2ns)\n  empty syscall: %s (paper: ~34ns)\n",
-		f.Mean, s.Mean)
 	return &scenario.Result{
 		Scenario: "anchors",
 		Params:   cfg.ParamStrings(),
-		Series:   []scenario.Series{measurementSeries("round trip", []Measurement{f, s})},
-		Text:     text,
+		Series:   []scenario.Series{measurementSeries("round trip", []Measurement{MeasureFunc(), MeasureSyscall()})},
 	}, nil
 }
 
@@ -270,7 +265,6 @@ func runTable1Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 			labeledPoints("total", "ns", names, total),
 		},
 		Notes: ops,
-		Text:  r.Render(),
 	}, nil
 }
 
@@ -280,7 +274,6 @@ func runFig2Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 		Scenario: "fig2",
 		Params:   cfg.ParamStrings(),
 		Series:   []scenario.Series{measurementSeries("round trip", r.Bars)},
-		Text:     r.Render(),
 	}, nil
 }
 
@@ -296,7 +289,6 @@ func runFig5Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 			fmt.Sprintf("dIPC vs L4: %.2fx (paper: 8.87x)", vsL4),
 			fmt.Sprintf("asymmetric policy spread: %.2fx (paper: 8.47x)", spread),
 		},
-		Text: r.Render(),
 	}, nil
 }
 
@@ -306,7 +298,6 @@ func runFig6Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 		Scenario: "fig6",
 		Params:   cfg.ParamStrings(),
 		Series:   statsSeries("ns added", r.Series),
-		Text:     r.Render(),
 	}, nil
 }
 
@@ -337,7 +328,6 @@ func runFig7Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 		Scenario: "fig7",
 		Params:   cfg.ParamStrings(),
 		Series:   series,
-		Text:     r.Render(),
 	}, nil
 }
 
@@ -365,7 +355,6 @@ func runFig1Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 			labeledPoints("idle share", "%", names, idle),
 		},
 		Notes: []string{fmt.Sprintf("IPC overhead: %.2fx (paper: 1.92x)", r.Speedup())},
-		Text:  r.Render(),
 	}, nil
 }
 
@@ -384,7 +373,6 @@ func runFig8Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 		Params:   cfg.ParamStrings(),
 		Series:   series,
 		Notes:    []string{fig8SpeedupNote(onDisk, "on-disk"), fig8SpeedupNote(inMem, "in-memory")},
-		Text:     onDisk.Render() + "\n" + inMem.Render(),
 	}, nil
 }
 
@@ -405,7 +393,6 @@ func runFig8ScalingScenario(cfg *scenario.Config) (*scenario.Result, error) {
 		Series:   series,
 		Notes: []string{fmt.Sprintf("scaling across the sweep: Linux %.2fx, dIPC %.2fx, Ideal %.2fx",
 			r.ScalingFactor(oltp.ModeLinux), r.ScalingFactor(oltp.ModeDIPC), r.ScalingFactor(oltp.ModeIdeal))},
-		Text: r.Render(),
 	}, nil
 }
 
@@ -424,7 +411,6 @@ func runSensitivityScenario(cfg *scenario.Config) (*scenario.Result, error) {
 		Scenario: "sensitivity",
 		Params:   cfg.ParamStrings(),
 		Series:   []scenario.Series{labeledPoints("metrics", "", names, values)},
-		Text:     r.Render(),
 	}, nil
 }
 
@@ -443,7 +429,6 @@ func runTLSAblationScenario(cfg *scenario.Config) (*scenario.Result, error) {
 			fmt.Sprintf("Low speedup without TLS switch: %.2fx", r.LowSpeedup()),
 			fmt.Sprintf("High speedup without TLS switch: %.2fx", r.HighSpeedup()),
 		},
-		Text: r.Render(),
 	}, nil
 }
 
@@ -456,7 +441,6 @@ func runSharedPTAblationScenario(cfg *scenario.Config) (*scenario.Result, error)
 		Params:   cfg.ParamStrings(),
 		Series:   []scenario.Series{labeledPoints("throughput", "ops/min", names, values)},
 		Notes:    []string{fmt.Sprintf("private-table penalty: %.1f%%", 100*r.Penalty())},
-		Text:     r.Render(),
 	}, nil
 }
 
@@ -472,7 +456,6 @@ func runStealAblationScenario(cfg *scenario.Config) (*scenario.Result, error) {
 			labeledPoints("idle share", "%", names,
 				[]float64{100 * r.WithSteal.IdleShare(), 100 * r.NoSteal.IdleShare()}),
 		},
-		Text: r.Render(),
 	}, nil
 }
 

@@ -1,9 +1,6 @@
 package experiments
 
 import (
-	"fmt"
-	"strings"
-
 	"repro/internal/apps/oltp"
 	"repro/internal/cost"
 	"repro/internal/sim"
@@ -85,18 +82,4 @@ func RunSensitivity(threads int, window sim.Time) *SensitivityResult {
 		res.SpeedupWithCap = degraded / linux.Throughput
 	}
 	return res
-}
-
-// Render formats the analysis.
-func (r *SensitivityResult) Render() string {
-	var sb strings.Builder
-	sb.WriteString("== Sensitivity analysis (paper §7.5) ==\n")
-	fmt.Fprintf(&sb, "  cross-domain calls per operation: %.1f (paper: 211)\n", r.CallsPerOp)
-	fmt.Fprintf(&sb, "  effective cost per call:          %s (paper: ~252ns)\n", r.AvgCallCost)
-	fmt.Fprintf(&sb, "  dIPC advantage per operation:     %s\n", r.HeadroomPerOp)
-	fmt.Fprintf(&sb, "  break-even call slowdown:         %.1fx (paper: 14x)\n", r.BreakEvenX)
-	fmt.Fprintf(&sb, "  worst-case capability overhead:   %.1f%% (paper: 12%%)\n", r.CapOverheadPct)
-	fmt.Fprintf(&sb, "  speedup with that overhead:       %.2fx (paper: 1.59x)\n", r.SpeedupWithCap)
-	fmt.Fprintf(&sb, "  measured dIPC speedup:            %.2fx\n", r.Speedup)
-	return sb.String()
 }

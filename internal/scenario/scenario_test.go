@@ -338,24 +338,23 @@ func TestRenderTextGeneric(t *testing.T) {
 		Scenario: "chain",
 		Params:   map[string]string{"depth": "1,2"},
 		Series: []Series{
-			{Label: "Linux", Unit: "ops/min", Points: []Point{{X: 1, Y: 10}, {X: 2, Y: 5}}},
-			{Label: "dIPC", Unit: "ops/min", Points: []Point{{X: 1, Y: 20}, {X: 2, Y: 15}}},
+			{Label: "Linux", Unit: "ops/min", Points: []Point{{X: 1, Y: 4082400}, {X: 2, Y: 5}}},
+			{Label: "dIPC", Unit: "ops/min", Points: []Point{{X: 1, Y: 1234567}, {X: 2, Y: 0.0000125}}},
 		},
 		Notes: []string{"dIPC wins"},
 	}
 	out := shared.RenderText()
-	for _, want := range []string{"== scenario chain ==", "params: depth=1,2", "Linux [ops/min]", "dIPC wins"} {
+	for _, want := range []string{"== scenario chain ==", "params: depth=1,2", "Linux [ops/min]", "dIPC wins",
+		"4082400", "1234567", "0.0000125"} {
 		if !strings.Contains(out, want) {
 			t.Errorf("render missing %q:\n%s", want, out)
 		}
 	}
+	if strings.Contains(out, "e+") || strings.Contains(out, "e-") {
+		t.Errorf("render uses exponent notation:\n%s", out)
+	}
 	if !strings.HasSuffix(out, "\n") || strings.HasSuffix(out, "\n\n") {
 		t.Fatalf("render must end with exactly one newline:\n%q", out)
-	}
-	// Pinned text wins.
-	pinned := &Result{Scenario: "x", Text: "legacy\n"}
-	if pinned.RenderText() != "legacy\n" {
-		t.Fatal("pinned text not returned")
 	}
 	// Mismatched axes fall back to the per-series listing.
 	list := &Result{Scenario: "mix", Series: []Series{
@@ -364,5 +363,56 @@ func TestRenderTextGeneric(t *testing.T) {
 	}}
 	if out := list.RenderText(); !strings.Contains(out, "a:\n") {
 		t.Fatalf("list render wrong:\n%s", out)
+	}
+}
+
+// A point's per-CPU breakdown prints as a table of blocks by CPU, in
+// the paper's block order, with each CPU's total.
+func TestRenderTextPerCPUBlocks(t *testing.T) {
+	res := &Result{Scenario: "bars", Series: []Series{{Label: "round trip", Unit: "ns", Points: []Point{
+		{Label: "Sem. (=CPU)", Y: 30, PerCPU: []CPUSlice{
+			{CPU: 0, Blocks: map[string]float64{"Schedule / ctxt. switch": 20, "User code": 10}},
+			{CPU: 1, Blocks: map[string]float64{"Idle / IO wait": 30}},
+		}},
+		{Label: "Function call", Y: 2},
+	}}}}
+	out := res.RenderText()
+	want := `Sem. (=CPU) [ns]         CPU 0  CPU 1
+-----------------------  -----  -----
+User code                10     -    
+Schedule / ctxt. switch  20     -    
+Idle / IO wait           -      30   
+total                    30     30   
+`
+	if !strings.Contains(out, want) {
+		t.Fatalf("per-CPU table missing; want\n%s\ngot\n%s", want, out)
+	}
+	if strings.Contains(out, "Function call [ns]") {
+		t.Fatalf("a point without a breakdown printed one:\n%s", out)
+	}
+}
+
+// Series sharing one axis but not one unit print as one table per unit,
+// in order of first appearance.
+func TestRenderTextSplitsTablesByUnit(t *testing.T) {
+	pts := func(a, b float64) []Point { return []Point{{X: 4, Y: a}, {X: 16, Y: b}} }
+	res := &Result{Scenario: "fig8", Series: []Series{
+		{Label: "Linux", Unit: "ops/min", Points: pts(100, 200)},
+		{Label: "Linux avg latency", Unit: "ns", Points: pts(7, 8)},
+		{Label: "dIPC", Unit: "ops/min", Points: pts(300, 400)},
+	}}
+	out := res.RenderText()
+	want := `x   Linux [ops/min]  dIPC [ops/min]
+--  ---------------  --------------
+4   100              300           
+16  200              400           
+
+x   Linux avg latency [ns]
+--  ----------------------
+4   7                     
+16  8                     
+`
+	if !strings.Contains(out, want) {
+		t.Fatalf("want one table per unit\n%s\ngot\n%s", want, out)
 	}
 }

@@ -110,28 +110,17 @@ func (bd Breakdown) Scale(n int) Breakdown {
 	return out
 }
 
-// Share returns block b's fraction of the total, in [0,1].
-func (bd *Breakdown) Share(b Block) float64 {
+// Share returns the blocks' summed fraction of the total, in [0,1].
+func (bd *Breakdown) Share(blocks ...Block) float64 {
 	t := bd.Total()
 	if t == 0 {
 		return 0
 	}
-	return float64(bd[b]) / float64(t)
-}
-
-// String renders the breakdown as an aligned table of non-zero blocks.
-func (bd Breakdown) String() string {
-	var sb strings.Builder
-	total := bd.Total()
-	for b := Block(0); b < NumBlocks; b++ {
-		if bd[b] == 0 {
-			continue
-		}
-		fmt.Fprintf(&sb, "  %-28s %10s  (%5.1f%%)\n",
-			b.String(), bd[b].String(), 100*bd.Share(b))
+	var sum sim.Time
+	for _, b := range blocks {
+		sum += bd[b]
 	}
-	fmt.Fprintf(&sb, "  %-28s %10s\n", "TOTAL", total.String())
-	return sb.String()
+	return float64(sum) / float64(t)
 }
 
 // Series is a labelled sequence of (x, y) points, the unit figures are
@@ -151,7 +140,6 @@ func (s *Series) Add(x, y float64) {
 // Table renders labelled rows of named columns as aligned ASCII, used by
 // the cmd/dipcbench output.
 type Table struct {
-	Title   string
 	Columns []string
 	Rows    [][]string
 }
@@ -175,9 +163,6 @@ func (t *Table) String() string {
 		}
 	}
 	var sb strings.Builder
-	if t.Title != "" {
-		fmt.Fprintf(&sb, "== %s ==\n", t.Title)
-	}
 	writeRow := func(cells []string) {
 		for i, cell := range cells {
 			if i > 0 {

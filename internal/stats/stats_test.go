@@ -62,6 +62,9 @@ func TestBreakdownShare(t *testing.T) {
 	if got := bd.Share(BlockIdle); got < 0.699 || got > 0.701 {
 		t.Fatalf("Share(idle) = %v, want 0.7", got)
 	}
+	if got := bd.Share(BlockUser, BlockIdle); got != 1 {
+		t.Fatalf("Share(user, idle) = %v, want 1", got)
+	}
 	var zero Breakdown
 	if zero.Share(BlockUser) != 0 {
 		t.Fatal("empty breakdown share must be 0")
@@ -80,26 +83,20 @@ func TestBlockNames(t *testing.T) {
 	}
 }
 
-func TestBreakdownString(t *testing.T) {
-	var bd Breakdown
-	bd.Add(BlockUser, 10*sim.Nanosecond)
-	s := bd.String()
-	if !strings.Contains(s, "User code") || !strings.Contains(s, "TOTAL") {
-		t.Fatalf("unexpected rendering:\n%s", s)
-	}
-}
-
 func TestTableRendering(t *testing.T) {
-	tb := &Table{Title: "demo", Columns: []string{"name", "value"}}
+	tb := &Table{Columns: []string{"name", "value"}}
 	tb.AddRow("alpha", "1")
 	tb.AddRow("beta", "22")
 	s := tb.String()
-	if !strings.Contains(s, "demo") || !strings.Contains(s, "alpha") {
+	if !strings.Contains(s, "name") || !strings.Contains(s, "alpha") {
 		t.Fatalf("table missing content:\n%s", s)
 	}
 	lines := strings.Split(strings.TrimSpace(s), "\n")
-	if len(lines) != 5 {
-		t.Fatalf("want 5 lines (title, header, rule, 2 rows), got %d:\n%s", len(lines), s)
+	if len(lines) != 4 {
+		t.Fatalf("want 4 lines (header, rule, 2 rows), got %d:\n%s", len(lines), s)
+	}
+	if lines[1] != "-----  -----" || lines[3] != "beta   22" {
+		t.Fatalf("columns not aligned:\n%s", s)
 	}
 }
 
