@@ -3,7 +3,8 @@
 // (Figs. 2, 5, 6), the architecture comparison (Table 1), the driver
 // isolation study (Fig. 7, §7.3), the OLTP macro-benchmark (Figs. 1 and
 // 8, §7.4) and the §7.5 sensitivity analysis. Each experiment returns a
-// structured result plus a text rendering used by cmd/dipcbench.
+// structured result, which its scenario converts into the series that
+// cmd/dipcbench prints and the golden files pin.
 package experiments
 
 import (

@@ -4,8 +4,8 @@
 // deepen, but no figure sweeps the depth axis; this scenario chains N
 // service tiers behind a gateway over the same three transports as
 // Fig. 8 (Linux sockets, dIPC proxies, Ideal function calls) and sweeps
-// N. It is one self-registering file: no cmd/dipcbench dispatch code,
-// result structs or renderers were edited to add it.
+// N. It is one self-registering file: no cmd/dipcbench dispatch code
+// or result structs were edited to add it.
 
 package experiments
 

@@ -161,11 +161,12 @@ func FormatDuration(t sim.Time) string {
 // none. NewConfig enforces it before any Checker runs.
 //
 // Compat marks a back-compat parameter: a model knob added after the
-// scenario's digest was pinned, whose declared default reproduces the
-// pre-knob behaviour exactly. Compat parameters are omitted from
+// scenario's golden file was pinned, whose declared default reproduces
+// the pre-knob behaviour exactly. Compat parameters are omitted from
 // ParamStrings while they sit at their default, so adding one does not
-// disturb an already-pinned golden digest; once overridden they are
-// recorded (and change the digest) like any other model parameter.
+// disturb an already-pinned golden file; once overridden they are
+// recorded (and change the canonical JSON) like any other model
+// parameter.
 type ParamSpec struct {
 	Key     string
 	Kind    Kind

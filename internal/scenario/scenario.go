@@ -6,7 +6,7 @@
 // series of measurements with optional per-CPU breakdowns). Scenarios
 // self-register into a Registry — normally the package-level Default —
 // and everything downstream (the cmd/dipcbench CLI, the wall-clock
-// benchmark report, the golden determinism digests) iterates the
+// benchmark report, the golden files) iterates the
 // registry instead of hand-maintained experiment tables, so adding a
 // workload is one self-registering file.
 package scenario
@@ -77,8 +77,8 @@ func NewChecked(name, describe string, params []ParamSpec,
 
 // Registry holds an ordered set of scenarios plus named groups (aliases
 // that expand to several scenarios, e.g. "ablations"). Registration
-// order is preserved: it is the execution order of "all", which pins the
-// legacy cmd/dipcbench output layout.
+// order is preserved: it is the execution order of "all", and so the
+// order of cmd/dipcbench's output.
 type Registry struct {
 	mu       sync.Mutex
 	order    []Scenario

@@ -1,5 +1,5 @@
 // Package stats accumulates simulated-time breakdowns in the same
-// categories the paper uses, and renders them as tables and text figures.
+// categories the paper uses, and renders tables of results as text.
 //
 // Figure 2 of the paper decomposes IPC round trips into seven blocks:
 // (1) user code, (2) syscall+2×swapgs+sysret, (3) syscall dispatch

@@ -11,17 +11,18 @@
 #
 #	bash scripts/reach.sh
 #
-# Entry points: the dipcbench, oltp and netpipe commands and perfbench,
-# whose functions are not counted. The examples are not entry points:
-# code that only an example runs counts as unreached. Workloads:
+# Entry points: the dipcbench command and perfbench, whose functions are
+# not counted. The examples are not entry points: code that only an
+# example runs counts as unreached. Workloads:
 #   - dipcbench: run all, list, bench (plain, -json, -compare
 #     BENCH_engine.json and a one-scenario -gate), the CI smokes (run
 #     table1 -json and the chaos-kill depth=0 error), the flap-budget
 #     error inputs, an unknown scenario, fig6 at full resolution,
 #     chaos-retrystorm with jittered backoff and a crosscall chain 40
 #     deep, whose 41 domains cycle through the 32-entry APL cache;
-#   - oltp: each mode, on disk and in memory; netpipe: each variant;
-#   - each perfbench workload for one second at --trace 0 and --trace 1.
+#   - each perfbench workload for one second at --trace 0 and for three
+#     seconds at --trace 1, so that its pprof cross-check ranks packages
+#     from about three times the samples of a one-second run.
 # Everything it builds and writes goes to a temporary directory.
 set -euo pipefail
 
@@ -32,16 +33,13 @@ bin=$work/bin
 mkdir -p "$bin" "$work/cov" "$work/out"
 cd "$root"
 
-cmds="./cmd/dipcbench ./cmd/oltp ./cmd/netpipe"
-for c in $cmds; do
-	go build -cover -coverpkg=./... -o "$bin/${c##*/}" "$c"
-done
+go build -cover -coverpkg=./... -o "$bin/dipcbench" ./cmd/dipcbench
 go -C perfbench build -cover -coverpkg=repro/... -o "$bin/perfbench" .
 
 # Packages no entry point links have no coverage data at all, so they
 # are listed from the import graph instead.
 {
-	go list -deps $cmds
+	go list -deps ./cmd/dipcbench
 	go -C perfbench list -deps .
 } | sort -u >"$work/out/linked"
 go list ./internal/... | grep -v '^repro/internal/analysis\(/\|$\)' | sort |
@@ -84,20 +82,11 @@ expect 0 "$d" run fig6 -p full=true
 expect 0 "$d" run chaos-retrystorm -p jitter=0.5
 expect 0 "$d" run crosscall -p depth=40 -p calls=1000
 
-for m in linux dipc ideal; do
-	expect 0 "$bin/oltp" -mode "$m" -threads 8 -window 20
-	expect 0 "$bin/oltp" -mode "$m" -threads 8 -window 20 -inmem
-done
-for v in bare dipc dipcproc kernel sem pipe; do
-	expect 0 "$bin/netpipe" -variant "$v" -maxpow 4 -rounds 10
-done
-
 # perfbench writes its build and profile files under .bench_build in
 # the working directory, so run it from inside the temporary directory.
 for w in fig8 openloop replicas; do
-	for t in 0 1; do
-		(cd "$work" && expect 0 "$bin/perfbench" --workload "$w" --seconds 1 --trace "$t")
-	done
+	(cd "$work" && expect 0 "$bin/perfbench" --workload "$w" --seconds 1 --trace 0)
+	(cd "$work" && expect 0 "$bin/perfbench" --workload "$w" --seconds 3 --trace 1)
 done
 
 go tool covdata func -i="$work/cov" |
