@@ -171,6 +171,7 @@ func formatValue(v float64) string {
 	if math.Abs(v) >= 1e6 {
 		return strconv.FormatFloat(v, 'f', 0, 64)
 	}
+	// Parsing FormatFloat's own output cannot fail.
 	rounded, _ := strconv.ParseFloat(strconv.FormatFloat(v, 'g', 6, 64), 64)
 	return strconv.FormatFloat(rounded, 'f', -1, 64)
 }
