@@ -4,11 +4,12 @@ import "repro/internal/kernel"
 
 // The database tier: a small storage engine in the shape of the
 // DVDStore schema — products browsed by category and customers with
-// their order history. It stores only the columns a query reads or
-// writes, each product's sold count and each customer's order count,
-// as dense slices indexed by row id. Product i belongs to category
-// i mod Categories, so a category's size is computed, not stored. A
-// login's credential check is a charged cost. Each query charges one
+// their order history. It stores only the column a query reads, each
+// customer's order count, as a dense slice indexed by customer id.
+// Product i belongs to category i mod Categories, so a category's size
+// is computed, not stored, and no stock is kept: a stock update charges
+// its page touch and changes nothing a later query reads. A login's
+// credential check is a charged cost. Each query charges one
 // buffer-pool page touch per row it visits. The paper measures after a
 // 2-minute warmup (§7.4) with a buffer pool that holds the whole store,
 // so every page access is a hit; the on-disk configuration differs from
@@ -16,9 +17,7 @@ import "repro/internal/kernel"
 
 // DB is the database engine.
 type DB struct {
-	sold      []uint8 // units sold, per product; never above initialStock
-	orders    []int32 // order lines placed, per customer
-	nextOrder int
+	orders []uint8 // order lines placed, per customer; saturates at 255
 
 	disk *Disk
 	// inMem marks the tmpfs configuration: no synchronous log writes.
@@ -27,17 +26,11 @@ type DB struct {
 	prm *Params
 }
 
-// initialStock is every product's stock after the load phase. A
-// product's stock is initialStock less its sold count.
-const initialStock = 100
-
-// NewDB populates the store with prm.Products products across
-// prm.Categories categories and prm.Customers customers, like
-// DVDStore's load phase.
+// NewDB populates the store with prm.Customers customers, like
+// DVDStore's load phase; products and categories need no rows.
 func NewDB(m *kernel.Machine, prm *Params, inMem bool) *DB {
 	return &DB{
-		sold:   make([]uint8, prm.Products),
-		orders: make([]int32, prm.Customers),
+		orders: make([]uint8, prm.Customers),
 		disk:   &Disk{m: m},
 		inMem:  inMem,
 		prm:    prm,
@@ -50,11 +43,11 @@ func touchPage(t *kernel.Thread) { t.ExecUser(t.Machine().P.CacheLineTouch * 4) 
 // Query is one database request.
 type Query struct {
 	Kind QueryKind
-	Key  int // category, customer or product id
+	Key  int32 // category, customer or product id
 }
 
 // QueryKind selects the query plan.
-type QueryKind int
+type QueryKind int32
 
 // Query kinds in the DVDStore mix.
 const (
@@ -64,16 +57,14 @@ const (
 	QOrderHistory                    // customer's past orders
 	QAddOrderLine                    // insert one order line
 	QCommitOrder                     // transaction commit (log write)
-	QUpdateStock                     // stock decrement
+	QUpdateStock                     // stock update: one page touch, no stored stock
 )
 
-// QueryResult is a query result: a row count, an approximate wire size,
-// which the socket transports copy, and the id of the row a point query
-// returns.
+// QueryResult is a query result: a row count and an approximate wire
+// size, which the socket transports copy.
 type QueryResult struct {
-	Rows  int
-	Bytes int
-	Row   int
+	Rows  int32
+	Bytes int32
 }
 
 // dbCall is one query's slot in a request: the PHP tier fills Q, the
@@ -95,34 +86,32 @@ func (db *DB) Exec(t *kernel.Thread, q Query) QueryResult {
 	case QBrowseCategory:
 		// Category c holds products c, c+nc, c+2nc, ... below Products.
 		nc := prm.Categories
-		c := q.Key % nc
-		n := min(10, (prm.Products-c+nc-1)/nc)
-		for i := 0; i < n; i++ {
+		c := int(q.Key) % nc
+		n := int32(min(10, (prm.Products-c+nc-1)/nc))
+		for i := int32(0); i < n; i++ {
 			touchPage(t)
 		}
 		return QueryResult{Rows: n, Bytes: n * 120}
 	case QGetProduct:
 		touchPage(t)
-		return QueryResult{Rows: 1, Bytes: 160, Row: q.Key % len(db.sold)}
+		return QueryResult{Rows: 1, Bytes: 160}
 	case QLogin:
 		touchPage(t)
 		t.ExecUser(prm.DBAuthCost) // password hash check
-		return QueryResult{Rows: 1, Bytes: 96, Row: q.Key % len(db.orders)}
+		return QueryResult{Rows: 1, Bytes: 96}
 	case QOrderHistory:
-		n := min(5, int(db.orders[q.Key%len(db.orders)]))
-		for i := 0; i < n; i++ {
+		n := int32(min(5, db.orders[int(q.Key)%len(db.orders)]))
+		for i := int32(0); i < n; i++ {
 			touchPage(t)
 		}
 		return QueryResult{Rows: n, Bytes: n * 140}
 	case QAddOrderLine:
-		db.nextOrder++
-		db.orders[q.Key%len(db.orders)]++
-		touchPage(t)
-		return QueryResult{Rows: 1, Bytes: 32, Row: db.nextOrder}
-	case QUpdateStock:
-		if s := &db.sold[q.Key%len(db.sold)]; *s < initialStock {
-			*s++
+		if o := &db.orders[int(q.Key)%len(db.orders)]; *o < 255 {
+			*o++
 		}
+		touchPage(t)
+		return QueryResult{Rows: 1, Bytes: 32}
+	case QUpdateStock:
 		touchPage(t)
 		return QueryResult{Rows: 1, Bytes: 16}
 	case QCommitOrder:

@@ -3,6 +3,7 @@ package oltp
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"repro/internal/cost"
 	"repro/internal/kernel"
@@ -161,51 +162,60 @@ func TestCallsPerOpInExpectedRange(t *testing.T) {
 
 // ---- engine-level unit tests ----
 
-func newDBWorld() (*sim.Engine, *kernel.Machine, *DB, *Params) {
+func newDBWorld() (*sim.Engine, *kernel.Machine, *DB) {
 	eng := sim.NewEngine(4)
 	m := kernel.NewMachine(eng, cost.Default(), 1)
-	prm := DefaultParams()
-	db := NewDB(m, prm, false)
-	return eng, m, db, prm
+	return eng, m, NewDB(m, DefaultParams(), false)
 }
 
 func TestDBQueries(t *testing.T) {
-	eng, m, db, prm := newDBWorld()
+	eng, m, db := newDBWorld()
 	p := m.NewProcess("db")
 	m.Spawn(p, "q", nil, func(th *kernel.Thread) {
 		if r := db.Exec(th, Query{Kind: QBrowseCategory, Key: 3}); r.Rows != 10 {
 			t.Errorf("browse rows = %d, want 10", r.Rows)
 		}
-		if r := db.Exec(th, Query{Kind: QGetProduct, Key: 42}); r.Rows != 1 || r.Row != 42 {
+		if r := db.Exec(th, Query{Kind: QGetProduct, Key: 42}); r.Rows != 1 {
 			t.Errorf("get product = %+v", r)
 		}
-		if r := db.Exec(th, Query{Kind: QLogin, Key: 7}); r.Row != 7 {
+		if r := db.Exec(th, Query{Kind: QLogin, Key: 7}); r.Rows != 1 {
 			t.Errorf("login = %+v", r)
-		}
-		// Order flow: add a line, then history sees it.
-		r := db.Exec(th, Query{Kind: QAddOrderLine, Key: 7})
-		if r.Rows != 1 {
-			t.Errorf("add order = %+v", r)
-		}
-		if r := db.Exec(th, Query{Kind: QOrderHistory, Key: 7}); r.Rows != 1 {
-			t.Errorf("history rows = %d, want 1", r.Rows)
 		}
 		if r := db.Exec(th, Query{Kind: QUpdateStock, Key: 42}); r.Rows != 1 {
 			t.Errorf("stock = %+v", r)
 		}
-		if db.sold[42] != 1 {
-			t.Errorf("sale not counted: sold %d", db.sold[42])
+		// Order flow: after n order lines, a customer's history reads
+		// min(5, n) rows, also at the 256th line, where a uint8 count
+		// that did not saturate would wrap to 0, and past it.
+		history := func(n int) {
+			t.Helper()
+			if r := db.Exec(th, Query{Kind: QOrderHistory, Key: 7}); int(r.Rows) != min(5, n) {
+				t.Errorf("history after %d order lines: %d rows, want %d", n, r.Rows, min(5, n))
+			}
 		}
-		// Stock never goes below 0: sales past initialStock are not counted.
-		for i := 0; i < initialStock+5; i++ {
-			db.Exec(th, Query{Kind: QUpdateStock, Key: 42})
+		history(0)
+		for n := 1; n <= 300; n++ {
+			if r := db.Exec(th, Query{Kind: QAddOrderLine, Key: 7}); r.Rows != 1 {
+				t.Errorf("add order = %+v", r)
+			}
+			if n <= 6 || n == 256 || n == 300 {
+				history(n)
+			}
 		}
-		if db.sold[42] != initialStock {
-			t.Errorf("sold %d of a stock of %d", db.sold[42], initialStock)
+		if r := db.Exec(th, Query{Kind: QOrderHistory, Key: 8}); r.Rows != 0 {
+			t.Errorf("another customer's history: %d rows, want 0", r.Rows)
 		}
 	})
 	eng.Run()
-	_ = prm
+}
+
+// TestDBCallSize pins a query's slot at 16 B: each closed-loop client
+// keeps maxPlan() of them in its plan buffer. With int-sized fields and
+// a returned row id, a slot took 40 B.
+func TestDBCallSize(t *testing.T) {
+	if got := unsafe.Sizeof(dbCall{}); got != 16 {
+		t.Errorf("dbCall is %d B, want 16", got)
+	}
 }
 
 // TestDBBrowseRowsPerCategory checks that a category browse returns as
@@ -225,7 +235,7 @@ func TestDBBrowseRowsPerCategory(t *testing.T) {
 		m.Spawn(m.NewProcess("db"), "q", nil, func(th *kernel.Thread) {
 			for key := 0; key < 2*tc.categories; key++ {
 				want := min(10, size[key%tc.categories])
-				if r := db.Exec(th, Query{Kind: QBrowseCategory, Key: key}); r.Rows != want {
+				if r := db.Exec(th, Query{Kind: QBrowseCategory, Key: int32(key)}); int(r.Rows) != want {
 					t.Errorf("products=%d categories=%d key=%d: %d rows, want %d",
 						tc.products, tc.categories, key, r.Rows, want)
 				}
@@ -237,7 +247,7 @@ func TestDBBrowseRowsPerCategory(t *testing.T) {
 }
 
 func TestCommitWritesDiskOnlyOnDisk(t *testing.T) {
-	eng, m, db, _ := newDBWorld()
+	eng, m, db := newDBWorld()
 	p := m.NewProcess("db")
 	m.Spawn(p, "q", nil, func(th *kernel.Thread) {
 		db.Exec(th, Query{Kind: QCommitOrder})
@@ -271,7 +281,7 @@ func TestBufferPoolWarm(t *testing.T) {
 		prm := DefaultParams()
 		db := NewDB(m, prm, inMem)
 		var took sim.Time
-		var rows int
+		var rows int32
 		m.Spawn(m.NewProcess("db"), "q", nil, func(th *kernel.Thread) {
 			start := eng.Now()
 			rows = db.Exec(th, Query{Kind: QBrowseCategory, Key: 3}).Rows
@@ -344,7 +354,7 @@ func TestGenOpMixAndDeterminism(t *testing.T) {
 			if reused.Queries[j] != fresh.Queries[j] {
 				t.Fatalf("op %d query %d: reused %+v, fresh %+v", i, j, reused.Queries[j], fresh.Queries[j])
 			}
-			reused.Queries[j].R = QueryResult{Rows: 9, Bytes: 9, Row: 9} // a served result
+			reused.Queries[j].R = QueryResult{Rows: 9, Bytes: 9} // a served result
 		}
 	}
 }

@@ -33,7 +33,9 @@ func setupBytes(cfg Config) uint64 {
 // slice once. With the CODOMs context inside every kernel thread, an
 // added proc cost 1498 B (Linux) and 1344 B (dIPC, Ideal); since it
 // moved into dIPC's state, about 845 B and 907 B (950 B and 976 B
-// under the race detector).
+// under the race detector); since a query slot shrank from 40 B to 16 B
+// and dIPC's state to two inline KCS frames, 746 B and 715 B (841 B and
+// 788 B under the race detector).
 func TestOLTPSetupBytesPerThread(t *testing.T) {
 	const lo, hi, limit = 16, 256, 1152
 	for _, mode := range []Mode{ModeLinux, ModeDIPC, ModeIdeal} {
@@ -65,21 +67,24 @@ func TestOLTPSetupBytesPerThread(t *testing.T) {
 
 // TestFig8SetupBytes pins the fixed cost of one fig8 setup at Threads=16
 // (perfbench's fig8 shape) at about 1.25x what it measured once the
-// CODOMs context moved from every kernel thread into dIPC's per-thread
-// state: 77 KB (Linux), 71 KB (dIPC) and 50 KB (Ideal), against 118 KB,
-// 82 KB and 64 KB before. (Before the database's stock and order columns
-// became uint8 and int32 and the page table a sorted list of mapped
-// runs, the same setups allocated 199 KB, 211 KB and 137 KB.) The first
-// setup in a process also pays one-time runtime costs, so the test
-// measures the second.
+// database kept only its customers' order counts, as uint8s, dIPC's
+// thread state held two KCS frames inline instead of eight, and a
+// thread that only enters its process's code got no dIPC state: 54 KB
+// (Linux), 43 KB (dIPC) and 28 KB (Ideal), against 77 KB, 72 KB and
+// 50 KB before. (Before the CODOMs context moved from every kernel
+// thread into dIPC's per-thread state, they were 118 KB, 82 KB and
+// 64 KB; before the database's columns became uint8 and int32 and the
+// page table a sorted list of mapped runs, 199 KB, 211 KB and 137 KB.)
+// The first setup in a process also pays one-time runtime costs, so the
+// test measures the second.
 func TestFig8SetupBytes(t *testing.T) {
 	for _, tc := range []struct {
 		mode    Mode
 		ceiling uint64
 	}{
-		{ModeLinux, 96 << 10},
-		{ModeDIPC, 90 << 10},
-		{ModeIdeal, 63 << 10},
+		{ModeLinux, 67 << 10},
+		{ModeDIPC, 52 << 10},
+		{ModeIdeal, 34 << 10},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
 			cfg := Config{Mode: tc.mode, InMemory: true, Threads: 16, CPUs: 4, Seed: 1001}
@@ -103,6 +108,27 @@ func BenchmarkStartStack(b *testing.B) {
 				r, _ := startStack(&cfg)
 				r.eng.Close()
 			}
+		})
+	}
+}
+
+// BenchmarkFig8Run runs perfbench's fig8 shape: a closed loop of 16
+// clients on 4 CPUs, measured over a 250ms window after the default
+// warmup. With -benchmem, B/op is one whole run's bytes, setup included;
+// B/req divides them by the requests the run completes, the trend of
+// perfbench's fig8 alloc_bytes_per_req.
+func BenchmarkFig8Run(b *testing.B) {
+	for _, mode := range []Mode{ModeLinux, ModeDIPC} {
+		b.Run(mode.String(), func(b *testing.B) {
+			b.ReportAllocs()
+			cfg := Config{Mode: mode, InMemory: true, Threads: 16, CPUs: 4, Seed: 1000, Window: sim.Millis(250)}
+			ops := 0
+			bytes := runBytes(func() {
+				for i := 0; i < b.N; i++ {
+					ops += Run(cfg).Ops
+				}
+			})
+			b.ReportMetric(float64(bytes)/float64(ops), "B/req")
 		})
 	}
 }
@@ -152,18 +178,21 @@ func openLoopSetup(mode Mode) {
 }
 
 // TestOpenLoopSetupBytes pins the bytes of one BenchmarkOpenLoopSetup
-// iteration at about 1.25x what it measured once the CODOMs context
-// moved from every kernel thread into dIPC's per-thread state and the
-// latency histogram's counters became 32-bit: 38 KB (Linux) and 35 KB
-// (dIPC), against 67 KB and 47 KB before. The first run in a process
-// also pays one-time runtime costs, so the test measures the second.
+// iteration at about 1.25x what it measured: 38 KB (Linux) once the
+// CODOMs context moved from every kernel thread into dIPC's per-thread
+// state and the latency histogram's counters became 32-bit (67 KB
+// before), and 29 KB (dIPC) once that state also held two KCS frames
+// inline instead of eight and a thread that only enters its process's
+// code got none (35 KB before; 47 KB before the move). The first run in
+// a process also pays one-time runtime costs, so the test measures the
+// second.
 func TestOpenLoopSetupBytes(t *testing.T) {
 	for _, tc := range []struct {
 		mode    Mode
 		ceiling uint64
 	}{
 		{ModeLinux, 47 << 10},
-		{ModeDIPC, 44 << 10},
+		{ModeDIPC, 36 << 10},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
 			run := func() { openLoopSetup(tc.mode) }
@@ -216,12 +245,13 @@ func replicatedSetup(mode Mode) {
 }
 
 // TestReplicatedSetupBytes pins the bytes of one BenchmarkReplicatedSetup
-// iteration once the CODOMs context moved from every kernel thread into
-// dIPC's per-thread state and the four latency histograms' counters
-// (three machines and the merged total) became 32-bit: 59 KB (Linux)
-// and 86 KB (dIPC), against 102 KB and 107 KB before. Linux's ceiling is
-// about 1.25x its measurement; dIPC's is about 1.16x, so that it stays
-// below what dIPC measured before. The first run in a process also pays
+// iteration at about 1.25x what it measured: 59 KB (Linux) once the
+// CODOMs context moved from every kernel thread into dIPC's per-thread
+// state and the four latency histograms' counters (three machines and
+// the merged total) became 32-bit (102 KB before), and 66 KB (dIPC)
+// once that state also held two KCS frames inline instead of eight and
+// a thread that only enters its process's code got none (86 KB before;
+// 107 KB before the move). The first run in a process also pays
 // one-time runtime costs, so the test measures the second.
 func TestReplicatedSetupBytes(t *testing.T) {
 	for _, tc := range []struct {
@@ -229,7 +259,7 @@ func TestReplicatedSetupBytes(t *testing.T) {
 		ceiling uint64
 	}{
 		{ModeLinux, 72 << 10},
-		{ModeDIPC, 98 << 10},
+		{ModeDIPC, 80 << 10},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
 			run := func() { replicatedSetup(tc.mode) }

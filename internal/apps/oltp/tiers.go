@@ -45,7 +45,7 @@ func (s *Stack) DBHandler(t *kernel.Thread, op string, payload any) (any, int) {
 	default:
 		panicUnknownOp("db", op)
 	}
-	return c, maxInt(64, c.R.Bytes)
+	return c, maxInt(64, int(c.R.Bytes))
 }
 
 // PHPHandler is the interpreter tier's request entry: FastCGI-style

@@ -42,26 +42,26 @@ func genOp(rng *sim.Rand, prm *Params, op *Operation) {
 	switch {
 	case w < prm.BrowseWeight:
 		op.Kind = OpBrowse
-		add(Query{Kind: QBrowseCategory, Key: rng.Intn(prm.Categories)})
+		add(Query{Kind: QBrowseCategory, Key: int32(rng.Intn(prm.Categories))})
 		for i := 0; i < prm.BrowseGets; i++ {
-			add(Query{Kind: QGetProduct, Key: rng.Intn(prm.Products)})
+			add(Query{Kind: QGetProduct, Key: int32(rng.Intn(prm.Products))})
 		}
 	case w < prm.BrowseWeight+prm.LoginWeight:
 		op.Kind = OpLogin
-		cust := rng.Intn(prm.Customers)
+		cust := int32(rng.Intn(prm.Customers))
 		add(Query{Kind: QLogin, Key: cust})
 		for i := 0; i < prm.LoginHistory; i++ {
 			add(Query{Kind: QOrderHistory, Key: cust})
 		}
 	default:
 		op.Kind = OpPurchase
-		cust := rng.Intn(prm.Customers)
+		cust := int32(rng.Intn(prm.Customers))
 		add(Query{Kind: QLogin, Key: cust})
 		for i := 0; i < prm.PurchaseGets; i++ {
-			add(Query{Kind: QGetProduct, Key: rng.Intn(prm.Products)})
+			add(Query{Kind: QGetProduct, Key: int32(rng.Intn(prm.Products))})
 		}
 		for i := 0; i < prm.PurchaseLines; i++ {
-			item := rng.Intn(prm.Products)
+			item := int32(rng.Intn(prm.Products))
 			add(Query{Kind: QAddOrderLine, Key: cust})
 			add(Query{Kind: QUpdateStock, Key: item})
 		}

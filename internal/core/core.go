@@ -57,6 +57,7 @@ func NewRuntime(m *kernel.Machine) *Runtime {
 		PT:                mem.NewPageTable(),
 		templates:         make(map[templateKey]*ProxyTemplate),
 		registry:          make(map[string]*EntryHandle),
+		codeBases:         make(map[*kernel.Process]mem.Addr),
 		WorstCaseLiveRegs: 14,
 	}
 	rt.proxyVA = mem.NewSuballoc(m.Global)
@@ -73,32 +74,33 @@ func (rt *Runtime) NewProcess(name string) *kernel.Process {
 // page belonging to the calling process's default domain, modeling the
 // application code the thread executes. Each thread must do this once
 // before issuing dIPC calls — the CODOMs checks take the subject domain
-// from the instruction pointer's page tag — so it is where a thread's
-// dIPC state, CODOMs context included, is usually created.
+// from the instruction pointer's page tag. A thread without dIPC state
+// gets none here: it is created, on this code page, at the first call.
 func (rt *Runtime) EnterProcessCode(t *kernel.Thread) (mem.Addr, error) {
 	proc := t.Process()
-	if base, ok := rt.codeBases[proc]; ok {
-		state(t).hw.SetIP(base)
-		return base, nil
+	base, ok := rt.codeBases[proc]
+	if !ok {
+		if proc.VA == nil {
+			return 0, fmt.Errorf("dipc: process %s is not dIPC-enabled", proc.Name)
+		}
+		var err error
+		if base, err = rt.mapCodePages(proc.VA, 1, proc.DefaultTag, false); err != nil {
+			return 0, err
+		}
+		rt.codeBases[proc] = base
 	}
-	if proc.VA == nil {
-		return 0, fmt.Errorf("dipc: process %s is not dIPC-enabled", proc.Name)
+	switch t.Ext.(type) {
+	case nil, enteredCode:
+		t.Ext = enteredCode{}
+	default:
+		rt.state(t).hw.SetIP(base)
 	}
-	base, err := rt.mapCodePages(proc.VA, 1, proc.DefaultTag, false)
-	if err != nil {
-		return 0, err
-	}
-	if rt.codeBases == nil {
-		rt.codeBases = make(map[*kernel.Process]mem.Addr)
-	}
-	rt.codeBases[proc] = base
-	state(t).hw.SetIP(base)
 	return base, nil
 }
 
 // APLHitRate returns the hit rate of t's APL cache, which lives in the
 // CODOMs context of t's dIPC state.
-func APLHitRate(t *kernel.Thread) float64 { return state(t).hw.Cache.HitRate() }
+func (rt *Runtime) APLHitRate(t *kernel.Thread) float64 { return rt.state(t).hw.Cache.HitRate() }
 
 // errBadPerm builds the permission-failure error used across the API.
 func errBadPerm(op string, need, have Perm) error {

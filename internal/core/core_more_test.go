@@ -3,6 +3,7 @@ package core
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"repro/internal/codoms"
 	"repro/internal/kernel"
@@ -170,7 +171,7 @@ func TestGrantRevokeCutsDirectAccess(t *testing.T) {
 			return
 		}
 		arch := w.rt.M.Arch
-		if _, err := arch.NewFromAPL(&state(th).hw, w.rt.PT, ro.tag, buf, 8, codoms.PermRead); err != nil {
+		if _, err := arch.NewFromAPL(&w.rt.state(th).hw, w.rt.PT, ro.tag, buf, 8, codoms.PermRead); err != nil {
 			t.Errorf("read after grant: %v", err)
 		}
 		// grant_revoke sets the APL entry back to nil.
@@ -180,7 +181,7 @@ func TestGrantRevokeCutsDirectAccess(t *testing.T) {
 		if got := arch.APLPerm(self.tag, ro.tag); got != codoms.PermNil {
 			t.Errorf("web holds %v over the pool after revoke, want nil", got)
 		}
-		if _, err := arch.NewFromAPL(&state(th).hw, w.rt.PT, ro.tag, buf, 8, codoms.PermRead); err == nil {
+		if _, err := arch.NewFromAPL(&w.rt.state(th).hw, w.rt.PT, ro.tag, buf, 8, codoms.PermRead); err == nil {
 			t.Error("read after revoke must fault")
 		}
 	})
@@ -359,5 +360,58 @@ func TestExtClashPanics(t *testing.T) {
 	}
 	if !kept {
 		t.Error("the dIPC call overwrote the thread's Ext")
+	}
+}
+
+// TestEnterProcessCodeDefersState: entering a process's code allocates
+// nothing and leaves the thread without dIPC state, as fig8's *-init
+// threads, which only register and publish entries, need. The state is
+// made at the first call, starting from the entered code page, and a
+// foreign Ext still panics at EnterProcessCode instead of being
+// overwritten.
+func TestEnterProcessCodeDefersState(t *testing.T) {
+	w := newWorld(1)
+	w.export(t, PolicyLow, func(th *kernel.Thread, in *Args) *Args { return in })
+	w.run(t, w.web, func(th *kernel.Thread) {
+		base, _ := w.rt.EnterProcessCode(th)
+		if n := testing.AllocsPerRun(10, func() {
+			th.Ext = nil
+			w.rt.EnterProcessCode(th)
+		}); n != 0 {
+			t.Errorf("EnterProcessCode allocates %v objects, want 0", n)
+		}
+		if _, ok := th.Ext.(*threadState); ok {
+			t.Fatal("EnterProcessCode created dIPC state")
+		}
+		ents, err := w.rt.MustImport(th, "/run/db.sock", []EntryDesc{{
+			Name: "query", Sig: Signature{InRegs: 2, OutRegs: 1}, Policy: PolicyLow,
+		}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := ents[0].Call(th, &Args{Regs: []uint64{1, 2}}); err != nil {
+			t.Fatalf("first call after EnterProcessCode: %v", err)
+		}
+		if ts, ok := th.Ext.(*threadState); !ok || ts.hw.IP() != base {
+			t.Errorf("after the first call Ext = %T, want dIPC state back on code page %#x", th.Ext, base)
+		}
+	})
+	var msg any
+	w.m.Spawn(w.web, "l4-server", nil, func(th *kernel.Thread) {
+		th.Ext = &struct{ n int }{7}
+		defer func() { msg = recover() }()
+		w.rt.EnterProcessCode(th)
+	})
+	w.eng.Run()
+	if s, ok := msg.(string); !ok || !strings.Contains(s, "holds a *struct") {
+		t.Errorf("EnterProcessCode with a foreign Ext: recovered %v, want a panic naming its type", msg)
+	}
+}
+
+// TestThreadStateSize pins dIPC's per-thread state at 1408 B at most:
+// with eight inline KCS frames it was 1880 B, in the 2 KiB size class.
+func TestThreadStateSize(t *testing.T) {
+	if got := unsafe.Sizeof(threadState{}); got > 1408 {
+		t.Errorf("threadState is %d B, want <= 1408", got)
 	}
 }

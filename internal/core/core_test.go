@@ -173,7 +173,7 @@ func TestDirectCallBypassingProxyFails(t *testing.T) {
 	var direct error
 	w.run(t, w.web, func(th *kernel.Thread) {
 		eh, _ := w.rt.Resolve(th, "/run/db.sock")
-		direct = w.rt.M.Arch.CheckCall(&state(th).hw, w.rt.PT, eh.entries[0].addr)
+		direct = w.rt.M.Arch.CheckCall(&w.rt.state(th).hw, w.rt.PT, eh.entries[0].addr)
 	})
 	if direct == nil {
 		t.Fatal("direct call into the callee's domain must be denied")
@@ -201,7 +201,7 @@ func TestFaultUnwindsToCaller(t *testing.T) {
 	// reaches the caller with the caller's state restored (P3).
 	w := newWorld(1)
 	w.export(t, PolicyHigh, func(th *kernel.Thread, in *Args) *Args {
-		state(th).hw.CapRegs[retCapReg] = codoms.Capability{}
+		w.rt.state(th).hw.CapRegs[retCapReg] = codoms.Capability{}
 		return &Args{}
 	})
 	var err error
@@ -212,11 +212,11 @@ func TestFaultUnwindsToCaller(t *testing.T) {
 		ents, _ := w.rt.MustImport(th, "/run/db.sock", []EntryDesc{{
 			Name: "query", Sig: Signature{InRegs: 2, OutRegs: 1}, Policy: PolicyHigh,
 		}})
-		before := state(th).hw.CapRegs[retCapReg]
+		before := w.rt.state(th).hw.CapRegs[retCapReg]
 		_, err = ents[0].Call(th, &Args{Regs: []uint64{1, 2}})
 		depthAfter = kcsDepth(th)
 		procAfter = th.Process()
-		capKept = state(th).hw.CapRegs[retCapReg] == before
+		capKept = w.rt.state(th).hw.CapRegs[retCapReg] == before
 	})
 	var f *codoms.Fault
 	if !errors.As(err, &f) {
@@ -295,12 +295,12 @@ func TestNestedFaultUnwindsThroughChain(t *testing.T) {
 	var innerDepth int
 	var innerProc *kernel.Process
 	_, outer := buildChain(t, w, func(th *kernel.Thread, in *Args) *Args {
-		state(th).hw.CapRegs[retCapReg] = codoms.Capability{}
+		w.rt.state(th).hw.CapRegs[retCapReg] = codoms.Capability{}
 		return &Args{}
 	}, func(th *kernel.Thread, err error) {
 		innerErr, innerDepth, innerProc = err, kcsDepth(th), th.Process()
 		if err != nil {
-			state(th).hw.CapRegs[retCapReg] = codoms.Capability{}
+			w.rt.state(th).hw.CapRegs[retCapReg] = codoms.Capability{}
 		}
 	})
 	var err error
@@ -330,7 +330,7 @@ func TestReturnCapabilityProtectsProxyRet(t *testing.T) {
 	// return into proxy_ret: the call fails instead of corrupting P3.
 	w := newWorld(1)
 	w.export(t, PolicyLow, func(th *kernel.Thread, in *Args) *Args {
-		state(th).hw.CapRegs[retCapReg] = codoms.Capability{} // malicious clobber
+		w.rt.state(th).hw.CapRegs[retCapReg] = codoms.Capability{} // malicious clobber
 		return &Args{}
 	})
 	var err error
@@ -398,7 +398,7 @@ func TestTrackProcessColdThenHot(t *testing.T) {
 		second = w.eng.Now() - s
 		// Evict the db tag from the APL cache to force the warm path.
 		for i := 0; i < codoms.APLCacheSize; i++ {
-			state(th).hw.Cache.Insert(codoms.Tag(1000 + i))
+			w.rt.state(th).hw.Cache.Insert(codoms.Tag(1000 + i))
 		}
 		s = w.eng.Now()
 		ents[0].Call(th, &Args{Regs: []uint64{1, 2}})
@@ -479,7 +479,7 @@ func TestGrantCreateEnablesDirectAccess(t *testing.T) {
 		ro := w.handoff
 		arch := w.rt.M.Arch
 		// Before the grant: no access.
-		if _, err := arch.NewFromAPL(&state(th).hw, w.rt.PT, ro.tag, dbData, 8, codoms.PermRead); err == nil {
+		if _, err := arch.NewFromAPL(&w.rt.state(th).hw, w.rt.PT, ro.tag, dbData, 8, codoms.PermRead); err == nil {
 			t.Error("web read db pool before grant")
 		}
 		self := w.rt.DomDefault(th)
@@ -487,14 +487,14 @@ func TestGrantCreateEnablesDirectAccess(t *testing.T) {
 			t.Error(err)
 			return
 		}
-		if got := arch.APLPerm(state(th).hw.CodeDomain(w.rt.PT), ro.tag); got != codoms.PermRead {
+		if got := arch.APLPerm(w.rt.state(th).hw.CodeDomain(w.rt.PT), ro.tag); got != codoms.PermRead {
 			t.Errorf("web holds %v over the pool after grant, want read", got)
 		}
-		if _, err := arch.NewFromAPL(&state(th).hw, w.rt.PT, ro.tag, dbData, 8, codoms.PermRead); err != nil {
+		if _, err := arch.NewFromAPL(&w.rt.state(th).hw, w.rt.PT, ro.tag, dbData, 8, codoms.PermRead); err != nil {
 			t.Errorf("read after grant: %v", err)
 		}
 		// Write stays denied (read-only handle).
-		if _, err := arch.NewFromAPL(&state(th).hw, w.rt.PT, ro.tag, dbData, 8, codoms.PermWrite); err == nil {
+		if _, err := arch.NewFromAPL(&w.rt.state(th).hw, w.rt.PT, ro.tag, dbData, 8, codoms.PermWrite); err == nil {
 			t.Error("read grant allowed a write")
 		}
 	})

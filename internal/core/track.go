@@ -47,10 +47,10 @@ func insertNode(n *trackNode, tag codoms.Tag, proc *kernel.Process) *trackNode {
 }
 
 // kcsInlineDepth is the kernel control stack depth held inline in the
-// thread state: chains up to this deep never allocate a KCS frame.
-// Deeper chains spill to a heap slice, pre-sized from the proxy
-// template's deepest observed chain.
-const kcsInlineDepth = 8
+// thread state, that of Fig. 8's web -> PHP -> DB chain: chains up to
+// two deep never allocate a KCS frame. Deeper chains spill to a heap
+// slice, pre-sized from the proxy template's deepest observed chain.
+const kcsInlineDepth = 2
 
 // retCapEntry is one cached P3 return capability, valid while the APLs
 // and the page table it was derived under are unchanged.
@@ -61,15 +61,15 @@ type retCapEntry struct {
 }
 
 // threadState is the dIPC per-thread state hung off kernel.Thread.Ext,
-// dIPC's one allocation per thread, made on the thread's first dIPC use
-// (EnterProcessCode or its first call). It holds the thread's CODOMs
-// per-hardware-thread context — §4.1's APL cache and the capability
-// registers, which travel with the thread (the APL cache is switched
-// lazily, §7.5) — so a thread of the Linux or Ideal baselines, which
-// model an unmodified machine, carries none. Beside it are the kernel
-// control stack, the process-tracking cache array (indexed by the 5-bit
-// hardware domain tag), the tracking tree and the per-proxy
-// return-capability cache.
+// dIPC's one allocation per thread, made on the thread's first dIPC
+// call. It holds the thread's CODOMs per-hardware-thread context —
+// §4.1's APL cache and the capability registers, which travel with the
+// thread (the APL cache is switched lazily, §7.5) — so a thread of the
+// Linux or Ideal baselines, which model an unmodified machine, carries
+// none, and neither does a thread that only enters its process's code.
+// Beside it are the kernel control stack, the process-tracking cache
+// array (indexed by the 5-bit hardware domain tag), the tracking tree
+// and the per-proxy return-capability cache.
 type threadState struct {
 	hw         codoms.ThreadCtx
 	kcs        []kcsEntry
@@ -93,21 +93,29 @@ type kcsEntry struct {
 	migrated    bool
 }
 
-// state returns the thread's dIPC state, creating it on first use. A
-// thread that makes dIPC calls leaves Ext to dIPC: state panics on a
-// value another layer put there rather than overwrite it.
-func state(t *kernel.Thread) *threadState {
-	ts, ok := t.Ext.(*threadState)
-	if ok {
+// enteredCode is what Ext holds for a thread that has entered its
+// process's code but made no dIPC call yet; being zero-sized, it costs
+// no allocation.
+type enteredCode struct{}
+
+// state returns the thread's dIPC state, creating it at the first call
+// on the code page the thread entered, if any: only dIPC migrates a
+// thread, so it is still in that process. A thread that uses dIPC leaves
+// Ext to dIPC: state panics on a value another layer put there.
+func (rt *Runtime) state(t *kernel.Thread) *threadState {
+	switch ext := t.Ext.(type) {
+	case *threadState:
+		return ext
+	case nil, enteredCode:
+		ts := &threadState{}
+		ts.kcs = ts.kcsInline[:0]
+		if ext != nil {
+			ts.hw.SetIP(rt.codeBases[t.Process()])
+		}
+		t.Ext = ts
 		return ts
 	}
-	if t.Ext != nil {
-		panic(fmt.Sprintf("dipc: thread %q holds a %T in Ext, not dIPC state", t.Name, t.Ext))
-	}
-	ts = &threadState{}
-	ts.kcs = ts.kcsInline[:0]
-	t.Ext = ts
-	return ts
+	panic(fmt.Sprintf("dipc: thread %q holds a %T in Ext, not dIPC state", t.Name, t.Ext))
 }
 
 // trackProcessCall implements the §6.1.2 lookup on the call path and

@@ -111,7 +111,7 @@ func MeasureCrossCallChain(depth, calls int, high bool) *CrossCallResult {
 			}
 		}
 		res.MeanPerOp = (eng.Now() - start) / sim.Time(calls)
-		res.APLHitRate = core.APLHitRate(t)
+		res.APLHitRate = rt.APLHitRate(t)
 	})
 	eng.Run()
 	return res
