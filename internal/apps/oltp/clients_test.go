@@ -61,21 +61,44 @@ func TestOnlyKernelThreadsAreProcs(t *testing.T) {
 // engine event of its instant, so the attempt times out and the reply
 // finds its ID gone and counts as cancelled.
 func TestRackDeadlineBeatsSameInstantReply(t *testing.T) {
-	h := newRack(1, 2, 1, 1, &faults.Plan{})
+	h, tx, deadline := echoRack() // the first reply lands at the deadline
 	defer h.cl.Close()
-	tx := h.connect("tx", 0, 1)
-	rx := h.connect("rx", 1, 0)
-	const size = 64
-	back := rx.nic.FlightTime(size)
-	tx.link.SetHandler(func(v uint64) { rx.link.SendU64(back, v) }) // an instant echo
-	rx.link.SetHandler(h.complete)
-	deadline := tx.nic.FlightTime(size) + back
-	h.measuring = true
-	h.startClients(0, ReplicaSet{N: 1}, []*wire{tx}, size, faults.RetryPolicy{Deadline: deadline}, nil, 0)
-	h.cl.RunUntil(deadline)
+	h.win = stats.Window{End: deadline}
+	h.startClients(0, ReplicaSet{N: 1}, []*wire{tx}, echoSize, faults.RetryPolicy{Deadline: deadline}, nil, 0)
+	h.eng.RunUntil(deadline)
 	rel := h.accs[0].Rel
 	if rel.Timeouts != 1 || rel.Cancelled != 1 || rel.OpsFailed != 1 || rel.OpsOK != 0 {
 		t.Fatalf("timeouts %d, cancelled %d, failed %d, ok %d; want the deadline to win: 1, 1, 1, 0",
 			rel.Timeouts, rel.Cancelled, rel.OpsFailed, rel.OpsOK)
+	}
+}
+
+// echoRack returns a two-machine rack whose machine 1 echoes every
+// echoSize-byte request straight back, machine 0's wire to it, and the
+// instant the first reply to a client starting at 0 lands.
+func echoRack() (h *rack, tx *wire, land sim.Time) {
+	h = newRack(1, 2, 1, 1, &faults.Plan{}, stats.Window{})
+	tx = h.connect("tx", 0, 1)
+	rx := h.connect("rx", 1, 0)
+	back := rx.nic.FlightTime(echoSize)
+	tx.link.SetHandler(func(v uint64) { rx.link.SendU64(back, v) }) // an instant echo
+	rx.link.SetHandler(h.complete)
+	return h, tx, tx.nic.FlightTime(echoSize) + back
+}
+
+const echoSize = 64
+
+// TestRackCountsReplyAtWindowStart: the window holds its start edge. A
+// reply that lands at the very instant measure opens the window counts
+// as a success of the window, like a closed-loop completion at warmup.
+func TestRackCountsReplyAtWindowStart(t *testing.T) {
+	h, tx, land := echoRack()
+	defer h.cl.Close()
+	h.win = stats.Window{Start: land, End: land}
+	h.startClients(0, ReplicaSet{N: 1}, []*wire{tx}, echoSize, faults.RetryPolicy{}, nil, 0)
+	measure(h.eng, h.ms, h.win, nil)
+	if rel := h.accs[0].Rel; rel.OpsOK != 1 || rel.OpsFailed != 0 || rel.Attempts != 0 {
+		t.Fatalf("ok %d, failed %d, attempts %d; want the reply at the window's start counted: 1, 0, 0",
+			rel.OpsOK, rel.OpsFailed, rel.Attempts)
 	}
 }

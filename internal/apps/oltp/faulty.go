@@ -186,7 +186,7 @@ func (cfg *ChainFaultsConfig) tiers() *tierChain {
 // boot as a config error instead of a panic from the run.
 func (cfg ChainFaultsConfig) BootTime() sim.Time {
 	cfg.applyDefaults()
-	r := newRig(cfg.Seed, cfg.CPUs, GatewayConfig{})
+	r := newRig(cfg.Seed, cfg.CPUs, GatewayConfig{}, stats.Window{})
 	defer r.eng.Close()
 	buildChain(cfg.tiers(), r.m, r.prm, faults.NewInjector(nil), func(tr Transport, _ int) Transport { return tr })
 	return r.eng.Now()
@@ -202,15 +202,17 @@ func (cfg ChainFaultsConfig) BootTime() sim.Time {
 // paper measures.
 func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 	cfg.applyDefaults()
-	r := newRig(cfg.Seed, cfg.CPUs, GatewayConfig{})
+	r := newRig(cfg.Seed, cfg.CPUs, GatewayConfig{}, stats.Window{Start: cfg.Warmup, End: cfg.Warmup + cfg.Window})
 	defer r.eng.Close()
 	r.serveChain(&cfg, nil)
 
-	// Op outcomes gate client-side on completion time, in r.outcomes;
-	// only the attempt-level counters, which the Retriers bump at any
-	// time, window via snapshot-subtraction.
-	r.closedLoop(cfg.Clients, cfg.Seed, nil, cfg.Warmup, cfg.Window)
-	bd, window := r.measure(cfg.Warmup, cfg.Window)
+	// Op outcomes count in r.outcomes when r.win holds their completion.
+	// The Retriers count attempts at any time into r.rel, which measure
+	// empties at the window's start; warm keeps the warm-up's attempts.
+	r.closedLoop(cfg.Clients, cfg.Seed, nil)
+	var warm int64
+	bd := measure(r.eng, []*kernel.Machine{r.m}, r.win, func() { warm, r.rel = r.rel.Attempts, stats.Reliability{} })
+	window := r.rel
 	window.OpsOK, window.OpsFailed = r.outcomes.OpsOK, r.outcomes.OpsFailed
 	res := &ChainFaultsResult{
 		Config:       cfg,
@@ -219,15 +221,15 @@ func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 		ErrorRate:    window.ErrorRate(),
 		Availability: window.Availability(),
 		RetryAmp:     window.RetryAmplification(),
-		Breakdown:    bd,
+		Breakdown:    bd[0],
 	}
 	if r.outcomes.OpsOK > 0 {
 		res.AvgLatency = r.okLatency / sim.Time(r.outcomes.OpsOK)
 	}
 	// Every hop is one Retrier over a base transport, so each attempt
-	// the Retriers count into r.rel is one cross-tier call.
+	// the Retriers count is one cross-tier call.
 	if r.completed > 0 {
-		res.CallsPerOp = float64(r.rel.Attempts) / float64(r.completed)
+		res.CallsPerOp = float64(warm+r.rel.Attempts) / float64(r.completed)
 	}
 	return res
 }

@@ -1,6 +1,7 @@
 package oltp
 
 import (
+	"repro/internal/kernel"
 	"repro/internal/load"
 	"repro/internal/sim"
 	"repro/internal/stats"
@@ -46,10 +47,11 @@ type OpenLoopResult struct {
 	Offered, SessionsRun, Balked int64
 	OfferedRate                  float64 // requests issued per second
 
-	// Rel is the op-level outcome accounting (client-observed, gated on
-	// completion inside the window). Attempts is the attempt-level
-	// window from the Retriers: transport attempts, retries, and the
-	// per-attempt timeout/fault split.
+	// Rel is the op-level outcome accounting, client-observed: an op
+	// counts when its completion falls inside the run's stats.Window.
+	// Attempts is the Retriers' attempt-level accounting over the same
+	// window: transport attempts, retries, and the per-attempt
+	// timeout/fault split.
 	Rel      stats.Reliability
 	Attempts stats.Reliability
 
@@ -75,7 +77,10 @@ type OpenLoopResult struct {
 func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 	r, gen, breakers := startOpenLoop(&cfg)
 	defer r.eng.Close()
-	bd, attempts := r.measure(cfg.Warmup, cfg.Window)
+	// The Retriers count attempts at any time into r.rel, which measure
+	// empties at the window's start.
+	bd := measure(r.eng, []*kernel.Machine{r.m}, r.win, func() { r.rel = stats.Reliability{} })
+	attempts := r.rel
 	res := &OpenLoopResult{
 		Config:       cfg,
 		Offered:      gen.Offered,
@@ -96,7 +101,7 @@ func RunOpenLoop(cfg OpenLoopConfig) *OpenLoopResult {
 		RejFull:      r.gw.RejectedFull,
 		RejStale:     r.gw.RejectedStale,
 		RejToken:     r.gw.RejectedToken,
-		Breakdown:    bd,
+		Breakdown:    bd[0],
 	}
 	if ops := gen.Acc.Rel.OpsOK + gen.Acc.Rel.OpsFailed; ops > 0 {
 		res.RetryAmp = float64(attempts.Attempts) / float64(ops)
@@ -126,17 +131,16 @@ func startOpenLoop(cfg *OpenLoopConfig) (*rig, *load.Generator, []*Breaker) {
 		cfg.Deadline = 4 * cfg.Retry.Deadline
 	}
 
-	r := newRig(cfg.Seed, cfg.CPUs, cfg.Gateway)
+	r := newRig(cfg.Seed, cfg.CPUs, cfg.Gateway, stats.Window{Start: cfg.Warmup, End: cfg.Warmup + cfg.Window})
 	breakers := r.serveChain(&cfg.ChainFaultsConfig, cfg.Breaker)
 
 	gen := load.Start(r.eng, load.Config{
-		Arrivals:     load.NewPoisson(cfg.Seed+2, cfg.MeanGap),
-		Sessions:     cfg.Sessions,
-		Requests:     cfg.Requests,
-		Deadline:     cfg.Deadline,
-		MeasureStart: cfg.Warmup,
-		MeasureEnd:   cfg.Warmup + cfg.Window,
-		Issue:        r.gw.Issue,
+		Arrivals: load.NewPoisson(cfg.Seed+2, cfg.MeanGap),
+		Sessions: cfg.Sessions,
+		Requests: cfg.Requests,
+		Deadline: cfg.Deadline,
+		Window:   r.win,
+		Issue:    r.gw.Issue,
 	})
 	return r, gen, breakers
 }

@@ -45,33 +45,34 @@ const (
 
 // rack is the multi-machine harness both rack runners (RunRing,
 // RunReplicated) build on: machines on one cluster engine, the fault
-// injector, one accumulator per machine behind the measuring gate, the
-// NIC wires between machines, and the closed-loop clients on machine 0.
+// injector, one accumulator per machine, the measured window that gates
+// every counter the rack bumps, the NIC wires between machines, and the
+// closed-loop clients on machine 0.
 //
 // Each machine (with the clients on machine 0) is one part: parts
 // interact only through wires, the clients draw think time from their
 // own Rand streams seeded by client index, and wires are created in a
 // fixed order, which fixes their link IDs.
 type rack struct {
-	cl        *sim.Cluster
-	eng       *sim.Engine
-	ms        []*kernel.Machine
-	inj       *faults.Injector
-	accs      []*stats.Accumulator
-	wires     []*wire
-	seed      uint64
-	measuring bool
+	cl    *sim.Cluster
+	eng   *sim.Engine
+	ms    []*kernel.Machine
+	inj   *faults.Injector
+	accs  []*stats.Accumulator
+	wires []*wire
+	seed  uint64
+	win   stats.Window
 
 	// Closed-loop client state, indexed by client.
-	rs      ReplicaSet
 	replies []func(uint64) // takes the response word of the current attempt
 	curID   []uint64
 	hedged  []bool
 }
 
-// newRack builds machines machines of cpus cores each on one engine and
-// sizes the client state for clients clients. The caller closes h.cl.
-func newRack(seed uint64, machines, cpus, clients int, plan *faults.Plan) *rack {
+// newRack builds machines machines of cpus cores each on one engine,
+// measured over win, and sizes the client state for clients clients.
+// The caller closes h.cl.
+func newRack(seed uint64, machines, cpus, clients int, plan *faults.Plan, win stats.Window) *rack {
 	cl := sim.NewCluster(seed, 1)
 	h := &rack{
 		cl:      cl,
@@ -80,6 +81,7 @@ func newRack(seed uint64, machines, cpus, clients int, plan *faults.Plan) *rack 
 		inj:     faults.NewInjector(plan),
 		accs:    make([]*stats.Accumulator, machines),
 		seed:    seed,
+		win:     win,
 		replies: make([]func(uint64), clients),
 		curID:   make([]uint64, clients),
 		hedged:  make([]bool, clients),
@@ -118,14 +120,14 @@ func (h *rack) connect(name string, from, to int) *wire {
 
 // send transmits the size-byte message v, or black-holes it while the
 // link is down, counting the drop on acc (nil: uncounted) when the
-// window is measuring. A dropped request is lost like a packet: its
-// client learns of it only through its deadline.
+// rack's stats.Window holds the instant. A dropped request is lost
+// like a packet: its client learns of it only through its deadline.
 func (w *wire) send(size int, v uint64, acc *stats.Accumulator) {
 	if w.nic.Up() {
 		w.link.SendU64(w.nic.FlightTime(size), v)
 		return
 	}
-	if acc != nil && w.h.measuring {
+	if acc != nil && w.h.win.In(w.h.eng.Now()) {
 		acc.Rel.Drops++
 	}
 }
@@ -147,7 +149,7 @@ func (h *rack) serve(mi int, proc *kernel.Process, rt *core.Runtime, prefix stri
 			for {
 				v := in.Recv(t)
 				if proc.Dead {
-					if h.measuring {
+					if h.win.In(h.eng.Now()) {
 						acc.Rel.Drops++
 					}
 					continue
@@ -168,13 +170,13 @@ func (h *rack) serve(mi int, proc *kernel.Process, rt *core.Runtime, prefix stri
 func (h *rack) complete(v uint64) {
 	ci := int(v & ridClientMask)
 	if h.curID[ci] != v&^uint64(ridCopyBit|ridErrMask) {
-		if h.measuring {
+		if h.win.In(h.eng.Now()) {
 			h.accs[0].Rel.Cancelled++
 		}
 		return
 	}
 	if h.hedged[ci] {
-		if h.measuring {
+		if h.win.In(h.eng.Now()) {
 			if v&ridCopyBit != 0 {
 				h.accs[0].Rel.HedgeWins++
 			} else {
@@ -199,11 +201,11 @@ func (h *rack) complete(v uint64) {
 // a fault-free run arms no timer that would only lose. Under
 // PolicyHedged a timer at hedgeAfter issues a copy-bit duplicate to the
 // next healthy replica if the primary has not answered yet; first
-// response wins.
+// response wins. Last, startClients installs the fault plan, so every
+// target must be wired before it is called.
 func (h *rack) startClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBytes int,
 	retry faults.RetryPolicy, plan *faults.Plan, hedgeAfter sim.Time,
 ) {
-	h.rs = rs
 	for ci := range h.curID {
 		ci := ci
 		rng := sim.NewRand(h.seed + 0x9e3779b97f4a7c15*uint64(ci+1))
@@ -220,14 +222,14 @@ func (h *rack) startClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBy
 			if h.curID[ci] != id {
 				return // already answered or superseded
 			}
-			alt := h.rs.Next(target)
+			alt := rs.Next(target)
 			if alt == target {
 				return
 			}
-			if h.measuring {
-				// Win/loss attribution rides the same gate, so a
-				// warmup hedge can never win inside the window and
-				// push HedgeWins past Hedges.
+			if h.win.In(h.eng.Now()) {
+				// Only a hedge counted here has its win or loss
+				// counted, so a warm-up hedge can never win inside
+				// the window and push HedgeWins past Hedges.
 				acc.Rel.Hedges++
 				h.hedged[ci] = true
 			}
@@ -235,7 +237,7 @@ func (h *rack) startClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBy
 		}
 		// end closes the operation and thinks before the next one.
 		end := func(ok bool) {
-			if h.measuring {
+			if h.win.In(h.eng.Now()) {
 				if ok {
 					acc.Rel.OpsOK++
 					acc.AddOp(h.eng.Now() - begin)
@@ -253,7 +255,7 @@ func (h *rack) startClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBy
 				end(false)
 				return
 			}
-			if h.measuring {
+			if h.win.In(h.eng.Now()) {
 				acc.Rel.Retries++
 			}
 			h.eng.At(retry.BackoffJittered(attempt-1, jitter), try)
@@ -262,7 +264,7 @@ func (h *rack) startClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBy
 			if h.curID[ci] != id {
 				return // answered in time
 			}
-			if h.measuring {
+			if h.win.In(h.eng.Now()) {
 				acc.Rel.Timeouts++
 			}
 			h.curID[ci] = 0 // cancel: a late reply is stale now
@@ -270,24 +272,27 @@ func (h *rack) startClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBy
 		}
 		op = func() {
 			begin = h.eng.Now()
-			base = h.rs.Begin()
+			base = rs.Begin()
 			attempt = 0
 			try()
 		}
 		try = func() {
-			if h.measuring {
-				acc.Rel.Attempts++
-			}
 			seq++
 			id := seq<<ridSeqShift | uint64(ci)
-			target = h.rs.Pick(base, attempt)
+			target = rs.Pick(base, attempt)
+			if h.win.In(h.eng.Now()) {
+				acc.Rel.Attempts++
+				if target != base {
+					acc.Rel.Failovers++
+				}
+			}
 			if retry.Deadline > 0 {
 				h.eng.AtU64(retry.Deadline, timeout, id)
 			}
 			h.curID[ci] = id
 			h.hedged[ci] = false
 			routes[target].send(reqBytes, id, acc)
-			if h.rs.Policy == PolicyHedged && h.rs.N > 1 {
+			if rs.Policy == PolicyHedged && rs.N > 1 {
 				h.eng.AtU64(hedgeAfter, hedge, id)
 			}
 		}
@@ -301,14 +306,14 @@ func (h *rack) startClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBy
 				// elsewhere. With a single replica there is no
 				// elsewhere — honor the rejection like the Retrier
 				// does and stop.
-				if h.measuring {
+				if h.win.In(h.eng.Now()) {
 					acc.Rel.Rejected++
 				}
-				if h.rs.N == 1 {
+				if rs.N == 1 {
 					attempt = retry.MaxRetries
 				}
 			default:
-				if h.measuring {
+				if h.win.In(h.eng.Now()) {
 					acc.Rel.Faults++
 				}
 			}
@@ -316,25 +321,8 @@ func (h *rack) startClients(start sim.Time, rs ReplicaSet, routes []*wire, reqBy
 		}
 		h.eng.At(start+sim.Time(ci), op)
 	}
-}
-
-// measure installs the fault plan, runs the warmup, opens the
-// measuring gate (failover accounting starts with it), runs the window,
-// and leaves each machine's window breakdown in its accumulator.
-func (h *rack) measure(warmup, window sim.Time) {
 	if err := h.inj.Install(); err != nil {
 		panic(fmt.Sprintf("oltp: rack plan: %v", err))
-	}
-	h.cl.RunUntil(warmup)
-	base := make([]stats.Breakdown, len(h.ms))
-	for i, m := range h.ms {
-		base[i] = m.Snapshot()
-	}
-	h.measuring = true
-	h.rs.Rel = &h.accs[0].Rel
-	h.cl.RunUntil(warmup + window)
-	for i, m := range h.ms {
-		h.accs[i].Breakdown = m.Snapshot().Sub(base[i])
 	}
 }
 
@@ -345,7 +333,7 @@ type RackResult struct {
 	ErrorRate    float64
 	Availability float64
 	RetryAmp     float64
-	AvgLatency   sim.Time // mean latency of successful in-window ops
+	AvgLatency   sim.Time // mean latency of the successful ops that end inside the stats.Window
 	P50          sim.Time
 	P99          sim.Time
 	P999         sim.Time
@@ -355,12 +343,16 @@ type RackResult struct {
 	LinkDowntime []sim.Time
 }
 
-// readout merges the per-machine accumulators after measure.
-func (h *rack) readout(window sim.Time) RackResult {
+// readout gives each machine's accumulator its breakdown over the
+// window, bds from measure, and merges them.
+func (h *rack) readout(bds []stats.Breakdown) RackResult {
+	for i, bd := range bds {
+		h.accs[i].Breakdown = bd
+	}
 	merged := stats.MergeAll(h.accs)
 	res := RackResult{
 		Rel:          merged.Rel,
-		Goodput:      merged.Rel.Goodput(window),
+		Goodput:      merged.Rel.Goodput(h.win.End - h.win.Start),
 		ErrorRate:    merged.Rel.ErrorRate(),
 		Availability: merged.Rel.Availability(),
 		RetryAmp:     merged.Rel.RetryAmplification(),

@@ -27,6 +27,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // Boot schedule: dIPC tier inits slot in at multiples of
@@ -210,14 +211,14 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 	cfg.applyDefaults()
 	h, health, repBreakers := startReplicated(&cfg)
 	defer h.cl.Close()
-	h.measure(cfg.Warmup, cfg.Window)
+	bds := measure(h.eng, h.ms, h.win, nil)
 
 	// Detector scoring over the whole run (warmup suspicion churn is
 	// part of the detector's record), folded into machine 0's share so
 	// it merges like every other counter.
 	scoreDetector(&h.accs[0].Rel, health.Transitions(), planDeadIntervals(cfg.Plan, cfg.Replicas))
 	res := &ReplicatedResult{
-		RackResult: h.readout(cfg.Window),
+		RackResult: h.readout(bds),
 		Health:     health.Transitions(),
 		Breakers:   make([][]BreakerTransition, cfg.Replicas),
 	}
@@ -240,7 +241,7 @@ func RunReplicated(cfg ReplicatedConfig) *ReplicatedResult {
 // health state and each replica's breakers in hop order.
 func startReplicated(cfg *ReplicatedConfig) (*rack, *ReplicaHealth, [][]*Breaker) {
 	R := cfg.Replicas
-	h := newRack(cfg.Seed, R+1, cfg.CPUs, cfg.Clients, cfg.Plan)
+	h := newRack(cfg.Seed, R+1, cfg.CPUs, cfg.Clients, cfg.Plan, stats.Window{Start: cfg.Warmup, End: cfg.Warmup + cfg.Window})
 	prm := DefaultParams()
 
 	// Per-replica plumbing, indexed by 0-based replica r (machine r+1):

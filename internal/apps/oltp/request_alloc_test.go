@@ -43,16 +43,16 @@ func TestOLTPRequestSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// steadyAllocs runs warm, then measure, and returns the heap objects
-// measure allocated. Like TestOLTPRequestSteadyStateAllocs it holds one
+// steadyAllocs runs warm, then measured, and returns the heap objects
+// measured allocated. Like TestOLTPRequestSteadyStateAllocs it holds one
 // P and no GC throughout, so MemStats sees only the simulation.
-func steadyAllocs(warm, measure func()) uint64 {
+func steadyAllocs(warm, measured func()) uint64 {
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	warm()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	measure()
+	measured()
 	runtime.ReadMemStats(&after)
 	return after.Mallocs - before.Mallocs
 }
@@ -105,7 +105,9 @@ func TestReplicatedSteadyStateAllocs(t *testing.T) {
 			// replica, with rare per-call slowdowns.
 			cfg := ReplicatedConfig{
 				Mode: mode, Replicas: 2, Depth: 2, Threads: 2, Clients: 4,
-				Work: sim.Micros(10), Warmup: sim.Millis(4), Window: sim.Millis(1), Seed: 3,
+				// The window runs to 140 ms, the end of the measured
+				// stretch, so every counter the test reads counts.
+				Work: sim.Micros(10), Warmup: sim.Millis(4), Window: sim.Millis(136), Seed: 3,
 				Plan: &faults.Plan{Seed: 3, SlowProb: 0.01, SlowBy: sim.Micros(10)},
 				Retry: faults.RetryPolicy{Deadline: sim.Micros(300), MaxRetries: 2,
 					Backoff: sim.Micros(20), MaxBackoff: sim.Micros(160)},
@@ -117,14 +119,12 @@ func TestReplicatedSteadyStateAllocs(t *testing.T) {
 			cfg.applyDefaults()
 			h, _, _ := startReplicated(&cfg)
 			defer h.cl.Close()
-			// measure opens the counting gate; the test then runs on.
-			h.measure(cfg.Warmup, cfg.Window)
 			rel := &h.accs[0].Rel
 			var ops, hedges int64
 			n := steadyAllocs(func() {
-				h.cl.RunUntil(sim.Millis(100))
+				h.eng.RunUntil(sim.Millis(100))
 				ops, hedges = rel.OpsOK+rel.OpsFailed, rel.Hedges
-			}, func() { h.cl.RunUntil(sim.Millis(140)) })
+			}, func() { h.eng.RunUntil(sim.Millis(140)) })
 			reqs := rel.OpsOK + rel.OpsFailed - ops
 			if reqs < 500 {
 				t.Fatalf("only %d operations completed in the measured window, want >= 500", reqs)

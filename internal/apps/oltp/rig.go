@@ -14,13 +14,15 @@ import (
 // rig is the single machine every front-door runner (Run,
 // RunChainFaults, RunOpenLoop) drives from off-machine clients: one
 // engine, one machine on the default cost model, the OLTP parameters,
-// the Gateway the clients submit to, the attempt-level counters the
-// hop Retriers bump, and the closed-loop clients' outcomes.
+// the Gateway the clients submit to, the measured window, the
+// attempt-level counters the hop Retriers bump, and the closed-loop
+// clients' outcomes.
 type rig struct {
 	eng *sim.Engine
 	m   *kernel.Machine
 	prm *Params
 	gw  *Gateway
+	win stats.Window
 	rel stats.Reliability
 
 	// closedLoop's clients record here: outcomes counts the window's
@@ -34,10 +36,10 @@ type rig struct {
 	completed int64
 }
 
-func newRig(seed uint64, cpus int, gwc GatewayConfig) *rig {
+func newRig(seed uint64, cpus int, gwc GatewayConfig, win stats.Window) *rig {
 	eng := sim.NewEngine(seed + 1)
 	prm := DefaultParams()
-	return &rig{eng: eng, m: kernel.NewMachine(eng, cost.Default(), cpus), prm: prm, gw: NewGateway(eng, prm, gwc)}
+	return &rig{eng: eng, m: kernel.NewMachine(eng, cost.Default(), cpus), prm: prm, gw: NewGateway(eng, prm, gwc), win: win}
 }
 
 // serve spawns the front worker pool: n threads of proc named name-0..
@@ -102,10 +104,10 @@ func (r *rig) serveChain(cfg *ChainFaultsConfig, brc *BreakerConfig) []*Breaker 
 // room for the mix's largest plan from the start. With gen non-nil, gen
 // refills client c's operation before every submission from the
 // client's own stream sim.NewRand(seed*7919+c); with gen nil requests
-// carry no operation. Each completion in [warmup, warmup+window], both
-// ends included, counts in r.outcomes as OpsOK (adding its latency to
-// r.okLatency) or OpsFailed; every completion counts in r.completed.
-func (r *rig) closedLoop(n int, seed uint64, gen func(*sim.Rand, *Operation), warmup, window sim.Time) {
+// carry no operation. Each completion inside r.win counts in
+// r.outcomes as OpsOK (adding its latency to r.okLatency) or OpsFailed;
+// every completion counts in r.completed.
+func (r *rig) closedLoop(n int, seed uint64, gen func(*sim.Rand, *Operation)) {
 	for c := 0; c < n; c++ {
 		rng := sim.NewRand(seed*7919 + uint64(c))
 		req := &request{}
@@ -121,7 +123,7 @@ func (r *rig) closedLoop(n int, seed uint64, gen func(*sim.Rand, *Operation), wa
 		}
 		req.done = func(v uint64) {
 			r.completed++
-			if end := r.eng.Now(); end >= warmup && end <= warmup+window {
+			if end := r.eng.Now(); r.win.In(end) {
 				if v&3 != respOK {
 					r.outcomes.OpsFailed++
 				} else {
@@ -135,13 +137,24 @@ func (r *rig) closedLoop(n int, seed uint64, gen func(*sim.Rand, *Operation), wa
 	}
 }
 
-// measure snapshots the machine and r.rel at the end of warmup, runs
-// the engine to warmup+window, and returns the window's machine
-// breakdown and attempt-counter delta.
-func (r *rig) measure(warmup, window sim.Time) (stats.Breakdown, stats.Reliability) {
-	var baseBd stats.Breakdown
-	var baseRel stats.Reliability
-	r.eng.At(warmup, func() { baseRel = r.rel; baseBd = r.m.Snapshot() })
-	r.eng.RunUntil(warmup + window)
-	return r.m.Snapshot().Sub(baseBd), r.rel.Sub(baseRel)
+// measure runs eng to w.End and returns each machine's breakdown over
+// w, for rig and rack alike. One event at w.Start snapshots the
+// machines and then calls open (nil: none), which opens the counters
+// that do not consult w themselves by emptying them. The event's time is
+// a delay from eng's clock, which is 0 unless a dIPC boot ran the engine.
+func measure(eng *sim.Engine, ms []*kernel.Machine, w stats.Window, open func()) []stats.Breakdown {
+	bds := make([]stats.Breakdown, len(ms))
+	eng.At(w.Start, func() {
+		for i, m := range ms {
+			bds[i] = m.Snapshot()
+		}
+		if open != nil {
+			open()
+		}
+	})
+	eng.RunUntil(w.End)
+	for i, m := range ms {
+		bds[i] = m.Snapshot().Sub(bds[i])
+	}
+	return bds
 }

@@ -15,6 +15,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/kernel"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // RingConfig is one ring run.
@@ -55,7 +56,7 @@ func RunRing(c RingConfig) *RackResult {
 	if err := c.Validate(); err != nil {
 		panic(fmt.Sprintf("oltp: ring: %v", err))
 	}
-	h := newRack(c.Seed, c.Machines, c.CPUs, c.Clients, c.Plan)
+	h := newRack(c.Seed, c.Machines, c.CPUs, c.Clients, c.Plan, stats.Window{Start: c.Warmup, End: c.Warmup + c.Window})
 	defer h.cl.Close()
 
 	// The ring wires, in machine order: machine i transmits to i+1, and
@@ -86,7 +87,6 @@ func RunRing(c RingConfig) *RackResult {
 	}
 
 	h.startClients(0, ReplicaSet{N: 1}, outs[:1], c.ReqBytes, c.Retry, c.Plan, 0)
-	h.measure(c.Warmup, c.Window)
-	res := h.readout(c.Window)
+	res := h.readout(measure(h.eng, h.ms, h.win, nil))
 	return &res
 }

@@ -91,11 +91,11 @@ func (r *Result) IdleShare() float64 { return r.Breakdown.Share(stats.BlockIdle)
 func Run(cfg Config) *Result {
 	r, stack := startStack(&cfg)
 	defer r.eng.Close()
-	bd, _ := r.measure(cfg.Warmup, cfg.Window)
+	bd := measure(r.eng, []*kernel.Machine{r.m}, r.win, nil)
 	res := &Result{
 		Config:    cfg,
 		Ops:       int(r.outcomes.OpsOK),
-		Breakdown: bd,
+		Breakdown: bd[0],
 	}
 	if res.Ops > 0 {
 		res.Throughput = float64(res.Ops) / cfg.Window.Seconds() * 60
@@ -126,7 +126,7 @@ func startStack(cfg *Config) (*rig, *Stack) {
 	if cfg.Window == 0 {
 		cfg.Window = sim.Millis(250)
 	}
-	r := newRig(cfg.Seed, cfg.CPUs, GatewayConfig{})
+	r := newRig(cfg.Seed, cfg.CPUs, GatewayConfig{}, stats.Window{Start: cfg.Warmup, End: cfg.Warmup + cfg.Window})
 	r.m.StealOnIdle = !cfg.DisableSteal
 	stack := &Stack{Prm: r.prm, DB: NewDB(r.m, r.prm, cfg.InMemory)}
 	webProc, rt := buildTiers(r.m, stack, *cfg)
@@ -141,8 +141,7 @@ func startStack(cfg *Config) (*rig, *Stack) {
 	})
 
 	// Driver: closed-loop clients living off-machine.
-	r.closedLoop(cfg.Clients, cfg.Seed, func(rng *sim.Rand, op *Operation) { genOp(rng, r.prm, op) },
-		cfg.Warmup, cfg.Window)
+	r.closedLoop(cfg.Clients, cfg.Seed, func(rng *sim.Rand, op *Operation) { genOp(rng, r.prm, op) })
 	return r, stack
 }
 

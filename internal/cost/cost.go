@@ -141,9 +141,6 @@ type Params struct {
 	// APLCacheLookup is the software lookup of a hardware domain tag in
 	// the APL cache (§4.3: "less than a L1 cache hit"; 1–2 cycles).
 	APLCacheLookup sim.Time
-	// APLCacheMiss is the exception + software refill when a domain is
-	// not cached (§7.5; never hit in the paper's benchmarks).
-	APLCacheMiss sim.Time
 	// DomainSwitch is the hardware cost of crossing domains via a call
 	// (negligible by design: the APL cache check overlaps the pipeline).
 	DomainSwitch sim.Time
@@ -254,7 +251,6 @@ func Default() *Params {
 		CapLoadStore:   ns(1.2),
 		CapPushPop:     ns(0.8),
 		APLCacheLookup: ns(0.7),
-		APLCacheMiss:   ns(350),
 		DomainSwitch:   ns(0),
 
 		KCSPush:     ns(1.0),

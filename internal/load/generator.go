@@ -35,9 +35,10 @@ type Config struct {
 	// completed in time is abandoned and counted as a timeout, though
 	// the system may still be burning work on it (0: wait forever).
 	Deadline sim.Time
-	// MeasureStart and MeasureEnd gate every counter: requests count as
-	// offered by issue time, outcomes by completion time.
-	MeasureStart, MeasureEnd sim.Time
+	// Window gates every counter: a request counts as offered when it
+	// is issued inside the window, an outcome when it completes inside.
+	// No session begins or issues after Window.End.
+	Window stats.Window
 	// Issue submits the request numbered id, now. The system must
 	// complete it by scheduling done once with the word id<<2 | class,
 	// class one of ClassOK, ClassFailed and ClassRejected (for
@@ -130,7 +131,7 @@ func Start(eng *sim.Engine, cfg Config) *Generator {
 //dipcvet:noalloc
 func (g *Generator) arrive() {
 	now := g.eng.Now()
-	if now > g.cfg.MeasureEnd {
+	if now > g.cfg.Window.End {
 		return
 	}
 	begun := true
@@ -146,7 +147,7 @@ func (g *Generator) arrive() {
 	default:
 		begun = false
 	}
-	if now >= g.cfg.MeasureStart {
+	if g.cfg.Window.In(now) {
 		if begun {
 			g.Sessions++
 		} else {
@@ -171,7 +172,7 @@ func (g *Generator) begin(slot uint64) {
 func (g *Generator) issue(slot uint64) {
 	s := &g.sessions[slot]
 	now := g.eng.Now()
-	if s.sent == g.cfg.Requests || now > g.cfg.MeasureEnd {
+	if s.sent == g.cfg.Requests || now > g.cfg.Window.End {
 		//dipcvet:alloc-ok pooled capacity: the free list grows to the peak number of idle sessions
 		g.idle = append(g.idle, slot)
 		return
@@ -182,7 +183,7 @@ func (g *Generator) issue(slot uint64) {
 	if g.cfg.Deadline > 0 {
 		g.eng.AtU64(g.cfg.Deadline, g.timeoutFn, s.id)
 	}
-	if now >= g.cfg.MeasureStart {
+	if g.cfg.Window.In(now) {
 		g.Offered++
 	}
 	g.cfg.Issue(s.id, g.doneFn)
@@ -216,7 +217,7 @@ func (g *Generator) complete(id, class uint64) {
 		return
 	}
 	s.id = 0
-	if end := g.eng.Now(); end >= g.cfg.MeasureStart && end <= g.cfg.MeasureEnd {
+	if end := g.eng.Now(); g.cfg.Window.In(end) {
 		switch class {
 		case ClassOK:
 			g.Acc.Rel.OpsOK++

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // replyAfter returns an Issue that completes every request with class
@@ -69,13 +70,12 @@ func TestGeneratorBasic(t *testing.T) {
 		eng := sim.NewEngine(1)
 		var latency sim.Time = sim.Micros(30)
 		gen := Start(eng, Config{
-			Arrivals:     NewPoisson(9, sim.Micros(200)),
-			Sessions:     64,
-			Requests:     3,
-			Deadline:     sim.Millis(1),
-			MeasureStart: sim.Millis(1),
-			MeasureEnd:   sim.Millis(21),
-			Issue:        replyAfter(eng, latency, ClassOK),
+			Arrivals: NewPoisson(9, sim.Micros(200)),
+			Sessions: 64,
+			Requests: 3,
+			Deadline: sim.Millis(1),
+			Window:   stats.Window{Start: sim.Millis(1), End: sim.Millis(21)},
+			Issue:    replyAfter(eng, latency, ClassOK),
 		})
 		eng.RunUntil(sim.Millis(21))
 		return gen, latency
@@ -108,13 +108,12 @@ const histErrDen = 32
 func TestGeneratorDeadline(t *testing.T) {
 	eng := sim.NewEngine(1)
 	gen := Start(eng, Config{
-		Arrivals:     NewPoisson(11, sim.Micros(500)),
-		Sessions:     32,
-		Requests:     4,
-		Deadline:     sim.Micros(50),
-		MeasureStart: 0,
-		MeasureEnd:   sim.Millis(10),
-		Issue:        replyAfter(eng, sim.Millis(5), ClassOK), // far past the deadline
+		Arrivals: NewPoisson(11, sim.Micros(500)),
+		Sessions: 32,
+		Requests: 4,
+		Deadline: sim.Micros(50),
+		Window:   stats.Window{End: sim.Millis(10)},
+		Issue:    replyAfter(eng, sim.Millis(5), ClassOK), // far past the deadline
 	})
 	eng.RunUntil(sim.Millis(10))
 	if gen.Acc.Rel.OpsOK != 0 {
@@ -135,11 +134,10 @@ func TestGeneratorDeadline(t *testing.T) {
 func TestGeneratorBalks(t *testing.T) {
 	eng := sim.NewEngine(1)
 	gen := Start(eng, Config{
-		Arrivals:     NewPoisson(13, sim.Micros(100)),
-		Sessions:     1,
-		Requests:     1,
-		MeasureStart: 0,
-		MeasureEnd:   sim.Millis(5),
+		Arrivals: NewPoisson(13, sim.Micros(100)),
+		Sessions: 1,
+		Requests: 1,
+		Window:   stats.Window{End: sim.Millis(5)},
 		// Never completes inside the window: the slot stays busy.
 		Issue: replyAfter(eng, sim.Millis(50), ClassOK),
 	})
@@ -158,11 +156,10 @@ func TestGeneratorErrorClassification(t *testing.T) {
 	eng := sim.NewEngine(1)
 	n := 0
 	gen := Start(eng, Config{
-		Arrivals:     NewPoisson(17, sim.Micros(100)),
-		Sessions:     16,
-		Requests:     1,
-		MeasureStart: 0,
-		MeasureEnd:   sim.Millis(2),
+		Arrivals: NewPoisson(17, sim.Micros(100)),
+		Sessions: 16,
+		Requests: 1,
+		Window:   stats.Window{End: sim.Millis(2)},
 		Issue: func(id uint64, done func(uint64)) {
 			n++
 			class := uint64(ClassFailed)
@@ -192,11 +189,11 @@ func TestGeneratorSpawnsSessionsOnDemand(t *testing.T) {
 		eng := sim.NewEngine(1)
 		t.Cleanup(eng.Close)
 		gen := Start(eng, Config{
-			Arrivals:   NewPoisson(21, gap),
-			Sessions:   sessions,
-			Requests:   1,
-			MeasureEnd: end,
-			Issue:      replyAfter(eng, latency, ClassOK),
+			Arrivals: NewPoisson(21, gap),
+			Sessions: sessions,
+			Requests: 1,
+			Window:   stats.Window{End: end},
+			Issue:    replyAfter(eng, latency, ClassOK),
 		})
 		eng.RunUntil(sim.Millis(100))
 		return gen
@@ -256,11 +253,11 @@ func TestGeneratorSteadyStateAllocs(t *testing.T) {
 	eng := sim.NewEngine(1)
 	t.Cleanup(eng.Close)
 	gen := Start(eng, Config{
-		Arrivals:   NewPoisson(23, sim.Micros(20)),
-		Sessions:   8, // below the peak, so warm-up reaches the cap
-		Requests:   3,
-		Deadline:   sim.Micros(100),
-		MeasureEnd: sim.Second,
+		Arrivals: NewPoisson(23, sim.Micros(20)),
+		Sessions: 8, // below the peak, so warm-up reaches the cap
+		Requests: 3,
+		Deadline: sim.Micros(100),
+		Window:   stats.Window{End: sim.Second},
 		// One request in eight outlives its deadline.
 		Issue: func(id uint64, done func(uint64)) {
 			d := sim.Micros(30)

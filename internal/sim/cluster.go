@@ -81,10 +81,6 @@ func (c *Cluster) Connect(from, to *Shard, lookahead Time) *Link {
 	return &Link{id: c.links - 1, eng: c.eng, lookahead: lookahead}
 }
 
-// RunUntil processes events up to and including time t, then sets the
-// clock to t (see Engine.RunUntil).
-func (c *Cluster) RunUntil(t Time) { c.eng.RunUntil(t) }
-
 // Run processes events until the queue is empty and returns the engine's
 // DeadlockError naming any procs left parked (see Engine.Run).
 func (c *Cluster) Run() error { return c.eng.Run() }

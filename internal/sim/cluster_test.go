@@ -75,7 +75,7 @@ func ringTrace(seed uint64, parts, shards int, until Time) string {
 			}
 		})
 	}
-	c.RunUntil(until)
+	c.Shard(0).Engine().RunUntil(until)
 
 	var sb strings.Builder
 	for _, pt := range ps {
@@ -236,12 +236,13 @@ func TestClusterPanicPropagation(t *testing.T) {
 	c.Run()
 }
 
-// TestClusterRunUntilClampsClocks: like Engine.RunUntil, every shard
-// clock lands exactly on t even when its last event was earlier.
+// TestClusterRunUntilClampsClocks: every shard reads the cluster's one
+// engine clock, so after RunUntil on it every shard clock lands exactly
+// on t even when its last event was earlier.
 func TestClusterRunUntilClampsClocks(t *testing.T) {
 	c := NewCluster(1, 3)
 	c.Shard(0).Engine().At(5, func() {})
-	c.RunUntil(1000)
+	c.Shard(2).Engine().RunUntil(1000)
 	for i := 0; i < 3; i++ {
 		if now := c.Shard(i).Engine().Now(); now != 1000 {
 			t.Fatalf("shard %d clock = %v after RunUntil(1000)", i, now)
@@ -291,9 +292,9 @@ func TestClusterIntraShardDispatchNoAlloc(t *testing.T) {
 func checkDispatchNoAlloc(t *testing.T, c *Cluster, count *int) {
 	t.Helper()
 	eng := c.Shard(0).Engine()
-	c.RunUntil(5000) // warm the heap
+	eng.RunUntil(5000) // warm the heap
 	allocs := testing.AllocsPerRun(50, func() {
-		c.RunUntil(eng.Now() + 500)
+		eng.RunUntil(eng.Now() + 500)
 	})
 	if allocs != 0 {
 		t.Errorf("link dispatch allocated %.1f times per 500-instant window, want 0", allocs)

@@ -55,30 +55,6 @@ func (r *Reliability) Merge(other Reliability) {
 	r.DetectLatency += other.DetectLatency
 }
 
-// Sub returns r minus base, the window delta of two snapshots.
-func (r Reliability) Sub(base Reliability) Reliability {
-	return Reliability{
-		OpsOK:     r.OpsOK - base.OpsOK,
-		OpsFailed: r.OpsFailed - base.OpsFailed,
-		Attempts:  r.Attempts - base.Attempts,
-		Retries:   r.Retries - base.Retries,
-		Timeouts:  r.Timeouts - base.Timeouts,
-		Faults:    r.Faults - base.Faults,
-		Drops:     r.Drops - base.Drops,
-		Rejected:  r.Rejected - base.Rejected,
-
-		Failovers:     r.Failovers - base.Failovers,
-		Hedges:        r.Hedges - base.Hedges,
-		HedgeWins:     r.HedgeWins - base.HedgeWins,
-		HedgeLosses:   r.HedgeLosses - base.HedgeLosses,
-		Cancelled:     r.Cancelled - base.Cancelled,
-		Suspicions:    r.Suspicions - base.Suspicions,
-		FalseSuspects: r.FalseSuspects - base.FalseSuspects,
-		Detections:    r.Detections - base.Detections,
-		DetectLatency: r.DetectLatency - base.DetectLatency,
-	}
-}
-
 // Ops is the total operations offered (completed plus failed).
 func (r Reliability) Ops() int64 { return r.OpsOK + r.OpsFailed }
 

@@ -63,16 +63,12 @@ func TestReliabilityRates(t *testing.T) {
 	}
 }
 
-// Merge and Sub must carry every counter, Rejected included.
-func TestReliabilityMergeSubRejected(t *testing.T) {
+// Merge must carry every counter, Rejected included.
+func TestReliabilityMergeRejected(t *testing.T) {
 	a := Reliability{OpsOK: 1, Rejected: 2, Drops: 3}
 	b := Reliability{OpsFailed: 4, Rejected: 5}
 	a.Merge(b)
 	if a.Rejected != 7 || a.OpsFailed != 4 || a.Drops != 3 {
 		t.Fatalf("Merge lost counters: %+v", a)
-	}
-	d := a.Sub(Reliability{Rejected: 2, OpsFailed: 1})
-	if d.Rejected != 5 || d.OpsFailed != 3 {
-		t.Fatalf("Sub lost counters: %+v", d)
 	}
 }

@@ -91,6 +91,13 @@ func (bd Breakdown) Sub(other Breakdown) Breakdown {
 	return out
 }
 
+// Window is a run's measured interval, the span after warm-up that
+// every counter reports on. Both edges belong to it.
+type Window struct{ Start, End sim.Time }
+
+// In reports whether t falls inside w: Start <= t <= End.
+func (w Window) In(t sim.Time) bool { return w.Start <= t && t <= w.End }
+
 // AddAll accumulates other into bd.
 func (bd *Breakdown) AddAll(other Breakdown) {
 	for i := range bd {

@@ -108,3 +108,22 @@ func TestSeriesAdd(t *testing.T) {
 		t.Fatalf("series = %+v", s)
 	}
 }
+
+// TestWindowIn: both edges are inside, the instants beside them are
+// not. perfbench's setup runs set Warmup = Window = 1 ps, a window of
+// two instants.
+func TestWindowIn(t *testing.T) {
+	for _, w := range []Window{
+		{Start: sim.Millis(5), End: sim.Millis(205)},
+		{Start: 1, End: 2},
+	} {
+		for _, c := range []struct {
+			t    sim.Time
+			want bool
+		}{{w.Start - 1, false}, {w.Start, true}, {w.End, true}, {w.End + 1, false}} {
+			if got := w.In(c.t); got != c.want {
+				t.Errorf("%+v.In(%d) = %v, want %v", w, c.t, got, c.want)
+			}
+		}
+	}
+}
