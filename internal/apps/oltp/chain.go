@@ -2,6 +2,7 @@ package oltp
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/faults"
@@ -138,7 +139,7 @@ func buildChain(c *tierChain, m *kernel.Machine, prm *Params, inj *faults.Inject
 			st.Faults = site(i)
 			transports[i-1] = wrap(st, i)
 			for w := 0; w < c.Threads; w++ {
-				m.Spawn(proc, fmt.Sprintf("%s-%d", proc.Name, w), nil, st.Worker)
+				m.Spawn(proc, proc.Name+"-"+strconv.Itoa(w), nil, st.Worker)
 			}
 		}
 

@@ -1,6 +1,8 @@
 package oltp
 
 import (
+	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/faults"
@@ -100,5 +102,47 @@ func TestRackCountsReplyAtWindowStart(t *testing.T) {
 	if rel := h.accs[0].Rel; rel.OpsOK != 1 || rel.OpsFailed != 0 || rel.Attempts != 0 {
 		t.Fatalf("ok %d, failed %d, attempts %d; want the reply at the window's start counted: 1, 0, 0",
 			rel.OpsOK, rel.OpsFailed, rel.Attempts)
+	}
+}
+
+// TestClosedLoopClientStreams pins that closed-loop client c draws its
+// operations from its own stream sim.NewRand(seed*7919+c): the first
+// operations each client completes are those genOp draws from that
+// stream, and each client's query slots keep room for the largest plan.
+func TestClosedLoopClientStreams(t *testing.T) {
+	const seed, first = 5, 3
+	cfg := Config{Mode: ModeIdeal, InMemory: true, Threads: 4, CPUs: 2, Seed: seed}
+	r, _ := startStack(&cfg)
+	defer r.eng.Close()
+	got := make([][]Operation, len(r.clients))
+	for c := range r.clients {
+		c, cl := c, &r.clients[c]
+		cl.req.done = func(v uint64) {
+			if len(got[c]) < first {
+				op := Operation{Kind: cl.op.Kind, Queries: slices.Clone(cl.op.Queries)}
+				for i := range op.Queries {
+					op.Queries[i].R = QueryResult{} // the database's answer, not the plan
+				}
+				got[c] = append(got[c], op)
+			}
+			r.done(v)
+		}
+	}
+	r.eng.RunUntil(sim.Millis(20))
+	for c := range got {
+		if len(got[c]) < first {
+			t.Fatalf("client %d completed %d operations, want %d", c, len(got[c]), first)
+		}
+		rng := sim.NewRand(seed*7919 + uint64(c))
+		for i, op := range got[c] {
+			var want Operation
+			genOp(rng, r.prm, &want)
+			if !reflect.DeepEqual(op, want) {
+				t.Errorf("client %d operation %d = %+v, want %+v", c, i, op, want)
+			}
+		}
+		if n := cap(r.clients[c].op.Queries); n != r.prm.maxPlan() {
+			t.Errorf("client %d has room for %d queries, want %d", c, n, r.prm.maxPlan())
+		}
 	}
 }

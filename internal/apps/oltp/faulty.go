@@ -209,7 +209,7 @@ func RunChainFaults(cfg ChainFaultsConfig) *ChainFaultsResult {
 	// Op outcomes count in r.outcomes when r.win holds their completion.
 	// The Retriers count attempts at any time into r.rel, which measure
 	// empties at the window's start; warm keeps the warm-up's attempts.
-	r.closedLoop(cfg.Clients, cfg.Seed, nil)
+	r.closedLoop(cfg.Clients, cfg.Seed, false)
 	var warm int64
 	bd := measure(r.eng, []*kernel.Machine{r.m}, r.win, func() { warm, r.rel = r.rel.Attempts, stats.Reliability{} })
 	window := r.rel

@@ -2,6 +2,7 @@ package oltp
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/apps/netpipe"
 	"repro/internal/core"
@@ -142,7 +143,7 @@ func (h *rack) serve(mi int, proc *kernel.Process, rt *core.Runtime, prefix stri
 ) {
 	acc := h.accs[mi]
 	for w := 0; w < n; w++ {
-		h.ms[mi].Spawn(proc, fmt.Sprintf("%s.w%d", prefix, w), nil, func(t *kernel.Thread) {
+		h.ms[mi].Spawn(proc, prefix+".w"+strconv.Itoa(w), nil, func(t *kernel.Thread) {
 			if rt != nil {
 				mustEnter(rt, t)
 			}

@@ -2,6 +2,7 @@ package oltp
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/core"
 	"repro/internal/cost"
@@ -29,11 +30,13 @@ type rig struct {
 	// completions (OpsOK, OpsFailed), okLatency sums the latency of its
 	// successes, and completed counts every completion. No runner reads
 	// a closed-loop percentile, so this is not a stats.Accumulator: its
-	// 7.5 KiB histogram would add about 8% to perfbench's fig8 setup_s
-	// and 7% to its alloc_bytes_per_req.
+	// 7.5 KiB histogram would add about 11% to perfbench's fig8 setup_s
+	// and 10% to its alloc_bytes_per_req (104.7 to 115.3 B), the
+	// metric's whole bound.
 	outcomes  stats.Reliability
 	okLatency sim.Time
 	completed int64
+	clients   []client
 }
 
 func newRig(seed uint64, cpus int, gwc GatewayConfig, win stats.Window) *rig {
@@ -51,7 +54,7 @@ func (r *rig) serve(proc *kernel.Process, rt *core.Runtime, name string, n int,
 	handle func(t *kernel.Thread, req *request) error,
 ) {
 	for i := 0; i < n; i++ {
-		r.m.Spawn(proc, fmt.Sprintf("%s-%d", name, i), nil, func(t *kernel.Thread) {
+		r.m.Spawn(proc, name+"-"+strconv.Itoa(i), nil, func(t *kernel.Thread) {
 			if rt != nil {
 				mustEnter(rt, t)
 			}
@@ -97,44 +100,72 @@ func (r *rig) serveChain(cfg *ChainFaultsConfig, brc *BreakerConfig) []*Breaker 
 	return breakers
 }
 
+// client is one closed-loop client: its random stream, the request it
+// reuses for every submission and that request's operation.
+type client struct {
+	rng sim.Rand
+	req request
+	op  Operation
+}
+
 // closedLoop starts n off-machine clients that each submit a request,
-// wait for its completion and submit the next. A client is a pair of
-// engine callbacks, not a proc: it runs on no simulated CPU. Each
-// client reuses one request and one Operation, whose query slice has
-// room for the mix's largest plan from the start. With gen non-nil, gen
-// refills client c's operation before every submission from the
-// client's own stream sim.NewRand(seed*7919+c); with gen nil requests
-// carry no operation. Each completion inside r.win counts in
-// r.outcomes as OpsOK (adding its latency to r.okLatency) or OpsFailed;
-// every completion counts in r.completed.
-func (r *rig) closedLoop(n int, seed uint64, gen func(*sim.Rand, *Operation)) {
-	for c := 0; c < n; c++ {
-		rng := sim.NewRand(seed*7919 + uint64(c))
-		req := &request{}
-		if gen != nil {
-			req.op = &Operation{Queries: make([]dbCall, 0, r.prm.maxPlan())}
-		}
-		submit := func() {
-			req.started = r.eng.Now()
-			if gen != nil {
-				gen(rng, req.op)
-			}
-			r.gw.Submit(req)
-		}
-		req.done = func(v uint64) {
-			r.completed++
-			if end := r.eng.Now(); r.win.In(end) {
-				if v&3 != respOK {
-					r.outcomes.OpsFailed++
-				} else {
-					r.outcomes.OpsOK++
-					r.okLatency += end - req.started
-				}
-			}
-			submit()
-		}
-		r.eng.At(0, submit)
+// wait for its completion and submit the next. Client c is r.clients[c],
+// driven by the engine callbacks submit and done with c as their word:
+// it runs on no simulated CPU. With ops, each submission first refills
+// client c's operation from the client's own stream
+// sim.NewRand(seed*7919+c), into query slots carved from one array with
+// room for the mix's largest plan per client; without, requests carry no
+// operation. Each completion inside r.win counts in r.outcomes as OpsOK
+// (adding its latency to r.okLatency) or OpsFailed; every completion
+// counts in r.completed.
+func (r *rig) closedLoop(n int, seed uint64, ops bool) {
+	r.clients = make([]client, n)
+	plan := r.prm.maxPlan()
+	var slots []dbCall
+	if ops {
+		slots = make([]dbCall, n*plan)
 	}
+	submit, done := r.submit, r.done
+	for c := range r.clients {
+		cl := &r.clients[c]
+		cl.rng.Seed(seed*7919 + uint64(c))
+		cl.req.done, cl.req.id = done, uint64(c)
+		if ops {
+			cl.op.Queries = slots[c*plan : c*plan : (c+1)*plan]
+			cl.req.op = &cl.op
+		}
+		r.eng.AtU64(0, submit, uint64(c))
+	}
+}
+
+// submit sends closed-loop client c's next request.
+//
+//dipcvet:noalloc
+func (r *rig) submit(c uint64) {
+	cl := &r.clients[c]
+	cl.req.started = r.eng.Now()
+	if cl.req.op != nil {
+		genOp(&cl.rng, r.prm, cl.req.op)
+	}
+	r.gw.Submit(&cl.req)
+}
+
+// done takes the completion word c<<2 | class of closed-loop client
+// c's request, counts it and submits the client's next request.
+//
+//dipcvet:noalloc
+func (r *rig) done(v uint64) {
+	c := v >> 2
+	r.completed++
+	if end := r.eng.Now(); r.win.In(end) {
+		if v&3 != respOK {
+			r.outcomes.OpsFailed++
+		} else {
+			r.outcomes.OpsOK++
+			r.okLatency += end - r.clients[c].req.started
+		}
+	}
+	r.submit(c)
 }
 
 // measure runs eng to w.End and returns each machine's breakdown over

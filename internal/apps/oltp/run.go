@@ -141,7 +141,7 @@ func startStack(cfg *Config) (*rig, *Stack) {
 	})
 
 	// Driver: closed-loop clients living off-machine.
-	r.closedLoop(cfg.Clients, cfg.Seed, func(rng *sim.Rand, op *Operation) { genOp(rng, r.prm, op) })
+	r.closedLoop(cfg.Clients, cfg.Seed, true)
 	return r, stack
 }
 

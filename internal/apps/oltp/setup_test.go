@@ -8,21 +8,35 @@ import (
 	"repro/internal/sim"
 )
 
-// runBytes returns the heap bytes one call of run allocates.
-func runBytes(run func()) uint64 {
+// runAllocs returns the heap bytes and the heap allocations one call of
+// run makes.
+func runAllocs(run func()) (bytes, mallocs uint64) {
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	run()
 	runtime.ReadMemStats(&after)
-	return after.TotalAlloc - before.TotalAlloc
+	return after.TotalAlloc - before.TotalAlloc, after.Mallocs - before.Mallocs
+}
+
+// runBytes returns the heap bytes one call of run allocates.
+func runBytes(run func()) uint64 {
+	bytes, _ := runAllocs(run)
+	return bytes
+}
+
+// setupAllocs returns the heap bytes and allocations startStack makes
+// for cfg.
+func setupAllocs(cfg Config) (bytes, mallocs uint64) {
+	var r *rig
+	bytes, mallocs = runAllocs(func() { r, _ = startStack(&cfg) })
+	r.eng.Close()
+	return bytes, mallocs
 }
 
 // setupBytes returns the heap bytes startStack allocates for cfg.
 func setupBytes(cfg Config) uint64 {
-	var r *rig
-	n := runBytes(func() { r, _ = startStack(&cfg) })
-	r.eng.Close()
-	return n
+	bytes, _ := setupAllocs(cfg)
+	return bytes
 }
 
 // TestOLTPSetupBytesPerThread pins that per-run setup pays only for what
@@ -66,31 +80,53 @@ func TestOLTPSetupBytesPerThread(t *testing.T) {
 }
 
 // TestFig8SetupBytes pins the fixed cost of one fig8 setup at Threads=16
-// (perfbench's fig8 shape) at about 1.25x what it measured once the
-// database kept only its customers' order counts, as uint8s, dIPC's
-// thread state held two KCS frames inline instead of eight, and a
-// thread that only enters its process's code got no dIPC state: 54 KB
-// (Linux), 43 KB (dIPC) and 28 KB (Ideal), against 77 KB, 72 KB and
-// 50 KB before. (Before the CODOMs context moved from every kernel
-// thread into dIPC's per-thread state, they were 118 KB, 82 KB and
-// 64 KB; before the database's columns became uint8 and int32 and the
-// page table a sorted list of mapped runs, 199 KB, 211 KB and 137 KB.)
-// The first setup in a process also pays one-time runtime costs, so the
-// test measures the second.
+// (perfbench's fig8 shape) at about 1.25x what it measured once each
+// closed-loop client became one entry of a slice, the Linux request
+// socket a field of its transport and a worker's name one concatenation:
+// 52 KB (Linux), 39 KB (dIPC) and 24 KB (Ideal), against 53 KB, 41 KB
+// and 27 KB before. The first setup in a process also pays one-time
+// runtime costs, so the test measures the second.
 func TestFig8SetupBytes(t *testing.T) {
 	for _, tc := range []struct {
 		mode    Mode
 		ceiling uint64
 	}{
-		{ModeLinux, 67 << 10},
-		{ModeDIPC, 52 << 10},
-		{ModeIdeal, 34 << 10},
+		{ModeLinux, 65 << 10},
+		{ModeDIPC, 48 << 10},
+		{ModeIdeal, 30 << 10},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
 			cfg := Config{Mode: tc.mode, InMemory: true, Threads: 16, CPUs: 4, Seed: 1001}
 			setupBytes(cfg)
 			if got := setupBytes(cfg); got > tc.ceiling {
 				t.Errorf("fig8 setup allocates %d B, want <= %d", got, tc.ceiling)
+			}
+		})
+	}
+}
+
+// TestFig8SetupAllocs pins the heap allocations of one fig8 setup at
+// Threads=16 at about 1.1x what it measured once each closed-loop client
+// became one entry of a slice, with its random stream, request and
+// operation inline and its query slots carved from one shared array,
+// the Linux request socket a field of its transport and a worker's name
+// one concatenation: 832 (Linux), 468 (dIPC) and 306 (Ideal), against
+// 942, 575 and 413 before. As in TestFig8SetupBytes, the second setup is
+// measured.
+func TestFig8SetupAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		mode    Mode
+		ceiling uint64
+	}{
+		{ModeLinux, 915},
+		{ModeDIPC, 515},
+		{ModeIdeal, 337},
+	} {
+		t.Run(tc.mode.String(), func(t *testing.T) {
+			cfg := Config{Mode: tc.mode, InMemory: true, Threads: 16, CPUs: 4, Seed: 1001}
+			setupAllocs(cfg)
+			if _, got := setupAllocs(cfg); got > tc.ceiling {
+				t.Errorf("fig8 setup makes %d heap allocations, want <= %d", got, tc.ceiling)
 			}
 		})
 	}
@@ -115,20 +151,29 @@ func BenchmarkStartStack(b *testing.B) {
 // BenchmarkFig8Run runs perfbench's fig8 shape: a closed loop of 16
 // clients on 4 CPUs, measured over a 250ms window after the default
 // warmup. With -benchmem, B/op is one whole run's bytes, setup included;
-// B/req divides them by the requests the run completes, the trend of
-// perfbench's fig8 alloc_bytes_per_req.
+// B/req and allocs/req divide them by the requests the run completes,
+// the trend of perfbench's fig8 alloc_bytes_per_req and allocs_per_req.
 func BenchmarkFig8Run(b *testing.B) {
+	benchRuns(b, func(mode Mode) int64 {
+		return int64(Run(Config{Mode: mode, InMemory: true, Threads: 16, CPUs: 4, Seed: 1000, Window: sim.Millis(250)}).Ops)
+	})
+}
+
+// benchRuns benchmarks run, which returns the requests one run of a
+// mode completed, under Linux and dIPC, reporting B/req and allocs/req
+// over every run's heap bytes and allocations, setup included.
+func benchRuns(b *testing.B, run func(Mode) int64) {
 	for _, mode := range []Mode{ModeLinux, ModeDIPC} {
 		b.Run(mode.String(), func(b *testing.B) {
 			b.ReportAllocs()
-			cfg := Config{Mode: mode, InMemory: true, Threads: 16, CPUs: 4, Seed: 1000, Window: sim.Millis(250)}
-			ops := 0
-			bytes := runBytes(func() {
+			var reqs int64
+			bytes, mallocs := runAllocs(func() {
 				for i := 0; i < b.N; i++ {
-					ops += Run(cfg).Ops
+					reqs += run(mode)
 				}
 			})
-			b.ReportMetric(float64(bytes)/float64(ops), "B/req")
+			b.ReportMetric(float64(bytes)/float64(reqs), "B/req")
+			b.ReportMetric(float64(mallocs)/float64(reqs), "allocs/req")
 		})
 	}
 }
@@ -152,6 +197,18 @@ func openLoopShape(mode Mode, seed uint64, dropProb float64) OpenLoopConfig {
 		Gateway:  GatewayConfig{Policy: AdmitFIFO, Capacity: 64},
 		Breaker:  &BreakerConfig{},
 	}
+}
+
+// BenchmarkOpenLoopRun runs perfbench's openloop shape over its 200ms
+// window and reports B/req and allocs/req over the requests that
+// completed or failed, the trend of perfbench's openloop
+// alloc_bytes_per_req and allocs_per_req.
+func BenchmarkOpenLoopRun(b *testing.B) {
+	benchRuns(b, func(mode Mode) int64 {
+		cfg := openLoopShape(mode, 1000, 0.002)
+		cfg.Window = sim.Millis(200)
+		return RunOpenLoop(cfg).Rel.Ops()
+	})
 }
 
 // BenchmarkOpenLoopSetup measures one open-loop setup: a RunOpenLoop
@@ -178,20 +235,18 @@ func openLoopSetup(mode Mode) {
 }
 
 // TestOpenLoopSetupBytes pins the bytes of one BenchmarkOpenLoopSetup
-// iteration at about 1.25x what it measured: 38 KB (Linux) once the
-// CODOMs context moved from every kernel thread into dIPC's per-thread
-// state and the latency histogram's counters became 32-bit (67 KB
-// before), and 29 KB (dIPC) once that state also held two KCS frames
-// inline instead of eight and a thread that only enters its process's
-// code got none (35 KB before; 47 KB before the move). The first run in
-// a process also pays one-time runtime costs, so the test measures the
-// second.
+// iteration at about 1.25x what it measured once the Linux request
+// socket became a field of its transport and a worker's name one
+// concatenation: 36 KB (Linux, 38 KB before) and 28 KB (dIPC). dIPC's
+// ceiling stays at 36 KB, since the race detector reads 34 KB there.
+// The first run in a process also pays one-time runtime costs, so the
+// test measures the second.
 func TestOpenLoopSetupBytes(t *testing.T) {
 	for _, tc := range []struct {
 		mode    Mode
 		ceiling uint64
 	}{
-		{ModeLinux, 47 << 10},
+		{ModeLinux, 45 << 10},
 		{ModeDIPC, 36 << 10},
 	} {
 		t.Run(tc.mode.String(), func(t *testing.T) {
@@ -219,6 +274,18 @@ func replicatedShape(mode Mode, seed uint64) ReplicatedConfig {
 		SlowReplica:   2,
 		SlowFactor:    6,
 	}
+}
+
+// BenchmarkReplicatedRun runs perfbench's replicas shape over its 700ms
+// window and reports B/req and allocs/req over the operations that
+// completed or failed, the trend of perfbench's replicas
+// alloc_bytes_per_req and allocs_per_req.
+func BenchmarkReplicatedRun(b *testing.B) {
+	benchRuns(b, func(mode Mode) int64 {
+		cfg := replicatedShape(mode, 1000)
+		cfg.Window = sim.Millis(700)
+		return RunReplicated(cfg).Rel.Ops()
+	})
 }
 
 // BenchmarkReplicatedSetup measures one replicated-rack setup: a

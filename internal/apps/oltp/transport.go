@@ -60,7 +60,7 @@ func (d *DirectTransport) TryCall(t *kernel.Thread, op string, payload any, reqB
 // "false concurrency".
 type SockTransport struct {
 	prm *Params
-	req *ipc.Socket
+	req ipc.Socket
 	h   Handler
 	// calls holds each caller thread's request record, reused for every
 	// call: a caller has at most one request in flight.
@@ -77,14 +77,13 @@ type SockTransport struct {
 type sockReq struct {
 	op      string
 	payload any
-	reply   *ipc.Socket
+	reply   ipc.Socket
 }
 
 // NewSockTransport builds the socket endpoint for handler h.
 func NewSockTransport(prm *Params, h Handler) *SockTransport {
 	return &SockTransport{
 		prm:   prm,
-		req:   ipc.NewConn(0).AtoB,
 		h:     h,
 		calls: make(map[*kernel.Thread]*sockReq),
 	}
@@ -106,8 +105,7 @@ func (s *SockTransport) TryCall(t *kernel.Thread, op string, payload any, reqByt
 	}
 	r := s.calls[t]
 	if r == nil {
-		//dipcvet:alloc-ok first call on this thread: its record and reply socket are built once
-		r = &sockReq{reply: ipc.NewConn(0).AtoB}
+		r = &sockReq{} //dipcvet:alloc-ok first call on this thread builds its record, reply socket inline, once
 		s.calls[t] = r //dipcvet:alloc-ok first-use insert; later calls on this thread reuse the record
 	}
 	r.op, r.payload = op, payload

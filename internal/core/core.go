@@ -36,6 +36,7 @@ type Runtime struct {
 	registry  map[string]*EntryHandle // named-socket entry resolution
 	proxyVA   *mem.Suballoc
 	codeBases map[*kernel.Process]mem.Addr
+	proxies   int // proxies built so far; the next one's Proxy.id
 
 	// FoldStubs folds the caller/callee isolation stubs into the proxy
 	// assuming worst-case register liveness, matching the paper's

@@ -415,3 +415,44 @@ func TestThreadStateSize(t *testing.T) {
 		t.Errorf("threadState is %d B, want <= 1408", got)
 	}
 }
+
+// TestRetCapCacheCoversLaterProxies pins that a thread's return-capability
+// cache serves proxies built after the thread's first call: each call on
+// a newer proxy grows the cache to the runtime's proxy count, and every
+// proxy then finds its capability in its own slot.
+func TestRetCapCacheCoversLaterProxies(t *testing.T) {
+	w := newWorld(1)
+	w.export(t, PolicyLow, func(th *kernel.Thread, in *Args) *Args { return in })
+	desc := []EntryDesc{{Name: "query", Sig: Signature{InRegs: 2, OutRegs: 1}, Policy: PolicyLow}}
+	w.run(t, w.web, func(th *kernel.Thread) {
+		var ents []*ImportedEntry
+		for i := 0; i < 3; i++ {
+			imp, err := w.rt.MustImport(th, "/run/db.sock", desc)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			ents = append(ents, imp[0])
+			for _, e := range ents {
+				if _, err := e.Call(th, &Args{Regs: []uint64{1, 2}}); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+			if ts := th.Ext.(*threadState); len(ts.retCaps) != len(ents) {
+				t.Errorf("after calls on %d proxies the cache has %d slots", len(ents), len(ts.retCaps))
+			}
+		}
+		// Mark each cached capability: a hit returns the mark, a re-mint
+		// would not.
+		ts := th.Ext.(*threadState)
+		for i, e := range ents {
+			px := e.proxy
+			ts.retCaps[px.id].cap.Base++
+			mark := ts.retCaps[px.id].cap
+			if got, err := px.returnCap(ts); err != nil || got != mark {
+				t.Errorf("proxy %d (id %d): returnCap = %+v, %v; want its cached %+v", i, px.id, got, err, mark)
+			}
+		}
+	})
+}

@@ -197,7 +197,9 @@ func (rt *Runtime) EntryRequest(t *kernel.Thread, eh *EntryHandle, descs []Entry
 				callerProc: callerProc,
 				calleeProc: eh.proc,
 				cross:      cross,
+				id:         rt.proxies,
 			}
+			rt.proxies++
 			px.compile()
 			imports = append(imports, &ImportedEntry{Name: eh.entries[i].desc.Name, proxy: px})
 		}

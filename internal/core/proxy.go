@@ -62,6 +62,7 @@ type Proxy struct {
 	callerProc *kernel.Process
 	calleeProc *kernel.Process
 	cross      bool
+	id         int // dense per-Runtime number, the proxy's return-capability cache slot
 	desc       callDesc
 }
 
@@ -160,18 +161,24 @@ func (px *Proxy) compile() {
 //dipcvet:noalloc
 func (px *Proxy) returnCap(ts *threadState) (codoms.Capability, error) {
 	arch, pt := px.rt.M.Arch, px.rt.PT
-	if rc, ok := ts.retCaps[px]; ok && rc.epoch == arch.Epoch() && rc.ptGen == pt.Gen() {
-		return rc.cap, nil
+	if px.id < len(ts.retCaps) {
+		if rc := &ts.retCaps[px.id]; rc.set && rc.epoch == arch.Epoch() && rc.ptGen == pt.Gen() {
+			return rc.cap, nil
+		}
 	}
 	c, err := arch.NewFromAPL(&ts.hw, pt, px.domTag, px.retAddr,
 		int(arch.EntryAlign), codoms.PermCall)
 	if err != nil {
 		return codoms.Capability{}, err
 	}
-	if ts.retCaps == nil {
-		ts.retCaps = make(map[*Proxy]retCapEntry) //dipcvet:alloc-ok first-use memoization; steady state hits the cache above
+	if px.id >= len(ts.retCaps) {
+		// One slot per proxy of the runtime so far: a thread grows its
+		// cache again only for a proxy built after its last growth.
+		grown := make([]retCapEntry, px.rt.proxies) //dipcvet:alloc-ok first-use memoization; steady state hits the cache above
+		copy(grown, ts.retCaps)
+		ts.retCaps = grown
 	}
-	ts.retCaps[px] = retCapEntry{cap: c, epoch: arch.Epoch(), ptGen: pt.Gen()} //dipcvet:alloc-ok first-use memoization insert, amortized across all calls
+	ts.retCaps[px.id] = retCapEntry{cap: c, epoch: arch.Epoch(), ptGen: pt.Gen(), set: true}
 	return c, nil
 }
 

@@ -53,11 +53,13 @@ func insertNode(n *trackNode, tag codoms.Tag, proc *kernel.Process) *trackNode {
 const kcsInlineDepth = 2
 
 // retCapEntry is one cached P3 return capability, valid while the APLs
-// and the page table it was derived under are unchanged.
+// and the page table it was derived under are unchanged. set tells a
+// minted entry from an empty slot.
 type retCapEntry struct {
 	cap   codoms.Capability
 	epoch uint64
 	ptGen uint64
+	set   bool
 }
 
 // threadState is the dIPC per-thread state hung off kernel.Thread.Ext,
@@ -69,12 +71,13 @@ type retCapEntry struct {
 // none, and neither does a thread that only enters its process's code.
 // Beside it are the kernel control stack, the process-tracking cache
 // array (indexed by the 5-bit hardware domain tag), the tracking tree
-// and the per-proxy return-capability cache.
+// and the per-proxy return-capability cache, allocated at the first
+// call.
 type threadState struct {
 	hw         codoms.ThreadCtx
 	kcs        []kcsEntry
 	kcsInline  [kcsInlineDepth]kcsEntry
-	retCaps    map[*Proxy]retCapEntry
+	retCaps    []retCapEntry // indexed by Proxy.id
 	trackCache [codoms.APLCacheSize]*kernel.Process
 	trackTags  [codoms.APLCacheSize]codoms.Tag
 	trackTree  *trackNode

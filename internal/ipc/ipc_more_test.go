@@ -29,6 +29,42 @@ func TestSocketBlocksWhenFull(t *testing.T) {
 	}
 }
 
+// TestZeroSocketBlocksLikeDefaultConn pins that a zero Socket has the
+// 208 KB buffer of NewConn(0): on both, a sender fills the buffer to
+// exactly 208 KB and blocks on the next byte until the receiver drains.
+func TestZeroSocketBlocksLikeDefaultConn(t *testing.T) {
+	run := func(s *Socket) (sent int, sendDone sim.Time) {
+		eng, m := newMachine(2)
+		pa, pb := m.NewProcess("a"), m.NewProcess("b")
+		m.Spawn(pa, "sender", m.CPUs[0], func(th *kernel.Thread) {
+			for _, size := range []int{208<<10 - 100, 100, 1} {
+				s.Send(th, Message{Size: size})
+				sent++
+			}
+			sendDone = eng.Now()
+		})
+		var sentAtDrain int
+		m.Spawn(pb, "receiver", m.CPUs[1], func(th *kernel.Thread) {
+			th.SleepFor(100 * sim.Microsecond)
+			sentAtDrain = sent
+			for i := 0; i < 3; i++ {
+				s.Recv(th)
+			}
+		})
+		eng.Run()
+		return sentAtDrain, sendDone
+	}
+	zeroSent, zeroDone := run(&Socket{})
+	connSent, connDone := run(NewConn(0).AtoB)
+	if zeroSent != 2 || connSent != 2 {
+		t.Errorf("sends done when the receiver drains: zero Socket %d, NewConn(0) %d, want 2 (208 KB buffered, the next byte blocked)",
+			zeroSent, connSent)
+	}
+	if zeroDone != connDone {
+		t.Errorf("last send returns at %v on a zero Socket, %v on NewConn(0)", zeroDone, connDone)
+	}
+}
+
 func TestL4MultipleClients(t *testing.T) {
 	eng, m := newMachine(2)
 	ps := m.NewProcess("s")

@@ -17,9 +17,10 @@ type Message struct {
 // Socket is one direction of a UNIX-socket connection: a bounded queue
 // of messages with kernel-mediated copies on both ends. glibc's rpcgen
 // RPC and dIPC's default entry-resolution channel run over these
-// (§2.2, §6.2.1).
+// (§2.2, §6.2.1). The zero value is an empty socket with the default
+// buffer.
 type Socket struct {
-	capacity int // bytes of kernel buffering
+	capacity int // bytes of kernel buffering; 0 or less: defaultSocketBuf
 	buffered int
 	msgs     sim.Queue[Message]
 	readers  kernel.TQueue
@@ -32,12 +33,13 @@ type Conn struct {
 	BtoA *Socket
 }
 
+// defaultSocketBuf is a socket's buffer capacity unless NewConn sets
+// another: 208 KB, Linux's default wmem.
+const defaultSocketBuf = 208 << 10
+
 // NewConn returns a connected socket pair with per-direction buffer
-// capacity (defaults to 208 KB like Linux's default wmem).
+// capacity (0 or less: defaultSocketBuf).
 func NewConn(capacity int) *Conn {
-	if capacity <= 0 {
-		capacity = 208 << 10
-	}
 	return &Conn{
 		AtoB: &Socket{capacity: capacity},
 		BtoA: &Socket{capacity: capacity},
@@ -47,9 +49,13 @@ func NewConn(capacity int) *Conn {
 // Send copies a message into the socket buffer, blocking while full.
 func (s *Socket) Send(t *kernel.Thread, msg Message) {
 	prm := t.Machine().P
+	capacity := s.capacity
+	if capacity <= 0 {
+		capacity = defaultSocketBuf
+	}
 	t.Syscall(func() {
 		t.Exec(prm.SockKernel, stats.BlockKernel)
-		for s.buffered+msg.Size > s.capacity && s.msgs.Len() > 0 {
+		for s.buffered+msg.Size > capacity && s.msgs.Len() > 0 {
 			s.writers.BlockOn(t)
 		}
 		t.Exec(prm.KernelCopy(msg.Size), stats.BlockKernel)
