@@ -92,9 +92,8 @@ func BenchmarkFig5(b *testing.B) {
 	b.ReportMetric(spread, "x-policy-spread")
 }
 
-// BenchmarkFig6 regenerates Figure 6: the argument-size sweep (reduced
-// resolution; `dipcbench run fig6 -p full=true` runs the complete
-// 2^0..2^20 sweep).
+// BenchmarkFig6 regenerates Figure 6: the argument-size sweep at five
+// sizes (`dipcbench run fig6` runs the paper's 2^0..2^20 axis).
 func BenchmarkFig6(b *testing.B) {
 	sizes := []int{1, 256, 4096, 65536, 1 << 20}
 	var r *experiments.Fig6Result
@@ -125,7 +124,7 @@ func BenchmarkFig7(b *testing.B) {
 }
 
 // BenchmarkFig8OnDisk regenerates the on-disk half of Figure 8 at a
-// reduced thread grid (`dipcbench run fig8 -p full=true` runs 4..512).
+// reduced thread grid (`dipcbench run fig8` runs 4..512).
 func BenchmarkFig8OnDisk(b *testing.B) {
 	benchFig8(b, false)
 }
@@ -152,7 +151,7 @@ func benchFig8(b *testing.B, inMem bool) {
 
 // BenchmarkFig8Scaling regenerates the throughput-vs-cores extension of
 // Figure 8: the three stacks on 1..4 simulated CPUs at a fixed thread
-// count (`dipcbench run fig8scaling -p full=true` runs the 1..8 axis).
+// count (`dipcbench run fig8scaling` runs the 1..8 axis).
 func BenchmarkFig8Scaling(b *testing.B) {
 	cpus := []int{1, 2, 4}
 	var r *experiments.Fig8ScalingResult

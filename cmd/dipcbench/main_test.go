@@ -263,7 +263,7 @@ func TestListScenarios(t *testing.T) {
 	}
 	got := out.String()
 	for _, want := range []string{
-		"chain", "fig8", "ablations", "-p threads=4,16,64", "-p window=250ms", "all",
+		"chain", "fig8", "ablations", "-p threads=4,16,64,256,512", "-p window=250ms", "all",
 		"-p depth=1,2,4,8  (int list, >= 1)",
 	} {
 		if !strings.Contains(got, want) {
@@ -330,18 +330,31 @@ func TestRunSubcommandChainThroughPublicAPI(t *testing.T) {
 	}
 }
 
+// An unknown key is named with the valid keys. fig6 and fig7 take no
+// parameters, and no figure has a key that picks another axis.
 func TestRunSubcommandRejectsUnknownParam(t *testing.T) {
-	var out, errb bytes.Buffer
-	if code := run([]string{"run", "table1", "-p", "bogus=1"}, &out, &errb); code != 2 {
-		t.Fatalf("exit %d, want 2", code)
-	}
-	for _, want := range []string{"bogus", "bulk"} {
-		if !strings.Contains(errb.String(), want) {
-			t.Errorf("error should mention %q: %s", want, errb.String())
+	for _, c := range []struct {
+		args []string
+		want []string
+	}{
+		{[]string{"run", "table1", "-p", "bogus=1"}, []string{`"bogus"`, "bulk"}},
+		{[]string{"run", "fig8", "-p", "full=true"}, []string{`"full"`, "threads, window"}},
+		{[]string{"run", "fig8scaling", "-p", "full=true"}, []string{`"full"`, "cpus"}},
+		{[]string{"run", "fig6", "-p", "maxpow=30"}, []string{`"maxpow"`, "take no parameters"}},
+		{[]string{"run", "fig7", "-p", "step=1"}, []string{`"step"`, "take no parameters"}},
+	} {
+		var out, errb bytes.Buffer
+		if code := run(c.args, &out, &errb); code != 2 {
+			t.Fatalf("%v: exit %d, want 2", c.args, code)
 		}
-	}
-	if out.Len() != 0 {
-		t.Fatalf("bad parameter still produced output:\n%s", out.String())
+		for _, want := range c.want {
+			if !strings.Contains(errb.String(), want) {
+				t.Errorf("%v: error should mention %s: %s", c.args, want, errb.String())
+			}
+		}
+		if out.Len() != 0 {
+			t.Fatalf("%v: bad parameter still produced output:\n%s", c.args, out.String())
+		}
 	}
 }
 

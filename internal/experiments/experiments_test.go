@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,6 +140,43 @@ func TestFig2CrossCPUIdle(t *testing.T) {
 	}
 }
 
+// TestFigureDefaultsArePaperAxes runs each figure at its default axis
+// and requires every series to cover the paper's: argument sizes
+// 2^0..2^20 in steps of 2^2 (Fig. 6), transfer sizes 2^0..2^12 (Fig. 7),
+// 4..512 threads per component (Fig. 8) and the 1..8 core extension.
+// Only the OLTP window is shortened.
+func TestFigureDefaultsArePaperAxes(t *testing.T) {
+	pow2 := func(to, stride int) []float64 {
+		var out []float64
+		for p := 0; p <= to; p += stride {
+			out = append(out, float64(int(1)<<p))
+		}
+		return out
+	}
+	for _, c := range []struct {
+		name      string
+		overrides map[string]string
+		want      []float64
+	}{
+		{"fig6", nil, pow2(20, 2)},
+		{"fig7", nil, pow2(12, 1)},
+		{"fig8", map[string]string{"window": "1ms"}, []float64{4, 16, 64, 256, 512}},
+		{"fig8scaling", map[string]string{"window": "1ms"}, []float64{1, 2, 4, 6, 8}},
+	} {
+		res := runScenarioAt(t, c.name, c.overrides)
+		for _, s := range res.Series {
+			var xs []float64
+			for _, p := range s.Points {
+				xs = append(xs, p.X)
+			}
+			if !slices.Equal(xs, c.want) {
+				t.Errorf("%s %q: x axis %v, want %v", c.name, s.Label, xs, c.want)
+				break
+			}
+		}
+	}
+}
+
 func TestFig6Shapes(t *testing.T) {
 	r := RunFig6([]int{1, 4096, 262144})
 	series := make(map[string]stats.Series)
@@ -241,7 +279,7 @@ func TestFig7SmallSweep(t *testing.T) {
 	if dipcLat.Y[0] > 3 {
 		t.Fatalf("dIPC latency overhead = %.1f%%, want ~1%%", dipcLat.Y[0])
 	}
-	requireText(t, renderScenario(t, "fig7", map[string]string{"step": "2"}),
+	requireText(t, renderScenario(t, "fig7", nil),
 		"latency overhead: dIPC [%]", "bandwidth overhead: dIPC [%]", "latency: Bare (native) [ns]", "4096")
 }
 
@@ -306,7 +344,7 @@ func TestFig8CellSeriesMatchOLTPRun(t *testing.T) {
 // TestFig7AbsoluteLatencyMatchesNetpipe checks fig7's absolute latency
 // series against a direct netpipe run of the same size and rounds.
 func TestFig7AbsoluteLatencyMatchesNetpipe(t *testing.T) {
-	res := runScenarioAt(t, "fig7", map[string]string{"step": "12"})
+	res := runScenarioAt(t, "fig7", nil)
 	for _, v := range []netpipe.Variant{netpipe.Bare, netpipe.DIPC} {
 		for _, size := range []int{1, 4096} {
 			want := netpipe.Setup(v, 1).RunLatency(size, 60).Nanoseconds()

@@ -94,20 +94,12 @@ type Fig6Result struct {
 	Series []stats.Series // Y values: added ns over a function call
 }
 
-// Fig6Sizes are the powers of two of the sweep (2^0 .. 2^20).
-func Fig6Sizes(maxPow int) []int {
-	var out []int
-	for p := 0; p <= maxPow; p += 2 {
-		out = append(out, 1<<p)
-	}
-	return out
-}
+// Fig6Sizes is the paper's argument-size axis: every other power of
+// two, 2^0 .. 2^20.
+var Fig6Sizes = []int{1 << 0, 1 << 2, 1 << 4, 1 << 6, 1 << 8, 1 << 10, 1 << 12, 1 << 14, 1 << 16, 1 << 18, 1 << 20}
 
 // RunFig6 sweeps the argument size for each primitive.
 func RunFig6(sizes []int) *Fig6Result {
-	if len(sizes) == 0 {
-		sizes = Fig6Sizes(20)
-	}
 	base := MeasureFunc().Mean
 	res := &Fig6Result{}
 	kinds := []struct {
@@ -167,13 +159,15 @@ var Fig7Variants = []netpipe.Variant{
 	netpipe.DIPC, netpipe.DIPCProc, netpipe.Kernel, netpipe.Sem, netpipe.Pipe,
 }
 
+// Fig7Sizes is the paper's transfer-size axis: every power of two,
+// 2^0 .. 2^12.
+var Fig7Sizes = []int{
+	1 << 0, 1 << 1, 1 << 2, 1 << 3, 1 << 4, 1 << 5, 1 << 6,
+	1 << 7, 1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12,
+}
+
 // RunFig7 sweeps transfer sizes for each variant.
 func RunFig7(sizes []int) *Fig7Result {
-	if len(sizes) == 0 {
-		for p := 0; p <= 12; p += 2 {
-			sizes = append(sizes, 1<<p)
-		}
-	}
 	res := &Fig7Result{
 		Latency:    make(map[netpipe.Variant]stats.Series),
 		BW:         make(map[netpipe.Variant]stats.Series),
@@ -273,9 +267,6 @@ var Fig8Threads = []int{4, 16, 64, 256, 512}
 
 // RunFig8 sweeps modes × concurrency for one storage configuration.
 func RunFig8(inMemory bool, threads []int, window sim.Time) *Fig8Result {
-	if len(threads) == 0 {
-		threads = Fig8Threads
-	}
 	modes := []oltp.Mode{oltp.ModeLinux, oltp.ModeDIPC, oltp.ModeIdeal}
 	// One sweep point per (mode, threads) cell; each oltp.Run builds its
 	// own engine and machine.

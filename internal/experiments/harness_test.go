@@ -155,14 +155,12 @@ func requireSameAcrossWidths(t *testing.T, widths []int, runs map[string]map[str
 // whatever the worker count (and therefore identical to the sequential
 // path, which is the workers=1 case).
 func TestMicroSweepsDeterministicAcrossWorkerCounts(t *testing.T) {
-	maxPow := "12"
 	workerCounts := []int{2, 7}
 	if testing.Short() {
-		maxPow = "0"
 		workerCounts = []int{4}
 	}
 	requireSameAcrossWidths(t, workerCounts, map[string]map[string]string{
-		"fig6":         {"maxpow": maxPow},
+		"fig6":         nil,
 		"ablation-tls": nil,
 		"fig2":         nil,
 	})

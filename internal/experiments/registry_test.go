@@ -155,15 +155,6 @@ func TestRegistryDefaultsProduceRunnableConfigs(t *testing.T) {
 		}
 		got := cfg.ParamStrings()
 		for _, spec := range s.Params() {
-			if spec.Compat {
-				// Back-compat parameters are omitted while at their
-				// declared default so pre-existing digests survive the
-				// knob's introduction.
-				if _, present := got[spec.Key]; present {
-					t.Errorf("scenario %q: compat parameter %q appears in ParamStrings at its default", s.Name(), spec.Key)
-				}
-				continue
-			}
 			if got[spec.Key] != spec.Default {
 				t.Errorf("scenario %q: ParamStrings[%q] = %q, want default %q",
 					s.Name(), spec.Key, got[spec.Key], spec.Default)

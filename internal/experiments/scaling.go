@@ -23,11 +23,10 @@ type Fig8ScalingCell struct {
 
 // Fig8ScalingResult holds the throughput-vs-cores curves.
 type Fig8ScalingResult struct {
-	Threads int
-	Cells   []Fig8ScalingCell
+	Cells []Fig8ScalingCell
 }
 
-// Fig8ScalingCPUs is the default core axis.
+// Fig8ScalingCPUs is the core axis of the scaling extension.
 var Fig8ScalingCPUs = []int{1, 2, 4, 6, 8}
 
 // RunFig8Scaling sweeps the machine's CPU count for each mode at a fixed
@@ -35,12 +34,6 @@ var Fig8ScalingCPUs = []int{1, 2, 4, 6, 8}
 // costs, not the disk, bound throughput). Every (mode, cores) point is
 // an independent simulation and runs on the sweep harness.
 func RunFig8Scaling(cpus []int, threads int, window sim.Time) *Fig8ScalingResult {
-	if len(cpus) == 0 {
-		cpus = Fig8ScalingCPUs
-	}
-	if threads <= 0 {
-		threads = 16
-	}
 	modes := []oltp.Mode{oltp.ModeLinux, oltp.ModeDIPC, oltp.ModeIdeal}
 	cells := sweep(len(modes)*len(cpus), func(i int) Fig8ScalingCell {
 		mode, nc := modes[i/len(cpus)], cpus[i%len(cpus)]
@@ -49,7 +42,7 @@ func RunFig8Scaling(cpus []int, threads int, window sim.Time) *Fig8ScalingResult
 		})
 		return Fig8ScalingCell{Mode: mode, CPUs: nc, Result: r}
 	})
-	return &Fig8ScalingResult{Threads: threads, Cells: cells}
+	return &Fig8ScalingResult{Cells: cells}
 }
 
 // Throughput returns the cell's ops/min (0 if absent).

@@ -53,13 +53,15 @@ func TestFig8ScalingShape(t *testing.T) {
 
 func TestFig8ScalingDefaults(t *testing.T) {
 	if testing.Short() {
-		t.Skip("full default core axis is slow")
+		t.Skip("the default core axis is slow")
 	}
-	r := RunFig8Scaling(nil, 0, sim.Millis(30))
-	if r.Threads != 16 {
-		t.Fatalf("default threads = %d, want 16", r.Threads)
+	res := runScenarioAt(t, "fig8scaling", map[string]string{"window": "30ms"})
+	if res.Params["threads"] != "16" {
+		t.Fatalf("default threads = %s, want 16", res.Params["threads"])
 	}
-	if len(r.Cells) != 3*len(Fig8ScalingCPUs) {
-		t.Fatalf("got %d cells, want %d", len(r.Cells), 3*len(Fig8ScalingCPUs))
+	for _, s := range res.Series {
+		if len(s.Points) != len(Fig8ScalingCPUs) {
+			t.Fatalf("%s: got %d points, want %d", s.Label, len(s.Points), len(Fig8ScalingCPUs))
+		}
 	}
 }

@@ -37,8 +37,8 @@ var scenarioGoldens = map[string]struct {
 	"table1":            {nil, false},
 	"fig2":              {nil, false},
 	"fig5":              {nil, false},
-	"fig6":              {map[string]string{"maxpow": "8"}, false},
-	"fig7":              {map[string]string{"step": "6"}, false},
+	"fig6":              {nil, false},
+	"fig7":              {nil, false},
 	"ablation-tls":      {nil, false},
 	"fig1":              {map[string]string{"window": "30ms"}, true},
 	"fig8":              {map[string]string{"threads": "4,16", "window": "20ms"}, true},

@@ -73,50 +73,11 @@ func flapBudget(cfg *scenario.Config) error {
 	return nil
 }
 
-// The derivation helpers compute the effective sweep axes the `full`
-// shorthand expands to; checks and runs share them so what is validated
-// is exactly what runs.
-func fig6MaxPow(cfg *scenario.Config) int {
-	maxPow := cfg.Int("maxpow")
-	if cfg.Bool("full") && !cfg.Explicit("maxpow") {
-		maxPow = 20
-	}
-	return maxPow
-}
-
-func fig7Step(cfg *scenario.Config) int {
-	step := cfg.Int("step")
-	if cfg.Bool("full") && !cfg.Explicit("step") {
-		step = 1
-	}
-	return step
-}
-
-func fig8ThreadsAxisOf(cfg *scenario.Config) []int {
-	threads := cfg.Ints("threads")
-	if cfg.Bool("full") && !cfg.Explicit("threads") {
-		threads = Fig8Threads
-	}
-	return threads
-}
-
-func fig8ScalingCPUsOf(cfg *scenario.Config) []int {
-	cpus := cfg.Ints("cpus")
-	if cfg.Bool("full") && !cfg.Explicit("cpus") {
-		cpus = Fig8ScalingCPUs
-	}
-	return cpus
-}
-
-// Shared parameter specs. window and full are ordinary per-scenario
-// parameters: `dipcbench run|bench -p window=...` reaches every
+// Shared parameter specs. window is an ordinary per-scenario
+// parameter: `dipcbench run|bench -p window=...` reaches every
 // selected scenario that declares the key.
 func windowParam() scenario.ParamSpec {
 	return scenario.Param("window", scenario.Duration, "250ms", "OLTP measurement window (simulated time)")
-}
-
-func fullParam(doc string) scenario.ParamSpec {
-	return scenario.Param("full", scenario.Bool, "false", doc)
 }
 
 func threadsParam(def string) scenario.ParamSpec {
@@ -293,7 +254,7 @@ func runFig5Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 }
 
 func runFig6Scenario(cfg *scenario.Config) (*scenario.Result, error) {
-	r := RunFig6(Fig6Sizes(fig6MaxPow(cfg)))
+	r := RunFig6(Fig6Sizes)
 	return &scenario.Result{
 		Scenario: "fig6",
 		Params:   cfg.ParamStrings(),
@@ -302,12 +263,7 @@ func runFig6Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 }
 
 func runFig7Scenario(cfg *scenario.Config) (*scenario.Result, error) {
-	step := fig7Step(cfg)
-	var sizes []int
-	for p := 0; p <= 12; p += step {
-		sizes = append(sizes, 1<<p)
-	}
-	r := RunFig7(sizes)
+	r := RunFig7(Fig7Sizes)
 	var series []scenario.Series
 	for _, v := range Fig7Variants {
 		lat := r.Latency[v]
@@ -359,8 +315,7 @@ func runFig1Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 }
 
 func runFig8Scenario(cfg *scenario.Config) (*scenario.Result, error) {
-	threads := fig8ThreadsAxisOf(cfg)
-	window := cfg.Duration("window")
+	threads, window := cfg.Ints("threads"), cfg.Duration("window")
 	onDisk := RunFig8(false, threads, window)
 	inMem := RunFig8(true, threads, window)
 	var series []scenario.Series
@@ -377,7 +332,7 @@ func runFig8Scenario(cfg *scenario.Config) (*scenario.Result, error) {
 }
 
 func runFig8ScalingScenario(cfg *scenario.Config) (*scenario.Result, error) {
-	cpus := fig8ScalingCPUsOf(cfg)
+	cpus := cfg.Ints("cpus")
 	r := RunFig8Scaling(cpus, cfg.Int("threads"), cfg.Duration("window"))
 	var series []scenario.Series
 	for _, mode := range oltpModes {
@@ -475,26 +430,12 @@ func init() {
 	scenario.Register(scenario.New("fig5",
 		"Figure 5: performance of synchronous calls (1-byte argument)",
 		nil, runFig5Scenario))
-	scenario.Register(scenario.NewChecked("fig6",
+	scenario.Register(scenario.New("fig6",
 		"Figure 6: added time over a function call by argument size",
-		[]scenario.ParamSpec{
-			scenario.Param("maxpow", scenario.Int, "14", "largest argument size as a power of two").AtLeast("0"),
-			fullParam("sweep the paper's full 2^0..2^20 axis"),
-		},
-		func(cfg *scenario.Config) error {
-			if mp := fig6MaxPow(cfg); mp > 30 {
-				return fmt.Errorf("maxpow must be <= 30, got %d", mp)
-			}
-			return nil
-		},
-		runFig6Scenario))
+		nil, runFig6Scenario))
 	scenario.Register(scenario.New("fig7",
 		"Figure 7: Infiniband driver isolation overheads (latency and bandwidth)",
-		[]scenario.ParamSpec{
-			scenario.Param("step", scenario.Int, "4", "stride over the 2^0..2^12 size exponents"),
-			fullParam("run every power-of-two size (stride 1)"),
-		},
-		runFig7Scenario))
+		nil, runFig7Scenario))
 	scenario.Register(scenario.New("fig1",
 		"Figure 1: OLTP time breakdown, Linux vs Ideal",
 		[]scenario.ParamSpec{windowParam()},
@@ -502,18 +443,16 @@ func init() {
 	scenario.Register(scenario.New("fig8",
 		"Figure 8: OLTP throughput, modes x concurrency, on-disk and in-memory",
 		[]scenario.ParamSpec{
-			scenario.Param("threads", scenario.IntList, "4,16,64", "concurrency axis (threads per component)"),
+			scenario.Param("threads", scenario.IntList, scenario.IntList.Format(Fig8Threads), "concurrency axis (threads per component)"),
 			windowParam(),
-			fullParam("run the paper's full 4..512 thread axis"),
 		},
 		runFig8Scenario))
 	scenario.Register(scenario.New("fig8scaling",
 		"Figure 8 extension: OLTP throughput vs simulated cores",
 		[]scenario.ParamSpec{
-			scenario.Param("cpus", scenario.IntList, "1,2,4", "simulated core counts"),
+			scenario.Param("cpus", scenario.IntList, scenario.IntList.Format(Fig8ScalingCPUs), "simulated core counts"),
 			threadsParam("16"),
 			windowParam(),
-			fullParam("run the extended 1..8 core axis"),
 		},
 		runFig8ScalingScenario))
 	scenario.Register(scenario.New("sensitivity",

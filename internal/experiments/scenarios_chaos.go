@@ -250,7 +250,7 @@ func init() {
 			scenario.Param("deadlines", scenario.IntList, "100,300", "per-attempt deadlines to sweep (us)"),
 			scenario.Param("retries", scenario.Int, "3", "retries per call after the first attempt").AtLeast("0"),
 			scenario.Param("backoffs", scenario.IntList, "5,40", "initial backoffs to sweep (us, doubles, capped at 8x)"),
-			scenario.CompatParam("jitter", scenario.Float, "0", "backoff jitter fraction in [0,1] (0: exact exponential schedule; deterministic per-callsite streams)"),
+			scenario.Param("jitter", scenario.Float, "0", "backoff jitter fraction in [0,1] (0: exact exponential schedule; deterministic per-callsite streams)"),
 		},
 		func(cfg *scenario.Config) error {
 			if p := cfg.Float("pdrop"); p < 0 || p >= 1 {

@@ -21,7 +21,6 @@ type Kind int
 const (
 	Int      Kind = iota // decimal integer, e.g. "4096"
 	Float                // decimal float, e.g. "0.5"
-	Bool                 // "true" / "false"
 	Duration             // simulated time with unit suffix, e.g. "250ms", "20us"
 	IntList              // comma-separated integers, e.g. "1,64,4096"
 )
@@ -33,8 +32,6 @@ func (k Kind) String() string {
 		return "int"
 	case Float:
 		return "float"
-	case Bool:
-		return "bool"
 	case Duration:
 		return "duration"
 	case IntList:
@@ -44,16 +41,14 @@ func (k Kind) String() string {
 	}
 }
 
-// Parse decodes s into the kind's Go value (int, float64, bool,
-// sim.Time or []int).
+// Parse decodes s into the kind's Go value (int, float64, sim.Time or
+// []int).
 func (k Kind) Parse(s string) (any, error) {
 	switch k {
 	case Int:
 		return strconv.Atoi(s)
 	case Float:
 		return strconv.ParseFloat(s, 64)
-	case Bool:
-		return strconv.ParseBool(s)
 	case Duration:
 		return ParseDuration(s)
 	case IntList:
@@ -82,8 +77,6 @@ func (k Kind) Format(v any) string {
 		return strconv.Itoa(v.(int))
 	case Float:
 		return strconv.FormatFloat(v.(float64), 'g', -1, 64)
-	case Bool:
-		return strconv.FormatBool(v.(bool))
 	case Duration:
 		return FormatDuration(v.(sim.Time))
 	case IntList:
@@ -155,37 +148,21 @@ func FormatDuration(t sim.Time) string {
 // for `dipcbench list`.
 //
 // Min is the inclusive lower bound in the kind's canonical encoding,
-// applied to each element of an IntList; "" means none. Param and
-// CompatParam set it to the positive minimum ("1", "1ps") for Int,
-// IntList and Duration, and AtLeast declares another; Bool and Float take
-// none. NewConfig enforces it before any Checker runs.
-//
-// Compat marks a back-compat parameter: a model knob added after the
-// scenario's golden file was pinned, whose declared default reproduces
-// the pre-knob behaviour exactly. Compat parameters are omitted from
-// ParamStrings while they sit at their default, so adding one does not
-// disturb an already-pinned golden file; once overridden they are
-// recorded (and change the canonical JSON) like any other model
-// parameter.
+// applied to each element of an IntList; "" means none. Param sets it
+// to the positive minimum ("1", "1ps") for Int, IntList and Duration,
+// and AtLeast declares another; Float takes none. NewConfig enforces it
+// before any Checker runs.
 type ParamSpec struct {
 	Key     string
 	Kind    Kind
 	Default string
 	Min     string
 	Doc     string
-	Compat  bool
 }
 
 // Param is a convenience constructor for a ParamSpec.
 func Param(key string, kind Kind, def, doc string) ParamSpec {
 	return ParamSpec{Key: key, Kind: kind, Default: def, Min: positiveMin(kind), Doc: doc}
-}
-
-// CompatParam is Param for a post-pinning back-compat parameter (see
-// ParamSpec.Compat). The default MUST leave the scenario's behaviour
-// byte-identical to before the parameter existed.
-func CompatParam(key string, kind Kind, def, doc string) ParamSpec {
-	return ParamSpec{Key: key, Kind: kind, Default: def, Min: positiveMin(kind), Doc: doc, Compat: true}
 }
 
 // AtLeast returns p with its lower bound set to min.
@@ -195,7 +172,7 @@ func (p ParamSpec) AtLeast(min string) ParamSpec {
 }
 
 // positiveMin is a kind's default lower bound: its smallest positive
-// value, or none for Bool and Float.
+// value, or none for Float.
 func positiveMin(k Kind) string {
 	switch k {
 	case Int, IntList:
@@ -249,9 +226,8 @@ func (p ParamSpec) checkMin(v any) error {
 // on undeclared keys — scenarios only read parameters they declared, so
 // a miss is a programming error the registry tests catch.
 type Config struct {
-	specs    []ParamSpec
-	values   map[string]any
-	explicit map[string]bool
+	specs  []ParamSpec
+	values map[string]any
 }
 
 // NewConfig resolves the scenario's parameters, applying overrides
@@ -260,11 +236,7 @@ type Config struct {
 // unknown-key error names every valid key.
 func NewConfig(s Scenario, overrides map[string]string) (*Config, error) {
 	specs := s.Params()
-	cfg := &Config{
-		specs:    specs,
-		values:   make(map[string]any, len(specs)),
-		explicit: make(map[string]bool),
-	}
+	cfg := &Config{specs: specs, values: make(map[string]any, len(specs))}
 	byKey := make(map[string]ParamSpec, len(specs))
 	for _, spec := range specs {
 		v, err := spec.Kind.Parse(spec.Default)
@@ -297,7 +269,6 @@ func NewConfig(s Scenario, overrides map[string]string) (*Config, error) {
 			return nil, fmt.Errorf("parameter %s (%s): %v", k, spec.Kind, err)
 		}
 		cfg.values[k] = v
-		cfg.explicit[k] = true
 	}
 	for _, spec := range specs {
 		if err := spec.checkMin(cfg.values[spec.Key]); err != nil {
@@ -311,12 +282,6 @@ func NewConfig(s Scenario, overrides map[string]string) (*Config, error) {
 	}
 	return cfg, nil
 }
-
-// Explicit reports whether the key was overridden (vs left at its
-// default) — used by scenarios whose defaults depend on other
-// parameters, e.g. `full` widening a sweep axis unless the axis was set
-// explicitly.
-func (c *Config) Explicit(key string) bool { return c.explicit[key] }
 
 func (c *Config) value(key string) any {
 	v, ok := c.values[key]
@@ -332,9 +297,6 @@ func (c *Config) Int(key string) int { return c.value(key).(int) }
 // Float returns a Float parameter.
 func (c *Config) Float(key string) float64 { return c.value(key).(float64) }
 
-// Bool returns a Bool parameter.
-func (c *Config) Bool(key string) bool { return c.value(key).(bool) }
-
 // Duration returns a Duration parameter as simulated time.
 func (c *Config) Duration(key string) sim.Time { return c.value(key).(sim.Time) }
 
@@ -343,18 +305,11 @@ func (c *Config) Ints(key string) []int { return c.value(key).([]int) }
 
 // ParamStrings returns every resolved model parameter in canonical
 // string form, the map recorded in Result.Params and BenchReport
-// entries. Back-compat parameters (ParamSpec.Compat) are omitted only
-// while their resolved value still formats to the declared default, so
-// pinning survives the parameter's introduction but any override is
-// faithfully recorded.
+// entries.
 func (c *Config) ParamStrings() map[string]string {
 	out := make(map[string]string, len(c.specs))
 	for _, spec := range c.specs {
-		v := spec.Kind.Format(c.values[spec.Key])
-		if spec.Compat && v == spec.Default {
-			continue
-		}
-		out[spec.Key] = v
+		out[spec.Key] = spec.Kind.Format(c.values[spec.Key])
 	}
 	if len(out) == 0 {
 		return nil

@@ -25,8 +25,6 @@ func TestKindRoundTrips(t *testing.T) {
 		{Int, "-3"},
 		{Float, "0.5"},
 		{Float, "14"},
-		{Bool, "true"},
-		{Bool, "false"},
 		{Duration, "250ms"},
 		{Duration, "20us"},
 		{Duration, "1ns"},
@@ -87,7 +85,6 @@ func TestConfigDefaultsAndOverrides(t *testing.T) {
 		Param("threads", Int, "16", "workers"),
 		Param("window", Duration, "250ms", "window"),
 		Param("sizes", IntList, "1,64", "axis"),
-		Param("full", Bool, "false", "full sweep"),
 	)
 	cfg, err := NewConfig(s, map[string]string{"threads": "4", "window": "20ms"})
 	if err != nil {
@@ -99,51 +96,9 @@ func TestConfigDefaultsAndOverrides(t *testing.T) {
 	if got := cfg.Ints("sizes"); len(got) != 2 || got[1] != 64 {
 		t.Fatalf("default int list = %v", got)
 	}
-	if cfg.Bool("full") {
-		t.Fatal("default bool should be false")
-	}
-	if !cfg.Explicit("threads") || cfg.Explicit("sizes") {
-		t.Fatal("Explicit tracking wrong")
-	}
 	ps := cfg.ParamStrings()
-	if ps["threads"] != "4" || ps["window"] != "20ms" || ps["sizes"] != "1,64" || ps["full"] != "false" {
+	if ps["threads"] != "4" || ps["window"] != "20ms" || ps["sizes"] != "1,64" {
 		t.Fatalf("ParamStrings = %v", ps)
-	}
-}
-
-// TestCompatParamOmittedAtDefault pins the back-compat contract: a
-// Compat parameter left at its declared default stays out of the
-// canonical parameter map (so pre-existing digests survive the knob's
-// introduction), while any other value is recorded like a normal
-// parameter.
-func TestCompatParamOmittedAtDefault(t *testing.T) {
-	s := stub("cfg-compat",
-		Param("threads", Int, "8", "workers"),
-		CompatParam("jitter", Float, "0", "late-added knob"),
-	)
-	cfg, err := NewConfig(s, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ps := cfg.ParamStrings(); ps["threads"] != "8" {
-		t.Fatalf("ParamStrings = %v", ps)
-	} else if _, ok := ps["jitter"]; ok {
-		t.Fatalf("compat param at its default leaked into ParamStrings: %v", ps)
-	}
-	// Explicitly restating the default is still the default behaviour.
-	cfg, err = NewConfig(s, map[string]string{"jitter": "0"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := cfg.ParamStrings()["jitter"]; ok {
-		t.Fatalf("compat param explicitly at its default leaked into ParamStrings")
-	}
-	cfg, err = NewConfig(s, map[string]string{"jitter": "0.5"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cfg.ParamStrings()["jitter"]; got != "0.5" {
-		t.Fatalf("overridden compat param = %q, want 0.5", got)
 	}
 }
 
@@ -277,9 +232,6 @@ func TestRegistryRejectsBadRegistrations(t *testing.T) {
 	})
 	expectPanic("bound does not parse", func() {
 		r.Register(stub("bad-bound", Param("k", Int, "4", "x").AtLeast("one")))
-	})
-	expectPanic("bound on a bool", func() {
-		r.Register(stub("bool-bound", Param("b", Bool, "false", "x").AtLeast("0")))
 	})
 	expectPanic("bound on a float", func() {
 		r.Register(stub("float-bound", Param("f", Float, "0.5", "x").AtLeast("0")))

@@ -17,9 +17,10 @@
 #   - dipcbench: run all, list, bench (plain, -json, -compare
 #     BENCH_engine.json and a one-scenario -gate), the CI smokes (run
 #     table1 -json and the chaos-kill depth=0 error), the flap-budget
-#     error inputs, an unknown scenario, fig6 at full resolution,
-#     chaos-retrystorm with jittered backoff and a crosscall chain 40
-#     deep, whose 41 domains cycle through the 32-entry APL cache;
+#     error inputs, an unknown scenario, chaos-retrystorm with jittered
+#     backoff and a crosscall chain 40 deep, whose 41 domains cycle
+#     through the 32-entry APL cache (run all already sweeps fig6's
+#     full 2^0..2^20 axis);
 #   - each perfbench workload for one second at --trace 0 and for three
 #     seconds at --trace 1, so that its pprof cross-check ranks packages
 #     from about three times the samples of a one-second run.
@@ -78,7 +79,6 @@ for s in chaos-rack failover-flap; do
 	grep -q flapperiod "$work/out/stderr"
 done
 expect 2 "$d" run nosuch
-expect 0 "$d" run fig6 -p full=true
 expect 0 "$d" run chaos-retrystorm -p jitter=0.5
 expect 0 "$d" run crosscall -p depth=40 -p calls=1000
 
