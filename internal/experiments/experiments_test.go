@@ -210,6 +210,32 @@ func TestFig6Shapes(t *testing.T) {
 	}
 }
 
+func TestRPCRoundTripNearPaperAnchor(t *testing.T) {
+	// Fig. 5: Local RPC (=CPU) ≈ 3428× a 2ns call ≈ 6.9us; the intro
+	// says "more than 3000× slower than a regular function call".
+	if ns := MeasureRPC(true, 1).Mean.Nanoseconds(); ns < 6000 || ns > 8500 {
+		t.Fatalf("RPC round trip = %.0fns, want ~6.9us (Fig. 5)", ns)
+	}
+}
+
+func TestRPCGrowsWithPayload(t *testing.T) {
+	small := MeasureRPC(true, 1).Mean
+	big := MeasureRPC(true, 64<<10).Mean
+	if big < small+cost.Default().Copy(64<<10) {
+		t.Fatalf("64KB payload (%v) should cost well above 1B (%v): copies dominate (Fig. 6)", big, small)
+	}
+}
+
+// TestRPCCallBytes pins the XDR call size: four words, then the
+// argument padded to a whole word.
+func TestRPCCallBytes(t *testing.T) {
+	for _, c := range []struct{ size, want int }{{0, 16}, {1, 20}, {3, 20}, {4, 20}, {5, 24}, {4096, 4112}} {
+		if got := rpcCallBytes(c.size); got != c.want {
+			t.Errorf("rpcCallBytes(%d) = %d, want %d", c.size, got, c.want)
+		}
+	}
+}
+
 // renderScenario returns the text dipcbench prints for a registered
 // scenario run with overrides.
 func renderScenario(t *testing.T, name string, overrides map[string]string) string {

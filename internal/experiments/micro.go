@@ -12,7 +12,6 @@ import (
 	"repro/internal/cost"
 	"repro/internal/ipc"
 	"repro/internal/kernel"
-	"repro/internal/rpcgen"
 	"repro/internal/sim"
 	"repro/internal/stats"
 )
@@ -35,7 +34,6 @@ type microHarness struct {
 	pin    *kernel.CPU
 	setup  func(t *kernel.Thread) // optional, runs once on the caller
 	op     func(t *kernel.Thread) // one synchronous round trip
-	finish func(t *kernel.Thread) // optional teardown
 }
 
 const (
@@ -63,9 +61,6 @@ func (h *microHarness) run(label string) Measurement {
 		endSnaps := h.m.CPUSnapshots()
 		for i := range endSnaps {
 			per = append(per, endSnaps[i].Sub(base[i]).Scale(microRounds))
-		}
-		if h.finish != nil {
-			h.finish(t)
 		}
 	})
 	h.eng.Run()
@@ -183,37 +178,56 @@ func MeasureL4(sameCPU bool) Measurement {
 	return h.run(label)
 }
 
-// MeasureRPC measures a glibc-rpcgen-style local RPC round trip.
+// MeasureRPC measures a glibc-rpcgen-style local RPC round trip over a
+// UNIX socket. Each side marshals what it sends and unmarshals what it
+// receives (RPCMarshal plus a copy of the message), and the server also
+// dispatches the call to its procedure (RPCDispatch), which returns an
+// empty result. Only message sizes reach the model, so nothing is
+// encoded: the sizes are those of the ONC RPC messages in XDR
+// (RFC 4506), whose fields are 4-byte words (rpcCallBytes,
+// rpcReplyBytes).
 func MeasureRPC(sameCPU bool, size int) Measurement {
 	eng, m := newMachine(5)
 	caller := m.NewProcess("client")
 	callee := m.NewProcess("server")
 	conn := ipc.NewConn(0)
-	srv := rpcgen.NewServer()
-	srv.Register(1, func(t *kernel.Thread, args []byte) []byte { return args[:0] })
+	p := m.P
 	serverCPU := m.CPUs[0]
 	if !sameCPU {
 		serverCPU = m.CPUs[1]
 	}
 	m.Spawn(callee, "server", serverCPU, func(t *kernel.Thread) {
-		srv.Serve(t, conn)
+		for {
+			call := conn.AtoB.Recv(t)
+			t.Exec(p.RPCMarshal+p.Copy(call.Size), stats.BlockUser) // unmarshal
+			t.Exec(p.RPCDispatch, stats.BlockUser)
+			t.Exec(p.RPCMarshal+p.Copy(rpcReplyBytes), stats.BlockUser) // marshal
+			conn.BtoA.Send(t, ipc.Message{Size: rpcReplyBytes})
+		}
 	})
-	args := make([]byte, size)
-	var cl *rpcgen.Client
+	req := rpcCallBytes(size)
 	h := &microHarness{eng: eng, m: m, caller: caller, pin: m.CPUs[0],
-		setup: func(t *kernel.Thread) { cl = rpcgen.NewClient(conn) },
 		op: func(t *kernel.Thread) {
-			if _, err := cl.Call(t, 1, args); err != nil {
-				panic(err)
-			}
-		},
-		finish: func(t *kernel.Thread) { rpcgen.Shutdown(t, conn) }}
+			t.Exec(p.RPCMarshal+p.Copy(req), stats.BlockUser) // marshal
+			conn.AtoB.Send(t, ipc.Message{Size: req})
+			reply := conn.BtoA.Recv(t)
+			t.Exec(p.RPCMarshal+p.Copy(reply.Size), stats.BlockUser) // unmarshal
+		}}
 	label := "Local RPC (=CPU)"
 	if !sameCPU {
 		label = "Local RPC (!=CPU)"
 	}
 	return h.run(label)
 }
+
+// rpcReplyBytes is the XDR size of a reply with an empty result: xid,
+// message kind, found flag and the result's length word.
+const rpcReplyBytes = 16
+
+// rpcCallBytes is the XDR size of a call with a size-byte argument:
+// xid, message kind, procedure number and the argument's length word,
+// then the argument padded to a whole word.
+func rpcCallBytes(size int) int { return 16 + (size+3)&^3 }
 
 // dipcPolicy maps the figure's Low/High labels onto isolation policies.
 func dipcPolicy(high bool) core.IsoProps {

@@ -5,8 +5,9 @@
 //
 // The kernel charges every modeled activity into the stats.Block
 // categories of the paper's Figure 2, so breakdown figures come straight
-// out of the accounting. Threads are sim.Procs; the scheduler decides
-// which thread occupies which CPU, and all costs come from cost.Params.
+// out of the accounting. Each Thread carries the sim.Proc its code runs
+// on; the scheduler decides which thread occupies which CPU, and all
+// costs come from cost.Params.
 package kernel
 
 import (

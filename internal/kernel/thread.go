@@ -28,7 +28,8 @@ type Thread struct {
 
 	m    *Machine
 	proc *Process
-	sp   *sim.Proc
+	sp   sim.Proc      // the thread's coroutine, started by Spawn
+	body func(*Thread) // the code Spawn was given, run once scheduled
 
 	state       ThreadState
 	cpu         *CPU // CPU it runs on (or is queued on)
@@ -82,7 +83,10 @@ func (t *Thread) Pinned() *CPU { return t.pinned }
 
 // Spawn creates a thread in process p running fn. If pin is non-nil the
 // thread is restricted to that CPU. The thread begins runnable and is
-// dispatched by the scheduler like any other.
+// dispatched by the scheduler like any other. Its sim.Proc lives inside
+// the Thread and starts through sim.Start with run as its body, so a
+// thread costs the simulator two allocations: the Thread and the
+// coroutine body's closure.
 func (m *Machine) Spawn(p *Process, name string, pin *CPU, fn func(t *Thread)) *Thread {
 	m.nextTID++
 	t := &Thread{
@@ -91,17 +95,22 @@ func (m *Machine) Spawn(p *Process, name string, pin *CPU, fn func(t *Thread)) *
 		m:      m,
 		proc:   p,
 		pinned: pin,
+		body:   fn,
 	}
-	t.sp = m.Eng.Spawn(name, 0, func(sp *sim.Proc) {
-		// First scheduling: claim a CPU or queue for one.
-		t.state = ThreadRunnable
-		t.schedWaiter = sp.PrepareWait()
-		t.targetCPU().place(t, nil)
-		sp.Wait()
-		fn(t)
-		t.exit()
-	})
+	sim.Start(m.Eng, &t.sp, name, 0, t, (*Thread).run)
 	return t
+}
+
+// run is the thread's coroutine body: it queues for a CPU, runs the
+// code Spawn was given once scheduled, and exits.
+func (t *Thread) run() {
+	// First scheduling: claim a CPU or queue for one.
+	t.state = ThreadRunnable
+	t.schedWaiter = t.sp.PrepareWait()
+	t.targetCPU().place(t, nil)
+	t.sp.Wait()
+	t.body(t)
+	t.exit()
 }
 
 // targetCPU picks the CPU a runnable thread should go to. Like CFS's

@@ -10,12 +10,12 @@ import "iter"
 // and blocks the caller there instead. iter.Pull spells that switch as
 // next or yield and requires the two to alternate, whoever calls them;
 // the owning Proc's nextDue tracks whose turn it is, so swap can use
-// either. (The flag sits in Proc beside finished, which with an int32
-// queued count keeps a Proc in the 112-byte size class.) A switch costs
-// one runtime.coroswitch, not a trip through the scheduler. The root's
-// switches go through swap; Proc.park, where every handoff between
-// procs happens, makes the same next-or-yield switch inline so that a
-// resumed proc unwinds through no swap frame.
+// either. (The flag sits in Proc beside finished and the int32 queued
+// count, in padding the struct has anyway, so it costs no bytes.) A
+// switch costs one runtime.coroswitch, not a trip through the
+// scheduler. The root's switches go through swap; Proc.park, where
+// every handoff between procs happens, makes the same next-or-yield
+// switch inline so that a resumed proc unwinds through no swap frame.
 //
 // iter.Pull needs the Go 1.23 standard library while the module's
 // language version stays at go1.21 (a newer go.mod line would break the

@@ -290,14 +290,25 @@ func (e *Engine) AtU64(d Time, fn func(uint64), v uint64) {
 }
 
 // Spawn creates a new simulated thread running fn and schedules it to
-// start after delay d. fn runs as a coroutine that executes only while
-// the engine has dispatched it; when fn returns, the goroutine that had
-// switched into the proc's coroutine resumes and carries the loop on.
+// start after delay d: it allocates the Proc and starts it with Start.
 func (e *Engine) Spawn(name string, d Time, fn func(p *Proc)) *Proc {
+	p := new(Proc)
+	Start(e, p, name, d, p, fn)
+	return p
+}
+
+// Start starts p, a Proc the caller owns and has not started, as a
+// simulated thread that runs fn(owner) after delay d. fn runs as a
+// coroutine that executes only while the engine has dispatched it; when
+// fn returns, the goroutine that had switched into the proc's coroutine
+// resumes and carries the loop on. A caller that embeds p in its own
+// record and passes a method expression as fn allocates nothing per
+// thread but that record and the coroutine body's closure.
+func Start[T any](e *Engine, p *Proc, name string, d Time, owner T, fn func(T)) {
 	if e.closed {
 		panicClosed()
 	}
-	p := &Proc{eng: e, name: name}
+	p.eng, p.name = e, name
 	p.startCoro(func(yield func(struct{}) bool) {
 		p.co.yield = yield
 		defer func() {
@@ -307,19 +318,18 @@ func (e *Engine) Spawn(name string, d Time, fn func(p *Proc)) *Proc {
 				e.panicVal = fmt.Errorf("sim: proc %q panicked: %v", p.name, r)
 			}
 		}()
-		fn(p)
+		fn(owner)
 	})
 	e.live++
 	e.stats.Spawned++
 	e.procs = append(e.procs, p)
 	e.bumpGen(p)
 	e.push(e.after(d), p, p.gen, payload{})
-	return p
 }
 
 // errProcStopped is the sentinel park panics with when Close stops a
 // parked proc; it unwinds the proc's stack, running its deferred code,
-// and Spawn's wrapper recovers it.
+// and Start's wrapper recovers it.
 var errProcStopped = errors.New("sim: proc stopped by Close")
 
 // panicClosed reports a scheduling call on a closed engine — typically
@@ -432,7 +442,7 @@ func (e *Engine) schedule(self *Proc, first *event) (to *Proc, pl payload) {
 // handler — reporting false if it panicked. The panic is contained
 // here — not allowed to unwind — because the loop may be running inside
 // a parking proc: a raw panic would unwind that innocent proc's user
-// code and be misattributed to it by Spawn's recover. Containing it
+// code and be misattributed to it by Start's recover. Containing it
 // means a panicking handler behaves identically wherever the loop runs:
 // the loop stops and the root re-throws "sim: callback panicked" (or
 // "sim: link N handler panicked").
